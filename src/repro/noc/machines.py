@@ -139,7 +139,11 @@ def python_host(ops_per_sec: float = 2.0e6) -> MachineModel:
         barrier_base=20e-6,
         barrier_per_stage=10e-6,
         lock_overhead=5e-6,
-        notes="threading.Barrier/Lock measured on commodity hardware",
+        notes=(
+            "thread-executor barrier/lock costs on commodity hardware; the "
+            "barrier figures were taken with threading.Barrier, before the "
+            "executor moved to HandoffBarrier"
+        ),
     )
 
 

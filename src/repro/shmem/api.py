@@ -31,6 +31,7 @@ primitives, the process executor (:mod:`repro.shmem.runtime_procs`) with
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -53,23 +54,96 @@ DEFAULT_BARRIER_TIMEOUT = 120.0
 _ELEM_BYTES = 8
 
 
-class _EpochBox:
-    """Barrier epoch counter (plain int for threads; subclassed for procs)."""
+class _Phase:
+    """The PEs parked in one barrier phase, and whether it was broken."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("gates", "broken")
 
     def __init__(self) -> None:
-        self._value = 0
+        self.gates: list = []
+        self.broken = False
 
-    def increment(self) -> None:
-        self._value += 1
+
+class HandoffBarrier:
+    """Thread barrier that hands each parked PE its own lock.
+
+    An arriving PE takes one mutex and either parks on a lock it acquired
+    itself, waiting on it outside the mutex, or, as the last arriver,
+    bumps the epoch and releases every parked lock.  Woken PEs never
+    re-take a shared lock; in ``threading.Barrier`` (a Condition) every
+    woken waiter re-acquires the Condition's lock, which makes a ``HUGZ``
+    about 1.6x as costly on GIL-bound threads.
+
+    It keeps the part of ``threading.Barrier``'s contract the executor
+    uses: ``abort()`` or any waiter's timeout breaks the barrier, and
+    every PE parked in the current phase and every later arrival raises
+    ``threading.BrokenBarrierError``.  The epoch is bumped before any
+    waiter resumes (the race detector reads it), so the barrier also
+    serves as the world's epoch box through :meth:`read`.
+    """
+
+    __slots__ = ("parties", "_mutex", "_phase", "_epoch", "_broken")
+
+    def __init__(self, parties: int) -> None:
+        self.parties = parties
+        self._mutex = threading.Lock()
+        self._phase = _Phase()
+        self._epoch = 0
+        self._broken = False
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        with self._mutex:
+            if self._broken:
+                raise threading.BrokenBarrierError
+            phase = self._phase
+            if len(phase.gates) + 1 == self.parties:
+                self._epoch += 1
+                self._phase = _Phase()
+                for gate in phase.gates:
+                    gate.release()
+                return
+            gate = threading.Lock()
+            gate.acquire()
+            phase.gates.append(gate)
+        if gate.acquire(timeout=-1 if timeout is None else timeout):
+            # Released either by the phase completing or by a break;
+            # only this phase's own flag tells which (an abort that
+            # lands after the release marks the *next* phase).
+            if phase.broken:
+                raise threading.BrokenBarrierError
+            return
+        with self._mutex:
+            # Timed out, unless the phase completed in the meantime.
+            if phase is self._phase:
+                self._break_locked()
+            if phase.broken:
+                raise threading.BrokenBarrierError
+
+    def abort(self) -> None:
+        """Break the barrier: wake every parked PE with the error."""
+        with self._mutex:
+            self._break_locked()
 
     def read(self) -> int:
-        return self._value
+        """Completed phases so far (the world's barrier epoch)."""
+        return self._epoch
+
+    def _break_locked(self) -> None:
+        self._broken = True
+        phase = self._phase
+        phase.broken = True
+        for gate in phase.gates:
+            gate.release()
+        phase.gates.clear()
 
 
 class World:
-    """Everything shared by the PEs of one SPMD execution."""
+    """Everything shared by the PEs of one SPMD execution.
+
+    ``epoch_box.read()`` gives the number of completed barrier phases:
+    the thread world's :class:`HandoffBarrier` counts its own, process
+    worlds keep the count in shared memory.
+    """
 
     def __init__(
         self,
@@ -78,7 +152,7 @@ class World:
         barrier,
         heap: SymmetricHeap,
         locks: LockTable,
-        epoch_box: Optional[_EpochBox] = None,
+        epoch_box,
         race_detector: Optional[RaceDetector] = None,
         exchange: Optional[list] = None,
         atomic_mutex=None,
@@ -88,7 +162,7 @@ class World:
         self.barrier = barrier
         self.heap = heap
         self.locks = locks
-        self.epoch_box = epoch_box or _EpochBox()
+        self.epoch_box = epoch_box
         self.race_detector = race_detector
         self.exchange = exchange if exchange is not None else [None] * n_pes
         self.atomic_mutex = atomic_mutex or threading.Lock()
@@ -103,14 +177,13 @@ class World:
         element_granularity: bool = False,
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> "World":
-        epoch_box = _EpochBox()
-        barrier = threading.Barrier(n_pes, action=epoch_box.increment)
+        barrier = HandoffBarrier(n_pes)
         return cls(
             n_pes,
             barrier=barrier,
             heap=SymmetricHeap(n_pes),
             locks=LockTable(threading.Lock),
-            epoch_box=epoch_box,
+            epoch_box=barrier,
             race_detector=(
                 RaceDetector(element_granularity) if race_detection else None
             ),
@@ -139,9 +212,7 @@ class ShmemContext:
             raise LolParallelError(f"PE id {my_pe} out of range")
         self.world = world
         self.my_pe = my_pe
-        # Deterministic per-PE streams: WHATEVR/WHATEVAR are reproducible
-        # for a given (seed, pe), which the tests and benches rely on.
-        self.rng = random.Random((seed if seed is not None else 0xC47) * 7919 + my_pe)
+        self._seed = seed
         self.out_parts: list[str] = []
         self._stdin = list(stdin_lines or [])
         self._stdin_pos = 0
@@ -154,6 +225,15 @@ class ShmemContext:
     @property
     def n_pes(self) -> int:
         return self.world.n_pes
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """This PE's WHATEVR/WHATEVAR stream, seeded on first use (most
+        kernels never draw).  Deterministic per (seed, pe), which the
+        tests and benches rely on."""
+        return random.Random(
+            (self._seed if self._seed is not None else 0xC47) * 7919 + self.my_pe
+        )
 
     # -- I/O ------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ import numpy as np
 from .. import obs as _obs
 from ..lang.errors import LolParallelError
 from ..lang.types import NUMPY_DTYPES, LolType
-from .api import DEFAULT_BARRIER_TIMEOUT, ShmemContext, World, _EpochBox
+from .api import DEFAULT_BARRIER_TIMEOUT, ShmemContext, World
 from .heap import ArrayCell, NumpyScalarCell, SymmetricHeap, SymmetricObject, SymmetricPlan
 from .locks import LockTable
 from .runtime_threads import SpmdResult
@@ -161,7 +161,9 @@ class _ProcLockTable(LockTable):
         return None if owner < 0 else owner
 
 
-class _ProcEpochBox(_EpochBox):
+class _ProcEpochBox:
+    """Barrier epoch counter in shared memory (the barrier's action)."""
+
     def __init__(self, shared_value) -> None:  # mp.Value('i')
         self._shared = shared_value
 

@@ -15,6 +15,7 @@ caller annotated with its PE id.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -112,8 +113,11 @@ def run_spmd(
         ]
         for t in threads:
             t.start()
+        # One deadline for the whole join, not one per thread: a hung
+        # launch reports within 2x barrier_timeout however many PEs hang.
+        deadline = time.monotonic() + barrier_timeout * 2
         for t in threads:
-            t.join(timeout=barrier_timeout * 2)
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
             if t.is_alive():
                 world.barrier.abort()
                 raise LolParallelError(

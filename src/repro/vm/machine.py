@@ -285,6 +285,7 @@ class Machine:
         my_pe = ctx.my_pe
         n_pes = ctx.n_pes
         max_steps = self.max_steps
+        rng = None  # ctx.rng, loaded on the first RANDOM (seeding is lazy)
         pc = 0
         while True:
             ins = code[pc]
@@ -801,7 +802,8 @@ class Machine:
                 pc += 1
                 continue
             if op == RANDOM:
-                rng = ctx.rng
+                if rng is None:
+                    rng = ctx.rng
                 frame[ins[1]] = (
                     rng.randrange(0, 2**31 - 1) if ins[2] == 0 else rng.random()
                 )

@@ -1,9 +1,13 @@
 """Interpreter tests for the parallel/distributed extensions (Table II)."""
 
+import random
+
 import pytest
 
 from repro import run_lolcode
 from repro.lang.errors import LolParallelError
+from repro.lang.types import format_yarn
+from repro.shmem import ShmemContext
 
 from .conftest import lol, runp
 
@@ -328,3 +332,36 @@ class TestDeterminism:
         body = "VISIBLE WHATEVR"
         r = run_lolcode(lol(body), 4, seed=123)
         assert len(set(r.outputs)) == 4
+
+    @pytest.mark.parametrize("engine", ["vm", "closure", "ast"])
+    @pytest.mark.parametrize("seed, base", [(None, 0xC47), (0, 0), (123, 123)])
+    def test_streams_pinned_per_pe(self, engine, seed, base):
+        # seed=0 must stay 0, not fall back to the default (a ``seed or``
+        # slip would silently change every seed=0 stream).
+        body = (
+            "VISIBLE WHATEVR\nVISIBLE WHATEVAR\n"
+            "VISIBLE MAEK PRODUKT OF WHATEVAR AN 1000000000 A NUMBR"
+        )
+        r = run_lolcode(lol(body), 3, seed=seed, engine=engine)
+        for pe, out in enumerate(r.outputs):
+            rng = random.Random(base * 7919 + pe)
+            draws = (
+                rng.randrange(0, 2**31 - 1),
+                format_yarn(rng.random()),
+                int(rng.random() * 1000000000),
+            )
+            assert out == "".join(f"{d}\n" for d in draws)
+
+    @pytest.mark.parametrize("engine", ["vm", "closure", "ast"])
+    def test_rng_free_program_never_seeds(self, engine, monkeypatch):
+        contexts = []
+        init = ShmemContext.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            contexts.append(self)
+
+        monkeypatch.setattr(ShmemContext, "__init__", spy)
+        run_lolcode(lol("VISIBLE ME\nHUGZ"), 3, engine=engine)
+        assert len(contexts) == 3
+        assert all("rng" not in vars(ctx) for ctx in contexts)

@@ -1,6 +1,10 @@
 """Unit tests for the OpenSHMEM-like runtime substrate (repro.shmem),
 exercised directly through the Python API (no LOLCODE involved)."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from repro.shmem import (
     run_spmd,
     serial_context,
 )
+from repro.shmem.api import HandoffBarrier
 
 
 class TestSymmetricHeap:
@@ -268,3 +273,124 @@ class TestWorldBasics:
 
         r = run_spmd(main, 4)
         assert r.output == "pe0;pe1;pe2;pe3;"
+
+    def test_hung_launch_reports_within_one_deadline(self):
+        # The join shares one 2x barrier_timeout deadline across threads:
+        # a PE that finishes late must not restart the clock for the next.
+        blocked = threading.Event()
+
+        def main(ctx):
+            if ctx.my_pe == 0:
+                time.sleep(0.35)
+            else:
+                blocked.wait(timeout=10)
+
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(LolParallelError, match="PE-1 failed to terminate"):
+                run_spmd(main, 2, barrier_timeout=0.2)
+        finally:
+            blocked.set()
+        assert time.monotonic() - t0 < 2 * 0.2 + 0.15
+
+
+def _park(barrier, timeout=10.0):
+    """Start a thread that waits on ``barrier``; returns (thread, outcome)."""
+    outcome = []
+
+    def body():
+        try:
+            barrier.wait(timeout=timeout)
+            outcome.append("released")
+        except threading.BrokenBarrierError:
+            outcome.append("broken")
+
+    t = threading.Thread(target=body, daemon=True)
+    t.start()
+    return t, outcome
+
+
+def _until_parked(barrier, n):
+    deadline = time.monotonic() + 5.0
+    while len(barrier._phase.gates) < n:
+        assert time.monotonic() < deadline, "waiters never parked"
+        time.sleep(0.001)
+
+
+class TestHandoffBarrier:
+    def test_many_phases_count_epochs(self):
+        phases = 10_000
+        barrier = HandoffBarrier(4)
+        bad = []
+
+        def body():
+            for k in range(1, phases + 1):
+                barrier.wait(timeout=30)
+                # Phase k+1 cannot complete before this PE arrives again,
+                # and the epoch is bumped before any waiter resumes.
+                if barrier.read() != k:
+                    bad.append((k, barrier.read()))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            team = [threading.Thread(target=body, daemon=True) for _ in range(4)]
+            for t in team:
+                t.start()
+            for t in team:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in team)
+        assert bad == []
+        assert barrier.read() == phases
+
+    def test_timeout_breaks_for_current_and_later_waiters(self):
+        barrier = HandoffBarrier(3)
+        t, outcome = _park(barrier)
+        _until_parked(barrier, 1)
+        with pytest.raises(threading.BrokenBarrierError):
+            barrier.wait(timeout=0.05)
+        t.join(timeout=5)
+        assert not t.is_alive() and outcome == ["broken"]
+        with pytest.raises(threading.BrokenBarrierError):
+            barrier.wait(timeout=5)
+        assert barrier.read() == 0
+
+    def test_abort_wakes_every_parked_waiter(self):
+        barrier = HandoffBarrier(4)
+        parked = [_park(barrier) for _ in range(3)]
+        _until_parked(barrier, 3)
+        barrier.abort()
+        for t, outcome in parked:
+            t.join(timeout=5)
+            assert not t.is_alive() and outcome == ["broken"]
+        assert barrier.read() == 0
+
+    def test_abort_after_completed_phase_spares_released_waiter(self):
+        # The main thread completes the phase and aborts before the
+        # released waiter runs again (a long switch interval keeps the
+        # interpreter on this thread); the waiter's phase completed, so
+        # it must return normally.
+        old = sys.getswitchinterval()
+        try:
+            for _ in range(20):
+                barrier = HandoffBarrier(2)
+                t, outcome = _park(barrier)
+                _until_parked(barrier, 1)
+                sys.setswitchinterval(1.0)
+                barrier.wait(timeout=5)
+                barrier.abort()
+                sys.setswitchinterval(old)
+                t.join(timeout=5)
+                assert not t.is_alive() and outcome == ["released"]
+                assert barrier.read() == 1
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_single_party_returns_at_once(self):
+        world = World.for_threads(1)
+        assert isinstance(world.barrier, HandoffBarrier)
+        world.barrier.wait(timeout=0)
+        world.barrier.wait()
+        assert world.epoch == 2
