@@ -14,6 +14,15 @@ matched greedily, longest phrase first, so ``MAH FRENZ`` lexes as one
 keyword while ``MAH x`` lexes as the ``MAH`` qualifier followed by an
 identifier.
 
+The lexer makes one pass over the source.  Each token on a line is one
+match of :data:`_TOKEN_RE`, whose leading ``[ \\t\\r]*`` swallows the
+blanks before it, so whitespace costs no Python-level work and a
+:class:`SourcePos` is built only for the tokens it emits.  Keyword
+phrases are grouped on the fly: a word that can begin a multi-word
+phrase opens a pending run of words, which is grouped (greedily, left
+to right) when the next non-word token or newline arrives.  A ``...``
+continuation emits no newline, so a phrase may span it.
+
 String literals support the LOLCODE 1.2 colon escapes:
 
 ====== ==========================
@@ -30,37 +39,75 @@ String literals support the LOLCODE 1.2 colon escapes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from .errors import LolSyntaxError, SourcePos
 from .tokens import KEYWORD_PHRASES, Token, TokType
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
-_ELLIPSIS = ("...", "…")
+
+#: One token, blanks before it included.  The alternatives begin with
+#: disjoint characters; ``end`` matches a blank rest of line and ``bad``
+#: any character no token can start with.  Numbers take ASCII digits
+#: only (``\d`` would admit other scripts' digits).
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<float>-?[0-9]+(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    r"|(?P<int>-?[0-9]+)"
+    r"|(?P<comma>,)"
+    r"|(?P<punct>[?!]|'Z)"
+    r"|(?P<string>\")"
+    r"|(?P<ellipsis>\.\.\.|\u2026)"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.)"
+    r")"
+)
+_TLDR_RE = re.compile(r"(?<![A-Za-z0-9_])TLDR(?![A-Za-z0-9_])")
+_PUNCT = {"?": TokType.QMARK, "!": TokType.BANG, "'Z": TokType.KW}
 
 
-@dataclass(frozen=True, slots=True)
-class _Lexeme:
-    """A raw lexeme prior to keyword phrase grouping."""
-
-    kind: str  # word | int | float | string | qmark | bang | newline | indexz
-    text: str
-    value: object
-    pos: SourcePos
-
-
-def _build_phrase_table() -> dict[str, list[tuple[str, ...]]]:
-    table: dict[str, list[tuple[str, ...]]] = {}
+def _build_phrase_trie() -> dict[str, list]:
+    trie: dict[str, list] = {}
     for phrase in KEYWORD_PHRASES:
-        words = tuple(phrase.split(" "))
-        table.setdefault(words[0], []).append(words)
-    for options in table.values():
-        options.sort(key=len, reverse=True)
-    return table
+        level = trie
+        for word in phrase.split(" "):
+            node = level.setdefault(word, [None, {}])
+            level = node[1]
+        node[0] = phrase
+    return trie
 
 
-_PHRASES_BY_FIRST_WORD = _build_phrase_table()
+#: Word -> [phrase ending at this word or None, next word -> node].
+_PHRASE_TRIE = _build_phrase_trie()
+#: Words that begin a multi-word phrase: only these open a pending run.
+_PHRASE_HEADS = frozenset(word for word, node in _PHRASE_TRIE.items() if node[1])
+
+
+def _group_words(
+    words: list[str], positions: list[SourcePos], emit: Callable[[Token], None]
+) -> None:
+    """Emit a run of adjacent words as KW/IDENT tokens, taking the
+    longest phrase that starts at each word, and empty the run."""
+    i = 0
+    n = len(words)
+    while i < n:
+        phrase = None
+        end = j = i
+        node = _PHRASE_TRIE.get(words[i])
+        while node is not None:
+            j += 1
+            if node[0] is not None:
+                phrase, end = node[0], j
+            node = node[1].get(words[j]) if j < n else None
+        if phrase is None:
+            emit(Token(TokType.IDENT, words[i], positions[i]))
+            i += 1
+        else:
+            emit(Token(TokType.KW, phrase, positions[i]))
+            i = end
+    words.clear()
+    positions.clear()
 
 
 class Lexer:
@@ -70,126 +117,96 @@ class Lexer:
         self.source = source
         self.filename = filename
 
-    # -- public API ---------------------------------------------------------
-
     def tokenize(self) -> list[Token]:
-        lexemes = self._scan()
-        return self._group_keywords(lexemes)
+        filename = self.filename
+        tokens: list[Token] = []
+        emit = tokens.append
+        words: list[str] = []  # the pending run of words
+        positions: list[SourcePos] = []
 
-    # -- pass 1: raw lexemes --------------------------------------------------
+        def newline(line: int, col: int) -> None:
+            # Runs of newlines (and commas) collapse into one token.
+            if words:
+                _group_words(words, positions, emit)
+            if not tokens or tokens[-1].type is not TokType.NEWLINE:
+                emit(Token(TokType.NEWLINE, "\n", SourcePos(line, col, filename)))
 
-    def _scan(self) -> list[_Lexeme]:
-        out: list[_Lexeme] = []
-        lines = self.source.split("\n")
-        lineno = 0
-        in_block_comment = False
+        in_comment = False
         continuing = False
-        n_lines = len(lines)
-        while lineno < n_lines:
-            raw = lines[lineno]
-            lineno += 1
+        lines = self.source.split("\n")
+        for lineno, raw in enumerate(lines, 1):
             i = 0
-            length = len(raw)
-            line_has_content = False
-            ends_with_continuation = False
-            while i < length:
-                ch = raw[i]
-                pos = SourcePos(lineno, i + 1, self.filename)
-                if in_block_comment:
-                    # Look for TLDR terminating the block comment.
-                    m = _WORD_RE.match(raw, i)
-                    if m and m.group(0) == "TLDR":
-                        in_block_comment = False
-                        i = m.end()
+            has_content = False
+            continues = False
+            while True:
+                if in_comment:
+                    m = _TLDR_RE.search(raw, i)
+                    if m is None:
+                        break
+                    in_comment = False
+                    i = m.end()
+                m = _TOKEN_RE.match(raw, i)
+                kind = m.lastgroup
+                start, i = m.span(kind)
+                if kind == "word":
+                    word = raw[start:i]
+                    if word == "BTW":
+                        break
+                    if word == "OBTW" and not has_content:
+                        in_comment = True
+                        continue
+                    has_content = True
+                    pos = SourcePos(lineno, start + 1, filename)
+                    if words or word in _PHRASE_HEADS:
+                        words.append(word)
+                        positions.append(pos)
+                    elif word in _PHRASE_TRIE:
+                        emit(Token(TokType.KW, word, pos))
                     else:
-                        i += 1
+                        emit(Token(TokType.IDENT, word, pos))
                     continue
-                if ch in " \t\r":
-                    i += 1
+                if kind == "end":
+                    break
+                if kind == "comma":
+                    newline(lineno, start + 1)
+                    has_content = True
                     continue
-                if raw.startswith(_ELLIPSIS[0], i) or raw.startswith(_ELLIPSIS[1], i):
-                    ends_with_continuation = True
-                    i += 3 if raw.startswith(_ELLIPSIS[0], i) else 1
-                    # Everything after a continuation marker on the same
-                    # line must be whitespace or a comment.
+                pos = SourcePos(lineno, start + 1, filename)
+                if kind == "ellipsis":
+                    # Only blanks or a comment may follow a continuation.
                     rest = raw[i:].strip()
                     if rest and not rest.startswith("BTW"):
                         raise LolSyntaxError(
                             "unexpected text after '...' line continuation", pos
                         )
-                    i = length
-                    continue
-                if ch == ",":
-                    out.append(_Lexeme("newline", ",", None, pos))
-                    i += 1
-                    line_has_content = True
-                    continue
-                if ch == "?":
-                    out.append(_Lexeme("qmark", "?", None, pos))
-                    i += 1
-                    line_has_content = True
-                    continue
-                if ch == "!":
-                    out.append(_Lexeme("bang", "!", None, pos))
-                    i += 1
-                    line_has_content = True
-                    continue
-                if ch == "'" and raw.startswith("'Z", i):
-                    out.append(_Lexeme("indexz", "'Z", None, pos))
-                    i += 2
-                    line_has_content = True
-                    continue
-                if ch == '"':
-                    parts, i = self._scan_string(raw, i, lineno)
-                    out.append(_Lexeme("string", '"..."', parts, pos))
-                    line_has_content = True
-                    continue
-                # ASCII digits only: str.isdigit() accepts unicode digit
-                # forms (e.g. superscripts) the number regex rejects.
-                if ch in "0123456789" or (
-                    ch == "-" and i + 1 < length and raw[i + 1] in "0123456789"
-                ):
-                    m = _NUM_RE.match(raw, i)
-                    assert m is not None
-                    text = m.group(0)
-                    if m.group(1) or m.group(2):
-                        out.append(_Lexeme("float", text, float(text), pos))
-                    else:
-                        out.append(_Lexeme("int", text, int(text), pos))
-                    i = m.end()
-                    line_has_content = True
-                    continue
-                m = _WORD_RE.match(raw, i)
-                if m:
-                    word = m.group(0)
-                    if word == "BTW":
-                        i = length  # rest of line is a comment
-                        continue
-                    if word == "OBTW" and not line_has_content:
-                        in_block_comment = True
-                        i = m.end()
-                        continue
-                    out.append(_Lexeme("word", word, word, pos))
-                    i = m.end()
-                    line_has_content = True
-                    continue
-                raise LolSyntaxError(f"unexpected character {ch!r}", pos)
-            if in_block_comment:
+                    continues = True
+                    break
+                if kind == "bad":
+                    raise LolSyntaxError(f"unexpected character {raw[start]!r}", pos)
+                if words:
+                    _group_words(words, positions, emit)
+                has_content = True
+                if kind == "int":
+                    emit(Token(TokType.INT, int(raw[start:i]), pos))
+                elif kind == "float":
+                    emit(Token(TokType.FLOAT, float(raw[start:i]), pos))
+                elif kind == "string":
+                    parts, i = self._scan_string(raw, start, lineno)
+                    emit(Token(TokType.STRING, parts, pos))
+                else:
+                    text = raw[start:i]
+                    emit(Token(_PUNCT[text], text, pos))
+            if in_comment:
                 continue
-            if ends_with_continuation:
+            if continues:
                 continuing = True
                 continue
-            if line_has_content or continuing:
-                out.append(
-                    _Lexeme(
-                        "newline", "\n", None, SourcePos(lineno, length + 1, self.filename)
-                    )
-                )
+            if has_content or continuing:
+                newline(lineno, len(raw) + 1)
             continuing = False
-        out.append(
-            _Lexeme("newline", "\n", None, SourcePos(n_lines + 1, 1, self.filename))
-        )
-        return out
+        newline(len(lines) + 1, 1)
+        tokens.append(Token(TokType.EOF, None, tokens[-1].pos))
+        return tokens
 
     def _scan_string(
         self, raw: str, start: int, lineno: int
@@ -276,59 +293,6 @@ class Lexer:
         raise LolSyntaxError(
             "unterminated string literal", SourcePos(lineno, start + 1, self.filename)
         )
-
-    # -- pass 2: keyword phrase grouping ------------------------------------
-
-    def _group_keywords(self, lexemes: list[_Lexeme]) -> list[Token]:
-        tokens: list[Token] = []
-        i = 0
-        n = len(lexemes)
-        while i < n:
-            lx = lexemes[i]
-            if lx.kind == "word":
-                options = _PHRASES_BY_FIRST_WORD.get(lx.text)
-                matched = False
-                if options:
-                    for phrase_words in options:
-                        k = len(phrase_words)
-                        if i + k <= n and all(
-                            lexemes[i + j].kind == "word"
-                            and lexemes[i + j].text == phrase_words[j]
-                            for j in range(k)
-                        ):
-                            tokens.append(
-                                Token(TokType.KW, " ".join(phrase_words), lx.pos)
-                            )
-                            i += k
-                            matched = True
-                            break
-                if matched:
-                    continue
-                tokens.append(Token(TokType.IDENT, lx.text, lx.pos))
-                i += 1
-                continue
-            if lx.kind == "int":
-                tokens.append(Token(TokType.INT, lx.value, lx.pos))
-            elif lx.kind == "float":
-                tokens.append(Token(TokType.FLOAT, lx.value, lx.pos))
-            elif lx.kind == "string":
-                tokens.append(Token(TokType.STRING, lx.value, lx.pos))
-            elif lx.kind == "qmark":
-                tokens.append(Token(TokType.QMARK, "?", lx.pos))
-            elif lx.kind == "bang":
-                tokens.append(Token(TokType.BANG, "!", lx.pos))
-            elif lx.kind == "indexz":
-                tokens.append(Token(TokType.KW, "'Z", lx.pos))
-            elif lx.kind == "newline":
-                # Collapse runs of newlines into one token.
-                if tokens and tokens[-1].type is TokType.NEWLINE:
-                    i += 1
-                    continue
-                tokens.append(Token(TokType.NEWLINE, "\n", lx.pos))
-            i += 1
-        last_pos = tokens[-1].pos if tokens else SourcePos(1, 1, self.filename)
-        tokens.append(Token(TokType.EOF, None, last_pos))
-        return tokens
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:

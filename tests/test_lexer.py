@@ -86,6 +86,15 @@ class TestLiterals:
     def test_win_fail_are_keywords(self):
         assert kw_values("WIN FAIL") == ["WIN", "FAIL"]
 
+    @pytest.mark.parametrize(
+        "source, col", [("1\u0663", 2), ("1e\u0663", 3), ("-1\u0663", 3)]
+    )
+    def test_non_ascii_digit_rejected(self, source, col):
+        # Only ASCII digits make numbers, also after a leading ASCII digit.
+        with pytest.raises(LolSyntaxError, match="unexpected character '\u0663'") as e:
+            tokenize(source)
+        assert (e.value.pos.line, e.value.pos.col) == (1, col)
+
 
 class TestStringEscapes:
     def test_newline(self):
@@ -159,6 +168,42 @@ class TestLinesAndComments:
         idents = [t[1] for t in kinds(src) if t[0] is TokType.IDENT]
         assert idents == ["x", "y"]
 
+    @pytest.mark.parametrize("word", ["fooTLDR", "_TLDR", "9TLDR"])
+    def test_tldr_must_be_a_whole_word(self, word):
+        src = f"OBTW notes about {word} here\nTLDR\nz"
+        assert [t[1] for t in kinds(src) if t[0] is TokType.IDENT] == ["z"]
+
+    def test_obtw_after_code_is_an_identifier(self):
+        assert kinds("x OBTW y")[:3] == [
+            (TokType.IDENT, "x"),
+            (TokType.IDENT, "OBTW"),
+            (TokType.IDENT, "y"),
+        ]
+
+    def test_code_after_tldr_is_lexed(self):
+        toks = tokenize("OBTW\nnotes\nTLDR VISIBLE x\n")
+        assert [(t.type, t.value) for t in toks[:2]] == [
+            (TokType.KW, "VISIBLE"),
+            (TokType.IDENT, "x"),
+        ]
+        assert (toks[0].pos.line, toks[0].pos.col) == (3, 6)
+
+    def test_phrase_joins_across_continuation(self):
+        tok = tokenize("I HAS ...\n  A x")[0]
+        assert (tok.type, tok.value) == (TokType.KW, "I HAS A")
+        assert (tok.pos.line, tok.pos.col) == (1, 1)
+
+    def test_comma_then_newline_is_one_newline_at_the_comma(self):
+        toks = tokenize("x,\ny")
+        assert [t.type for t in toks] == [
+            TokType.IDENT,
+            TokType.NEWLINE,
+            TokType.IDENT,
+            TokType.NEWLINE,
+            TokType.EOF,
+        ]
+        assert (toks[1].pos.line, toks[1].pos.col) == (1, 2)
+
     def test_newline_runs_collapse(self):
         toks = kinds("x\n\n\n\ny")
         newlines = [t for t in toks if t[0] is TokType.NEWLINE]
@@ -192,6 +237,17 @@ class TestPositions:
         vis = next(t for t in toks if t.is_kw("VISIBLE"))
         assert vis.pos.line == 2
         assert vis.pos.col == 3
+
+    def test_unexpected_character_after_blanks(self):
+        with pytest.raises(LolSyntaxError, match="unexpected character '\\$'") as e:
+            tokenize("   $")
+        assert (e.value.pos.line, e.value.pos.col) == (1, 4)
+
+    def test_eof_takes_last_token_position(self):
+        toks = tokenize("HAI\nKTHXBYE\n")
+        assert toks[-1].type is TokType.EOF
+        assert toks[-1].pos == toks[-2].pos
+        assert (toks[-1].pos.line, toks[-1].pos.col) == (2, 8)
 
     def test_filename_propagates(self):
         toks = tokenize("HAI", filename="prog.lol")
