@@ -34,8 +34,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import run_lolcode  # noqa: E402
 from repro.bench import best_of  # noqa: E402
-from repro.compiler import compile_python, load_pe_main  # noqa: E402
-from repro.shmem import run_spmd  # noqa: E402
 from repro.workloads import all_workloads, nbody_source  # noqa: E402
 
 sys.path.insert(0, str(REPO_ROOT))
@@ -122,10 +120,6 @@ def run_benches(reps: int) -> list[dict]:
             fn = lambda: run_lolcode(src, n_pes, seed=42, engine=engine)  # noqa: E731
             fn()  # warm parse/compile caches
             timings[engine] = best_of(fn, reps)
-        pe_main = load_pe_main(compile_python(src))
-        fn = lambda: run_spmd(pe_main, n_pes, seed=42)  # noqa: E731
-        fn()
-        timings["py_backend"] = best_of(fn, reps)
         for engine, seconds in timings.items():
             results.append(
                 {
@@ -157,7 +151,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "reps": args.reps,
-            "note": "seconds = best-of-reps wall clock via run_lolcode/run_spmd",
+            "note": "seconds = best-of-reps wall clock via run_lolcode",
             "vm_vs_closure_geomean_np4": round(vm_geomean, 3),
         },
         "results": results,

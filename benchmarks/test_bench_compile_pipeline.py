@@ -4,9 +4,8 @@ The paper's pipeline: ``lcc code.lol -o executable.x`` then launch.
 This bench reproduces the toolchain legs we can run offline:
 
 * ``lcc`` front-end + C emission throughput (source lines/second);
-* Python-backend emission + exec throughput;
-* the paper's interpreter-vs-compiler claim: end-to-end compiled run
-  beats interpretation on the n-body kernel;
+* the paper's interpreter-vs-compiler claim: an end-to-end native run
+  (``engine="c"``) beats interpretation on the n-body kernel;
 * when gcc is present, the full ``lcc | cc`` leg is timed too.
 """
 
@@ -17,8 +16,7 @@ import time
 import pytest
 
 from repro import run_lolcode
-from repro.compiler import compile_c, compile_python, load_pe_main
-from repro.shmem import run_spmd
+from repro.compiler import compile_c, find_cc
 
 from .conftest import nbody_source, print_table
 
@@ -33,23 +31,15 @@ def test_lcc_c_emission_throughput(benchmark):
     print(f"\n  input: {lines} LOLCODE lines per round")
 
 
-@pytest.mark.benchmark(group="pipeline")
-def test_lcc_python_emission_throughput(benchmark):
-    benchmark(compile_python, SRC)
-
-
-@pytest.mark.benchmark(group="pipeline")
-def test_compile_and_load(benchmark):
-    """Full compile-to-callable leg (parse -> codegen -> exec)."""
-    benchmark(lambda: load_pe_main(compile_python(SRC)))
-
-
+@pytest.mark.skipif(find_cc() is None, reason="no C compiler")
 def test_interpreter_vs_compiler_speedup():
     """Paper: 'Using a compiler for LOLCODE is more flexible and
     efficient than an interpreter.'  Measure the paths end to end: the
     paper's claim is about *tree-walking* interpretation, so that is the
     baseline; the closure engine (this repo's default) is measured as a
-    third row — it closes most of the gap while staying an interpreter."""
+    third row — it closes most of the gap while staying an interpreter.
+    The compiled leg is the native ``lcc`` + cc binary; its warm-up run
+    fills the build cache, so the timed run is launch plus execution."""
     # warm-up + measure
     run_lolcode(SRC, 2, seed=42, engine="ast")
     t0 = time.perf_counter()
@@ -61,10 +51,9 @@ def test_interpreter_vs_compiler_speedup():
     run_lolcode(SRC, 2, seed=42, engine="closure")
     t_closure = time.perf_counter() - t0
 
-    pe_main = load_pe_main(compile_python(SRC))
-    run_spmd(pe_main, 2, seed=42)
+    run_lolcode(SRC, 2, seed=42, engine="c", executor="process")
     t0 = time.perf_counter()
-    run_spmd(pe_main, 2, seed=42)
+    run_lolcode(SRC, 2, seed=42, engine="c", executor="process")
     t_compiled = time.perf_counter() - t0
 
     speedup = t_interp / t_compiled
@@ -74,7 +63,7 @@ def test_interpreter_vs_compiler_speedup():
         [
             ["tree-walker (loli-style)", f"{t_interp:.4f}", "1.00x"],
             ["closure engine (default)", f"{t_closure:.4f}", f"{t_interp / t_closure:.2f}x"],
-            ["compiled (lcc-style)", f"{t_compiled:.4f}", f"{speedup:.2f}x"],
+            ["native (lcc + cc)", f"{t_compiled:.4f}", f"{speedup:.2f}x"],
         ],
     )
     assert speedup > 1.0, (
@@ -108,8 +97,3 @@ def test_full_lcc_cc_pipeline(tmp_path):
         ["leg", "seconds"],
         [["lcc + cc build", f"{build_s:.3f}"], ["native run", f"{run_s:.3f}"]],
     )
-
-
-@pytest.mark.benchmark(group="pipeline")
-def test_run_compiled_end_to_end(benchmark):
-    benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="compiled"))

@@ -3,8 +3,9 @@
 strong-scaled over PE counts and projected onto the paper's hardware.
 
 Runs the (race-fixed) Section VI.D listing on 1/2/4 PEs with both the
-interpreter and the compiled backend, measures wall-clock, then replays
-the op trace against the Epiphany-III and Cray XC40 machine models —
+closure interpreter (traced) and the bytecode VM, measures wall-clock,
+then replays the op trace against the Epiphany-III and Cray XC40
+machine models —
 the "runs on a $99 board and a $30M supercomputer" claim, in model form.
 
 Usage::
@@ -32,17 +33,17 @@ def main() -> None:
         f"2-D n-body: {args.particles} particles/PE, {args.steps} steps "
         f"(paper Section VI.D)\n"
     )
-    print(f"{'PEs':>4} {'interp[s]':>10} {'compiled[s]':>12} {'speedup':>8}")
+    print(f"{'PEs':>4} {'interp[s]':>10} {'vm[s]':>12} {'speedup':>8}")
     traces = {}
     for n in args.pes:
         t0 = time.perf_counter()
         ri = run_lolcode(src, n, seed=42, trace=True)
         ti = time.perf_counter() - t0
         t0 = time.perf_counter()
-        run_lolcode(src, n, seed=42, engine="compiled")
-        tc = time.perf_counter() - t0
+        run_lolcode(src, n, seed=42, engine="vm")
+        tv = time.perf_counter() - t0
         traces[n] = ri.trace
-        print(f"{n:>4} {ti:>10.3f} {tc:>12.3f} {ti / tc:>8.2f}x")
+        print(f"{n:>4} {ti:>10.3f} {tv:>12.3f} {ti / tv:>8.2f}x")
 
     print("\nModeled execution on the paper's hardware (trace replay):")
     print(f"{'PEs':>4} {'machine':<34} {'makespan':>12} {'comm%':>7}")

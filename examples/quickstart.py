@@ -11,7 +11,7 @@ Usage::
 """
 
 from repro import run_lolcode
-from repro.compiler import compile_c, compile_python
+from repro.compiler import compile_c
 
 HELLO = """\
 HAI 1.2
@@ -64,12 +64,6 @@ def main() -> None:
     ]
     for line in interesting:
         print("   ", line.strip())
-
-    print("\n=== 5. ...and the runnable Python it compiles to here " + "=" * 9)
-    py_code = compile_python(FIGURE2.format(barrier="HUGZ"))
-    for line in py_code.splitlines():
-        if "ctx." in line:
-            print("   ", line.strip())
 
 
 if __name__ == "__main__":

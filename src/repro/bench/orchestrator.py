@@ -70,7 +70,7 @@ class SweepConfig:
     """What to run: the experiment matrix plus measurement knobs."""
 
     workloads: Sequence[str] = ()  # empty = every registered workload
-    engines: Sequence[str] = ("closure", "ast", "vm", "compiled")
+    engines: Sequence[str] = ("closure", "ast", "vm")
     executors: Sequence[str] = ("thread",)
     pe_counts: Sequence[int] = (1, 4)
     reps: int = 3
@@ -139,7 +139,7 @@ def _measure_cell(
             rows.append(row)
             continue
         except CompileError as exc:
-            # A documented compile-time restriction of the compiled
+            # A documented compile-time restriction of the C
             # backend (SRS computed identifiers, nested/symmetric
             # declarations in functions).  Record an explicit skip with
             # the reason — never silently fall back to another engine.
@@ -293,7 +293,7 @@ def collect_failures(results: Sequence[Mapping]) -> List[str]:
             f"/np{row['n_pes']}]"
         )
         if "skipped" in row:
-            # An explicit, reasoned skip (compiled-engine restriction)
+            # An explicit, reasoned skip (C-backend restriction)
             # is a recorded outcome, not a verification failure.
             continue
         if "error" in row:

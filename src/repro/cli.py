@@ -1,9 +1,7 @@
 """Command-line tools.
 
 * ``lcc`` — the paper's source-to-source compiler: LOLCODE in, C with
-  OpenSHMEM out (``--emit=c``, default, exactly Section VI.E:
-  ``lcc code.lol -o executable.c``) or runnable Python out
-  (``--emit=python``).
+  OpenSHMEM out (exactly Section VI.E: ``lcc code.lol -o executable.c``).
 * ``lolcc`` — the native compiler *driver* on top of ``lcc``: dump the
   C a program compiles to for a given launch width, or ``--build`` a
   standalone executable against the bundled single-node SHMEM shim
@@ -66,12 +64,6 @@ def lcc_main(argv: Optional[Sequence[str]] = None) -> int:
         "-o", "--output", default="-", help="output file (default stdout)"
     )
     parser.add_argument(
-        "--emit",
-        choices=("c", "python"),
-        default="c",
-        help="target language (default: c, the paper's backend)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="run the static analyses first; E-codes block the compile "
@@ -84,14 +76,9 @@ def lcc_main(argv: Optional[Sequence[str]] = None) -> int:
             rc = _check_gate(text, args.source)
             if rc:
                 return rc
-        if args.emit == "c":
-            from .compiler import compile_c
+        from .compiler import compile_c
 
-            out = compile_c(text, filename=args.source)
-        else:
-            from .compiler import compile_python
-
-            out = compile_python(text, filename=args.source)
+        out = compile_c(text, filename=args.source)
     except LolError as exc:
         return _fail(exc)
     if args.output == "-":
@@ -198,8 +185,7 @@ def loli_main(argv: Optional[Sequence[str]] = None) -> int:
         choices=ENGINES,
         default=None,
         help="execution engine (closure = compiled closures, default; "
-        "ast = reference tree-walker; vm = register-bytecode VM; "
-        "compiled = lcc-style LOLCODE-to-Python compilation; c = "
+        "ast = reference tree-walker; vm = register-bytecode VM; c = "
         "natively compiled single-PE binary; with --max-steps the "
         "default becomes vm, which counts steps natively)",
     )
@@ -285,18 +271,12 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
         "worlds on warm persistent workers)",
     )
     parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="(deprecated) alias for --engine compiled",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default="closure",
         help="execution engine (closure = compiled closures, default; "
         "ast = reference tree-walker; vm = register-bytecode VM, the "
-        "fastest pure-Python engine; compiled = lcc-style "
-        "LOLCODE-to-Python compilation; c = natively compiled binary "
+        "fastest pure-Python engine; c = natively compiled binary "
         "over the bundled SHMEM shim, one OS process per PE)",
     )
     parser.add_argument(
@@ -319,12 +299,6 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     engine = args.engine
-    if args.compiled:
-        print(
-            "lolrun: --compiled is deprecated, use --engine compiled",
-            file=sys.stderr,
-        )
-        engine = "compiled"
     # Native PEs are always OS processes, so --engine c defaults the
     # executor to "process"; an explicit conflicting --executor still
     # gets the launcher's refusal rather than a silent override.

@@ -5,15 +5,7 @@
 * :func:`build_native` / :func:`run_native_source` — build that C with
   the system compiler against the bundled single-node SHMEM shim and
   run it as real OS processes (``run_lolcode(..., engine="c")``);
-* :func:`compile_python` — LOLCODE -> Python targeting :mod:`repro.shmem`
-  (the runnable compiled path: ``run_lolcode(..., engine="compiled")``);
-* :func:`compile_python_cached` — the bounded LRU over parse + compile +
-  exec, shared by all thread PEs of a launch;
-* :func:`compiled_worker` — picklable per-PE entry point (process
-  workers compile in-worker through their own per-process cache);
-* :func:`run_compiled` — deprecated shim over
-  ``run_lolcode(engine="compiled")``;
-* :class:`CompileError` — diagnostics for interpret-only constructs;
+* :class:`CompileError` — diagnostics for constructs C cannot express;
 * :class:`NativeToolchainError` — this host cannot build native
   binaries (no C compiler); distinct from program restrictions so
   benches and tests can skip rather than fail;
@@ -32,14 +24,6 @@ from .native import (
     run_native,
     run_native_source,
 )
-from .py_backend import (
-    PyBackend,
-    compile_python,
-    compile_python_cached,
-    compiled_worker,
-    load_pe_main,
-    run_compiled,
-)
 from .symtab import CompileError, SymbolTable, analyze
 
 __all__ = [
@@ -53,12 +37,6 @@ __all__ = [
     "native_stats",
     "run_native",
     "run_native_source",
-    "PyBackend",
-    "compile_python",
-    "compile_python_cached",
-    "compiled_worker",
-    "load_pe_main",
-    "run_compiled",
     "CompileError",
     "SymbolTable",
     "analyze",

@@ -1,4 +1,4 @@
-"""Static symbol resolution for the compiler backends.
+"""Static symbol resolution for the C compiler backend.
 
 The paper's ``lcc`` is a *compiler*, so unlike the interpreter it must
 know, before emitting code, for every name:
@@ -198,7 +198,7 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
                     if isinstance(sub, ast.SrsRef) and not allow_srs:
                         raise CompileError(
                             "SRS computed identifiers are interpret-only "
-                            "(not supported by the compiler backends)",
+                            "(not supported by the C backend)",
                             sub.pos,
                         )
             for block in ast.child_statements(stmt):

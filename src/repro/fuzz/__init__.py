@@ -1,7 +1,7 @@
 """Coverage-guided differential fuzzer for parallel LOLCODE.
 
 The fuzzer closes the gap between the hand-written workload registry and
-the space of programs the five engines must agree on: a seeded grammar
+the space of programs the four engines must agree on: a seeded grammar
 generator emits random well-formed SPMD programs (ROADMAP item 5), a
 ``lollint`` gate discards anything that could legitimately deadlock or
 race, and every surviving candidate runs on all requested engines.  Any

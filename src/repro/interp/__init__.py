@@ -1,8 +1,8 @@
 """SPMD interpreters for extended LOLCODE.
 
-Two execution engines share the operator semantics of
+Three execution engines share the operator semantics of
 :mod:`repro.interp.values` and are differentially tested against each
-other (and against the compiled-Python backend):
+other:
 
 * ``"closure"`` — the default: a one-shot compile pass
   (:mod:`repro.interp.closures`) turns the AST into nested closures with
@@ -15,16 +15,13 @@ other (and against the compiled-Python backend):
   ``ast``) one of the two engines supporting ``max_steps`` execution
   limits — the VM counts statement steps natively in its dispatch loop.
 
-(The other registered engines are not interpreters at all:
-``"compiled"`` is the LOLCODE -> Python source-to-source backend in
-:mod:`repro.compiler.py_backend`, sharing the same operator kernels and
-the same differential test matrix; ``"c"`` is the paper's full ``lcc``
-pipeline — LOLCODE -> C + OpenSHMEM, built by the system C compiler
-against the bundled single-node SHMEM shim and run as real OS processes
-by :mod:`repro.compiler.native`.  Engines needing host tooling can
-degrade gracefully: ``run_lolcode(..., fallback_engine="closure")``
-reruns on an interpreter when the native toolchain is missing or broken
-and marks the result ``degraded``.)
+(The fourth registered engine is not an interpreter: ``"c"`` is the
+paper's full ``lcc`` pipeline — LOLCODE -> C + OpenSHMEM, built by the
+system C compiler against the bundled single-node SHMEM shim and run as
+real OS processes by :mod:`repro.compiler.native`.  It can degrade
+gracefully: ``run_lolcode(..., fallback_engine="closure")`` reruns on an
+interpreter when the native toolchain is missing or broken and marks
+the result ``degraded``.)
 
 :func:`compile_closures_cached` is the process-wide LRU compiled-program
 cache, keyed by source text: an SPMD launch compiles once and every PE
@@ -51,13 +48,11 @@ from .values import (
 )
 
 #: Execution engines accepted by ``run_lolcode`` / the CLIs.  The first
-#: two live in this package; ``"compiled"`` is the source-to-source
-#: Python backend (:mod:`repro.compiler.py_backend`) dispatched per PE
-#: by the launcher through :func:`repro.compiler.compile_python_cached`;
-#: ``"c"`` is the native path (:mod:`repro.compiler.native`): the C
-#: backend's output built with the system compiler and launched as
-#: ``n_pes`` OS processes over the bundled SHMEM shim.
-ENGINES = ("closure", "ast", "vm", "compiled", "c")
+#: three are the interpreters above; ``"c"`` is the native path
+#: (:mod:`repro.compiler.native`): the C backend's output built with the
+#: system compiler and launched as ``n_pes`` OS processes over the
+#: bundled SHMEM shim.
+ENGINES = ("closure", "ast", "vm", "c")
 
 
 @single_flight
@@ -113,7 +108,6 @@ def _compile_cache_collector() -> None:
     so the Prometheus ``metrics`` op shows cache efficiency without a
     second hand-assembled stats path."""
     from .. import obs as _obs
-    from ..compiler.py_backend import compile_python_cached
     from ..lang.parser import parse_cached
 
     reg = _obs.get_registry()
@@ -130,7 +124,6 @@ def _compile_cache_collector() -> None:
         "parse": parse_cached,
         "closure": compile_closures_cached,
         "vm": compile_vm_cached,
-        "py": compile_python_cached,
     }
     for name, fn in caches.items():
         info = fn.cache_info()

@@ -23,7 +23,7 @@ The compiled form is context-free: one :class:`CompiledProgram` is shared
 by every PE of an SPMD run (see the LRU cache in
 :mod:`repro.interp.__init__`), each PE executing it against its own
 :class:`_Runtime`.  Semantics are differentially tested against the
-tree-walker and the compiled-Python backend on all paper examples
+tree-walker and the VM on all paper examples
 (``tests/test_engine_differential.py``).
 
 Known, documented divergences from the tree-walker:

@@ -1,8 +1,8 @@
 """Operator semantics for LOLCODE values.
 
 Centralises the behaviour of every Table I operator and Table III math
-extension so the interpreter and the compiled-Python backend share one
-implementation (they are differentially tested against each other).
+extension so the three interpreter engines share one implementation
+(they are differentially tested against each other).
 
 Numeric rules follow the lci reference interpreter the paper extends:
 

@@ -2,7 +2,7 @@
 
 Every node carries a :class:`~repro.lang.errors.SourcePos` for diagnostics.
 The AST is deliberately plain (frozen-free dataclasses, no behaviour) so it
-can be walked by the interpreter, both compiler backends, the formatter,
+can be walked by the interpreters, the C compiler backend, the formatter,
 and the symmetric-allocation planner without coupling.
 """
 

@@ -12,7 +12,7 @@ plus, with the paper's extensions, homogeneous fixed-size arrays of the
 numeric and scalar types (``LOTZ A NUMBARS AN THAR IZ 32``).
 
 This module centralises the casting rules so that the interpreter, the
-static checker, and both compiler backends agree exactly.  The rules follow
+static checker, and the C compiler backend agree exactly.  The rules follow
 the LOLCODE 1.2 specification as implemented by the ``lci`` interpreter the
 paper builds on:
 
@@ -43,7 +43,7 @@ class LolType(enum.Enum):
 
 
 #: numpy dtype strings for the numeric LOLCODE types (used by the symmetric
-#: heap and the compiled backends).
+#: heap and the C backend).
 NUMPY_DTYPES = {
     LolType.NUMBR: "int64",
     LolType.NUMBAR: "float64",

@@ -44,7 +44,6 @@ from ..lang.types import parse_type, to_numbr
 from ..interp import ENGINES, compile_closures_cached, compile_vm_cached
 from ..interp.interpreter import Interpreter
 from ..interp.values import binop, unop
-from ..compiler.py_backend import compile_python_cached, compiled_worker
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
 from ..shmem.heap import SymmetricPlan
 from ..shmem.runtime_procs import run_spmd_procs
@@ -123,11 +122,11 @@ def _pe_main(
     runs inside a per-PE ``run`` span (one per PE, the parents of that
     PE's comm spans); disarmed, the wrapper is one ``None`` check.
 
-    Engine dispatch happens here (rather than in ``run_lolcode``) because
-    neither compiled closures nor exec'd ``pe_main`` modules are
-    picklable: thread PEs share one compiled program through the
+    Engine dispatch happens here (rather than in ``run_lolcode``) so
+    compiled programs never cross a process boundary: thread PEs share
+    one compiled program through the
     :func:`~repro.interp.compile_closures_cached` /
-    :func:`~repro.compiler.compile_python_cached` LRUs, while each worker
+    :func:`~repro.interp.compile_vm_cached` LRUs, while each worker
     process hits its own per-process cache.  ``max_steps`` is honoured
     natively by the ``vm`` and ``ast`` engines only; the launcher
     rejects it for every other engine before dispatch.
@@ -173,21 +172,17 @@ def _pe_body(
             max_steps is not None,
         ).run(ctx, max_steps=max_steps)
         return
-    if max_steps is None:
-        if engine == "closure":
-            compiled = _compile_span(
-                compile_closures_cached,
-                engine,
-                ctx,
-                source,
-                filename,
-                ctx.trace is not None,
-            )
-            compiled.run(ctx)
-            return
-        if engine == "compiled":
-            compiled_worker(source, filename, ctx)
-            return
+    if engine == "closure":
+        compiled = _compile_span(
+            compile_closures_cached,
+            engine,
+            ctx,
+            source,
+            filename,
+            ctx.trace is not None,
+        )
+        compiled.run(ctx)
+        return
     program = parse_cached(source, filename)
     Interpreter(program, ctx, max_steps=max_steps).run()
 
@@ -216,16 +211,13 @@ def run_lolcode(
     shared by all PEs), ``"ast"`` (the reference tree-walker),
     ``"vm"`` (register bytecode run by a dispatch loop with inline
     caches — the fastest pure-Python engine; with ``ast`` the only
-    engine honouring ``max_steps``, counted natively), ``"compiled"``
-    (LOLCODE compiled to a Python ``pe_main`` module and launched;
-    rejects interpret-only constructs such as ``SRS`` computed
-    identifiers with a :class:`~repro.compiler.CompileError`, and
-    refuses ``max_steps`` outright rather than silently
-    reinterpreting), or ``"c"`` (the paper's full ``lcc`` pipeline:
-    LOLCODE -> C + OpenSHMEM, built by the system C compiler against
-    the bundled SHMEM shim, one OS process per PE; pairs with
-    ``executor="process"`` only and additionally refuses ``trace`` and
-    ``race_detection``; raises
+    engine honouring ``max_steps``, counted natively), or ``"c"`` (the
+    paper's full ``lcc`` pipeline: LOLCODE -> C + OpenSHMEM, built by
+    the system C compiler against the bundled SHMEM shim, one OS
+    process per PE; pairs with ``executor="process"`` only, refuses
+    ``max_steps``, ``trace`` and ``race_detection``, rejects constructs
+    C cannot express such as ``SRS`` computed identifiers with a
+    :class:`~repro.compiler.CompileError`, and raises
     :class:`~repro.compiler.NativeToolchainError` when the host has no
     C compiler).
 
@@ -357,7 +349,7 @@ def run_lolcode(
                 raise LolParallelError(
                     "engine='c' does not support op tracing (native binaries "
                     "are not instrumented); use engine='closure' or "
-                    "'compiled' for traced runs"
+                    "'vm' for traced runs"
                 )
             if race_detection:
                 raise LolParallelError(
@@ -379,27 +371,13 @@ def run_lolcode(
             # This used to fall back silently to the tree-walker, which made
             # "closure with a step limit" report ast-engine timings and let
             # interpret-only programs slip through.  Refuse loudly instead,
-            # like the compiled engines do, and point at the engines that
+            # like the native engine does, and point at the engines that
             # count steps natively.
             raise LolParallelError(
                 "engine='closure' does not support max_steps; use engine='vm' "
                 "(step counting in the bytecode dispatch loop) or engine='ast' "
                 "(the step-counting tree-walker)"
             )
-        if engine == "compiled":
-            if max_steps is not None:
-                # The closure engine's documented max_steps fallback to the
-                # tree-walker would be a *silent engine swap* here: callers
-                # probing compiled-engine compatibility would see interpret-
-                # only programs "succeed".  Refuse instead.
-                raise LolParallelError(
-                    "engine='compiled' does not support max_steps; use "
-                    "engine='ast' (the step-counting tree-walker)"
-                )
-            # Surface compile-time restrictions (SRS, nested declarations, …)
-            # in the caller too, instead of from inside a worker thread; this
-            # also warms the exact LRU key the thread PEs will share.
-            compile_python_cached(source, filename, trace)
         worker = partial(_pe_main, source, filename, max_steps, engine)
 
         if executor in ("process", "pool"):

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 #: Span categories, the taxonomy documented in docs/observability.md.
-CAT_COMPILE = "compile"   # parse, closure/vm/py compile, per-engine
+CAT_COMPILE = "compile"   # parse, closure/vm compile, per-engine
 CAT_BUILD = "build"       # native cc/link, cache probes
 CAT_LAUNCH = "launch"     # run_lolcode orchestration root
 CAT_RUN = "run"           # one PE's program execution

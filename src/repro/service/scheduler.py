@@ -8,7 +8,7 @@ first-served fairness fall out of that shape directly.  Each job runs
 
 Compilation is **single-flight**: ``run_lolcode`` goes through the
 process-wide compile caches (:func:`repro.interp.compile_closures_cached`
-/ :func:`repro.compiler.compile_python_cached`), which serialise
+/ :func:`repro.interp.compile_vm_cached`), which serialise
 concurrent identical keys — N simultaneous submissions of one source
 compile it once, the other N-1 block briefly and reuse the warm entry.
 
@@ -176,7 +176,7 @@ class JobSpec:
             if payload.get("trace"):
                 raise ServiceError(
                     "engine 'c' does not support op tracing; submit with "
-                    "engine 'closure' or 'compiled' for traced runs"
+                    "engine 'closure' or 'vm' for traced runs"
                 )
             if executor == "pool":
                 executor = "process"

@@ -1,7 +1,7 @@
 """Single-flight guard for memoized compilation.
 
 The compiled-program caches (:func:`repro.interp.compile_closures_cached`
-and :func:`repro.compiler.compile_python_cached`) are ``lru_cache``-backed,
+and :func:`repro.interp.compile_vm_cached`) are ``lru_cache``-backed,
 and ``lru_cache`` releases its internal lock *while the wrapped function
 runs*: N threads asking for the same not-yet-cached key all compile, and
 N-1 results are thrown away.  That was harmless when every caller was one

@@ -36,10 +36,10 @@ def test_run_sweep_schema(tiny_payload):
     assert tiny_payload["schema"] == 1
     assert tiny_payload["failures"] == []
     rows = tiny_payload["results"]
-    # 2 workloads x 4 engines (closure/ast/vm/compiled) x 2 PE counts
+    # 2 workloads x 3 engines (closure/ast/vm) x 2 PE counts
     # on the thread executor
-    assert len(rows) == 16
-    assert {r["engine"] for r in rows} == {"closure", "ast", "vm", "compiled"}
+    assert len(rows) == 12
+    assert {r["engine"] for r in rows} == {"closure", "ast", "vm"}
     for row in rows:
         assert row["checker"] == "pass"
         assert row["differential"] == "pass"
@@ -134,10 +134,11 @@ def test_collect_failures_flags_bad_rows():
     assert any("error" in f for f in failures)
 
 
+@pytest.mark.requires_cc
 def test_compile_restricted_workload_skipped_with_reason():
-    # A workload the compiled backend cannot translate (SRS computed
+    # A workload the C backend cannot translate (SRS computed
     # identifiers) must yield an explicit per-row skip reason for the
-    # compiled engine — never an error row, a silent drop, or a silent
+    # native engine — never an error row, a silent drop, or a silent
     # fallback to an interpreter — while the interpreter rows still run.
     from repro.workloads import WORKLOADS, Workload, register
 
@@ -156,7 +157,11 @@ def test_compile_restricted_workload_skipped_with_reason():
     try:
         payload = run_sweep(
             SweepConfig(
-                workloads=("_test_srs",), pe_counts=(1,), reps=1, smoke=True
+                workloads=("_test_srs",),
+                engines=("closure", "ast", "c"),
+                pe_counts=(1,),
+                reps=1,
+                smoke=True,
             )
         )
     finally:
@@ -164,9 +169,9 @@ def test_compile_restricted_workload_skipped_with_reason():
     rows = {r["engine"]: r for r in payload["results"]}
     assert rows["closure"]["checker"] == "pass"
     assert rows["ast"]["checker"] == "pass"
-    assert "seconds" not in rows["compiled"]
-    assert "compile-time restriction" in rows["compiled"]["skipped"]
-    assert "SRS" in rows["compiled"]["skipped"]
+    assert "seconds" not in rows["c"]
+    assert "compile-time restriction" in rows["c"]["skipped"]
+    assert "SRS" in rows["c"]["skipped"]
     # an explicit skip is a recorded outcome, not a verification failure
     assert payload["failures"] == []
     assert "SKIP" in render_results(payload["results"])
@@ -174,7 +179,7 @@ def test_compile_restricted_workload_skipped_with_reason():
 
 def test_collect_failures_ignores_explicit_skips():
     rows = [
-        {"workload": "w", "engine": "compiled", "executor": "x", "n_pes": 1,
+        {"workload": "w", "engine": "c", "executor": "x", "n_pes": 1,
          "skipped": "compile-time restriction: SRS"},
     ]
     assert collect_failures(rows) == []
@@ -244,20 +249,20 @@ def test_comparison_zero_baseline():
 
 
 def test_baseline_keys_by_engine_so_compiled_regresses_independently():
-    # A slowdown in the compiled rows must be attributed to the compiled
-    # engine only — interpreter cells with the same workload/PE count
-    # stay green, and skipped compiled rows (no "seconds") are ignored.
-    base = _payload({("a", "closure", 4): 0.010, ("a", "compiled", 4): 0.010})
-    cur = _payload({("a", "closure", 4): 0.010, ("a", "compiled", 4): 0.050})
+    # A slowdown in the natively compiled rows must be attributed to the
+    # c engine only — interpreter cells with the same workload/PE count
+    # stay green, and skipped c rows (no "seconds") are ignored.
+    base = _payload({("a", "closure", 4): 0.010, ("a", "c", 4): 0.010})
+    cur = _payload({("a", "closure", 4): 0.010, ("a", "c", 4): 0.050})
     comps = compare_to_baseline(cur, base)
     bad = regressions(comps, 0.20)
-    assert [c.key[1] for c in bad] == ["compiled"]
+    assert [c.key[1] for c in bad] == ["c"]
     cur["results"].append(
-        {"workload": "b", "engine": "compiled", "executor": "thread",
+        {"workload": "b", "engine": "c", "executor": "thread",
          "n_pes": 4, "skipped": "compile-time restriction: SRS"}
     )
     base["results"].append(
-        {"workload": "b", "engine": "compiled", "executor": "thread",
+        {"workload": "b", "engine": "c", "executor": "thread",
          "n_pes": 4, "seconds": 0.010}
     )
     assert len(compare_to_baseline(cur, base)) == len(comps)

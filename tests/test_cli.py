@@ -31,10 +31,6 @@ class TestLcc:
         assert lcc_main([str(hello_lol)]) == 0
         assert "shmem_my_pe()" in capsys.readouterr().out
 
-    def test_emit_python(self, hello_lol, capsys):
-        assert lcc_main([str(hello_lol), "--emit", "python"]) == 0
-        assert "def pe_main(ctx):" in capsys.readouterr().out
-
     def test_syntax_error_exit_code(self, bad_lol, capsys):
         assert lcc_main([str(bad_lol)]) == 1
         err = capsys.readouterr().err
@@ -46,8 +42,8 @@ class TestLoli:
         assert loli_main([str(hello_lol)]) == 0
         assert capsys.readouterr().out == "HAI ITZ 0 OF 1\n"
 
-    def test_engine_compiled_serial(self, hello_lol, capsys):
-        assert loli_main([str(hello_lol), "--engine", "compiled"]) == 0
+    def test_engine_vm_serial(self, hello_lol, capsys):
+        assert loli_main([str(hello_lol), "--engine", "vm"]) == 0
         assert capsys.readouterr().out == "HAI ITZ 0 OF 1\n"
 
     def test_max_steps_guard(self, tmp_path, capsys):
@@ -65,24 +61,19 @@ class TestLolrun:
         out = capsys.readouterr().out
         assert out == "HAI ITZ 0 OF 3\nHAI ITZ 1 OF 3\nHAI ITZ 2 OF 3\n"
 
-    def test_compiled_flag_deprecated_alias(self, hello_lol, capsys):
-        assert lolrun_main(["-np", "2", "--compiled", str(hello_lol)]) == 0
-        captured = capsys.readouterr()
-        assert "HAI ITZ 1 OF 2" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_engine_compiled(self, hello_lol, capsys):
+    def test_engine_vm(self, hello_lol, capsys):
         assert lolrun_main(
-            ["-np", "2", "--engine", "compiled", str(hello_lol)]
+            ["-np", "2", "--engine", "vm", str(hello_lol)]
         ) == 0
         captured = capsys.readouterr()
         assert "HAI ITZ 1 OF 2" in captured.out
         assert captured.err == ""
 
-    def test_engine_compiled_reports_restrictions(self, tmp_path, capsys):
+    def test_engine_c_reports_restrictions(self, tmp_path, capsys):
+        # The C backend rejects SRS before any toolchain is needed.
         p = tmp_path / "srs.lol"
         p.write_text('HAI 1.2\nI HAS A x ITZ 1\nVISIBLE SRS "x"\nKTHXBYE\n')
-        assert lolrun_main(["-np", "1", "--engine", "compiled", str(p)]) == 1
+        assert lolrun_main(["-np", "1", "--engine", "c", str(p)]) == 1
         assert "SRS" in capsys.readouterr().err
 
     def test_trace_flag(self, hello_lol, capsys):

@@ -192,6 +192,28 @@ class TestEmittedStructure:
         assert "static lol_value_t lol_fn_f(void)" in c
 
 
+class TestCompileTimeRejections:
+    """Program errors the C backend reports before any C is emitted."""
+
+    def test_unknown_function_rejected_at_compile_time(self):
+        with pytest.raises(CompileError, match="nope"):
+            compile_c(lol("I IZ nope MKAY"))
+
+    def test_bad_arity_rejected_at_compile_time(self):
+        with pytest.raises(CompileError, match="wants 1 arguments"):
+            compile_c(
+                lol("HOW IZ I f YR a\n  FOUND YR a\nIF U SAY SO\nI IZ f MKAY")
+            )
+
+    def test_gtfo_outside_any_construct_rejected(self):
+        with pytest.raises(CompileError, match="GTFO"):
+            compile_c(lol("GTFO"))
+
+    def test_infinite_loop_without_gtfo_rejected(self):
+        with pytest.raises(CompileError, match="no GTFO"):
+            compile_c(lol("IM IN YR x\n  VISIBLE 1\nIM OUTTA YR x"))
+
+
 @pytest.mark.requires_cc
 class TestCompileAndRunSerial:
     """End-to-end: emit C, build with gcc -Werror, run, diff vs interpreter."""

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro import run_lolcode
-from repro.compiler.py_backend import compile_python_cached
+from repro.interp import compile_vm_cached
 
 from .conftest import lol
 
@@ -75,7 +75,7 @@ class TestConcurrentRunLolcode:
             (src, n_pes, engine, "thread")
             for src in (RING, SEQ)
             for n_pes in (1, 4)
-            for engine in ("closure", "ast", "compiled")
+            for engine in ("closure", "ast", "vm")
         ]
         results, errors = _run_matrix(matrix)
         assert not errors, errors
@@ -92,9 +92,9 @@ class TestConcurrentRunLolcode:
             (RING, 2, "closure", "thread"),
             (RING, 2, "closure", "pool"),
             (RING, 2, "ast", "pool"),
-            (RING, 2, "compiled", "thread"),
+            (RING, 2, "vm", "thread"),
             (SEQ, 1, "closure", "serial"),
-            (SEQ, 1, "compiled", "pool"),
+            (SEQ, 1, "vm", "pool"),
         ]
         results, errors = _run_matrix(matrix, repeats=3)
         assert not errors, errors
@@ -119,33 +119,33 @@ class TestConcurrentRunLolcode:
 
 
 class TestCompiledSingleFlight:
-    """Satellite regression: the compiled backend's cache compiles (and
-    ``exec``s) a source once under N concurrent identical callers."""
+    """Satellite regression: the VM's compile cache compiles a source
+    once under N concurrent identical callers."""
 
     def test_concurrent_identical_compiles_once(self, monkeypatch):
         import time
 
-        from repro.compiler import py_backend
+        from repro.vm import compile as vm_compile
 
-        compile_python_cached.cache_clear()
+        compile_vm_cached.cache_clear()
         calls = []
         mutex = threading.Lock()
-        real = py_backend.compile_python
+        real = vm_compile.compile_program_vm
 
-        def counting(source, filename="<string>", count_flops=False):
+        def counting(program, **kwargs):
             with mutex:
-                calls.append(filename)
+                calls.append(program)
             time.sleep(0.05)
-            return real(source, filename, count_flops=count_flops)
+            return real(program, **kwargs)
 
-        monkeypatch.setattr(py_backend, "compile_python", counting)
-        src = lol('VISIBLE "PY SINGLEFLIGHT"')
+        monkeypatch.setattr(vm_compile, "compile_program_vm", counting)
+        src = lol('VISIBLE "VM SINGLEFLIGHT"')
         barrier = threading.Barrier(8)
         results = []
 
         def one():
             barrier.wait()
-            results.append(compile_python_cached(src, "<sf.lol>", False))
+            results.append(compile_vm_cached(src, "<sf.lol>", False))
 
         threads = [threading.Thread(target=one) for _ in range(8)]
         for t in threads:
@@ -154,12 +154,12 @@ class TestCompiledSingleFlight:
             t.join()
         assert len(calls) == 1, f"compiled {len(calls)} times"
         assert all(r is results[0] for r in results)
-        compile_python_cached.cache_clear()
+        compile_vm_cached.cache_clear()
 
     def test_distinct_keys_do_not_serialize(self):
-        flight = compile_python_cached._single_flight
+        flight = compile_vm_cached._single_flight
         assert flight.inflight_keys() == 0
-        a = compile_python_cached(lol("VISIBLE 1"), "<k1.lol>", False)
-        b = compile_python_cached(lol("VISIBLE 2"), "<k2.lol>", False)
+        a = compile_vm_cached(lol("VISIBLE 1"), "<k1.lol>", False)
+        b = compile_vm_cached(lol("VISIBLE 2"), "<k2.lol>", False)
         assert a is not b
         assert flight.inflight_keys() == 0  # bookkeeping fully unwinds

@@ -1,12 +1,13 @@
 """Differential tests: every engine against the reference tree-walker.
 
-The closure-compilation engine must be observationally identical to the
-reference tree-walker (and, where the program is compilable, to the
-compiled-Python backend and the native C engine) — same VISIBLE output
-per PE, same FLOP/op accounting, same RNG draw sequence.  This suite
-checks that property on
+The closure-compilation engine and the bytecode VM must be
+observationally identical to the reference tree-walker (and, where the
+program is compilable, so must the native C engine) — same VISIBLE
+output per PE, same FLOP/op accounting, same RNG draw sequence.  This
+suite checks that property on
 
 * every bundled paper example at 1/2/4 PEs,
+* hand-written programs covering each construct, serial and SPMD,
 * every workload in the registry, full-matrix at 1 and 4 PEs on the
   thread executor — including ``engine="c"`` when a host C compiler
   exists (compile-time-restricted workloads and toolchain-less hosts
@@ -49,15 +50,15 @@ def both_engines(src: str, n_pes: int, **kwargs):
     return a, c
 
 
-def assert_engines_agree(src: str, n_pes: int, *, compiled: bool = False, **kwargs):
+def assert_engines_agree(src: str, n_pes: int, *, vm: bool = False, **kwargs):
     a, c = both_engines(src, n_pes, **kwargs)
     assert a.outputs == c.outputs, (
         f"closure engine diverged from tree-walker at {n_pes} PEs"
     )
-    if compiled:
-        p = run_lolcode(src, n_pes, engine="compiled", **kwargs)
-        assert a.outputs == p.outputs, (
-            f"compiled backend diverged from interpreters at {n_pes} PEs"
+    if vm:
+        v = run_lolcode(src, n_pes, engine="vm", **kwargs)
+        assert a.outputs == v.outputs, (
+            f"VM engine diverged from tree-walker at {n_pes} PEs"
         )
     return a, c
 
@@ -67,29 +68,168 @@ class TestPaperExamples:
     @pytest.mark.parametrize("n_pes", [1, 2, 4])
     def test_outputs_identical_all_three_engines(self, name, n_pes):
         src = (EXAMPLES_LOL / name).read_text()
-        assert_engines_agree(src, n_pes, compiled=True, seed=42)
+        assert_engines_agree(src, n_pes, vm=True, seed=42)
 
     def test_racy_nbody_single_pe(self):
         # The racy listing is only deterministic at 1 PE; that is enough
         # to pin the closure engine to the tree-walker on it too.
         src = (EXAMPLES_LOL / "nbody2d.lol").read_text()
-        assert_engines_agree(src, 1, compiled=True, seed=7)
+        assert_engines_agree(src, 1, vm=True, seed=7)
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_trace_accounting_identical(self, name):
         src = (EXAMPLES_LOL / name).read_text()
         a, c = both_engines(src, 2, seed=42, trace=True)
-        p = run_lolcode(src, 2, engine="compiled", seed=42, trace=True)
+        v = run_lolcode(src, 2, engine="vm", seed=42, trace=True)
         assert a.trace.total_flops() == c.trace.total_flops()
-        assert a.trace.total_flops() == p.trace.total_flops()
+        assert a.trace.total_flops() == v.trace.total_flops()
         assert a.trace.total_remote_bytes() == c.trace.total_remote_bytes()
-        assert a.trace.total_remote_bytes() == p.trace.total_remote_bytes()
+        assert a.trace.total_remote_bytes() == v.trace.total_remote_bytes()
         assert a.trace.summary() == c.trace.summary()
-        assert a.trace.summary() == p.trace.summary()
+        assert a.trace.summary() == v.trace.summary()
 
 
 # ---------------------------------------------------------------------------
-# Full workload registry, three-way, thread and process executors.
+# Hand-written programs, one construct at a time: tree-walker vs VM.
+# ---------------------------------------------------------------------------
+
+
+def ast_vs_vm(body: str, n_pes: int = 1, seed: int = 5, **kwargs):
+    """Run ``body`` on the tree-walker and the VM; outputs must match."""
+    src = lol(body)
+    a = run_lolcode(src, n_pes, engine="ast", seed=seed, **kwargs)
+    v = run_lolcode(src, n_pes, engine="vm", seed=seed, **kwargs)
+    assert a.outputs == v.outputs, (
+        f"VM diverged from tree-walker:\n{a.outputs!r}\n{v.outputs!r}"
+    )
+    return v
+
+
+class TestDifferentialSerial:
+    """Tree-walker and VM must agree exactly (1 PE)."""
+
+    CASES = [
+        'VISIBLE "HAI" 42 3.14 WIN',
+        "I HAS A x ITZ 5\nx R SUM OF x AN 2\nVISIBLE x",
+        "I HAS A x ITZ SRSLY A NUMBR\nx R 3.9\nVISIBLE x",
+        "VISIBLE QUOSHUNT OF -7 AN 2\nVISIBLE MOD OF -7 AN 3",
+        "VISIBLE BIGGR OF 3 AN 9\nVISIBLE SMALLR OF 3 AN 9",
+        'VISIBLE SMOOSH "a" AN 1 AN 2.5 AN FAIL MKAY',
+        "VISIBLE MAEK 3.99 A NUMBR\nVISIBLE MAEK 2 A NUMBAR\nVISIBLE MAEK 0 A TROOF",
+        'VISIBLE ALL OF WIN AN 1 AN "x" MKAY\nVISIBLE ANY OF FAIL AN 0 MKAY',
+        "VISIBLE SQUAR OF 7\nVISIBLE UNSQUAR OF 81\nVISIBLE FLIP OF 8",
+        "VISIBLE BOTH SAEM 2 AN 2.0\nVISIBLE DIFFRINT 2 AN 3",
+        "VISIBLE BIGGER 4 AN 2\nVISIBLE SMALLR 4 AN 2",
+        "VISIBLE WON OF WIN AN WIN\nVISIBLE NOT FAIL",
+        "I HAS A x ITZ 2\nBOTH SAEM x AN 2, O RLY?\nYA RLY,\n  VISIBLE 1\nNO WAI\n  VISIBLE 0\nOIC",
+        "I HAS A x ITZ 3\nBOTH SAEM x AN 1, O RLY?\nYA RLY,\n  VISIBLE 1\nMEBBE BOTH SAEM x AN 3\n  VISIBLE 3\nNO WAI\n  VISIBLE 0\nOIC",
+        "2\nWTF?\nOMG 1\n  VISIBLE 1\nOMG 2\n  VISIBLE 2\nOMG 3\n  VISIBLE 3\n  GTFO\nOMGWTF\n  VISIBLE 9\nOIC",
+        "7\nWTF?\nOMG 1\n  VISIBLE 1\nOMGWTF\n  VISIBLE 9\nOIC",
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 5\n  VISIBLE i\nIM OUTTA YR l",
+        "IM IN YR l NERFIN YR i WILE BIGGER i AN -4\n  VISIBLE i\nIM OUTTA YR l",
+        "IM IN YR a UPPIN YR i TIL BOTH SAEM i AN 3\n  IM IN YR b UPPIN YR j TIL BOTH SAEM j AN 2\n    VISIBLE SUM OF PRODUKT OF i AN 10 AN j\n  IM OUTTA YR b\nIM OUTTA YR a",
+        "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 5\na'Z 2 R 42\nVISIBLE a'Z 2 a'Z 0",
+        "I HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3\na'Z 0 R 1.5\nVISIBLE a'Z 0",
+        "HOW IZ I fact YR n\n  BOTH SAEM n AN 0, O RLY?\n  YA RLY,\n    FOUND YR 1\n  OIC\n  FOUND YR PRODUKT OF n AN I IZ fact YR DIFF OF n AN 1 MKAY\nIF U SAY SO\nVISIBLE I IZ fact YR 6 MKAY",
+        "HOW IZ I f\n  SUM OF 40 AN 2\nIF U SAY SO\nVISIBLE I IZ f MKAY",
+        "I HAS A g ITZ 1\nHOW IZ I bump\n  g R SUM OF g AN 1\n  FOUND YR g\nIF U SAY SO\nVISIBLE I IZ bump MKAY\nVISIBLE g",
+        'I HAS A pe ITZ 7\nVISIBLE "id=:{pe}."',
+        "I HAS A x ITZ 3.5\nx IS NOW A NUMBR\nVISIBLE x",
+        "SUM OF 1 AN 2\nVISIBLE IT",
+        'VISIBLE SUM OF "3" AN "4"\nVISIBLE SUM OF "1.5" AN 1',
+        'VISIBLE "a:)b:>c"',
+        "VISIBLE NOT 0\nVISIBLE NOT 0.0\nVISIBLE NOT \"\"",
+    ]
+
+    @pytest.mark.parametrize("body", CASES, ids=range(len(CASES)))
+    def test_case(self, body):
+        ast_vs_vm(body)
+
+
+class TestDifferentialParallel:
+    """Tree-walker and VM must agree exactly on SPMD programs."""
+
+    def test_identity(self):
+        ast_vs_vm('VISIBLE ME "/" MAH FRENZ', n_pes=4)
+
+    def test_ring_put(self):
+        body = (
+            "WE HAS A a ITZ SRSLY A NUMBR\n"
+            "WE HAS A b ITZ SRSLY A NUMBR\n"
+            "a R SUM OF ME AN 1\nHUGZ\n"
+            "I HAS A k ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "TXT MAH BFF k, UR b R MAH a\nHUGZ\n"
+            "VISIBLE SUM OF a AN b"
+        )
+        ast_vs_vm(body, n_pes=4)
+
+    def test_whole_array_transfer(self):
+        body = (
+            "WE HAS A array ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+            "  array'Z i R SUM OF PRODUKT OF ME AN 100 AN i\n"
+            "IM OUTTA YR l\nHUGZ\n"
+            "I HAS A local ITZ LOTZ A NUMBRS AN THAR IZ 8\n"
+            "I HAS A k ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "TXT MAH BFF k, MAH local R UR array\n"
+            "VISIBLE local'Z 0 \" \" local'Z 7"
+        )
+        ast_vs_vm(body, n_pes=3)
+
+    def test_locks(self):
+        body = (
+            "WE HAS A x ITZ SRSLY A NUMBR AN IM SHARIN IT\nHUGZ\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 10\n"
+            "  IM SRSLY MESIN WIF x\n"
+            "  TXT MAH BFF 0, UR x R SUM OF UR x AN 1\n"
+            "  DUN MESIN WIF x\n"
+            "IM OUTTA YR l\nHUGZ\n"
+            "BOTH SAEM ME AN 0, O RLY?\nYA RLY,\n  VISIBLE x\nOIC"
+        )
+        v = ast_vs_vm(body, n_pes=4)
+        assert v.outputs[0] == "40\n"
+
+    def test_trylock_sets_it(self):
+        body = (
+            "WE HAS A x ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+            "IM MESIN WIF x\nVISIBLE IT\nDUN MESIN WIF x"
+        )
+        ast_vs_vm(body, n_pes=1)
+
+    def test_random_streams_match(self):
+        # Both engines draw from ctx.rng, so seeded streams agree.
+        ast_vs_vm("VISIBLE WHATEVR\nVISIBLE WHATEVAR", n_pes=3, seed=11)
+
+    def test_block_predication(self):
+        body = (
+            "WE HAS A x ITZ SRSLY A NUMBR\n"
+            "WE HAS A y ITZ SRSLY A NUMBR\n"
+            "x R ME\ny R PRODUKT OF ME AN 2\nHUGZ\n"
+            "I HAS A k ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "I HAS A s ITZ A NUMBR\n"
+            "TXT MAH BFF k AN STUFF\n"
+            "  s R SUM OF UR x AN UR y\n"
+            "TTYL\n"
+            "VISIBLE s"
+        )
+        ast_vs_vm(body, n_pes=4)
+
+    @pytest.mark.procs
+    def test_process_executor(self):
+        body = (
+            "WE HAS A a ITZ SRSLY A NUMBR\n"
+            "a R PRODUKT OF ME AN 3\nHUGZ\n"
+            "I HAS A k ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "I HAS A got ITZ A NUMBR\n"
+            "TXT MAH BFF k, got R UR a\n"
+            "VISIBLE got"
+        )
+        v = ast_vs_vm(body, n_pes=3, executor="process", barrier_timeout=60)
+        assert v.outputs == ["3\n", "6\n", "0\n"]
+
+
+# ---------------------------------------------------------------------------
+# Full workload registry, every engine, thread, process and pool executors.
 # ---------------------------------------------------------------------------
 
 
@@ -98,7 +238,7 @@ def _engine_outputs(
 ):
     """Run the engine matrix; returns ``({engine: outputs}, skips)``.
 
-    A compiler-backend ``CompileError`` is a *documented* restriction
+    A C-backend ``CompileError`` is a *documented* restriction
     (SRS computed identifiers, nested/symmetric declarations in
     functions); it is recorded in ``skips`` so the caller can still
     assert interpreter agreement before skip-reporting the missing
@@ -125,7 +265,7 @@ def _engine_outputs(
         try:
             outputs[engine] = run_lolcode(src, n_pes, engine=engine, **ekw).outputs
         except CompileError as exc:
-            assert engine in ("compiled", "c"), (
+            assert engine == "c", (
                 f"interpreter engine {engine!r} raised CompileError: {exc}"
             )
             skips[engine] = f"{engine}-engine restriction: {exc}"
@@ -144,11 +284,6 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
         f"{workload.name}: VM engine diverged from tree-walker at "
         f"{n_pes} PEs {where}"
     )
-    if "compiled" in outputs:
-        assert outputs["compiled"] == outputs["ast"], (
-            f"{workload.name}: compiled diverged from tree-walker at "
-            f"{n_pes} PEs {where}"
-        )
     if "c" in outputs and not uses_random(src):
         assert outputs["c"] == outputs["ast"], (
             f"{workload.name}: native engine diverged from tree-walker "
@@ -161,7 +296,7 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
 @pytest.mark.workload
 class TestWorkloadRegistryMatrix:
     """Every registered workload runs bit-identically on closure, ast,
-    compiled, and — where a C toolchain exists and the kernel draws no
+    vm, and — where a C toolchain exists and the kernel draws no
     random values — the native C engine (or is skipped with an explicit
     reason) — the same guarantee ``lolbench`` enforces per sweep cell."""
 
@@ -288,7 +423,7 @@ def _random_program(seed: int) -> str:
 def test_random_arithmetic_loop_programs(seed):
     src = _random_program(seed)
     for n_pes in (1, 2):
-        assert_engines_agree(src, n_pes, compiled=True, seed=seed)
+        assert_engines_agree(src, n_pes, vm=True, seed=seed)
 
 
 def _random_predication_program(seed: int) -> str:
@@ -320,7 +455,7 @@ def _random_predication_program(seed: int) -> str:
 @pytest.mark.parametrize("seed", range(12))
 def test_random_predication_programs_4pes(seed):
     src = _random_predication_program(seed)
-    assert_engines_agree(src, 4, compiled=True, seed=seed)
+    assert_engines_agree(src, 4, vm=True, seed=seed)
 
 
 def test_lock_path_4pes():
@@ -498,16 +633,6 @@ def test_error_parity_undeclared_variable():
     for engine in ("ast", "closure"):
         with pytest.raises(LolError, match="never_declared"):
             run_lolcode(src, 1, engine=engine)
-
-
-def test_compiled_engine_refuses_max_steps():
-    # The closure engine's max_steps fallback to the tree-walker is
-    # documented; for engine="compiled" it would be a silent engine
-    # swap (interpret-only programs would "succeed"), so it must raise.
-    from repro.lang.errors import LolParallelError
-
-    with pytest.raises(LolParallelError, match="max_steps"):
-        run_lolcode(lol("VISIBLE 1"), 1, engine="compiled", max_steps=100)
 
 
 def test_engine_validation_and_max_steps_fallback():

@@ -68,7 +68,7 @@ class TestRunLolcode:
         src = lol("WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2.9")
         with pytest.raises(LolParallelError, match="integer"):
             run_lolcode(src, 2, executor="process")
-        for engine in ("closure", "ast", "compiled"):
+        for engine in ("closure", "ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 2, executor="thread", engine=engine)
 
@@ -92,7 +92,7 @@ class TestRunLolcode:
         from repro.lang.errors import LolError
 
         src = lol("I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2.9")
-        for engine in ("closure", "ast", "compiled"):
+        for engine in ("closure", "ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 1, engine=engine)
 

@@ -272,7 +272,7 @@ class TestMeshProperties:
 
 
 class TestDifferentialProperty:
-    """Interpreter and compiled backend agree on random arithmetic."""
+    """Closure engine and VM agree on random arithmetic."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -286,5 +286,5 @@ class TestDifferentialProperty:
         src = f"HAI 1.2\nVISIBLE {op} {a} AN {b}\nKTHXBYE\n"
         assert (
             run_lolcode(src, 1).output
-            == run_lolcode(src, 1, engine="compiled").output
+            == run_lolcode(src, 1, engine="vm").output
         )

@@ -1,5 +1,5 @@
 """Unit tests for the type system (repro.lang.types) and operator kernels
-(repro.interp.values) used by interpreter and compiled backend alike."""
+(repro.interp.values) used by all three interpreter engines alike."""
 
 import math
 
