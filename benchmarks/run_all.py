@@ -13,8 +13,8 @@ comparable from PR to PR::
 The JSON schema (one entry per bench x engine)::
 
     {"meta": {...}, "results": [
-        {"bench": "nbody_8p2s", "engine": "closure", "n_pes": 2,
-         "seconds": 0.004, "speedup_vs_ast": 3.9}, ...]}
+        {"bench": "nbody_8p2s", "engine": "vm", "n_pes": 2,
+         "seconds": 0.003, "speedup_vs_ast": 5.5}, ...]}
 
 For the full workload matrix (checkers, cross-engine differentials, NoC
 projections, baseline regression mode) use ``python -m repro.bench``.
@@ -74,49 +74,27 @@ REGISTRY_PARAMS = {
 
 REGISTRY_N_PES = 4
 
+ENGINES = ("ast", "vm")
 
-def run_registry(reps: int) -> tuple[list[dict], float]:
-    """closure-vs-vm rows for every registry workload at np=4.
 
-    Returns the rows plus the geometric-mean vm speedup over closure —
-    the headline number for the register-bytecode VM engine.
-    """
-    results: list[dict] = []
-    ratios: list[float] = []
+def registry_benches() -> list[tuple[str, str, int]]:
+    """Every registry workload at np=4, as ``wl_<name>`` bench entries."""
+    benches = []
     for workload in all_workloads():
-        n_pes = max(REGISTRY_N_PES, workload.min_pes)
         src = workload.source(
             workload.bind_params(REGISTRY_PARAMS.get(workload.name))
         )
-        timings: dict[str, float] = {}
-        for engine in ("closure", "vm"):
-            fn = lambda: run_lolcode(  # noqa: E731
-                src, n_pes, seed=42, engine=engine
-            )
-            fn()  # warm parse/compile caches
-            timings[engine] = best_of(fn, reps)
-        ratios.append(timings["closure"] / timings["vm"])
-        for engine, seconds in timings.items():
-            results.append(
-                {
-                    "bench": f"wl_{workload.name}",
-                    "engine": engine,
-                    "n_pes": n_pes,
-                    "seconds": round(seconds, 6),
-                    "speedup_vs_closure": round(
-                        timings["closure"] / seconds, 3
-                    ),
-                }
-            )
-    geomean = math.exp(sum(map(math.log, ratios)) / len(ratios))
-    return results, geomean
+        n_pes = max(REGISTRY_N_PES, workload.min_pes)
+        benches.append((f"wl_{workload.name}", src, n_pes))
+    return benches
 
 
-def run_benches(reps: int) -> list[dict]:
+def run_benches(benches, reps: int) -> list[dict]:
+    """ast-vs-vm rows (``speedup_vs_ast``) for each (name, source, n_pes)."""
     results: list[dict] = []
-    for name, src, n_pes in BENCHES:
+    for name, src, n_pes in benches:
         timings: dict[str, float] = {}
-        for engine in ("ast", "closure", "vm"):
+        for engine in ENGINES:
             fn = lambda: run_lolcode(src, n_pes, seed=42, engine=engine)  # noqa: E731
             fn()  # warm parse/compile caches
             timings[engine] = best_of(fn, reps)
@@ -133,6 +111,12 @@ def run_benches(reps: int) -> list[dict]:
     return results
 
 
+def vm_geomean(rows: list[dict]) -> float:
+    """Geometric-mean vm speedup over ast across ``rows``."""
+    speedups = [r["speedup_vs_ast"] for r in rows if r["engine"] == "vm"]
+    return math.exp(sum(map(math.log, speedups)) / len(speedups))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=5, help="best-of reps")
@@ -143,16 +127,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = run_benches(args.reps)
-    registry_rows, vm_geomean = run_registry(args.reps)
+    results = run_benches(BENCHES, args.reps)
+    registry_rows = run_benches(registry_benches(), args.reps)
     results.extend(registry_rows)
+    geomean = vm_geomean(registry_rows)
     payload = {
         "meta": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "reps": args.reps,
             "note": "seconds = best-of-reps wall clock via run_lolcode",
-            "vm_vs_closure_geomean_np4": round(vm_geomean, 3),
+            "vm_vs_ast_geomean_np4": round(geomean, 3),
         },
         "results": results,
     }
@@ -161,19 +146,18 @@ def main(argv=None) -> int:
     width = max(len(r["bench"]) for r in results)
     print(f"{'bench':<{width}} {'engine':>10} {'PEs':>4} {'seconds':>10} {'speedup':>8}")
     for r in results:
-        speedup = r.get("speedup_vs_ast", r.get("speedup_vs_closure"))
         print(
             f"{r['bench']:<{width}} {r['engine']:>10} {r['n_pes']:>4} "
-            f"{r['seconds']:>10.4f} {speedup:>7.2f}x"
+            f"{r['seconds']:>10.4f} {r['speedup_vs_ast']:>7.2f}x"
         )
-    closure_nbody = [
+    vm_nbody = [
         r
         for r in results
-        if r["engine"] == "closure" and r["bench"].startswith("nbody")
+        if r["engine"] == "vm" and r["bench"].startswith("nbody")
     ]
-    worst = min(r["speedup_vs_ast"] for r in closure_nbody)
-    print(f"\nclosure engine vs tree-walker on n-body: worst {worst:.2f}x")
-    print(f"vm engine vs closure, registry geomean (np=4): {vm_geomean:.2f}x")
+    worst = min(r["speedup_vs_ast"] for r in vm_nbody)
+    print(f"\nvm engine vs tree-walker on n-body: worst {worst:.2f}x")
+    print(f"vm engine vs tree-walker, registry geomean (np=4): {geomean:.2f}x")
     print(f"wrote {args.out}")
     return 0
 

@@ -2,7 +2,7 @@
 
 The paper's flagship demonstration, reproduced end to end:
 
-* strong/weak-scaling rows over PE counts (closure and VM engines,
+* strong/weak-scaling rows over PE counts (tree-walker and VM engines,
   identical outputs — differentially checked);
 * trace replay onto the Epiphany-III and Cray XC40 models — the "$99
   board to $30M supercomputer" portability claim in model form;
@@ -25,11 +25,11 @@ STEPS = 2
 SRC = nbody_source(PARTICLES, STEPS)
 
 
-def test_nbody_closure_vs_vm_identical():
+def test_nbody_ast_vs_vm_identical():
     for n_pes in (1, 2, 4):
-        rc = run_lolcode(SRC, n_pes, seed=42)
+        ra = run_lolcode(SRC, n_pes, seed=42, engine="ast")
         rv = run_lolcode(SRC, n_pes, seed=42, engine="vm")
-        assert rc.outputs == rv.outputs, f"divergence at {n_pes} PEs"
+        assert ra.outputs == rv.outputs, f"divergence at {n_pes} PEs"
 
 
 def test_nbody_output_shape():
@@ -94,15 +94,8 @@ def test_nbody_treewalker_wallclock(benchmark):
 
 
 @pytest.mark.benchmark(group="nbody")
-def test_nbody_closure_engine_wallclock(benchmark):
-    """The closure engine (the default) must bury the tree-walker on the
-    same kernel at the same PE count; the ratio is tracked run-over-run
-    in BENCH_interp.json (see benchmarks/run_all.py)."""
-    benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="closure"))
-
-
-@pytest.mark.benchmark(group="nbody")
 def test_nbody_vm_wallclock(benchmark):
-    """The bytecode VM (the fastest pure-Python engine) on the same
-    kernel at the same PE count."""
+    """The bytecode VM (the default engine) on the same kernel at the
+    same PE count; its ratio over the tree-walker is tracked
+    run-over-run in BENCH_interp.json (see benchmarks/run_all.py)."""
     benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="vm"))

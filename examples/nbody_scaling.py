@@ -3,9 +3,9 @@
 strong-scaled over PE counts and projected onto the paper's hardware.
 
 Runs the (race-fixed) Section VI.D listing on 1/2/4 PEs with both the
-closure interpreter (traced) and the bytecode VM, measures wall-clock,
-then replays the op trace against the Epiphany-III and Cray XC40
-machine models —
+tree-walking interpreter (traced) and the bytecode VM, measures
+wall-clock, then replays the op trace against the Epiphany-III and Cray
+XC40 machine models —
 the "runs on a $99 board and a $30M supercomputer" claim, in model form.
 
 Usage::
@@ -37,7 +37,7 @@ def main() -> None:
     traces = {}
     for n in args.pes:
         t0 = time.perf_counter()
-        ri = run_lolcode(src, n, seed=42, trace=True)
+        ri = run_lolcode(src, n, seed=42, engine="ast", trace=True)
         ti = time.perf_counter() - t0
         t0 = time.perf_counter()
         run_lolcode(src, n, seed=42, engine="vm")

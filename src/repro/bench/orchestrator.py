@@ -70,7 +70,7 @@ class SweepConfig:
     """What to run: the experiment matrix plus measurement knobs."""
 
     workloads: Sequence[str] = ()  # empty = every registered workload
-    engines: Sequence[str] = ("closure", "ast", "vm")
+    engines: Sequence[str] = ("ast", "vm")
     executors: Sequence[str] = ("thread",)
     pe_counts: Sequence[int] = (1, 4)
     reps: int = 3

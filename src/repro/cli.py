@@ -183,16 +183,12 @@ def loli_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default=None,
-        help="execution engine (closure = compiled closures, default; "
-        "ast = reference tree-walker; vm = register-bytecode VM; c = "
-        "natively compiled single-PE binary; with --max-steps the "
-        "default becomes vm, which counts steps natively)",
+        default="vm",
+        help="execution engine (vm = register-bytecode VM, default; "
+        "ast = reference tree-walker; c = natively compiled single-PE "
+        "binary; vm and ast count --max-steps natively)",
     )
     args = parser.parse_args(argv)
-    # Step limits are honoured natively by vm and ast only; the closure
-    # default would be refused, so a bare --max-steps routes to the VM.
-    engine = args.engine or ("vm" if args.max_steps is not None else "closure")
     try:
         from .launcher import run_lolcode
 
@@ -203,7 +199,7 @@ def loli_main(argv: Optional[Sequence[str]] = None) -> int:
             filename=args.source,
             seed=args.seed,
             max_steps=args.max_steps,
-            engine=engine,
+            engine=args.engine,
         )
     except LolError as exc:
         return _fail(exc)
@@ -273,10 +269,9 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="closure",
-        help="execution engine (closure = compiled closures, default; "
-        "ast = reference tree-walker; vm = register-bytecode VM, the "
-        "fastest pure-Python engine; c = natively compiled binary "
+        default="vm",
+        help="execution engine (vm = register-bytecode VM, default; "
+        "ast = reference tree-walker; c = natively compiled binary "
         "over the bundled SHMEM shim, one OS process per PE)",
     )
     parser.add_argument(

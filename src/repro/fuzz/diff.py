@@ -37,7 +37,7 @@ from ..launcher.spmd import run_lolcode
 from ..shmem.runtime_threads import run_spmd
 
 #: Engines the fuzzer compares by default (reference first).
-DEFAULT_ENGINES: tuple[str, ...] = ("ast", "closure", "vm")
+DEFAULT_ENGINES: tuple[str, ...] = ("ast", "vm")
 
 #: Checker codes whose presence disqualifies a candidate: static errors
 #: plus the parallel-correctness warnings (divergent barrier, data race,

@@ -1,31 +1,27 @@
 """SPMD interpreters for extended LOLCODE.
 
-Three execution engines share the operator semantics of
+Two execution engines share the operator semantics of
 :mod:`repro.interp.values` and are differentially tested against each
 other:
 
-* ``"closure"`` — the default: a one-shot compile pass
-  (:mod:`repro.interp.closures`) turns the AST into nested closures with
-  slot-indexed frames; no per-operation dispatch remains on the hot path;
+* ``"vm"`` — the default: the register-bytecode VM (:mod:`repro.vm`).
+  The AST is compiled once to flat bytecode with superinstructions and
+  run by a dispatch loop with inline caches; statement steps for
+  ``max_steps`` are counted natively in that loop;
 * ``"ast"`` — the reference tree-walker
-  (:mod:`repro.interp.interpreter`);
-* ``"vm"`` — the register-bytecode VM (:mod:`repro.vm`): AST compiled
-  once to flat bytecode with superinstructions, run by a dispatch loop
-  with inline caches.  The fastest pure-Python engine, and (with
-  ``ast``) one of the two engines supporting ``max_steps`` execution
-  limits — the VM counts statement steps natively in its dispatch loop.
+  (:mod:`repro.interp.interpreter`).
 
-(The fourth registered engine is not an interpreter: ``"c"`` is the
+(The third registered engine is not an interpreter: ``"c"`` is the
 paper's full ``lcc`` pipeline — LOLCODE -> C + OpenSHMEM, built by the
 system C compiler against the bundled single-node SHMEM shim and run as
 real OS processes by :mod:`repro.compiler.native`.  It can degrade
-gracefully: ``run_lolcode(..., fallback_engine="closure")`` reruns on an
+gracefully: ``run_lolcode(..., fallback_engine="vm")`` reruns on an
 interpreter when the native toolchain is missing or broken and marks
 the result ``degraded``.)
 
-:func:`compile_closures_cached` is the process-wide LRU compiled-program
-cache, keyed by source text: an SPMD launch compiles once and every PE
-shares the same :class:`~repro.interp.closures.CompiledProgram` (the
+:func:`compile_vm_cached` is the process-wide LRU compiled-program
+cache, keyed by source text and compile flags: an SPMD launch compiles
+once and every PE shares the same :class:`~repro.vm.isa.VMProgram` (the
 compiled form is context-free; each PE runs it against its own
 :class:`~repro.shmem.api.ShmemContext`).
 """
@@ -33,7 +29,6 @@ compiled form is context-free; each PE runs it against its own
 from functools import lru_cache
 
 from ..singleflight import single_flight
-from .closures import ClosureCompiler, CompiledProgram, compile_program
 from .env import Binding, Env, UNDECLARED
 from .interpreter import KNOWN_LIBRARIES, Interpreter, interpret, run_serial
 from .values import (
@@ -48,32 +43,11 @@ from .values import (
 )
 
 #: Execution engines accepted by ``run_lolcode`` / the CLIs.  The first
-#: three are the interpreters above; ``"c"`` is the native path
+#: two are the interpreters above; ``"c"`` is the native path
 #: (:mod:`repro.compiler.native`): the C backend's output built with the
 #: system compiler and launched as ``n_pes`` OS processes over the
 #: bundled SHMEM shim.
-ENGINES = ("closure", "ast", "vm", "c")
-
-
-@single_flight
-@lru_cache(maxsize=64)
-def compile_closures_cached(
-    source: str, filename: str = "<string>", count_flops: bool = False
-) -> CompiledProgram:
-    """Parse + closure-compile ``source``, memoized on the source text.
-
-    ``count_flops`` is part of the key because FLOP accounting is baked
-    into the compiled closures (zero cost when tracing is off).
-
-    Safe under concurrent callers: the :func:`~repro.singleflight.single_flight`
-    guard serialises same-key compiles, so N simultaneous submissions of
-    one source (the execution service's steady state) compile it once.
-    """
-    from ..lang.parser import parse_cached
-
-    return compile_program(
-        parse_cached(source, filename), count_flops=count_flops
-    )
+ENGINES = ("vm", "ast", "c")
 
 
 @single_flight
@@ -90,6 +64,10 @@ def compile_vm_cached(
     FLOP accounting and statement-step counting are compiled into the
     bytecode (and step counting disables loop vectorization, which would
     otherwise batch many statements per dispatch).
+
+    Safe under concurrent callers: the :func:`~repro.singleflight.single_flight`
+    guard serialises same-key compiles, so N simultaneous submissions of
+    one source (the execution service's steady state) compile it once.
     """
     from ..lang.parser import parse_cached
     from ..vm.compile import compile_program_vm
@@ -122,7 +100,6 @@ def _compile_cache_collector() -> None:
     )
     caches = {
         "parse": parse_cached,
-        "closure": compile_closures_cached,
         "vm": compile_vm_cached,
     }
     for name, fn in caches.items():
@@ -149,10 +126,6 @@ __all__ = [
     "Interpreter",
     "interpret",
     "run_serial",
-    "ClosureCompiler",
-    "CompiledProgram",
-    "compile_program",
-    "compile_closures_cached",
     "compile_vm_cached",
     "ENGINES",
     "FLOP_COST",

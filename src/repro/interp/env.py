@@ -25,7 +25,7 @@ from ..lang.types import LolType
 
 
 class _Undeclared:
-    """Sentinel filling closure-engine frame slots before their ``I HAS A``
+    """Sentinel filling VM frame slots before their ``I HAS A``
     executes (a lexically resolved slot is not yet *declared* until its
     declaration statement actually runs — reads raise ``LolNameError``
     exactly like the tree-walker's missing-binding path)."""
@@ -41,7 +41,7 @@ UNDECLARED = _Undeclared()
 
 
 def new_frame(n_slots: int) -> list:
-    """A closure-engine frame: slot 0 is ``IT`` (NOOB), the rest undeclared."""
+    """A VM frame: slot 0 is ``IT`` (NOOB), the rest undeclared."""
     frame = [UNDECLARED] * n_slots
     frame[0] = None
     return frame

@@ -585,7 +585,7 @@ def _scalarize(v: object) -> object:
 
 # ---------------------------------------------------------------------------
 # Value plumbing shared by both interpreter engines (the tree-walker here
-# and the closure engine in .closures); one copy so semantics cannot drift.
+# and the VM in repro.vm.machine); one copy so semantics cannot drift.
 # ---------------------------------------------------------------------------
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))

@@ -112,8 +112,8 @@ def compare(op: str, lhs: object, rhs: object, pos: SourcePos | None = None) -> 
 # Per-operator function tables.
 #
 # Every operator is one callable ``fn(lhs, rhs, pos) -> value`` so the
-# closure-compilation engine can resolve the operator *once at compile
-# time* instead of re-running a string-keyed if-chain per evaluation.
+# VM compiler can resolve the operator *once at compile time* instead of
+# re-running a string-keyed if-chain per evaluation.
 # The numeric ops carry an inline fast path for the overwhelmingly common
 # int/float case (``type(x) is int`` deliberately excludes bool, which
 # LOLCODE arithmetic must coerce through TROOF rules in ``_as_number``).
@@ -191,7 +191,7 @@ def _op_xor(a: object, b: object, pos: SourcePos | None = None) -> object:
     return to_troof(a) != to_troof(b)
 
 
-#: op name -> ``fn(lhs, rhs, pos)``; the closure engine indexes this once
+#: op name -> ``fn(lhs, rhs, pos)``; the VM compiler indexes this once
 #: per BinOp node at compile time.
 BINOP_FUNCS = {
     "add": _op_add,

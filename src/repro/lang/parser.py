@@ -582,7 +582,7 @@ def parse(source: str, filename: str = "<string>") -> ast.Program:
 
 @lru_cache(maxsize=64)
 def parse_cached(source: str, filename: str = "<string>") -> ast.Program:
-    """Memoized :func:`parse`, shared by the launcher and the closure
+    """Memoized :func:`parse`, shared by the launcher and the VM
     compiler.  Safe because every AST consumer (interpreters, planners,
     compilers, formatter) treats the tree as read-only."""
     return parse(source, filename)

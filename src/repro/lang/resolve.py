@@ -1,13 +1,13 @@
 """Static scope resolution: names -> integer frame slots.
 
-The closure-compilation engine (:mod:`repro.interp.closures`) replaces the
-tree-walker's dict-chain :class:`~repro.interp.env.Env` lookups with flat,
-slot-indexed frames.  This module provides the compile-time bookkeeping:
-which frame a name lives in, at which slot, with what static metadata.
+The VM compiler (:mod:`repro.vm.compile`) replaces the tree-walker's
+dict-chain :class:`~repro.interp.env.Env` lookups with flat, slot-indexed
+frames.  This module provides the compile-time bookkeeping: which frame a
+name lives in, at which slot, with what static metadata.
 
-The scope model mirrors the tree-walker (see the documented divergence
-list in :mod:`repro.interp.closures` for the corners where static
-resolution cannot reproduce its dynamic behaviour):
+The scope model mirrors the tree-walker (see the divergence list below
+for the corners where static resolution cannot reproduce its dynamic
+behaviour):
 
 * one *frame* per function activation plus one root frame for top-level
   code (slot 0 of every frame is reserved for ``IT``);
@@ -32,6 +32,28 @@ resolution cannot reproduce its dynamic behaviour):
   root scope (the tree-walker gives calls ``globals.child()``; a global
   that has not been declared by the time the function runs reads as the
   UNDECLARED sentinel and raises the same ``LolNameError``).
+
+Known, documented divergences from the tree-walker:
+
+* reading a symmetric symbol before its ``WE HAS A`` has *executed* (but
+  after it is lexically visible) raises ``LolParallelError`` from the
+  heap instead of ``LolNameError``;
+* a re-declaration that *changes* a name's static type or array-ness
+  allocates a fresh slot, so a function compiled against the final root
+  scope reads the post-redeclaration storage (same-shape redeclarations
+  reuse the slot and behave identically to the tree-walker);
+* loop-body *scalar* declarations are pre-bound with a runtime fallback
+  (see :meth:`~repro.vm.compile.VMCompiler._prescan_loop_decls`),
+  reproducing the tree-walker's persistent per-loop environment —
+  iteration N's reads and re-evaluated initializers see iteration N-1's
+  binding.  *Array* declarations in loop bodies are not pre-bound: a
+  read of the name that textually precedes the array declaration stays
+  bound to the enclosing variable on every iteration;
+* a loop body that redeclares its own ``UPPIN YR`` counter *terminates*
+  (the condition stays bound to the counter's slot, which the increment
+  keeps updating), where the tree-walker's redeclaration detaches the
+  counter binding and spins forever — the divergence is kept
+  deliberately, since reproducing a hang helps no one.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from ..lang import ast
 from ..lang.errors import LolParallelError
 from ..lang.parser import parse_cached
 from ..lang.types import parse_type, to_numbr
-from ..interp import ENGINES, compile_closures_cached, compile_vm_cached
+from ..interp import ENGINES, compile_vm_cached
 from ..interp.interpreter import Interpreter
 from ..interp.values import binop, unop
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
@@ -125,11 +125,10 @@ def _pe_main(
     Engine dispatch happens here (rather than in ``run_lolcode``) so
     compiled programs never cross a process boundary: thread PEs share
     one compiled program through the
-    :func:`~repro.interp.compile_closures_cached` /
-    :func:`~repro.interp.compile_vm_cached` LRUs, while each worker
+    :func:`~repro.interp.compile_vm_cached` LRU, while each worker
     process hits its own per-process cache.  ``max_steps`` is honoured
-    natively by the ``vm`` and ``ast`` engines only; the launcher
-    rejects it for every other engine before dispatch.
+    natively by the ``vm`` and ``ast`` engines; the launcher rejects it
+    for ``c`` before dispatch.
     """
     rt = _obs.ACTIVE
     if rt is not None and rt.trace_on:
@@ -161,7 +160,7 @@ def _pe_body(
     if engine == "vm":
         # The VM counts statement steps in its own dispatch loop, so a
         # max_steps limit never changes which engine runs.  count_flops
-        # (like the closure engine) keys off whether tracing is on.
+        # keys off whether tracing is on.
         _compile_span(
             compile_vm_cached,
             engine,
@@ -171,17 +170,6 @@ def _pe_body(
             ctx.trace is not None,
             max_steps is not None,
         ).run(ctx, max_steps=max_steps)
-        return
-    if engine == "closure":
-        compiled = _compile_span(
-            compile_closures_cached,
-            engine,
-            ctx,
-            source,
-            filename,
-            ctx.trace is not None,
-        )
-        compiled.run(ctx)
         return
     program = parse_cached(source, filename)
     Interpreter(program, ctx, max_steps=max_steps).run()
@@ -200,18 +188,16 @@ def run_lolcode(
     race_detection: bool = False,
     max_steps: Optional[int] = None,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    engine: str = "closure",
+    engine: str = "vm",
     fallback_engine: Optional[str] = None,
     check: str = "off",
 ) -> SpmdResult:
     """Parse ``source`` once (for early syntax errors) and run it SPMD.
 
-    ``engine`` selects the execution engine per PE: ``"closure"``
-    (default — compile once per program into zero-dispatch closures,
-    shared by all PEs), ``"ast"`` (the reference tree-walker),
-    ``"vm"`` (register bytecode run by a dispatch loop with inline
-    caches — the fastest pure-Python engine; with ``ast`` the only
-    engine honouring ``max_steps``, counted natively), or ``"c"`` (the
+    ``engine`` selects the execution engine per PE: ``"vm"`` (default —
+    compile once per program into register bytecode, shared by all PEs
+    and run by a dispatch loop with inline caches; counts ``max_steps``
+    natively), ``"ast"`` (the reference tree-walker), or ``"c"`` (the
     paper's full ``lcc`` pipeline: LOLCODE -> C + OpenSHMEM, built by
     the system C compiler against the bundled SHMEM shim, one OS
     process per PE; pairs with ``executor="process"`` only, refuses
@@ -342,14 +328,13 @@ def run_lolcode(
                 )
             if max_steps is not None:
                 raise LolParallelError(
-                    "engine='c' does not support max_steps; use engine='ast' "
-                    "(the step-counting tree-walker)"
+                    "engine='c' does not support max_steps; use engine='vm' "
+                    "or 'ast' (both count statement steps)"
                 )
             if trace:
                 raise LolParallelError(
                     "engine='c' does not support op tracing (native binaries "
-                    "are not instrumented); use engine='closure' or "
-                    "'vm' for traced runs"
+                    "are not instrumented); use engine='vm' for traced runs"
                 )
             if race_detection:
                 raise LolParallelError(
@@ -366,17 +351,6 @@ def run_lolcode(
                 seed=seed,
                 stdin_lines=stdin_lines,
                 barrier_timeout=barrier_timeout,
-            )
-        if engine == "closure" and max_steps is not None:
-            # This used to fall back silently to the tree-walker, which made
-            # "closure with a step limit" report ast-engine timings and let
-            # interpret-only programs slip through.  Refuse loudly instead,
-            # like the native engine does, and point at the engines that
-            # count steps natively.
-            raise LolParallelError(
-                "engine='closure' does not support max_steps; use engine='vm' "
-                "(step counting in the bytecode dispatch loop) or engine='ast' "
-                "(the step-counting tree-walker)"
             )
         worker = partial(_pe_main, source, filename, max_steps, engine)
 

@@ -90,7 +90,7 @@ def loltrace_main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("thread", "process", "pool", "serial"),
         default="thread",
     )
-    parser.add_argument("--engine", default="closure")
+    parser.add_argument("--engine", default="vm")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "-o",

@@ -195,7 +195,7 @@ class ServiceClient:
         params: Optional[Mapping[str, int]] = None,
         smoke: bool = False,
         n_pes: int = 1,
-        engine: str = "closure",
+        engine: str = "vm",
         executor: str = "pool",
         seed: Optional[int] = None,
         trace: bool = False,

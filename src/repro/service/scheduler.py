@@ -7,9 +7,8 @@ first-served fairness fall out of that shape directly.  Each job runs
 :func:`asyncio.wait_for`, so a per-job timeout cannot stall the queue.
 
 Compilation is **single-flight**: ``run_lolcode`` goes through the
-process-wide compile caches (:func:`repro.interp.compile_closures_cached`
-/ :func:`repro.interp.compile_vm_cached`), which serialise
-concurrent identical keys — N simultaneous submissions of one source
+process-wide compile cache (:func:`repro.interp.compile_vm_cached`),
+which serialises concurrent identical keys — N simultaneous submissions of one source
 compile it once, the other N-1 block briefly and reuse the warm entry.
 
 Result payloads mirror ``lolbench`` rows (workload / engine / executor /
@@ -110,7 +109,7 @@ class JobSpec:
 
     source: str
     n_pes: int = 1
-    engine: str = "closure"
+    engine: str = "vm"
     executor: str = "pool"
     seed: Optional[int] = None
     trace: bool = False
@@ -155,7 +154,7 @@ class JobSpec:
                 source = w.source(params)
             except WorkloadError as exc:
                 raise ServiceError(str(exc)) from exc
-        engine = payload.get("engine", "closure")
+        engine = payload.get("engine", "vm")
         executor = payload.get("executor", "pool")
         if engine not in ENGINES:
             raise ServiceError(
@@ -176,7 +175,7 @@ class JobSpec:
             if payload.get("trace"):
                 raise ServiceError(
                     "engine 'c' does not support op tracing; submit with "
-                    "engine 'closure' or 'vm' for traced runs"
+                    "engine 'vm' for traced runs"
                 )
             if executor == "pool":
                 executor = "process"

@@ -31,6 +31,14 @@ from ..lang.errors import LolParallelError, LolRuntimeError
 from ..lang.types import NUMPY_DTYPES, LolType, default_value
 
 
+def _out_of_range(value: object, lol_type: LolType) -> LolRuntimeError:
+    """NUMBR arithmetic is unbounded, but numpy-backed storage is 64-bit:
+    a value that does not fit is a typed runtime error on every engine."""
+    return LolRuntimeError(
+        f"value {value} does not fit in 64-bit {lol_type.name} storage"
+    )
+
+
 class ScalarCell:
     """One PE's copy of a symmetric scalar."""
 
@@ -69,7 +77,10 @@ class NumpyScalarCell:
         return float(v)
 
     def write(self, value: object) -> None:
-        self.buf[0] = value
+        try:
+            self.buf[0] = value
+        except OverflowError:
+            raise _out_of_range(value, self.lol_type) from None
 
     @property
     def nbytes(self) -> int:
@@ -115,7 +126,10 @@ class ArrayCell:
 
     def write(self, index: int, value: object) -> None:
         self._check(index)
-        self.data[index] = value
+        try:
+            self.data[index] = value
+        except OverflowError:
+            raise _out_of_range(value, self.lol_type) from None
 
     def read_all(self):
         if isinstance(self.data, np.ndarray):

@@ -1,10 +1,9 @@
 """Single-flight guard for memoized compilation.
 
-The compiled-program caches (:func:`repro.interp.compile_closures_cached`
-and :func:`repro.interp.compile_vm_cached`) are ``lru_cache``-backed,
-and ``lru_cache`` releases its internal lock *while the wrapped function
-runs*: N threads asking for the same not-yet-cached key all compile, and
-N-1 results are thrown away.  That was harmless when every caller was one
+The compiled-program cache (:func:`repro.interp.compile_vm_cached`) is
+``lru_cache``-backed, and ``lru_cache`` releases its internal lock
+*while the wrapped function runs*: N threads asking for the same
+not-yet-cached key all compile, and N-1 results are thrown away.  That was harmless when every caller was one
 SPMD launch; it is not once the execution service accepts concurrent
 submissions of the same source.
 

@@ -1,13 +1,13 @@
-"""Register-bytecode VM engine — the fastest pure-Python path.
+"""Register-bytecode VM engine — the default, and the fast interpreter.
 
-The fourth interpreter tier (after ``ast``, ``closure`` and the native
-``c`` engine): LOLCODE AST is compiled once into flat register-machine
-bytecode (:mod:`repro.vm.compile` over the ISA in :mod:`repro.vm.isa`)
-and executed by a dispatch loop with superinstructions and inline
-caches (:mod:`repro.vm.machine`).  ``loldis`` (:mod:`repro.vm.dis`)
+LOLCODE AST is compiled once into flat register-machine bytecode
+(:mod:`repro.vm.compile` over the ISA in :mod:`repro.vm.isa`) and
+executed by a dispatch loop with superinstructions and inline caches
+(:mod:`repro.vm.machine`).  ``loldis`` (:mod:`repro.vm.dis`)
 disassembles the bytecode for inspection and snapshot tests.
 
-Select it with ``run_lolcode(..., engine="vm")`` or ``--engine vm``.
+``run_lolcode`` and every CLI run it unless another engine is named
+(``engine="ast"`` for the reference tree-walker, ``"c"`` for native).
 """
 
 from .compile import compile_program_vm

@@ -1,11 +1,10 @@
 """AST -> register bytecode compiler for the VM engine.
 
-Mirrors :class:`~repro.interp.closures.ClosureCompiler` statement for
-statement — same :mod:`repro.lang.resolve` slot allocation, same scope
-discipline (loop pre-scan, pending function queue against the final root
-scope), same error sites and messages — but emits flat instruction
-tuples (:mod:`repro.vm.isa`) instead of nested closures, so the machine
-runs one dispatch loop instead of a call tree.
+Resolves every name once at compile time (:mod:`repro.lang.resolve`
+slot allocation, loop pre-scan, pending function queue against the
+final root scope) and keeps the tree-walker's error sites and messages,
+but emits flat instruction tuples (:mod:`repro.vm.isa`), so the machine
+runs one dispatch loop instead of walking the AST.
 
 Expression temporaries share the variable :class:`FrameLayout`: each
 statement draws temps from a free list and returns them when the
@@ -307,9 +306,9 @@ class VMCompiler:
             return
         # The initializer compiles *before* the name is (re)declared, so
         # ``I HAS A x ITZ SUM OF x AN 1`` sees the previous binding.
-        # An untyped declaration stores the value *unchecked* (like the
-        # closure engine's ``run_init``): the value goes into a temp and
-        # the temp's producing instruction is retargeted at the new slot.
+        # An untyped declaration stores the value *unchecked*: the value
+        # goes into a temp and the temp's producing instruction is
+        # retargeted at the new slot.
         if stmt.init is not None:
             if declared is not None:
                 vreg = self._expr_reg(stmt.init, scope, asm)
@@ -587,7 +586,7 @@ class VMCompiler:
         asm.mark(lend)
 
     def _prescan_loop_decls(self, stmts: list, scope: ScopeStack) -> None:
-        # Same pre-pass as the closure engine: scalar declarations at
+        # Pre-pass: scalar declarations at
         # this block level (plus TXT bodies) are pre-bound with a
         # runtime fallback to the enclosing binding.
         for s in stmts:
@@ -868,8 +867,7 @@ class VMCompiler:
             return
         cost = FLOP_COST.get(node.op, 0)
         if self.count_flops and cost:
-            # FLOP accounting precedes operand evaluation, matching the
-            # closure engine's traced closures.
+            # FLOP accounting precedes operand evaluation.
             asm.emit((isa.FLOPS, cost), pos)
         arith = _ARITH_OPS.get(node.op)
         ls = self._operand(node.lhs, scope)
@@ -1017,8 +1015,8 @@ class VMCompiler:
             return
         info = scope.lookup(name)
         if info is None:
-            # The index is *not* evaluated: the closure engine raises
-            # before touching it.
+            # The index is *not* evaluated: the error is raised before
+            # touching it.
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
         if info.kind == LOCAL and info.fallback is not None:
@@ -1044,18 +1042,17 @@ class VMCompiler:
             ireg = self._expr_reg(node.index, scope, asm)
             asm.emit((isa.LDX, dst, info.slot, ireg, name), pos)
         else:
-            # The closure engine checks the global cell *before* touching
-            # the index expression; mirror that error order.
+            # Check the global cell *before* touching the index
+            # expression, so the undeclared error wins.
             asm.emit((isa.GCHK, info.slot, name), pos)
             ireg = self._expr_reg(node.index, scope, asm)
             asm.emit((isa.GLDX, dst, info.slot, ireg, name), pos)
 
     def _expr_call(self, node: ast.FuncCall, scope, asm: _Asm, dst: int) -> None:
         pos = node.pos
-        # Lookup + arity check precede argument evaluation (the closure
-        # engine resolves the function object before evaluating args);
-        # the checked function is pinned in a slot so argument side
-        # effects cannot swap it.
+        # Lookup + arity check precede argument evaluation; the checked
+        # function is pinned in a slot so argument side effects cannot
+        # swap it.
         freg = asm.temp()
         asm.emit((isa.CHECK_FUNC, freg, node.name, len(node.args)), pos)
         regs = tuple(self._expr_reg(a, scope, asm) for a in node.args)

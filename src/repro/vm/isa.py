@@ -1,7 +1,7 @@
 """Instruction-set definition for the register-bytecode VM engine.
 
-The VM (:mod:`repro.vm.machine`) executes flat tuples instead of a tree
-of closures: one program compiles (:mod:`repro.vm.compile`) to a
+The VM (:mod:`repro.vm.machine`) executes flat tuples instead of walking
+the AST: one program compiles (:mod:`repro.vm.compile`) to a
 :class:`CodeObject` holding a ``code`` tuple of instruction tuples, a
 parallel ``positions`` tuple (one :class:`~repro.lang.errors.SourcePos`
 per pc, for error reporting), a frame size, and an inline-cache count.

@@ -4,18 +4,19 @@ One Python ``while`` loop executes the flat instruction tuples emitted
 by :mod:`repro.vm.compile`.  The hot half of the ISA (arithmetic, fused
 compare-branches, slot moves, array/symmetric access) is inlined in a
 nested if-chain ordered by opcode number; everything else dispatches
-through a handler table.  All operator fallbacks, coercions and error
-messages are the closure engine's own (:mod:`repro.interp.closures`
-helpers are reused directly), so results are bit-identical.
+through a handler table.  Operator fallbacks and coercions are shared
+with the tree-walker (:mod:`repro.interp.interpreter` and
+:mod:`repro.interp.values`) and error messages match its own, so results
+are bit-identical.
 
 Inline caches
 -------------
 
 Symmetric-heap access (``SYM_LD``/``SYM_ST``/``SYM_LDX``/``SYM_STX``)
-is the one path where the closure engine pays a name lookup per access.
-The VM caches the resolved per-PE cell per *site*: each site gets an
-index into a per-code-object cache list, validated against the heap's
-``version`` generation counter (bumped on every symbol-table change).
+would otherwise pay a heap name lookup per access.  The VM caches the
+resolved per-PE cell per *site*: each site gets an index into a
+per-code-object cache list, validated against the heap's ``version``
+generation counter (bumped on every symbol-table change).
 Caches are disabled while a race detector is attached, because
 ``local_read``/``local_write`` must keep reporting accesses to it.
 
@@ -33,7 +34,9 @@ from ..lang.errors import (
     LolParallelError,
     LolRuntimeError,
     LolTypeError,
+    SourcePos,
 )
+from ..lang.resolve import LOCAL, MISSING, SYMMETRIC, VarInfo
 from ..lang.types import (
     LolType,
     cast as cast_value,
@@ -44,15 +47,6 @@ from ..lang.types import (
     to_troof,
 )
 from ..shmem.heap import ArrayCell, ScalarCell
-from ..interp.closures import (
-    _as_index,
-    _dyn_read,
-    _dyn_read_element,
-    _dyn_write,
-    _dyn_write_element,
-    _require_target,
-    _undeclared,
-)
 from ..interp.env import UNDECLARED, new_frame
 from ..interp.interpreter import (
     KNOWN_LIBRARIES,
@@ -83,14 +77,153 @@ _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR
 
 
-class Machine:
-    """Per-PE execution state plus the dispatch loop.
+# ---------------------------------------------------------------------------
+# Runtime helpers for the non-inlined name, target and SRS paths.
+# ---------------------------------------------------------------------------
 
-    Duck-types :class:`repro.interp.closures._Runtime` (``ctx``,
-    ``gframe``, ``functions``, ``target_pe``, ``libraries``) so the
-    closure engine's module-level helpers (``_dyn_read`` and friends,
-    ``_require_target``) run unchanged against it.
-    """
+
+def _undeclared(name: str, pos: SourcePos) -> LolNameError:
+    return LolNameError(
+        f"variable '{name}' has not been declared (I HAS A {name})", pos
+    )
+
+
+def _require_target(rt: Machine, name: str, pos: SourcePos) -> int:
+    pe = rt.target_pe
+    if pe is None:
+        raise LolParallelError(
+            f"'UR {name}' used outside a TXT MAH BFF predicated "
+            f"statement or block",
+            pos,
+        )
+    return pe
+
+
+def _as_index(value: object, pos: SourcePos) -> int:
+    return value if type(value) is int else to_numbr(value, pos)
+
+
+# Dynamic (SRS) access paths: the visible-name *set* at an SRS site is
+# static (a scope snapshot), the chosen name is not.  These mirror the
+# tree-walker's ``_read_var`` / ``_write_var`` / element variants.
+
+
+def _resolve_dyn(frame: list, info: Optional[VarInfo]) -> Optional[VarInfo]:
+    """Follow pre-declaration fallbacks: a LOCAL slot that is still
+    UNDECLARED at runtime defers to its enclosing (fallback) binding."""
+    while (
+        info is not None
+        and info.kind == LOCAL
+        and info.fallback is not None
+        and frame[info.slot] is UNDECLARED
+    ):
+        info = info.fallback
+    if info is not None and info.kind == MISSING:
+        return None
+    return info
+
+
+def _dyn_read(
+    rt: Machine, frame: list, snap: dict[str, VarInfo], name: str, pos: SourcePos
+) -> object:
+    info = _resolve_dyn(frame, snap.get(name))
+    if info is None:
+        raise _undeclared(name, pos)
+    if info.kind == SYMMETRIC:
+        return rt.ctx.local_read(name)
+    if info.is_array:
+        raise LolTypeError(
+            f"'{name}' is an array: index it with {name}'Z <expr>", pos
+        )
+    v = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
+    if v is UNDECLARED:
+        raise _undeclared(name, pos)
+    return v
+
+
+def _dyn_write(
+    rt: Machine,
+    frame: list,
+    snap: dict[str, VarInfo],
+    name: str,
+    value: object,
+    pos: SourcePos,
+) -> None:
+    info = _resolve_dyn(frame, snap.get(name))
+    if info is None:
+        raise _undeclared(name, pos)
+    if info.kind == SYMMETRIC:
+        rt.ctx.local_write(name, coerce_symmetric(rt.ctx, name, value, pos))
+        return
+    target = frame if info.kind == LOCAL else rt.gframe
+    if target[info.slot] is UNDECLARED:
+        raise _undeclared(name, pos)
+    if info.is_array:
+        write_whole_array(target[info.slot], value, name, pos)
+        return
+    if info.static_type is not None:
+        value = coerce_static(value, info.static_type, name, pos)
+    elif not is_scalar_value(value):
+        raise LolTypeError(f"cannot assign an array value to scalar '{name}'", pos)
+    target[info.slot] = value
+
+
+def _dyn_read_element(
+    rt: Machine,
+    frame: list,
+    snap: dict[str, VarInfo],
+    name: str,
+    index: int,
+    pos: SourcePos,
+) -> object:
+    info = _resolve_dyn(frame, snap.get(name))
+    if info is None:
+        raise _undeclared(name, pos)
+    if info.kind == SYMMETRIC:
+        return rt.ctx.local_read(name, index=index)
+    if not info.is_array:
+        raise LolTypeError(f"'{name}' is not an array", pos)
+    cell = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
+    if cell is UNDECLARED:
+        raise _undeclared(name, pos)
+    try:
+        return cell.read(index)
+    except LolRuntimeError as exc:
+        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
+
+
+def _dyn_write_element(
+    rt: Machine,
+    frame: list,
+    snap: dict[str, VarInfo],
+    name: str,
+    index: int,
+    value: object,
+    pos: SourcePos,
+) -> None:
+    info = _resolve_dyn(frame, snap.get(name))
+    if info is None:
+        raise _undeclared(name, pos)
+    if info.kind == SYMMETRIC:
+        obj = rt.ctx.world.heap.lookup(name)
+        rt.ctx.local_write(
+            name, coerce_element(value, obj.lol_type, name, pos), index=index
+        )
+        return
+    if not info.is_array:
+        raise LolTypeError(f"'{name}' is not an array", pos)
+    cell = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
+    if cell is UNDECLARED:
+        raise _undeclared(name, pos)
+    value = coerce_element(value, cell.lol_type, name, pos)
+    try:
+        cell.write(index, value)
+    except LolRuntimeError as exc:
+        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
+
+
+class Machine:
+    """Per-PE execution state plus the dispatch loop."""
 
     __slots__ = (
         "ctx",
@@ -979,7 +1112,7 @@ def _h_call(m, co, frame, caches, ins, pc):
         ret = m._exec(f.co, callee)
     finally:
         # A RET inside TXT MAH BFF skips the TXT_POPs; unwind them here
-        # (the closure engine's try/finally per TXT statement).
+        # (the tree-walker's try/finally per TXT statement).
         ts = m.txt_saves
         while len(ts) > saved:
             m.target_pe = ts.pop()

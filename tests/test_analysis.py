@@ -618,7 +618,7 @@ class TestFactsVectorize:
         from repro.compiler.native import find_cc
         from repro.launcher import run_lolcode
 
-        engines = ["ast", "closure", "vm"]
+        engines = ["ast", "vm"]
         results = {
             e: run_lolcode(
                 SYM_LIMIT_LOOP, 2, engine=e, seed=3

@@ -36,10 +36,10 @@ def test_run_sweep_schema(tiny_payload):
     assert tiny_payload["schema"] == 1
     assert tiny_payload["failures"] == []
     rows = tiny_payload["results"]
-    # 2 workloads x 3 engines (closure/ast/vm) x 2 PE counts
+    # 2 workloads x 2 engines (ast/vm) x 2 PE counts
     # on the thread executor
-    assert len(rows) == 12
-    assert {r["engine"] for r in rows} == {"closure", "ast", "vm"}
+    assert len(rows) == 8
+    assert {r["engine"] for r in rows} == {"ast", "vm"}
     for row in rows:
         assert row["checker"] == "pass"
         assert row["differential"] == "pass"
@@ -68,7 +68,7 @@ def test_param_overrides_reach_the_kernel():
         SweepConfig(
             workloads=("scan",),
             pe_counts=(2,),
-            engines=("closure",),
+            engines=("vm",),
             reps=1,
             params={"scan": {"scale": 3}},
         )
@@ -102,7 +102,7 @@ def test_raising_checker_is_recorded_not_fatal():
         payload = run_sweep(
             SweepConfig(
                 workloads=("_test_boom", "ring"),
-                engines=("closure",),
+                engines=("vm",),
                 pe_counts=(1,),
                 reps=1,
                 smoke=True,
@@ -158,7 +158,7 @@ def test_compile_restricted_workload_skipped_with_reason():
         payload = run_sweep(
             SweepConfig(
                 workloads=("_test_srs",),
-                engines=("closure", "ast", "c"),
+                engines=("vm", "ast", "c"),
                 pe_counts=(1,),
                 reps=1,
                 smoke=True,
@@ -167,7 +167,7 @@ def test_compile_restricted_workload_skipped_with_reason():
     finally:
         WORKLOADS.pop("_test_srs")
     rows = {r["engine"]: r for r in payload["results"]}
-    assert rows["closure"]["checker"] == "pass"
+    assert rows["vm"]["checker"] == "pass"
     assert rows["ast"]["checker"] == "pass"
     assert "seconds" not in rows["c"]
     assert "compile-time restriction" in rows["c"]["skipped"]
@@ -206,8 +206,8 @@ def _payload(seconds_by_cell):
 
 
 def test_baseline_regression_detected():
-    base = _payload({("a", "closure", 4): 0.010})
-    cur = _payload({("a", "closure", 4): 0.020})  # 2x and +10ms
+    base = _payload({("a", "vm", 4): 0.010})
+    cur = _payload({("a", "vm", 4): 0.020})  # 2x and +10ms
     comps = compare_to_baseline(cur, base)
     assert len(comps) == 1
     assert comps[0].ratio == pytest.approx(2.0)
@@ -217,16 +217,16 @@ def test_baseline_regression_detected():
 
 def test_baseline_noise_floor_absorbs_tiny_cells():
     # 3x slower but only +40us: sub-floor jitter, not a regression.
-    base = _payload({("a", "closure", 1): 0.00002})
-    cur = _payload({("a", "closure", 1): 0.00006})
+    base = _payload({("a", "vm", 1): 0.00002})
+    cur = _payload({("a", "vm", 1): 0.00006})
     comps = compare_to_baseline(cur, base)
     assert regressions(comps, 0.20) == []
     assert NOISE_FLOOR_S > 0.00006
 
 
 def test_baseline_improvement_and_missing_cells_ok():
-    base = _payload({("a", "closure", 4): 0.020, ("gone", "ast", 1): 0.5})
-    cur = _payload({("a", "closure", 4): 0.010, ("new", "ast", 1): 0.5})
+    base = _payload({("a", "vm", 4): 0.020, ("gone", "ast", 1): 0.5})
+    cur = _payload({("a", "vm", 4): 0.010, ("new", "ast", 1): 0.5})
     comps = compare_to_baseline(cur, base)
     assert len(comps) == 1  # only the overlapping cell
     assert regressions(comps, 0.20) == []
@@ -252,8 +252,8 @@ def test_baseline_keys_by_engine_so_compiled_regresses_independently():
     # A slowdown in the natively compiled rows must be attributed to the
     # c engine only — interpreter cells with the same workload/PE count
     # stay green, and skipped c rows (no "seconds") are ignored.
-    base = _payload({("a", "closure", 4): 0.010, ("a", "c", 4): 0.010})
-    cur = _payload({("a", "closure", 4): 0.010, ("a", "c", 4): 0.050})
+    base = _payload({("a", "vm", 4): 0.010, ("a", "c", 4): 0.010})
+    cur = _payload({("a", "vm", 4): 0.010, ("a", "c", 4): 0.050})
     comps = compare_to_baseline(cur, base)
     bad = regressions(comps, 0.20)
     assert [c.key[1] for c in bad] == ["c"]
@@ -308,12 +308,21 @@ def test_cli_missing_baseline_fails_before_sweeping(capsys, tmp_path):
     assert main(["--baseline", str(bad), "--out", "/dev/null"]) == 2
 
 
+def _doctored(payload, tmp_path, name, scale):
+    doctored = json.loads(json.dumps(payload))
+    for row in doctored["results"]:
+        row["seconds"] = row["seconds"] * scale
+    path = tmp_path / name
+    path.write_text(json.dumps(doctored))
+    return path
+
+
 def test_cli_writes_payload_and_baseline_gates(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    # Default (non-smoke) heat1d sizes: long enough (~tens of ms) that
-    # same-run jitter stays inside the 20% + 2ms regression gate.
+    # Default (non-smoke) heat1d sizes: every rep stays above the 2ms
+    # noise floor, so an impossibly fast baseline must gate.
     args = [
-        "--workloads", "heat1d", "--pes", "4", "--engines", "closure",
+        "--workloads", "heat1d", "--pes", "4", "--engines", "vm",
         "--reps", "2", "--out", str(out),
     ]
     assert main(args) == 0
@@ -321,14 +330,14 @@ def test_cli_writes_payload_and_baseline_gates(tmp_path, capsys):
     assert payload["results"][0]["workload"] == "heat1d"
     assert payload["failures"] == []
 
-    # Same-run baseline: no regression.
-    assert main(args + ["--baseline", str(out)]) == 0
+    # Both gate outcomes are checked against doctored baselines, so
+    # neither depends on how the host times a re-run.  A baseline 10x
+    # slower than this run: no regression.
+    slow = _doctored(payload, tmp_path, "slow.json", 10.0)
+    assert main(args + ["--baseline", str(slow)]) == 0
 
     # A doctored, impossibly fast baseline must gate with exit 3.
-    for row in payload["results"]:
-        row["seconds"] = 1e-9
-    fast = tmp_path / "fast.json"
-    fast.write_text(json.dumps(payload))
+    fast = _doctored(payload, tmp_path, "fast.json", 1e-9)
     capsys.readouterr()
     assert main(args + ["--baseline", str(fast)]) == 3
     assert "REGRESSION" in capsys.readouterr().out

@@ -365,7 +365,7 @@ class TestNativeFaults:
             1,
             executor="process",
             engine="c",
-            fallback_engine="closure",
+            fallback_engine="vm",
         )
         assert result.output == "STILL HERE\n"
         assert result.degraded is True
@@ -379,12 +379,12 @@ class TestNativeFaults:
                 lol('VISIBLE "DEGRADED OK"'),
                 engine="c",
                 executor="process",
-                fallback_engine="closure",
+                fallback_engine="vm",
             )
             row = client.result(job_id)
             assert row["output"] == "DEGRADED OK\n"
             assert row["degraded"] is True
-            assert "fallback engine 'closure'" in row["degraded_reason"]
+            assert "fallback engine 'vm'" in row["degraded_reason"]
             assert client.stats()["degraded"] == 1
 
     def test_no_fallback_without_opt_in(self, monkeypatch):

@@ -1,7 +1,6 @@
 """Differential tests: every engine against the reference tree-walker.
 
-The closure-compilation engine and the bytecode VM must be
-observationally identical to the reference tree-walker (and, where the
+The bytecode VM must be observationally identical to the reference tree-walker (and, where the
 program is compilable, so must the native C engine) — same VISIBLE
 output per PE, same FLOP/op accounting, same RNG draw sequence.  This
 suite checks that property on
@@ -46,21 +45,16 @@ WORKLOAD_NAMES = [w.name for w in all_workloads()]
 
 def both_engines(src: str, n_pes: int, **kwargs):
     a = run_lolcode(src, n_pes, engine="ast", **kwargs)
-    c = run_lolcode(src, n_pes, engine="closure", **kwargs)
-    return a, c
+    v = run_lolcode(src, n_pes, engine="vm", **kwargs)
+    return a, v
 
 
-def assert_engines_agree(src: str, n_pes: int, *, vm: bool = False, **kwargs):
-    a, c = both_engines(src, n_pes, **kwargs)
-    assert a.outputs == c.outputs, (
-        f"closure engine diverged from tree-walker at {n_pes} PEs"
+def assert_engines_agree(src: str, n_pes: int, **kwargs):
+    a, v = both_engines(src, n_pes, **kwargs)
+    assert a.outputs == v.outputs, (
+        f"VM engine diverged from tree-walker at {n_pes} PEs"
     )
-    if vm:
-        v = run_lolcode(src, n_pes, engine="vm", **kwargs)
-        assert a.outputs == v.outputs, (
-            f"VM engine diverged from tree-walker at {n_pes} PEs"
-        )
-    return a, c
+    return a, v
 
 
 class TestPaperExamples:
@@ -68,24 +62,20 @@ class TestPaperExamples:
     @pytest.mark.parametrize("n_pes", [1, 2, 4])
     def test_outputs_identical_all_three_engines(self, name, n_pes):
         src = (EXAMPLES_LOL / name).read_text()
-        assert_engines_agree(src, n_pes, vm=True, seed=42)
+        assert_engines_agree(src, n_pes, seed=42)
 
     def test_racy_nbody_single_pe(self):
         # The racy listing is only deterministic at 1 PE; that is enough
-        # to pin the closure engine to the tree-walker on it too.
+        # to pin the VM to the tree-walker on it too.
         src = (EXAMPLES_LOL / "nbody2d.lol").read_text()
-        assert_engines_agree(src, 1, vm=True, seed=7)
+        assert_engines_agree(src, 1, seed=7)
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_trace_accounting_identical(self, name):
         src = (EXAMPLES_LOL / name).read_text()
-        a, c = both_engines(src, 2, seed=42, trace=True)
-        v = run_lolcode(src, 2, engine="vm", seed=42, trace=True)
-        assert a.trace.total_flops() == c.trace.total_flops()
+        a, v = both_engines(src, 2, seed=42, trace=True)
         assert a.trace.total_flops() == v.trace.total_flops()
-        assert a.trace.total_remote_bytes() == c.trace.total_remote_bytes()
         assert a.trace.total_remote_bytes() == v.trace.total_remote_bytes()
-        assert a.trace.summary() == c.trace.summary()
         assert a.trace.summary() == v.trace.summary()
 
 
@@ -276,10 +266,6 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
     """Shared assertion block for the registry matrix tests."""
     if not workload.deterministic and n_pes > 1:
         return  # engines ran; outputs legitimately vary (racy kernel)
-    assert outputs["ast"] == outputs["closure"], (
-        f"{workload.name}: closure diverged from tree-walker at {n_pes} "
-        f"PEs {where}"
-    )
     assert outputs["vm"] == outputs["ast"], (
         f"{workload.name}: VM engine diverged from tree-walker at "
         f"{n_pes} PEs {where}"
@@ -295,8 +281,7 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
 
 @pytest.mark.workload
 class TestWorkloadRegistryMatrix:
-    """Every registered workload runs bit-identically on closure, ast,
-    vm, and — where a C toolchain exists and the kernel draws no
+    """Every registered workload runs bit-identically on ast, vm, and — where a C toolchain exists and the kernel draws no
     random values — the native C engine (or is skipped with an explicit
     reason) — the same guarantee ``lolbench`` enforces per sweep cell."""
 
@@ -423,7 +408,7 @@ def _random_program(seed: int) -> str:
 def test_random_arithmetic_loop_programs(seed):
     src = _random_program(seed)
     for n_pes in (1, 2):
-        assert_engines_agree(src, n_pes, vm=True, seed=seed)
+        assert_engines_agree(src, n_pes, seed=seed)
 
 
 def _random_predication_program(seed: int) -> str:
@@ -455,7 +440,7 @@ def _random_predication_program(seed: int) -> str:
 @pytest.mark.parametrize("seed", range(12))
 def test_random_predication_programs_4pes(seed):
     src = _random_predication_program(seed)
-    assert_engines_agree(src, 4, vm=True, seed=seed)
+    assert_engines_agree(src, 4, seed=seed)
 
 
 def test_lock_path_4pes():
@@ -473,8 +458,8 @@ def test_lock_path_4pes():
         "  YA RLY, VISIBLE kounter\n"
         "OIC"
     )
-    a, c = both_engines(src, 4, seed=3)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 4, seed=3)
+    assert a.outputs == v.outputs
     assert a.outputs[0] == "100\n"
 
 
@@ -497,8 +482,8 @@ def test_trylock_path_4pes():
         "HUGZ\n"
         'VISIBLE "DUN ITZ :{gate}"'
     )
-    a, c = both_engines(src, 4, seed=3)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 4, seed=3)
+    assert a.outputs == v.outputs
     assert "PE0 GOT TEH LOCK" in a.outputs[0]
 
 
@@ -516,8 +501,8 @@ def test_functions_and_it_semantics():
         "SUM OF a AN b\n"
         "VISIBLE IT"
     )
-    a, c = both_engines(src, 2, seed=1)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 2, seed=1)
+    assert a.outputs == v.outputs
     assert a.outputs[0] == "42 42\n84\n"
 
 
@@ -538,8 +523,8 @@ def test_switch_fallthrough_and_gtfo():
         "  OIC\n"
         "IM OUTTA YR outer"
     )
-    a, c = both_engines(src, 1, seed=1)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 1, seed=1)
+    assert a.outputs == v.outputs
 
 
 def test_srs_computed_identifiers():
@@ -550,8 +535,8 @@ def test_srs_computed_identifiers():
         "VISIBLE SRS namez\n"
         "VISIBLE abc"
     )
-    a, c = both_engines(src, 1, seed=1)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 1, seed=1)
+    assert a.outputs == v.outputs
     assert a.outputs[0] == "9\n9\n"
 
 
@@ -585,16 +570,16 @@ def test_srs_computed_identifiers():
 )
 def test_loop_body_redeclaration_semantics(body):
     # The tree-walker keeps one environment per loop execution; the
-    # closure engine reproduces it with pre-declared fallback slots and
+    # VM reproduces it with pre-declared fallback slots and
     # an UNDECLARED reset on loop re-entry.
-    a, c = both_engines(lol(body), 1, seed=1)
-    assert a.outputs == c.outputs
+    a, v = both_engines(lol(body), 1, seed=1)
+    assert a.outputs == v.outputs
 
 
 def test_txt_block_declarations_stay_visible():
     # The tree-walker executes TXT MAH BFF bodies in the *enclosing*
     # environment, so declarations inside the predicated block survive
-    # past TTYL; the closure engine must not scope them away.
+    # past TTYL; the VM must not scope them away.
     src = lol(
         "WE HAS A s ITZ SRSLY A NUMBR\n"
         "s R PRODUKT OF ME AN 10\n"
@@ -604,7 +589,7 @@ def test_txt_block_declarations_stay_visible():
         "TTYL\n"
         "VISIBLE fetched"
     )
-    a, c = assert_engines_agree(src, 4, seed=1)
+    a, v = assert_engines_agree(src, 4, seed=1)
     assert a.outputs[3] == "0\n"  # PE 3 fetched PE 0's s
 
 
@@ -621,8 +606,8 @@ def test_global_redeclaration_visible_to_functions():
         "I HAS A x ITZ 2\n"
         "VISIBLE I IZ peek MKAY"
     )
-    a, c = both_engines(src, 1, seed=1)
-    assert a.outputs == c.outputs
+    a, v = both_engines(src, 1, seed=1)
+    assert a.outputs == v.outputs
     assert a.outputs[0] == "1\n2\n"
 
 
@@ -630,7 +615,7 @@ def test_error_parity_undeclared_variable():
     from repro.lang.errors import LolError
 
     src = lol("VISIBLE never_declared")
-    for engine in ("ast", "closure"):
+    for engine in ("ast", "vm"):
         with pytest.raises(LolError, match="never_declared"):
             run_lolcode(src, 1, engine=engine)
 
@@ -640,29 +625,31 @@ def test_engine_validation_and_max_steps_fallback():
 
     with pytest.raises(LolParallelError, match="unknown engine"):
         run_lolcode(lol("VISIBLE 1"), 1, engine="jit")
-    # The default (closure) engine refuses max_steps loudly — no silent
-    # engine swap to the tree-walker.
+    # Retired engines are unknown, not aliased to a surviving one.
+    for retired in ("closure", "compiled"):
+        with pytest.raises(LolParallelError, match="unknown engine"):
+            run_lolcode(lol("VISIBLE 1"), 1, engine=retired)
+    # The default engine (the VM) counts statement steps natively in its
+    # dispatch loop: the limit fires on a spin without naming an engine,
+    # and a program well under the limit runs.
     spin = lol("IM IN YR forever UPPIN YR i\nVISIBLE i\nIM OUTTA YR forever")
-    with pytest.raises(
-        LolParallelError, match="closure.*does not support max_steps"
-    ):
-        run_lolcode(spin, 1, max_steps=50)
-    # The VM counts statement steps natively in its dispatch loop: the
-    # limit fires on a spin, and a program well under the limit runs.
     with pytest.raises(LolError, match="statement steps"):
-        run_lolcode(spin, 1, max_steps=50, engine="vm")
-    ok = run_lolcode(lol("VISIBLE 1"), 1, max_steps=50, engine="vm")
+        run_lolcode(spin, 1, max_steps=50)
+    ok = run_lolcode(lol("VISIBLE 1"), 1, max_steps=50)
     assert ok.output == "1\n"
+    # The reference tree-walker enforces the same limit.
+    with pytest.raises(LolError, match="statement steps"):
+        run_lolcode(spin, 1, max_steps=50, engine="ast")
 
 
 def test_compiled_program_cache_shared_across_runs():
-    from repro.interp import compile_closures_cached
+    from repro.interp import compile_vm_cached
 
-    compile_closures_cached.cache_clear()
+    compile_vm_cached.cache_clear()
     src = lol("VISIBLE SUM OF ME AN 1")
     run_lolcode(src, 4, seed=1)
-    info = compile_closures_cached.cache_info()
+    info = compile_vm_cached.cache_info()
     assert info.misses == 1  # compiled once...
     assert info.hits >= 3  # ...shared by the other PEs
     run_lolcode(src, 4, seed=1)
-    assert compile_closures_cached.cache_info().misses == 1
+    assert compile_vm_cached.cache_info().misses == 1

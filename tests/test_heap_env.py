@@ -123,6 +123,13 @@ class TestArrayCell:
     def test_nbytes(self):
         assert ArrayCell(LolType.NUMBAR, 10).nbytes == 80
 
+    def test_out_of_range_numbr_is_a_typed_error(self):
+        # NUMBR arithmetic is unbounded; int64 storage is not.
+        cell = ArrayCell(LolType.NUMBR, 2)
+        with pytest.raises(LolRuntimeError, match="does not fit"):
+            cell.write(0, 2**70)
+        assert cell.read(0) == 0
+
 
 class TestSymmetricPlan:
     def test_add_and_conflict(self):

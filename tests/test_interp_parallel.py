@@ -333,7 +333,7 @@ class TestDeterminism:
         r = run_lolcode(lol(body), 4, seed=123)
         assert len(set(r.outputs)) == 4
 
-    @pytest.mark.parametrize("engine", ["vm", "closure", "ast"])
+    @pytest.mark.parametrize("engine", ["vm", "ast"])
     @pytest.mark.parametrize("seed, base", [(None, 0xC47), (0, 0), (123, 123)])
     def test_streams_pinned_per_pe(self, engine, seed, base):
         # seed=0 must stay 0, not fall back to the default (a ``seed or``
@@ -352,7 +352,7 @@ class TestDeterminism:
             )
             assert out == "".join(f"{d}\n" for d in draws)
 
-    @pytest.mark.parametrize("engine", ["vm", "closure", "ast"])
+    @pytest.mark.parametrize("engine", ["vm", "ast"])
     def test_rng_free_program_never_seeds(self, engine, monkeypatch):
         contexts = []
         init = ShmemContext.__init__

@@ -49,15 +49,6 @@ class TestRunLolcode:
             with pytest.raises(LolError, match="statement steps"):
                 run_lolcode(spin, 1, max_steps=100, engine=engine)
 
-    def test_max_steps_closure_refused_loudly(self):
-        # The closure engine used to fall back silently to the
-        # tree-walker under max_steps; now it refuses up front and
-        # points at the engines that count steps natively.
-        with pytest.raises(
-            LolParallelError, match="closure.*does not support max_steps"
-        ):
-            run_lolcode(lol("VISIBLE 1"), 1, max_steps=100, engine="closure")
-
     def test_non_integral_literal_array_size_rejected(self):
         # 2.9 must not silently allocate 2 elements (the old int() path):
         # the process planner rejects at plan time, and the runtime
@@ -68,7 +59,7 @@ class TestRunLolcode:
         src = lol("WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2.9")
         with pytest.raises(LolParallelError, match="integer"):
             run_lolcode(src, 2, executor="process")
-        for engine in ("closure", "ast", "vm"):
+        for engine in ("ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 2, executor="thread", engine=engine)
 
@@ -88,11 +79,11 @@ class TestRunLolcode:
 
     def test_non_integral_local_array_size_rejected_all_engines(self):
         # I HAS A (non-symmetric) arrays go through the same shared
-        # to_array_size guard in all three engines.
+        # to_array_size guard in both interpreter engines.
         from repro.lang.errors import LolError
 
         src = lol("I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2.9")
-        for engine in ("closure", "ast", "vm"):
+        for engine in ("ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 1, engine=engine)
 

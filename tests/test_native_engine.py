@@ -226,7 +226,7 @@ class TestNativeExecution:
             native_run = run_lolcode(
                 src, n_pes, engine="c", executor="process"
             )
-            interp = run_lolcode(src, n_pes, engine="closure", seed=1)
+            interp = run_lolcode(src, n_pes, engine="ast", seed=1)
             assert native_run.outputs == interp.outputs
 
     def test_stdin_lines_reach_each_pe(self):

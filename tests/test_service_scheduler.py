@@ -1,8 +1,6 @@
 """Tests for the asyncio job scheduler (``repro.service.scheduler``)."""
 
 import asyncio
-import threading
-import time
 
 import pytest
 
@@ -75,7 +73,7 @@ class TestExecuteJob:
             JobSpec(source=HELLO, n_pes=2, executor="thread", seed=1)
         )
         assert row["workload"] == "<source>"
-        assert row["engine"] == "closure"
+        assert row["engine"] == "vm"
         assert row["executor"] == "thread"
         assert row["n_pes"] == 2
         assert row["outputs"] == ["OH HAI\n", "OH HAI\n"]
@@ -234,41 +232,3 @@ class TestScheduler:
             await scheduler.stop()
 
         run_async(main())
-
-
-class TestSingleFlightCompilation:
-    """Concurrent identical submissions must compile once (the scheduler
-    relies on the compile caches' single-flight guard)."""
-
-    def test_concurrent_identical_sources_compile_once(self, monkeypatch):
-        from repro import interp
-        from repro.interp import compile_closures_cached
-
-        compile_closures_cached.cache_clear()
-        compiles = []
-        compiles_mutex = threading.Lock()
-        real = interp.compile_program
-
-        def counting_compile(program, **kwargs):
-            with compiles_mutex:
-                compiles.append(threading.get_ident())
-            time.sleep(0.05)  # widen the window a race would need
-            return real(program, **kwargs)
-
-        monkeypatch.setattr(interp, "compile_program", counting_compile)
-        src = lol('VISIBLE "SINGLEFLIGHT"')
-        barrier = threading.Barrier(8)
-        results = []
-
-        def one():
-            barrier.wait()
-            results.append(compile_closures_cached(src, "<sf>", False))
-
-        threads = [threading.Thread(target=one) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(compiles) == 1, f"compiled {len(compiles)} times"
-        assert all(r is results[0] for r in results)
-        compile_closures_cached.cache_clear()

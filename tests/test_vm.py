@@ -247,7 +247,7 @@ class TestLoopVec:
         assert ctx.output == "0\n"
 
     @pytest.mark.parametrize("n_pes", [1, 4])
-    def test_accumulator_fold_matches_closure(self, n_pes):
+    def test_accumulator_fold_matches_ast(self, n_pes):
         # The nbody inner-loop shape: element read-modify-write of a
         # private array at an invariant index — a sequential fold, not
         # a broadcast.  Regression for the mis-vectorization the
@@ -264,14 +264,14 @@ class TestLoopVec:
             "VISIBLE acc'Z 0"
         )
         vm = run_lolcode(src, n_pes, seed=3, engine="vm")
-        cl = run_lolcode(src, n_pes, seed=3, engine="closure")
-        assert vm.outputs == cl.outputs
+        ref = run_lolcode(src, n_pes, seed=3, engine="ast")
+        assert vm.outputs == ref.outputs
 
     def test_self_referential_recurrence_not_mis_vectorized(self):
         # a[0] doubling each iteration is a loop-carried recurrence on
         # both sides of the assignment; hoisting the read would turn
         # geometric growth into linear.  Whether the vectorizer folds
-        # or bails, the result must match the scalar engines.
+        # or bails, the result must match the tree-walker.
         src = lol(
             "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 1\n"
             "a'Z 0 R 1\n"
@@ -282,9 +282,9 @@ class TestLoopVec:
         )
         vm = run_lolcode(src, 1, engine="vm")
         assert vm.output == "1024\n"
-        assert vm.output == run_lolcode(src, 1, engine="closure").output
+        assert vm.output == run_lolcode(src, 1, engine="ast").output
 
-    def test_stencil_matches_closure(self):
+    def test_stencil_matches_ast(self):
         # 3-point stencil over a symmetric array (the heat1d shape):
         # reads at i-1/i/i+1 must come from the pre-iteration array.
         src = lol(
@@ -304,8 +304,8 @@ class TestLoopVec:
             "VISIBLE w'Z 5"
         )
         vm = run_lolcode(src, 1, engine="vm")
-        cl = run_lolcode(src, 1, engine="closure")
-        assert vm.output == cl.output
+        ref = run_lolcode(src, 1, engine="ast")
+        assert vm.output == ref.output
 
 
 # ---------------------------------------------------------------------------
@@ -351,5 +351,5 @@ class TestDisassembler:
         # fixture: each PE publishes ME to its left neighbour then adds
         # its own successor id to what it received.
         r = run_lolcode(DIS_KERNEL, 4, seed=0, engine="vm")
-        cl = run_lolcode(DIS_KERNEL, 4, seed=0, engine="closure")
-        assert r.outputs == cl.outputs
+        ref = run_lolcode(DIS_KERNEL, 4, seed=0, engine="ast")
+        assert r.outputs == ref.outputs

@@ -1,6 +1,6 @@
 """Workload registry: lookup, parameter validation, and the smoke sweep
 asserting every registered workload runs on 1 and 4 PEs with
-bit-identical output across the closure and ast engines."""
+bit-identical output across the vm and ast engines."""
 
 import pytest
 
@@ -239,9 +239,9 @@ def test_workload_smoke_cross_engine(name, n_pes):
     params = w.bind_params(smoke=True)
     src = w.source(params)
     outputs = {}
-    for engine in ("closure", "ast"):
+    for engine in ("vm", "ast"):
         result = run_lolcode(src, n_pes, seed=42, engine=engine)
         assert w.check(result, n_pes, params) == [], (name, n_pes, engine)
         outputs[engine] = result.output
     if w.deterministic:
-        assert outputs["closure"] == outputs["ast"], (name, n_pes)
+        assert outputs["vm"] == outputs["ast"], (name, n_pes)
