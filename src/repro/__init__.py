@@ -25,7 +25,7 @@ Quickstart::
 from .lang import LolError, LolType, parse, tokenize
 from .interp import Interpreter, interpret, run_serial
 from .launcher import run_file, run_lolcode
-from .shmem import ShmemContext, SpmdResult, World, run_spmd, run_spmd_procs
+from .shmem import ShmemContext, SpmdResult, World, run_spmd
 
 __version__ = "1.0.0"
 
@@ -46,3 +46,12 @@ __all__ = [
     "run_spmd_procs",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The process executor loads multiprocessing; import it on first use.
+    if name == "run_spmd_procs":
+        from .shmem import run_spmd_procs
+
+        return run_spmd_procs
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,7 +46,6 @@ from ..interp.interpreter import Interpreter
 from ..interp.values import binop, unop
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
 from ..shmem.heap import SymmetricPlan
-from ..shmem.runtime_procs import run_spmd_procs
 from ..shmem.runtime_threads import SpmdResult, run_spmd
 
 EXECUTORS = ("thread", "process", "serial", "pool")
@@ -376,6 +375,9 @@ def run_lolcode(
                     trace=trace,
                     barrier_timeout=barrier_timeout,
                 )
+            # Imported here so thread launches never load multiprocessing.
+            from ..shmem.runtime_procs import run_spmd_procs
+
             return run_spmd_procs(
                 worker,
                 n_pes,

@@ -447,7 +447,9 @@ class ShmemContext:
     ) -> object:
         """Point-to-point sync: spin until this PE's copy satisfies
         ``predicate`` (OpenSHMEM ``shmem_wait_until``)."""
-        deadline = time.monotonic() + (timeout or self.world.barrier_timeout)
+        if timeout is None:
+            timeout = self.world.barrier_timeout
+        deadline = time.monotonic() + timeout
         cell = self.local_cell(symbol)
         while True:
             value = cell.read(int(index)) if index is not None else (

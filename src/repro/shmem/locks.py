@@ -59,7 +59,7 @@ class LockTable:
                 f"PE {pe} already holds the lock on '{name}' "
                 f"(OpenSHMEM locks are not reentrant)"
             )
-        ok = lock.acquire(timeout=timeout) if timeout else lock.acquire()
+        ok = lock.acquire() if timeout is None else lock.acquire(timeout=timeout)
         if not ok:
             raise LolParallelError(
                 f"timed out acquiring the lock on '{name}' from PE {pe} "

@@ -16,6 +16,7 @@ scenario replays identically under ``pytest -k`` — see
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -38,7 +39,8 @@ from repro.service.pool import (
 )
 from repro.service.scheduler import QueueFullError, Scheduler
 from repro.service.server import BackgroundServer
-from repro.shmem import SymmetricPlan
+from repro.shmem import SymmetricPlan, run_spmd
+from repro.workloads import get_workload
 
 from .conftest import lol
 
@@ -467,6 +469,36 @@ class TestNativeFaults:
 
 
 # -- the chaos sweep: seeded schedule over registry kernels -------------------
+
+
+class TestThreadTeamHang:
+    def test_hung_pe_retires_its_team_and_next_run_verifies(self):
+        """A PE stuck past the launch deadline is a typed error; its warm
+        thread team is retired, and the next launch runs on a new team."""
+        stuck = threading.Event()
+        hung = []
+
+        def hang_on_pe3(ctx):
+            if ctx.my_pe == 3:
+                hung.append(threading.current_thread())
+                stuck.wait(timeout=60)
+            return threading.get_ident()
+
+        try:
+            with pytest.raises(LolParallelError, match="PE-3 failed to terminate"):
+                run_spmd(hang_on_pe3, 4, barrier_timeout=0.2)
+            w = get_workload("ring")
+            params = w.bind_params({})
+            result = run_lolcode(w.source(params), 4, seed=1)
+            assert w.check(result, 4, params) == []
+            fresh = run_spmd(lambda ctx: threading.get_ident(), 4).returns
+            # The hung thread is still alive, so its ident cannot be reused.
+            assert hung[0].is_alive()
+            assert hung[0].ident not in fresh
+        finally:
+            stuck.set()
+        hung[0].join(timeout=10)
+        assert not hung[0].is_alive(), "a retired PE thread parked again"
 
 
 class TestChaosSweep:

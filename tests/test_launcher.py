@@ -1,7 +1,13 @@
 """Tests for the SPMD launcher (repro.launcher.spmd)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import run_file, run_lolcode
 from repro.lang.errors import LolParallelError, LolSyntaxError
 
@@ -118,3 +124,26 @@ class TestRunLolcode:
     def test_output_property_concatenates_in_pe_order(self):
         r = run_lolcode(lol("VISIBLE ME"), 3)
         assert r.output == "0\n1\n2\n"
+
+
+#: Runs in a fresh interpreter: thread launches must not import the
+#: process executor, which would load multiprocessing.
+_LAZY_IMPORT_CHECK = """
+import sys, repro
+r = repro.run_lolcode("HAI 1.2\\nVISIBLE ME\\nKTHXBYE\\n", 4)
+assert r.output == "0\\n1\\n2\\n3\\n", r.output
+assert "multiprocessing" not in sys.modules
+assert callable(repro.run_spmd_procs) and callable(repro.shmem.run_spmd_procs)
+"""
+
+
+def test_thread_launch_does_not_load_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_CHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

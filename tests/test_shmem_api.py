@@ -1,6 +1,8 @@
 """Unit tests for the OpenSHMEM-like runtime substrate (repro.shmem),
-exercised directly through the Python API (no LOLCODE involved)."""
+exercised directly through the Python API (LOLCODE only where the warm
+thread team's output is compared against the ``ast`` engine)."""
 
+import os
 import sys
 import threading
 import time
@@ -8,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import run_lolcode
 from repro.lang.errors import LolParallelError, LolRuntimeError
 from repro.lang.types import LolType
 from repro.shmem import (
@@ -19,6 +22,9 @@ from repro.shmem import (
     serial_context,
 )
 from repro.shmem.api import HandoffBarrier
+from repro.shmem.locks import LockTable
+
+from .conftest import lol
 
 
 class TestSymmetricHeap:
@@ -214,6 +220,40 @@ class TestWaitUntil:
         with pytest.raises(LolParallelError):
             ctx.wait_until("flag", lambda v: v == 1, timeout=0.05)
 
+    def test_zero_timeout_checks_once(self):
+        # timeout=0 means "do not wait", not "use the world's timeout".
+        ctx = ShmemContext(World.for_threads(1, barrier_timeout=5.0), 0)
+        ctx.alloc_scalar("flag", LolType.NUMBR)
+        t0 = time.monotonic()
+        with pytest.raises(LolParallelError, match="timed out"):
+            ctx.wait_until("flag", lambda v: v == 1, timeout=0)
+        assert time.monotonic() - t0 < 1.0
+
+
+class TestLockTable:
+    def test_zero_timeout_fails_at_once_when_held(self):
+        table = LockTable()
+        table.register("x")
+        table.acquire("x", pe=0)
+        outcome = []
+
+        def contender():
+            try:
+                table.acquire("x", pe=1, timeout=0)
+                outcome.append("acquired")
+            except LolParallelError as exc:
+                outcome.append(str(exc))
+
+        t = threading.Thread(target=contender, daemon=True)
+        t.start()
+        t.join(timeout=5)
+        try:
+            assert not t.is_alive(), "acquire(timeout=0) blocked"
+            assert len(outcome) == 1 and "timed out" in outcome[0]
+            assert table.owner("x") == 0
+        finally:
+            table.release("x", pe=0)
+
 
 class TestTrace:
     def test_remote_bytes_accounting(self):
@@ -292,6 +332,112 @@ class TestWorldBasics:
         finally:
             blocked.set()
         assert time.monotonic() - t0 < 2 * 0.2 + 0.15
+
+
+def _thread_ident(ctx):
+    assert threading.current_thread().name == f"PE-{ctx.my_pe}"
+    return threading.get_ident()
+
+
+#: Seeded RNG, a barrier and a remote get on every PE.
+SPMD_PROGRAM = lol(
+    "WE HAS A x ITZ SRSLY A NUMBR\n"
+    "x R SUM OF PRODUKT OF ME AN 7 AN WHATEVR\n"
+    "HUGZ\n"
+    "I HAS A nxt ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+    "TXT MAH BFF nxt AN STUFF\n"
+    "  VISIBLE ME \" \" UR x \" \" WHATEVR\n"
+    "TTYL\n"
+)
+
+
+class TestWarmTeam:
+    """Multi-PE launches reuse parked PE threads (one idle team per n_pes)."""
+
+    def test_back_to_back_runs_reuse_threads(self):
+        first = run_spmd(_thread_ident, 4).returns
+        second = run_spmd(_thread_ident, 4).returns
+        assert len(set(first)) == 4
+        assert threading.get_ident() not in first
+        assert second == first
+
+    def test_concurrent_callers_match_ast(self):
+        seeds = range(50)
+        expected = {
+            s: run_lolcode(SPMD_PROGRAM, 4, seed=s, engine="ast").output
+            for s in seeds
+        }
+        bad = []
+
+        def caller():
+            for s in seeds:
+                out = run_lolcode(SPMD_PROGRAM, 4, seed=s, barrier_timeout=30).output
+                if out != expected[s]:
+                    bad.append((s, out))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in callers)
+        assert bad == []
+
+    def test_pe_error_keeps_team_and_next_run_is_correct(self):
+        before = run_spmd(_thread_ident, 4).returns
+
+        def crash_on_pe2(ctx):
+            ctx.alloc_scalar("x", LolType.NUMBR)
+            ctx.barrier_all()
+            if ctx.my_pe == 2:
+                raise RuntimeError("boom on PE 2")
+            ctx.barrier_all()
+
+        with pytest.raises(RuntimeError, match="boom on PE 2"):
+            run_spmd(crash_on_pe2, 4)
+        r = run_lolcode(SPMD_PROGRAM, 4, seed=3)
+        assert r.output == run_lolcode(SPMD_PROGRAM, 4, seed=3, engine="ast").output
+        assert run_spmd(_thread_ident, 4).returns == before
+
+    def test_pe_count_sweep_keeps_thread_count_bounded(self):
+        def sweep():
+            for n in range(2, 9):
+                assert run_spmd(lambda ctx: ctx.my_pe, n).returns == list(range(n))
+            return threading.active_count()
+
+        before = threading.active_count()
+        after_first = sweep()
+        after_second = sweep()
+        assert after_first <= before + sum(range(2, 9))
+        assert after_second <= after_first
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_runs_on_its_own_team(self):
+        expected = run_lolcode(SPMD_PROGRAM, 4, seed=5).output  # parks a team
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            code = 1
+            try:
+                r = run_lolcode(SPMD_PROGRAM, 4, seed=5, barrier_timeout=5)
+                code = 0 if r.output == expected else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _park(barrier, timeout=10.0):
