@@ -51,9 +51,9 @@ def test_interpreter_vs_compiler_speedup():
     run_lolcode(SRC, 2, seed=42, engine="vm")
     t_vm = time.perf_counter() - t0
 
-    run_lolcode(SRC, 2, seed=42, engine="c", executor="process")
+    run_lolcode(SRC, 2, seed=42, engine="c")
     t0 = time.perf_counter()
-    run_lolcode(SRC, 2, seed=42, engine="c", executor="process")
+    run_lolcode(SRC, 2, seed=42, engine="c")
     t_compiled = time.perf_counter() - t0
 
     speedup = t_interp / t_compiled

@@ -10,13 +10,13 @@ The kernel comes from the workload registry (the ``pi_montecarlo``
 workload in :mod:`repro.workloads`), so this example and the bench
 orchestrator always run the same source.
 
-Also demonstrates the process executor: with ``--executor process`` the
-same program runs on real OS processes over shared memory.
+Also demonstrates the pool executor: with ``--executor pool`` the same
+program runs on warm worker processes over shared memory.
 
 Usage::
 
     python examples/pi_monte_carlo.py [--pes 8] [--darts 20000]
-    python examples/pi_monte_carlo.py --executor process
+    python examples/pi_monte_carlo.py --executor pool
 """
 
 import argparse
@@ -30,7 +30,7 @@ def main() -> None:
     parser.add_argument("--pes", type=int, default=8)
     parser.add_argument("--darts", type=int, default=20_000)
     parser.add_argument(
-        "--executor", choices=("thread", "process"), default="thread"
+        "--executor", choices=("thread", "pool"), default="thread"
     )
     parser.add_argument("--seed", type=int, default=2017)
     args = parser.parse_args()

@@ -8,7 +8,7 @@ Parallel and distributed extensions to LOLCODE in a SPMD/PGAS model:
 * :mod:`repro.compiler` — the source-to-source compiler (LOLCODE -> C with
   OpenSHMEM, like the paper's ``lcc``) and the native engine built on it;
 * :mod:`repro.shmem` — OpenSHMEM-like runtime substrate (symmetric heap,
-  barriers, locks, collectives; thread and process executors);
+  barriers, locks, collectives; thread executor and process worlds);
 * :mod:`repro.noc` — Epiphany-III / Cray XC40 machine models for trace-
   driven performance estimation;
 * :mod:`repro.launcher` — the ``lolrun`` SPMD launcher.
@@ -43,15 +43,6 @@ __all__ = [
     "SpmdResult",
     "World",
     "run_spmd",
-    "run_spmd_procs",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # The process executor loads multiprocessing; import it on first use.
-    if name == "run_spmd_procs":
-        from .shmem import run_spmd_procs
-
-        return run_spmd_procs
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,6 @@ from .orchestrator import (
     best_of,
     collect_failures,
     default_machines,
-    percentile,
     render_results,
     run_sweep,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "compare_to_baseline",
     "default_machines",
     "main",
-    "percentile",
     "regressions",
     "render_comparison",
     "render_results",

@@ -18,8 +18,9 @@ verification failures are recorded in the rows (and summarized in
 ``payload["failures"]``) rather than raised, so one broken cell cannot
 hide the rest of the sweep.
 
-``engine="c"`` rows are special-cased three ways: they always run on
-the process executor (native PEs are OS processes), they carry no
+``engine="c"`` rows are special-cased three ways: they are labelled
+``executor: "native"`` (native PEs are OS processes whichever executor
+the sweep names), they carry no
 trace/projection data (native binaries are not instrumented), and a
 host without a C compiler records an explicit per-row skip instead of
 an error — the matrix stays green on interpreter-only machines.
@@ -52,12 +53,6 @@ def best_of(fn, reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-# The shared p50/p99 helper now lives in the observability plane
-# (histogram summaries use it too); re-exported here so every historic
-# ``from repro.bench import percentile`` import keeps working.
-from ..obs import percentile  # noqa: E402,F401
 
 
 def default_machines() -> List[MachineModel]:
@@ -106,15 +101,15 @@ def _measure_cell(
     outputs: Dict[str, str] = {}
     for engine in config.engines:
         native = engine == "c"
-        # The native engine's PEs are always OS processes; record the
-        # executor that actually hosts them rather than the sweep label.
-        executor_used = "process" if native else executor
+        # The native engine's PEs are always OS processes: label the row
+        # with what hosted them rather than the sweep's executor.
+        row_executor = "native" if native else executor
 
         def once(trace: bool = False):
             return run_lolcode(
                 source,
                 n_pes,
-                executor=executor_used,
+                executor=executor,
                 seed=config.seed,
                 engine=engine,
                 trace=trace,
@@ -124,7 +119,7 @@ def _measure_cell(
         row = {
             "workload": workload.name,
             "engine": engine,
-            "executor": executor_used,
+            "executor": row_executor,
             "n_pes": n_pes,
             "params": dict(params),
         }

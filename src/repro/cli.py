@@ -195,7 +195,6 @@ def loli_main(argv: Optional[Sequence[str]] = None) -> int:
         result = run_lolcode(
             _read(args.source),
             1,
-            executor="serial",
             filename=args.source,
             seed=args.seed,
             max_steps=args.max_steps,
@@ -242,7 +241,7 @@ def loldis_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
-    from .interp import ENGINES
+    from .launcher import ENGINES, EXECUTORS
 
     parser = argparse.ArgumentParser(
         prog="lolrun",
@@ -260,11 +259,11 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=("thread", "process", "pool"),
-        default=None,
-        help="PE executor (default: thread, or process for --engine c; "
-        "process = true parallelism, numeric data only; pool = process "
-        "worlds on warm persistent workers)",
+        choices=EXECUTORS,
+        default="thread",
+        help="PE executor (default thread; pool = one warm worker process "
+        "per PE, true parallelism, numeric symmetric data only; "
+        "--engine c always runs native OS processes)",
     )
     parser.add_argument(
         "--engine",
@@ -293,11 +292,6 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
         "stderr, error refuses to launch on any E-code (default off)",
     )
     args = parser.parse_args(argv)
-    engine = args.engine
-    # Native PEs are always OS processes, so --engine c defaults the
-    # executor to "process"; an explicit conflicting --executor still
-    # gets the launcher's refusal rather than a silent override.
-    executor = args.executor or ("process" if engine == "c" else "thread")
     try:
         source = _read(args.source)
         from .launcher import run_lolcode
@@ -305,12 +299,12 @@ def lolrun_main(argv: Optional[Sequence[str]] = None) -> int:
         result = run_lolcode(
             source,
             args.n_pes,
-            executor=executor,
+            executor=args.executor,
             filename=args.source,
             seed=args.seed,
             trace=args.trace,
             race_detection=args.race_check,
-            engine=engine,
+            engine=args.engine,
             check=args.check,
         )
     except LolError as exc:

@@ -125,7 +125,7 @@ def _fold_extent(expr: ast.Expr, n_pes: int) -> object:
     Mirrors the launcher's symmetric-plan folding (``MAH FRENZ`` becomes
     ``n_pes``; ``ME`` raises :class:`CompileError` because per-PE
     symmetric extents would break the symmetric layout) so the C
-    backend admits exactly the extents the process executor admits.
+    backend admits exactly the extents the pool executor admits.
     Genuinely dynamic extents raise :class:`_NotConstant`.
     """
     if isinstance(expr, ast.IntLit):

@@ -428,7 +428,7 @@ def run_native(
     Every PE's stdout is captured separately (the per-PE ``outputs`` of
     the result); stderr is reserved for shim/program diagnostics and
     quoted in the error when a PE fails.  Stragglers are killed at the
-    overall deadline and named by rank, mirroring the process executor.
+    overall deadline and named by rank, mirroring the pool executor.
     """
     if n_pes < 1:
         raise LolParallelError(f"need at least 1 PE, got {n_pes}")

@@ -151,7 +151,7 @@ def to_array_size(value: object, pos: SourcePos | None = None) -> int:
     """Array extents, unlike general NUMBR casts, must be *integral*:
     truncating ``2.9`` to 2 elements silently shrinks the allocation
     (and, for symmetric data, would let executors disagree on the heap
-    layout).  Shared by both interpreter engines and the process-executor
+    layout).  Shared by both interpreter engines and the pool-executor
     planner so every path rejects identically."""
     if isinstance(value, float) and not value.is_integer():
         raise LolRuntimeError(

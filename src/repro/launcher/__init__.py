@@ -1,7 +1,7 @@
 """SPMD program launcher (the paper's ``coprsh``/``aprun`` analogue).
 
 Re-exports the launcher-facing configuration spaces — ``EXECUTORS``
-(thread/process/serial/pool) and ``ENGINES`` (vm/ast/c) — so
+(thread/pool) and ``ENGINES`` (vm/ast/c) — so
 callers that build sweeps over them (``repro.bench``, the CLIs) have one
 import site.
 """

@@ -1,29 +1,25 @@
 """SPMD launcher for LOLCODE programs — the paper's ``coprsh`` / ``aprun``.
 
 ``run_lolcode(source, n_pes)`` is the one-call entry point used by the
-``lolrun`` CLI, the examples, and the benchmarks.  Four executors:
+``lolrun`` CLI, the examples, and the benchmarks.  Two executors:
 
-* ``"thread"`` (default) — one Python thread per PE; supports every
-  feature including the race detector;
-* ``"process"`` — one OS process per PE over shared memory; true
-  parallelism, numeric symmetric data only (see
-  :mod:`repro.shmem.runtime_procs`);
-* ``"pool"`` — the process executor's worlds on *warm*, persistent
-  worker processes (:mod:`repro.service.pool`): no per-call spawn/exec
-  cost, same restrictions as ``"process"``;
-* ``"serial"`` — requires ``n_pes == 1``; runs inline (the behaviour of a
-  plain LOLCODE interpreter, ``loli``).
+* ``"thread"`` (default) — one Python thread per PE (a single PE runs
+  inline, the behaviour of a plain LOLCODE interpreter, ``loli``);
+  supports every feature including the race detector;
+* ``"pool"`` — one *warm*, persistent worker process per PE over a
+  shared-memory world (:mod:`repro.service.pool`,
+  :mod:`repro.shmem.runtime_procs`): true parallelism, numeric
+  symmetric data only, no race detector.
 
-``engine="c"`` (the natively compiled path) is special: its PEs are
-always real OS processes built and launched by
-:mod:`repro.compiler.native`, so it pairs only with
-``executor="process"`` (or ``"serial"`` at one PE) and refuses the
-interpreter-only knobs — ``max_steps``, op tracing, race detection —
-with explicit errors rather than silently falling back to a different
-engine.
+``engine="c"`` (the natively compiled path) names its own vehicle: its
+PEs are always native OS processes built and launched by
+:mod:`repro.compiler.native`, whichever executor the caller named.  It
+refuses the interpreter-only knobs — ``max_steps``, op tracing, race
+detection — with explicit errors rather than silently falling back to a
+different engine.
 
-The process executor needs the symmetric allocation set before workers
-start, so :func:`plan_from_program` statically scans the AST for
+The pool needs the symmetric allocation set before workers start, so
+:func:`plan_from_program` statically scans the AST for
 ``WE HAS A`` declarations and constant-folds their sizes (``MAH FRENZ``
 folds to ``n_pes``; ``ME`` cannot appear in a size, since per-PE sizes
 would break the symmetric-heap requirement — exactly as in OpenSHMEM).
@@ -48,7 +44,7 @@ from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
 from ..shmem.heap import SymmetricPlan
 from ..shmem.runtime_threads import SpmdResult, run_spmd
 
-EXECUTORS = ("thread", "process", "serial", "pool")
+EXECUTORS = ("thread", "pool")
 
 
 def _const_fold(expr: ast.Expr, n_pes: int) -> object:
@@ -73,7 +69,7 @@ def _const_fold(expr: ast.Expr, n_pes: int) -> object:
         )
     raise LolParallelError(
         "symmetric array size must be a compile-time constant for the "
-        "process executor",
+        "pool executor",
         expr.pos,
     )
 
@@ -115,7 +111,7 @@ def plan_from_program(program: ast.Program, n_pes: int) -> SymmetricPlan:
 def _pe_main(
     source: str, filename: str, max_steps, engine: str, ctx: ShmemContext
 ) -> None:
-    """Module-level worker so the process executor can pickle it.
+    """Module-level worker so the pool executor can pickle it.
 
     When the observability plane is armed for tracing, the engine body
     runs inside a per-PE ``run`` span (one per PE, the parents of that
@@ -199,7 +195,7 @@ def run_lolcode(
     natively), ``"ast"`` (the reference tree-walker), or ``"c"`` (the
     paper's full ``lcc`` pipeline: LOLCODE -> C + OpenSHMEM, built by
     the system C compiler against the bundled SHMEM shim, one OS
-    process per PE; pairs with ``executor="process"`` only, refuses
+    process per PE whichever executor is named; refuses
     ``max_steps``, ``trace`` and ``race_detection``, rejects constructs
     C cannot express such as ``SRS`` computed identifiers with a
     :class:`~repro.compiler.CompileError`, and raises
@@ -265,8 +261,7 @@ def run_lolcode(
         try:
             return run(engine=engine)
         except (NativeToolchainError, NativeBuildError) as exc:
-            # The native engine forces executor="process"; the fallback
-            # engines run under any executor, so the executor carries over.
+            # The fallback engine runs on the executor the caller named.
             result = run(engine=fallback_engine)
             result.degraded = True
             result.degraded_reason = (
@@ -316,15 +311,6 @@ def run_lolcode(
             # processes running the binary the system C compiler produced.
             # Every knob it cannot honour is refused loudly — a silent
             # fallback to an interpreter would misreport what ran.
-            if executor not in ("process", "serial"):
-                raise LolParallelError(
-                    f"engine='c' runs PEs as native OS processes; use "
-                    f"executor='process' (got {executor!r})"
-                )
-            if executor == "serial" and n_pes != 1:
-                raise LolParallelError(
-                    f"serial executor runs exactly 1 PE, got {n_pes}"
-                )
             if max_steps is not None:
                 raise LolParallelError(
                     "engine='c' does not support max_steps; use engine='vm' "
@@ -337,7 +323,9 @@ def run_lolcode(
                 )
             if race_detection:
                 raise LolParallelError(
-                    "race detection requires the thread executor"
+                    "engine='c' does not support race detection (its PEs "
+                    "are native OS processes); use engine='vm' or 'ast' on "
+                    "the thread executor"
                 )
             # Compile restrictions (CompileError) and a missing C toolchain
             # (NativeToolchainError) both surface here, in the caller.
@@ -353,32 +341,16 @@ def run_lolcode(
             )
         worker = partial(_pe_main, source, filename, max_steps, engine)
 
-        if executor in ("process", "pool"):
+        if executor == "pool":
             if race_detection:
                 raise LolParallelError(
                     "race detection requires the thread executor"
                 )
             plan = plan_from_program(program, n_pes)
-            if executor == "pool":
-                # Warm worker pool (repro.service): same worlds and the
-                # same SpmdResult as the cold process executor, but the
-                # worker processes persist across calls.  Imported lazily —
-                # the service layer is optional for plain launches.
-                from ..service.pool import run_pooled
-
-                return run_pooled(
-                    worker,
-                    n_pes,
-                    plan,
-                    seed=seed,
-                    stdin_lines=stdin_lines,
-                    trace=trace,
-                    barrier_timeout=barrier_timeout,
-                )
             # Imported here so thread launches never load multiprocessing.
-            from ..shmem.runtime_procs import run_spmd_procs
+            from ..service.pool import run_pooled
 
-            return run_spmd_procs(
+            return run_pooled(
                 worker,
                 n_pes,
                 plan,
@@ -386,11 +358,6 @@ def run_lolcode(
                 stdin_lines=stdin_lines,
                 trace=trace,
                 barrier_timeout=barrier_timeout,
-            )
-
-        if executor == "serial" and n_pes != 1:
-            raise LolParallelError(
-                f"serial executor runs exactly 1 PE, got {n_pes}"
             )
         return run_spmd(
             worker,

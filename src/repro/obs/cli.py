@@ -63,6 +63,8 @@ def _resolve_source(args) -> tuple:
 
 
 def loltrace_main(argv: Optional[Sequence[str]] = None) -> int:
+    from ..launcher import EXECUTORS
+
     parser = argparse.ArgumentParser(
         prog="loltrace",
         description="run parallel LOLCODE with structured tracing armed "
@@ -87,7 +89,7 @@ def loltrace_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("-np", "--n-pes", type=int, default=4, dest="n_pes")
     parser.add_argument(
         "--executor",
-        choices=("thread", "process", "pool", "serial"),
+        choices=EXECUTORS,
         default="thread",
     )
     parser.add_argument("--engine", default="vm")

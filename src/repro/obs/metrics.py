@@ -3,9 +3,9 @@
 Every ad-hoc counter in the tree (the VM's ``sym_misses``/``vec_runs``,
 the native builder's ``corrupt_rebuilds``, the pool's respawn counts,
 the scheduler's shed/retry totals, the fault plane's arrival/fire maps)
-feeds one process-wide :class:`MetricsRegistry`, so ``lolserve stats``,
-``BENCH_service.json`` and the Prometheus ``metrics`` op all read the
-same numbers instead of hand-assembled copies that can drift.
+feeds one process-wide :class:`MetricsRegistry`, so ``lolserve stats``
+and the Prometheus ``metrics`` op read the same numbers instead of
+hand-assembled copies that can drift.
 
 Design constraints, in order:
 
@@ -13,8 +13,8 @@ Design constraints, in order:
   imports *it*), so instrumentation can live in the VM, the SHMEM
   runtimes, the compiler and the service without cycles;
 * **cross-process mergeable** — :meth:`MetricsRegistry.snapshot` (with
-  ``reset=True`` it is a *drain*) produces a picklable delta a pool or
-  process worker ships to its parent over the existing reply pipes, and
+  ``reset=True`` it is a *drain*) produces a picklable delta a pool
+  worker ships to its parent over the existing reply pipes, and
   :meth:`MetricsRegistry.merge` folds it in (counters add, histogram
   buckets add, gauges overwrite);
 * **Prometheus-exportable** — :func:`render_prometheus` emits the text
@@ -23,9 +23,8 @@ Design constraints, in order:
   :mod:`repro.obs.promcheck`.
 
 Histograms keep a bounded reservoir of raw samples next to their
-cumulative buckets so :func:`percentile` (the shared p50/p99 helper
-``lolbench`` and the service bench have always used — it moved here
-from ``repro.bench``) works on exact values, not bucket interpolation.
+cumulative buckets so :func:`percentile` (the shared p50/p99 helper)
+works on exact values, not bucket interpolation.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ import numpy as np
 def percentile(samples: Sequence[float], q: float) -> float:
     """Linear-interpolated ``q``-th percentile (0..100) of ``samples``.
 
-    Shared latency helper for the sweep, the service-throughput
-    benchmark (p50/p99 rows in ``BENCH_service.json``) and histogram
-    summaries.  (Re-exported by :mod:`repro.bench` for compatibility.)
+    Shared latency helper for histogram summaries.
     """
     if not samples:
         raise ValueError("percentile of no samples")

@@ -1,8 +1,8 @@
 """Structured tracing: span records exported as Chrome trace-event JSON.
 
 A :class:`Tracer` collects :dfn:`spans` — named, categorised intervals
-with monotonic timestamps and parent IDs — per process.  Workers (pool
-or process executor) :meth:`~Tracer.drain` their buffer into a
+with monotonic timestamps and parent IDs — per process.  Pool worker
+processes :meth:`~Tracer.drain` their buffer into a
 picklable payload that rides the existing reply pipes; the parent
 merges it back via :meth:`~Tracer.absorb`, so one run yields one
 merged timeline.

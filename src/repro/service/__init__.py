@@ -7,20 +7,17 @@ launcher invocation:
 * :mod:`repro.service.pool` — a warm pool of long-lived spawned worker
   processes that accept successive SPMD jobs over per-worker pipes,
   with shared-memory segments recycled by size class.  Exposed through
-  the launcher as ``executor="pool"`` (the warm counterpart of the
-  cold-spawn ``"process"`` executor).
+  the launcher as ``executor="pool"``, the executor for every process
+  world.
 * :mod:`repro.service.scheduler` — an asyncio job queue with bounded
   concurrency, per-job timeouts, FIFO fairness, and single-flight
   compilation.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   JSON-over-unix-socket protocol (submit -> job id; status / wait /
   cancel; result payloads mirror ``lolbench`` rows).
-* :mod:`repro.service.bench` — the service-throughput benchmark behind
-  ``BENCH_service.json`` (jobs/sec, p50/p99 latency, warm pool vs cold
-  process executor).
 * :mod:`repro.service.cli` — the ``lolserve`` command
   (``serve`` / ``submit`` / ``status`` / ``wait`` / ``cancel`` /
-  ``bench`` / ``smoke``).
+  ``stats`` / ``smoke``).
 
 The heavy submodules import lazily where it matters (the launcher only
 pulls :mod:`~repro.service.pool` when ``executor="pool"`` is requested);

@@ -9,12 +9,11 @@ Subcommands::
     lolserve wait   --socket /tmp/lolserve.sock job-1
     lolserve cancel --socket /tmp/lolserve.sock job-1
     lolserve stats  --socket /tmp/lolserve.sock
-    lolserve bench  --jobs 50 --out BENCH_service.json
     lolserve smoke  --jobs 20
 
 ``serve`` runs the unix-socket server in the foreground; everything
-else is a thin client call (``bench``/``smoke`` start their own
-throwaway server).
+else is a thin client call (``smoke`` starts its own throwaway
+server).
 """
 
 from __future__ import annotations
@@ -127,16 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-poll and re-print every SECONDS until interrupted",
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="throughput benchmark -> BENCH_service.json"
-    )
-    bench_p.add_argument("--jobs", type=int, default=50)
-    bench_p.add_argument("--workload", default="ring")
-    bench_p.add_argument("--pes", type=int, default=2, dest="n_pes")
-    bench_p.add_argument("--executors", nargs="+", default=None)
-    bench_p.add_argument("--seed", type=int, default=42)
-    bench_p.add_argument("--out", default=None)
-
     smoke_p = sub.add_parser(
         "smoke", help="concurrent registry submissions; all must verify"
     )
@@ -239,13 +228,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_queue_depth=args.queue_depth,
         )
         return 0
-
-    if args.command == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(
-            _forward(args, ("jobs", "workload", "n_pes", "executors", "seed", "out"))
-        )
 
     if args.command == "smoke":
         from .smoke import main as smoke_main

@@ -1,11 +1,10 @@
-"""Warm process-worker pool: the persistent counterpart of
-:func:`repro.shmem.runtime_procs.run_spmd_procs`.
+"""Warm process-worker pool: the executor that runs every process world.
 
-The cold process executor pays one full ``spawn`` (a fresh Python
-interpreter importing :mod:`repro` and :mod:`numpy`) per PE per
-``run_lolcode`` call, plus a new ``SharedMemory`` segment per call —
-spawn/exec cost dominates small kernels and every ``lolbench`` sweep
-cell.  This module keeps the workers alive instead:
+Each PE of a pooled job runs in its own worker process over the
+shared-memory world of :mod:`repro.shmem.runtime_procs`.  Spawning a
+fresh Python interpreter (importing :mod:`repro` and :mod:`numpy`) per
+PE per ``run_lolcode`` call would cost hundreds of milliseconds, far
+more than a small kernel runs, so the pool keeps the workers alive:
 
 * **workers** are spawned once and then accept successive jobs over a
   per-worker duplex pipe; each job message carries the picklable
@@ -32,10 +31,10 @@ N-PE job is the right occupancy anyway.  Concurrency above the pool is
 the scheduler's business (:mod:`repro.service.scheduler`), which also
 keeps ``executor="thread"`` jobs flowing in parallel with pool jobs.
 
-``run_pooled`` + ``get_default_pool`` expose a lazily created,
-automatically grown default pool — that is what the launcher's
-``executor="pool"`` uses, returning the same
-:class:`~repro.shmem.runtime_threads.SpmdResult` as every other
+``run_pooled`` + ``get_default_pool`` expose a lazily created default
+pool that grows to the largest PE count and lock count seen — that is
+what the launcher's ``executor="pool"`` uses, returning the same
+:class:`~repro.shmem.runtime_threads.SpmdResult` as the thread
 executor.
 """
 
@@ -90,7 +89,8 @@ _M_SEG_REUSED = _REG.counter(
 )
 
 #: Symbol-lock bank size.  ``IM SHARIN IT`` symbols map onto these in
-#: plan order; programs needing more are rejected with a clear error.
+#: plan order; the default pool grows its bank for programs needing
+#: more, and an explicit pool rejects them with a clear error.
 DEFAULT_MAX_LOCKS = 32
 
 #: Smallest segment size class (bytes) — tiny plans share one class.
@@ -247,10 +247,9 @@ def _pool_worker_main(index, conn, barriers, locks, epoch_value, atomic_lock):
             except Exception:
                 pass
             # Free any symbol locks this PE still holds.  The lock bank
-            # is persistent — unlike the cold executor's per-call locks,
-            # a lock left acquired here would poison every later job
-            # that maps the same slot (e.g. erroring out of an
-            # ``IM SRSLY MESIN WIF`` region).
+            # is persistent, so a lock left acquired here would poison
+            # every later job that maps the same slot (e.g. erroring out
+            # of an ``IM SRSLY MESIN WIF`` region).
             if world is not None:
                 for name in job.spec.lock_names:
                     try:
@@ -427,10 +426,13 @@ class WorkerPool:
     ) -> SpmdResult:
         """Execute ``pe_main(ctx)`` on ``n_pes`` warm workers.
 
-        Same contract (and same :class:`SpmdResult`) as
-        :func:`~repro.shmem.runtime_procs.run_spmd_procs`, including the
-        numeric-symmetric-data restriction — the worlds are built by the
-        same code.
+        ``plan`` must describe every symmetric symbol the job allocates
+        (build it with :func:`repro.launcher.spmd.plan_from_program` for
+        LOLCODE programs, or by hand for raw Python SPMD workers), and
+        symmetric data must be numeric.  ``pe_main`` must be picklable
+        (a module-level function or a ``partial`` of one): it travels to
+        the workers over their pipes.  Returns the same
+        :class:`SpmdResult` as the thread executor.
         """
         with self._mutex:
             if self._closed:
@@ -440,7 +442,7 @@ class WorkerPool:
             if n_pes > self.size:
                 raise LolParallelError(
                     f"job needs {n_pes} PEs but the pool has {self.size} "
-                    f"workers (grow the pool or use executor='process')"
+                    "workers"
                 )
             return self._run_locked(
                 pe_main,
@@ -780,20 +782,31 @@ def _pool_liveness_collector() -> None:
 _REG.register_collector(_pool_liveness_collector)
 
 
-def get_default_pool(min_size: int = 1) -> WorkerPool:
+def get_default_pool(min_size: int = 1, min_locks: int = 0) -> WorkerPool:
     """The process-wide warm pool, created lazily and grown on demand.
 
-    Growing rebuilds the pool (the barrier bank is sized at spawn and
-    multiprocessing primitives cannot be shipped to live workers), so
-    steady-state callers should converge on their peak PE count once.
+    The pool grows to at least ``min_size`` workers and ``min_locks``
+    symbol locks.  Growing rebuilds the pool (the barrier and lock banks
+    are created at spawn and multiprocessing primitives cannot be
+    shipped to live workers), so steady-state callers should converge on
+    their peak PE and lock counts once.
     """
     global _default_pool
     with _default_pool_mutex:
         pool = _default_pool
-        if pool is None or not pool.alive or pool.size < min_size:
+        if (
+            pool is None
+            or not pool.alive
+            or pool.size < min_size
+            or pool.max_locks < min_locks
+        ):
+            size, max_locks = 1, DEFAULT_MAX_LOCKS
             if pool is not None:
                 pool.close()
-            pool = WorkerPool(max(min_size, pool.size if pool else 1))
+                size, max_locks = pool.size, pool.max_locks
+            pool = WorkerPool(
+                max(min_size, size), max_locks=max(min_locks, max_locks)
+            )
             _default_pool = pool
         return pool
 
@@ -820,14 +833,16 @@ def run_pooled(
     trace: bool = False,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
 ) -> SpmdResult:
-    """``run_spmd_procs`` drop-in running on the default warm pool.
+    """:meth:`WorkerPool.run` on the default warm pool, grown first to
+    ``n_pes`` workers and to the plan's shared-lock count.
 
     Retries once if the pool it grabbed was concurrently rebuilt (a
     sibling caller growing the default pool closes the old one).
     """
+    n_locks = sum(1 for *_, has_lock in plan.entries.values() if has_lock)
     last_exc: Optional[LolParallelError] = None
     for _ in range(3):
-        pool = get_default_pool(n_pes)
+        pool = get_default_pool(n_pes, n_locks)
         try:
             return pool.run(
                 pe_main,

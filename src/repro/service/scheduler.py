@@ -129,10 +129,9 @@ class JobSpec:
         gets its source generated here and its checker run on the
         result, exactly like a ``lolbench`` sweep cell.
 
-        ``engine="c"`` jobs may be submitted with the default ``"pool"``
-        executor; they resolve to ``"process"`` (native PEs are always
-        OS processes) while keeping warm-job economics through the
-        native build cache, and they refuse ``trace``.
+        ``engine="c"`` jobs run as native OS processes under any
+        executor (the native build cache keeps repeat jobs warm), skip
+        the scheduler's pool gate, and refuse ``trace``.
         """
         from ..launcher import ENGINES, EXECUTORS
 
@@ -164,28 +163,12 @@ class JobSpec:
             raise ServiceError(
                 f"unknown executor {executor!r} (choose from {EXECUTORS})"
             )
-        if engine == "c":
-            # Native jobs always execute as OS processes — the warm
-            # pool's Python workers cannot host a native binary, so a
-            # pool submission (including the default) resolves to the
-            # process executor here and bypasses the scheduler's pool
-            # gate.  Warm-job economics survive anyway: the on-disk
-            # build cache reuses one binary across every job with the
-            # same (source, n_pes).
-            if payload.get("trace"):
-                raise ServiceError(
-                    "engine 'c' does not support op tracing; submit with "
-                    "engine 'vm' for traced runs"
-                )
-            if executor == "pool":
-                executor = "process"
-            elif executor not in ("process", "serial"):
-                # Same loud-early refusal as trace: don't accept a job
-                # that can only fail later inside a worker.
-                raise ServiceError(
-                    f"engine 'c' runs PEs as native OS processes; "
-                    f"submit with executor 'process' (got {executor!r})"
-                )
+        if engine == "c" and payload.get("trace"):
+            # Don't accept a job that can only fail later in the launcher.
+            raise ServiceError(
+                "engine 'c' does not support op tracing; submit with "
+                "engine 'vm' for traced runs"
+            )
         n_pes = payload.get("n_pes", 1)
         if not isinstance(n_pes, int) or n_pes < 1:
             raise ServiceError(f"n_pes must be a positive integer, got {n_pes!r}")
@@ -352,7 +335,7 @@ class Scheduler:
         self._running = 0
         self.peak_running = 0  # observability: max concurrent jobs seen
         #: robustness counters, surfaced through ``stats`` (and from
-        #: there ``lolserve stats`` / ``BENCH_service.json``)
+        #: there ``lolserve stats``)
         self.retries_total = 0  # retry attempts actually performed
         self.shed_total = 0  # submissions rejected with QueueFullError
         self.degraded_total = 0  # jobs completed on a fallback engine
@@ -514,7 +497,9 @@ class Scheduler:
         rt = _obs.ACTIVE
         t0 = time.perf_counter() if rt is not None else 0.0
         try:
-            if job.spec.executor == "pool":
+            # Native jobs run their own OS processes, never the pool's
+            # workers, so only Python-engine pool jobs queue on the gate.
+            if job.spec.executor == "pool" and job.spec.engine != "c":
                 async with self._pool_gate:
                     await self._execute(job)
             else:

@@ -5,9 +5,10 @@ Public surface:
 * :class:`~repro.shmem.api.World`, :class:`~repro.shmem.api.ShmemContext` —
   the runtime a PE program talks to;
 * :func:`~repro.shmem.runtime_threads.run_spmd` — thread executor;
-* :func:`~repro.shmem.runtime_procs.run_spmd_procs` — process executor
-  (true parallelism over ``multiprocessing.shared_memory``; imported on
-  first use, so thread-only programs never load ``multiprocessing``);
+* :mod:`~repro.shmem.runtime_procs` — the shared-memory world layout
+  that the warm pool's worker processes run on (imported only by
+  :mod:`repro.service.pool`, so thread-only programs never load
+  ``multiprocessing``);
 * :class:`~repro.shmem.heap.SymmetricHeap` / ``SymmetricPlan`` — PGAS heap;
 * :class:`~repro.shmem.locks.LockTable` — per-symbol global locks;
 * :class:`~repro.shmem.trace.OpTrace` / ``WorldTrace`` — op tracing for the
@@ -37,7 +38,6 @@ __all__ = [
     "RaceDetector",
     "RaceReport",
     "run_spmd",
-    "run_spmd_procs",
     "SpmdResult",
     "OpEvent",
     "OpKind",
@@ -45,10 +45,3 @@ __all__ = [
     "WorldTrace",
 ]
 
-
-def __getattr__(name: str):
-    if name == "run_spmd_procs":
-        from .runtime_procs import run_spmd_procs
-
-        return run_spmd_procs
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ have a direct language analog"): atomics, broadcast, reductions, and
 
 The world is executor-agnostic: the thread executor
 (:mod:`repro.shmem.runtime_threads`) instantiates it with ``threading``
-primitives, the process executor (:mod:`repro.shmem.runtime_procs`) with
+primitives, the pool's workers (:mod:`repro.shmem.runtime_procs`) with
 ``multiprocessing`` primitives over shared memory segments.
 """
 

@@ -59,7 +59,7 @@ class ScalarCell:
 
 
 class NumpyScalarCell:
-    """A scalar backed by a 1-element numpy array (process executor)."""
+    """A scalar backed by a 1-element numpy array (pool executor)."""
 
     __slots__ = ("buf", "lol_type")
 
@@ -238,7 +238,7 @@ class SymmetricHeap:
             return obj
 
     def attach(self, name: str, obj: SymmetricObject) -> None:
-        """Register a pre-built symbol (used by the process executor)."""
+        """Register a pre-built symbol (used by the pool executor)."""
         with self._mutex:
             self._symbols[name] = obj
             self.version += 1
@@ -265,12 +265,13 @@ class SymmetricHeap:
 
 @dataclass(slots=True)
 class SymmetricPlan:
-    """Pre-scanned symmetric allocation plan for the process executor.
+    """Pre-scanned symmetric allocation plan for the pool executor.
 
-    Shared-memory segments must exist before worker processes fork, so the
-    launcher statically collects every ``WE HAS A`` in the program (the
-    paper's model: "symmetric shared arrays and statically declared
-    variables") and sizes the segments up front.
+    A job's shared-memory segment must be laid out before it is sent to
+    the pool's worker processes, so the launcher statically collects
+    every ``WE HAS A`` in the program (the paper's model: "symmetric
+    shared arrays and statically declared variables") and sizes the
+    segments up front.
     """
 
     entries: dict[str, tuple[LolType, bool, int, bool]] = field(

@@ -8,7 +8,7 @@ map onto the OpenSHMEM trio ``shmem_set_lock`` / ``shmem_test_lock`` /
 
 :class:`LockTable` provides those semantics over any mutex primitive with
 ``acquire(blocking=...)`` / ``release`` (``threading.Lock`` for the thread
-executor, ``multiprocessing.Lock`` for the process executor).  OpenSHMEM
+executor, ``multiprocessing.Lock`` for the pool executor).  OpenSHMEM
 locks are owned by a PE rather than a thread, so the table additionally
 tracks the owning PE to diagnose self-deadlock and foreign release —
 both are programming errors in OpenSHMEM and we surface them as

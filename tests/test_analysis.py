@@ -627,7 +627,7 @@ class TestFactsVectorize:
         }
         if find_cc() is not None:
             results["c"] = run_lolcode(
-                SYM_LIMIT_LOOP, 2, engine="c", executor="process", seed=3
+                SYM_LIMIT_LOOP, 2, engine="c", seed=3
             ).outputs
         baseline = results["ast"]
         assert baseline == ["499500\n", "499500\n"]
@@ -691,7 +691,7 @@ class TestLauncherCheck:
             "KTHXBYE\n"
         )
         with pytest.raises(LolStaticError) as exc_info:
-            run_lolcode(bad, 1, executor="serial", check="error")
+            run_lolcode(bad, 1, check="error")
         assert any(
             d.code == "E008" for d in exc_info.value.diagnostics
         )

@@ -172,6 +172,9 @@ def test_compile_restricted_workload_skipped_with_reason():
     assert "seconds" not in rows["c"]
     assert "compile-time restriction" in rows["c"]["skipped"]
     assert "SRS" in rows["c"]["skipped"]
+    # Native rows name what hosted their PEs, not the sweep's executor.
+    assert rows["c"]["executor"] == "native"
+    assert rows["vm"]["executor"] == "thread"
     # an explicit skip is a recorded outcome, not a verification failure
     assert payload["failures"] == []
     assert "SKIP" in render_results(payload["results"])

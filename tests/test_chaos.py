@@ -365,7 +365,7 @@ class TestNativeFaults:
         result = run_lolcode(
             lol('VISIBLE "STILL HERE"'),
             1,
-            executor="process",
+            executor="pool",
             engine="c",
             fallback_engine="vm",
         )
@@ -380,7 +380,7 @@ class TestNativeFaults:
             job_id = client.submit(
                 lol('VISIBLE "DEGRADED OK"'),
                 engine="c",
-                executor="process",
+                executor="pool",
                 fallback_engine="vm",
             )
             row = client.result(job_id)
@@ -394,7 +394,7 @@ class TestNativeFaults:
 
         monkeypatch.setenv("LOL_CC", "lol-cc-that-does-not-exist")
         with pytest.raises(NativeToolchainError):
-            run_lolcode(lol("VISIBLE ME"), 1, executor="process", engine="c")
+            run_lolcode(lol("VISIBLE ME"), 1, engine="c")
 
     @pytest.mark.requires_cc
     def test_transient_build_failure_is_retried_in_module(self):
@@ -407,7 +407,7 @@ class TestNativeFaults:
         )
         src, expected = _unique_visible("BUILT AFTER RETRY")
         before = native_stats()
-        result = run_lolcode(src, 1, executor="process", engine="c")
+        result = run_lolcode(src, 1, engine="c")
         assert result.output == expected
         after = native_stats()
         assert after["transient_retries"] == before["transient_retries"] + 1
@@ -424,7 +424,7 @@ class TestNativeFaults:
         with pytest.raises(
             NativeBuildTransientError, match="native.build"
         ) as excinfo:
-            run_lolcode(src, 1, executor="process", engine="c")
+            run_lolcode(src, 1, engine="c")
         assert excinfo.value.retryable
 
     @pytest.mark.requires_cc
@@ -435,14 +435,14 @@ class TestNativeFaults:
         from repro.compiler.native import native_stats
 
         src, expected = _unique_visible("CACHE INTEGRITY")
-        first = run_lolcode(src, 1, executor="process", engine="c")
+        first = run_lolcode(src, 1, engine="c")
         activate(
             plan_from_rules(
                 1, [{"site": "native.cache", "kind": "corrupt", "times": 1}]
             )
         )
         before = native_stats()
-        second = run_lolcode(src, 1, executor="process", engine="c")
+        second = run_lolcode(src, 1, engine="c")
         after = native_stats()
         assert second.output == first.output == expected
         assert after["corrupt_rebuilds"] == before["corrupt_rebuilds"] + 1
@@ -453,14 +453,14 @@ class TestNativeFaults:
         from repro.compiler.native import native_stats
 
         src, expected = _unique_visible("TRUNCATION")
-        run_lolcode(src, 1, executor="process", engine="c")
+        run_lolcode(src, 1, engine="c")
         activate(
             plan_from_rules(
                 1, [{"site": "native.cache", "kind": "truncate", "times": 1}]
             )
         )
         before = native_stats()
-        result = run_lolcode(src, 1, executor="process", engine="c")
+        result = run_lolcode(src, 1, engine="c")
         assert result.output == expected
         assert (
             native_stats()["corrupt_rebuilds"]

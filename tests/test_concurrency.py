@@ -92,7 +92,7 @@ class TestConcurrentRunLolcode:
             (RING, 2, "vm", "thread"),
             (RING, 2, "vm", "pool"),
             (RING, 2, "ast", "pool"),
-            (SEQ, 1, "vm", "serial"),
+            (SEQ, 1, "vm", "thread"),
             (SEQ, 1, "vm", "pool"),
         ]
         results, errors = _run_matrix(matrix, repeats=3)

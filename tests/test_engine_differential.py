@@ -11,10 +11,11 @@ suite checks that property on
   thread executor — including ``engine="c"`` when a host C compiler
   exists (compile-time-restricted workloads and toolchain-less hosts
   must be *explicitly* skipped, never silently dropped),
-* the same registry on the process and pool executors (Python engines
-  only there: the native engine has exactly one execution vehicle —
-  OS processes — so re-running it per Python executor re-tests the
-  identical code path),
+* the same registry on the pool executor, both the warm default pool
+  and a freshly spawned private one (Python engines only there: the
+  native engine has exactly one execution vehicle — OS processes —
+  whichever executor is named, so re-running it per executor re-tests
+  the identical code path),
 * randomized arithmetic/loop/predication programs (seeded, so failures
   reproduce),
 * the ``HUGZ`` barrier and ``IM SRSLY MESIN WIF`` lock paths at 4 PEs.
@@ -205,7 +206,7 @@ class TestDifferentialParallel:
         ast_vs_vm(body, n_pes=4)
 
     @pytest.mark.procs
-    def test_process_executor(self):
+    def test_pool_executor(self):
         body = (
             "WE HAS A a ITZ SRSLY A NUMBR\n"
             "a R PRODUKT OF ME AN 3\nHUGZ\n"
@@ -214,12 +215,12 @@ class TestDifferentialParallel:
             "TXT MAH BFF k, got R UR a\n"
             "VISIBLE got"
         )
-        v = ast_vs_vm(body, n_pes=3, executor="process", barrier_timeout=60)
+        v = ast_vs_vm(body, n_pes=3, executor="pool", barrier_timeout=60)
         assert v.outputs == ["3\n", "6\n", "0\n"]
 
 
 # ---------------------------------------------------------------------------
-# Full workload registry, every engine, thread, process and pool executors.
+# Full workload registry, every engine, thread and pool executors.
 # ---------------------------------------------------------------------------
 
 
@@ -233,15 +234,13 @@ def _engine_outputs(
     functions); it is recorded in ``skips`` so the caller can still
     assert interpreter agreement before skip-reporting the missing
     comparison — an *interpreter* engine raising is a real failure.
-    ``native=True`` additionally runs ``engine="c"`` (always on the
-    process executor — native PEs are OS processes) when a host C
-    compiler exists; without one the engine lands in ``skips``.
+    ``native=True`` additionally runs ``engine="c"`` (native PEs are OS
+    processes whichever executor is named) when a host C compiler
+    exists; without one the engine lands in ``skips``.
     """
     outputs = {}
     skips = {}
     kwargs = {"executor": executor, "seed": seed}
-    if executor == "process":
-        kwargs["barrier_timeout"] = 120
     for engine in ENGINES:
         ekw = dict(kwargs)
         if engine == "c":
@@ -250,7 +249,6 @@ def _engine_outputs(
             if find_cc() is None:
                 skips[engine] = "no C compiler on host"
                 continue
-            ekw["executor"] = "process"
             ekw["barrier_timeout"] = 120
         try:
             outputs[engine] = run_lolcode(src, n_pes, engine=engine, **ekw).outputs
@@ -304,15 +302,45 @@ class TestWorkloadRegistryMatrix:
     @pytest.mark.parametrize("n_pes", [1, 4])
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
     def test_process_executor(self, workload, n_pes):
+        """Process worlds built cold: every Python engine runs on a
+        private, freshly spawned :class:`WorkerPool` sized to the cell,
+        so the first job on new worker processes (world build, segment
+        creation, lock bank at spawn) must agree with the thread
+        executor too, not only jobs on the long-lived default pool."""
+        from functools import partial
+
+        from repro.lang.parser import parse
+        from repro.launcher.spmd import _pe_main, plan_from_program
+        from repro.service.pool import WorkerPool
         from repro.workloads import get_workload
 
         w = get_workload(workload)
         if n_pes < w.min_pes:
             pytest.skip(f"{workload} needs >= {w.min_pes} PEs")
         src = w.source(smoke=True)
-        outputs, skips = _engine_outputs(src, n_pes, "process", seed=42)
+        plan = plan_from_program(parse(src), n_pes)
+        outputs = {}
+        with WorkerPool(n_pes) as pool:
+            for engine in ENGINES:
+                if engine == "c":
+                    continue
+                outputs[engine] = pool.run(
+                    partial(_pe_main, src, "<string>", None, engine),
+                    n_pes,
+                    plan,
+                    seed=42,
+                    barrier_timeout=120,
+                ).outputs
+        if w.deterministic or n_pes == 1:
+            threaded = run_lolcode(
+                src, n_pes, engine="ast", executor="thread", seed=42
+            ).outputs
+            assert outputs["ast"] == threaded, (
+                f"{workload}: cold process world diverged from thread "
+                f"executor at {n_pes} PEs"
+            )
         _assert_registry_agreement(
-            w, src, outputs, skips, n_pes, "on the process executor"
+            w, src, outputs, {}, n_pes, "on a cold worker pool"
         )
 
     @pytest.mark.procs
@@ -321,7 +349,7 @@ class TestWorkloadRegistryMatrix:
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
     def test_pool_executor(self, workload, n_pes):
         """The warm worker pool must be observationally identical to the
-        other executors on every registered workload: engine agreement
+        thread executor on every registered workload: engine agreement
         *within* the pool, and pool-vs-thread agreement for the
         reference engine.  (Not marked slow: the pool's whole point is
         that repeated jobs cost milliseconds.)"""

@@ -23,8 +23,21 @@ class TestRunLolcode:
             run_lolcode(lol("VISIBLE 1"), 1, executor="gpu")
 
     def test_serial_executor_requires_one_pe(self):
-        with pytest.raises(LolParallelError):
-            run_lolcode(lol("VISIBLE 1"), 2, executor="serial")
+        # One PE runs inline on the default thread executor; the name
+        # "serial" is refused at any PE count.
+        assert run_lolcode(lol("VISIBLE 1"), 1).outputs == ["1\n"]
+        name = "serial"
+        for n_pes in (1, 2):
+            with pytest.raises(LolParallelError, match="unknown executor"):
+                run_lolcode(lol("VISIBLE 1"), n_pes, executor=name)
+
+    def test_removed_executors_are_unknown(self):
+        from repro.launcher import EXECUTORS
+
+        assert EXECUTORS == ("thread", "pool")
+        for executor in ("process", "serial"):
+            with pytest.raises(LolParallelError, match="unknown executor"):
+                run_lolcode(lol("VISIBLE 1"), 1, executor=executor)
 
     def test_syntax_error_raised_before_spawn(self):
         with pytest.raises(LolSyntaxError):
@@ -57,14 +70,14 @@ class TestRunLolcode:
 
     def test_non_integral_literal_array_size_rejected(self):
         # 2.9 must not silently allocate 2 elements (the old int() path):
-        # the process planner rejects at plan time, and the runtime
+        # the pool's planner rejects at plan time, and the runtime
         # allocation paths of every engine reject identically on the
         # thread executor (no run-vs-error divergence across executors).
         from repro.lang.errors import LolError
 
         src = lol("WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2.9")
         with pytest.raises(LolParallelError, match="integer"):
-            run_lolcode(src, 2, executor="process")
+            run_lolcode(src, 2, executor="pool")
         for engine in ("ast", "vm"):
             with pytest.raises(LolError, match="integer"):
                 run_lolcode(src, 2, executor="thread", engine=engine)
@@ -79,7 +92,7 @@ class TestRunLolcode:
             "QUOSHUNT OF 5.0 AN 2"
         )
         with pytest.raises(LolParallelError, match="integer"):
-            run_lolcode(src, 2, executor="process")
+            run_lolcode(src, 2, executor="pool")
         with pytest.raises(LolError, match="integer"):
             run_lolcode(src, 2, executor="thread")
 
@@ -106,7 +119,7 @@ class TestRunLolcode:
         )
         decl = parse(src).body[0]
         assert const_eval(decl.size, 2) == 5
-        r = run_lolcode(src, 2, executor="process", barrier_timeout=60)
+        r = run_lolcode(src, 2, executor="pool", barrier_timeout=60)
         assert r.outputs == ["7\n", "7\n"]
 
     def test_result_metadata(self):
@@ -127,13 +140,12 @@ class TestRunLolcode:
 
 
 #: Runs in a fresh interpreter: thread launches must not import the
-#: process executor, which would load multiprocessing.
+#: pool, which would load multiprocessing.
 _LAZY_IMPORT_CHECK = """
 import sys, repro
 r = repro.run_lolcode("HAI 1.2\\nVISIBLE ME\\nKTHXBYE\\n", 4)
 assert r.output == "0\\n1\\n2\\n3\\n", r.output
 assert "multiprocessing" not in sys.modules
-assert callable(repro.run_spmd_procs) and callable(repro.shmem.run_spmd_procs)
 """
 
 

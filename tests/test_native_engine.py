@@ -37,23 +37,31 @@ def test_engine_registry_includes_c():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"executor": "thread"}, "native OS processes"),
-        ({"executor": "pool"}, "native OS processes"),
-        ({"executor": "process", "max_steps": 10}, "max_steps"),
-        ({"executor": "process", "trace": True}, "op tracing"),
-        ({"executor": "process", "race_detection": True}, "thread executor"),
+        (
+            {"executor": "thread", "race_detection": True},
+            "native OS processes",
+        ),
+        ({"executor": "pool", "max_steps": 10}, "max_steps"),
+        ({"executor": "thread", "max_steps": 10}, "max_steps"),
+        ({"executor": "thread", "trace": True}, "op tracing"),
+        ({"executor": "pool", "race_detection": True}, "thread executor"),
+        ({"executor": "pool", "trace": True}, "op tracing"),
     ],
 )
 def test_unsupported_knobs_refused_explicitly(kwargs, match):
     # Never a silent fallback to an interpreter: each knob the native
-    # engine cannot honour is a loud error in the caller.
+    # engine cannot honour is a loud error in the caller, whichever
+    # executor was named.
     with pytest.raises(LolParallelError, match=match):
         run_lolcode(lol("VISIBLE 1"), 2, engine="c", **kwargs)
 
 
 def test_serial_executor_requires_one_pe():
-    with pytest.raises(LolParallelError, match="exactly 1 PE"):
-        run_lolcode(lol("VISIBLE 1"), 4, engine="c", executor="serial")
+    # The native engine ignores the executor it runs under, but must
+    # still refuse a name that is not one.
+    for executor in ("serial", "process"):
+        with pytest.raises(LolParallelError, match="unknown executor"):
+            run_lolcode(lol("VISIBLE 1"), 4, engine="c", executor=executor)
 
 
 def test_compile_restriction_surfaces_before_toolchain():
@@ -61,7 +69,7 @@ def test_compile_restriction_surfaces_before_toolchain():
     # and must surface even on hosts with no C compiler at all.
     src = lol('I HAS A x ITZ 1\nI HAS A n ITZ "x"\nVISIBLE SRS n')
     with pytest.raises(CompileError, match="SRS"):
-        run_lolcode(src, 1, engine="c", executor="process")
+        run_lolcode(src, 1, engine="c")
 
 
 def test_missing_toolchain_is_a_distinct_error(monkeypatch):
@@ -70,24 +78,22 @@ def test_missing_toolchain_is_a_distinct_error(monkeypatch):
         native.build_native(lol("VISIBLE 1"))
 
 
-def test_service_resolves_pool_submissions_to_process():
+def test_service_accepts_native_jobs_on_any_executor():
     from repro.service.scheduler import JobSpec, ServiceError
 
     spec = JobSpec.from_request({"source": lol("VISIBLE 1"), "engine": "c"})
-    assert spec.executor == "process"
+    assert spec.executor == "pool"
     spec = JobSpec.from_request(
-        {"source": lol("VISIBLE 1"), "engine": "c", "executor": "pool"}
+        {"source": lol("VISIBLE 1"), "engine": "c", "executor": "thread"}
     )
-    assert spec.executor == "process"
+    assert spec.executor == "thread"
     with pytest.raises(ServiceError, match="op tracing"):
         JobSpec.from_request(
             {"source": lol("VISIBLE 1"), "engine": "c", "trace": True}
         )
-    # Incompatible executors are refused at submission time, not inside
-    # a worker after the job was accepted.
-    with pytest.raises(ServiceError, match="native OS processes"):
+    with pytest.raises(ServiceError, match="unknown executor"):
         JobSpec.from_request(
-            {"source": lol("VISIBLE 1"), "engine": "c", "executor": "thread"}
+            {"source": lol("VISIBLE 1"), "engine": "c", "executor": "process"}
         )
 
 
@@ -133,20 +139,31 @@ def test_uses_random_predicate():
 @pytest.mark.requires_cc
 class TestNativeExecution:
     def test_hello_single_pe(self):
-        result = run_lolcode(
-            lol('VISIBLE "O HAI"'), 1, engine="c", executor="process"
-        )
+        result = run_lolcode(lol('VISIBLE "O HAI"'), 1, engine="c")
         assert result.outputs == ["O HAI\n"]
 
     def test_serial_executor_single_pe(self):
-        result = run_lolcode(
-            lol("VISIBLE SUM OF 40 AN 2"), 1, engine="c", executor="serial"
-        )
+        # One PE needs no executor name: the default runs it natively.
+        result = run_lolcode(lol("VISIBLE SUM OF 40 AN 2"), 1, engine="c")
         assert result.outputs == ["42\n"]
+
+    @pytest.mark.parametrize("executor", ["thread", "pool"])
+    def test_any_executor_runs_natively(self, executor):
+        # The native engine names its own vehicle: under either executor
+        # the native build pipeline runs (its cache counters move).
+        before = native.native_stats()
+        result = run_lolcode(
+            lol("VISIBLE SUM OF 40 AN ME"), 2, engine="c", executor=executor
+        )
+        after = native.native_stats()
+        assert result.outputs == ["40\n", "41\n"]
+        assert (after["builds"] + after["cache_hits"]) > (
+            before["builds"] + before["cache_hits"]
+        )
 
     def test_per_pe_outputs_in_rank_order(self):
         src = lol("I HAS A me ITZ ME\nVISIBLE PRODUKT OF me AN 11")
-        result = run_lolcode(src, 4, engine="c", executor="process")
+        result = run_lolcode(src, 4, engine="c")
         assert result.outputs == ["0\n", "11\n", "22\n", "33\n"]
 
     def test_remote_get_put_and_barrier(self):
@@ -161,7 +178,7 @@ class TestNativeExecution:
             "HUGZ\n"
             "VISIBLE got"
         )
-        result = run_lolcode(src, 4, engine="c", executor="process")
+        result = run_lolcode(src, 4, engine="c")
         assert result.outputs == ["100\n", "200\n", "300\n", "0\n"]
 
     def test_frenz_sized_symmetric_array(self):
@@ -183,7 +200,7 @@ class TestNativeExecution:
             "    VISIBLE tot\n"
             "OIC"
         )
-        result = run_lolcode(src, 4, engine="c", executor="process")
+        result = run_lolcode(src, 4, engine="c")
         assert result.outputs[0] == "10\n"  # 1+2+3+4
 
     def test_cross_process_lock_mutual_exclusion(self):
@@ -203,7 +220,7 @@ class TestNativeExecution:
             "  YA RLY, VISIBLE kounter\n"
             "OIC"
         )
-        result = run_lolcode(src, 4, engine="c", executor="process")
+        result = run_lolcode(src, 4, engine="c")
         assert result.outputs[0] == "100\n"
 
     def test_whole_array_transfer(self):
@@ -217,33 +234,27 @@ class TestNativeExecution:
             "TXT MAH BFF nekst, MAH b R UR a\n"
             "VISIBLE b'Z 0 \" \" b'Z 3"
         )
-        result = run_lolcode(src, 2, engine="c", executor="process")
+        result = run_lolcode(src, 2, engine="c")
         assert result.outputs == ["2 7\n", "1 0\n"]
 
     def test_matches_interpreter_on_examples(self, example_path):
         src = example_path("ring.lol").read_text()
         for n_pes in (1, 2, 4):
-            native_run = run_lolcode(
-                src, n_pes, engine="c", executor="process"
-            )
+            native_run = run_lolcode(src, n_pes, engine="c")
             interp = run_lolcode(src, n_pes, engine="ast", seed=1)
             assert native_run.outputs == interp.outputs
 
     def test_stdin_lines_reach_each_pe(self):
         src = lol('I HAS A x\nGIMMEH x\nVISIBLE "got " x')
         result = run_lolcode(
-            src,
-            2,
-            engine="c",
-            executor="process",
-            stdin_lines=[["wun"], ["too"]],
+            src, 2, engine="c", stdin_lines=[["wun"], ["too"]]
         )
         assert result.outputs == ["got wun\n", "got too\n"]
 
     def test_seed_reproducible_within_native(self):
         src = lol("I HAS A x ITZ WHATEVR\nVISIBLE x")
-        a = run_lolcode(src, 2, engine="c", executor="process", seed=9)
-        b = run_lolcode(src, 2, engine="c", executor="process", seed=9)
+        a = run_lolcode(src, 2, engine="c", seed=9)
+        b = run_lolcode(src, 2, engine="c", seed=9)
         assert a.outputs == b.outputs
 
     def test_build_cache_reuses_binary(self):
@@ -267,9 +278,7 @@ class TestNativeExecution:
             "OIC"
         )
         with pytest.raises(LolParallelError, match="PE"):
-            run_lolcode(
-                src, 2, engine="c", executor="process", barrier_timeout=3
-            )
+            run_lolcode(src, 2, engine="c", barrier_timeout=3)
 
 
 @pytest.mark.requires_cc

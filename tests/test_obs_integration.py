@@ -163,10 +163,10 @@ class TestPoolWorkerDeathMetrics:
             assert pool.workers_alive() == 2
 
 
-class TestProcessExecutorMerge:
+class TestPoolMetricsMerge:
     def test_worker_metrics_ride_the_reply_pipe(self):
         obs.arm("metrics")
-        run_lolcode(_ring_source(), 2, executor="process", seed=42)
+        run_lolcode(_ring_source(), 2, executor="pool", seed=42)
         reg = obs.get_registry()
         hist = reg.get("lol_barrier_wait_seconds")
         assert hist is not None

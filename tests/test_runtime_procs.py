@@ -1,7 +1,9 @@
-"""Tests for the process executor (true parallelism over shared memory).
+"""Tests for process worlds (true parallelism over shared memory).
 
-These run real OS processes via the spawn start method, so they are
-slower than the rest of the suite; the workloads are kept tiny.
+Raw Python SPMD workers run through :meth:`WorkerPool.run` and LOLCODE
+programs through ``executor="pool"``: each PE is a worker process over
+the shared-memory world of :mod:`repro.shmem.runtime_procs`.  The
+workers are spawned once per module; the workloads are kept tiny.
 """
 
 import pytest
@@ -11,7 +13,8 @@ from repro.lang import parse
 from repro.lang.errors import LolParallelError
 from repro.lang.types import LolType
 from repro.launcher import const_eval, plan_from_program
-from repro.shmem import SymmetricPlan, run_spmd_procs
+from repro.service.pool import WorkerPool
+from repro.shmem import SymmetricPlan
 
 from .conftest import lol
 
@@ -76,47 +79,55 @@ def _plan(**entries) -> SymmetricPlan:
     return plan
 
 
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(4) as p:
+        yield p
+
+
 class TestProcExecutorPython:
-    def test_scalar_ring(self):
+    """Raw Python workers on :meth:`WorkerPool.run`."""
+
+    def test_scalar_ring(self, pool):
         plan = _plan(x=(LolType.NUMBR, False, 1, False))
-        r = run_spmd_procs(_worker_ring, 3, plan, barrier_timeout=60)
+        r = pool.run(_worker_ring, 3, plan, barrier_timeout=60)
         assert r.returns == [10, 20, 0]
 
-    def test_locks_across_processes(self):
+    def test_locks_across_processes(self, pool):
         plan = _plan(c=(LolType.NUMBR, False, 1, True))
-        r = run_spmd_procs(_worker_locked_increment, 3, plan, barrier_timeout=60)
+        r = pool.run(_worker_locked_increment, 3, plan, barrier_timeout=60)
         assert r.returns[0] == 60
 
-    def test_shared_array(self):
+    def test_shared_array(self, pool):
         plan = _plan(a=(LolType.NUMBAR, True, 4, False))
-        r = run_spmd_procs(_worker_array, 4, plan, barrier_timeout=60)
+        r = pool.run(_worker_array, 4, plan, barrier_timeout=60)
         assert r.returns[0] == [1.0, 2.0, 3.0, 4.0]
 
-    def test_collectives(self):
+    def test_collectives(self, pool):
         plan = SymmetricPlan()
-        r = run_spmd_procs(_worker_collectives, 3, plan, barrier_timeout=60)
+        r = pool.run(_worker_collectives, 3, plan, barrier_timeout=60)
         assert r.returns == [6.0, 6.0, 6.0]
 
-    def test_crash_is_reported(self):
+    def test_crash_is_reported(self, pool):
         plan = SymmetricPlan()
         with pytest.raises(LolParallelError, match="boom"):
-            run_spmd_procs(_worker_crash, 2, plan, barrier_timeout=15)
+            pool.run(_worker_crash, 2, plan, barrier_timeout=15)
 
     @pytest.mark.slow
-    def test_straggler_ranks_are_named(self):
-        """One queue.get timeout must not end the drain: the PEs that
-        finished are collected, and the error names exactly the ranks
-        that never reported (here PE 1, and only PE 1)."""
+    def test_straggler_ranks_are_named(self, pool):
+        """The drain waits out a silence window, not a fixed total: the
+        PEs that finished are collected, and the error names exactly the
+        ranks that never reported (here PE 1, and only PE 1)."""
         plan = SymmetricPlan()
         with pytest.raises(LolParallelError, match=r"PE\(s\) \[1\]") as info:
-            run_spmd_procs(_worker_straggles_on_pe1, 3, plan, barrier_timeout=2)
+            pool.run(_worker_straggles_on_pe1, 3, plan, barrier_timeout=2)
         message = str(info.value)
         assert "completed: [0, 2]" in message
 
-    def test_yarn_symmetric_rejected(self):
+    def test_yarn_symmetric_rejected(self, pool):
         plan = _plan(s=(LolType.YARN, False, 1, False))
         with pytest.raises(LolParallelError, match="numeric"):
-            run_spmd_procs(_worker_ring, 2, plan)
+            pool.run(_worker_ring, 2, plan)
 
 
 class TestProcExecutorLolcode:
@@ -129,7 +140,7 @@ class TestProcExecutorLolcode:
             "TXT MAH BFF k, y R UR x\n"
             "VISIBLE y"
         )
-        r = run_lolcode(lol(body), 3, executor="process", barrier_timeout=60)
+        r = run_lolcode(lol(body), 3, executor="pool", barrier_timeout=60)
         assert r.outputs == ["10\n", "20\n", "0\n"]
 
     def test_lol_locks_on_processes(self):
@@ -143,12 +154,14 @@ class TestProcExecutorLolcode:
             "IM OUTTA YR l\n"
             "HUGZ\nVISIBLE c"
         )
-        r = run_lolcode(lol(body), 3, executor="process", barrier_timeout=60)
+        r = run_lolcode(lol(body), 3, executor="pool", barrier_timeout=60)
         assert r.outputs[0] == "30\n"
 
     def test_race_detection_unsupported(self):
         with pytest.raises(LolParallelError):
-            run_lolcode(lol("VISIBLE 1"), 2, executor="process", race_detection=True)
+            run_lolcode(
+                lol("VISIBLE 1"), 2, executor="pool", race_detection=True
+            )
 
 
 class TestSymmetricPlanning:

@@ -14,6 +14,7 @@ from repro import run_lolcode
 from repro.lang.errors import LolParallelError
 from repro.lang.types import LolType
 from repro.service.pool import (
+    DEFAULT_MAX_LOCKS,
     SegmentPool,
     WorkerPool,
     _size_class,
@@ -227,7 +228,7 @@ class TestSegmentPool:
 class TestPoolExecutor:
     """``executor="pool"`` through the launcher (the public surface)."""
 
-    def test_lol_program_matches_thread_and_process(self):
+    def test_lol_program_matches_thread(self):
         src = lol(
             "WE HAS A x ITZ SRSLY A NUMBR\n"
             "x R PRODUKT OF ME AN 7\n"
@@ -239,10 +240,9 @@ class TestPoolExecutor:
         )
         pooled = run_lolcode(src, 4, executor="pool", seed=3)
         threaded = run_lolcode(src, 4, executor="thread", seed=3)
-        processed = run_lolcode(src, 4, executor="process", seed=3)
-        assert pooled.outputs == threaded.outputs == processed.outputs
+        assert pooled.outputs == threaded.outputs
 
-    def test_trace_parity_with_process_executor(self):
+    def test_trace_parity_with_thread_executor(self):
         src = lol(
             "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
             "HUGZ\n"
@@ -251,8 +251,8 @@ class TestPoolExecutor:
             "VISIBLE a'Z 0\n"
         )
         pooled = run_lolcode(src, 4, executor="pool", seed=1, trace=True)
-        processed = run_lolcode(src, 4, executor="process", seed=1, trace=True)
-        assert pooled.trace.summary() == processed.trace.summary()
+        threaded = run_lolcode(src, 4, executor="thread", seed=1, trace=True)
+        assert pooled.trace.summary() == threaded.trace.summary()
 
     def test_race_detection_rejected(self):
         with pytest.raises(LolParallelError, match="thread executor"):
@@ -277,6 +277,37 @@ class TestPoolExecutor:
             assert get_default_pool().size == 3
         finally:
             shutdown_default_pool()
+
+    def test_default_pool_grows_its_lock_bank(self):
+        # One more IM SHARIN IT symbol than the default bank holds: the
+        # default pool grows its lock bank the way it grows its size.
+        n = DEFAULT_MAX_LOCKS + 1
+        last = f"c{n - 1}"
+        src = lol(
+            "".join(
+                f"WE HAS A c{i} ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+                for i in range(n)
+            )
+            + f"HUGZ\nIM SRSLY MESIN WIF {last}\n"
+            f"TXT MAH BFF 0, UR {last} R SUM OF UR {last} AN 1\n"
+            f"DUN MESIN WIF {last}\nHUGZ\nVISIBLE {last}"
+        )
+        shutdown_default_pool()
+        try:
+            pooled = run_lolcode(src, 2, executor="pool")
+            assert get_default_pool().max_locks == n
+        finally:
+            shutdown_default_pool()
+        threaded = run_lolcode(src, 2, executor="thread")
+        assert pooled.outputs == threaded.outputs == ["2\n", "0\n"]
+
+    def test_explicit_pool_rejects_more_locks_than_its_bank(self):
+        plan = SymmetricPlan()
+        plan.add("a", LolType.NUMBR, False, 1, True)
+        plan.add("b", LolType.NUMBR, False, 1, True)
+        with WorkerPool(1, max_locks=1) as pool:
+            with pytest.raises(LolParallelError, match="lock bank holds 1"):
+                pool.run(_worker_ring, 1, plan)
 
     def test_stdin_and_seed_plumbing(self):
         src = lol(

@@ -149,24 +149,3 @@ class TestSmoke:
 
         failures = run_smoke(jobs=6, max_concurrency=3)
         assert failures == []
-
-
-@pytest.mark.procs
-@pytest.mark.slow
-class TestServiceBench:
-    def test_bench_payload_shape_and_speedup(self):
-        from repro.service.bench import render_bench, run_service_bench
-
-        payload = run_service_bench(jobs=4, workload="ring", n_pes=2)
-        assert {row["executor"] for row in payload["rows"]} == {
-            "pool",
-            "process",
-        }
-        for row in payload["rows"]:
-            assert row["jobs"] == 4
-            assert row["p50_s"] <= row["p99_s"]
-            assert row["jobs_per_s"] > 0
-        # The acceptance gate proper runs 50 jobs; even at 4 jobs the
-        # warm pool must beat per-job process spawning comfortably.
-        assert payload["speedup_pool_vs_process"] >= 3.0
-        assert "pool" in render_bench(payload)
