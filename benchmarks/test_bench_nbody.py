@@ -96,6 +96,7 @@ def test_nbody_treewalker_wallclock(benchmark):
 @pytest.mark.benchmark(group="nbody")
 def test_nbody_vm_wallclock(benchmark):
     """The bytecode VM (the default engine) on the same kernel at the
-    same PE count; its ratio over the tree-walker is tracked
-    run-over-run in BENCH_interp.json (see benchmarks/run_all.py)."""
+    same PE count; its ratio over the tree-walker on the registry
+    ``nbody`` workload is in the ``lolbench`` sweep
+    (``BENCH_workloads.json``)."""
     benchmark(lambda: run_lolcode(SRC, 2, seed=42, engine="vm"))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang import ast
-from .pe_taint import _walk_expr
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +61,8 @@ def compute_facts(program: ast.Program) -> ProgramFacts:
                     remote_written.add(base.name)
             elif isinstance(base, ast.SrsRef):
                 dynamic_store = True
-        for expr in _stmt_exprs(stmt):
-            for sub in _walk_expr(expr):
+        for expr in ast.stmt_exprs(stmt):
+            for sub in ast.walk_expr(expr):
                 if isinstance(sub, ast.VarRef) and sub.qualifier == "UR":
                     remote_touched.add(sub.name)
                 elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
@@ -74,31 +73,3 @@ def compute_facts(program: ast.Program) -> ProgramFacts:
         frozenset(symmetric - remote_written),
         frozenset(symmetric - remote_touched - remote_written),
     )
-
-
-def _stmt_exprs(stmt: ast.Stmt) -> list[ast.Expr]:
-    out: list[ast.Expr] = []
-    if isinstance(stmt, ast.VarDecl):
-        out += [e for e in (stmt.size, stmt.init) if e is not None]
-    elif isinstance(stmt, ast.Assign):
-        out += [stmt.target, stmt.value]
-    elif isinstance(stmt, (ast.Gimmeh, ast.CastStmt)):
-        out.append(stmt.target)
-    elif isinstance(stmt, ast.ExprStmt):
-        out.append(stmt.expr)
-    elif isinstance(stmt, ast.Visible):
-        out += list(stmt.args)
-    elif isinstance(stmt, ast.If):
-        out += [cond for cond, _ in stmt.mebbe]
-    elif isinstance(stmt, ast.Switch):
-        out += [lit for lit, _ in stmt.cases]
-    elif isinstance(stmt, ast.Loop):
-        if stmt.cond is not None:
-            out.append(stmt.cond)
-    elif isinstance(stmt, ast.Return):
-        out.append(stmt.expr)
-    elif isinstance(stmt, ast.TxtStmt):
-        out.append(stmt.pe)
-    elif isinstance(stmt, ast.LockStmt):
-        out.append(stmt.target)
-    return out

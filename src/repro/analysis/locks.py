@@ -218,9 +218,7 @@ class LockChecker:
         unlocked: set[str] = set()
         dynamic = False
         found = False
-        from .pe_taint import _walk_expr
-
-        for sub in _walk_expr(expr):
+        for sub in ast.walk_expr(expr):
             if isinstance(sub, ast.FuncCall):
                 eff = self._effects.get(sub.name)
                 if eff is None:

@@ -34,7 +34,7 @@ all iterations.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from ..lang import ast
 from .cfg import (
@@ -58,31 +58,9 @@ TaintState = frozenset[str]
 _IT = "IT"
 
 
-def _walk_expr(expr: ast.Expr) -> Iterator[ast.Expr]:
-    yield expr
-    if isinstance(expr, ast.BinOp):
-        yield from _walk_expr(expr.lhs)
-        yield from _walk_expr(expr.rhs)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from _walk_expr(expr.operand)
-    elif isinstance(expr, ast.NaryOp):
-        for op in expr.operands:
-            yield from _walk_expr(op)
-    elif isinstance(expr, ast.Cast):
-        yield from _walk_expr(expr.expr)
-    elif isinstance(expr, ast.Index):
-        yield from _walk_expr(expr.base)
-        yield from _walk_expr(expr.index)
-    elif isinstance(expr, ast.SrsRef):
-        yield from _walk_expr(expr.expr)
-    elif isinstance(expr, ast.FuncCall):
-        for a in expr.args:
-            yield from _walk_expr(a)
-
-
 def expr_taint(expr: ast.Expr, state: TaintState) -> bool:
     """May the value of ``expr`` differ across PEs in ``state``?"""
-    for sub in _walk_expr(expr):
+    for sub in ast.walk_expr(expr):
         if isinstance(sub, (ast.MeExpr, ast.RandomExpr, ast.FuncCall)):
             return True
         if isinstance(sub, ast.SrsRef):
@@ -286,8 +264,8 @@ class BarrierChecker:
 
     def _stmt_call_count(self, stmt: ast.Stmt) -> int:
         total = 0
-        for expr in _stmt_exprs(stmt):
-            for sub in _walk_expr(expr):
+        for expr in ast.stmt_exprs(stmt):
+            for sub in ast.walk_expr(expr):
                 if isinstance(sub, ast.FuncCall):
                     total = _add(total, self.call_count(sub.name))
         return total
@@ -403,8 +381,8 @@ class BarrierChecker:
                     )
                 )
             else:
-                for expr in _stmt_exprs(stmt):
-                    for sub in _walk_expr(expr):
+                for expr in ast.stmt_exprs(stmt):
+                    for sub in ast.walk_expr(expr):
                         if (
                             isinstance(sub, ast.FuncCall)
                             and self.call_count(sub.name) != 0
@@ -420,39 +398,6 @@ class BarrierChecker:
                                     sub.pos,
                                 )
                             )
-
-
-def _stmt_exprs(stmt: ast.Stmt) -> Iterator[ast.Expr]:
-    """The expressions a statement evaluates directly (not nested blocks)."""
-    if isinstance(stmt, ast.VarDecl):
-        if stmt.size is not None:
-            yield stmt.size
-        if stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, ast.Assign):
-        yield stmt.value
-        yield stmt.target
-    elif isinstance(stmt, ast.CastStmt):
-        yield stmt.target
-    elif isinstance(stmt, ast.ExprStmt):
-        yield stmt.expr
-    elif isinstance(stmt, ast.Visible):
-        yield from stmt.args
-    elif isinstance(stmt, ast.Gimmeh):
-        yield stmt.target
-    elif isinstance(stmt, ast.Return):
-        yield stmt.expr
-    elif isinstance(stmt, ast.If):
-        for cond, _body in stmt.mebbe:
-            yield cond
-    elif isinstance(stmt, ast.Switch):
-        for lit, _body in stmt.cases:
-            yield lit
-    elif isinstance(stmt, ast.Loop):
-        if stmt.cond is not None:
-            yield stmt.cond
-    elif isinstance(stmt, ast.TxtStmt):
-        yield stmt.pe
 
 
 def check_barriers(taint: TaintResult) -> list[Diagnostic]:

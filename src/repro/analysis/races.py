@@ -47,7 +47,7 @@ from .cfg import (
 )
 from .dataflow import ForwardAnalysis, run_forward
 from .diagnostics import Diagnostic, FixIt
-from .pe_taint import TaintResult, _walk_expr
+from .pe_taint import TaintResult
 
 #: one recorded write: (symbol, "lw"|"rw", id(Index node) or -1)
 WriteKey = tuple[str, str, int]
@@ -261,7 +261,7 @@ class RaceChecker:
     ) -> list[_Event]:
         events: list[_Event] = []
         consumed: set[int] = set()
-        for sub in _walk_expr(expr):
+        for sub in ast.walk_expr(expr):
             if sub is skip:
                 continue
             if isinstance(sub, ast.FuncCall):

@@ -101,11 +101,6 @@ def native_stats() -> dict:
     return {key: int(_M_NATIVE.value(event=key)) for key in _NATIVE_EVENTS}
 
 
-def reset_native_stats() -> None:
-    """Zero the counters (test isolation)."""
-    _M_NATIVE.reset()
-
-
 @lru_cache(maxsize=1)
 def _shim_sources() -> tuple[str, str]:
     """The bundled shim's header and implementation text (read once)."""

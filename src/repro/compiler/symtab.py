@@ -56,12 +56,6 @@ class SymbolTable:
     uses_gimmeh: bool = False
     libraries: list[str] = field(default_factory=list)
 
-    def symmetric_symbols(self) -> list[SymbolInfo]:
-        return [s for s in self.globals.values() if s.symmetric]
-
-    def locked_symbols(self) -> list[SymbolInfo]:
-        return [s for s in self.globals.values() if s.shared_lock]
-
 
 def _decl_to_info(decl: ast.VarDecl) -> SymbolInfo:
     return SymbolInfo(
@@ -74,64 +68,6 @@ def _decl_to_info(decl: ast.VarDecl) -> SymbolInfo:
         size_expr=decl.size,
         shared_lock=decl.shared_lock,
     )
-
-
-def _walk_exprs(stmt: ast.Stmt):
-    """Yield every expression reachable from a statement (shallow walk of
-    the statement's own expression slots, not nested statements)."""
-    if isinstance(stmt, ast.VarDecl):
-        if stmt.size is not None:
-            yield stmt.size
-        if stmt.init is not None:
-            yield stmt.init
-    elif isinstance(stmt, ast.Assign):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, ast.CastStmt):
-        yield stmt.target
-    elif isinstance(stmt, ast.ExprStmt):
-        yield stmt.expr
-    elif isinstance(stmt, ast.Visible):
-        yield from stmt.args
-    elif isinstance(stmt, ast.Gimmeh):
-        yield stmt.target
-    elif isinstance(stmt, ast.If):
-        for cond, _ in stmt.mebbe:
-            yield cond
-    elif isinstance(stmt, ast.Switch):
-        for lit, _ in stmt.cases:
-            yield lit
-    elif isinstance(stmt, ast.Loop):
-        if stmt.cond is not None:
-            yield stmt.cond
-    elif isinstance(stmt, ast.Return):
-        yield stmt.expr
-    elif isinstance(stmt, ast.LockStmt):
-        yield stmt.target
-    elif isinstance(stmt, ast.TxtStmt):
-        yield stmt.pe
-
-
-def _walk_subexprs(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.BinOp):
-        yield from _walk_subexprs(expr.lhs)
-        yield from _walk_subexprs(expr.rhs)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from _walk_subexprs(expr.operand)
-    elif isinstance(expr, ast.NaryOp):
-        for op in expr.operands:
-            yield from _walk_subexprs(op)
-    elif isinstance(expr, ast.Cast):
-        yield from _walk_subexprs(expr.expr)
-    elif isinstance(expr, ast.Index):
-        yield from _walk_subexprs(expr.base)
-        yield from _walk_subexprs(expr.index)
-    elif isinstance(expr, ast.SrsRef):
-        yield from _walk_subexprs(expr.expr)
-    elif isinstance(expr, ast.FuncCall):
-        for a in expr.args:
-            yield from _walk_subexprs(a)
 
 
 def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
@@ -191,8 +127,8 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
                     name = base.name
                     if name not in func.locals and name not in func.params:
                         func.assigns_globals.append(name)
-            for expr in _walk_exprs(stmt):
-                for sub in _walk_subexprs(expr):
+            for expr in ast.stmt_exprs(stmt):
+                for sub in ast.walk_expr(expr):
                     if isinstance(sub, ast.RandomExpr):
                         table.uses_random = True
                     if isinstance(sub, ast.SrsRef) and not allow_srs:
@@ -206,14 +142,3 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
 
     scan_block(program.body, None)
     return table
-
-
-def loop_counters(body: list[ast.Stmt]) -> list[str]:
-    """All loop-counter names declared by ``IM IN YR ... UPPIN YR v``
-    anywhere in ``body`` (compilers pre-declare them)."""
-    names: list[str] = []
-    for stmt in ast.walk_statements(body):
-        if isinstance(stmt, ast.Loop) and stmt.var is not None:
-            if stmt.var not in names:
-                names.append(stmt.var)
-    return names

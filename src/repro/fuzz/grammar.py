@@ -536,28 +536,6 @@ def _expr_roots_of(stmt: ast.Stmt) -> list[ast.Expr]:
     return []
 
 
-def _walk_exprs(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.BinOp):
-        yield from _walk_exprs(expr.lhs)
-        yield from _walk_exprs(expr.rhs)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, ast.NaryOp):
-        for op in expr.operands:
-            yield from _walk_exprs(op)
-    elif isinstance(expr, ast.FuncCall):
-        for op in expr.args:
-            yield from _walk_exprs(op)
-    elif isinstance(expr, ast.Cast):
-        yield from _walk_exprs(expr.expr)
-    elif isinstance(expr, ast.Index):
-        yield from _walk_exprs(expr.base)
-        yield from _walk_exprs(expr.index)
-    elif isinstance(expr, ast.SrsRef):
-        yield from _walk_exprs(expr.expr)
-
-
 def _literal_sites(program: ast.Program) -> list[ast.IntLit]:
     """Int literals safe to perturb: not loop bounds, sizes, or PE targets."""
     skip: set[int] = set()
@@ -570,11 +548,11 @@ def _literal_sites(program: ast.Program) -> list[ast.IntLit]:
         if isinstance(stmt, ast.TxtStmt):
             frozen.append(stmt.pe)
         for root in frozen:
-            skip.update(id(e) for e in _walk_exprs(root))
+            skip.update(id(e) for e in ast.walk_expr(root))
     sites: list[ast.IntLit] = []
     for stmt in ast.walk_statements(program.body):
         for root in _expr_roots_of(stmt):
-            for node in _walk_exprs(root):
+            for node in ast.walk_expr(root):
                 if isinstance(node, ast.IntLit) and id(node) not in skip:
                     sites.append(node)
     return sites
@@ -605,7 +583,7 @@ def mutate_program(program: ast.Program, rng: random.Random,
             ops = [e for stmt in ast.walk_statements(mutant.body)
                    if not isinstance(stmt, (ast.Loop, ast.TxtStmt))
                    for root in _expr_roots_of(stmt)
-                   for e in _walk_exprs(root) if isinstance(e, ast.BinOp)]
+                   for e in ast.walk_expr(root) if isinstance(e, ast.BinOp)]
             if ops:
                 node = rng.choice(ops)
                 for cls in _BINOP_CLASSES:
@@ -633,5 +611,5 @@ def program_size(program: ast.Program) -> int:
     for stmt in ast.walk_statements(program.body):
         n += 1
         for root in _expr_roots_of(stmt):
-            n += sum(1 for _ in _walk_exprs(root))
+            n += sum(1 for _ in ast.walk_expr(root))
     return n

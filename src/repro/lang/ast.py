@@ -9,7 +9,7 @@ and the symmetric-allocation planner without coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import SourcePos
 
@@ -370,3 +370,54 @@ def walk_statements(body: list[Stmt]):
         yield stmt
         for block in child_statements(stmt):
             yield from walk_statements(block)
+
+
+def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
+    """Yield the expressions ``stmt`` holds directly, not those of its
+    nested blocks.  An ``Assign`` target comes before its value, so a
+    pass that stops at its first error reports the target's."""
+    if isinstance(stmt, VarDecl):
+        if stmt.size is not None:
+            yield stmt.size
+        if stmt.init is not None:
+            yield stmt.init
+    elif isinstance(stmt, Assign):
+        yield stmt.target
+        yield stmt.value
+    elif isinstance(stmt, (CastStmt, Gimmeh, LockStmt)):
+        yield stmt.target
+    elif isinstance(stmt, (ExprStmt, Return)):
+        yield stmt.expr
+    elif isinstance(stmt, Visible):
+        yield from stmt.args
+    elif isinstance(stmt, If):
+        for cond, _ in stmt.mebbe:
+            yield cond
+    elif isinstance(stmt, Switch):
+        for lit, _ in stmt.cases:
+            yield lit
+    elif isinstance(stmt, Loop):
+        if stmt.cond is not None:
+            yield stmt.cond
+    elif isinstance(stmt, TxtStmt):
+        yield stmt.pe
+
+
+def walk_expr(expr: Expr) -> Iterator[Expr]:
+    """Yield ``expr`` and every sub-expression, pre-order, left to right."""
+    stack: list[Expr] = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, (Cast, SrsRef)):
+            stack.append(node.expr)
+        elif isinstance(node, Index):
+            stack += (node.index, node.base)
+        elif isinstance(node, NaryOp):
+            stack += reversed(node.operands)
+        elif isinstance(node, FuncCall):
+            stack += reversed(node.args)

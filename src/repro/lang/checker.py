@@ -258,7 +258,7 @@ class Checker:
             self.check_expr(target.expr, scope)
 
     def check_expr(self, expr: ast.Expr, scope: _Scope) -> None:
-        for sub in _walk(expr):
+        for sub in ast.walk_expr(expr):
             if isinstance(sub, ast.StringLit):
                 # ``:{name}`` interpolations are reads: mark the
                 # variable used (undeclared names surface at runtime,
@@ -316,30 +316,8 @@ class Checker:
             self._err("E007", f"'{ref.name}' is not an array", ref.pos)
 
 
-def _walk(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.BinOp):
-        yield from _walk(expr.lhs)
-        yield from _walk(expr.rhs)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from _walk(expr.operand)
-    elif isinstance(expr, ast.NaryOp):
-        for op in expr.operands:
-            yield from _walk(op)
-    elif isinstance(expr, ast.Cast):
-        yield from _walk(expr.expr)
-    elif isinstance(expr, ast.Index):
-        yield from _walk(expr.base)
-        yield from _walk(expr.index)
-    elif isinstance(expr, ast.SrsRef):
-        yield from _walk(expr.expr)
-    elif isinstance(expr, ast.FuncCall):
-        for a in expr.args:
-            yield from _walk(a)
-
-
 def _is_index_base(root: ast.Expr, ref: ast.VarRef) -> bool:
-    for sub in _walk(root):
+    for sub in ast.walk_expr(root):
         if isinstance(sub, ast.Index) and sub.base is ref:
             return True
     return False

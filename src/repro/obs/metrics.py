@@ -74,10 +74,6 @@ class Metric:
         self._lock = lock
         self._series: Dict[_LabelKey, object] = {}
 
-    def labels_seen(self) -> List[dict]:
-        with self._lock:
-            return [dict(key) for key in self._series]
-
     def reset(self) -> None:
         """Drop every series (test isolation; drains use snapshot(reset))."""
         with self._lock:
@@ -269,11 +265,6 @@ class MetricsRegistry:
         with self._lock:
             if fn not in self._collectors:
                 self._collectors.append(fn)
-
-    def unregister_collector(self, fn: Callable[[], None]) -> None:
-        with self._lock:
-            if fn in self._collectors:
-                self._collectors.remove(fn)
 
     def run_collectors(self) -> None:
         with self._lock:

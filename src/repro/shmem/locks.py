@@ -37,10 +37,6 @@ class LockTable:
                 self._locks[name] = lock if lock is not None else self._factory()
                 self._owners[name] = None
 
-    def is_registered(self, name: str) -> bool:
-        with self._mutex:
-            return name in self._locks
-
     def _lookup(self, name: str) -> object:
         with self._mutex:
             lock = self._locks.get(name)
@@ -94,7 +90,3 @@ class LockTable:
 
     def owner(self, name: str) -> Optional[int]:
         return self._owners.get(name)
-
-    def held_by(self, pe: int) -> list[str]:
-        with self._mutex:
-            return sorted(n for n, o in self._owners.items() if o == pe)

@@ -144,6 +144,3 @@ class RaceDetector:
             self._partitions.clear()
             self._reports.clear()
             self._seen.clear()
-
-    def has_race_on(self, symbol: str) -> bool:
-        return any(r.symbol == symbol for r in self.reports)

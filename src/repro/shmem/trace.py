@@ -68,14 +68,6 @@ class OpTrace:
     def add_flops(self, n: int) -> None:
         self.local_flops += n
 
-    def remote_ops(self) -> list[OpEvent]:
-        return [
-            e
-            for e in self.events
-            if e.kind in (OpKind.PUT, OpKind.GET, OpKind.ATOMIC)
-            and e.dst_pe != e.src_pe
-        ]
-
     def barrier_count(self) -> int:
         return self.counts[OpKind.BARRIER]
 
@@ -102,9 +94,6 @@ class WorldTrace:
 
     def total_flops(self) -> int:
         return sum(t.local_flops for t in self.per_pe)
-
-    def max_barrier_epoch(self) -> int:
-        return max((t.barrier_count() for t in self.per_pe), default=0)
 
     def summary(self) -> dict[str, object]:
         return {

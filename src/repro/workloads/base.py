@@ -153,17 +153,6 @@ def workload_names() -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def parse_floats(text: str) -> List[float]:
-    """Every whitespace-separated float-ish token in ``text``."""
-    out: List[float] = []
-    for tok in text.split():
-        try:
-            out.append(float(tok))
-        except ValueError:
-            continue
-    return out
-
-
 def approx_problems(
     label: str, got: float, want: float, *, tol: float = 5e-3
 ) -> List[str]:
