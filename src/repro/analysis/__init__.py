@@ -1,7 +1,9 @@
 """Path-sensitive static analysis over parallel LOLCODE.
 
-The package builds control-flow graphs over :mod:`repro.lang.ast`
-(:mod:`.cfg`), solves iterative dataflow problems on them
+The package summarizes a program in one walk (:mod:`.summary`: its
+functions, symmetric names and the facts the VM vectorizer reads),
+builds control-flow graphs over :mod:`repro.lang.ast` (:mod:`.cfg`,
+one per definition), solves iterative dataflow problems on them
 (:mod:`.dataflow`), and derives diagnostics that the old straight-line
 checker could only guess at:
 
@@ -11,13 +13,13 @@ checker could only guess at:
   ``W105`` / ``W106``),
 * :mod:`.races` — barrier-epoch static happens-before (``W102``),
 * :mod:`.bounds` — interval/affine analysis of symmetric array indices
-  and PE targets (``E008`` / ``W107``),
-* :mod:`.facts` — :class:`ProgramFacts` consumed by the engines.
+  and PE targets (``E008`` / ``W107``).
 
 :func:`analyze_program` runs the full stack and returns the combined,
 position-sorted diagnostic list; :func:`repro.lang.checker.check_program`
-calls it after its scope/type pass, so every entry point (``lollint``,
-``run_lolcode(check=...)``, ``lcc --check``) sees one unified report.
+calls it after its scope/type pass, on the same summary, so every entry
+point (``lollint``, ``run_lolcode(check=...)``, ``lcc --check``) sees
+one unified report.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .diagnostics import (
     render_sarif,
     sort_key,
 )
-from .facts import ProgramFacts, compute_facts
 from .locks import check_locks
 from .pe_taint import TaintResult, analyze_taint, check_barriers
 from .races import check_races
+from .summary import ProgramSummary, summarize
 
 __all__ = [
     "CFG",
@@ -45,7 +47,7 @@ __all__ = [
     "Diagnostic",
     "FixIt",
     "ForwardAnalysis",
-    "ProgramFacts",
+    "ProgramSummary",
     "TaintResult",
     "analyze_bounds",
     "analyze_program",
@@ -55,18 +57,22 @@ __all__ = [
     "check_barriers",
     "check_locks",
     "check_races",
-    "compute_facts",
     "render_json",
     "render_sarif",
     "run_forward",
     "sort_key",
+    "summarize",
 ]
 
 
-def analyze_program(program: ast.Program) -> list[Diagnostic]:
+def analyze_program(
+    program: ast.Program, summary: ProgramSummary | None = None
+) -> list[Diagnostic]:
     """Run every CFG-based analysis; diagnostics sorted by position."""
-    taint = analyze_taint(program)
-    bounds = analyze_bounds(program)
+    if summary is None:
+        summary = summarize(program)
+    taint = analyze_taint(program, summary)
+    bounds = analyze_bounds(program, summary)
     diags: list[Diagnostic] = []
     diags.extend(check_barriers(taint))
     diags.extend(check_locks(taint))

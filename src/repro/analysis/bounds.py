@@ -42,6 +42,7 @@ from typing import Optional, Union
 
 from ..lang import ast
 from .diagnostics import Diagnostic
+from .summary import ProgramSummary
 
 # ---------------------------------------------------------------------------
 # The domain
@@ -249,8 +250,9 @@ _ME_FULL: tuple[Lin, Lin] = (Lin(0, 0), Lin(1, -1))
 
 
 class BoundsAnalyzer:
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, summary: ProgramSummary) -> None:
         self.program = program
+        self.summary = summary
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[str, int, int, str]] = set()
         self.env: dict[str, Value] = {}
@@ -262,12 +264,11 @@ class BoundsAnalyzer:
 
     def run(self) -> BoundsResult:
         self._body(self.program.body)
-        for stmt in ast.walk_statements(self.program.body):
-            if isinstance(stmt, ast.FuncDef):
-                self.env = {p: None for p in stmt.params}
-                self.me = _ME_FULL
-                self._last_it = None
-                self._body(stmt.body)
+        for func in self.summary.functions:
+            self.env = {p: None for p in func.params}
+            self.me = _ME_FULL
+            self._last_it = None
+            self._body(func.body)
         return BoundsResult(self.diags, self.index_ranges, self.pe_ranges)
 
     # -- reporting -----------------------------------------------------
@@ -674,5 +675,7 @@ def _fmt_rng(rng: Rng) -> str:
     return f"range {lo}..{hi}"
 
 
-def analyze_bounds(program: ast.Program) -> BoundsResult:
-    return BoundsAnalyzer(program).run()
+def analyze_bounds(
+    program: ast.Program, summary: ProgramSummary
+) -> BoundsResult:
+    return BoundsAnalyzer(program, summary).run()

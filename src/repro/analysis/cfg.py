@@ -26,6 +26,7 @@ reverse-postorder iteration and classic iterative dominator sets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -413,10 +414,12 @@ def build_cfg(body: list[ast.Stmt]) -> CFG:
     return CFG(blocks, exit_id)
 
 
-def build_program_cfgs(program: ast.Program) -> dict[Optional[str], CFG]:
-    """CFGs for the main body (key ``None``) and every function."""
-    out: dict[Optional[str], CFG] = {None: build_cfg(program.body)}
-    for stmt in ast.walk_statements(program.body):
-        if isinstance(stmt, ast.FuncDef):
-            out[stmt.name] = build_cfg(stmt.body)
+def build_program_cfgs(
+    program: ast.Program, functions: Sequence[ast.FuncDef]
+) -> list[tuple[Optional[ast.FuncDef], CFG]]:
+    """The main body's CFG (owner ``None``), then one per definition."""
+    out: list[tuple[Optional[ast.FuncDef], CFG]] = [
+        (None, build_cfg(program.body))
+    ]
+    out.extend((func, build_cfg(func.body)) for func in functions)
     return out

@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 from ..lang import ast
 from ..lang.errors import SourcePos
-from .cfg import BasicBlock, Branch, CfgStmt, Term
+from .cfg import BasicBlock, Branch, CfgStmt
 from .dataflow import ForwardAnalysis, exit_state, run_forward
 from .diagnostics import Diagnostic
 from .pe_taint import TaintResult
@@ -181,12 +181,10 @@ class LockChecker:
         self.program = taint.program
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[str, SourcePos]] = set()
-        self._effects: dict[
-            str, tuple[dict[str, SourcePos], set[str], bool]
-        ] = {}
-        for stmt in ast.walk_statements(self.program.body):
-            if isinstance(stmt, ast.FuncDef):
-                self._effects[stmt.name] = self._summarise(stmt)
+        self._effects = {
+            name: self._summarise(func)
+            for name, func in taint.summary.callees.items()
+        }
 
     def report(self, code: str, message: str, pos: SourcePos) -> None:
         if (code, pos) in self._seen:
@@ -232,7 +230,7 @@ class LockChecker:
     # -- driving -------------------------------------------------------
 
     def check(self) -> list[Diagnostic]:
-        for _fname, cfg in self.taint.cfgs.items():
+        for _func, cfg in self.taint.cfgs:
             analysis = LockAnalysis(self)
             in_states = run_forward(cfg, analysis)
             final = exit_state(cfg, analysis, in_states)

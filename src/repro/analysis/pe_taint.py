@@ -38,7 +38,6 @@ from typing import Optional, Union
 
 from ..lang import ast
 from .cfg import (
-    CFG,
     BasicBlock,
     Branch,
     CfgStmt,
@@ -51,6 +50,7 @@ from .cfg import (
 )
 from .dataflow import ForwardAnalysis, run_forward
 from .diagnostics import Diagnostic
+from .summary import ProgramSummary
 
 #: Taint state: frozenset of PE-dependent variable names ("IT" included).
 TaintState = frozenset[str]
@@ -74,11 +74,12 @@ def expr_taint(expr: ast.Expr, state: TaintState) -> bool:
 
 
 class TaintAnalysis(ForwardAnalysis[TaintState]):
-    def __init__(self, owner: "TaintResult") -> None:
+    def __init__(self, owner: "TaintResult", params: TaintState) -> None:
         self.owner = owner
+        self.params = params
 
     def boundary(self) -> TaintState:
-        return frozenset(self.owner.boundary_taint)
+        return self.params
 
     def join(self, a: TaintState, b: TaintState) -> TaintState:
         return a | b
@@ -170,13 +171,11 @@ def _target_name(target: ast.Expr) -> Optional[str]:
 class TaintResult:
     """Fixpoint taint facts for a whole program."""
 
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, summary: ProgramSummary) -> None:
         self.program = program
-        self.cfgs = build_program_cfgs(program)
+        self.summary = summary
+        self.cfgs = build_program_cfgs(program, summary.functions)
         self.branch_divergent: dict[int, bool] = {}
-        self.block_states: dict[Optional[str], dict[int, TaintState]] = {}
-        #: function parameters are conservatively PE-dependent
-        self.boundary_taint: set[str] = set()
         self._changed = False
         self._solve()
 
@@ -195,20 +194,12 @@ class TaintResult:
         # terminates in at most |branches| rounds.
         for _round in range(len(self.branch_divergent) + 64):
             self._changed = False
-            for fname, cfg in self.cfgs.items():
-                self.boundary_taint = (
-                    set() if fname is None else self._param_set(fname)
-                )
-                analysis = TaintAnalysis(self)
-                self.block_states[fname] = run_forward(cfg, analysis)
+            for func, cfg in self.cfgs:
+                # a function's parameters are conservatively PE-dependent
+                params = frozenset(func.params if func is not None else ())
+                run_forward(cfg, TaintAnalysis(self, params))
             if not self._changed:
                 break
-
-    def _param_set(self, fname: str) -> set[str]:
-        for stmt in ast.walk_statements(self.program.body):
-            if isinstance(stmt, ast.FuncDef) and stmt.name == fname:
-                return set(stmt.params)
-        return set()
 
     def is_divergent(
         self, node: Union[ast.If, ast.Switch, ast.Loop]
@@ -216,8 +207,10 @@ class TaintResult:
         return self.branch_divergent.get(id(node), False)
 
 
-def analyze_taint(program: ast.Program) -> TaintResult:
-    return TaintResult(program)
+def analyze_taint(
+    program: ast.Program, summary: ProgramSummary
+) -> TaintResult:
+    return TaintResult(program, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +233,6 @@ class BarrierChecker:
         self.taint = taint
         self.diags: list[Diagnostic] = []
         self._flagged: set[int] = set()  # id(Hugz) already reported
-        self.functions: dict[str, ast.FuncDef] = {
-            s.name: s
-            for s in ast.walk_statements(taint.program.body)
-            if isinstance(s, ast.FuncDef)
-        }
         self._summaries: dict[str, int] = {}
         self._in_progress: set[str] = set()
 
@@ -253,7 +241,7 @@ class BarrierChecker:
     def call_count(self, fname: str) -> int:
         if fname in self._summaries:
             return self._summaries[fname]
-        func = self.functions.get(fname)
+        func = self.taint.summary.callees.get(fname)
         if func is None or fname in self._in_progress:
             return 0  # unknown callee / recursion: assume barrier-free
         self._in_progress.add(fname)
@@ -276,7 +264,7 @@ class BarrierChecker:
         count, _br, ret = self._body(self.taint.program.body, quiet=False)
         if ret == _DIVERGENT and count != 0:
             self._flag_region(self.taint.program.body)
-        for func in self.functions.values():
+        for func in self.taint.summary.functions:
             count, _br, ret = self._body(func.body, quiet=False)
             if ret == _DIVERGENT and count != 0:
                 self._flag_region(func.body)

@@ -196,19 +196,14 @@ class RaceChecker:
     def __init__(self, taint: TaintResult, bounds: BoundsResult) -> None:
         self.taint = taint
         self.bounds = bounds
-        self.program = taint.program
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[int, int, str]] = set()
-        self.symmetric: set[str] = {
-            s.name
-            for s in ast.walk_statements(self.program.body)
-            if isinstance(s, ast.VarDecl) and s.scope == "WE"
-        }
+        self.symmetric = taint.summary.symmetric
         self.pos_of: dict[WriteKey, SourcePos] = {}
-        self.summaries: dict[str, tuple[list[_Access], bool]] = {}
-        for stmt in ast.walk_statements(self.program.body):
-            if isinstance(stmt, ast.FuncDef):
-                self.summaries[stmt.name] = self._summarise(stmt)
+        self.summaries = {
+            name: self._summarise(func)
+            for name, func in taint.summary.callees.items()
+        }
 
     # -- reporting -----------------------------------------------------
 
@@ -378,7 +373,7 @@ class RaceChecker:
     def check(self) -> list[Diagnostic]:
         if not self.symmetric:
             return []
-        for _fname, cfg in self.taint.cfgs.items():
+        for _func, cfg in self.taint.cfgs:
             run_forward(cfg, RaceAnalysis(self))
         return self.diags
 

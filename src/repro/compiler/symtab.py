@@ -36,7 +36,6 @@ class SymbolInfo:
     is_array: bool = False
     size_expr: Optional[ast.Expr] = None
     shared_lock: bool = False
-    assigned_in_functions: set = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -45,7 +44,6 @@ class FunctionInfo:
     params: list[str]
     node: ast.FuncDef
     locals: dict[str, SymbolInfo] = field(default_factory=dict)
-    assigns_globals: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -114,19 +112,6 @@ def analyze(program: ast.Program, *, allow_srs: bool = False) -> SymbolTable:
                 table.functions[stmt.name] = finfo
                 scan_block(stmt.body, finfo)
                 continue
-            if isinstance(stmt, ast.Loop) and stmt.var is not None:
-                target = table.globals if func is None else func.locals
-                # Loop counters are loop-local; track them so codegen can
-                # initialise them, but do not clobber an outer declaration.
-                key = f"{stmt.label}${stmt.var}"
-                del key  # loop vars handled directly by codegen
-            if isinstance(stmt, ast.Assign) and func is not None:
-                tgt = stmt.target
-                base = tgt.base if isinstance(tgt, ast.Index) else tgt
-                if isinstance(base, ast.VarRef):
-                    name = base.name
-                    if name not in func.locals and name not in func.params:
-                        func.assigns_globals.append(name)
             for expr in ast.stmt_exprs(stmt):
                 for sub in ast.walk_expr(expr):
                     if isinstance(sub, ast.RandomExpr):

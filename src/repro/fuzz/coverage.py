@@ -11,9 +11,11 @@ The signal is deliberately cheap and engine-native — no tracing hooks:
   ``PUT_BARRIER``, ``GET_BIN``) changes exactly these pairs, so a
   candidate that tickles a new fusion pattern registers as new coverage.
 * **CFG edge shapes** — edges from the analysis package's control-flow
-  graphs, abstracted to (block-kind, successor-kind, nesting-depth)
-  triples so they generalize across programs instead of keying on
-  per-program block ids.
+  graphs (one per function definition), abstracted to (scope,
+  block-kind, successor-kind) triples so they generalize across
+  programs instead of keying on per-program block ids.  A block's kind
+  is its parallel content (barrier, lock, TXT) or else its terminator
+  (loop head, branch).
 
 A :class:`CoverageMap` accumulates the global feature set; candidates
 contributing unseen features are "interesting" and enter the fuzzer's
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from ..analysis.cfg import CFG, Branch, Dispatch, TxtPe, build_program_cfgs
+from ..analysis.summary import summarize
 from ..lang import ast
 
 Feature = tuple
@@ -85,33 +89,38 @@ def bigram_features(source: str, filename: str = "<fuzz>") -> set[Feature]:
 
 def cfg_features(program: ast.Program) -> set[Feature]:
     """Structural edge features from the analysis CFGs."""
-    from ..analysis.cfg import build_program_cfgs
-
     feats: set[Feature] = set()
     try:
-        cfgs = build_program_cfgs(program)
+        cfgs = build_program_cfgs(program, summarize(program).functions)
     except Exception:
         return feats
-    for key, cfg in cfgs.items():
-        scope = "main" if key is None else "func"
+    for func, cfg in cfgs:
+        scope = "main" if func is None else "func"
         for block in cfg.blocks:
-            kind = _block_kind(block)
+            kind = _block_kind(cfg, block.bid)
             for succ in block.succs:
-                sblock = cfg.blocks[succ] if succ < len(cfg.blocks) else None
-                skind = _block_kind(sblock) if sblock is not None else "exit"
-                feats.add(("edge", scope, kind, skind))
+                feats.add(("edge", scope, kind, _block_kind(cfg, succ)))
     return feats
 
 
-def _block_kind(block) -> str:
-    stmts = getattr(block, "stmts", None) or []
-    if not stmts:
-        return "empty"
-    names = {type(s).__name__ for s in stmts}
-    for marker in ("Hugz", "LockStmt", "TxtStmt", "Loop", "If", "Switch"):
-        if marker in names:
-            return marker
-    return type(stmts[0]).__name__
+def _block_kind(cfg: CFG, bid: int) -> str:
+    """Classify a block by its parallel content, then by its terminator."""
+    if bid == cfg.exit:
+        return "exit"
+    block = cfg.blocks[bid]
+    kinds = {type(stmt) for stmt, _ctx in block.stmts}
+    if ast.Hugz in kinds:
+        return "barrier"
+    if ast.LockStmt in kinds:
+        return "lock"
+    if TxtPe in kinds or any(ctx is not None for _s, ctx in block.stmts):
+        return "txt"
+    term = block.term
+    if isinstance(term, Branch) and isinstance(term.owner, ast.Loop):
+        return "loop"
+    if isinstance(term, (Branch, Dispatch)):
+        return "branch"
+    return "plain" if kinds else "empty"
 
 
 class CoverageMap:

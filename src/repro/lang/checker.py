@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import analyze_program
+from ..analysis import ProgramSummary, analyze_program, summarize
 from ..analysis.diagnostics import Diagnostic, FixIt, sort_key
 from . import ast
 from .errors import SourcePos
@@ -86,19 +86,19 @@ class _Scope:
 class Checker:
     """The scope/type pass: ``E001``–``E007`` and ``W104``."""
 
-    def __init__(self, program: ast.Program) -> None:
+    def __init__(self, program: ast.Program, summary: ProgramSummary) -> None:
         self.program = program
         self.diags: list[Diagnostic] = []
-        self.functions: dict[str, ast.FuncDef] = {}
+        #: name -> parameter counts of every definition (each may be live)
+        self.arities: dict[str, set[int]] = {}
+        for func in summary.functions:
+            self.arities.setdefault(func.name, set()).add(len(func.params))
         self.txt_depth = 0
         self._scopes_for_unused: list[_Scope] = []
 
     # -- public ------------------------------------------------------------
 
     def run(self) -> list[Diagnostic]:
-        for stmt in self.program.body:
-            if isinstance(stmt, ast.FuncDef):
-                self.functions[stmt.name] = stmt
         root = _Scope()
         self._scopes_for_unused.append(root)
         self.check_block(self.program.body, root)
@@ -272,15 +272,16 @@ class Checker:
                 self._check_var(sub, scope, is_write=False,
                                 indexed=_is_index_base(expr, sub))
             elif isinstance(sub, ast.FuncCall):
-                func = self.functions.get(sub.name)
-                if func is None:
+                arities = self.arities.get(sub.name)
+                if arities is None:
                     self._err(
                         "E006", f"no function named '{sub.name}'", sub.pos
                     )
-                elif len(sub.args) != len(func.params):
+                elif len(sub.args) not in arities:
+                    wants = " or ".join(str(n) for n in sorted(arities))
                     self._err(
                         "E006",
-                        f"function '{sub.name}' wants {len(func.params)} "
+                        f"function '{sub.name}' wants {wants} "
                         f"arguments, got {len(sub.args)}",
                         sub.pos,
                     )
@@ -325,8 +326,9 @@ def _is_index_base(root: ast.Expr, ref: ast.VarRef) -> bool:
 
 def check_program(program: ast.Program) -> list[Diagnostic]:
     """Scope/type pass plus the full CFG analysis stack, sorted."""
-    diags = Checker(program).run()
-    diags.extend(analyze_program(program))
+    summary = summarize(program)
+    diags = Checker(program, summary).run()
+    diags.extend(analyze_program(program, summary))
     diags.sort(key=sort_key)
     return diags
 

@@ -192,17 +192,14 @@ class VMCompiler:
         # the per-op FLOP counters, so step limits and FLOP tracing both
         # disable it outright (every bail path stays correct).
         self.vectorize = vectorize and not count_steps and not count_flops
-        # Whole-program facts from the static analyzer let the
-        # vectorizer admit plans that are only sound under a proven
-        # property (e.g. a symmetric trip count no peer ever writes).
+        # Symmetric names no peer ever stores to (from the static
+        # analyzer's program summary) let the vectorizer hoist a
+        # symmetric trip count out of its loop.
+        self.remote_unwritten: frozenset[str] = frozenset()
         if self.vectorize:
-            from ..analysis.facts import compute_facts
+            from ..analysis.summary import summarize
 
-            self.facts = compute_facts(program)
-        else:
-            from ..analysis.facts import ProgramFacts
-
-            self.facts = ProgramFacts()
+            self.remote_unwritten = summarize(program).remote_unwritten
         self.root_layout = FrameLayout()
         self.root_scope = ScopeStack(self.root_layout)
         self._pending_funcs: list[tuple[ast.FuncDef, VMFunction]] = []

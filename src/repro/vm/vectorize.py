@@ -503,11 +503,11 @@ class _Analyzer:
             # off, and symmetric *writes* always bail).  In the limit
             # position the read is hoisted across the whole loop, which
             # is only sound when no peer can store to the symbol: the
-            # static analyzer proves that (facts.remote_unwritten).
+            # static analyzer proves that (summary.remote_unwritten).
             if info.is_array:
                 raise _Bail
             if self.in_limit and (
-                node.name not in self.compiler.facts.remote_unwritten
+                node.name not in self.compiler.remote_unwritten
             ):
                 raise _Bail
             reg = self.sym_regs.get(node.name)

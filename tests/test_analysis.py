@@ -6,7 +6,7 @@ from repro.analysis import (
     analyze_program,
     analyze_taint,
     build_cfg,
-    compute_facts,
+    summarize,
 )
 from repro.analysis.cfg import Branch, Exit, Goto
 from repro.analysis.races import EpochState, RaceAnalysis, RaceChecker
@@ -141,7 +141,7 @@ class TestTaint:
             "OIC\n"
             "KTHXBYE\n"
         )
-        taint = analyze_taint(prog)
+        taint = analyze_taint(prog, summarize(prog))
         import repro.lang.ast as ast
 
         ifs = [
@@ -162,7 +162,7 @@ class TestTaint:
             "OIC\n"
             "KTHXBYE\n"
         )
-        taint = analyze_taint(prog)
+        taint = analyze_taint(prog, summarize(prog))
         import repro.lang.ast as ast
 
         ifs = [
@@ -191,7 +191,7 @@ class TestTaint:
             "OIC\n"
             "KTHXBYE\n"
         )
-        taint = analyze_taint(prog)
+        taint = analyze_taint(prog, summarize(prog))
         import repro.lang.ast as ast
 
         ifs = [
@@ -214,7 +214,7 @@ class TestTaint:
             "OIC\n"
             "KTHXBYE\n"
         )
-        taint = analyze_taint(prog)
+        taint = analyze_taint(prog, summarize(prog))
         import repro.lang.ast as ast
 
         ifs = [
@@ -327,7 +327,10 @@ class TestRaces:
         prog = parse(RACE)
         from repro.analysis import analyze_bounds
 
-        checker = RaceChecker(analyze_taint(prog), analyze_bounds(prog))
+        summary = summarize(prog)
+        checker = RaceChecker(
+            analyze_taint(prog, summary), analyze_bounds(prog, summary)
+        )
         joined = RaceAnalysis(checker).join(a, b)
         assert joined.writes == a.writes | b.writes
 
@@ -563,7 +566,7 @@ class TestFacts:
             "TXT MAH BFF nxt, UR x R ME\n"
             "KTHXBYE\n"
         )
-        facts = compute_facts(prog)
+        facts = summarize(prog)
         assert facts.remote_unwritten == {"n"}
         assert facts.epoch_local == {"n"}
 
@@ -574,7 +577,7 @@ class TestFacts:
             "TXT MAH BFF 0, UR n R 8\n"
             "KTHXBYE\n"
         )
-        facts = compute_facts(prog)
+        facts = summarize(prog)
         assert "n" not in facts.remote_unwritten
 
 

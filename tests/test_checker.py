@@ -133,6 +133,47 @@ class TestWarningCodes:
         )
 
 
+class TestEveryDefinitionIsLive:
+    """``HOW IZ I`` binds when it runs, so each definition may be called."""
+
+    @staticmethod
+    def outputs(body: str) -> dict[str, list[str]]:
+        from repro import run_lolcode
+
+        return {
+            engine: run_lolcode(lol(body), n_pes=1, engine=engine).outputs
+            for engine in ("ast", "vm")
+        }
+
+    def test_redefinition_with_another_arity(self):
+        body = (
+            "HOW IZ I f YR a\n  FOUND YR a\nIF U SAY SO\n"
+            "VISIBLE I IZ f YR 1 MKAY\n"
+            "HOW IZ I f YR a AN YR b\n  FOUND YR SUM OF a AN b\nIF U SAY SO\n"
+            "VISIBLE I IZ f YR 1 AN YR 2 MKAY"
+        )
+        assert "E006" not in codes(body)
+        assert self.outputs(body) == {"ast": ["1\n3\n"], "vm": ["1\n3\n"]}
+
+    def test_arity_no_definition_has_is_e006(self):
+        body = (
+            "HOW IZ I f YR a\n  FOUND YR a\nIF U SAY SO\n"
+            "HOW IZ I f YR a AN YR b\n  FOUND YR b\nIF U SAY SO\n"
+            "VISIBLE I IZ f MKAY"
+        )
+        [diag] = [d for d in check_source(lol(body)) if d.code == "E006"]
+        assert diag.message == "function 'f' wants 1 or 2 arguments, got 0"
+
+    def test_definition_inside_a_branch(self):
+        body = (
+            "BOTH SAEM 1 AN 1\nO RLY?\n  YA RLY\n"
+            "    HOW IZ I g\n      FOUND YR 7\n    IF U SAY SO\nOIC\n"
+            "VISIBLE I IZ g MKAY"
+        )
+        assert "E006" not in codes(body)
+        assert self.outputs(body) == {"ast": ["7\n"], "vm": ["7\n"]}
+
+
 class TestOnPaperExamples:
     def test_barrier_example_clean(self, example_path):
         diags = check_source(example_path("barrier.lol").read_text())

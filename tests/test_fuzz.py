@@ -114,6 +114,19 @@ def test_lint_gate_discards_divergent_barrier():
     assert reason is not None and reason.startswith("lint:")
 
 
+def test_cfg_edges_classify_blocks_by_parallel_content():
+    from repro.fuzz.coverage import cfg_features
+    from repro.workloads import all_workloads
+
+    kinds = set()
+    for workload in all_workloads():
+        for _edge, _scope, kind, succ in cfg_features(
+            parse(workload.source(smoke=True))
+        ):
+            kinds |= {kind, succ}
+    assert {"barrier", "lock", "txt", "loop", "branch"} <= kinds
+
+
 # ---------------------------------------------------------------------------
 # Minimizer
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ silent.  The corpus pins the path-sensitivity upgrades in place:
   missed-path, double-acquire, and divergent-acquire variants do;
 * the Figure 2 race flags (with its insert-``HUGZ`` fix-it) and its
   ``HUGZ``-fixed twin is silent.
+* the interprocedural paths report where the bug is: a barrier, lock,
+  put or bad index inside a function, and a function defined twice
+  with both bodies checked against their own parameters.
 
 An intentional diagnostic change regenerates the snapshots with::
 
