@@ -23,6 +23,7 @@ from .native import (
     native_stats,
     run_native,
     run_native_source,
+    shutdown_native_workers,
 )
 from .symtab import CompileError, SymbolTable, analyze
 
@@ -37,6 +38,7 @@ __all__ = [
     "native_stats",
     "run_native",
     "run_native_source",
+    "shutdown_native_workers",
     "CompileError",
     "SymbolTable",
     "analyze",

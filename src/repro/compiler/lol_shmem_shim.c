@@ -16,18 +16,26 @@
  * target we care about); waits spin briefly, then yield, then sleep,
  * and give up with a diagnostic once the deadline passes so a diverged
  * program turns into a per-PE error instead of a hung test suite.
+ *
+ * The constructor at the end of this file is the fork server: armed by
+ * LOL_SHMEM_FORKSERVER=1, it turns the process into a parked PE that
+ * forks one child per job (see the launch protocol in the header).
  */
-#define _DEFAULT_SOURCE /* MAP_ANONYMOUS on glibc */
+#define _GNU_SOURCE /* memfd_create, MAP_ANONYMOUS on glibc */
 #include "lol_shmem_shim.h"
 
 #include <errno.h>
 #include <fcntl.h>
 #include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -266,4 +274,151 @@ void shmem_clear_lock(long *lock)
 {
     long *home = (long *)lol_sym_addr(lock, 0);
     __atomic_store_n(home, 0L, __ATOMIC_SEQ_CST);
+}
+
+/* -- fork server -------------------------------------------------------
+ * Runs before main.  Disarmed (no LOL_SHMEM_FORKSERVER=1) it returns at
+ * once, so standalone binaries behave exactly as before.  Armed, it
+ * never returns in the server: each job is run by a fork()ed child that
+ * returns from here into the program's unchanged main with a pristine
+ * copy of the process image -- symmetric section, file-scope data,
+ * rand() state and heap all as exec left them -- so nothing needs
+ * resetting between jobs. */
+
+static int lol_read_full(int fd, void *buf, size_t n)
+{
+    char *p = buf;
+    while (n > 0) {
+        ssize_t got = read(fd, p, n);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return 0;
+        p += got;
+        n -= (size_t)got;
+    }
+    return 1;
+}
+
+static int lol_write_full(int fd, const void *buf, size_t n)
+{
+    const char *p = buf;
+    while (n > 0) {
+        ssize_t put = write(fd, p, n);
+        if (put < 0 && errno == EINTR)
+            continue;
+        if (put <= 0)
+            return 0;
+        p += put;
+        n -= (size_t)put;
+    }
+    return 1;
+}
+
+/* Move n bytes from `from` to `to`; to < 0 discards them.  Returns 0
+ * when `from` ends early (the driver is gone). */
+static int lol_pump(int to, int from, int64_t n)
+{
+    char buf[65536];
+    while (n > 0) {
+        size_t want = n < (int64_t)sizeof buf ? (size_t)n : sizeof buf;
+        if (!lol_read_full(from, buf, want))
+            return 0;
+        if (to >= 0 && !lol_write_full(to, buf, want))
+            to = -1; /* keep the pipe framed even if the memfd failed */
+        n -= (int64_t)want;
+    }
+    return 1;
+}
+
+static int64_t lol_fd_size(int fd)
+{
+    struct stat st;
+    return fd >= 0 && fstat(fd, &st) == 0 ? (int64_t)st.st_size : 0;
+}
+
+static void lol_setenv_ll(const char *name, long long value)
+{
+    char text[32];
+    snprintf(text, sizeof text, "%lld", value);
+    setenv(name, text, 1);
+}
+
+__attribute__((constructor)) static void lol_fork_server(void)
+{
+    const char *armed = getenv("LOL_SHMEM_FORKSERVER");
+    if (armed == NULL || strcmp(armed, "1") != 0)
+        return;
+    unsetenv("LOL_SHMEM_FORKSERVER");
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    for (;;) {
+        int64_t hdr[4]; /* seed present, seed, stdin bytes, timeout ms */
+        if (!lol_read_full(0, hdr, sizeof hdr))
+            _exit(0); /* driver closed the job pipe: the set is retired */
+        int in = memfd_create("lol-stdin", MFD_CLOEXEC);
+        int out = memfd_create("lol-stdout", MFD_CLOEXEC);
+        int err = memfd_create("lol-stderr", MFD_CLOEXEC);
+        int ready = in >= 0 && out >= 0 && err >= 0;
+        if (!lol_pump(ready ? in : -1, 0, hdr[2]))
+            _exit(0);
+        if (ready)
+            lseek(in, 0, SEEK_SET);
+        pid_t pid = ready ? fork() : -1;
+        if (pid == 0) {
+            prctl(PR_SET_PDEATHSIG, SIGKILL);
+            dup2(in, 0);
+            dup2(out, 1);
+            dup2(err, 2);
+            close(in);
+            close(out);
+            close(err);
+            if (hdr[0])
+                lol_setenv_ll("LOL_SEED", (long long)hdr[1]);
+            else
+                unsetenv("LOL_SEED");
+            lol_setenv_ll("LOL_SHMEM_TIMEOUT_MS", (long long)hdr[3]);
+            return; /* into main */
+        }
+        /* Frame: exit status (minus the signal number when killed, as
+         * Python's Popen reports it), stdout bytes, stderr bytes -- sent
+         * in one write so the driver wakes once per job. */
+        int64_t frame[3] = {3, 0, 0};
+        char why[160] = "";
+        if (pid > 0) {
+            int status = 0;
+            while (waitpid(pid, &status, 0) < 0 && errno == EINTR)
+                ;
+            frame[0] = WIFSIGNALED(status) ? -(int64_t)WTERMSIG(status)
+                                           : (int64_t)WEXITSTATUS(status);
+            frame[1] = lol_fd_size(out);
+            frame[2] = lol_fd_size(err);
+        } else {
+            snprintf(why, sizeof why,
+                     "lol-shmem: fork server cannot start a job (errno: %s)\n",
+                     strerror(errno));
+            frame[2] = (int64_t)strlen(why);
+        }
+        size_t total = sizeof frame + (size_t)frame[1] + (size_t)frame[2];
+        char *reply = malloc(total);
+        if (reply == NULL)
+            _exit(0);
+        memcpy(reply, frame, sizeof frame);
+        char *body = reply + sizeof frame;
+        if (pid > 0) {
+            if (pread(out, body, (size_t)frame[1], 0) != frame[1] ||
+                pread(err, body + frame[1], (size_t)frame[2], 0) != frame[2])
+                _exit(0);
+        } else {
+            memcpy(body, why, (size_t)frame[2]);
+        }
+        if (!lol_write_full(1, reply, total))
+            _exit(0);
+        free(reply);
+        if (in >= 0)
+            close(in);
+        if (out >= 0)
+            close(out);
+        if (err >= 0)
+            close(err);
+    }
 }

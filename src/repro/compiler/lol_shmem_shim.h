@@ -26,9 +26,37 @@
  *                         may be omitted when NPES is 1, in which case
  *                         the binary runs standalone in private memory
  *   LOL_SHMEM_TIMEOUT_MS  barrier/lock deadline (default 120000)
+ *   LOL_SHMEM_FORKSERVER  "1" arms the fork server below; internal to
+ *                         the driver, never a user setting
  *
  * A binary built by `lolcc --build` therefore runs directly as a
  * serial program with no environment at all.
+ *
+ * Fork server.  Exec, dynamic linking and libc start-up cost more than
+ * most jobs, so the driver starts each PE's process once per (binary,
+ * NPES) and parks it.  Armed, a constructor in the shim reads jobs from
+ * fd 0 before main ever runs.  Each job is a header of four native-
+ * endian int64s
+ *
+ *   seed present (0/1), seed, stdin byte count, timeout in ms
+ *
+ * followed by that many stdin bytes.  For each job the server makes
+ * memfds for the child's stdin/stdout/stderr and fork()s; the child
+ * points fds 0-2 at them, sets or unsets LOL_SEED, sets
+ * LOL_SHMEM_TIMEOUT_MS, and returns from the constructor into main.
+ * The server waits for the child and writes one frame to fd 1: three
+ * int64s
+ *
+ *   exit status (minus the signal number if killed), stdout bytes,
+ *   stderr bytes
+ *
+ * then the stdout and stderr bytes.  EOF on fd 0 retires the server.
+ * Forking rather than looping inside main is the point: every job
+ * starts from the image exec produced -- symmetric section, file-scope
+ * data, rand() state and the heap the lol_fmt_* helpers never free --
+ * so no reset code exists to get wrong.  The driver truncates
+ * LOL_SHMEM_FILE to zero before each job, so shmem_init re-zeroes the
+ * control page (barrier state and abort flag) of the previous job.
  */
 #ifndef LOL_SHMEM_SHIM_H
 #define LOL_SHMEM_SHIM_H

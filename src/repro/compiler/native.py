@@ -5,16 +5,21 @@ cannot provide: after :func:`~repro.compiler.c_backend.compile_c` emits
 the translation unit, something must play the role of ``cc`` plus
 ``coprsh -np 16 ./x``.  On a development machine that is:
 
-1. :func:`build_native` — write the TU next to the bundled single-node
-   SHMEM shim (``lol_shmem_shim.c``/``.h``), invoke the system C
-   compiler, and cache the binary on disk under ``~/.cache/repro-lcc``
+1. :func:`build_native` — compile the TU with the system C compiler,
+   link it against the bundled single-node SHMEM shim
+   (``lol_shmem_shim.c``/``.h``, itself compiled once to a cached
+   object), and cache the binary on disk under ``~/.cache/repro-lcc``
    (override with ``$LOL_CC_CACHE``) keyed by the SHA-256 of the folded
    C text + shim sources + compiler + flags, with a single-flight guard
    so concurrent identical builds compile once;
-2. :func:`run_native` — launch ``n_pes`` OS processes of that binary
-   around a fresh shared world file (``/dev/shm`` when available),
-   capture each PE's stdout/exit status, and marshal them into the
-   standard :class:`~repro.shmem.runtime_threads.SpmdResult` shape.
+2. :func:`run_native` — run one job on a warm set of ``n_pes`` parked
+   fork servers of that binary around a shared world file (``/dev/shm``
+   when available): each PE forks a pristine child per job, and each
+   child's stdout/exit status come back over a pipe and are marshalled
+   into the standard :class:`~repro.shmem.runtime_threads.SpmdResult`
+   shape.  Sets are started once per (binary, ``n_pes``) and parked in
+   a small LRU; :func:`shutdown_native_workers` (also run at exit)
+   stops them.
 
 Missing toolchains raise :class:`NativeToolchainError` (distinct from
 program-level :class:`~repro.compiler.symtab.CompileError` restrictions)
@@ -32,17 +37,23 @@ helper built on that fact).
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import locale
 import os
 import pathlib
+import queue
+import select
 import shutil
+import signal
+import struct
 import subprocess
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .. import obs as _obs
 from ..faults import inject
@@ -53,6 +64,8 @@ from ..shmem.runtime_threads import SpmdResult
 from ..singleflight import SingleFlight
 from .c_backend import compile_c
 from .symtab import analyze
+
+T = TypeVar("T")
 
 _SHIM_DIR = pathlib.Path(__file__).resolve().parent
 SHIM_HEADER = _SHIM_DIR / "lol_shmem_shim.h"
@@ -83,11 +96,20 @@ DEFAULT_BUILD_RETRIES = 2
 #: counter family labelled by event, so ``lolserve stats`` (``native``)
 #: and the Prometheus ``metrics`` op read the *same* series — the
 #: registry is the single source of truth, not a copy that can drift.
-_NATIVE_EVENTS = ("builds", "cache_hits", "corrupt_rebuilds", "transient_retries")
+_NATIVE_EVENTS = (
+    "builds",
+    "cache_hits",
+    "corrupt_rebuilds",
+    "transient_retries",
+    "warm_hits",
+    "spawns",
+    "respawns",
+)
 _M_NATIVE = _obs.get_registry().counter(
     "lol_native_events_total",
-    "Native build/cache events (builds, cache hits, corrupt rebuilds, "
-    "transient cc retries)",
+    "Native build/cache/launch events (builds, cache hits, corrupt "
+    "rebuilds, transient cc retries, warm fork-server hits, set spawns, "
+    "respawns of dead sets)",
 )
 
 
@@ -96,8 +118,15 @@ def _bump(key: str) -> None:
 
 
 def native_stats() -> dict:
-    """Snapshot of the native build/cache counters (the ``native``
-    block of ``lolserve stats``) — read straight off the registry."""
+    """Snapshot of the native counters (the ``native`` block of
+    ``lolserve stats``) — read straight off the registry.
+
+    ``builds``/``cache_hits`` count program binaries (the shared shim
+    object is not counted); ``corrupt_rebuilds``/``transient_retries``
+    count both.  ``warm_hits`` are jobs run on a parked fork-server set,
+    ``spawns`` sets started, and ``respawns`` parked sets found dead and
+    replaced (each also counts as a spawn).
+    """
     return {key: int(_M_NATIVE.value(event=key)) for key in _NATIVE_EVENTS}
 
 
@@ -208,27 +237,30 @@ def _verify_cached(binary: pathlib.Path) -> bool:
 
 
 def _apply_cache_fault(binary: pathlib.Path, kind: str) -> None:
-    """Damage a cached binary in place (``native.cache`` injection).
+    """Damage a cached binary on disk (``native.cache`` injection).
 
     Corruption happens to real cache files in the real cache directory,
     so the verification path under test is exactly the production one.
+    The damaged bytes replace the file rather than being written into
+    it: a binary that parked fork servers are executing cannot be opened
+    for writing (``ETXTBSY``), while a replacement models the same
+    on-disk damage.
     """
     try:
+        data = bytearray(binary.read_bytes())
+        size = len(data)
         if kind == "truncate":
-            size = binary.stat().st_size
-            with open(binary, "r+b") as fh:
-                fh.truncate(max(1, size // 2))
+            del data[max(1, size // 2) :]
         elif kind == "corrupt":
-            size = binary.stat().st_size
-            with open(binary, "r+b") as fh:
-                fh.seek(size // 2)
-                span = fh.read(min(16, max(1, size - size // 2)))
-                # XOR, not overwrite-with-a-pattern: the region might
-                # already hold that pattern (ELF padding is zeros), and
-                # a "corruption" that leaves the bytes unchanged tests
-                # nothing.
-                fh.seek(size // 2)
-                fh.write(bytes(b ^ 0xFF for b in span))
+            # XOR, not overwrite-with-a-pattern: the region might
+            # already hold that pattern (ELF padding is zeros), and a
+            # "corruption" that leaves the bytes unchanged tests nothing.
+            for i in range(size // 2, min(size, size // 2 + 16)):
+                data[i] ^= 0xFF
+        damaged = binary.parent / (binary.name + ".damaged")
+        damaged.write_bytes(bytes(data))
+        os.chmod(damaged, binary.stat().st_mode)
+        os.replace(damaged, binary)
     except OSError:
         pass
 
@@ -293,94 +325,19 @@ def build_native(
     ).hexdigest()
     binary = cache_dir() / f"lol-{digest[:24]}"
 
-    def _build() -> pathlib.Path:
-        if binary.exists():
-            # Warm hit (possibly from a concurrent builder) — verified
-            # against its recorded checksum before reuse.
-            rule = inject("native.cache")
-            if rule is not None:
-                _apply_cache_fault(binary, rule.kind)
-            if _verify_cached(binary):
-                _bump("cache_hits")
-                return binary
-        workdir = pathlib.Path(
-            tempfile.mkdtemp(prefix="build-", dir=cache_dir())
-        )
-        rt = _obs.ACTIVE
-        t0 = time.perf_counter() if rt is not None else 0.0
-        try:
-            tu = workdir / "program.c"
-            tu.write_text(c_source)
-            tmp_bin = workdir / "program"
-            retries = int(
-                os.environ.get("LOL_BUILD_RETRIES", DEFAULT_BUILD_RETRIES)
-            )
-            attempts = 1 + max(0, retries)
-            for attempt in range(1, attempts + 1):
-                rule = inject("native.build")
-                if rule is not None and rule.kind == "fail":
-                    # Injected transient toolchain failure (a cc OOM
-                    # kill, a flaky NFS cache dir, ...).
-                    if attempt < attempts:
-                        _bump("transient_retries")
-                        continue
-                    raise NativeBuildTransientError(
-                        f"injected fault at site 'native.build' exhausted "
-                        f"{attempts} build attempts"
-                    )
-                proc = subprocess.run(
-                    [
-                        cc,
-                        *CFLAGS,
-                        "-DLOL_SHMEM_SHIM",
-                        f"-I{_SHIM_DIR}",
-                        str(tu),
-                        str(SHIM_SOURCE),
-                        "-o",
-                        str(tmp_bin),
-                        "-lm",
-                    ],
-                    capture_output=True,
-                    text=True,
-                )
-                if proc.returncode == 0:
-                    break
-                if proc.returncode < 0:
-                    # Killed by a signal: environmental, not a verdict
-                    # on the generated C — retry within budget.
-                    if attempt < attempts:
-                        _bump("transient_retries")
-                        continue
-                    raise NativeBuildTransientError(
-                        f"{cc} was killed by signal {-proc.returncode} "
-                        f"on all {attempts} attempts:\n{proc.stderr.strip()}"
-                    )
-                raise NativeBuildError(
-                    f"{cc} rejected the generated C "
-                    f"(exit {proc.returncode}):\n{proc.stderr.strip()}"
-                )
-            # Record the binary's own checksum *before* publishing the
-            # binary: a reader that can see the binary can always see
-            # its checksum (the reverse orphan is harmlessly evicted).
-            digest = hashlib.sha256(tmp_bin.read_bytes()).hexdigest()
-            tmp_sum = workdir / "program.sha256"
-            tmp_sum.write_text(digest + "\n")
-            os.replace(tmp_sum, _checksum_path(binary))
-            os.replace(tmp_bin, binary)  # atomic vs. concurrent builders
-            _bump("builds")
-            if rt is not None and rt.trace_on:
-                rt.tracer.complete(
-                    "build",
-                    "cc",
-                    t0,
-                    time.perf_counter() - t0,
-                    args={"cc": cc, "binary": binary.name, "attempts": attempt},
-                )
-            return binary
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
+    def _link(workdir: pathlib.Path, out: pathlib.Path) -> list[str]:
+        tu = workdir / "program.c"
+        tu.write_text(c_source)
+        return [
+            *_cc_argv(cc),
+            str(tu),
+            str(_shim_object(cc)),
+            "-o",
+            str(out),
+            "-lm",
+        ]
 
-    built = _build_flight.guard(str(binary), _build)
+    built = _cached_build(binary, cc, _link, program=True)
     with _BUILD_MEMO_LOCK:
         if len(_BUILD_MEMO) >= _BUILD_MEMO_MAX:
             _BUILD_MEMO.clear()  # whole-source keys: a flat reset is fine
@@ -388,26 +345,429 @@ def build_native(
     return built
 
 
+def _cc_argv(cc: str) -> list[str]:
+    return [cc, *CFLAGS, "-DLOL_SHMEM_SHIM", f"-I{_SHIM_DIR}"]
+
+
+def _shim_object(cc: str) -> pathlib.Path:
+    """The shim compiled once to a cached object file for ``cc``.
+
+    Every program build links this object instead of recompiling the
+    shim; it is keyed on both shim sources, the compiler and the flags,
+    and verified like a binary before each reuse.
+    """
+    shim_header, shim_source = _shim_sources()
+    digest = hashlib.sha256(
+        "\x00".join([shim_header, shim_source, cc, " ".join(CFLAGS)]).encode()
+    ).hexdigest()
+    obj = cache_dir() / f"shim-{digest[:24]}.o"
+
+    def _compile(workdir: pathlib.Path, out: pathlib.Path) -> list[str]:
+        return [*_cc_argv(cc), "-c", str(SHIM_SOURCE), "-o", str(out)]
+
+    return _cached_build(obj, cc, _compile, program=False)
+
+
+def _cached_build(
+    target: pathlib.Path,
+    cc: str,
+    argv: Callable[[pathlib.Path, pathlib.Path], list[str]],
+    *,
+    program: bool,
+) -> pathlib.Path:
+    """Produce ``target`` with ``cc`` unless a verified copy is cached.
+
+    ``argv(workdir, out)`` returns the compiler command writing ``out``.
+    Single-flight guarded per target; the result is published with an
+    atomic rename after its sha256 sidecar.  ``program`` selects whether
+    the ``builds``/``cache_hits`` counters (which count program
+    binaries) move.
+    """
+
+    def _build() -> pathlib.Path:
+        if target.exists():
+            # Warm hit (possibly from a concurrent builder) — verified
+            # against its recorded checksum before reuse.
+            rule = inject("native.cache")
+            if rule is not None:
+                _apply_cache_fault(target, rule.kind)
+            if _verify_cached(target):
+                if program:
+                    _bump("cache_hits")
+                return target
+        workdir = pathlib.Path(
+            tempfile.mkdtemp(prefix="build-", dir=cache_dir())
+        )
+        rt = _obs.ACTIVE
+        t0 = time.perf_counter() if rt is not None else 0.0
+        try:
+            out = workdir / "out"
+            attempts = _run_cc(
+                cc,
+                argv(workdir, out),
+                "the generated C" if program else "the SHMEM shim",
+            )
+            # Record the artifact's own checksum *before* publishing it:
+            # a reader that can see the artifact can always see its
+            # checksum (the reverse orphan is harmlessly evicted).
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            tmp_sum = workdir / "out.sha256"
+            tmp_sum.write_text(digest + "\n")
+            os.replace(tmp_sum, _checksum_path(target))
+            os.replace(out, target)  # atomic vs. concurrent builders
+            if program:
+                _bump("builds")
+            if rt is not None and rt.trace_on:
+                rt.tracer.complete(
+                    "build",
+                    "cc",
+                    t0,
+                    time.perf_counter() - t0,
+                    args={
+                        "cc": cc,
+                        "binary": target.name,
+                        "attempts": attempts,
+                    },
+                )
+            return target
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    return _build_flight.guard(str(target), _build)
+
+
+def _run_cc(cc: str, argv: list[str], what: str) -> int:
+    """Run one compiler command building ``what``, retrying transient
+    failures; returns the number of attempts it took."""
+    retries = int(os.environ.get("LOL_BUILD_RETRIES", DEFAULT_BUILD_RETRIES))
+    attempts = 1 + max(0, retries)
+    for attempt in range(1, attempts + 1):
+        rule = inject("native.build")
+        if rule is not None and rule.kind == "fail":
+            # Injected transient toolchain failure (a cc OOM kill, a
+            # flaky NFS cache dir, ...).
+            if attempt < attempts:
+                _bump("transient_retries")
+                continue
+            raise NativeBuildTransientError(
+                f"injected fault at site 'native.build' exhausted "
+                f"{attempts} build attempts"
+            )
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        if proc.returncode == 0:
+            return attempt
+        if proc.returncode < 0:
+            # Killed by a signal: environmental, not a verdict on the
+            # generated C — retry within budget.
+            if attempt < attempts:
+                _bump("transient_retries")
+                continue
+            raise NativeBuildTransientError(
+                f"{cc} was killed by signal {-proc.returncode} "
+                f"on all {attempts} attempts:\n{proc.stderr.strip()}"
+            )
+        raise NativeBuildError(
+            f"{cc} rejected {what} "
+            f"(exit {proc.returncode}):\n{proc.stderr.strip()}"
+        )
+    raise AssertionError("unreachable: the loop returns or raises")
+
+
 def _shm_dir() -> Optional[str]:
     """Preferred directory for the world file (RAM-backed when possible)."""
     return "/dev/shm" if os.path.isdir("/dev/shm") else None
 
 
-def _drain(
-    proc: subprocess.Popen,
-    stdin_data: Optional[str],
-    deadline: float,
-) -> tuple[int, str, str, bool]:
-    """Feed stdin / collect output for one PE; returns (rc, out, err, late)."""
-    try:
-        out, err = proc.communicate(
-            input=stdin_data, timeout=max(0.1, deadline - time.monotonic())
+# -- warm fork-server sets ---------------------------------------------------
+#
+# ``run_native`` never execs a binary per job.  Each (binary, n_pes) gets a
+# set of n_pes parked fork servers (the shim's constructor, armed by
+# LOL_SHMEM_FORKSERVER=1) around one world file; a job is a header plus
+# stdin bytes written to every server, answered by one frame per PE once
+# that PE's forked child has exited.  The byte layouts are documented in
+# lol_shmem_shim.h.
+
+_HEADER = struct.Struct("=qqqq")  # seed present, seed, stdin bytes, timeout ms
+_FRAME = struct.Struct("=qqq")  # exit status, stdout bytes, stderr bytes
+
+#: Idle warm sets kept parked, least recently used evicted first.
+_WARM_SETS_MAX = 8
+
+
+def _text(data: bytes) -> str:
+    """Decode a PE's output exactly as ``Popen(text=True)`` would."""
+    text = data.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Spawner:
+    """Starts every fork server from one long-lived thread.
+
+    The servers set ``PR_SET_PDEATHSIG``, which the kernel fires when
+    the *thread* that forked them exits, not the process.  Spawned from
+    a short-lived caller thread, a set would die under the next caller
+    that checked it out.
+    """
+
+    def __init__(self) -> None:
+        self.forget()
+
+    def forget(self) -> None:
+        """Start over (also after ``fork``: the thread does not exist in
+        the child)."""
+        self._lock = threading.Lock()
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: Optional[threading.Thread] = None
+
+    def call(self, fn: Callable[[], T]) -> T:
+        with self._lock:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="lol-native-spawner", daemon=True
+                )
+                self._thread.start()
+        done: Future = Future()
+        self._queue.put((fn, done))
+        return done.result()
+
+    def _loop(self) -> None:
+        while True:
+            fn, done = self._queue.get()
+            try:
+                done.set_result(fn())
+            except BaseException as exc:  # handed to the caller
+                done.set_exception(exc)
+
+
+_SPAWNER = _Spawner()
+
+
+class _ForkServerSet:
+    """``n_pes`` parked fork servers of one binary, sharing a world file.
+
+    Each server leads its own process group, which its forked job
+    children join, so :meth:`kill` takes out servers and children alike.
+    """
+
+    def __init__(self, binary: pathlib.Path, n_pes: int) -> None:
+        self.world_fd, self.world = tempfile.mkstemp(
+            prefix="lol-world-", dir=_shm_dir()
         )
-        return proc.returncode, out, err, False
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        out, err = proc.communicate()
-        return proc.returncode, out or "", err or "", True
+        self.procs: list[subprocess.Popen] = []
+        try:
+            _SPAWNER.call(lambda: self._spawn(binary, n_pes))
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self, binary: pathlib.Path, n_pes: int) -> None:
+        for pe in range(n_pes):
+            env = dict(os.environ)
+            env["LOL_SHMEM_FORKSERVER"] = "1"
+            env["LOL_SHMEM_PE"] = str(pe)
+            env["LOL_SHMEM_NPES"] = str(n_pes)
+            env["LOL_SHMEM_FILE"] = self.world
+            self.procs.append(
+                subprocess.Popen(
+                    [str(binary)],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                    env=env,
+                    bufsize=0,
+                    start_new_session=True,
+                )
+            )
+
+    def alive(self) -> bool:
+        """Every server still running (checked without reaping, so a
+        dead server's pid stays reserved until :meth:`close`)."""
+        for proc in self.procs:
+            if proc.returncode is not None:
+                return False
+            try:
+                if os.waitid(
+                    os.P_PID, proc.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT
+                ) is not None:
+                    return False
+            except ChildProcessError:
+                return False
+        return True
+
+    def kill_server(self, pe: int) -> None:
+        """SIGKILL one parked server and wait until it is dead (the
+        ``native.worker`` fault)."""
+        proc = self.procs[pe]
+        os.kill(proc.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+
+    def kill(self) -> None:
+        """SIGKILL every server's process group; safe from any thread."""
+        for proc in self.procs:
+            if proc.returncode is None:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+
+    def close(self) -> None:
+        self.kill()
+        for proc in self.procs:
+            for pipe in (proc.stdin, proc.stdout):
+                if pipe is not None:
+                    pipe.close()
+            proc.wait()
+        os.close(self.world_fd)
+        try:
+            os.unlink(self.world)
+        except OSError:
+            pass
+
+    def run(
+        self,
+        feeds: list[bytes],
+        seed: Optional[int],
+        timeout_ms: int,
+        deadline: float,
+    ) -> tuple[list, list[int], Optional[int]]:
+        """Dispatch one job to every server and collect the frames.
+
+        Returns ``(frames, late, dead)``: ``frames[pe]`` is ``(rc, out,
+        err)`` or ``None``; ``late`` lists PEs without a frame at the
+        deadline; ``dead`` is the first PE whose server died mid-job.
+        The set is only reusable when ``late`` is empty and ``dead`` is
+        ``None``.
+        """
+        n_pes = len(self.procs)
+        # A stale barrier count/sense or abort flag in the control page
+        # would break this job's first barrier: start from an empty file
+        # so shmem_init re-zeroes it.
+        os.ftruncate(self.world_fd, 0)
+        frames: list = [None] * n_pes
+        for pe, proc in enumerate(self.procs):
+            header = _HEADER.pack(
+                seed is not None, seed or 0, len(feeds[pe]), timeout_ms
+            )
+            try:
+                _write_all(proc.stdin.fileno(), header + feeds[pe])
+            except BrokenPipeError:
+                return frames, [], pe
+        poller = select.poll()
+        pending: dict[int, int] = {}
+        for pe, proc in enumerate(self.procs):
+            fd = proc.stdout.fileno()
+            poller.register(fd, select.POLLIN)
+            pending[fd] = pe
+        bufs = [bytearray() for _ in range(n_pes)]
+        while pending:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            for fd, _ in poller.poll(left * 1000):
+                pe = pending[fd]
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    return frames, [], pe
+                buf = bufs[pe]
+                buf += chunk
+                if len(buf) < _FRAME.size:
+                    continue
+                rc, n_out, n_err = _FRAME.unpack_from(buf)
+                end = _FRAME.size + n_out + n_err
+                if len(buf) >= end:
+                    out = bytes(buf[_FRAME.size : _FRAME.size + n_out])
+                    err = bytes(buf[_FRAME.size + n_out : end])
+                    frames[pe] = (rc, _text(out), _text(err))
+                    poller.unregister(fd)
+                    del pending[fd]
+        return frames, sorted(pending.values()), None
+
+
+class _WarmSets:
+    """Parked fork-server sets keyed by (binary path, ``n_pes``).
+
+    A set is checked out for exactly one job at a time; concurrent jobs
+    on one key each get their own set.  At most :data:`_WARM_SETS_MAX`
+    idle sets stay parked, least recently used evicted first.
+    """
+
+    def __init__(self) -> None:
+        self.forget()
+
+    def forget(self) -> None:
+        """Start over (also after ``fork``: the parent's sets belong to
+        the parent, and a child writing to their pipes would interleave
+        with it)."""
+        self._lock = threading.Lock()
+        self._idle: list[tuple[tuple, _ForkServerSet]] = []
+        self._busy: set = set()
+
+    def take(self, key: tuple) -> Optional[_ForkServerSet]:
+        with self._lock:
+            for i in range(len(self._idle) - 1, -1, -1):
+                if self._idle[i][0] == key:
+                    servers = self._idle.pop(i)[1]
+                    self._busy.add(servers)
+                    return servers
+        return None
+
+    def spawn(self, binary: pathlib.Path, n_pes: int) -> _ForkServerSet:
+        servers = _ForkServerSet(binary, n_pes)
+        with self._lock:
+            self._busy.add(servers)
+        return servers
+
+    def give_back(self, key: tuple, servers: _ForkServerSet) -> None:
+        with self._lock:
+            self._busy.discard(servers)
+            self._idle.append((key, servers))
+            evicted = (
+                self._idle.pop(0)[1]
+                if len(self._idle) > _WARM_SETS_MAX
+                else None
+            )
+        if evicted is not None:
+            evicted.close()
+
+    def discard(self, servers: _ForkServerSet) -> None:
+        with self._lock:
+            self._busy.discard(servers)
+        servers.close()
+
+    def shutdown(self) -> None:
+        with self._lock:
+            idle = [servers for _, servers in self._idle]
+            self._idle = []
+            busy = list(self._busy)
+        for servers in busy:
+            servers.kill()  # its job sees EOF and discards it
+        for servers in idle:
+            servers.close()
+
+
+_WARM = _WarmSets()
+
+
+def _forget_after_fork() -> None:
+    _SPAWNER.forget()
+    _WARM.forget()
+
+
+os.register_at_fork(after_in_child=_forget_after_fork)
+
+
+def shutdown_native_workers() -> None:
+    """Stop every parked fork server (also run at interpreter exit)."""
+    _WARM.shutdown()
+
+
+atexit.register(shutdown_native_workers)
 
 
 def run_native(
@@ -418,8 +778,10 @@ def run_native(
     stdin_lines: Optional[Sequence[Sequence[str]]] = None,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
 ) -> SpmdResult:
-    """Launch ``n_pes`` processes of a built binary as one SHMEM world.
+    """Run a built binary as one ``n_pes``-PE SHMEM world.
 
+    The job goes to a warm set of fork servers for ``(binary, n_pes)``
+    (spawned on a miss, respawned if any server died while parked).
     Every PE's stdout is captured separately (the per-PE ``outputs`` of
     the result); stderr is reserved for shim/program diagnostics and
     quoted in the error when a PE fails.  Stragglers are killed at the
@@ -427,71 +789,83 @@ def run_native(
     """
     if n_pes < 1:
         raise LolParallelError(f"need at least 1 PE, got {n_pes}")
-    with tempfile.TemporaryDirectory(
-        prefix="lol-world-", dir=_shm_dir()
-    ) as tmp:
-        world = pathlib.Path(tmp) / "world"
-        world.touch()
-        feeds: list[Optional[str]] = [
-            (
-                "\n".join(stdin_lines[pe]) + "\n"
-                if stdin_lines and stdin_lines[pe] is not None
-                else None
+    feeds = [
+        (
+            ("\n".join(stdin_lines[pe]) + "\n").encode()
+            if stdin_lines and stdin_lines[pe] is not None
+            else b""
+        )
+        for pe in range(n_pes)
+    ]
+    if seed is not None and not -(2**63) <= seed < 2**63:
+        raise LolParallelError(
+            f"engine='c' needs a seed that fits in 64 bits, got {seed}"
+        )
+    rt = _obs.ACTIVE
+    key = (str(binary), n_pes)
+    servers = _WARM.take(key)
+    if servers is not None:
+        for pe in range(n_pes):
+            rule = inject("native.worker", rank=pe)
+            if rule is not None and rule.kind == "kill":
+                servers.kill_server(pe)
+        if servers.alive():
+            _bump("warm_hits")
+        else:
+            # Dispatching to a half-dead set would stall the live PEs at
+            # shmem_init's barrier until the deadline: replace it first.
+            _bump("respawns")
+            _WARM.discard(servers)
+            servers = None
+    if servers is None:
+        t0 = time.perf_counter() if rt is not None else 0.0
+        servers = _WARM.spawn(binary, n_pes)
+        _bump("spawns")
+        if rt is not None and rt.trace_on:
+            rt.tracer.complete(
+                "native",
+                "spawn",
+                t0,
+                time.perf_counter() - t0,
+                args={"binary": binary.name, "n_pes": n_pes},
             )
-            for pe in range(n_pes)
-        ]
-        procs: list[subprocess.Popen] = []
-        try:
-            for pe in range(n_pes):
-                env = dict(os.environ)
-                env["LOL_SHMEM_PE"] = str(pe)
-                env["LOL_SHMEM_NPES"] = str(n_pes)
-                env["LOL_SHMEM_FILE"] = str(world)
-                env["LOL_SHMEM_TIMEOUT_MS"] = str(
-                    int(barrier_timeout * 1000)
-                )
-                if seed is not None:
-                    env["LOL_SEED"] = str(seed)
-                procs.append(
-                    subprocess.Popen(
-                        [str(binary)],
-                        stdin=(
-                            subprocess.PIPE
-                            if feeds[pe] is not None
-                            else subprocess.DEVNULL
-                        ),
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        env=env,
-                        text=True,
-                    )
-                )
-            # Grace beyond the in-binary barrier deadline so the shim's
-            # own per-PE diagnostic (exit 3) wins the race when PEs
-            # diverge and only truly wedged processes get killed here.
-            deadline = time.monotonic() + barrier_timeout + 15.0
-            with ThreadPoolExecutor(max_workers=n_pes) as pool:
-                results = list(
-                    pool.map(
-                        lambda pe: _drain(procs[pe], feeds[pe], deadline),
-                        range(n_pes),
-                    )
-                )
-        finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.kill()
+    t0 = time.perf_counter() if rt is not None else 0.0
+    # Grace beyond the in-binary barrier deadline so the shim's own
+    # per-PE diagnostic (exit 3) wins the race when PEs diverge and only
+    # truly wedged processes get killed here.
+    deadline = time.monotonic() + barrier_timeout + 15.0
+    try:
+        frames, late, dead = servers.run(
+            feeds, seed, int(barrier_timeout * 1000), deadline
+        )
+    except BaseException:
+        _WARM.discard(servers)
+        raise
+    if rt is not None and rt.trace_on:
+        rt.tracer.complete(
+            "native",
+            "job",
+            t0,
+            time.perf_counter() - t0,
+            args={"binary": binary.name, "n_pes": n_pes},
+        )
+    if late or dead is not None:
+        _WARM.discard(servers)
+    else:
+        _WARM.give_back(key, servers)
 
-    late = [pe for pe, (_, _, _, timed_out) in enumerate(results) if timed_out]
+    if dead is not None:
+        raise LolParallelError(
+            f"native PE {dead}'s fork server died mid-job; its warm set "
+            f"was discarded"
+        )
     if late:
         raise LolParallelError(
             f"native PEs {late} failed to terminate within "
             f"{barrier_timeout + 15.0:.0f}s (deadlock?)"
         )
     failed = [
-        (pe, rc, err)
-        for pe, (rc, _, err, _) in enumerate(results)
-        if rc != 0
+        (pe, rc, err) for pe, (rc, _, err) in enumerate(frames) if rc != 0
     ]
     if failed:
         # A dying PE trips the shim's abort flag, so siblings exit with
@@ -511,7 +885,7 @@ def run_native(
         )
     return SpmdResult(
         n_pes=n_pes,
-        outputs=[out for _, out, _, _ in results],
+        outputs=[out for _, out, _ in frames],
         returns=[None] * n_pes,
     )
 

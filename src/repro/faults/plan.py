@@ -21,6 +21,8 @@ site                   fires in / supported kinds
 ``native.build``       builder, before invoking cc — ``fail``
 ``native.cache``       builder, on a warm binary hit — ``truncate``,
                        ``corrupt``
+``native.worker``      launcher, per PE of a parked fork-server set before
+                       dispatch — ``kill``
 ``server.conn``        server, after reading a request — ``drop``
 ``scheduler.enqueue``  scheduler, on submit — ``queue_full``
 =====================  =====================================================
@@ -57,6 +59,7 @@ SITES: dict[str, tuple[str, ...]] = {
     "pool.reply": ("kill", "delay", "garbage"),
     "native.build": ("fail",),
     "native.cache": ("truncate", "corrupt"),
+    "native.worker": ("kill",),
     "server.conn": ("drop",),
     "scheduler.enqueue": ("queue_full",),
 }

@@ -186,7 +186,8 @@ def _render_stats_text(stats: dict) -> str:
         lines.append(
             "native   builds={builds} cache_hits={cache_hits} "
             "corrupt_rebuilds={corrupt_rebuilds} "
-            "transient_retries={transient_retries}".format(**native)
+            "transient_retries={transient_retries} warm_hits={warm_hits} "
+            "spawns={spawns} respawns={respawns}".format(**native)
         )
     return "\n".join(lines)
 

@@ -17,6 +17,7 @@ scenario replays identically under ``pytest -k`` — see
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -466,6 +467,72 @@ class TestNativeFaults:
             native_stats()["corrupt_rebuilds"]
             == before["corrupt_rebuilds"] + 1
         )
+
+    @pytest.mark.requires_cc
+    def test_parked_fork_server_killed_before_dispatch_respawns(self):
+        """``native.worker`` kill: one parked server of a warm set dies.
+        The liveness check replaces the set before any header is
+        written, and the job runs once with the correct result."""
+        from repro.compiler.native import native_stats
+
+        src = lol(f'VISIBLE ME " {os.urandom(6).hex()}"')
+        first = run_lolcode(src, 2, engine="c")
+        activate(
+            plan_from_rules(
+                1, [{"site": "native.worker", "kind": "kill", "rank": 1}]
+            )
+        )
+        before = native_stats()
+        second = run_lolcode(src, 2, engine="c")
+        after = native_stats()
+        assert second.outputs == first.outputs
+        assert after["respawns"] == before["respawns"] + 1
+        assert after["spawns"] == before["spawns"] + 1
+        assert after["warm_hits"] == before["warm_hits"]
+        assert fault_stats()["fires"] == {"native.worker:kill": 1}
+
+    @pytest.mark.requires_cc
+    def test_fork_server_dying_mid_job_is_a_typed_error(self):
+        """A server killed while its PE is running: the job fails with a
+        typed error naming that PE, the set is discarded, and the next
+        job runs on a new set."""
+        from repro.compiler import native
+
+        src = lol(
+            f'I HAS A uniq ITZ "{os.urandom(6).hex()}"\n'
+            "I HAS A extra\nGIMMEH extra\n"
+            'BOTH SAEM extra AN "1"\n'
+            "O RLY?\n  YA RLY, HUGZ\nOIC\n"
+            "VISIBLE ME"
+        )
+        binary = native.build_native(src, n_pes=2)
+        native.run_native(binary, 2, stdin_lines=[["0"], ["0"]])
+
+        def kill_pe0_server():
+            # PE 0 waits at its extra HUGZ (barrier deadline 30 s).
+            deadline = time.monotonic() + 10
+            while not native._WARM._busy and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)
+            for servers in list(native._WARM._busy):
+                os.kill(servers.procs[0].pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_pe0_server)
+        killer.start()
+        before = native.native_stats()
+        t0 = time.monotonic()
+        with pytest.raises(
+            LolParallelError, match="native PE 0's fork server died mid-job"
+        ):
+            native.run_native(
+                binary, 2, stdin_lines=[["1"], ["0"]], barrier_timeout=30
+            )
+        killer.join(timeout=10)
+        assert time.monotonic() - t0 < 20  # not the barrier deadline
+        result = native.run_native(binary, 2, stdin_lines=[["0"], ["0"]])
+        assert result.outputs == ["0\n", "1\n"]
+        after = native.native_stats()
+        assert after["spawns"] == before["spawns"] + 1
 
 
 # -- the chaos sweep: seeded schedule over registry kernels -------------------

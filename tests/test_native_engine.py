@@ -12,6 +12,9 @@ from __future__ import annotations
 import os
 import stat
 import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -124,6 +127,24 @@ def test_cc_rejection_is_a_build_error_not_a_skip(monkeypatch, tmp_path):
     monkeypatch.setenv("LOL_CC", str(fake_cc))
     with pytest.raises(NativeBuildError, match="synthetic rejection"):
         native.build_native(lol("VISIBLE 1"))
+
+
+def test_stats_text_shows_warm_set_counters():
+    from repro.service.cli import _render_stats_text
+
+    stats = dict.fromkeys(
+        ("queued", "running", "peak_running", "max_queue_depth", "jobs",
+         "retries", "shed", "degraded"),
+        0,
+    )
+    stats["native"] = native.native_stats()
+    (line,) = [
+        line
+        for line in _render_stats_text(stats).splitlines()
+        if line.startswith("native")
+    ]
+    for key in ("warm_hits=", "spawns=", "respawns="):
+        assert key in line
 
 
 def test_uses_random_predicate():
@@ -316,3 +337,231 @@ class TestLolccDriver:
         src_file.write_text(lol("VISIBLE SUM OF ME AN 1"))
         assert lolrun_main([str(src_file), "-np", "2", "--engine", "c"]) == 0
         assert capsys.readouterr().out == "1\n2\n"
+
+
+# ---------------------------------------------------------------------------
+# Warm fork-server sets: every job forks a pristine PE from a parked server.
+# ---------------------------------------------------------------------------
+
+
+def _fork_servers() -> set[int]:
+    """Pids of this process's children that were started as fork servers
+    (the variable stays in a process's initial environment block)."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            if ppid != os.getpid():
+                continue
+            with open(f"/proc/{entry}/environ", "rb") as fh:
+                if b"LOL_SHMEM_FORKSERVER=1" in fh.read():
+                    found.add(int(entry))
+        except (OSError, IndexError, ValueError):
+            continue
+    return found
+
+
+def _unique(body: str) -> str:
+    """A program no earlier run has built (the token reaches the C),
+    so its first run spawns a set."""
+    return lol(f'I HAS A uniq ITZ "{os.urandom(6).hex()}"\n{body}')
+
+
+@pytest.mark.requires_cc
+class TestWarmForkServers:
+    @pytest.fixture(autouse=True)
+    def _fresh_sets(self):
+        native.shutdown_native_workers()
+        yield
+        native.shutdown_native_workers()
+
+    def test_every_job_starts_from_a_pristine_image(self):
+        # A job loop inside one process would carry the symmetric
+        # counter and the file-scope variable over from the previous job.
+        src = _unique(
+            "WE HAS A kount ITZ SRSLY A NUMBR\n"
+            "I HAS A tally ITZ A NUMBR\n"
+            "kount R SUM OF kount AN 1\n"
+            "tally R SUM OF tally AN 1\n"
+            "HUGZ\n"
+            "I HAS A nekst ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "I HAS A got ITZ A NUMBR\n"
+            "TXT MAH BFF nekst, got R UR kount\n"
+            'VISIBLE kount " " tally " " got'
+        )
+        binary = native.build_native(src, n_pes=2)
+        before = native.native_stats()
+        for _ in range(5):
+            result = native.run_native(binary, 2)
+            assert result.outputs == ["1 1 1\n", "1 1 1\n"]
+        after = native.native_stats()
+        assert after["spawns"] - before["spawns"] == 1
+        assert after["warm_hits"] - before["warm_hits"] == 4
+
+    def test_stdin_and_seed_are_per_job(self, monkeypatch):
+        # An unseeded job must not pick up a LOL_SEED from the driver's
+        # environment, which the parked servers inherited.
+        monkeypatch.setenv("LOL_SEED", "3")
+        src = _unique(
+            "I HAS A x\nGIMMEH x\nI HAS A r ITZ WHATEVR\n"
+            'VISIBLE x " " r'
+        )
+        binary = native.build_native(src, n_pes=2)
+
+        def run(seed, words):
+            result = native.run_native(
+                binary, 2, seed=seed, stdin_lines=[[w] for w in words]
+            )
+            return [line.split() for line in result.outputs]
+
+        first = run(3, ["a", "b"])
+        second = run(5, ["c", "d"])
+        unseeded = run(None, ["e", "f"])
+        assert [w for w, _ in first] == ["a", "b"]
+        assert [w for w, _ in second] == ["c", "d"]
+        assert [w for w, _ in unseeded] == ["e", "f"]
+        def draws(rows):
+            return [r for _, r in rows]
+
+        assert draws(first) != draws(second)
+        assert draws(unseeded) != draws(first)
+        # The same seeds on a freshly spawned set draw the same numbers:
+        # no seed leaks from one job into the next.
+        native.shutdown_native_workers()
+        assert run(5, ["c", "d"]) == second
+        assert run(None, ["e", "f"]) == unseeded
+        assert run(3, ["a", "b"]) == first
+
+    def test_failed_job_leaves_the_set_usable(self):
+        # PE 0 aims at a PE that does not exist: the shim kills it and
+        # trips the world's abort flag.  The next job on the same set must
+        # not inherit that flag.
+        src = _unique(
+            "WE HAS A slot ITZ SRSLY A NUMBR\n"
+            "slot R SUM OF ME AN 10\n"
+            "HUGZ\n"
+            "I HAS A who\nGIMMEH who\n"
+            "I HAS A got ITZ A NUMBR\n"
+            "TXT MAH BFF MAEK who A NUMBR, got R UR slot\n"
+            "HUGZ\n"
+            "VISIBLE got"
+        )
+        binary = native.build_native(src, n_pes=2)
+        with pytest.raises(
+            LolParallelError, match="native PE 0 exited with status 3"
+        ):
+            native.run_native(binary, 2, stdin_lines=[["9"], ["0"]])
+        result = native.run_native(binary, 2, stdin_lines=[["1"], ["0"]])
+        assert result.outputs == ["11\n", "10\n"]
+
+    def test_signal_death_reports_minus_the_signal(self):
+        src = _unique(
+            "I HAS A d\nGIMMEH d\n"
+            "VISIBLE QUOSHUNT OF 7 AN MAEK d A NUMBR"
+        )
+        binary = native.build_native(src, n_pes=1)
+        with pytest.raises(LolParallelError, match="status -8"):
+            native.run_native(binary, 1, stdin_lines=[["0"]])
+        assert native.run_native(binary, 1, stdin_lines=[["7"]]).outputs == [
+            "1\n"
+        ]
+
+    def test_diverged_barrier_then_a_passing_run(self):
+        # PE 0 takes one extra HUGZ: the shim's barrier deadline fires and
+        # leaves a stale barrier count and abort flag in the world file.
+        src = _unique(
+            "I HAS A extra\nGIMMEH extra\n"
+            "BOTH SAEM extra AN \"1\"\n"
+            "O RLY?\n"
+            "  YA RLY, HUGZ\n"
+            "OIC\n"
+            "HUGZ\n"
+            "VISIBLE ME"
+        )
+        binary = native.build_native(src, n_pes=2)
+        with pytest.raises(LolParallelError, match="native PE"):
+            native.run_native(
+                binary, 2, stdin_lines=[["1"], ["0"]], barrier_timeout=1
+            )
+        result = native.run_native(binary, 2, stdin_lines=[["0"], ["0"]])
+        assert result.outputs == ["0\n", "1\n"]
+
+    def test_concurrent_jobs_on_one_binary(self):
+        src = _unique('I HAS A x\nGIMMEH x\nVISIBLE x " " ME')
+        binary = native.build_native(src, n_pes=2)
+        errors: list = []
+        start = threading.Barrier(4)
+
+        def caller(tag: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for job in range(5):
+                    word = f"t{tag}j{job}"
+                    result = native.run_native(
+                        binary, 2, stdin_lines=[[word], [word]]
+                    )
+                    assert result.outputs == [f"{word} 0\n", f"{word} 1\n"]
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(t,)) for t in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_runs_on_its_own_set(self):
+        # The child inherits the parent's parked set and a spawner thread
+        # that does not exist in it: it must start its own set, and leave
+        # the parent's usable.
+        src = _unique("VISIBLE SUM OF ME AN 5")
+        binary = native.build_native(src, n_pes=2)
+        assert native.run_native(binary, 2).outputs == ["5\n", "6\n"]
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            code = 1
+            try:
+                result = native.run_native(binary, 2, barrier_timeout=5)
+                native.shutdown_native_workers()
+                code = 0 if result.outputs == ["5\n", "6\n"] else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        before = native.native_stats()
+        assert native.run_native(binary, 2).outputs == ["5\n", "6\n"]
+        assert native.native_stats()["warm_hits"] == before["warm_hits"] + 1
+
+    def test_shutdown_leaves_no_fork_server(self):
+        src = _unique("VISIBLE ME")
+        for n_pes in (1, 2, 3):
+            native.run_native(native.build_native(src, n_pes=n_pes), n_pes)
+        servers = _fork_servers()
+        assert len(servers) >= 6
+        native.shutdown_native_workers()
+        assert _fork_servers() == set()
+        for pid in servers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
