@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 from ..lang import ast
 from .diagnostics import Diagnostic
-from .summary import ProgramSummary
+from .summary import ProgramSummary, is_symmetric
 
 # ---------------------------------------------------------------------------
 # The domain
@@ -417,7 +417,7 @@ class BoundsAnalyzer:
             size = self.eval(stmt.size) if stmt.size is not None else None
             init = self.eval(stmt.init) if stmt.init is not None else None
             self.decls[stmt.name] = _Decl(
-                stmt.name, stmt.scope == "WE", stmt.is_array, size
+                stmt.name, is_symmetric(stmt), stmt.is_array, size
             )
             self.env[stmt.name] = init if not stmt.is_array else None
         elif isinstance(stmt, ast.Assign):

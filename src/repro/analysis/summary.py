@@ -1,9 +1,13 @@
-"""One walk over a program: its functions, symmetric names and facts.
+"""One walk over a program: its functions, declarations and facts.
 
 :func:`summarize` is the only place that collects ``HOW IZ I``
-definitions and ``WE HAS A`` names; the scope checker, every CFG
-analysis, the VM compiler and fuzz coverage read its result.  Nothing
-is cached on the ``Program``: the fuzzer mutates ASTs in place.
+definitions and ``WE HAS A`` / ``I HAS A`` declarations; the scope
+checker, every CFG analysis, the VM compiler, the pool's symmetric plan,
+the C backend and fuzz coverage read its result.  Nothing is cached on
+the ``Program``: the fuzzer mutates ASTs in place, so it calls
+:func:`summarize` on each tree it builds.  Everything else starts from
+source text and reads :func:`summarize_cached`, keyed like
+:func:`~repro.lang.parser.parse_cached`, so a warm run walks nothing.
 
 * ``functions`` — every definition in walk order.  ``HOW IZ I`` binds
   its name when it runs (top-level ones are also hoisted), so a name
@@ -14,18 +18,28 @@ is cached on the ``Program``: the fuzzer mutates ASTs in place.
   names no body, so call-site summaries (barrier counts, lock effects,
   remote accesses) need one; the last is the body the top-level hoist
   binds and the one every call after the final definition runs.
+* ``declarations`` — every ``WE HAS A`` in walk order, function bodies
+  included; :func:`symmetric_plan` lays them out.  ``locals[i]`` — the
+  ``I HAS A`` declarations of ``functions[i]``'s body (its nested
+  blocks, not its nested definitions).
 * ``remote_unwritten`` — symmetric names no statement stores to through
   ``UR``: no peer can change them mid-loop, so the VM vectorizer may
   hoist such a trip count.  ``epoch_local`` — symmetric names never
   accessed through ``UR`` at all.  An ``SRS`` store or ``UR SRS``
   access could alias any name, so it empties both sets.
+* ``uses_random`` — some expression draws ``WHATEVR``/``WHATEVAR``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..lang import ast
+from ..lang.errors import LolParallelError
+from ..lang.parser import parse_cached
+from ..lang.types import parse_type, to_numbr
+from ..shmem.heap import SymmetricPlan
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,43 +47,167 @@ class ProgramSummary:
     symmetric: frozenset[str]
     functions: tuple[ast.FuncDef, ...]
     callees: dict[str, ast.FuncDef]
+    declarations: tuple[ast.VarDecl, ...]
+    locals: tuple[tuple[ast.VarDecl, ...], ...]
     remote_unwritten: frozenset[str]
     epoch_local: frozenset[str]
+    uses_random: bool
+
+
+def is_symmetric(decl: ast.VarDecl) -> bool:
+    """``WE HAS A`` (one object on every PE) rather than ``I HAS A``."""
+    return decl.scope == "WE"
 
 
 def summarize(program: ast.Program) -> ProgramSummary:
-    """Collect definitions, symmetric names and engine facts in one walk."""
-    symmetric: set[str] = set()
+    """Collect definitions, declarations and engine facts in one walk."""
     functions: list[ast.FuncDef] = []
+    declarations: list[ast.VarDecl] = []
+    locals_: list[list[ast.VarDecl]] = []
     remote_written: set[str] = set()
     remote_touched: set[str] = set()
     dynamic = False
-    for stmt in ast.walk_statements(program.body):
-        if isinstance(stmt, ast.FuncDef):
-            functions.append(stmt)
-        elif isinstance(stmt, ast.VarDecl) and stmt.scope == "WE":
-            symmetric.add(stmt.name)
-        elif isinstance(stmt, (ast.Assign, ast.Gimmeh, ast.CastStmt)):
-            target = stmt.target
-            base = target.base if isinstance(target, ast.Index) else target
-            if isinstance(base, ast.VarRef):
-                if base.qualifier == "UR":
-                    remote_written.add(base.name)
-            elif isinstance(base, ast.SrsRef):
-                dynamic = True
-        for expr in ast.stmt_exprs(stmt):
-            for sub in ast.walk_expr(expr):
-                if isinstance(sub, ast.VarRef) and sub.qualifier == "UR":
-                    remote_touched.add(sub.name)
-                elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
-                    dynamic = True  # could alias any name, any way
+    uses_random = False
+
+    def visit(body: list[ast.Stmt], owned: list[ast.VarDecl] | None) -> None:
+        nonlocal dynamic, uses_random
+        for stmt in body:
+            if isinstance(stmt, ast.FuncDef):
+                functions.append(stmt)
+                locals_.append([])
+                visit(stmt.body, locals_[-1])
+                continue
+            if isinstance(stmt, ast.VarDecl):
+                if is_symmetric(stmt):
+                    declarations.append(stmt)
+                elif owned is not None:
+                    owned.append(stmt)
+            elif isinstance(stmt, (ast.Assign, ast.Gimmeh, ast.CastStmt)):
+                target = stmt.target
+                base = target.base if isinstance(target, ast.Index) else target
+                if isinstance(base, ast.VarRef):
+                    if base.qualifier == "UR":
+                        remote_written.add(base.name)
+                elif isinstance(base, ast.SrsRef):
+                    dynamic = True
+            for expr in ast.stmt_exprs(stmt):
+                for sub in ast.walk_expr(expr):
+                    if isinstance(sub, ast.VarRef) and sub.qualifier == "UR":
+                        remote_touched.add(sub.name)
+                    elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
+                        dynamic = True  # could alias any name, any way
+                    elif isinstance(sub, ast.RandomExpr):
+                        uses_random = True
+            for block in ast.child_statements(stmt):
+                visit(block, owned)
+
+    visit(program.body, None)
+    symmetric = frozenset(decl.name for decl in declarations)
     unwritten: frozenset[str] = (
-        frozenset() if dynamic else frozenset(symmetric - remote_written)
+        frozenset() if dynamic else symmetric - remote_written
     )
     return ProgramSummary(
-        symmetric=frozenset(symmetric),
+        symmetric=symmetric,
         functions=tuple(functions),
         callees={func.name: func for func in functions},
+        declarations=tuple(declarations),
+        locals=tuple(tuple(owned) for owned in locals_),
         remote_unwritten=unwritten,
         epoch_local=unwritten - remote_touched,
+        uses_random=uses_random,
     )
+
+
+@lru_cache(maxsize=64)
+def summarize_cached(source: str, filename: str = "<string>") -> ProgramSummary:
+    """Memoized summary of ``parse_cached(source, filename)``."""
+    return summarize(parse_cached(source, filename))
+
+
+def _fold(expr: ast.Expr, n_pes: int | None) -> object:
+    # The interpreters' value semantics; imported here because the
+    # interpreter package itself imports this module.
+    from ..interp.values import binop, unop
+
+    if isinstance(expr, (ast.IntLit, ast.FloatLit)):
+        return expr.value
+    if isinstance(expr, ast.FrenzExpr):
+        return n_pes
+    if isinstance(expr, ast.BinOp):
+        lhs = _fold(expr.lhs, n_pes)
+        rhs = _fold(expr.rhs, n_pes)
+        if lhs is None or rhs is None:
+            return None
+        return binop(expr.op, lhs, rhs, expr.pos)
+    if isinstance(expr, ast.UnaryOp):
+        operand = _fold(expr.operand, n_pes)
+        return None if operand is None else unop(expr.op, operand, expr.pos)
+    return None
+
+
+def const_eval(expr: ast.Expr, n_pes: int | None) -> int | None:
+    """Fold an array extent to its element count, or ``None`` if it
+    does not fold at compile time.
+
+    Literals and their arithmetic fold, and so does ``MAH FRENZ`` when
+    the launch width ``n_pes`` is known; ``ME``, variables and calls do
+    not.  An extent that folds to a fraction like ``2.9`` is an error
+    rather than 2 elements: executors that disagreed on a symmetric
+    extent would corrupt the symmetric heap, not just the one array.
+    """
+    value = _fold(expr, n_pes)
+    if value is None:
+        return None
+    if isinstance(value, float) and not value.is_integer():
+        raise LolParallelError(
+            f"array size must be an integer, but the size expression "
+            f"folds to {value!r}",
+            expr.pos,
+        )
+    return to_numbr(value, expr.pos)
+
+
+def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
+    """Lay out every ``WE HAS A`` by the thread heap's rule.
+
+    A symmetric name must be typed; an array extent must fold (see
+    :func:`const_eval`) to at least 1 element — ``ME`` never folds,
+    since per-PE extents would break the symmetric layout, exactly as in
+    OpenSHMEM; redeclarations must agree on type, array-ness and extent,
+    and their ``AN IM SHARIN IT`` flags OR together.
+    """
+    plan = SymmetricPlan()
+    for decl in summary.declarations:
+        if decl.static_type is None:
+            raise LolParallelError(
+                f"symmetric variable '{decl.name}' must be typed", decl.pos
+            )
+        size = 1
+        if decl.is_array:
+            extent = decl.size
+            assert extent is not None  # the parser requires AN THAR IZ
+            folded = const_eval(extent, n_pes)
+            if folded is None:
+                raise LolParallelError(
+                    f"symmetric array '{decl.name}' needs a size that folds "
+                    f"at compile time: literals, MAH FRENZ once the launch "
+                    f"width is known, never ME (all PEs must allocate "
+                    f"identically)",
+                    extent.pos,
+                )
+            size = folded
+            if size < 1:
+                raise LolParallelError(
+                    f"symmetric array '{decl.name}' needs at least 1 "
+                    f"element, but its size folds to {size}",
+                    extent.pos,
+                )
+        plan.add(
+            decl.name,
+            parse_type(decl.static_type, decl.pos),
+            decl.is_array,
+            size,
+            decl.shared_lock,
+            decl.pos,
+        )
+    return plan

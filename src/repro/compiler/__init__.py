@@ -13,7 +13,7 @@
   code: a codegen/program failure that must stay loud (never a skip).
 """
 
-from .c_backend import CBackend, compile_c
+from .c_backend import CBackend, CompileError, compile_c
 from .native import (
     NativeBuildError,
     NativeBuildTransientError,
@@ -25,7 +25,6 @@ from .native import (
     run_native_source,
     shutdown_native_workers,
 )
-from .symtab import CompileError, SymbolTable, analyze
 
 __all__ = [
     "CBackend",
@@ -40,6 +39,4 @@ __all__ = [
     "run_native_source",
     "shutdown_native_workers",
     "CompileError",
-    "SymbolTable",
-    "analyze",
 ]

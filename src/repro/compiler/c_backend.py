@@ -39,32 +39,70 @@ under SHMEM, so file-scope statics are per-PE — this is what makes them
 addressable from LOLCODE functions), with initialisers run at their
 original program point in ``main``.
 
-Backend-specific restrictions, each diagnosed as a
-:class:`~repro.compiler.symtab.CompileError` at compile time:
+Declarations come from the program summary
+(:mod:`repro.analysis.summary`): its functions and their locals, and
+the symmetric plan every executor lays out — so a symmetric name must be
+typed, its extent must fold to at least 1 element (literals always
+fold; with a known launch width, ``compile_c(..., n_pes=N)`` as the
+``engine="c"`` driver does, ``MAH FRENZ`` arithmetic folds too, so
+registry kernels sized ``THAR IZ MAH FRENZ`` compile per launch width),
+and redeclarations must agree.  Backend-specific restrictions, each
+diagnosed as a :class:`CompileError` at compile time:
 
 * ``SRS`` computed identifiers (fundamentally dynamic);
-* YARN-typed *symmetric* data (OpenSHMEM moves raw memory);
-* symmetric array extents must fold to an integer at compile time — an
-  integer literal always works, and when the launch width is known
-  (``compile_c(..., n_pes=N)``, as the ``engine="c"`` driver does)
-  ``MAH FRENZ`` arithmetic folds too, so registry kernels sized
-  ``THAR IZ MAH FRENZ`` compile per launch width;
+* YARN-typed *symmetric* data over ``UR`` (OpenSHMEM moves raw memory);
+* functions must be defined once, at top level, and hold no symmetric
+  declarations (symmetric data is statically allocated);
 * functions may touch their parameters, their locals, and file-scope
   (top-level / symmetric) data only.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
+from ..analysis.summary import (
+    ProgramSummary,
+    const_eval,
+    is_symmetric,
+    summarize,
+    summarize_cached,
+    symmetric_plan,
+)
 from ..lang import ast
-from ..lang.errors import LolError, SourcePos
-from ..lang.parser import parse
-from ..lang.types import LolType, to_array_size
+from ..lang.errors import LolError, LolParallelError, SourcePos
+from ..lang.parser import parse_cached
+from ..lang.types import LolType, parse_type
 from ..interp.interpreter import KNOWN_LIBRARIES
-from ..interp.values import binop, unop
 from .c_prelude import C_PRELUDE
-from .symtab import CompileError, SymbolInfo, SymbolTable, analyze
+
+
+class CompileError(LolError):
+    """A construct the C backend cannot translate (though it may interpret)."""
+
+
+@dataclass(slots=True)
+class SymbolInfo:
+    """One name as the emitted C sees it."""
+
+    name: str
+    symmetric: bool = False
+    static_type: Optional[LolType] = None  # None => dynamic
+    is_array: bool = False
+    shared_lock: bool = False
+    size: Optional[int] = None  # element count of a file-scope array
+
+
+def _symbol(decl: ast.VarDecl) -> SymbolInfo:
+    """The info of an ``I HAS A`` declaration."""
+    return SymbolInfo(
+        decl.name,
+        static_type=(
+            parse_type(decl.static_type, decl.pos) if decl.static_type else None
+        ),
+        is_array=decl.is_array,
+    )
 
 #: C scalar kind codes: i=long long, f=double, s=const char*, b=int,
 #: d=lol_value_t (dynamic).
@@ -114,44 +152,6 @@ def conv(code: str, src: str, dst: str) -> str:
     return _CONV[(src, dst)].format(code)
 
 
-class _NotConstant(Exception):
-    """An extent expression that cannot fold at compile time (fine for
-    block-local VLAs, fatal for file-scope arrays)."""
-
-
-def _fold_extent(expr: ast.Expr, n_pes: int) -> object:
-    """Constant-fold an array-extent expression for a known launch width.
-
-    Mirrors the launcher's symmetric-plan folding (``MAH FRENZ`` becomes
-    ``n_pes``; ``ME`` raises :class:`CompileError` because per-PE
-    symmetric extents would break the symmetric layout) so the C
-    backend admits exactly the extents the pool executor admits.
-    Genuinely dynamic extents raise :class:`_NotConstant`.
-    """
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.FloatLit):
-        return expr.value
-    if isinstance(expr, ast.FrenzExpr):
-        return n_pes
-    if isinstance(expr, ast.BinOp):
-        return binop(
-            expr.op,
-            _fold_extent(expr.lhs, n_pes),
-            _fold_extent(expr.rhs, n_pes),
-            expr.pos,
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return unop(expr.op, _fold_extent(expr.operand, n_pes), expr.pos)
-    if isinstance(expr, ast.MeExpr):
-        raise CompileError(
-            "symmetric array sizes cannot depend on ME (all PEs must "
-            "allocate identically)",
-            expr.pos,
-        )
-    raise _NotConstant
-
-
 def c_string(text: str) -> str:
     out = ['"']
     for ch in text:
@@ -186,23 +186,27 @@ class CBackend:
     ``n_pes`` optionally fixes the launch width at compile time so
     symmetric array extents written in terms of ``MAH FRENZ`` fold to C
     constants; leave it ``None`` for width-independent output (only
-    literal extents compile then).  Expression generation is the
+    literal extents compile then).  ``summary`` is ``program``'s
+    :class:`~repro.analysis.summary.ProgramSummary` when the caller
+    already holds it.  Expression generation is the
     ``gen_expr`` dispatch (returns ``(C expression, kind code)``),
     statement generation the ``gen_stmt`` dispatch (appends to
-    ``body_lines``); both raise
-    :class:`~repro.compiler.symtab.CompileError` with a source position
-    for every interpret-only construct they meet.
+    ``body_lines``); both raise :class:`CompileError` with a source
+    position for every interpret-only construct they meet.
     """
 
     def __init__(
         self,
         program: ast.Program,
-        table: Optional[SymbolTable] = None,
+        summary: Optional[ProgramSummary] = None,
         n_pes: Optional[int] = None,
     ):
         self.program = program
         self.n_pes = n_pes
-        self.table = table if table is not None else analyze(program)
+        self.summary = summary if summary is not None else summarize(program)
+        self.functions: dict[str, ast.FuncDef] = {}
+        self.locals: dict[str, dict[str, SymbolInfo]] = {}
+        self.globals: dict[str, SymbolInfo] = {}
         self.body_lines: list[str] = []
         self.file_lines: list[str] = []
         self.indent = 1
@@ -210,13 +214,10 @@ class CBackend:
         self._txt_depth = 0
         self._gtfo_ok = 0  # nesting depth of loop/switch
         self._current_func: Optional[str] = None
-        self._func_locals: dict[str, SymbolInfo] = {}
-        self._emitted_globals: set[str] = set()
         # Lexical scope stack for block-local declarations and loop
         # counters (mirrors the C block scoping of the emitted code).
         self._scopes: list[dict[str, SymbolInfo]] = []
         self._at_top = False  # True while emitting a top-level statement
-        self._lock_names: list[str] = []
 
     # -- emit helpers -----------------------------------------------------
 
@@ -242,12 +243,12 @@ class CBackend:
             if name in scope:
                 return scope[name]
         if self._current_func is not None:
-            finfo = self.table.functions[self._current_func]
-            if name in finfo.locals:
-                return finfo.locals[name]
-            if name in finfo.params:
+            local = self.locals[self._current_func].get(name)
+            if local is not None:
+                return local
+            if name in self.functions[self._current_func].params:
                 return SymbolInfo(name)  # dynamic parameter
-        info = self.table.globals.get(name)
+        info = self.globals.get(name)
         if info is not None:
             return info
         raise CompileError(
@@ -260,12 +261,6 @@ class CBackend:
             ),
             pos,
         )
-
-    def _declare_local(self, info: SymbolInfo) -> None:
-        if self._scopes:
-            self._scopes[-1][info.name] = info
-        elif self._current_func is not None:
-            self._func_locals[info.name] = info
 
     def _kind_of(self, info: SymbolInfo) -> str:
         if info.static_type is None:
@@ -432,7 +427,7 @@ class CBackend:
         return conv(code, kind, _KIND_OF_TYPE[target]), _KIND_OF_TYPE[target]
 
     def _gen_call(self, node: ast.FuncCall) -> tuple[str, str]:
-        finfo = self.table.functions.get(node.name)
+        finfo = self.functions.get(node.name)
         if finfo is None:
             raise CompileError(f"no function named '{node.name}'", node.pos)
         if len(node.args) != len(finfo.params):
@@ -613,44 +608,25 @@ class CBackend:
 
     # -- declarations ----------------------------------------------------------
 
-    def _const_size(
-        self, expr: ast.Expr, name: str, *, file_scope: bool = False
-    ) -> Optional[int]:
-        """Fold an array extent to a C constant, or ``None`` if dynamic.
+    def _const_size(self, expr: ast.Expr, name: str) -> Optional[int]:
+        """Fold an ``I HAS A`` array extent to a C constant, or ``None``
+        if it only has a value at run time (a block-local VLA then).
 
-        Integer literals always fold; with a fixed launch width
-        (``self.n_pes``) any ``MAH FRENZ`` arithmetic folds too.
-        Extents that fold to a non-integral value are rejected through
-        the same :func:`~repro.lang.types.to_array_size` guard every
-        engine's allocation path uses.  ``file_scope`` propagates
-        semantic folding errors (``ME``-dependent symmetric extents);
-        block-local callers fall back to the VLA path instead.
+        Folding is :func:`~repro.analysis.summary.const_eval`, the one
+        every executor's symmetric plan uses: literals always fold, and
+        with a fixed launch width (``self.n_pes``) ``MAH FRENZ``
+        arithmetic folds too.
         """
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if self.n_pes is not None:
-            try:
-                value = _fold_extent(expr, self.n_pes)
-            except CompileError:
-                if file_scope:
-                    raise
-                return None
-            except (_NotConstant, LolError):
-                # Genuinely dynamic extent: legal for block-local arrays
-                # (emitted as a VLA); file-scope declarations reject the
-                # None in emit_file_scope_decl.
-                return None
-            size = to_array_size(value, expr.pos)
-            if size < 1:
-                # C has no zero/negative-length arrays; diagnose here
-                # rather than letting cc reject the emitted unit.
-                raise CompileError(
-                    f"array '{name}': extent folds to {size}, but the C "
-                    f"backend needs at least 1 element",
-                    expr.pos,
-                )
-            return size
-        return None
+        size = const_eval(expr, self.n_pes)
+        if size is not None and size < 1:
+            # C has no zero/negative-length arrays; diagnose here
+            # rather than letting cc reject the emitted unit.
+            raise CompileError(
+                f"array '{name}': extent folds to {size}, but the C "
+                f"backend needs at least 1 element",
+                expr.pos,
+            )
+        return size
 
     def _decl_c(self, info: SymbolInfo, size_code: Optional[str]) -> str:
         kind = self._kind_of(info)
@@ -659,8 +635,36 @@ class CBackend:
             return f"{base} {info.name}[{size_code}]"
         return f"{base} {info.name}"
 
-    def emit_file_scope_decl(self, decl: ast.VarDecl) -> None:
-        """Emit the file-scope C object for one top-level declaration.
+    def _declare_functions(self) -> None:
+        """Index the summary's functions; C needs one top-level
+        definition per name."""
+        top = {id(stmt) for stmt in self.program.body}
+        for func, decls in zip(self.summary.functions, self.summary.locals):
+            if id(func) not in top:
+                raise CompileError(
+                    f"nested function '{func.name}' is not compilable",
+                    func.pos,
+                )
+            if func.name in self.functions:
+                raise CompileError(
+                    f"function '{func.name}' is defined twice; the C "
+                    f"backend compiles one definition per name",
+                    func.pos,
+                )
+            self.functions[func.name] = func
+            table = self.locals[func.name] = {}
+            for decl in decls:
+                prev = table.get(decl.name)
+                if prev is not None and prev.is_array != decl.is_array:
+                    raise CompileError(
+                        f"'{decl.name}' re-declared with a different shape",
+                        decl.pos,
+                    )
+                table[decl.name] = _symbol(decl)
+
+    def _emit_file_scope(self) -> None:
+        """Emit one file-scope C object per top-level ``I HAS A`` name and
+        per entry of the symmetric plan.
 
         Symmetric objects (``WE HAS A``) are tagged ``LOL_SYMMETRIC`` so
         the bundled shim can place them in its remappable section;
@@ -668,44 +672,71 @@ class CBackend:
         Initialisers are *not* handled here — ``_gen_decl`` runs them at
         the declaration's original program point in ``main``.
         """
-        info = (
-            self.table.globals[decl.name]
-            if decl.name in self.table.globals
-            else None
-        )
-        assert info is not None
-        size_code: Optional[str] = None
-        if info.is_array:
-            size = self._const_size(decl.size, decl.name, file_scope=True)
-            if size is None:
-                raise CompileError(
-                    f"file-scope array '{decl.name}' needs a compile-time "
-                    f"size for the C backend (an integer literal, or MAH "
-                    f"FRENZ arithmetic when compiling for a known launch "
-                    f"width)",
-                    decl.pos,
+        try:
+            plan = symmetric_plan(self.summary, self.n_pes)
+        except LolParallelError as exc:
+            raise CompileError(exc.message, exc.pos) from exc
+        top = [stmt for stmt in self.program.body if isinstance(stmt, ast.VarDecl)]
+        for decl in (*top, *self.summary.declarations):
+            if is_symmetric(decl):
+                lol_type, is_array, size, has_lock = plan.entries[decl.name]
+                info = SymbolInfo(
+                    decl.name,
+                    symmetric=True,
+                    static_type=lol_type,
+                    is_array=is_array,
+                    shared_lock=has_lock,
+                    size=size if is_array else None,
                 )
-            size_code = str(size)
-        qual = "static "
-        attr = " LOL_SYMMETRIC" if info.symmetric else ""
-        comment = " /* symmetric */" if info.symmetric else ""
-        self.file_lines.append(
-            f"{qual}{self._decl_c(info, size_code)}{attr};{comment}"
-        )
-        if info.shared_lock:
-            # The (void) cast in main keeps -Wunused-variable quiet when a
-            # program declares IM SHARIN IT but never takes the lock.
+            else:
+                info = _symbol(decl)
+                if decl.is_array:
+                    info.size = self._const_size(decl.size, decl.name)
+                    if info.size is None:
+                        raise CompileError(
+                            f"file-scope array '{decl.name}' needs a "
+                            f"compile-time size for the C backend (an "
+                            f"integer literal, or MAH FRENZ arithmetic when "
+                            f"compiling for a known launch width)",
+                            decl.pos,
+                        )
+            prev = self.globals.get(decl.name)
+            if prev is not None:
+                if prev != info:
+                    raise CompileError(
+                        f"'{decl.name}' re-declared with a different shape "
+                        f"or type (the C backend keeps one object per "
+                        f"top-level name)",
+                        decl.pos,
+                    )
+                continue
+            self.globals[decl.name] = info
+            size_code = None if info.size is None else str(info.size)
+            attr = " LOL_SYMMETRIC" if info.symmetric else ""
+            comment = " /* symmetric */" if info.symmetric else ""
             self.file_lines.append(
-                f"static long __lock_{info.name} LOL_SYMMETRIC = 0L;"
+                f"static {self._decl_c(info, size_code)}{attr};{comment}"
             )
-            self._lock_names.append(info.name)
-        self._emitted_globals.add(info.name)
+            if info.shared_lock:
+                # The (void) cast in main keeps -Wunused-variable quiet when
+                # a program declares IM SHARIN IT but never takes the lock.
+                self.file_lines.append(
+                    f"static long __lock_{info.name} LOL_SYMMETRIC = 0L;"
+                )
 
     def _gen_decl(self, stmt: ast.VarDecl) -> None:
-        # File-scope (top-level) declarations were already emitted; here we
-        # only run their initialiser at the original program point.
-        if self._at_top and stmt.name in self._emitted_globals:
-            info = self.table.globals[stmt.name]
+        symmetric = is_symmetric(stmt)
+        if symmetric and self._current_func is not None:
+            raise CompileError(
+                f"symmetric declaration of '{stmt.name}' inside a "
+                f"function is not compilable (symmetric data is "
+                f"statically allocated)",
+                stmt.pos,
+            )
+        # File-scope objects were already emitted; here we only run
+        # their initialiser at the original program point.
+        if symmetric or self._at_top:
+            info = self.globals[stmt.name]
             if stmt.init is not None:
                 code, kind = self.gen_expr(stmt.init)
                 self.out(f"{stmt.name} = {conv(code, kind, self._kind_of(info))};")
@@ -715,12 +746,8 @@ class CBackend:
                 self.out(f'{stmt.name} = "";')
             return
         # Block-local declaration.
-        info = SymbolInfo(
-            name=stmt.name,
-            static_type=(LolType(stmt.static_type) if stmt.static_type else None),
-            is_array=stmt.is_array,
-        )
-        self._declare_local(info)
+        info = _symbol(stmt)
+        self._scopes[-1][stmt.name] = info
         kind = self._kind_of(info)
         if stmt.is_array:
             size_lit = self._const_size(stmt.size, stmt.name)
@@ -928,7 +955,7 @@ class CBackend:
                 "SRS computed identifiers are interpret-only", stmt.pos
             )
         name = stmt.target.name
-        info = self.table.globals.get(name)
+        info = self.globals.get(name)
         if info is None or not info.symmetric or not info.shared_lock:
             raise CompileError(
                 f"cannot lock '{name}': declare it with 'WE HAS A {name} "
@@ -947,10 +974,8 @@ class CBackend:
     # -- functions / program -----------------------------------------------------
 
     def _gen_function(self, fdef: ast.FuncDef) -> list[str]:
-        finfo = self.table.functions[fdef.name]
         saved_body, self.body_lines = self.body_lines, []
         saved_indent, self.indent = self.indent, 1
-        saved_locals, self._func_locals = self._func_locals, dict(finfo.locals)
         saved_scopes, self._scopes = self._scopes, []
         self._current_func = fdef.name
         params = ", ".join(f"lol_value_t {p}" for p in fdef.params) or "void"
@@ -962,17 +987,15 @@ class CBackend:
         lines.append("}")
         self.body_lines = saved_body
         self.indent = saved_indent
-        self._func_locals = saved_locals
         self._scopes = saved_scopes
         self._current_func = None
         return lines
 
     def generate(self) -> str:
         """Emit the complete self-contained C translation unit."""
-        # 1. file-scope data for every top-level declaration
-        for stmt in self.program.body:
-            if isinstance(stmt, ast.VarDecl):
-                self.emit_file_scope_decl(stmt)
+        # 1. file-scope data for every top-level and symmetric declaration
+        self._declare_functions()
+        self._emit_file_scope()
         # 2. functions (prototypes handled by definition order: emit all
         #    definitions before main; forward calls between functions get
         #    prototypes)
@@ -980,23 +1003,23 @@ class CBackend:
         protos: list[str] = []
         for stmt in self.program.body:
             if isinstance(stmt, ast.FuncDef):
-                finfo = self.table.functions[stmt.name]
-                params = ", ".join("lol_value_t" for _ in finfo.params) or "void"
+                params = ", ".join("lol_value_t" for _ in stmt.params) or "void"
                 protos.append(f"static lol_value_t lol_fn_{stmt.name}({params});")
                 func_blocks.append(self._gen_function(stmt))
         # 3. main body
         self.body_lines = []
         self.indent = 1
         self.out("shmem_init();")
-        if self.table.uses_random:
+        if self.summary.uses_random:
             self.out("srand(lol_seed(1234u) + (unsigned)shmem_my_pe());")
         self.out("lol_value_t __it = lol_noob();")
         # Reference every file-scope object once so -Wunused-variable stays
         # quiet for symbols a program declares but never touches.
-        for gname in sorted(self._emitted_globals):
+        for gname in sorted(self.globals):
             self.out(f"(void){gname};")
-        for lock_name in self._lock_names:
-            self.out(f"(void)__lock_{lock_name};")
+        for gname, info in self.globals.items():
+            if info.shared_lock:
+                self.out(f"(void)__lock_{gname};")
         self._scopes = [{}]
         self._at_top = True
         for stmt in self.program.body:
@@ -1039,9 +1062,10 @@ def compile_c(
     (the output is then specific to that width — the native build cache
     keys on the folded C text, so each width gets its own binary).
     """
-    program = (
-        source_or_program
-        if isinstance(source_or_program, ast.Program)
-        else parse(source_or_program, filename)
-    )
-    return CBackend(program, n_pes=n_pes).generate()
+    if isinstance(source_or_program, ast.Program):
+        return CBackend(source_or_program, n_pes=n_pes).generate()
+    return CBackend(
+        parse_cached(source_or_program, filename),
+        summarize_cached(source_or_program, filename),
+        n_pes=n_pes,
+    ).generate()

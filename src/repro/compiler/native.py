@@ -22,7 +22,7 @@ the translation unit, something must play the role of ``cc`` plus
    stops them.
 
 Missing toolchains raise :class:`NativeToolchainError` (distinct from
-program-level :class:`~repro.compiler.symtab.CompileError` restrictions)
+program-level :class:`~repro.compiler.c_backend.CompileError` restrictions)
 so callers — the launcher, ``lolbench`` skip rows, the ``requires_cc``
 test marker — can tell "this host cannot build" from "this program
 cannot compile".
@@ -56,14 +56,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .. import obs as _obs
+from ..analysis.summary import summarize_cached
 from ..faults import inject
 from ..lang.errors import LolError, LolParallelError
-from ..lang.parser import parse_cached
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT
 from ..shmem.runtime_threads import SpmdResult
 from ..singleflight import SingleFlight
 from .c_backend import compile_c
-from .symtab import analyze
 
 T = TypeVar("T")
 
@@ -139,7 +138,7 @@ def _shim_sources() -> tuple[str, str]:
 class NativeToolchainError(LolError):
     """This host cannot produce native binaries (no C compiler found).
 
-    Deliberately *not* a :class:`~repro.compiler.symtab.CompileError`:
+    Deliberately *not* a :class:`~repro.compiler.c_backend.CompileError`:
     the program may be perfectly compilable — the environment is what is
     lacking — and consumers (bench skip rows, the ``requires_cc``
     marker) skip rather than diagnose the source.  Strictly reserved
@@ -274,7 +273,7 @@ def uses_random(source: str, filename: str = "<string>") -> bool:
     such programs and use this predicate to skip the comparison
     explicitly.
     """
-    return analyze(parse_cached(source, filename), allow_srs=True).uses_random
+    return summarize_cached(source, filename).uses_random
 
 
 def build_native(

@@ -69,6 +69,7 @@ def compile_vm_cached(
     guard serialises same-key compiles, so N simultaneous submissions of
     one source (the execution service's steady state) compile it once.
     """
+    from ..analysis.summary import summarize_cached
     from ..lang.parser import parse_cached
     from ..vm.compile import compile_program_vm
 
@@ -77,6 +78,7 @@ def compile_vm_cached(
         count_flops=count_flops,
         count_steps=count_steps,
         vectorize=not count_steps,
+        summary=summarize_cached(source, filename),
     )
 
 

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..analysis.summary import is_symmetric
 from ..lang import ast
 from ..lang.errors import (
     LolNameError,
@@ -131,7 +132,7 @@ class Interpreter:
         declared_type = (
             parse_type(stmt.static_type, stmt.pos) if stmt.static_type else None
         )
-        if stmt.scope == "WE":
+        if is_symmetric(stmt):
             self._exec_symmetric_decl(stmt, declared_type)
             return
         if stmt.is_array:

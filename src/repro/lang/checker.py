@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis import ProgramSummary, analyze_program, summarize
+from ..analysis.summary import is_symmetric
 from ..analysis.diagnostics import Diagnostic, FixIt, sort_key
 from . import ast
 from .errors import SourcePos
@@ -133,7 +134,7 @@ class Checker:
 
     def check_stmt(self, stmt: ast.Stmt, scope: _Scope) -> None:
         if isinstance(stmt, ast.VarDecl):
-            if stmt.scope == "WE" and stmt.static_type is None:
+            if is_symmetric(stmt) and stmt.static_type is None:
                 self._err(
                     "E005",
                     f"symmetric variable '{stmt.name}' must be typed "
@@ -148,7 +149,7 @@ class Checker:
                 _VarInfo(
                     stmt.name,
                     stmt.pos,
-                    symmetric=stmt.scope == "WE",
+                    symmetric=is_symmetric(stmt),
                     is_array=stmt.is_array,
                     shared_lock=stmt.shared_lock,
                 )
@@ -324,9 +325,12 @@ def _is_index_base(root: ast.Expr, ref: ast.VarRef) -> bool:
     return False
 
 
-def check_program(program: ast.Program) -> list[Diagnostic]:
+def check_program(
+    program: ast.Program, summary: ProgramSummary | None = None
+) -> list[Diagnostic]:
     """Scope/type pass plus the full CFG analysis stack, sorted."""
-    summary = summarize(program)
+    if summary is None:
+        summary = summarize(program)
     diags = Checker(program, summary).run()
     diags.extend(analyze_program(program, summary))
     diags.sort(key=sort_key)

@@ -106,8 +106,7 @@ class Formatter:
 
     def fmt_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
-            head = "WE HAS A" if stmt.scope == "WE" else "I HAS A"
-            parts = [f"{head} {stmt.name}"]
+            parts = [f"{stmt.scope} HAS A {stmt.name}"]
             if stmt.is_array and stmt.static_type:
                 kw = "ITZ SRSLY LOTZ A" if stmt.srsly else "ITZ LOTZ A"
                 parts.append(f"{kw} {stmt.static_type}S")

@@ -6,8 +6,9 @@ callers that build sweeps over them (``repro.bench``, the CLIs) have one
 import site.
 """
 
+from ..analysis.summary import const_eval
 from ..interp import ENGINES
-from .spmd import EXECUTORS, const_eval, plan_from_program, run_file, run_lolcode
+from .spmd import EXECUTORS, plan_from_program, run_file, run_lolcode
 
 __all__ = [
     "ENGINES",

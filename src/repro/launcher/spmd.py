@@ -19,10 +19,10 @@ detection — with explicit errors rather than silently falling back to a
 different engine.
 
 The pool needs the symmetric allocation set before workers start, so
-:func:`plan_from_program` statically scans the AST for
-``WE HAS A`` declarations and constant-folds their sizes (``MAH FRENZ``
-folds to ``n_pes``; ``ME`` cannot appear in a size, since per-PE sizes
-would break the symmetric-heap requirement — exactly as in OpenSHMEM).
+it lays out the program summary's ``WE HAS A`` declarations with
+:func:`~repro.analysis.summary.symmetric_plan` (``MAH FRENZ`` folds to
+``n_pes``; ``ME`` cannot appear in a size, since per-PE sizes would
+break the symmetric-heap requirement — exactly as in OpenSHMEM).
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .. import obs as _obs
+from ..analysis.summary import summarize, summarize_cached, symmetric_plan
 from ..lang import ast
 from ..lang.errors import LolParallelError
 from ..lang.parser import parse_cached
-from ..lang.types import parse_type, to_numbr
 from ..interp import ENGINES, compile_vm_cached
 from ..interp.interpreter import Interpreter
-from ..interp.values import binop, unop
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT, ShmemContext
 from ..shmem.heap import SymmetricPlan
 from ..shmem.runtime_threads import SpmdResult, run_spmd
@@ -47,65 +46,10 @@ from ..shmem.runtime_threads import SpmdResult, run_spmd
 EXECUTORS = ("thread", "pool")
 
 
-def _const_fold(expr: ast.Expr, n_pes: int) -> object:
-    """Fold a size expression to its raw value (int, float, or TROOF)."""
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.FloatLit):
-        return expr.value
-    if isinstance(expr, ast.FrenzExpr):
-        return n_pes
-    if isinstance(expr, ast.BinOp):
-        lhs = _const_fold(expr.lhs, n_pes)
-        rhs = _const_fold(expr.rhs, n_pes)
-        return binop(expr.op, lhs, rhs, expr.pos)
-    if isinstance(expr, ast.UnaryOp):
-        return unop(expr.op, _const_fold(expr.operand, n_pes), expr.pos)
-    if isinstance(expr, ast.MeExpr):
-        raise LolParallelError(
-            "symmetric array sizes cannot depend on ME (all PEs must "
-            "allocate identically)",
-            expr.pos,
-        )
-    raise LolParallelError(
-        "symmetric array size must be a compile-time constant for the "
-        "pool executor",
-        expr.pos,
-    )
-
-
-def const_eval(expr: ast.Expr, n_pes: int) -> int:
-    """Constant-fold an array-size expression for the symmetric plan.
-
-    Sizes must fold to an *integral* value: a NUMBAR (or a NUMBAR-typed
-    fold result) like ``2.9`` is rejected instead of being silently
-    truncated to 2 elements — an allocation-size mismatch between
-    executors would corrupt the symmetric heap, not just the one array.
-    """
-    value = _const_fold(expr, n_pes)
-    if isinstance(value, float) and not value.is_integer():
-        raise LolParallelError(
-            f"symmetric array size must be an integer, but the size "
-            f"expression folds to {value!r}",
-            expr.pos,
-        )
-    return to_numbr(value, expr.pos)
-
-
 def plan_from_program(program: ast.Program, n_pes: int) -> SymmetricPlan:
-    """Collect every ``WE HAS A`` declaration into a symmetric plan."""
-    plan = SymmetricPlan()
-    for stmt in ast.walk_statements(program.body):
-        if isinstance(stmt, ast.VarDecl) and stmt.scope == "WE":
-            if stmt.static_type is None:
-                raise LolParallelError(
-                    f"symmetric variable '{stmt.name}' must be typed",
-                    stmt.pos,
-                )
-            lol_type = parse_type(stmt.static_type, stmt.pos)
-            size = const_eval(stmt.size, n_pes) if stmt.is_array else 1
-            plan.add(stmt.name, lol_type, stmt.is_array, size, stmt.shared_lock)
-    return plan
+    """The symmetric plan of a parsed program (see
+    :func:`~repro.analysis.summary.symmetric_plan`)."""
+    return symmetric_plan(summarize(program), n_pes)
 
 
 def _pe_main(
@@ -281,7 +225,7 @@ def run_lolcode(
         from ..lang.checker import check_program
         from ..lang.errors import LolStaticError
 
-        diags = check_program(program)
+        diags = check_program(program, summarize_cached(source, filename))
         for diag in diags:
             print(diag.render(), file=sys.stderr)
         errors = [d for d in diags if d.is_error]
@@ -346,7 +290,7 @@ def run_lolcode(
                 raise LolParallelError(
                     "race detection requires the thread executor"
                 )
-            plan = plan_from_program(program, n_pes)
+            plan = symmetric_plan(summarize_cached(source, filename), n_pes)
             # Imported here so thread launches never load multiprocessing.
             from ..service.pool import run_pooled
 

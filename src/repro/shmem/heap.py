@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..lang.errors import LolParallelError, LolRuntimeError
+from ..lang.errors import LolParallelError, LolRuntimeError, SourcePos
 from ..lang.types import NUMPY_DTYPES, LolType, default_value
 
 
@@ -279,12 +279,22 @@ class SymmetricPlan:
     )  # name -> (type, is_array, size, has_lock)
 
     def add(
-        self, name: str, lol_type: LolType, is_array: bool, size: int, has_lock: bool
+        self,
+        name: str,
+        lol_type: LolType,
+        is_array: bool,
+        size: int,
+        has_lock: bool,
+        pos: Optional[SourcePos] = None,
     ) -> None:
+        """Record one declaration; a redeclaration must match in type,
+        array-ness and size, and its lock flag ORs in (as in
+        :meth:`SymmetricHeap.alloc`)."""
         prev = self.entries.get(name)
-        entry = (lol_type, is_array, size, has_lock)
-        if prev is not None and prev != entry:
-            raise LolParallelError(
-                f"conflicting symmetric declarations for '{name}'"
-            )
-        self.entries[name] = entry
+        if prev is not None:
+            if prev[:3] != (lol_type, is_array, size):
+                raise LolParallelError(
+                    f"conflicting symmetric declarations for '{name}'", pos
+                )
+            has_lock = has_lock or prev[3]
+        self.entries[name] = (lol_type, is_array, size, has_lock)

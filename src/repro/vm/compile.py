@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..analysis.summary import ProgramSummary, is_symmetric, summarize
 from ..lang import ast
 from ..lang.errors import (
     LolNameError,
@@ -184,6 +185,7 @@ class VMCompiler:
         count_flops: bool = False,
         count_steps: bool = False,
         vectorize: bool = True,
+        summary: Optional[ProgramSummary] = None,
     ) -> None:
         self.program = program
         self.count_flops = count_flops
@@ -197,9 +199,9 @@ class VMCompiler:
         # symmetric trip count out of its loop.
         self.remote_unwritten: frozenset[str] = frozenset()
         if self.vectorize:
-            from ..analysis.summary import summarize
-
-            self.remote_unwritten = summarize(program).remote_unwritten
+            if summary is None:
+                summary = summarize(program)
+            self.remote_unwritten = summary.remote_unwritten
         self.root_layout = FrameLayout()
         self.root_scope = ScopeStack(self.root_layout)
         self._pending_funcs: list[tuple[ast.FuncDef, VMFunction]] = []
@@ -292,7 +294,7 @@ class VMCompiler:
         pos = stmt.pos
         name = stmt.name
         declared = parse_type(stmt.static_type, pos) if stmt.static_type else None
-        if stmt.scope == "WE":
+        if is_symmetric(stmt):
             self._stmt_symmetric_decl(stmt, declared, asm)
             return
         if stmt.is_array:
@@ -587,7 +589,7 @@ class VMCompiler:
         # this block level (plus TXT bodies) are pre-bound with a
         # runtime fallback to the enclosing binding.
         for s in stmts:
-            if isinstance(s, ast.VarDecl) and s.scope != "WE" and not s.is_array:
+            if isinstance(s, ast.VarDecl) and not is_symmetric(s) and not s.is_array:
                 declared = (
                     parse_type(s.static_type, s.pos) if s.static_type else None
                 )
@@ -1185,11 +1187,15 @@ def compile_program_vm(
     count_flops: bool = False,
     count_steps: bool = False,
     vectorize: bool = True,
+    summary: Optional[ProgramSummary] = None,
 ) -> VMProgram:
-    """Compile ``program`` once; the result is shareable across PEs."""
+    """Compile ``program`` once; the result is shareable across PEs.
+    ``summary`` is ``program``'s :class:`ProgramSummary` when the caller
+    already holds it."""
     return VMCompiler(
         program,
         count_flops=count_flops,
         count_steps=count_steps,
         vectorize=vectorize,
+        summary=summary,
     ).compile()
