@@ -38,7 +38,7 @@ from .diagnostics import (
 from .locks import check_locks
 from .pe_taint import TaintResult, analyze_taint, check_barriers
 from .races import check_races
-from .summary import ProgramSummary, summarize
+from .summary import ProgramSummary, summarize, summary_of
 
 __all__ = [
     "CFG",
@@ -65,14 +65,12 @@ __all__ = [
 ]
 
 
-def analyze_program(
-    program: ast.Program, summary: ProgramSummary | None = None
-) -> list[Diagnostic]:
-    """Run every CFG-based analysis; diagnostics sorted by position."""
-    if summary is None:
-        summary = summarize(program)
-    taint = analyze_taint(program, summary)
-    bounds = analyze_bounds(program, summary)
+def analyze_program(tree: ast.Program | ProgramSummary) -> list[Diagnostic]:
+    """Run every CFG-based analysis on a program or its summary's tree;
+    diagnostics sorted by position."""
+    summary = summary_of(tree)
+    taint = analyze_taint(summary.program, summary)
+    bounds = analyze_bounds(summary.program, summary)
     diags: list[Diagnostic] = []
     diags.extend(check_barriers(taint))
     diags.extend(check_locks(taint))

@@ -8,6 +8,8 @@ the ``Program``: the fuzzer mutates ASTs in place, so it calls
 :func:`summarize` on each tree it builds.  Everything else starts from
 source text and reads :func:`summarize_cached`, keyed like
 :func:`~repro.lang.parser.parse_cached`, so a warm run walks nothing.
+A summary carries the tree it describes (``program``): a consumer that
+needs both reads the tree from there, never from a second parse.
 
 * ``functions`` — every definition in walk order.  ``HOW IZ I`` binds
   its name when it runs (top-level ones are also hoisted), so a name
@@ -32,7 +34,7 @@ source text and reads :func:`summarize_cached`, keyed like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..lang import ast
@@ -44,6 +46,7 @@ from ..shmem.heap import SymmetricPlan
 
 @dataclass(frozen=True, slots=True)
 class ProgramSummary:
+    program: ast.Program = field(repr=False, compare=False)
     symmetric: frozenset[str]
     functions: tuple[ast.FuncDef, ...]
     callees: dict[str, ast.FuncDef]
@@ -107,6 +110,7 @@ def summarize(program: ast.Program) -> ProgramSummary:
         frozenset() if dynamic else symmetric - remote_written
     )
     return ProgramSummary(
+        program=program,
         symmetric=symmetric,
         functions=tuple(functions),
         callees={func.name: func for func in functions},
@@ -120,8 +124,14 @@ def summarize(program: ast.Program) -> ProgramSummary:
 
 @lru_cache(maxsize=64)
 def summarize_cached(source: str, filename: str = "<string>") -> ProgramSummary:
-    """Memoized summary of ``parse_cached(source, filename)``."""
+    """Memoized summary of ``parse_cached(source, filename)``; its
+    ``program`` is the tree to use, not a later ``parse_cached`` call."""
     return summarize(parse_cached(source, filename))
+
+
+def summary_of(tree: ast.Program | ProgramSummary) -> ProgramSummary:
+    """``tree`` itself if it is already a summary, else its summary."""
+    return tree if isinstance(tree, ProgramSummary) else summarize(tree)
 
 
 def _fold(expr: ast.Expr, n_pes: int | None) -> object:

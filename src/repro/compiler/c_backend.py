@@ -66,13 +66,12 @@ from ..analysis.summary import (
     ProgramSummary,
     const_eval,
     is_symmetric,
-    summarize,
     summarize_cached,
+    summary_of,
     symmetric_plan,
 )
 from ..lang import ast
 from ..lang.errors import LolError, LolParallelError, SourcePos
-from ..lang.parser import parse_cached
 from ..lang.types import LolType, parse_type
 from ..interp.interpreter import KNOWN_LIBRARIES
 from .c_prelude import C_PRELUDE
@@ -152,19 +151,14 @@ def conv(code: str, src: str, dst: str) -> str:
     return _CONV[(src, dst)].format(code)
 
 
+_C_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\a": "\\a"}
+
+
 def c_string(text: str) -> str:
     out = ['"']
     for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\a":
-            out.append("\\a")
+        if ch in _C_ESCAPES:
+            out.append(_C_ESCAPES[ch])
         elif 32 <= ord(ch) < 127:
             out.append(ch)
         else:
@@ -186,24 +180,24 @@ class CBackend:
     ``n_pes`` optionally fixes the launch width at compile time so
     symmetric array extents written in terms of ``MAH FRENZ`` fold to C
     constants; leave it ``None`` for width-independent output (only
-    literal extents compile then).  ``summary`` is ``program``'s
-    :class:`~repro.analysis.summary.ProgramSummary` when the caller
-    already holds it.  Expression generation is the
-    ``gen_expr`` dispatch (returns ``(C expression, kind code)``),
-    statement generation the ``gen_stmt`` dispatch (appends to
-    ``body_lines``); both raise :class:`CompileError` with a source
-    position for every interpret-only construct they meet.
+    literal extents compile then).  ``tree`` is the program or its
+    :class:`~repro.analysis.summary.ProgramSummary`; given a summary,
+    the backend compiles the tree that summary was built from.
+    Expression generation is the ``gen_expr`` dispatch (returns
+    ``(C expression, kind code)``), statement generation the
+    ``gen_stmt`` dispatch (appends to ``body_lines``); both raise
+    :class:`CompileError` with a source position for every
+    interpret-only construct they meet.
     """
 
     def __init__(
         self,
-        program: ast.Program,
-        summary: Optional[ProgramSummary] = None,
+        tree: ast.Program | ProgramSummary,
         n_pes: Optional[int] = None,
     ):
-        self.program = program
+        self.summary = summary_of(tree)
+        self.program = self.summary.program
         self.n_pes = n_pes
-        self.summary = summary if summary is not None else summarize(program)
         self.functions: dict[str, ast.FuncDef] = {}
         self.locals: dict[str, dict[str, SymbolInfo]] = {}
         self.globals: dict[str, SymbolInfo] = {}
@@ -617,7 +611,13 @@ class CBackend:
         with a fixed launch width (``self.n_pes``) ``MAH FRENZ``
         arithmetic folds too.
         """
-        size = const_eval(expr, self.n_pes)
+        try:
+            size = const_eval(expr, self.n_pes)
+        except LolParallelError as exc:
+            raise CompileError(exc.message, exc.pos) from exc
+        except LolError:
+            # E.g. QUOSHUNT OF 1 AN 0: a VLA fails only if it runs.
+            return None
         if size is not None and size < 1:
             # C has no zero/negative-length arrays; diagnose here
             # rather than letting cc reject the emitted unit.
@@ -674,7 +674,7 @@ class CBackend:
         """
         try:
             plan = symmetric_plan(self.summary, self.n_pes)
-        except LolParallelError as exc:
+        except LolError as exc:
             raise CompileError(exc.message, exc.pos) from exc
         top = [stmt for stmt in self.program.body if isinstance(stmt, ast.VarDecl)]
         for decl in (*top, *self.summary.declarations):
@@ -1062,10 +1062,7 @@ def compile_c(
     (the output is then specific to that width — the native build cache
     keys on the folded C text, so each width gets its own binary).
     """
-    if isinstance(source_or_program, ast.Program):
-        return CBackend(source_or_program, n_pes=n_pes).generate()
-    return CBackend(
-        parse_cached(source_or_program, filename),
-        summarize_cached(source_or_program, filename),
-        n_pes=n_pes,
-    ).generate()
+    tree = source_or_program
+    if not isinstance(tree, ast.Program):
+        tree = summarize_cached(tree, filename)
+    return CBackend(tree, n_pes=n_pes).generate()

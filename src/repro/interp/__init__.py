@@ -73,12 +73,15 @@ def compile_vm_cached(
     from ..lang.parser import parse_cached
     from ..vm.compile import compile_program_vm
 
+    # Only the vectorizer reads the summary; either counter disables it.
+    vectorize = not (count_flops or count_steps)
     return compile_program_vm(
-        parse_cached(source, filename),
+        summarize_cached(source, filename)
+        if vectorize
+        else parse_cached(source, filename),
         count_flops=count_flops,
         count_steps=count_steps,
-        vectorize=not count_steps,
-        summary=summarize_cached(source, filename),
+        vectorize=vectorize,
     )
 
 

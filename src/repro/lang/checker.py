@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis import ProgramSummary, analyze_program, summarize
-from ..analysis.summary import is_symmetric
+from ..analysis import ProgramSummary, analyze_program
+from ..analysis.summary import is_symmetric, summary_of
 from ..analysis.diagnostics import Diagnostic, FixIt, sort_key
 from . import ast
 from .errors import SourcePos
@@ -325,14 +325,12 @@ def _is_index_base(root: ast.Expr, ref: ast.VarRef) -> bool:
     return False
 
 
-def check_program(
-    program: ast.Program, summary: ProgramSummary | None = None
-) -> list[Diagnostic]:
-    """Scope/type pass plus the full CFG analysis stack, sorted."""
-    if summary is None:
-        summary = summarize(program)
-    diags = Checker(program, summary).run()
-    diags.extend(analyze_program(program, summary))
+def check_program(tree: ast.Program | ProgramSummary) -> list[Diagnostic]:
+    """Scope/type pass plus the full CFG analysis stack, sorted.
+    ``tree`` may be the program's summary; its tree is checked."""
+    summary = summary_of(tree)
+    diags = Checker(summary.program, summary).run()
+    diags.extend(analyze_program(summary))
     diags.sort(key=sort_key)
     return diags
 

@@ -218,14 +218,14 @@ def run_lolcode(
     rt = _obs.ACTIVE
     if rt is not None and rt.trace_on:
         with rt.tracer.span("compile", "parse", args={"filename": filename}):
-            program = parse_cached(source, filename)
+            parse_cached(source, filename)
     else:
-        program = parse_cached(source, filename)
+        parse_cached(source, filename)
     if check != "off":
         from ..lang.checker import check_program
         from ..lang.errors import LolStaticError
 
-        diags = check_program(program, summarize_cached(source, filename))
+        diags = check_program(summarize_cached(source, filename))
         for diag in diags:
             print(diag.render(), file=sys.stderr)
         errors = [d for d in diags if d.is_error]

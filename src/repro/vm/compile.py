@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.summary import ProgramSummary, is_symmetric, summarize
+from ..analysis.summary import ProgramSummary, is_symmetric, summary_of
 from ..lang import ast
 from ..lang.errors import (
     LolNameError,
@@ -180,14 +180,15 @@ class VMCompiler:
 
     def __init__(
         self,
-        program: ast.Program,
+        tree: ast.Program | ProgramSummary,
         *,
         count_flops: bool = False,
         count_steps: bool = False,
         vectorize: bool = True,
-        summary: Optional[ProgramSummary] = None,
     ) -> None:
-        self.program = program
+        self.program = (
+            tree.program if isinstance(tree, ProgramSummary) else tree
+        )
         self.count_flops = count_flops
         self.count_steps = count_steps
         # Vectorization changes per-statement step accounting and skips
@@ -199,9 +200,7 @@ class VMCompiler:
         # symmetric trip count out of its loop.
         self.remote_unwritten: frozenset[str] = frozenset()
         if self.vectorize:
-            if summary is None:
-                summary = summarize(program)
-            self.remote_unwritten = summary.remote_unwritten
+            self.remote_unwritten = summary_of(tree).remote_unwritten
         self.root_layout = FrameLayout()
         self.root_scope = ScopeStack(self.root_layout)
         self._pending_funcs: list[tuple[ast.FuncDef, VMFunction]] = []
@@ -1182,20 +1181,17 @@ class VMCompiler:
 
 
 def compile_program_vm(
-    program: ast.Program,
+    tree: ast.Program | ProgramSummary,
     *,
     count_flops: bool = False,
     count_steps: bool = False,
     vectorize: bool = True,
-    summary: Optional[ProgramSummary] = None,
 ) -> VMProgram:
-    """Compile ``program`` once; the result is shareable across PEs.
-    ``summary`` is ``program``'s :class:`ProgramSummary` when the caller
-    already holds it."""
+    """Compile a program (or the tree of a :class:`ProgramSummary`)
+    once; the result is shareable across PEs."""
     return VMCompiler(
-        program,
+        tree,
         count_flops=count_flops,
         count_steps=count_steps,
         vectorize=vectorize,
-        summary=summary,
     ).compile()

@@ -19,7 +19,7 @@ from repro.analysis import summary as summary_mod
 from repro.compiler import CompileError, NativeBuildError, compile_c
 from repro.lang import ast
 from repro.lang.errors import LolError
-from repro.lang.parser import parse
+from repro.lang.parser import parse, parse_cached
 from repro.launcher import plan_from_program
 from repro.workloads import all_workloads, get_workload
 
@@ -114,6 +114,53 @@ def test_program_errors_never_reach_cc(body, match):
     # hides it behind a degraded run.
     with pytest.raises(CompileError, match=match):
         run_lolcode(lol(body), 2, engine="c", fallback_engine="vm")
+
+
+def test_consumers_read_the_tree_the_summary_was_built_from():
+    # The parse and summary caches evict independently; once the parse
+    # entry is gone, a second parse yields new nodes that the cached
+    # summary does not describe.  Consumers must compile the summary's
+    # own tree, or every top-level function looks nested.
+    source = lol(
+        "HOW IZ I twice YR n\n  FOUND YR SUM OF n AN n\nIF U SAY SO\n"
+        "VISIBLE I IZ twice YR 21 MKAY"
+    )
+    # Keyed exactly as compile_c and run_lolcode look it up.
+    summary_mod.summarize_cached(source, "<string>")
+    parse_cached.cache_clear()
+    assert "twice" in compile_c(source, n_pes=2)
+    result = run_lolcode(source, 1, engine="ast", check="error")
+    assert result.output == "42\n"
+
+
+DEAD_DIVISION_EXTENT = (
+    "I HAS A n ITZ 0\n"
+    "BOTH SAEM n AN 1, O RLY?\nYA RLY,\n"
+    "  I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ QUOSHUNT OF 1 AN 0\n"
+    "  VISIBLE a'Z 0\n"
+    'OIC\nVISIBLE "ok"'
+)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    ["ast", "vm", pytest.param("c", marks=pytest.mark.requires_cc)],
+)
+def test_block_local_extent_fails_only_if_it_runs(engine):
+    # An extent that cannot fold is a run-time matter for a block-local
+    # array: a branch that never runs never evaluates it.
+    assert _run(DEAD_DIVISION_EXTENT, "thread", engine).output == "ok\nok\n"
+
+
+def test_symmetric_division_by_zero_extent_is_a_compile_error():
+    with pytest.raises(CompileError, match="division by zero"):
+        compile_c(
+            lol(
+                "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ "
+                "QUOSHUNT OF 1 AN 0"
+            ),
+            n_pes=2,
+        )
 
 
 _SYMMETRIC_OBJECT = re.compile(
