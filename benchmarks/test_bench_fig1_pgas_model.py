@@ -16,7 +16,7 @@ import pytest
 from repro import run_lolcode
 from repro.lang.types import LolType
 from repro.noc import cray_xc40, epiphany_iii, local_vs_remote_ratio
-from repro.shmem import ShmemContext, run_spmd
+from repro.shmem import ShmemContext, SymmetricPlan, run_spmd
 
 from .conftest import lol, print_table
 
@@ -56,12 +56,13 @@ def test_fig1_partition_accounting():
     """Every PE's partition holds exactly the same symbols and bytes."""
 
     def worker(ctx: ShmemContext):
-        ctx.alloc_array("shared_array", LolType.NUMBAR, 16)
-        ctx.alloc_scalar("static_var", LolType.NUMBR)
         ctx.barrier_all()
         return ctx.world.heap.partition_nbytes(ctx.my_pe)
 
-    r = run_spmd(worker, 4)
+    plan = SymmetricPlan()
+    plan.add("shared_array", LolType.NUMBAR, True, 16, False)
+    plan.add("static_var", LolType.NUMBR, False, 1, False)
+    r = run_spmd(worker, 4, plan=plan)
     assert len(set(r.returns)) == 1  # symmetric: identical everywhere
     assert r.returns[0] == 16 * 8 + 8
 
@@ -81,24 +82,30 @@ def test_fig1_modeled_asymmetry():
     )
 
 
+def _array_plan() -> SymmetricPlan:
+    plan = SymmetricPlan()
+    plan.add("a", LolType.NUMBAR, True, 64, False)
+    return plan
+
+
 @pytest.mark.benchmark(group="fig1")
 def test_local_read_cost(benchmark):
     def worker(ctx: ShmemContext):
-        ctx.alloc_array("a", LolType.NUMBAR, 64)
         for _ in range(2000):
             ctx.local_read("a", index=7)
 
-    benchmark(lambda: run_spmd(worker, 1))
+    plan = _array_plan()
+    benchmark(lambda: run_spmd(worker, 1, plan=plan))
 
 
 @pytest.mark.benchmark(group="fig1")
 def test_remote_get_cost(benchmark):
     def worker(ctx: ShmemContext):
-        ctx.alloc_array("a", LolType.NUMBAR, 64)
         ctx.barrier_all()
         other = (ctx.my_pe + 1) % ctx.n_pes
         for _ in range(2000):
             ctx.get("a", other, index=7)
         ctx.barrier_all()
 
-    benchmark(lambda: run_spmd(worker, 2))
+    plan = _array_plan()
+    benchmark(lambda: run_spmd(worker, 2, plan=plan))

@@ -10,7 +10,7 @@ import pytest
 
 from repro import run_lolcode
 from repro.lang.types import LolType
-from repro.shmem import ShmemContext, run_spmd
+from repro.shmem import ShmemContext, SymmetricPlan, run_spmd
 
 from .conftest import lol, print_table
 
@@ -57,20 +57,25 @@ def test_unlocked_baseline_is_racy():
     assert any(rep.symbol == "x" for rep in r.races)
 
 
+def _x_plan() -> SymmetricPlan:
+    plan = SymmetricPlan()
+    plan.add("x", LolType.NUMBR, False, 1, False)
+    return plan
+
+
 def test_atomic_alternative_exact():
     """The OpenSHMEM backend the paper mentions ('other routines are used
     implicitly') offers atomics; fetch-add gives the lock example's
     semantics without a critical section."""
 
     def worker(ctx: ShmemContext):
-        ctx.alloc_scalar("x", LolType.NUMBR)
         ctx.barrier_all()
         for _ in range(INCREMENTS):
             ctx.atomic_fetch_add("x", 1, 0)
         ctx.barrier_all()
         return ctx.local_read("x") if ctx.my_pe == 0 else None
 
-    r = run_spmd(worker, 4)
+    r = run_spmd(worker, 4, plan=_x_plan())
     assert r.returns[0] == 4 * INCREMENTS
 
 
@@ -84,10 +89,10 @@ def test_locked_counter_wallclock(benchmark, n_pes):
 @pytest.mark.benchmark(group="locks")
 def test_atomic_counter_wallclock(benchmark):
     def worker(ctx: ShmemContext):
-        ctx.alloc_scalar("x", LolType.NUMBR)
         ctx.barrier_all()
         for _ in range(INCREMENTS):
             ctx.atomic_fetch_add("x", 1, 0)
         ctx.barrier_all()
 
-    benchmark(lambda: run_spmd(worker, 4))
+    plan = _x_plan()
+    benchmark(lambda: run_spmd(worker, 4, plan=plan))

@@ -9,7 +9,7 @@ import pytest
 
 from repro import run_lolcode
 from repro.lang.types import LolType
-from repro.shmem import World, ShmemContext, run_spmd
+from repro.shmem import World, ShmemContext, SymmetricPlan, run_spmd
 
 from .conftest import lol, print_table
 
@@ -129,7 +129,6 @@ def test_put_get_cost(benchmark):
     """One-sided put+get round on 2 PEs (1000 rounds)."""
 
     def worker(ctx: ShmemContext):
-        ctx.alloc_scalar("x", LolType.NUMBR)
         ctx.barrier_all()
         other = (ctx.my_pe + 1) % ctx.n_pes
         for i in range(1000):
@@ -137,7 +136,9 @@ def test_put_get_cost(benchmark):
             ctx.get("x", other)
         ctx.barrier_all()
 
-    benchmark(lambda: run_spmd(worker, 2))
+    plan = SymmetricPlan()
+    plan.add("x", LolType.NUMBR, False, 1, False)
+    benchmark(lambda: run_spmd(worker, 2, plan=plan))
 
 
 @pytest.mark.benchmark(group="table2-locks")
@@ -145,7 +146,6 @@ def test_lock_throughput(benchmark):
     """Contended lock acquire/release (4 PEs x 200 criticals)."""
 
     def worker(ctx: ShmemContext):
-        ctx.alloc_scalar("c", LolType.NUMBR, has_lock=True)
         ctx.barrier_all()
         for _ in range(200):
             ctx.set_lock("c")
@@ -154,8 +154,11 @@ def test_lock_throughput(benchmark):
         ctx.barrier_all()
         return ctx.local_read("c") if ctx.my_pe == 0 else None
 
+    plan = SymmetricPlan()
+    plan.add("c", LolType.NUMBR, False, 1, True)
+
     def run():
-        r = run_spmd(worker, 4)
+        r = run_spmd(worker, 4, plan=plan)
         assert r.returns[0] == 800
 
     benchmark(run)

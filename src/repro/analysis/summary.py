@@ -2,8 +2,8 @@
 
 :func:`summarize` is the only place that collects ``HOW IZ I``
 definitions and ``WE HAS A`` / ``I HAS A`` declarations; the scope
-checker, every CFG analysis, the VM compiler, the pool's symmetric plan,
-the C backend and fuzz coverage read its result.  Nothing is cached on
+checker, every CFG analysis, the VM compiler, every executor's
+symmetric plan, the C backend and fuzz coverage read its result.  Nothing is cached on
 the ``Program``: the fuzzer mutates ASTs in place, so it calls
 :func:`summarize` on each tree it builds.  Everything else starts from
 source text and reads :func:`summarize_cached`, keyed like
@@ -21,7 +21,8 @@ needs both reads the tree from there, never from a second parse.
   remote accesses) need one; the last is the body the top-level hoist
   binds and the one every call after the final definition runs.
 * ``declarations`` — every ``WE HAS A`` in walk order, function bodies
-  included; :func:`symmetric_plan` lays them out.  ``locals[i]`` — the
+  included; :func:`symmetric_plan` lays them out for every executor
+  (:func:`symmetric_plan_cached` per launch width).  ``locals[i]`` — the
   ``I HAS A`` declarations of ``functions[i]``'s body (its nested
   blocks, not its nested definitions).
 * ``remote_unwritten`` — symmetric names no statement stores to through
@@ -178,19 +179,24 @@ def const_eval(expr: ast.Expr, n_pes: int | None) -> int | None:
 
 
 def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
-    """Lay out every ``WE HAS A`` by the thread heap's rule.
+    """Lay out every ``WE HAS A`` of the program, reachable or not.
 
-    A symmetric name must be typed; an array extent must fold (see
-    :func:`const_eval`) to at least 1 element — ``ME`` never folds,
-    since per-PE extents would break the symmetric layout, exactly as in
-    OpenSHMEM; redeclarations must agree on type, array-ness and extent,
-    and their ``AN IM SHARIN IT`` flags OR together.
+    This is the one copy of the symmetric-declaration rule, checked
+    before any PE runs: a symmetric name must be typed; an array extent
+    must fold (see :func:`const_eval`) — ``ME`` never folds, since
+    per-PE extents would break the symmetric layout, exactly as in
+    OpenSHMEM — to at least 1 element; redeclarations must agree on
+    type, array-ness and extent, and their ``AN IM SHARIN IT`` flags OR
+    together (:meth:`~repro.shmem.heap.SymmetricPlan.add`).  The plan
+    is read-only.
     """
     plan = SymmetricPlan()
     for decl in summary.declarations:
         if decl.static_type is None:
             raise LolParallelError(
-                f"symmetric variable '{decl.name}' must be typed", decl.pos
+                f"symmetric variable '{decl.name}' must be typed "
+                f"(WE HAS A {decl.name} ITZ SRSLY A <type> ...)",
+                decl.pos,
             )
         size = 1
         if decl.is_array:
@@ -206,12 +212,6 @@ def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
                     extent.pos,
                 )
             size = folded
-            if size < 1:
-                raise LolParallelError(
-                    f"symmetric array '{decl.name}' needs at least 1 "
-                    f"element, but its size folds to {size}",
-                    extent.pos,
-                )
         plan.add(
             decl.name,
             parse_type(decl.static_type, decl.pos),
@@ -220,4 +220,13 @@ def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
             decl.shared_lock,
             decl.pos,
         )
-    return plan
+    return plan.freeze()
+
+
+@lru_cache(maxsize=64)
+def symmetric_plan_cached(
+    source: str, filename: str, n_pes: int
+) -> SymmetricPlan:
+    """Memoized :func:`symmetric_plan` of ``summarize_cached(source,
+    filename)`` at launch width ``n_pes``: a warm launch plans nothing."""
+    return symmetric_plan(summarize_cached(source, filename), n_pes)

@@ -135,6 +135,7 @@ def run_vm_gate(
     module attribute at call time so tests can monkeypatch a planted bug
     into the same compiler every other VM run uses.
     """
+    from ..analysis.summary import summarize, symmetric_plan
     from ..lang.parser import parse
     from ..obs.vmprof import ProfilingMachine
     from ..vm import compile as vm_compile
@@ -143,6 +144,7 @@ def run_vm_gate(
     try:
         program = parse(source, filename)
         vmp = vm_compile.compile_program_vm(program, count_steps=True)
+        plan = symmetric_plan(summarize(program), n_pes)
     except LolError as exc:
         return classify_exception(exc), None
 
@@ -159,7 +161,9 @@ def run_vm_gate(
                     counts[op] += n
 
     try:
-        result = run_spmd(pe_main, n_pes, seed=seed, barrier_timeout=barrier_timeout)
+        result = run_spmd(
+            pe_main, n_pes, plan=plan, seed=seed, barrier_timeout=barrier_timeout
+        )
     except LolError as exc:
         return classify_exception(exc), counts
     return Outcome("ok", outputs=tuple(result.outputs)), counts

@@ -3,7 +3,7 @@
 One :class:`Interpreter` instance runs per PE, all attached to the same
 :class:`~repro.shmem.api.World` through per-PE
 :class:`~repro.shmem.api.ShmemContext` handles.  All parallel semantics —
-symmetric allocation, ``HUGZ`` barriers, ``TXT MAH BFF`` predication with
+symmetric access, ``HUGZ`` barriers, ``TXT MAH BFF`` predication with
 ``UR``/``MAH`` addressing, and the implied locks of ``IM SHARIN IT`` —
 delegate to the context, so the interpreter is executor-agnostic (threads,
 processes, or a 1-PE serial world).
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.summary import is_symmetric
+from ..analysis.summary import is_symmetric, summarize, symmetric_plan
 from ..lang import ast
 from ..lang.errors import (
     LolNameError,
@@ -79,7 +79,10 @@ class Interpreter:
         max_steps: Optional[int] = None,
     ) -> None:
         self.program = program
-        self.ctx = ctx if ctx is not None else serial_context()
+        if ctx is None:
+            # Serial by default, over a heap planned from this program.
+            ctx = serial_context(symmetric_plan(summarize(program), 1))
+        self.ctx = ctx
         self.globals = Env()
         self.functions: dict[str, ast.FuncDef] = {}
         self.libraries: set[str] = set()
@@ -162,21 +165,8 @@ class Interpreter:
     def _exec_symmetric_decl(
         self, stmt: ast.VarDecl, declared_type: Optional[LolType]
     ) -> None:
-        if declared_type is None:
-            raise LolParallelError(
-                f"symmetric variable '{stmt.name}' must be typed "
-                f"(WE HAS A {stmt.name} ITZ SRSLY A <type> ...)",
-                stmt.pos,
-            )
-        if stmt.is_array:
-            size = to_array_size(self.eval(stmt.size, self.globals), stmt.pos)
-            self.ctx.alloc_array(
-                stmt.name, declared_type, size, has_lock=stmt.shared_lock
-            )
-        else:
-            self.ctx.alloc_scalar(
-                stmt.name, declared_type, has_lock=stmt.shared_lock
-            )
+        # The world's plan already holds the object (typed, sized and
+        # checked before launch): declaring only binds the name.
         self.globals.declare(
             stmt.name,
             Binding(
@@ -711,16 +701,16 @@ def interpret(
     filename: str = "<string>",
     max_steps: Optional[int] = None,
 ) -> ShmemContext:
-    """Parse and run ``source`` on a single context (serial by default).
+    """Parse and run ``source`` on a single context (by default a serial
+    one whose heap is planned from ``source``).
 
     Returns the context so callers can inspect ``ctx.output``.
     """
     from ..lang.parser import parse
 
-    program = parse(source, filename)
-    ctx = ctx if ctx is not None else serial_context()
-    Interpreter(program, ctx, max_steps=max_steps).run()
-    return ctx
+    interp = Interpreter(parse(source, filename), ctx, max_steps=max_steps)
+    interp.run()
+    return interp.ctx
 
 
 def run_serial(source: str, **kwargs) -> str:

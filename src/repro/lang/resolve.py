@@ -35,9 +35,6 @@ behaviour):
 
 Known, documented divergences from the tree-walker:
 
-* reading a symmetric symbol before its ``WE HAS A`` has *executed* (but
-  after it is lexically visible) raises ``LolParallelError`` from the
-  heap instead of ``LolNameError``;
 * a re-declaration that *changes* a name's static type or array-ness
   allocates a fresh slot, so a function compiled against the final root
   scope reads the post-redeclaration storage (same-shape redeclarations
@@ -105,7 +102,7 @@ class FrameLayout:
 
     n_slots: int = 1
 
-    def alloc(self) -> int:
+    def new_slot(self) -> int:
         slot = self.n_slots
         self.n_slots += 1
         return slot
@@ -159,7 +156,7 @@ class ScopeStack:
                 prev = VarInfo(LOCAL, name, prev.slot, static_type, is_array)
                 self.blocks[-1][name] = prev
             return prev
-        info = VarInfo(LOCAL, name, self.layout.alloc(), static_type, is_array)
+        info = VarInfo(LOCAL, name, self.layout.new_slot(), static_type, is_array)
         self.blocks[-1][name] = info
         return info
 
@@ -174,7 +171,7 @@ class ScopeStack:
             return self.blocks[-1][name]
         fallback = self.lookup(name) or VarInfo(MISSING, name)
         info = VarInfo(
-            LOCAL, name, self.layout.alloc(), static_type, False, fallback
+            LOCAL, name, self.layout.new_slot(), static_type, False, fallback
         )
         self.blocks[-1][name] = info
         return info

@@ -18,11 +18,12 @@ refuses the interpreter-only knobs — ``max_steps``, op tracing, race
 detection — with explicit errors rather than silently falling back to a
 different engine.
 
-The pool needs the symmetric allocation set before workers start, so
-it lays out the program summary's ``WE HAS A`` declarations with
-:func:`~repro.analysis.summary.symmetric_plan` (``MAH FRENZ`` folds to
-``n_pes``; ``ME`` cannot appear in a size, since per-PE sizes would
-break the symmetric-heap requirement — exactly as in OpenSHMEM).
+Both executors build their world's symmetric heap before any PE starts,
+from the program summary's ``WE HAS A`` declarations laid out by
+:func:`~repro.analysis.summary.symmetric_plan_cached` (``MAH FRENZ``
+folds to ``n_pes``; ``ME`` cannot appear in a size, since per-PE sizes
+would break the symmetric-heap requirement — exactly as in OpenSHMEM).
+A warm launch of the same source and width plans nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .. import obs as _obs
-from ..analysis.summary import summarize, summarize_cached, symmetric_plan
+from ..analysis.summary import (
+    summarize,
+    summarize_cached,
+    symmetric_plan,
+    symmetric_plan_cached,
+)
 from ..lang import ast
 from ..lang.errors import LolParallelError
 from ..lang.parser import parse_cached
@@ -285,12 +291,10 @@ def run_lolcode(
             )
         worker = partial(_pe_main, source, filename, max_steps, engine)
 
+        if executor == "pool" and race_detection:
+            raise LolParallelError("race detection requires the thread executor")
+        plan = symmetric_plan_cached(source, filename, n_pes)
         if executor == "pool":
-            if race_detection:
-                raise LolParallelError(
-                    "race detection requires the thread executor"
-                )
-            plan = symmetric_plan(summarize_cached(source, filename), n_pes)
             # Imported here so thread launches never load multiprocessing.
             from ..service.pool import run_pooled
 
@@ -306,6 +310,7 @@ def run_lolcode(
         return run_spmd(
             worker,
             n_pes,
+            plan=plan,
             seed=seed,
             stdin_lines=stdin_lines,
             trace=trace,

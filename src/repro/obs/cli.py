@@ -190,6 +190,7 @@ def lolprof_main(argv: Optional[Sequence[str]] = None) -> int:
     except LolError as exc:
         return _fail(exc)
 
+    from ..analysis.summary import symmetric_plan_cached
     from ..interp import compile_vm_cached
     from ..shmem.runtime_threads import run_spmd
     from .vmprof import OpcodeProfile, ProfilingMachine, format_report
@@ -206,7 +207,8 @@ def lolprof_main(argv: Optional[Sequence[str]] = None) -> int:
         return None
 
     try:
-        result = run_spmd(pe_main, args.n_pes, seed=args.seed)
+        plan = symmetric_plan_cached(source, filename, args.n_pes)
+        result = run_spmd(pe_main, args.n_pes, plan=plan, seed=args.seed)
     except LolError as exc:
         return _fail(exc)
 

@@ -205,7 +205,8 @@ def _pool_worker_main(index, conn, barriers, locks, epoch_value, atomic_lock):
         world = None
         try:
             lock_map = {
-                name: locks[i] for i, name in enumerate(job.spec.lock_names)
+                name: locks[i]
+                for i, name in enumerate(job.spec.plan.lock_names())
             }
             world, shm = _build_world(
                 job.spec, barrier, lock_map, epoch_value, atomic_lock
@@ -251,7 +252,7 @@ def _pool_worker_main(index, conn, barriers, locks, epoch_value, atomic_lock):
             # every later job that maps the same slot (e.g. erroring out
             # of an ``IM SRSLY MESIN WIF`` region).
             if world is not None:
-                for name in job.spec.lock_names:
+                for name in job.spec.plan.lock_names():
                     try:
                         if world.locks.owner(name) == job.pe:
                             world.locks.release(name, job.pe)
@@ -426,12 +427,13 @@ class WorkerPool:
     ) -> SpmdResult:
         """Execute ``pe_main(ctx)`` on ``n_pes`` warm workers.
 
-        ``plan`` must describe every symmetric symbol the job allocates
-        (build it with :func:`repro.launcher.spmd.plan_from_program` for
-        LOLCODE programs, or by hand for raw Python SPMD workers), and
-        symmetric data must be numeric.  ``pe_main`` must be picklable
-        (a module-level function or a ``partial`` of one): it travels to
-        the workers over their pipes.  Returns the same
+        ``plan`` lists every symmetric symbol of the job; each worker
+        builds its world's heap from it before ``pe_main`` runs (build it
+        with :func:`repro.launcher.spmd.plan_from_program` for LOLCODE
+        programs, or with :meth:`~repro.shmem.heap.SymmetricPlan.add`
+        for raw Python SPMD workers).  Symmetric data must be numeric.
+        ``pe_main`` must be picklable (a module-level function or a
+        ``partial`` of one): it travels to the workers over their pipes.  Returns the same
         :class:`SpmdResult` as the thread executor.
         """
         with self._mutex:
@@ -465,8 +467,8 @@ class WorkerPool:
         trace,
         barrier_timeout,
     ) -> SpmdResult:
-        layouts, data_elems = plan_layout(plan, n_pes)
-        lock_names = tuple(lay.name for lay in layouts if lay.has_lock)
+        offsets, data_elems = plan_layout(plan, n_pes)
+        lock_names = plan.lock_names()
         if len(lock_names) > self.max_locks:
             raise LolParallelError(
                 f"program declares {len(lock_names)} shared locks but the "
@@ -491,8 +493,8 @@ class WorkerPool:
             spec = _WorldSpec(
                 n_pes=n_pes,
                 shm_name=shm.name,
-                symbols=tuple(layouts),
-                lock_names=lock_names,
+                plan=plan,
+                offsets=offsets,
                 exchange_offset=exchange_offset,
                 owners_offset=owners_offset,
                 barrier_timeout=barrier_timeout,
@@ -839,7 +841,7 @@ def run_pooled(
     Retries once if the pool it grabbed was concurrently rebuilt (a
     sibling caller growing the default pool closes the old one).
     """
-    n_locks = sum(1 for *_, has_lock in plan.entries.values() if has_lock)
+    n_locks = len(plan.lock_names())
     last_exc: Optional[LolParallelError] = None
     for _ in range(3):
         pool = get_default_pool(n_pes, n_locks)

@@ -15,8 +15,14 @@ LOLCODE (Table II)                ``ShmemContext``
 ``IM SRSLY MESIN WIF x``          ``ctx.set_lock("x")``
 ``IM MESIN WIF x`` (trylock)      ``ctx.test_lock("x")``
 ``DUN MESIN WIF x``               ``ctx.clear_lock("x")``
-``WE HAS A x ITZ SRSLY A NUMBR``  ``ctx.alloc_scalar("x", LolType.NUMBR)``
+``WE HAS A x ITZ SRSLY A NUMBR``  ``plan.add("x", LolType.NUMBR, ...)``
 ================================= =======================================
+
+A world's symmetric heap is laid out from a
+:class:`~repro.shmem.heap.SymmetricPlan` before any PE runs, so
+``WE HAS A`` allocates nothing at run time: the launcher plans the
+program, and Python SPMD workers pass the plan they built by hand
+(``run_spmd(..., plan=)``, ``serial_context(plan=)``).
 
 plus a handful of OpenSHMEM conveniences that the backend uses implicitly
 ("other OpenSHMEM routines are used implicitly in the backend but do not
@@ -41,8 +47,7 @@ import numpy as np
 
 from .. import obs as _obs
 from ..lang.errors import LolParallelError, LolRuntimeError
-from ..lang.types import LolType
-from .heap import ArrayCell, SymmetricHeap, SymmetricObject
+from .heap import ArrayCell, SymmetricHeap, SymmetricObject, SymmetricPlan
 from .locks import LockTable
 from .racecheck import RaceDetector
 from .trace import OpEvent, OpKind, OpTrace
@@ -140,19 +145,23 @@ class HandoffBarrier:
 class World:
     """Everything shared by the PEs of one SPMD execution.
 
-    ``epoch_box.read()`` gives the number of completed barrier phases:
-    the thread world's :class:`HandoffBarrier` counts its own, process
-    worlds keep the count in shared memory.
+    The constructor is the one world builder: it lays out the heap of
+    ``plan`` (``cell`` makes each PE's copy of an object, see
+    :class:`~repro.shmem.heap.SymmetricHeap`) and registers the plan's
+    locks, before any PE runs.  ``epoch_box.read()`` gives the number of
+    completed barrier phases: the thread world's :class:`HandoffBarrier`
+    counts its own, process worlds keep the count in shared memory.
     """
 
     def __init__(
         self,
         n_pes: int,
+        plan: SymmetricPlan,
         *,
         barrier,
-        heap: SymmetricHeap,
         locks: LockTable,
         epoch_box,
+        cell=None,
         race_detector: Optional[RaceDetector] = None,
         exchange: Optional[list] = None,
         atomic_mutex=None,
@@ -160,7 +169,9 @@ class World:
     ) -> None:
         self.n_pes = n_pes
         self.barrier = barrier
-        self.heap = heap
+        self.heap = SymmetricHeap(plan, n_pes, cell)
+        for name in plan.lock_names():
+            locks.register(name)
         self.locks = locks
         self.epoch_box = epoch_box
         self.race_detector = race_detector
@@ -172,6 +183,7 @@ class World:
     def for_threads(
         cls,
         n_pes: int,
+        plan: SymmetricPlan,
         *,
         race_detection: bool = False,
         element_granularity: bool = False,
@@ -180,8 +192,8 @@ class World:
         barrier = HandoffBarrier(n_pes)
         return cls(
             n_pes,
+            plan,
             barrier=barrier,
-            heap=SymmetricHeap(n_pes),
             locks=LockTable(threading.Lock),
             epoch_box=barrier,
             race_detector=(
@@ -255,30 +267,7 @@ class ShmemContext:
         self._stdin_pos += 1
         return line
 
-    # -- symmetric allocation ---------------------------------------------------
-
-    def alloc_scalar(
-        self, name: str, lol_type: Optional[LolType], *, has_lock: bool = False
-    ) -> SymmetricObject:
-        obj = self.world.heap.alloc(name, lol_type, has_lock=has_lock)
-        if has_lock:
-            self.world.locks.register(name)
-        return obj
-
-    def alloc_array(
-        self,
-        name: str,
-        lol_type: Optional[LolType],
-        size: int,
-        *,
-        has_lock: bool = False,
-    ) -> SymmetricObject:
-        obj = self.world.heap.alloc(
-            name, lol_type, is_array=True, size=size, has_lock=has_lock
-        )
-        if has_lock:
-            self.world.locks.register(name)
-        return obj
+    # -- symmetric symbols ---------------------------------------------------------
 
     def is_symmetric(self, name: str) -> bool:
         return self.world.heap.contains(name)
@@ -597,8 +586,11 @@ class ShmemContext:
             raise LolRuntimeError(f"'{symbol}' is not an array")
 
 
-def serial_context(**kwargs) -> ShmemContext:
+def serial_context(
+    plan: Optional[SymmetricPlan] = None, **kwargs
+) -> ShmemContext:
     """A 1-PE world for serial interpretation (``loli``): ``ME`` is 0 and
-    ``MAH FRENZ`` is 1, matching a single-PE OpenSHMEM launch."""
-    world = World.for_threads(1)
+    ``MAH FRENZ`` is 1, matching a single-PE OpenSHMEM launch.  Its heap
+    holds the symbols of ``plan`` (none by default)."""
+    world = World.for_threads(1, plan or SymmetricPlan())
     return ShmemContext(world, 0, **kwargs)

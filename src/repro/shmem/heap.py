@@ -3,7 +3,9 @@
 The partitioned global address space is modelled exactly as the paper
 draws it: every PE owns a partition holding *the same set of symbols*
 (symmetric allocation), and any PE may address any partition's copy of a
-symbol once that symbol has been allocated collectively.
+symbol.  The set is fixed before the PEs start: a
+:class:`SymmetricPlan` lists every symbol, and each world builds its
+heap from one.
 
 Two storage classes exist, mirroring OpenSHMEM:
 
@@ -13,17 +15,17 @@ Two storage classes exist, mirroring OpenSHMEM:
   array for the numeric types
   (``WE HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 32``).
 
-The heap itself is executor-agnostic: the thread runtime instantiates it
-directly in shared memory of the Python process, while the process runtime
-provides numpy views onto ``multiprocessing.shared_memory`` segments with
-the same interface.
+The heap itself is executor-agnostic: the thread executor fills it with
+cells in the memory of the Python process, while the pool's workers
+provide numpy views onto a ``multiprocessing.shared_memory`` segment
+with the same interface.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -166,10 +168,9 @@ class SymmetricObject:
     """A symmetric symbol: the same declaration replicated on every PE."""
 
     name: str
-    lol_type: Optional[LolType]
+    lol_type: LolType
     is_array: bool
     size: int
-    has_lock: bool
     per_pe: list  # list[ScalarCell | ArrayCell], indexed by PE
 
     def cell(self, pe: int):
@@ -177,71 +178,35 @@ class SymmetricObject:
 
 
 class SymmetricHeap:
-    """The collective symmetric heap shared by all PEs of a world.
+    """The symmetric heap shared by all PEs of a world.
 
-    ``alloc`` is an SPMD-collective operation: every PE executes the same
-    ``WE HAS A`` declaration; the first arrival materialises storage for
-    *all* PEs and later arrivals attach to it (this mirrors how symmetric
-    allocation works on real SHMEM implementations, where the symmetric
-    heap offsets line up because every PE performs the same allocation
-    sequence).
+    Every object of ``plan`` is laid out for every PE before any PE
+    runs (the paper's "symmetric shared arrays and statically declared
+    variables"); ``WE HAS A`` only binds a name to storage that already
+    exists, so the symbol table never changes during a run.
+    ``cell(name, pe, lol_type, is_array, size)`` makes one PE's copy:
+    by default a Python cell (:func:`python_cell`); the pool passes
+    views onto its shared-memory segment.
     """
 
-    def __init__(self, n_pes: int) -> None:
-        self.n_pes = n_pes
-        self._symbols: dict[str, SymmetricObject] = {}
-        self._mutex = threading.Lock()
-        #: monotonic generation counter, bumped whenever the symbol table
-        #: gains an entry.  The VM engine's inline caches key on it: a
-        #: cached cell handle is valid only while the generation matches.
-        self.version = 0
-
-    def alloc(
+    def __init__(
         self,
-        name: str,
-        lol_type: Optional[LolType],
-        *,
-        is_array: bool = False,
-        size: int = 1,
-        has_lock: bool = False,
-    ) -> SymmetricObject:
-        with self._mutex:
-            existing = self._symbols.get(name)
-            if existing is not None:
-                if (
-                    existing.lol_type != lol_type
-                    or existing.is_array != is_array
-                    or existing.size != size
-                ):
-                    raise LolParallelError(
-                        f"symmetric symbol '{name}' re-declared with a "
-                        f"different shape/type on another PE"
-                    )
-                existing.has_lock = existing.has_lock or has_lock
-                return existing
-            if is_array:
-                if size <= 0:
-                    raise LolParallelError(
-                        f"symmetric array '{name}' must have positive size, "
-                        f"got {size}"
-                    )
-                per_pe = [
-                    ArrayCell(lol_type or LolType.NUMBAR, size)
-                    for _ in range(self.n_pes)
-                ]
-            else:
-                init = default_value(lol_type) if lol_type else None
-                per_pe = [ScalarCell(init) for _ in range(self.n_pes)]
-            obj = SymmetricObject(name, lol_type, is_array, size, has_lock, per_pe)
-            self._symbols[name] = obj
-            self.version += 1
-            return obj
-
-    def attach(self, name: str, obj: SymmetricObject) -> None:
-        """Register a pre-built symbol (used by the pool executor)."""
-        with self._mutex:
-            self._symbols[name] = obj
-            self.version += 1
+        plan: SymmetricPlan,
+        n_pes: int,
+        cell: Optional[Callable[[str, int, LolType, bool, int], object]] = None,
+    ) -> None:
+        make = cell or python_cell
+        self.n_pes = n_pes
+        self._symbols: dict[str, SymmetricObject] = {
+            name: SymmetricObject(
+                name,
+                lol_type,
+                is_array,
+                size,
+                [make(name, pe, lol_type, is_array, size) for pe in range(n_pes)],
+            )
+            for name, (lol_type, is_array, size, _) in plan.entries.items()
+        }
 
     def lookup(self, name: str) -> SymmetricObject:
         obj = self._symbols.get(name)
@@ -263,18 +228,27 @@ class SymmetricHeap:
         return sum(obj.cell(pe).nbytes for obj in self._symbols.values())
 
 
+def python_cell(
+    name: str, pe: int, lol_type: LolType, is_array: bool, size: int
+) -> ScalarCell | ArrayCell:
+    """One PE's copy of a symmetric object in this process's memory."""
+    if is_array:
+        return ArrayCell(lol_type, size)
+    return ScalarCell(default_value(lol_type))
+
+
 @dataclass(slots=True)
 class SymmetricPlan:
-    """Pre-scanned symmetric allocation plan for the pool executor.
+    """Every symmetric object of a program, laid out before its PEs start.
 
-    A job's shared-memory segment must be laid out before it is sent to
-    the pool's worker processes, so the launcher statically collects
-    every ``WE HAS A`` in the program (the paper's model: "symmetric
-    shared arrays and statically declared variables") and sizes the
-    segments up front.
+    Every executor builds its world's :class:`SymmetricHeap` from a plan
+    (OpenSHMEM's "symmetric shared arrays and statically declared
+    variables"): the launcher plans a LOLCODE program with
+    :func:`~repro.analysis.summary.symmetric_plan`, and Python SPMD
+    workers declare their symbols by hand with :meth:`add`.
     """
 
-    entries: dict[str, tuple[LolType, bool, int, bool]] = field(
+    entries: Mapping[str, tuple[LolType, bool, int, bool]] = field(
         default_factory=dict
     )  # name -> (type, is_array, size, has_lock)
 
@@ -287,9 +261,15 @@ class SymmetricPlan:
         has_lock: bool,
         pos: Optional[SourcePos] = None,
     ) -> None:
-        """Record one declaration; a redeclaration must match in type,
-        array-ness and size, and its lock flag ORs in (as in
-        :meth:`SymmetricHeap.alloc`)."""
+        """Record one declaration.  An array needs at least 1 element; a
+        redeclaration must match in type, array-ness and size, and its
+        lock flag ORs in."""
+        if is_array and size < 1:
+            raise LolParallelError(
+                f"symmetric array '{name}' needs at least 1 element, but "
+                f"its size is {size}",
+                pos,
+            )
         prev = self.entries.get(name)
         if prev is not None:
             if prev[:3] != (lol_type, is_array, size):
@@ -298,3 +278,20 @@ class SymmetricPlan:
                 )
             has_lock = has_lock or prev[3]
         self.entries[name] = (lol_type, is_array, size, has_lock)
+
+    def freeze(self) -> SymmetricPlan:
+        """Make this plan read-only (a cached plan serves every launch of
+        its program) and return it."""
+        self.entries = MappingProxyType(self.entries)
+        return self
+
+    def lock_names(self) -> tuple[str, ...]:
+        """The names declared ``AN IM SHARIN IT``, in name order."""
+        return tuple(
+            sorted(name for name, entry in self.entries.items() if entry[3])
+        )
+
+    def __reduce__(self):
+        # A read-only view does not pickle; the pool ships plans to its
+        # workers as plain dicts.
+        return SymmetricPlan, (dict(self.entries),)

@@ -13,10 +13,11 @@ Restrictions (the same ones real OpenSHMEM imposes):
 
 * symmetric data must be statically typed and numeric
   (NUMBR/NUMBAR/TROOF) — YARN symmetric data is thread-executor only;
-* the symmetric allocation set must be known up front: the launcher
-  pre-scans the program for ``WE HAS A`` declarations into a
-  :class:`~repro.shmem.heap.SymmetricPlan` ("statically declared
-  variables", exactly the paper's memory model);
+* the symmetric allocation set is known up front, as on every
+  executor: the job's :class:`~repro.shmem.heap.SymmetricPlan` sizes the
+  segment, and each worker builds its world's heap from the plan as
+  views onto it ("statically declared variables", exactly the paper's
+  memory model);
 * the race detector is unavailable (it needs shared Python state).
 """
 
@@ -31,20 +32,10 @@ import numpy as np
 from ..lang.errors import LolParallelError
 from ..lang.types import NUMPY_DTYPES, LolType
 from .api import World
-from .heap import ArrayCell, NumpyScalarCell, SymmetricHeap, SymmetricObject, SymmetricPlan
+from .heap import ArrayCell, NumpyScalarCell, SymmetricPlan
 from .locks import LockTable
 
 _ITEM = 8  # bytes per element (int64 / float64)
-
-
-@dataclass(frozen=True, slots=True)
-class _SymbolLayout:
-    name: str
-    lol_type: str  # LolType value name
-    is_array: bool
-    size: int
-    has_lock: bool
-    offset: int  # element offset into the shared block
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,31 +44,29 @@ class _WorldSpec:
 
     n_pes: int
     shm_name: str
-    symbols: tuple[_SymbolLayout, ...]
-    lock_names: tuple[str, ...]
+    plan: SymmetricPlan
+    offsets: dict[str, int]  # name -> element offset of its PE-0 copy
     exchange_offset: int  # element offset of the n_pes collective slots
     owners_offset: int  # element offset of the lock-owner array
     barrier_timeout: float
 
 
-def plan_layout(plan: SymmetricPlan, n_pes: int) -> tuple[list[_SymbolLayout], int]:
+def plan_layout(plan: SymmetricPlan, n_pes: int) -> tuple[dict[str, int], int]:
     """Assign element offsets for every planned symbol (all PEs' copies of a
     symbol are contiguous: ``offset + pe * size``)."""
-    layouts: list[_SymbolLayout] = []
+    offsets: dict[str, int] = {}
     cursor = 0
     for name in sorted(plan.entries):
-        lol_type, is_array, size, has_lock = plan.entries[name]
+        lol_type, _, size, _ = plan.entries[name]
         if lol_type not in NUMPY_DTYPES:
             raise LolParallelError(
                 f"symmetric symbol '{name}' has type {lol_type}, but the "
                 f"pool executor supports only numeric symmetric data "
                 f"(use the thread executor for YARN)"
             )
-        layouts.append(
-            _SymbolLayout(name, lol_type.value, is_array, size, has_lock, cursor)
-        )
+        offsets[name] = cursor
         cursor += size * n_pes
-    return layouts, cursor
+    return offsets, cursor
 
 
 class _ProcLockTable(LockTable):
@@ -97,11 +86,8 @@ class _ProcLockTable(LockTable):
         self._index = index
 
     def register(self, name: str, lock: object | None = None) -> None:
-        if name not in self._locks:
-            raise LolParallelError(
-                f"lock '{name}' was not in the symmetric plan (pool "
-                f"executor requires statically declared shared variables)"
-            )
+        """Nothing to do: every planned lock is already mapped onto the
+        pool's lock bank."""
 
     def _slot(self, name: str) -> int:
         try:
@@ -172,28 +158,21 @@ def _build_world(
     spec: _WorldSpec, barrier, locks: dict[str, object], epoch_value, atomic_lock
 ) -> tuple[World, shared_memory.SharedMemory]:
     shm = shared_memory.SharedMemory(name=spec.shm_name)
-    heap = SymmetricHeap(spec.n_pes)
-    for lay in spec.symbols:
-        lol_type = LolType(lay.lol_type)
-        dtype = NUMPY_DTYPES[lol_type]
-        per_pe = []
-        for pe in range(spec.n_pes):
-            start = (lay.offset + pe * lay.size) * _ITEM
-            view = np.ndarray(
-                (lay.size,), dtype=dtype, buffer=shm.buf, offset=start
-            )
-            if lay.is_array:
-                per_pe.append(ArrayCell(lol_type, lay.size, data=view))
-            else:
-                per_pe.append(NumpyScalarCell(view, lol_type))
-        heap.attach(
-            lay.name,
-            SymmetricObject(
-                lay.name, lol_type, lay.is_array, lay.size, lay.has_lock, per_pe
-            ),
+
+    def view(name: str, pe: int, lol_type: LolType, is_array: bool, size: int):
+        data = np.ndarray(
+            (size,),
+            dtype=NUMPY_DTYPES[lol_type],
+            buffer=shm.buf,
+            offset=(spec.offsets[name] + pe * size) * _ITEM,
         )
+        if is_array:
+            return ArrayCell(lol_type, size, data=data)
+        return NumpyScalarCell(data, lol_type)
+
+    lock_names = spec.plan.lock_names()
     owners = np.ndarray(
-        (max(1, len(spec.lock_names)),),
+        (max(1, len(lock_names)),),
         dtype="int64",
         buffer=shm.buf,
         offset=spec.owners_offset * _ITEM,
@@ -203,14 +182,15 @@ def _build_world(
         offset=spec.exchange_offset * _ITEM,
     )
     lock_table = _ProcLockTable(
-        locks, owners, {n: i for i, n in enumerate(spec.lock_names)}
+        locks, owners, {n: i for i, n in enumerate(lock_names)}
     )
     world = World(
         spec.n_pes,
+        spec.plan,
         barrier=barrier,
-        heap=heap,
         locks=lock_table,
         epoch_box=_ProcEpochBox(epoch_value),
+        cell=view,
         exchange=exchange,
         atomic_mutex=atomic_lock,
         barrier_timeout=spec.barrier_timeout,

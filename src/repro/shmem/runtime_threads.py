@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from ..lang.errors import LolError, LolParallelError
 from .api import DEFAULT_BARRIER_TIMEOUT, ShmemContext, World
+from .heap import SymmetricPlan
 from .racecheck import RaceReport
 from .trace import OpTrace, WorldTrace, merge_traces
 
@@ -166,6 +167,7 @@ def run_spmd(
     pe_main: Callable[[ShmemContext], object],
     n_pes: int,
     *,
+    plan: Optional[SymmetricPlan] = None,
     seed: Optional[int] = None,
     stdin_lines: Optional[Sequence[Sequence[str]]] = None,
     trace: bool = False,
@@ -173,22 +175,23 @@ def run_spmd(
     race_detection: bool = False,
     element_granularity: bool = False,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    world: Optional[World] = None,
 ) -> SpmdResult:
     """Execute ``pe_main(ctx)`` on ``n_pes`` concurrent PEs.
 
-    ``stdin_lines`` optionally provides per-PE GIMMEH input:
-    ``stdin_lines[pe]`` is the sequence of lines available to that PE.
+    The world's symmetric heap holds the symbols of ``plan`` (none by
+    default), laid out before any PE starts.  ``stdin_lines`` optionally
+    provides per-PE GIMMEH input: ``stdin_lines[pe]`` is the sequence of
+    lines available to that PE.
     """
     if n_pes < 1:
         raise LolParallelError(f"need at least 1 PE, got {n_pes}")
-    if world is None:
-        world = World.for_threads(
-            n_pes,
-            race_detection=race_detection,
-            element_granularity=element_granularity,
-            barrier_timeout=barrier_timeout,
-        )
+    world = World.for_threads(
+        n_pes,
+        plan or SymmetricPlan(),
+        race_detection=race_detection,
+        element_granularity=element_granularity,
+        barrier_timeout=barrier_timeout,
+    )
     contexts = [
         ShmemContext(
             world,

@@ -31,11 +31,11 @@ from ..analysis.summary import ProgramSummary, is_symmetric, summary_of
 from ..lang import ast
 from ..lang.errors import (
     LolNameError,
-    LolParallelError,
     LolRuntimeError,
     LolTypeError,
     SourcePos,
 )
+from ..lang.formatter import format_expr
 from ..lang.resolve import GLOBAL, LOCAL, MISSING, SYMMETRIC, FrameLayout, ScopeStack
 from ..lang.types import LolType, default_value, parse_type
 from ..interp.env import UNDECLARED
@@ -151,7 +151,7 @@ class _Asm:
         if self.free_temps:
             slot = self.free_temps.pop()
         else:
-            slot = self.layout.alloc()
+            slot = self.layout.new_slot()
         self.stmt_temps.append(slot)
         return slot
 
@@ -343,42 +343,28 @@ class VMCompiler:
     def _stmt_symmetric_decl(
         self, stmt: ast.VarDecl, declared: Optional[LolType], asm: _Asm
     ) -> None:
-        pos = stmt.pos
+        # The world's plan already holds the object (typed, sized and
+        # checked before launch), so SYMDECL only marks the name declared
+        # on this PE and runs the initializer.  The init expression
+        # evaluates on the *root* frame (a mini code object executed
+        # against gframe), exactly as the tree-walker evaluates it on
+        # ``self.globals``.  The extent's source text is for loldis only.
         name = stmt.name
-        if declared is None:
-            asm.emit(
-                (
-                    isa.RAISE_ERR,
-                    _message_raiser(
-                        LolParallelError,
-                        f"symmetric variable '{name}' must be typed "
-                        f"(WE HAS A {name} ITZ SRSLY A <type> ...)",
-                        pos,
-                    ),
-                ),
-                pos,
-            )
-            return
-        # Size/init expressions evaluate on the *root* frame (mini code
-        # objects executed against gframe), exactly as the tree-walker
-        # evaluates them on ``self.globals``.
-        size_co = (
-            self._compile_mini(stmt.size, f"<size {name}>") if stmt.is_array else None
-        )
         init_co = (
             self._compile_mini(stmt.init, f"<init {name}>")
             if stmt.init is not None
             else None
         )
+        extent = format_expr(stmt.size) if stmt.is_array else None
         self.root_scope.declare_symmetric(
             name, static_type=declared, is_array=stmt.is_array
         )
         asm.emit(
             (
                 isa.SYMDECL,
-                (name, declared, stmt.is_array, stmt.shared_lock, size_co, init_co),
+                (name, declared, stmt.is_array, stmt.shared_lock, extent, init_co),
             ),
-            pos,
+            stmt.pos,
         )
 
     def _compile_mini(self, expr, name: str) -> CodeObject:

@@ -3,8 +3,8 @@
 Renders the flat instruction tuples produced by
 :mod:`repro.vm.compile` in a readable, deterministic form — register
 operands as ``r3``, jump targets as ``->12``, callables by name, and
-nested code objects (function bodies, symmetric-declaration size/init
-expressions) in definition order after the code object that references
+nested code objects (function bodies, symmetric-declaration
+initializers) in definition order after the code object that references
 them.  The output is stable across runs so it can be snapshot-tested.
 """
 

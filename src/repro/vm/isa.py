@@ -180,7 +180,7 @@ GSTX = _op("GSTX", "crrm")             # m=(elem_t, name)
 ST_ARR = _op("ST_ARR", "crn")          # whole local array assignment
 GST_ARR = _op("GST_ARR", "crn")
 ARRDECL = _op("ARRDECL", "crm")        # m=(elem_t, name)
-SYMDECL = _op("SYMDECL", "m")          # m=(name, type, is_array, lock, size_co, init_co)
+SYMDECL = _op("SYMDECL", "m")          # m=(name, type, is_array, lock, extent, init_co)
 GCHK = _op("GCHK", "cn")               # raise unless gframe[slot] is declared
 
 OPNAMES = tuple(_opcodes)

@@ -15,10 +15,13 @@ Inline caches
 Symmetric-heap access (``SYM_LD``/``SYM_ST``/``SYM_LDX``/``SYM_STX``)
 would otherwise pay a heap name lookup per access.  The VM caches the
 resolved per-PE cell per *site*: each site gets an index into a
-per-code-object cache list, validated against the heap's ``version``
-generation counter (bumped on every symbol-table change).
-Caches are disabled while a race detector is attached, because
-``local_read``/``local_write`` must keep reporting accesses to it.
+per-activation cache list.  A world's heap is laid out from its plan
+before any PE runs and never changes, so a filled entry never goes
+stale.  An entry is filled only once the name's ``WE HAS A`` has run on
+this PE (:attr:`Machine.declared`); before that, the miss path raises
+the tree-walker's ``LolNameError``.  Caches are disabled while a race
+detector is attached, because ``local_read``/``local_write`` must keep
+reporting accesses to it.
 
 A tracing JIT would record from :meth:`Machine._exec`: the green key of
 a trace is ``(CodeObject, pc)`` and the hot back-edges are ``INC_JMP``
@@ -46,7 +49,7 @@ from ..lang.types import (
     to_numbr,
     to_troof,
 )
-from ..shmem.heap import ArrayCell, ScalarCell
+from ..shmem.heap import ArrayCell, ScalarCell, SymmetricObject
 from ..interp.env import UNDECLARED, new_frame
 from ..interp.interpreter import (
     KNOWN_LIBRARIES,
@@ -130,6 +133,7 @@ def _dyn_read(
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
+        rt.declared_object(name, pos)
         return rt.ctx.local_read(name)
     if info.is_array:
         raise LolTypeError(
@@ -153,6 +157,7 @@ def _dyn_write(
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
+        rt.declared_object(name, pos)
         rt.ctx.local_write(name, coerce_symmetric(rt.ctx, name, value, pos))
         return
     target = frame if info.kind == LOCAL else rt.gframe
@@ -180,6 +185,7 @@ def _dyn_read_element(
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
+        rt.declared_object(name, pos)
         return rt.ctx.local_read(name, index=index)
     if not info.is_array:
         raise LolTypeError(f"'{name}' is not an array", pos)
@@ -205,7 +211,7 @@ def _dyn_write_element(
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
-        obj = rt.ctx.world.heap.lookup(name)
+        obj = rt.declared_object(name, pos)
         rt.ctx.local_write(
             name, coerce_element(value, obj.lol_type, name, pos), index=index
         )
@@ -233,7 +239,7 @@ class Machine:
         "libraries",
         "max_steps",
         "steps",
-        "heap",
+        "declared",
         "fast_sym",
         "sym_misses",
         "vec_runs",
@@ -249,7 +255,9 @@ class Machine:
         self.libraries: set = set()
         self.max_steps = max_steps
         self.steps = 0
-        self.heap = ctx.world.heap
+        #: name -> heap object, for each symmetric name whose ``WE HAS A``
+        #: has run on this PE (the tree-walker's global bindings).
+        self.declared: dict = {}
         # Inline caches bypass local_read/local_write, which are the race
         # detector's observation points — so only cache when it is off.
         self.fast_sym = ctx.world.race_detector is None
@@ -268,71 +276,60 @@ class Machine:
 
     # -- symmetric-access slow paths (populate the inline caches) ---------
 
-    def _sym_ld_slow(self, caches: list, name: str, ci: int) -> object:
+    def declared_object(self, name: str, pos) -> SymmetricObject:
+        """The heap object of ``name``, once its ``WE HAS A`` has run."""
+        obj = self.declared.get(name)
+        if obj is None:
+            raise _undeclared(name, pos)
+        return obj
+
+    def _sym_ld_slow(self, caches: list, name: str, ci: int, pos) -> object:
         self.sym_misses += 1
+        obj = self.declared_object(name, pos)
         value = self.ctx.local_read(name)
-        if self.fast_sym:
-            obj = self.heap._symbols.get(name)
-            if obj is not None and not obj.is_array:
-                cell = obj.cell(self.ctx.my_pe)
-                caches[ci] = (self.heap.version, cell, type(cell) is ScalarCell)
+        if self.fast_sym and not obj.is_array:
+            cell = obj.cell(self.ctx.my_pe)
+            caches[ci] = (cell, type(cell) is ScalarCell)
         return value
 
     def _sym_st_slow(
         self, caches: list, name: str, value: object, ci: int, pos
     ) -> None:
         self.sym_misses += 1
+        obj = self.declared_object(name, pos)
         ctx = self.ctx
         ctx.local_write(name, coerce_symmetric(ctx, name, value, pos))
-        if self.fast_sym:
-            obj = self.heap._symbols.get(name)
-            if (
-                obj is not None
-                and not obj.is_array
-                and (obj.lol_type is _NUMBR or obj.lol_type is _NUMBAR)
-            ):
-                cell = obj.cell(ctx.my_pe)
-                caches[ci] = (
-                    self.heap.version,
-                    cell,
-                    type(cell) is ScalarCell,
-                    obj.lol_type,
-                )
+        if (
+            self.fast_sym
+            and not obj.is_array
+            and (obj.lol_type is _NUMBR or obj.lol_type is _NUMBAR)
+        ):
+            cell = obj.cell(ctx.my_pe)
+            caches[ci] = (cell, type(cell) is ScalarCell, obj.lol_type)
 
     def _sym_ldx_slow(
-        self, caches: list, name: str, index: int, ci: int
+        self, caches: list, name: str, index: int, ci: int, pos
     ) -> object:
         self.sym_misses += 1
+        obj = self.declared_object(name, pos)
         value = self.ctx.local_read(name, index=index)
-        if self.fast_sym:
-            obj = self.heap._symbols.get(name)
-            if obj is not None and obj.is_array:
-                cell = obj.cell(self.ctx.my_pe)
-                caches[ci] = (
-                    self.heap.version,
-                    cell.data,
-                    cell._conv,
-                    len(cell.data),
-                )
+        if self.fast_sym and obj.is_array:
+            cell = obj.cell(self.ctx.my_pe)
+            caches[ci] = (cell.data, cell._conv, len(cell.data))
         return value
 
     def _sym_stx_slow(
         self, caches: list, name: str, index: int, value: object, ci: int, pos
     ) -> None:
         self.sym_misses += 1
+        obj = self.declared_object(name, pos)
         ctx = self.ctx
-        obj = ctx.world.heap.lookup(name)
         ctx.local_write(
             name, coerce_element(value, obj.lol_type, name, pos), index=index
         )
         if self.fast_sym and obj.is_array:
             cell = obj.cell(ctx.my_pe)
-            caches[ci] = (
-                self.heap.version,
-                cell.data,
-                obj.lol_type,
-                len(cell.data),
-            )
+            caches[ci] = (cell.data, obj.lol_type, len(cell.data))
 
     # -- the dispatch loop -------------------------------------------------
 
@@ -413,7 +410,6 @@ class Machine:
         positions = co.positions
         caches = [None] * co.n_caches if co.n_caches else ()
         ctx = self.ctx
-        heap = self.heap
         fast = self.fast_sym
         my_pe = ctx.my_pe
         n_pes = ctx.n_pes
@@ -721,26 +717,28 @@ class Machine:
                     continue
                 if op == SYM_LD:
                     e = caches[ins[3]]
-                    if e is not None and e[0] == heap.version and fast:
-                        cell = e[1]
-                        frame[ins[1]] = cell.value if e[2] else cell.read()
+                    if e is not None and fast:
+                        cell = e[0]
+                        frame[ins[1]] = cell.value if e[1] else cell.read()
                     else:
-                        frame[ins[1]] = self._sym_ld_slow(caches, ins[2], ins[3])
+                        frame[ins[1]] = self._sym_ld_slow(
+                            caches, ins[2], ins[3], positions[pc]
+                        )
                     pc += 1
                     continue
                 if op == SYM_ST:
                     e = caches[ins[3]]
-                    if e is not None and e[0] == heap.version and fast:
+                    if e is not None and fast:
                         v = frame[ins[2]]
                         tv = type(v)
-                        lt = e[3]
+                        lt = e[2]
                         if (tv is int and lt is NUMBR) or (
                             tv is float and lt is NUMBAR
                         ):
-                            if e[2]:
-                                e[1].value = v
+                            if e[1]:
+                                e[0].value = v
                             else:
-                                e[1].write(v)
+                                e[0].write(v)
                             pc += 1
                             continue
                     self._sym_st_slow(
@@ -753,18 +751,13 @@ class Machine:
                     if type(i) is not int:
                         i = to_numbr(i, positions[pc])
                     e = caches[ins[4]]
-                    if (
-                        e is not None
-                        and e[0] == heap.version
-                        and fast
-                        and 0 <= i < e[3]
-                    ):
-                        v = e[1][i]
-                        conv = e[2]
+                    if e is not None and fast and 0 <= i < e[2]:
+                        v = e[0][i]
+                        conv = e[1]
                         frame[ins[1]] = conv(v) if conv is not None else v
                     else:
                         frame[ins[1]] = self._sym_ldx_slow(
-                            caches, ins[2], i, ins[4]
+                            caches, ins[2], i, ins[4], positions[pc]
                         )
                     pc += 1
                     continue
@@ -773,19 +766,14 @@ class Machine:
                 if type(i) is not int:
                     i = to_numbr(i, positions[pc])
                 e = caches[ins[4]]
-                if (
-                    e is not None
-                    and e[0] == heap.version
-                    and fast
-                    and 0 <= i < e[3]
-                ):
+                if e is not None and fast and 0 <= i < e[2]:
                     v = frame[ins[3]]
                     tv = type(v)
-                    lt = e[2]
+                    lt = e[1]
                     if (tv is int and lt is NUMBR) or (
                         tv is float and lt is NUMBAR
                     ):
-                        e[1][i] = v
+                        e[0][i] = v
                         pc += 1
                         continue
                 self._sym_stx_slow(
@@ -1430,16 +1418,13 @@ def _h_arrdecl(m, co, frame, caches, ins, pc):
 
 
 def _h_symdecl(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name, declared, is_array, has_lock, size_co, init_co = ins[1]
+    name, declared, _, _, _, init_co = ins[1]
     ctx = m.ctx
-    if is_array:
-        size = to_array_size(m._exec(size_co, m.gframe), pos)
-        ctx.alloc_array(name, declared, size, has_lock=has_lock)
-    else:
-        ctx.alloc_scalar(name, declared, has_lock=has_lock)
+    m.declared[name] = ctx.world.heap.lookup(name)
     if init_co is not None:
-        value = coerce_static(m._exec(init_co, m.gframe), declared, name, pos)
+        value = coerce_static(
+            m._exec(init_co, m.gframe), declared, name, co.positions[pc]
+        )
         ctx.local_write(name, value)
     return pc + 1
 

@@ -817,12 +817,12 @@ def run_vec(m, frame, plan: VecPlan, pos) -> bool:
 
 
 def _run(m, frame, plan: VecPlan) -> bool:
-    heap = m.heap
+    declared = m.declared
     my_pe = m.ctx.my_pe
     n_pes = m.ctx.n_pes
     regs: list = [None] * plan.n_regs
     for op in plan.limit_prog:
-        _exec(op, regs, frame, 0, heap, my_pe, n_pes)
+        _exec(op, regs, frame, 0, declared, my_pe, n_pes)
     lim = _val(plan.limit, regs)
     tl = type(lim)
     if plan.mode == "eq":
@@ -853,7 +853,7 @@ def _run(m, frame, plan: VecPlan) -> bool:
     if n > _CAP:
         raise _Bail
     for op in plan.prog:
-        _exec(op, regs, frame, n, heap, my_pe, n_pes)
+        _exec(op, regs, frame, n, declared, my_pe, n_pes)
     # Two-phase commit.  Validate every target and materialize every
     # source (copying ndarray views) before the first write: after this
     # point nothing can raise, and before it nothing has been mutated.
@@ -915,7 +915,7 @@ def _commit_val(spec, regs, n: int):
     return b + spec[2] * (n - 1)
 
 
-def _exec(op, regs, frame, n, heap, my_pe, n_pes) -> None:
+def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
     tag = op[0]
     if tag == "bin":
         a = _val(op[3], regs)
@@ -1024,7 +1024,8 @@ def _exec(op, regs, frame, n, heap, my_pe, n_pes) -> None:
             if type(cell) is not ArrayCell:
                 raise _Bail
         else:
-            obj = heap._symbols.get(op[3])
+            # Undeclared on this PE: the scalar loop raises LolNameError.
+            obj = declared.get(op[3])
             if obj is None or not obj.is_array:
                 raise _Bail
             cell = obj.cell(my_pe)
@@ -1042,7 +1043,7 @@ def _exec(op, regs, frame, n, heap, my_pe, n_pes) -> None:
     elif tag == "scast":
         regs[op[1]] = coerce_static(_val(op[2], regs), op[3], op[4], None)
     elif tag == "symrd":
-        obj = heap._symbols.get(op[2])
+        obj = declared.get(op[2])
         if obj is None or obj.is_array:
             raise _Bail
         regs[op[1]] = obj.cell(my_pe).read()

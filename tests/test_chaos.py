@@ -79,7 +79,6 @@ def _worker_rank10(ctx):
 
 
 def _worker_ring(ctx):
-    ctx.alloc_scalar("x", LolType.NUMBR)
     ctx.local_write("x", ctx.my_pe * 10)
     ctx.barrier_all()
     nxt = (ctx.my_pe + 1) % ctx.n_pes

@@ -2,10 +2,10 @@
 
 The program summary (:mod:`repro.analysis.summary`) records every
 ``WE HAS A``; :func:`~repro.analysis.summary.symmetric_plan` lays them
-out for the pool executor and the C backend alike, by the rule the
-thread executor's heap enforces at run time: a symmetric name is typed,
-its extent folds to at least 1 element, and redeclarations agree on
-type, array-ness and extent while their lock flags OR together.
+out, before any PE runs, for the thread and pool executors and the C
+backend alike: a symmetric name is typed, its extent folds to at least
+1 element, and redeclarations agree on type, array-ness and extent
+while their lock flags OR together.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro import run_lolcode
 from repro.analysis import summary as summary_mod
 from repro.compiler import CompileError, NativeBuildError, compile_c
 from repro.lang import ast
-from repro.lang.errors import LolError
+from repro.lang.errors import LolError, LolParallelError
 from repro.lang.parser import parse, parse_cached
 from repro.launcher import plan_from_program
 from repro.workloads import all_workloads, get_workload
@@ -211,3 +211,133 @@ def test_warm_pool_run_does_not_summarize(monkeypatch):
     second = run_lolcode(source, 2, executor="pool", barrier_timeout=30)
     assert second.outputs == first.outputs == ["0\n", "1\n"]
     assert calls == []
+
+
+#: name -> (body, outcome on ast and vm, outcome on c).  An outcome is
+#: the output of both PEs, or the class of the error one of them raised.
+#: Every executor lays out the whole plan before its PEs start, so a bad
+#: declaration fails even where it never runs, and the symbol exists
+#: (for ``UR`` and locks) before its ``WE HAS A`` runs; a plain read or
+#: write of the name before then is undeclared on the interpreters,
+#: while C reads its zero-initialised static.
+DECLARATION_CASES = {
+    "local_variable_extent": (
+        "I HAS A n ITZ 4\n"
+        "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ n\n"
+        'VISIBLE "ok"',
+        "LolParallelError",
+        "CompileError",
+    ),
+    "empty_array_in_dead_branch": (
+        "FAIL, O RLY?\nYA RLY,\n"
+        "  WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 0\n"
+        'OIC\nVISIBLE "ok"',
+        "LolParallelError",
+        "CompileError",
+    ),
+    "untyped_in_uncalled_function": (
+        'HOW IZ I f\n  WE HAS A s\nIF U SAY SO\nVISIBLE "ok"',
+        "LolParallelError",
+        "CompileError",
+    ),
+    "remote_write_before_declaration": (
+        "TXT MAH BFF 0, UR x R 5\n"
+        "WE HAS A x ITZ SRSLY A NUMBR\n"
+        "VISIBLE x",
+        "5\n0\n",
+        "5\n0\n",
+    ),
+    "lock_before_declaration": (
+        "IM SRSLY MESIN WIF x\nDUN MESIN WIF x\n"
+        "WE HAS A x ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+        'VISIBLE "ok"',
+        "ok\nok\n",
+        "ok\nok\n",
+    ),
+    "function_reads_before_declaration": (
+        "HOW IZ I f\n  VISIBLE x\nIF U SAY SO\n"
+        "I IZ f MKAY\n"
+        "WE HAS A x ITZ SRSLY A NUMBR ITZ 3\n"
+        "I IZ f MKAY",
+        "LolNameError",
+        "0\n3\n0\n3\n",
+    ),
+    "function_writes_before_declaration": (
+        "HOW IZ I f\n  x R 7\nIF U SAY SO\n"
+        "I IZ f MKAY\n"
+        "WE HAS A x ITZ SRSLY A NUMBR\n"
+        "VISIBLE x",
+        "LolNameError",
+        "7\n7\n",
+    ),
+    "loop_reads_before_declaration": (
+        "HOW IZ I total\n  I HAS A s ITZ 0\n"
+        "  IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4\n"
+        "    s R SUM OF s AN a'Z i\n"
+        "  IM OUTTA YR l\n  FOUND YR s\nIF U SAY SO\n"
+        "VISIBLE I IZ total MKAY\n"
+        "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4",
+        "LolNameError",
+        "0\n0\n",
+    ),
+    "declared_only_in_dead_branch": (
+        "FAIL, O RLY?\nYA RLY,\n  WE HAS A x ITZ SRSLY A NUMBR\nOIC\n"
+        "VISIBLE x",
+        "LolNameError",
+        "0\n0\n",
+    ),
+}
+
+
+def _outcome(body: str, executor: str, engine: str) -> str:
+    try:
+        return _run(body, executor, engine).output
+    except LolError as exc:
+        # Both executors report a PE's error as a LolParallelError: the
+        # thread executor chains the original, the pool names its class.
+        if type(exc) is LolParallelError and exc.__cause__ is not None:
+            return type(exc.__cause__).__name__
+        pooled = re.match(r"PE \d+ failed in pool executor: (\w+)\(", str(exc))
+        return pooled.group(1) if pooled else type(exc).__name__
+
+
+@pytest.mark.procs
+@pytest.mark.parametrize("engine", ["ast", "vm"])
+@pytest.mark.parametrize("case", sorted(DECLARATION_CASES))
+def test_thread_and_pool_agree_on_declarations(case, engine):
+    body, expected, _ = DECLARATION_CASES[case]
+    thread = _outcome(body, "thread", engine)
+    pooled = _outcome(body, "pool", engine)
+    assert thread == pooled == expected
+
+
+@pytest.mark.requires_cc
+@pytest.mark.parametrize("case", sorted(DECLARATION_CASES))
+def test_c_declarations(case):
+    body, _, expected = DECLARATION_CASES[case]
+    assert _outcome(body, "thread", "c") == expected
+
+
+@pytest.mark.parametrize(
+    "executor", ["thread", pytest.param("pool", marks=pytest.mark.procs)]
+)
+def test_warm_launch_plans_nothing(monkeypatch, executor):
+    source = lol(
+        "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ MAH FRENZ\n"
+        f'a\'Z ME R ME\nHUGZ\nVISIBLE a\'Z ME "{executor}"'
+    )
+    first = run_lolcode(source, 2, executor=executor, barrier_timeout=30)
+    calls = []
+    real = summary_mod.symmetric_plan
+    monkeypatch.setattr(
+        summary_mod,
+        "symmetric_plan",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    second = run_lolcode(source, 2, executor=executor, barrier_timeout=30)
+    assert second.outputs == first.outputs == [f"0{executor}\n", f"1{executor}\n"]
+    assert calls == []
+    # Every launch of the source shares the cached plan, so it is read-only.
+    plan = summary_mod.symmetric_plan_cached(source, "<string>", 2)
+    with pytest.raises(TypeError):
+        plan.add("b", plan.entries["a"][0], False, 1, False)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import run_lolcode
 from repro.lang.types import LolType
-from repro.shmem import RaceDetector, ShmemContext, run_spmd
+from repro.shmem import RaceDetector, ShmemContext, SymmetricPlan, run_spmd
 
 from .conftest import lol
 
@@ -137,26 +137,30 @@ class TestFigure2Program:
         assert any(rep.symbol == "x" for rep in r.races)
 
 
+def _b_plan() -> SymmetricPlan:
+    plan = SymmetricPlan()
+    plan.add("b", LolType.NUMBR, False, 1, False)
+    return plan
+
+
 class TestPythonApiRaces:
     def test_put_vs_local_read(self):
         def main(ctx: ShmemContext):
-            ctx.alloc_scalar("b", LolType.NUMBR)
             ctx.barrier_all()
             nxt = (ctx.my_pe + 1) % ctx.n_pes
             ctx.put("b", 1, nxt)
             ctx.local_read("b")  # racy: no barrier between put and read
 
-        r = run_spmd(main, 2, race_detection=True)
+        r = run_spmd(main, 2, plan=_b_plan(), race_detection=True)
         assert len(r.races) >= 1
 
     def test_barrier_separated_clean(self):
         def main(ctx: ShmemContext):
-            ctx.alloc_scalar("b", LolType.NUMBR)
             ctx.barrier_all()
             nxt = (ctx.my_pe + 1) % ctx.n_pes
             ctx.put("b", 1, nxt)
             ctx.barrier_all()
             ctx.local_read("b")
 
-        r = run_spmd(main, 2, race_detection=True)
+        r = run_spmd(main, 2, plan=_b_plan(), race_detection=True)
         assert r.races == []

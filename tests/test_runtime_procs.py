@@ -25,7 +25,6 @@ pytestmark = pytest.mark.procs
 
 
 def _worker_ring(ctx):
-    ctx.alloc_scalar("x", LolType.NUMBR)
     ctx.local_write("x", ctx.my_pe * 10)
     ctx.barrier_all()
     nxt = (ctx.my_pe + 1) % ctx.n_pes
@@ -33,7 +32,6 @@ def _worker_ring(ctx):
 
 
 def _worker_locked_increment(ctx):
-    ctx.alloc_scalar("c", LolType.NUMBR)
     ctx.barrier_all()
     for _ in range(20):
         ctx.set_lock("c")
@@ -44,7 +42,6 @@ def _worker_locked_increment(ctx):
 
 
 def _worker_array(ctx):
-    ctx.alloc_array("a", LolType.NUMBAR, 4)
     ctx.barrier_all()
     ctx.put("a", float(ctx.my_pe + 1), 0, index=ctx.my_pe)
     ctx.barrier_all()

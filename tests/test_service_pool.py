@@ -32,7 +32,6 @@ pytestmark = [pytest.mark.procs, pytest.mark.service]
 
 
 def _worker_ring(ctx):
-    ctx.alloc_scalar("x", LolType.NUMBR)
     ctx.local_write("x", ctx.my_pe * 10)
     ctx.barrier_all()
     nxt = (ctx.my_pe + 1) % ctx.n_pes
@@ -40,7 +39,6 @@ def _worker_ring(ctx):
 
 
 def _worker_locked_increment(ctx):
-    ctx.alloc_scalar("c", LolType.NUMBR)
     ctx.barrier_all()
     for _ in range(10):
         ctx.set_lock("c")
@@ -69,7 +67,6 @@ def _worker_hard_crash(ctx):
 
 
 def _worker_raise_while_locked(ctx):
-    ctx.alloc_scalar("c", LolType.NUMBR)
     ctx.barrier_all()
     ctx.set_lock("c")
     raise ValueError("died holding the lock")

@@ -17,6 +17,7 @@ from repro.shmem import (
     OpKind,
     ShmemContext,
     SymmetricHeap,
+    SymmetricPlan,
     World,
     run_spmd,
     serial_context,
@@ -27,104 +28,109 @@ from repro.shmem.locks import LockTable
 from .conftest import lol
 
 
+def _plan(**entries) -> SymmetricPlan:
+    """A plan declaring ``name=(type, is_array, size)`` for each entry."""
+    plan = SymmetricPlan()
+    for name, (lol_type, is_array, size) in entries.items():
+        plan.add(name, lol_type, is_array, size, False)
+    return plan
+
+
+X = (LolType.NUMBR, False, 1)
+
+
 class TestSymmetricHeap:
     def test_alloc_scalar_all_pes(self):
-        heap = SymmetricHeap(4)
-        obj = heap.alloc("x", LolType.NUMBR)
+        heap = SymmetricHeap(_plan(x=X), 4)
+        obj = heap.lookup("x")
         assert len(obj.per_pe) == 4
         assert all(cell.read() == 0 for cell in obj.per_pe)
 
     def test_alloc_is_idempotent(self):
-        heap = SymmetricHeap(2)
-        a = heap.alloc("x", LolType.NUMBR)
-        b = heap.alloc("x", LolType.NUMBR)
+        plan = _plan(x=X)
+        plan.add("x", LolType.NUMBR, False, 1, False)
+        heap = SymmetricHeap(plan, 2)
+        a = heap.lookup("x")
+        b = heap.lookup("x")
         assert a is b
 
     def test_alloc_shape_conflict_rejected(self):
-        heap = SymmetricHeap(2)
-        heap.alloc("x", LolType.NUMBR)
+        plan = _plan(x=X)
         with pytest.raises(LolParallelError):
-            heap.alloc("x", LolType.NUMBAR)
+            plan.add("x", LolType.NUMBAR, False, 1, False)
         with pytest.raises(LolParallelError):
-            heap.alloc("x", LolType.NUMBR, is_array=True, size=4)
+            plan.add("x", LolType.NUMBR, True, 4, False)
 
     def test_array_backed_by_numpy(self):
-        heap = SymmetricHeap(2)
-        obj = heap.alloc("a", LolType.NUMBAR, is_array=True, size=8)
+        heap = SymmetricHeap(_plan(a=(LolType.NUMBAR, True, 8)), 2)
+        obj = heap.lookup("a")
         assert isinstance(obj.cell(0).data, np.ndarray)
         assert obj.cell(0).data.dtype == np.float64
 
     def test_numbr_array_dtype(self):
-        heap = SymmetricHeap(1)
-        obj = heap.alloc("a", LolType.NUMBR, is_array=True, size=4)
+        heap = SymmetricHeap(_plan(a=(LolType.NUMBR, True, 4)), 1)
+        obj = heap.lookup("a")
         assert obj.cell(0).data.dtype == np.int64
 
     def test_yarn_array_is_list(self):
-        heap = SymmetricHeap(1)
-        obj = heap.alloc("a", LolType.YARN, is_array=True, size=3)
+        heap = SymmetricHeap(_plan(a=(LolType.YARN, True, 3)), 1)
+        obj = heap.lookup("a")
         assert obj.cell(0).read(0) == ""
 
     def test_zero_size_rejected(self):
-        heap = SymmetricHeap(1)
+        plan = SymmetricPlan()
         with pytest.raises(LolParallelError):
-            heap.alloc("a", LolType.NUMBR, is_array=True, size=0)
+            plan.add("a", LolType.NUMBR, True, 0, False)
 
     def test_lookup_unknown(self):
-        heap = SymmetricHeap(1)
+        heap = SymmetricHeap(SymmetricPlan(), 1)
         with pytest.raises(LolParallelError):
             heap.lookup("nope")
 
     def test_partition_nbytes(self):
-        heap = SymmetricHeap(2)
-        heap.alloc("a", LolType.NUMBAR, is_array=True, size=10)
-        heap.alloc("x", LolType.NUMBR)
+        heap = SymmetricHeap(_plan(a=(LolType.NUMBAR, True, 10), x=X), 2)
         assert heap.partition_nbytes(0) == 10 * 8 + 8
 
 
 class TestPutGet:
     def test_scalar_put_get(self):
         def main(ctx: ShmemContext):
-            ctx.alloc_scalar("x", LolType.NUMBR)
             ctx.local_write("x", ctx.my_pe * 10)
             ctx.barrier_all()
             nxt = (ctx.my_pe + 1) % ctx.n_pes
             return ctx.get("x", nxt)
 
-        r = run_spmd(main, 4)
+        r = run_spmd(main, 4, plan=_plan(x=X))
         assert r.returns == [10, 20, 30, 0]
 
     def test_array_element_put(self):
         def main(ctx: ShmemContext):
-            ctx.alloc_array("a", LolType.NUMBR, 4)
             ctx.barrier_all()
             # everyone writes its pe into slot pe of PE 0
             ctx.put("a", ctx.my_pe + 1, 0, index=ctx.my_pe)
             ctx.barrier_all()
             return ctx.local_read("a") if ctx.my_pe == 0 else None
 
-        r = run_spmd(main, 4)
+        r = run_spmd(main, 4, plan=_plan(a=(LolType.NUMBR, True, 4)))
         assert list(r.returns[0]) == [1, 2, 3, 4]
 
     def test_whole_array_get_is_copy(self):
         def main(ctx: ShmemContext):
-            ctx.alloc_array("a", LolType.NUMBR, 2)
             ctx.local_write("a", 7, index=0)
             got = ctx.get("a", ctx.my_pe)
             got[0] = 999  # mutating the copy must not touch the heap
             return ctx.local_read("a", index=0)
 
-        r = run_spmd(main, 1)
+        r = run_spmd(main, 1, plan=_plan(a=(LolType.NUMBR, True, 2)))
         assert r.returns == [7]
 
     def test_get_out_of_range_pe(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("x", LolType.NUMBR)
+        ctx = serial_context(_plan(x=X))
         with pytest.raises(LolParallelError):
             ctx.get("x", 5)
 
     def test_index_on_scalar_rejected(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("x", LolType.NUMBR)
+        ctx = serial_context(_plan(x=X))
         with pytest.raises(LolRuntimeError):
             ctx.get("x", 0, index=1)
 
@@ -165,31 +171,27 @@ class TestCollectives:
 class TestAtomics:
     def test_fetch_add_is_atomic(self):
         def main(ctx):
-            ctx.alloc_scalar("c", LolType.NUMBR)
             ctx.barrier_all()
             for _ in range(200):
                 ctx.atomic_fetch_add("c", 1, 0)
             ctx.barrier_all()
             return ctx.local_read("c") if ctx.my_pe == 0 else None
 
-        r = run_spmd(main, 4)
+        r = run_spmd(main, 4, plan=_plan(c=X))
         assert r.returns[0] == 800
 
     def test_fetch_add_returns_old(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("c", LolType.NUMBR)
+        ctx = serial_context(_plan(c=X))
         assert ctx.atomic_fetch_add("c", 5, 0) == 0
         assert ctx.atomic_fetch_add("c", 5, 0) == 5
 
     def test_swap(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("c", LolType.NUMBR)
+        ctx = serial_context(_plan(c=X))
         assert ctx.atomic_swap("c", 9, 0) == 0
         assert ctx.local_read("c") == 9
 
     def test_compare_swap(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("c", LolType.NUMBR)
+        ctx = serial_context(_plan(c=X))
         assert ctx.atomic_compare_swap("c", 0, 7, 0) == 0
         assert ctx.local_read("c") == 7
         assert ctx.atomic_compare_swap("c", 0, 3, 0) == 7
@@ -199,8 +201,6 @@ class TestAtomics:
 class TestWaitUntil:
     def test_producer_consumer(self):
         def main(ctx):
-            ctx.alloc_scalar("flag", LolType.NUMBR)
-            ctx.alloc_scalar("data", LolType.NUMBR)
             ctx.barrier_all()
             if ctx.my_pe == 0:
                 ctx.put("data", 42, 1)
@@ -211,19 +211,18 @@ class TestWaitUntil:
                 return ctx.local_read("data")
             return None
 
-        r = run_spmd(main, 2)
+        r = run_spmd(main, 2, plan=_plan(flag=X, data=X))
         assert r.returns[1] == 42
 
     def test_timeout(self):
-        ctx = serial_context()
-        ctx.alloc_scalar("flag", LolType.NUMBR)
+        ctx = serial_context(_plan(flag=X))
         with pytest.raises(LolParallelError):
             ctx.wait_until("flag", lambda v: v == 1, timeout=0.05)
 
     def test_zero_timeout_checks_once(self):
         # timeout=0 means "do not wait", not "use the world's timeout".
-        ctx = ShmemContext(World.for_threads(1, barrier_timeout=5.0), 0)
-        ctx.alloc_scalar("flag", LolType.NUMBR)
+        world = World.for_threads(1, _plan(flag=X), barrier_timeout=5.0)
+        ctx = ShmemContext(world, 0)
         t0 = time.monotonic()
         with pytest.raises(LolParallelError, match="timed out"):
             ctx.wait_until("flag", lambda v: v == 1, timeout=0)
@@ -258,24 +257,22 @@ class TestLockTable:
 class TestTrace:
     def test_remote_bytes_accounting(self):
         def main(ctx):
-            ctx.alloc_array("a", LolType.NUMBAR, 16)
             ctx.barrier_all()
             nxt = (ctx.my_pe + 1) % ctx.n_pes
             ctx.put("a", list(range(16)), nxt)  # 16*8 bytes
             ctx.get("a", nxt, index=0)  # 8 bytes
             ctx.barrier_all()
 
-        r = run_spmd(main, 2, trace=True)
+        r = run_spmd(main, 2, plan=_plan(a=(LolType.NUMBAR, True, 16)), trace=True)
         assert r.trace.total(OpKind.PUT) == 2
         assert r.trace.total(OpKind.GET) == 2
         assert r.trace.total_remote_bytes() == 2 * (16 * 8 + 8)
 
     def test_local_ops_not_remote_bytes(self):
         def main(ctx):
-            ctx.alloc_scalar("x", LolType.NUMBR)
             ctx.put("x", 1, ctx.my_pe)  # self-put: not remote traffic
 
-        r = run_spmd(main, 2, trace=True)
+        r = run_spmd(main, 2, plan=_plan(x=X), trace=True)
         assert r.trace.total_remote_bytes() == 0
 
     def test_summary_keys(self):
@@ -299,7 +296,7 @@ class TestTrace:
 
 class TestWorldBasics:
     def test_bad_pe_id(self):
-        world = World.for_threads(2)
+        world = World.for_threads(2, SymmetricPlan())
         with pytest.raises(LolParallelError):
             ShmemContext(world, 5)
 
@@ -392,14 +389,13 @@ class TestWarmTeam:
         before = run_spmd(_thread_ident, 4).returns
 
         def crash_on_pe2(ctx):
-            ctx.alloc_scalar("x", LolType.NUMBR)
             ctx.barrier_all()
             if ctx.my_pe == 2:
                 raise RuntimeError("boom on PE 2")
             ctx.barrier_all()
 
         with pytest.raises(RuntimeError, match="boom on PE 2"):
-            run_spmd(crash_on_pe2, 4)
+            run_spmd(crash_on_pe2, 4, plan=_plan(x=X))
         r = run_lolcode(SPMD_PROGRAM, 4, seed=3)
         assert r.output == run_lolcode(SPMD_PROGRAM, 4, seed=3, engine="ast").output
         assert run_spmd(_thread_ident, 4).returns == before
@@ -535,7 +531,7 @@ class TestHandoffBarrier:
             sys.setswitchinterval(old)
 
     def test_single_party_returns_at_once(self):
-        world = World.for_threads(1)
+        world = World.for_threads(1, SymmetricPlan())
         assert isinstance(world.barrier, HandoffBarrier)
         world.barrier.wait(timeout=0)
         world.barrier.wait()

