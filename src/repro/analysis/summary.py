@@ -30,7 +30,6 @@ needs both reads the tree from there, never from a second parse.
   hoist such a trip count.  ``epoch_local`` — symmetric names never
   accessed through ``UR`` at all.  An ``SRS`` store or ``UR SRS``
   access could alias any name, so it empties both sets.
-* ``uses_random`` — some expression draws ``WHATEVR``/``WHATEVAR``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class ProgramSummary:
     locals: tuple[tuple[ast.VarDecl, ...], ...]
     remote_unwritten: frozenset[str]
     epoch_local: frozenset[str]
-    uses_random: bool
 
 
 def is_symmetric(decl: ast.VarDecl) -> bool:
@@ -71,10 +69,9 @@ def summarize(program: ast.Program) -> ProgramSummary:
     remote_written: set[str] = set()
     remote_touched: set[str] = set()
     dynamic = False
-    uses_random = False
 
     def visit(body: list[ast.Stmt], owned: list[ast.VarDecl] | None) -> None:
-        nonlocal dynamic, uses_random
+        nonlocal dynamic
         for stmt in body:
             if isinstance(stmt, ast.FuncDef):
                 functions.append(stmt)
@@ -100,8 +97,6 @@ def summarize(program: ast.Program) -> ProgramSummary:
                         remote_touched.add(sub.name)
                     elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
                         dynamic = True  # could alias any name, any way
-                    elif isinstance(sub, ast.RandomExpr):
-                        uses_random = True
             for block in ast.child_statements(stmt):
                 visit(block, owned)
 
@@ -119,7 +114,6 @@ def summarize(program: ast.Program) -> ProgramSummary:
         locals=tuple(tuple(owned) for owned in locals_),
         remote_unwritten=unwritten,
         epoch_local=unwritten - remote_touched,
-        uses_random=uses_random,
     )
 
 

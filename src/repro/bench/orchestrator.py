@@ -36,7 +36,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 
 from ..compiler import CompileError, NativeToolchainError
-from ..compiler.native import uses_random
 from ..launcher import run_lolcode
 from ..noc import MachineModel, cray_xc40, epiphany_iii
 from ..noc.report import projection_rows
@@ -163,15 +162,6 @@ def _measure_cell(
         rows.append(row)
 
     # Differential verification: every engine must emit identical output.
-    # The native engine draws from C's rand(), not the interpreters'
-    # seeded Mersenne Twister, so RNG-using kernels cannot be compared
-    # against it bit-for-bit; that skip is recorded explicitly.
-    native_rng_differs = False
-    if "c" in outputs:
-        try:
-            native_rng_differs = uses_random(source)
-        except Exception:  # noqa: BLE001 - analysis is best-effort here
-            native_rng_differs = False
     baseline_engine = next(
         (e for e in outputs if e != "c"), next(iter(outputs), None)
     )
@@ -179,16 +169,10 @@ def _measure_cell(
         engine = row["engine"]
         if "error" in row or "skipped" in row or engine not in outputs:
             continue
-        involves_native = engine == "c" or baseline_engine == "c"
         if not workload.deterministic:
             row["differential"] = "skipped (nondeterministic workload)"
         elif len(outputs) < 2:
             row["differential"] = "skipped (single engine)"
-        elif involves_native and native_rng_differs:
-            row["differential"] = (
-                "skipped (native rand() stream differs from the Python "
-                "engines' seeded RNG)"
-            )
         elif outputs[engine] == outputs[baseline_engine]:
             row["differential"] = "pass"
         else:

@@ -28,6 +28,15 @@ LOLCODE                          emitted C
 ``WHATEVR`` / ``WHATEVAR``       ``lol_rand_i()`` / ``lol_rand_f()``
 =============================== ==========================================
 
+C leaves the order of operand evaluation unspecified and ``&&``/``||``
+skip operands; the interpreters evaluate every operand, left to right.
+So every ``WHATEVR``/``WHATEVAR`` draw and every function call is
+evaluated into a ``__tmp`` temporary before the statement that uses it,
+in source order, and an operand that reads program state ahead of a
+later call is pinned the same way.  The prelude's ``lol_rand_*`` draw
+from the interpreters' per-PE Mersenne Twister, so equal
+``(source, n_pes, seed)`` print equal output on every engine.
+
 (``LOL_SYMMETRIC`` is the prelude macro that places symmetric objects in
 the bundled shim's remappable section under ``-DLOL_SHMEM_SHIM`` and
 expands to nothing for real OpenSHMEM builds.)
@@ -144,6 +153,18 @@ _CONV: dict[tuple[str, str], str] = {
 }
 
 
+#: Expressions whose value no function call can change; an operand
+#: before a later call is pinned into a temporary unless it is one.
+_CALL_PROOF = (
+    ast.IntLit, ast.FloatLit, ast.TroofLit, ast.NoobLit, ast.MeExpr,
+    ast.FrenzExpr, ast.RandomExpr, ast.FuncCall,
+)
+
+
+def _has_call(expr: ast.Expr) -> bool:
+    return any(isinstance(sub, ast.FuncCall) for sub in ast.walk_expr(expr))
+
+
 def conv(code: str, src: str, dst: str) -> str:
     """Wrap C expression ``code`` in the ``src`` -> ``dst`` kind coercion."""
     if src == dst:
@@ -222,6 +243,26 @@ class CBackend:
         self._tmp += 1
         return f"__{prefix}{self._tmp}"
 
+    def _pin(self, code: str, kind: str) -> tuple[str, str]:
+        """Evaluate ``code`` here, into a fresh temporary."""
+        tmp = self._fresh("tmp")
+        self.out(f"{_C_DECL[kind]} {tmp} = {code};")
+        return tmp, kind
+
+    def _gen_operands(self, exprs: list[ast.Expr]) -> list[tuple[str, str]]:
+        """Compile ``exprs`` left to right, pinning each operand that a
+        later operand's function call could change."""
+        last_call = max(
+            (i for i, expr in enumerate(exprs) if _has_call(expr)), default=-1
+        )
+        parts = []
+        for i, expr in enumerate(exprs):
+            part = self.gen_expr(expr)
+            if i < last_call and not isinstance(expr, _CALL_PROOF):
+                part = self._pin(*part)
+            parts.append(part)
+        return parts
+
     # -- symbol classification ----------------------------------------------
 
     def _info(self, name: str, pos: SourcePos) -> SymbolInfo:
@@ -290,11 +331,9 @@ class CBackend:
         if isinstance(node, ast.FrenzExpr):
             return "((long long)shmem_n_pes())", "i"
         if isinstance(node, ast.RandomExpr):
-            return (
-                ("lol_rand_i()", "i")
-                if node.kind == "int"
-                else ("lol_rand_f()", "f")
-            )
+            if node.kind == "int":
+                return self._pin("lol_rand_i()", "i")
+            return self._pin("lol_rand_f()", "f")
         if isinstance(node, ast.BinOp):
             return self._gen_binop(node)
         if isinstance(node, ast.UnaryOp):
@@ -338,10 +377,12 @@ class CBackend:
 
     def _gen_binop(self, node: ast.BinOp) -> tuple[str, str]:
         op = node.op
-        ca, ta = self.gen_expr(node.lhs)
-        cb, tb = self.gen_expr(node.rhs)
+        (ca, ta), (cb, tb) = self._gen_operands([node.lhs, node.rhs])
         if op in ("add", "sub", "mul", "div", "mod", "max", "min"):
-            if ta in ("s", "d") or tb in ("s", "d"):
+            # BIGGR/SMALLR OF return the chosen operand unconverted, so a
+            # NUMBR/NUMBAR pair is only resolved at run time.
+            mixed = op in ("max", "min") and "f" in (ta, tb) and ta != tb
+            if ta in ("s", "d") or tb in ("s", "d") or mixed:
                 return (
                     f"lol_arith('{self._arith_char(op)}', "
                     f"{conv(ca, ta, 'd')}, {conv(cb, tb, 'd')})",
@@ -391,7 +432,11 @@ class CBackend:
         if node.op == "square":
             if kind == "i" or kind == "b":
                 return f"lol_squar_i({conv(code, kind, 'i')})", "i"
-            return f"lol_squar_f({conv(code, kind, 'f')})", "f"
+            if kind == "f":
+                return f"lol_squar_f({code})", "f"
+            # A dynamic NUMBR squares to a NUMBR: decide at run time.
+            tmp, _ = self._pin(conv(code, kind, "d"), "d")
+            return f"lol_arith('*', {tmp}, {tmp})", "d"
         if node.op == "sqrt":
             return f"sqrt({conv(code, kind, 'f')})", "f"
         if node.op == "recip":
@@ -399,7 +444,7 @@ class CBackend:
         raise CompileError(f"unknown unary op {node.op!r}", node.pos)
 
     def _gen_nary(self, node: ast.NaryOp) -> tuple[str, str]:
-        parts = [self.gen_expr(e) for e in node.operands]
+        parts = self._gen_operands(node.operands)
         if node.op in ("all", "any"):
             joiner = " && " if node.op == "all" else " || "
             return (
@@ -430,10 +475,9 @@ class CBackend:
                 f"arguments, got {len(node.args)}",
                 node.pos,
             )
-        args = ", ".join(
-            conv(*self.gen_expr(a), "d") for a in node.args
-        )
-        return f"lol_fn_{node.name}({args})", "d"
+        parts = self._gen_operands(node.args)
+        args = ", ".join(conv(code, kind, "d") for code, kind in parts)
+        return self._pin(f"lol_fn_{node.name}({args})", "d")
 
     # -- variable access -----------------------------------------------------------
 
@@ -533,8 +577,9 @@ class CBackend:
             code, kind = self.gen_expr(stmt.expr)
             self.out(f"__it = {conv(code, kind, 'd')};")
         elif isinstance(stmt, ast.Visible):
-            for arg in stmt.args:
-                code, kind = self.gen_expr(arg)
+            # Every argument is evaluated before anything prints: a
+            # called function may print too.
+            for code, kind in self._gen_operands(stmt.args):
                 self.out(f"fputs({conv(code, kind, 's')}, stdout);")
             if stmt.newline:
                 self.out('fputs("\\n", stdout);')
@@ -550,18 +595,23 @@ class CBackend:
             self.out("if (lol_truthy(__it)) {")
             self.indent += 1
             self.gen_block(stmt.ya_rly)
-            self.indent -= 1
             for cond, body in stmt.mebbe:
+                # Nested, not `else if`: the condition's temporaries are
+                # evaluated only when this arm is tested.
+                self.indent -= 1
+                self.out("} else {")
+                self.indent += 1
                 code, kind = self.gen_expr(cond)
-                self.out(f"}} else if ({conv(code, kind, 'b')}) {{")
+                self.out(f"if ({conv(code, kind, 'b')}) {{")
                 self.indent += 1
                 self.gen_block(body)
-                self.indent -= 1
+            self.indent -= 1
             self.out("} else {")
             self.indent += 1
             self.gen_block(stmt.no_wai)
-            self.indent -= 1
-            self.out("}")
+            for _ in range(len(stmt.mebbe) + 1):
+                self.indent -= 1
+                self.out("}")
         elif isinstance(stmt, ast.Switch):
             self._gen_switch(stmt)
         elif isinstance(stmt, ast.Loop):
@@ -1010,8 +1060,6 @@ class CBackend:
         self.body_lines = []
         self.indent = 1
         self.out("shmem_init();")
-        if self.summary.uses_random:
-            self.out("srand(lol_seed(1234u) + (unsigned)shmem_my_pe());")
         self.out("lol_value_t __it = lol_noob();")
         # Reference every file-scope object once so -Wunused-variable stays
         # quiet for symbols a program declares but never touches.

@@ -282,8 +282,8 @@ void shmem_clear_lock(long *lock)
  * never returns in the server: each job is run by a fork()ed child that
  * returns from here into the program's unchanged main with a pristine
  * copy of the process image -- symmetric section, file-scope data,
- * rand() state and heap all as exec left them -- so nothing needs
- * resetting between jobs. */
+ * WHATEVR generator state and heap all as exec left them -- so nothing
+ * needs resetting between jobs. */
 
 static int lol_read_full(int fd, void *buf, size_t n)
 {

@@ -53,10 +53,11 @@
  * then the stdout and stderr bytes.  EOF on fd 0 retires the server.
  * Forking rather than looping inside main is the point: every job
  * starts from the image exec produced -- symmetric section, file-scope
- * data, rand() state and the heap the lol_fmt_* helpers never free --
- * so no reset code exists to get wrong.  The driver truncates
- * LOL_SHMEM_FILE to zero before each job, so shmem_init re-zeroes the
- * control page (barrier state and abort flag) of the previous job.
+ * data, WHATEVR generator state and the heap the lol_fmt_* helpers
+ * never free -- so no reset code exists to get wrong.  The driver
+ * truncates LOL_SHMEM_FILE to zero before each job, so shmem_init
+ * re-zeroes the control page (barrier state and abort flag) of the
+ * previous job.
  */
 #ifndef LOL_SHMEM_SHIM_H
 #define LOL_SHMEM_SHIM_H

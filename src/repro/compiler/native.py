@@ -29,10 +29,9 @@ cannot compile".
 
 Knobs the native engine cannot honour (``max_steps``, op tracing, the
 race detector) are refused by the launcher before this module is ever
-reached; ``seed`` is forwarded as ``$LOL_SEED`` (reproducible within the
-native engine, but the C ``rand()`` stream is not the interpreters'
-Mersenne Twister — see :func:`uses_random` for the differential-skip
-helper built on that fact).
+reached; ``seed`` is forwarded as ``$LOL_SEED``, which seeds the
+prelude's copy of the interpreters' per-PE Mersenne Twister, so a seeded
+``WHATEVR`` program prints what ``ast`` and ``vm`` print.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .. import obs as _obs
-from ..analysis.summary import summarize_cached
 from ..faults import inject
 from ..lang.errors import LolError, LolParallelError
 from ..shmem.api import DEFAULT_BARRIER_TIMEOUT
@@ -262,18 +260,6 @@ def _apply_cache_fault(binary: pathlib.Path, kind: str) -> None:
         os.replace(damaged, binary)
     except OSError:
         pass
-
-
-def uses_random(source: str, filename: str = "<string>") -> bool:
-    """True when the program draws ``WHATEVR``/``WHATEVAR`` values.
-
-    The native engine's rand() stream differs from the interpreters'
-    seeded Mersenne Twister, so consumers (bench differential, the
-    engine-differential suite) must not expect bit-identical output from
-    such programs and use this predicate to skip the comparison
-    explicitly.
-    """
-    return summarize_cached(source, filename).uses_random
 
 
 def build_native(

@@ -20,9 +20,10 @@ The pipeline per candidate is::
   reference engine (``ast``).  A typed error is a *comparable outcome*:
   engines must agree on the error class, not just on success.
 
-The native ``c`` engine is excluded by default: its RNG is libc
-``rand()`` and its ``%`` truncates toward zero, both documented
-divergences from the Python engines.
+The native ``c`` engine is excluded by default: a build per candidate
+is slow, and where ``ast`` raises a typed runtime error (an
+out-of-range index, NOOB arithmetic, division by zero) ``c`` runs on
+silently, so such candidates would read as divergences.
 """
 
 from __future__ import annotations

@@ -28,10 +28,10 @@ line of defence, not the first):
   typed symmetric stores receive the right type.
 
 Randomness inside generated programs (``WHATEVR``) is allowed: every
-engine seeds the same per-PE Mersenne Twister, so results stay
-deterministic and comparable.  The native ``c`` engine is excluded from
-fuzzing (different RNG, C ``%`` semantics on negatives), which is why
-generated arithmetic may go negative even under ``MOD``.
+engine, ``c`` included, seeds the same per-PE Mersenne Twister, so
+results stay deterministic and comparable.  Generated arithmetic may
+go negative, even under ``MOD``: every engine truncates toward zero
+(``MOD OF -7 AN 2`` is ``-1``).
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ class _Gen:
             divisor = ast.IntLit(self.rng.randint(2, 9))
             if op == "div" and not ints_only:
                 return ast.BinOp(op, self.num_expr(depth + 1), divisor)
-            # QUOSHUNT of two NUMBRs floor-divides; keep operands integral.
+            # QUOSHUNT of two NUMBRs truncates toward zero (-7/2 is -3);
+            # keep operands integral.
             return ast.BinOp(op, self.num_expr(depth + 1, ints_only=True), divisor)
         lhs = self.num_expr(depth + 1, ints_only=ints_only)
         rhs = self.num_expr(depth + 1, ints_only=ints_only)

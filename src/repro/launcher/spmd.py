@@ -129,7 +129,6 @@ def run_lolcode(
     seed: Optional[int] = None,
     stdin_lines: Optional[Sequence[Sequence[str]]] = None,
     trace: bool = False,
-    trace_detail: bool = True,
     race_detection: bool = False,
     max_steps: Optional[int] = None,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
@@ -202,7 +201,6 @@ def run_lolcode(
             seed=seed,
             stdin_lines=stdin_lines,
             trace=trace,
-            trace_detail=trace_detail,
             race_detection=race_detection,
             max_steps=max_steps,
             barrier_timeout=barrier_timeout,
@@ -314,7 +312,6 @@ def run_lolcode(
             seed=seed,
             stdin_lines=stdin_lines,
             trace=trace,
-            trace_detail=trace_detail,
             race_detection=race_detection,
             barrier_timeout=barrier_timeout,
         )

@@ -218,7 +218,6 @@ class ShmemContext:
         seed: Optional[int] = None,
         stdin_lines: Optional[Sequence[str]] = None,
         trace: bool = False,
-        trace_detail: bool = True,
     ) -> None:
         if not 0 <= my_pe < world.n_pes:
             raise LolParallelError(f"PE id {my_pe} out of range")
@@ -228,9 +227,7 @@ class ShmemContext:
         self.out_parts: list[str] = []
         self._stdin = list(stdin_lines or [])
         self._stdin_pos = 0
-        self.trace: Optional[OpTrace] = (
-            OpTrace(my_pe, detailed=trace_detail) if trace else None
-        )
+        self.trace: Optional[OpTrace] = OpTrace(my_pe) if trace else None
 
     # -- identity (ME / MAH FRENZ) ------------------------------------------
 

@@ -171,7 +171,6 @@ def run_spmd(
     seed: Optional[int] = None,
     stdin_lines: Optional[Sequence[Sequence[str]]] = None,
     trace: bool = False,
-    trace_detail: bool = True,
     race_detection: bool = False,
     element_granularity: bool = False,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
@@ -199,7 +198,6 @@ def run_spmd(
             seed=seed,
             stdin_lines=stdin_lines[pe] if stdin_lines else None,
             trace=trace,
-            trace_detail=trace_detail,
         )
         for pe in range(n_pes)
     ]

@@ -48,9 +48,8 @@ class OpTrace:
 
     pe: int
     events: list[OpEvent] = field(default_factory=list)
-    detailed: bool = True
 
-    # aggregate counters (always maintained, even when detailed=False)
+    # aggregate counters
     counts: Counter = field(default_factory=Counter)
     remote_bytes_put: int = 0
     remote_bytes_got: int = 0
@@ -62,8 +61,7 @@ class OpTrace:
             self.remote_bytes_put += event.nbytes
         elif event.kind is OpKind.GET and event.dst_pe != event.src_pe:
             self.remote_bytes_got += event.nbytes
-        if self.detailed:
-            self.events.append(event)
+        self.events.append(event)
 
     def add_flops(self, n: int) -> None:
         self.local_flops += n

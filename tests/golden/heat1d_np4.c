@@ -123,9 +123,20 @@ static inline int lol_op_is_f(lol_value_t v)
     return 0;
 }
 
+/* A dynamic operand as the number arithmetic sees: NUMBR or NUMBAR. */
+static inline lol_value_t lol_num(lol_value_t v)
+{ return lol_op_is_f(v) ? lol_from_f(lol_to_f(v)) : lol_from_i(lol_to_i(v)); }
+
 static inline lol_value_t lol_arith(char op, lol_value_t a, lol_value_t b)
 {
-    if (lol_op_is_f(a) || lol_op_is_f(b)) {
+    int f = lol_op_is_f(a) || lol_op_is_f(b);
+    if (op == '>' || op == '<') {
+        /* BIGGR OF / SMALLR OF: the chosen operand, with its own kind. */
+        int ge = f ? lol_to_f(a) >= lol_to_f(b) : lol_to_i(a) >= lol_to_i(b);
+        int le = f ? lol_to_f(a) <= lol_to_f(b) : lol_to_i(a) <= lol_to_i(b);
+        return lol_num((op == '>' ? ge : le) ? a : b);
+    }
+    if (f) {
         double x = lol_to_f(a), y = lol_to_f(b), r = 0.0;
         switch (op) {
         case '+': r = x + y; break;
@@ -133,8 +144,6 @@ static inline lol_value_t lol_arith(char op, lol_value_t a, lol_value_t b)
         case '*': r = x * y; break;
         case '/': r = x / y; break;
         case '%': r = fmod(x, y); break;
-        case '>': r = x >= y ? x : y; break;  /* BIGGR OF */
-        case '<': r = x <= y ? x : y; break;  /* SMALLR OF */
         }
         return lol_from_f(r);
     }
@@ -146,8 +155,6 @@ static inline lol_value_t lol_arith(char op, lol_value_t a, lol_value_t b)
         case '*': r = x * y; break;
         case '/': r = x / y; break;
         case '%': r = x % y; break;
-        case '>': r = x >= y ? x : y; break;
-        case '<': r = x <= y ? x : y; break;
         }
         return lol_from_i(r);
     }
@@ -193,18 +200,84 @@ static inline const char *lol_readline(void)
     return strdup(buf);
 }
 
-/* rand() in [0, 2^31-1) and randf() in [0,1), seeded per PE. */
-static inline long long lol_rand_i(void) { return (long long)rand(); }
-static inline double lol_rand_f(void) { return (double)rand() / ((double)RAND_MAX + 1.0); }
+/* -- WHATEVR / WHATEVAR: the interpreters' stream --------------------- */
+/* MT19937 (Matsumoto & Nishimura, ACM TOMACS 8(1), 1998), seeded as
+ * Python's random.Random(v) with v = seed * 7919 + pe: init_by_array
+ * over the 32-bit words of |v|.  seed is LOL_SEED (how the native
+ * launcher forwards run_lolcode(seed=...)) or 0xC47.  Seeded on the
+ * first draw; the product is done in 32-bit limbs.  lol_mt_next is not
+ * inline, so each WHATEVR site compiles to a call, not another copy. */
+static uint32_t lol_mt[624];
+static int lol_mt_i = -1; /* -1: not seeded yet */
 
-/* Seed base for srand: LOL_SEED in the environment (how the native
- * launcher forwards run_lolcode(seed=...)) or the baked-in fallback.
- * The stream is rand()'s, not the interpreters' Mersenne Twister, so
- * equal seeds reproduce *within* the native engine only. */
-static inline unsigned lol_seed(unsigned fallback)
+static void lol_mt_seed(void)
 {
-    const char *s = getenv("LOL_SEED");
-    return s ? (unsigned)strtoul(s, NULL, 10) : fallback;
+    const char *env = getenv("LOL_SEED");
+    long long s = env ? strtoll(env, NULL, 10) : 0xC47;
+    uint64_t m = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
+    uint64_t pe = (uint64_t)shmem_my_pe();
+    uint64_t w0 = (m & 0xFFFFFFFFu) * 7919u;
+    uint64_t w1 = (m >> 32) * 7919u + (w0 >> 32);
+    uint32_t key[3];
+    int i = 1, j = 0, k, n;
+    w0 &= 0xFFFFFFFFu;
+    if (s >= 0) { w0 += pe; w1 += w0 >> 32; w0 &= 0xFFFFFFFFu; }
+    else if (w1 == 0 && w0 < pe) w0 = pe - w0;
+    else if (w0 >= pe) w0 -= pe;
+    else { w0 += 0x100000000u - pe; w1 -= 1; }
+    key[0] = (uint32_t)w0; key[1] = (uint32_t)w1; key[2] = (uint32_t)(w1 >> 32);
+    n = key[2] ? 3 : key[1] ? 2 : 1;
+    lol_mt[0] = 19650218u;
+    for (k = 1; k < 624; k++)
+        lol_mt[k] = 1812433253u * (lol_mt[k-1] ^ (lol_mt[k-1] >> 30)) + (uint32_t)k;
+    for (k = 624; k; k--) {
+        lol_mt[i] = (lol_mt[i] ^ ((lol_mt[i-1] ^ (lol_mt[i-1] >> 30)) * 1664525u))
+                    + key[j] + (uint32_t)j;
+        if (++i >= 624) { lol_mt[0] = lol_mt[623]; i = 1; }
+        if (++j >= n) j = 0;
+    }
+    for (k = 623; k; k--) {
+        lol_mt[i] = (lol_mt[i] ^ ((lol_mt[i-1] ^ (lol_mt[i-1] >> 30)) * 1566083941u))
+                    - (uint32_t)i;
+        if (++i >= 624) { lol_mt[0] = lol_mt[623]; i = 1; }
+    }
+    lol_mt[0] = 0x80000000u;
+    lol_mt_i = 624;
+}
+
+static uint32_t lol_mt_next(void)
+{
+    uint32_t y;
+    if (lol_mt_i < 0) lol_mt_seed();
+    if (lol_mt_i >= 624) {
+        int k;
+        for (k = 0; k < 624; k++) {
+            y = (lol_mt[k] & 0x80000000u) | (lol_mt[(k+1) % 624] & 0x7FFFFFFFu);
+            lol_mt[k] = lol_mt[(k+397) % 624] ^ (y >> 1) ^ ((y & 1u) ? 0x9908B0DFu : 0u);
+        }
+        lol_mt_i = 0;
+    }
+    y = lol_mt[lol_mt_i++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9D2C5680u;
+    y ^= (y << 15) & 0xEFC60000u;
+    return y ^ (y >> 18);
+}
+
+/* randrange(0, 2**31 - 1): getrandbits(31) until below the bound. */
+static inline long long lol_rand_i(void)
+{
+    uint32_t r;
+    do r = lol_mt_next() >> 1; while (r >= 0x7FFFFFFFu);
+    return (long long)r;
+}
+
+/* random(): 53 bits from two draws. */
+static inline double lol_rand_f(void)
+{
+    uint32_t a = lol_mt_next() >> 5;
+    uint32_t b = lol_mt_next() >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
 /* -- symmetric & top-level program data -- */

@@ -2,8 +2,10 @@
 
 The bytecode VM must be observationally identical to the reference tree-walker (and, where the
 program is compilable, so must the native C engine) — same VISIBLE
-output per PE, same FLOP/op accounting, same RNG draw sequence.  This
-suite checks that property on
+output per PE, same FLOP/op accounting, same RNG draw sequence (the
+native prelude draws ``WHATEVR``/``WHATEVAR`` from the interpreters'
+per-PE Mersenne Twister, in source order).  This suite checks that
+property on
 
 * every bundled paper example at 1/2/4 PEs,
 * hand-written programs covering each construct, serial and SPMD,
@@ -19,12 +21,6 @@ suite checks that property on
 * randomized arithmetic/loop/predication programs (seeded, so failures
   reproduce),
 * the ``HUGZ`` barrier and ``IM SRSLY MESIN WIF`` lock paths at 4 PEs.
-
-Native caveat: the C binary draws ``WHATEVR`` values from rand(), not
-the interpreters' seeded Mersenne Twister, so RNG-using kernels run
-under the native engine (checker-style validation still applies in the
-bench) but are excluded from bit-identical comparison here via
-:func:`repro.compiler.native.uses_random`.
 """
 
 import random
@@ -33,7 +29,7 @@ import pytest
 
 from repro import run_lolcode
 from repro.compiler import CompileError
-from repro.compiler.native import find_cc, uses_random
+from repro.compiler.native import find_cc
 from repro.launcher import ENGINES
 from repro.workloads import all_workloads
 
@@ -260,7 +256,7 @@ def _engine_outputs(
     return outputs, skips
 
 
-def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
+def _assert_registry_agreement(workload, outputs, skips, n_pes, where):
     """Shared assertion block for the registry matrix tests."""
     if not workload.deterministic and n_pes > 1:
         return  # engines ran; outputs legitimately vary (racy kernel)
@@ -268,7 +264,7 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
         f"{workload.name}: VM engine diverged from tree-walker at "
         f"{n_pes} PEs {where}"
     )
-    if "c" in outputs and not uses_random(src):
+    if "c" in outputs:
         assert outputs["c"] == outputs["ast"], (
             f"{workload.name}: native engine diverged from tree-walker "
             f"at {n_pes} PEs {where}"
@@ -279,9 +275,10 @@ def _assert_registry_agreement(workload, src, outputs, skips, n_pes, where):
 
 @pytest.mark.workload
 class TestWorkloadRegistryMatrix:
-    """Every registered workload runs bit-identically on ast, vm, and — where a C toolchain exists and the kernel draws no
-    random values — the native C engine (or is skipped with an explicit
-    reason) — the same guarantee ``lolbench`` enforces per sweep cell."""
+    """Every registered workload runs bit-identically on ast, vm, and —
+    where a C toolchain exists — the native C engine (or is skipped with
+    an explicit reason) — the same guarantee ``lolbench`` enforces per
+    sweep cell."""
 
     @pytest.mark.parametrize("n_pes", [1, 4])
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
@@ -295,7 +292,7 @@ class TestWorkloadRegistryMatrix:
         outputs, skips = _engine_outputs(
             src, n_pes, "thread", seed=42, native=True
         )
-        _assert_registry_agreement(w, src, outputs, skips, n_pes, "")
+        _assert_registry_agreement(w, outputs, skips, n_pes, "")
 
     @pytest.mark.procs
     @pytest.mark.slow
@@ -340,7 +337,7 @@ class TestWorkloadRegistryMatrix:
                 f"executor at {n_pes} PEs"
             )
         _assert_registry_agreement(
-            w, src, outputs, {}, n_pes, "on a cold worker pool"
+            w, outputs, {}, n_pes, "on a cold worker pool"
         )
 
     @pytest.mark.procs
@@ -369,7 +366,7 @@ class TestWorkloadRegistryMatrix:
                 f"at {n_pes} PEs"
             )
         _assert_registry_agreement(
-            w, src, outputs, skips, n_pes, "on the pool executor"
+            w, outputs, skips, n_pes, "on the pool executor"
         )
 
 

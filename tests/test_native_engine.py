@@ -10,6 +10,7 @@ hosts without a C compiler; the refusal/validation tests run anywhere
 from __future__ import annotations
 
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import pytest
 from repro import run_lolcode
 from repro.compiler import CompileError, NativeToolchainError
 from repro.compiler import native
+from repro.fuzz.diff import run_engine
 from repro.lang.errors import LolParallelError
 
 from .conftest import lol
@@ -145,11 +147,6 @@ def test_stats_text_shows_warm_set_counters():
     ]
     for key in ("warm_hits=", "spawns=", "respawns="):
         assert key in line
-
-
-def test_uses_random_predicate():
-    assert native.uses_random(lol("I HAS A x ITZ WHATEVAR\nVISIBLE x"))
-    assert not native.uses_random(lol("VISIBLE 1"))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +297,75 @@ class TestNativeExecution:
         )
         with pytest.raises(LolParallelError, match="PE"):
             run_lolcode(src, 2, engine="c", barrier_timeout=3)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation order, one WHATEVR stream: c prints what ast prints.
+# ---------------------------------------------------------------------------
+
+_TRACED_F = (
+    "I HAS A g ITZ 0\n"
+    "HOW IZ I f YR n\n"
+    '  VISIBLE SMOOSH "f" AN n MKAY\n'
+    "  g R SUM OF g AN 1\n"
+    "  FOUND YR n\n"
+    "IF U SAY SO\n"
+)
+
+_MEBBE_DRAWS = """\
+WIN, O RLY?
+  YA RLY, VISIBLE "ya"
+  MEBBE BOTH SAEM MOD OF WHATEVR AN 2 AN 0, VISIBLE "m"
+OIC
+VISIBLE WHATEVR
+FAIL, O RLY?
+  YA RLY, VISIBLE "ya"
+  MEBBE BOTH SAEM MOD OF WHATEVR AN 2 AN 0, VISIBLE "m1"
+  MEBBE BOTH SAEM MOD OF WHATEVR AN 3 AN 0, VISIBLE "m2"
+  NO WAI, VISIBLE "no"
+OIC
+VISIBLE WHATEVR"""
+
+C_AST_CASES = {
+    "two_draw_sum": lol("VISIBLE SUM OF WHATEVR AN PRODUKT OF 0 AN WHATEVR"),
+    "smoosh_draws": lol('VISIBLE SMOOSH WHATEVR AN " " AN WHATEVAR MKAY'),
+    "mebbe_draws": lol(_MEBBE_DRAWS),
+    "loop_condition_draw": lol(
+        "IM IN YR l UPPIN YR i TIL EITHER OF BOTH SAEM MOD OF WHATEVR AN 3 "
+        "AN 0 AN BOTH SAEM i AN 20\n  VISIBLE i\nIM OUTTA YR l"
+    ),
+    "draws_across_call": lol(
+        "HOW IZ I r YR n\n  FOUND YR SUM OF n AN WHATEVR\nIF U SAY SO\n"
+        "VISIBLE DIFF OF WHATEVR AN I IZ r YR WHATEVR MKAY"
+    ),
+    "call_order_sum": lol(
+        _TRACED_F + "VISIBLE SUM OF I IZ f YR 1 MKAY AN I IZ f YR 2 MKAY"
+    ),
+    "call_order_both_of": lol(
+        _TRACED_F + "VISIBLE BOTH OF I IZ f YR 0 MKAY AN I IZ f YR 3 MKAY"
+    ),
+    "read_before_call": lol(
+        _TRACED_F + 'VISIBLE "g=" g " " SUM OF g AN I IZ f YR 4 MKAY'
+    ),
+    "squar_dynamic_numbr": lol("I HAS A v ITZ 4\nVISIBLE SQUAR OF v"),
+    "mixed_smallr": lol(
+        "VISIBLE SUM OF 8 AN SMALLR OF SMALLR OF 3.0 AN ME AN 8\n"
+        "VISIBLE BIGGR OF WIN AN 0.5"
+    ),
+    "fuzz_seed_d051eb58c8fb": (
+        pathlib.Path(__file__).parent / "golden" / "fuzz" / "seed_d051eb58c8fb.lol"
+    ).read_text(),
+}
+
+
+@pytest.mark.requires_cc
+@pytest.mark.parametrize("seed", [None, 0, -5, 2**62, -(2**63)])
+@pytest.mark.parametrize("case", sorted(C_AST_CASES))
+def test_c_matches_ast(case, seed):
+    src = C_AST_CASES[case]
+    want = run_engine(src, 2, "ast", seed=seed)
+    assert want.kind == "ok", want
+    assert run_engine(src, 2, "c", seed=seed).comparable() == want.comparable()
 
 
 @pytest.mark.requires_cc
