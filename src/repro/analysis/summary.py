@@ -22,9 +22,7 @@ needs both reads the tree from there, never from a second parse.
   binds and the one every call after the final definition runs.
 * ``declarations`` — every ``WE HAS A`` in walk order, function bodies
   included; :func:`symmetric_plan` lays them out for every executor
-  (:func:`symmetric_plan_cached` per launch width).  ``locals[i]`` — the
-  ``I HAS A`` declarations of ``functions[i]``'s body (its nested
-  blocks, not its nested definitions).
+  (:func:`symmetric_plan_cached` per launch width).
 * ``remote_unwritten`` — symmetric names no statement stores to through
   ``UR``: no peer can change them mid-loop, so the VM vectorizer may
   hoist such a trip count.  ``epoch_local`` — symmetric names never
@@ -51,7 +49,6 @@ class ProgramSummary:
     functions: tuple[ast.FuncDef, ...]
     callees: dict[str, ast.FuncDef]
     declarations: tuple[ast.VarDecl, ...]
-    locals: tuple[tuple[ast.VarDecl, ...], ...]
     remote_unwritten: frozenset[str]
     epoch_local: frozenset[str]
 
@@ -65,24 +62,20 @@ def summarize(program: ast.Program) -> ProgramSummary:
     """Collect definitions, declarations and engine facts in one walk."""
     functions: list[ast.FuncDef] = []
     declarations: list[ast.VarDecl] = []
-    locals_: list[list[ast.VarDecl]] = []
     remote_written: set[str] = set()
     remote_touched: set[str] = set()
     dynamic = False
 
-    def visit(body: list[ast.Stmt], owned: list[ast.VarDecl] | None) -> None:
+    def visit(body: list[ast.Stmt]) -> None:
         nonlocal dynamic
         for stmt in body:
             if isinstance(stmt, ast.FuncDef):
                 functions.append(stmt)
-                locals_.append([])
-                visit(stmt.body, locals_[-1])
+                visit(stmt.body)
                 continue
             if isinstance(stmt, ast.VarDecl):
                 if is_symmetric(stmt):
                     declarations.append(stmt)
-                elif owned is not None:
-                    owned.append(stmt)
             elif isinstance(stmt, (ast.Assign, ast.Gimmeh, ast.CastStmt)):
                 target = stmt.target
                 base = target.base if isinstance(target, ast.Index) else target
@@ -98,9 +91,9 @@ def summarize(program: ast.Program) -> ProgramSummary:
                     elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
                         dynamic = True  # could alias any name, any way
             for block in ast.child_statements(stmt):
-                visit(block, owned)
+                visit(block)
 
-    visit(program.body, None)
+    visit(program.body)
     symmetric = frozenset(decl.name for decl in declarations)
     unwritten: frozenset[str] = (
         frozenset() if dynamic else symmetric - remote_written
@@ -111,7 +104,6 @@ def summarize(program: ast.Program) -> ProgramSummary:
         functions=tuple(functions),
         callees={func.name: func for func in functions},
         declarations=tuple(declarations),
-        locals=tuple(tuple(owned) for owned in locals_),
         remote_unwritten=unwritten,
         epoch_local=unwritten - remote_touched,
     )

@@ -161,8 +161,15 @@ _CALL_PROOF = (
 )
 
 
-def _has_call(expr: ast.Expr) -> bool:
-    return any(isinstance(sub, ast.FuncCall) for sub in ast.walk_expr(expr))
+def _names(expr: ast.Expr) -> set[str]:
+    """Every variable name ``expr`` reads, interpolations included."""
+    names: set[str] = set()
+    for sub in ast.walk_expr(expr):
+        if isinstance(sub, ast.VarRef):
+            names.add(sub.name)
+        elif isinstance(sub, ast.StringLit):
+            names.update(p[1] for p in sub.parts if not isinstance(p, str))
+    return names
 
 
 def conv(code: str, src: str, dst: str) -> str:
@@ -220,7 +227,6 @@ class CBackend:
         self.program = self.summary.program
         self.n_pes = n_pes
         self.functions: dict[str, ast.FuncDef] = {}
-        self.locals: dict[str, dict[str, SymbolInfo]] = {}
         self.globals: dict[str, SymbolInfo] = {}
         self.body_lines: list[str] = []
         self.file_lines: list[str] = []
@@ -253,7 +259,7 @@ class CBackend:
         """Compile ``exprs`` left to right, pinning each operand that a
         later operand's function call could change."""
         last_call = max(
-            (i for i, expr in enumerate(exprs) if _has_call(expr)), default=-1
+            (i for i, expr in enumerate(exprs) if ast.has_call(expr)), default=-1
         )
         parts = []
         for i, expr in enumerate(exprs):
@@ -269,20 +275,14 @@ class CBackend:
         """Resolve ``name`` at the current emission point.
 
         Resolution order matches the emitted C's scoping: innermost
-        block scope, then (inside a function) locals and parameters,
-        then file-scope/symmetric globals.  The failure diagnostic
+        block scope out to a function's parameters, then
+        file-scope/symmetric globals.  The failure diagnostic
         spells out the C backend's function restriction because that is
         where interpreter-legal programs most often trip it.
         """
         for scope in reversed(self._scopes):
             if name in scope:
                 return scope[name]
-        if self._current_func is not None:
-            local = self.locals[self._current_func].get(name)
-            if local is not None:
-                return local
-            if name in self.functions[self._current_func].params:
-                return SymbolInfo(name)  # dynamic parameter
         info = self.globals.get(name)
         if info is not None:
             return info
@@ -689,7 +689,7 @@ class CBackend:
         """Index the summary's functions; C needs one top-level
         definition per name."""
         top = {id(stmt) for stmt in self.program.body}
-        for func, decls in zip(self.summary.functions, self.summary.locals):
+        for func in self.summary.functions:
             if id(func) not in top:
                 raise CompileError(
                     f"nested function '{func.name}' is not compilable",
@@ -702,15 +702,6 @@ class CBackend:
                     func.pos,
                 )
             self.functions[func.name] = func
-            table = self.locals[func.name] = {}
-            for decl in decls:
-                prev = table.get(decl.name)
-                if prev is not None and prev.is_array != decl.is_array:
-                    raise CompileError(
-                        f"'{decl.name}' re-declared with a different shape",
-                        decl.pos,
-                    )
-                table[decl.name] = _symbol(decl)
 
     def _emit_file_scope(self) -> None:
         """Emit one file-scope C object per top-level ``I HAS A`` name and
@@ -795,10 +786,24 @@ class CBackend:
             elif self._kind_of(info) == "s" and not info.is_array:
                 self.out(f'{stmt.name} = "";')
             return
-        # Block-local declaration.
+        # Block-local declaration.  The name binds only after its
+        # initializer and extent compile, so both see the enclosing
+        # binding.
         info = _symbol(stmt)
-        self._scopes[-1][stmt.name] = info
         kind = self._kind_of(info)
+        prev = self._scopes[-1].get(stmt.name)
+        if prev is not None:
+            # C allows one declarator per name and block: a same-shape
+            # scalar redeclaration assigns the existing object.
+            if prev != info or info.is_array:
+                raise CompileError(
+                    f"'{stmt.name}' re-declared in the same block with a "
+                    f"different shape or type (the C backend keeps one "
+                    f"object per name and block)",
+                    stmt.pos,
+                )
+            self.out(f"{stmt.name} = {self._decl_value(stmt, kind)};")
+            return
         if stmt.is_array:
             size_lit = self._const_size(stmt.size, stmt.name)
             if size_lit is not None:
@@ -814,20 +819,23 @@ class CBackend:
                     else f"for (long long __z = 0; __z < {n}; __z++) "
                     f'{stmt.name}[__z] = "";'
                 )
-            return
-        if stmt.init is not None:
-            code, k = self.gen_expr(stmt.init)
-            if kind == "d":
-                code = conv(code, k, "d")
-            else:
-                code = conv(code, k, kind)
-            self.out(f"{self._decl_c(info, None)} = {code};")
-        elif kind == "d":
-            self.out(f"{self._decl_c(info, None)} = lol_noob();")
-        elif kind == "s":
-            self.out(f'{self._decl_c(info, None)} = "";')
         else:
-            self.out(f"{self._decl_c(info, None)} = 0;")
+            code = self._decl_value(stmt, kind)
+            if stmt.init is not None and stmt.name in _names(stmt.init):
+                # A C scope starts at the declarator: read the enclosing
+                # binding before the new one hides it.
+                code, _ = self._pin(code, kind)
+            self.out(f"{self._decl_c(info, None)} = {code};")
+        self._scopes[-1][stmt.name] = info
+
+    def _decl_value(self, stmt: ast.VarDecl, kind: str) -> str:
+        """The C value a scalar ``I HAS A`` stores: its initializer or
+        the type's default."""
+        if stmt.init is not None:
+            return conv(*self.gen_expr(stmt.init), kind)
+        if kind == "d":
+            return "lol_noob()"
+        return '""' if kind == "s" else "0"
 
     # -- assignment --------------------------------------------------------------
 
@@ -839,6 +847,9 @@ class CBackend:
                 self._gen_array_copy(target, tinfo, value)
                 return
         code, kind = self.gen_expr(value)
+        if ast.has_call(target) and not isinstance(value, _CALL_PROOF):
+            # The target's index evaluates after the value.
+            code, kind = self._pin(code, kind)
         self._gen_store(target, code, kind)
 
     def _gen_array_copy(
@@ -988,7 +999,18 @@ class CBackend:
                 f"GTFO",
                 stmt.pos,
             )
-        self.gen_block(stmt.body)
+        if stmt.var is not None and any(
+            isinstance(s, ast.VarDecl) and s.name == stmt.var for s in stmt.body
+        ):
+            # The body shadows the counter: close its C block before the
+            # increment, which must reach the counter.
+            self.out("{")
+            self.indent += 1
+            self.gen_block(stmt.body)
+            self.indent -= 1
+            self.out("}")
+        else:
+            self.gen_block(stmt.body)
         if stmt.var is not None:
             step = "+ 1" if stmt.op == "UPPIN" else "- 1"
             self.out(f"{stmt.var} = {stmt.var} {step};")
@@ -1026,12 +1048,16 @@ class CBackend:
     def _gen_function(self, fdef: ast.FuncDef) -> list[str]:
         saved_body, self.body_lines = self.body_lines, []
         saved_indent, self.indent = self.indent, 1
-        saved_scopes, self._scopes = self._scopes, []
+        # The parameters share the body's outermost C block, so a body
+        # declaration of a parameter's name is a same-block one.
+        saved_scopes = self._scopes
+        self._scopes = [{p: SymbolInfo(p) for p in fdef.params}]
         self._current_func = fdef.name
         params = ", ".join(f"lol_value_t {p}" for p in fdef.params) or "void"
         lines = [f"static lol_value_t lol_fn_{fdef.name}({params})", "{"]
         self.out("lol_value_t __it = lol_noob();")
-        self.gen_block(fdef.body)
+        for stmt in fdef.body:
+            self.gen_stmt(stmt)
         self.out("return __it;")
         lines.extend(self.body_lines)
         lines.append("}")

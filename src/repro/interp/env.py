@@ -6,8 +6,12 @@ undeclared name is an error.  Scoping is a simple chain:
 * one global scope per PE;
 * one scope per function call (parameters live there; the enclosing global
   scope remains readable/writable when not shadowed);
-* one scope per loop (the ``UPPIN YR i`` counter is loop-local, per the
-  1.2 spec — the paper's n-body reuses ``i``/``j``/``k`` freely this way).
+* one scope per loop holding the ``UPPIN YR i`` counter (loop-local, per
+  the 1.2 spec — the paper's n-body reuses ``i``/``j``/``k`` freely this
+  way), and one fresh child scope per iteration for the body's
+  declarations, so an iteration never sees the previous one's bindings;
+* one scope per ``O RLY?`` arm or ``WTF?`` case body.  ``TXT MAH BFF``
+  bodies run in the enclosing scope.
 
 A binding is a :class:`Binding` carrying the value plus the static-type
 metadata introduced by the paper's ``ITZ SRSLY A <type>`` extension, and a

@@ -254,7 +254,9 @@ class Interpreter:
                 if stmt.cond_kind == "WILE" and not flag:
                     break
             try:
-                self.exec_block(stmt.body, loop_env)
+                # Each iteration is a fresh run of the body: its
+                # declarations start over, the counter stays loop-scoped.
+                self.exec_block(stmt.body, loop_env.child())
             except _Break:
                 break
             if counter is not None:

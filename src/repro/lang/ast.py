@@ -421,3 +421,9 @@ def walk_expr(expr: Expr) -> Iterator[Expr]:
             stack += reversed(node.operands)
         elif isinstance(node, FuncCall):
             stack += reversed(node.args)
+
+
+def has_call(expr: Expr) -> bool:
+    """Whether evaluating ``expr`` calls a function (which may store to
+    variables an earlier operand read)."""
+    return any(isinstance(sub, FuncCall) for sub in walk_expr(expr))

@@ -5,8 +5,8 @@ dict-chain :class:`~repro.interp.env.Env` lookups with flat, slot-indexed
 frames.  This module provides the compile-time bookkeeping: which frame a
 name lives in, at which slot, with what static metadata.
 
-The scope model mirrors the tree-walker (see the divergence list below
-for the corners where static resolution cannot reproduce its dynamic
+The scope model mirrors the tree-walker (see the divergence at the end
+for the one corner where static resolution cannot reproduce its dynamic
 behaviour):
 
 * one *frame* per function activation plus one root frame for top-level
@@ -14,8 +14,12 @@ behaviour):
 * every scoped block (``O RLY?`` arm, ``WTF?`` case, loop body — but
   *not* a ``TXT MAH BFF`` body, which the tree-walker executes in the
   enclosing environment) opens a lexical *block scope* inside the
-  current frame — declarations in a block are invisible once the block
-  closes, but their slots stay allocated for the frame's lifetime;
+  current frame — declarations in a block are visible from the next
+  statement to the end of the block, and invisible once it closes, but
+  their slots stay allocated for the frame's lifetime.  A loop body is
+  one block per iteration (nested inside the block holding the counter),
+  and since every name resolves statically, an iteration cannot observe
+  the slots the previous one left behind;
 * re-declaring a name in the same block **reuses its slot** when the
   static metadata (type, array-ness) is unchanged — the declaration
   statement overwrites the value exactly like the tree-walker's
@@ -33,24 +37,11 @@ behaviour):
   that has not been declared by the time the function runs reads as the
   UNDECLARED sentinel and raises the same ``LolNameError``).
 
-Known, documented divergences from the tree-walker:
-
-* a re-declaration that *changes* a name's static type or array-ness
-  allocates a fresh slot, so a function compiled against the final root
-  scope reads the post-redeclaration storage (same-shape redeclarations
-  reuse the slot and behave identically to the tree-walker);
-* loop-body *scalar* declarations are pre-bound with a runtime fallback
-  (see :meth:`~repro.vm.compile.VMCompiler._prescan_loop_decls`),
-  reproducing the tree-walker's persistent per-loop environment —
-  iteration N's reads and re-evaluated initializers see iteration N-1's
-  binding.  *Array* declarations in loop bodies are not pre-bound: a
-  read of the name that textually precedes the array declaration stays
-  bound to the enclosing variable on every iteration;
-* a loop body that redeclares its own ``UPPIN YR`` counter *terminates*
-  (the condition stays bound to the counter's slot, which the increment
-  keeps updating), where the tree-walker's redeclaration detaches the
-  counter binding and spins forever — the divergence is kept
-  deliberately, since reproducing a hang helps no one.
+Known, documented divergence from the tree-walker: a re-declaration
+that *changes* a name's static type or array-ness allocates a fresh
+slot, so a function compiled against the final root scope reads the
+post-redeclaration storage (same-shape redeclarations reuse the slot and
+behave identically to the tree-walker).
 """
 
 from __future__ import annotations
@@ -64,30 +55,17 @@ from .types import LolType
 LOCAL = "local"  # slot in the current (function or root) frame
 GLOBAL = "global"  # slot in the root frame, accessed from a function
 SYMMETRIC = "symmetric"  # storage in the symmetric heap, addressed by name
-MISSING = "missing"  # pre-declaration fallback for a name with no outer binding
 
 
 @dataclass(frozen=True, slots=True)
 class VarInfo:
-    """Everything the compiler knows about one resolved name.
-
-    ``fallback`` marks a *pre-declared* loop-body binding: the tree-walker
-    keeps one environment per loop execution, so a name declared in the
-    body is bound to the enclosing (fallback) variable until the first
-    iteration's declaration runs, and to the loop-local storage from then
-    on.  The compiler pre-allocates the slot, and accesses compiled while
-    ``fallback`` is set test the slot's UNDECLARED sentinel at runtime to
-    pick the binding — exactly the tree-walker's dynamic behaviour.
-    ``fallback`` may be ``None``-kind too: a pre-declared name with no
-    enclosing binding simply raises before its declaration runs.
-    """
+    """Everything the compiler knows about one resolved name."""
 
     kind: str  # LOCAL | GLOBAL | SYMMETRIC
     name: str
     slot: int = -1  # frame slot for LOCAL/GLOBAL
     static_type: Optional[LolType] = None
     is_array: bool = False
-    fallback: Optional["VarInfo"] = None
 
     def as_global(self) -> "VarInfo":
         """The view of a root-frame binding from inside a function."""
@@ -149,30 +127,8 @@ class ScopeStack:
             and prev.static_type is static_type
             and prev.is_array == is_array
         ):
-            # Same-shape (re)declaration: reuse the slot.  If it was only
-            # *pre*-declared so far, later references may now take the
-            # fast unconditional path — the declaration dominates them.
-            if prev.fallback is not None:
-                prev = VarInfo(LOCAL, name, prev.slot, static_type, is_array)
-                self.blocks[-1][name] = prev
-            return prev
+            return prev  # same-shape (re)declaration: reuse the slot
         info = VarInfo(LOCAL, name, self.layout.new_slot(), static_type, is_array)
-        self.blocks[-1][name] = info
-        return info
-
-    def predeclare(
-        self,
-        name: str,
-        *,
-        static_type: Optional[LolType] = None,
-    ) -> VarInfo:
-        """Pre-bind a scalar that a loop body will declare (see VarInfo)."""
-        if name in self.blocks[-1]:
-            return self.blocks[-1][name]
-        fallback = self.lookup(name) or VarInfo(MISSING, name)
-        info = VarInfo(
-            LOCAL, name, self.layout.new_slot(), static_type, False, fallback
-        )
         self.blocks[-1][name] = info
         return info
 

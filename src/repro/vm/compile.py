@@ -36,7 +36,7 @@ from ..lang.errors import (
     SourcePos,
 )
 from ..lang.formatter import format_expr
-from ..lang.resolve import GLOBAL, LOCAL, MISSING, SYMMETRIC, FrameLayout, ScopeStack
+from ..lang.resolve import GLOBAL, LOCAL, SYMMETRIC, FrameLayout, ScopeStack
 from ..lang.types import LolType, default_value, parse_type
 from ..interp.env import UNDECLARED
 from ..interp.values import BINOP_FUNCS, FLOP_COST, NARYOP_FUNCS, UNOP_FUNCS
@@ -382,12 +382,7 @@ class VMCompiler:
         # the destination slot.
         if isinstance(target, ast.VarRef) and target.qualifier != "UR":
             info = scope.lookup(target.name)
-            if (
-                info is not None
-                and info.kind == LOCAL
-                and not info.is_array
-                and info.fallback is None
-            ):
+            if info is not None and info.kind == LOCAL and not info.is_array:
                 slot = info.slot
                 name = target.name
                 pos = target.pos
@@ -412,7 +407,8 @@ class VMCompiler:
                 vreg = self._expr_reg(stmt.value, scope, asm)
                 asm.emit((isa.ST_DYN, slot, vreg, name), pos)
                 return
-        vreg = self._expr_reg(stmt.value, scope, asm)
+        # The target's index or SRS name evaluates after the value.
+        vreg = self._expr_reg_before(stmt.value, (target,), scope, asm)
         self._emit_store(target, scope, asm, vreg)
 
     def _try_put_barrier(self, stmt, scope: ScopeStack, asm: _Asm) -> bool:
@@ -431,7 +427,7 @@ class VMCompiler:
             and isinstance(target.base, ast.VarRef)
             and target.base.qualifier == "UR"
         ):
-            vreg = self._expr_reg(stmt.value, scope, asm)
+            vreg = self._expr_reg_before(stmt.value, (target,), scope, asm)
             ireg = self._expr_reg(target.index, scope, asm)
             asm.emit(
                 (isa.PUT_BARRIER, target.base.name, vreg, (ireg,)), target.pos
@@ -569,19 +565,6 @@ class VMCompiler:
             asm.break_stack.pop()
         asm.mark(lend)
 
-    def _prescan_loop_decls(self, stmts: list, scope: ScopeStack) -> None:
-        # Pre-pass: scalar declarations at
-        # this block level (plus TXT bodies) are pre-bound with a
-        # runtime fallback to the enclosing binding.
-        for s in stmts:
-            if isinstance(s, ast.VarDecl) and not is_symmetric(s) and not s.is_array:
-                declared = (
-                    parse_type(s.static_type, s.pos) if s.static_type else None
-                )
-                scope.predeclare(s.name, static_type=declared)
-            elif isinstance(s, ast.TxtStmt):
-                self._prescan_loop_decls(s.body, scope)
-
     def _stmt_loop(self, stmt: ast.Loop, scope: ScopeStack, asm: _Asm) -> None:
         pos = stmt.pos
         lo = scope.layout.n_slots
@@ -590,7 +573,6 @@ class VMCompiler:
             cslot = -1
             if stmt.var is not None:
                 cslot = scope.declare(stmt.var, static_type=LolType.NUMBR).slot
-            self._prescan_loop_decls(stmt.body, scope)
             plan = None
             if self.vectorize:
                 from .vectorize import try_vectorize
@@ -616,7 +598,9 @@ class VMCompiler:
                 asm.end_stmt()
             asm.break_stack.append((lexit, asm.txt_depth))
             try:
-                self._block(stmt.body, scope, asm)
+                # The body is a block of its own: its declarations shadow
+                # the counter instead of rebinding it.
+                self._child_block(stmt.body, scope, asm)
             finally:
                 asm.break_stack.pop()
             if cslot >= 0:
@@ -712,7 +696,9 @@ class VMCompiler:
     def _branch(self, cond, scope, asm, target, table, generic_op) -> None:
         if isinstance(cond, ast.BinOp) and cond.op in table and not self.count_flops:
             ss_op, sc_op = table[cond.op]
-            ls = self._operand(cond.lhs, scope)
+            ls = self._pin_before_call(
+                self._operand(cond.lhs, scope), (cond.rhs,), asm, cond.pos
+            )
             rs = self._operand(cond.rhs, scope)
             if ls is not None and ls[0] == "r":
                 if rs is not None and rs[0] == "c" and type(rs[1]) in (int, float):
@@ -754,12 +740,7 @@ class VMCompiler:
             return ("r", 0)
         if t is ast.VarRef and node.qualifier != "UR":
             info = scope.lookup(node.name)
-            if (
-                info is not None
-                and info.kind == LOCAL
-                and not info.is_array
-                and info.fallback is None
-            ):
+            if info is not None and info.kind == LOCAL and not info.is_array:
                 return ("r", info.slot)
         return None
 
@@ -781,6 +762,37 @@ class VMCompiler:
         reg = asm.temp()
         self._expr(node, scope, asm, reg)
         return reg
+
+    def _pin_before_call(self, op, later, asm: _Asm, pos):
+        """Copy slot operand ``op`` into a temp when a function call in
+        one of the ``later`` operands could store to the slot before the
+        instruction reads it.  A call reaches root-frame variables only
+        (never IT, never a function's own frame)."""
+        if (
+            op is not None
+            and op[0] == "r"
+            and op[1] != 0
+            and not asm.is_function
+            and any(ast.has_call(e) for e in later)
+        ):
+            reg = asm.temp()
+            asm.emit((isa.MOVE, reg, op[1]), pos)
+            return ("r", reg)
+        return op
+
+    def _expr_reg_before(self, node, later, scope: ScopeStack, asm: _Asm) -> int:
+        """``_expr_reg`` for an operand evaluated before ``later``."""
+        op = self._pin_before_call(self._operand(node, scope), later, asm, node.pos)
+        if op is not None and op[0] == "r":
+            return op[1]
+        return self._expr_reg(node, scope, asm)
+
+    def _expr_regs(self, nodes: list, scope: ScopeStack, asm: _Asm) -> tuple:
+        """Registers holding ``nodes``, evaluated left to right."""
+        return tuple(
+            self._expr_reg_before(node, nodes[i + 1 :], scope, asm)
+            for i, node in enumerate(nodes)
+        )
 
     def _expr(self, node, scope: ScopeStack, asm: _Asm, dst: int) -> None:
         """Compile ``node``, leaving its value in register ``dst``."""
@@ -854,7 +866,9 @@ class VMCompiler:
             # FLOP accounting precedes operand evaluation.
             asm.emit((isa.FLOPS, cost), pos)
         arith = _ARITH_OPS.get(node.op)
-        ls = self._operand(node.lhs, scope)
+        ls = self._pin_before_call(
+            self._operand(node.lhs, scope), (node.rhs,), asm, pos
+        )
         rs = self._operand(node.rhs, scope)
         # Operands evaluate left-to-right into temps when not inlineable.
         if ls is None:
@@ -929,7 +943,7 @@ class VMCompiler:
                 pos,
             )
             return
-        regs = tuple(self._expr_reg(e, scope, asm) for e in node.operands)
+        regs = self._expr_regs(node.operands, scope, asm)
         asm.emit((isa.NARY, dst, fn, regs), pos)
 
     def _expr_cast(self, node: ast.Cast, scope, asm: _Asm, dst: int) -> None:
@@ -947,7 +961,7 @@ class VMCompiler:
             asm.emit((isa.GET, dst, name), pos)
             return
         info = scope.lookup(name)
-        if info is None or info.kind == MISSING:
+        if info is None:
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
         if info.kind == SYMMETRIC:
@@ -967,9 +981,7 @@ class VMCompiler:
             )
             return
         if info.kind == LOCAL:
-            if info.fallback is not None:
-                asm.emit((isa.FB_LD, dst, ({name: info}, name)), pos)
-            elif info.slot != dst:
+            if info.slot != dst:
                 asm.emit((isa.MOVE, dst, info.slot), pos)
             return
         asm.emit((isa.GLD, dst, info.slot, name), pos)
@@ -1003,10 +1015,6 @@ class VMCompiler:
             # touching it.
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
-        if info.kind == LOCAL and info.fallback is not None:
-            ireg = self._expr_reg(node.index, scope, asm)
-            asm.emit((isa.FB_LDX, dst, ireg, ({name: info}, name)), pos)
-            return
         if info.kind == SYMMETRIC:
             ireg = self._expr_reg(node.index, scope, asm)
             asm.emit((isa.SYM_LDX, dst, name, ireg, asm.cache_slot()), pos)
@@ -1039,7 +1047,7 @@ class VMCompiler:
         # swap it.
         freg = asm.temp()
         asm.emit((isa.CHECK_FUNC, freg, node.name, len(node.args)), pos)
-        regs = tuple(self._expr_reg(a, scope, asm) for a in node.args)
+        regs = self._expr_regs(node.args, scope, asm)
         asm.emit((isa.CALL, dst, freg, regs), pos)
 
     _EXPR_DISPATCH = {
@@ -1082,14 +1090,11 @@ class VMCompiler:
                 asm.emit((isa.PUT, name, vreg), pos)
                 return
             info = scope.lookup(name)
-            if info is None or info.kind == MISSING:
+            if info is None:
                 asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
                 return
             if info.kind == SYMMETRIC:
                 asm.emit((isa.SYM_ST, name, vreg, asm.cache_slot()), pos)
-                return
-            if info.kind == LOCAL and info.fallback is not None:
-                asm.emit((isa.FB_ST, vreg, ({name: info}, name)), pos)
                 return
             if info.is_array:
                 op = isa.GST_ARR if info.kind == GLOBAL else isa.ST_ARR
@@ -1136,10 +1141,6 @@ class VMCompiler:
         info = scope.lookup(name)
         if info is None:
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
-            return
-        if info.kind == LOCAL and info.fallback is not None:
-            ireg = self._expr_reg(target.index, scope, asm)
-            asm.emit((isa.FB_STX, ireg, vreg, ({name: info}, name)), pos)
             return
         if info.kind == SYMMETRIC:
             ireg = self._expr_reg(target.index, scope, asm)

@@ -168,10 +168,6 @@ DYN_LD = _op("DYN_LD", "rrm")          # SRS local; m=(snapshot,)
 DYN_ST = _op("DYN_ST", "rrm")
 DYN_LDX = _op("DYN_LDX", "rrrm")
 DYN_STX = _op("DYN_STX", "rrrm")
-FB_LD = _op("FB_LD", "rm")             # pre-declared loop binding; m=(info, name)
-FB_ST = _op("FB_ST", "rm")
-FB_LDX = _op("FB_LDX", "rrm")          # m=(fsnap, name)
-FB_STX = _op("FB_STX", "rrm")
 
 GLD = _op("GLD", "rcn")                # global scalar read (from a function)
 GST = _op("GST", "crm")                # m=(static_type|None, name)

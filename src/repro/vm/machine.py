@@ -39,7 +39,7 @@ from ..lang.errors import (
     LolTypeError,
     SourcePos,
 )
-from ..lang.resolve import LOCAL, MISSING, SYMMETRIC, VarInfo
+from ..lang.resolve import LOCAL, SYMMETRIC, VarInfo
 from ..lang.types import (
     LolType,
     cast as cast_value,
@@ -111,25 +111,10 @@ def _as_index(value: object, pos: SourcePos) -> int:
 # tree-walker's ``_read_var`` / ``_write_var`` / element variants.
 
 
-def _resolve_dyn(frame: list, info: Optional[VarInfo]) -> Optional[VarInfo]:
-    """Follow pre-declaration fallbacks: a LOCAL slot that is still
-    UNDECLARED at runtime defers to its enclosing (fallback) binding."""
-    while (
-        info is not None
-        and info.kind == LOCAL
-        and info.fallback is not None
-        and frame[info.slot] is UNDECLARED
-    ):
-        info = info.fallback
-    if info is not None and info.kind == MISSING:
-        return None
-    return info
-
-
 def _dyn_read(
     rt: Machine, frame: list, snap: dict[str, VarInfo], name: str, pos: SourcePos
 ) -> object:
-    info = _resolve_dyn(frame, snap.get(name))
+    info = snap.get(name)
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
@@ -153,7 +138,7 @@ def _dyn_write(
     value: object,
     pos: SourcePos,
 ) -> None:
-    info = _resolve_dyn(frame, snap.get(name))
+    info = snap.get(name)
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
@@ -181,7 +166,7 @@ def _dyn_read_element(
     index: int,
     pos: SourcePos,
 ) -> object:
-    info = _resolve_dyn(frame, snap.get(name))
+    info = snap.get(name)
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
@@ -207,7 +192,7 @@ def _dyn_write_element(
     value: object,
     pos: SourcePos,
 ) -> None:
-    info = _resolve_dyn(frame, snap.get(name))
+    info = snap.get(name)
     if info is None:
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
@@ -1305,34 +1290,6 @@ def _h_dyn_stx(m, co, frame, caches, ins, pc):
     return pc + 1
 
 
-def _h_fb_ld(m, co, frame, caches, ins, pc):
-    snap, name = ins[2]
-    frame[ins[1]] = _dyn_read(m, frame, snap, name, co.positions[pc])
-    return pc + 1
-
-
-def _h_fb_st(m, co, frame, caches, ins, pc):
-    snap, name = ins[2]
-    _dyn_write(m, frame, snap, name, frame[ins[1]], co.positions[pc])
-    return pc + 1
-
-
-def _h_fb_ldx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    snap, name = ins[3]
-    index = _as_index(frame[ins[2]], pos)
-    frame[ins[1]] = _dyn_read_element(m, frame, snap, name, index, pos)
-    return pc + 1
-
-
-def _h_fb_stx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    snap, name = ins[3]
-    index = _as_index(frame[ins[1]], pos)
-    _dyn_write_element(m, frame, snap, name, index, frame[ins[2]], pos)
-    return pc + 1
-
-
 def _h_gld(m, co, frame, caches, ins, pc):
     v = m.gframe[ins[2]]
     if v is UNDECLARED:
@@ -1465,10 +1422,6 @@ for _code, _fn in {
     isa.DYN_ST: _h_dyn_st,
     isa.DYN_LDX: _h_dyn_ldx,
     isa.DYN_STX: _h_dyn_stx,
-    isa.FB_LD: _h_fb_ld,
-    isa.FB_ST: _h_fb_st,
-    isa.FB_LDX: _h_fb_ldx,
-    isa.FB_STX: _h_fb_stx,
     isa.GLD: _h_gld,
     isa.GST: _h_gst,
     isa.GLDX: _h_gldx,

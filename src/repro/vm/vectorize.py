@@ -51,7 +51,7 @@ from ..interp.values import (
     _op_sub,
 )
 from ..lang import ast
-from ..lang.resolve import LOCAL, MISSING, SYMMETRIC
+from ..lang.resolve import LOCAL, SYMMETRIC
 from ..lang.types import LolType, coerce_static, default_value, parse_type
 from ..shmem.heap import ArrayCell
 
@@ -153,8 +153,7 @@ class _Analyzer:
         self.folds: dict = {}  # slot -> fold reg (accumulators)
         self.inv_reads: set = set()  # slots read as loop-invariant
         self.frozen: set = set()  # slots the body must not assign
-        self.decl_seen: set = set()  # slots declared by the body so far
-        self.decl_types: dict = {}  # decl name -> LolType | None
+        self.decls: dict = {}  # body decl name -> (LolType | None, symval)
         self.commits: list = []
         self.in_limit = False
 
@@ -293,26 +292,17 @@ class _Analyzer:
         declared = parse_type(s.static_type, s.pos) if s.static_type else None
         if declared is not None and declared not in (_NUMBR, _NUMBAR):
             raise _Bail
-        info = self.scope.lookup(s.name)
-        if info is None or info.kind != LOCAL or info.is_array:
-            raise _Bail
-        slot = info.slot
-        if slot in self.frozen or slot in self.folds or slot in self.inv_reads:
-            raise _Bail
-        prev_t = self.decl_types.get(s.name, info.static_type)
-        if prev_t is not declared:
-            raise _Bail  # re-declaration with a new type moves the slot
-        self.decl_types[s.name] = declared
         if s.init is None:
-            sym = ("c", default_value(declared) if declared else None)
-        else:
-            sym = self._expr(s.init)
-            if slot in self.inv_reads:
-                raise _Bail  # the initializer read the old binding
-            if declared is not None:
-                sym = self._coerce(sym, declared, s.name)
-        self.env[slot] = sym
-        self.decl_seen.add(slot)
+            self.decls[s.name] = (declared, ("c", default_value(declared)))
+        else:  # the initializer still sees the enclosing binding
+            self._bind(s.name, declared, self._expr(s.init))
+
+    def _bind(self, name: str, declared, sym) -> None:
+        # A body declaration lives for one iteration, so its binding is
+        # private to the walk: no frame slot, and nothing to commit.
+        if declared is not None:
+            sym = self._coerce(sym, declared, name)
+        self.decls[name] = (declared, sym)
 
     def _assign(self, s: ast.Assign) -> None:
         target = s.target
@@ -326,14 +316,16 @@ class _Analyzer:
     def _assign_slot(self, s: ast.Assign, target: ast.VarRef) -> None:
         if target.qualifier == "UR":
             raise _Bail
+        decl = self.decls.get(target.name)
+        if decl is not None:
+            self._bind(target.name, decl[0], self._expr(s.value))
+            return
         info = self.scope.lookup(target.name)
         if info is None or info.kind != LOCAL or info.is_array:
             raise _Bail
         slot = info.slot
         if slot in self.frozen or slot in self.folds:
             raise _Bail
-        if info.fallback is not None and slot not in self.decl_seen:
-            raise _Bail  # pre-declaration store hits the outer binding
         st_type = info.static_type
         if st_type is not None and st_type not in (_NUMBR, _NUMBAR):
             raise _Bail
@@ -348,7 +340,6 @@ class _Analyzer:
             and value.lhs.qualifier != "UR"
             and slot not in self.env
             and slot not in self.inv_reads
-            and info.fallback is None
         ):
             lhs_info = self.scope.lookup(value.lhs.name)
             if (
@@ -478,7 +469,7 @@ class _Analyzer:
                 return ("c", node.plain_text())
             raise _Bail
         if t is ast.ItRef:
-            return self._read_slot(0, None)
+            return self._read_slot(0)
         if t is ast.MeExpr:
             if self.me_reg is None:
                 self.me_reg = self._reg()
@@ -494,8 +485,11 @@ class _Analyzer:
     def _read_var(self, node: ast.VarRef):
         if node.qualifier == "UR":
             raise _Bail
+        decl = self.decls.get(node.name)
+        if decl is not None:
+            return decl[1]
         info = self.scope.lookup(node.name)
-        if info is None or info.kind == MISSING:
+        if info is None:
             raise _Bail
         if info.kind == SYMMETRIC:
             # One hoisted read of the own-PE cell standing for n reads is
@@ -522,16 +516,14 @@ class _Analyzer:
             if self.in_limit:
                 raise _Bail
             return ("aff", ("c", 0), 1)
-        return self._read_slot(info.slot, info)
+        return self._read_slot(info.slot)
 
-    def _read_slot(self, slot: int, info):
+    def _read_slot(self, slot: int):
         if slot in self.folds:
             raise _Bail
         sym = self.env.get(slot)
         if sym is not None:
             return sym
-        if info is not None and info.fallback is not None:
-            raise _Bail  # value depends on whether the decl ran yet
         reg = self.slot_regs.get(slot)
         if reg is None:
             reg = self._reg()
@@ -541,17 +533,21 @@ class _Analyzer:
         return ("r", reg)
 
     def _array(self, base) -> _Arr:
-        if not isinstance(base, ast.VarRef) or base.qualifier == "UR":
+        if (
+            not isinstance(base, ast.VarRef)
+            or base.qualifier == "UR"
+            or base.name in self.decls  # a body scalar: not an array
+        ):
             raise _Bail
         info = self.scope.lookup(base.name)
-        if info is None or info.kind == MISSING:
+        if info is None:
             raise _Bail
         if info.kind == SYMMETRIC:
             if not info.is_array:
                 raise _Bail
             aref = ("sym", base.name)
             elem = info.static_type
-        elif info.kind == LOCAL and info.is_array and info.fallback is None:
+        elif info.kind == LOCAL and info.is_array:
             aref = ("slot", info.slot)
             elem = info.static_type or _NUMBAR  # dynamic arrays are NUMBAR
         else:
@@ -769,8 +765,9 @@ def try_vectorize(stmt: ast.Loop, scope, compiler, cslot: int):
     <inv>`` (or ``WILE SMALLR v AN <inv>``) whose bodies contain only
     scalar declarations and assignments inside the affine/elementwise
     model.  Called at compile time with the loop's scope pushed and the
-    counter (slot ``cslot``) plus body declarations pre-declared; the
-    analysis never mutates ``scope``.
+    counter (slot ``cslot``) declared; body declarations are bound
+    privately as the walk reaches them, and the analysis never mutates
+    ``scope``.
     """
     if cslot < 0 or stmt.op != "UPPIN" or stmt.cond is None:
         return None

@@ -565,40 +565,162 @@ def test_srs_computed_identifiers():
     assert a.outputs[0] == "9\n9\n"
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        # accumulator redeclared each iteration reads the previous binding
-        "I HAS A x ITZ 1\n"
-        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n"
-        "  I HAS A x ITZ SUM OF x AN 10\n"
-        "  VISIBLE x\n"
-        "IM OUTTA YR l\n"
-        "VISIBLE x",
-        # read textually before the in-body declaration
-        "I HAS A x ITZ 1\n"
-        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n"
-        "  VISIBLE x\n"
-        "  I HAS A x ITZ 99\n"
-        "IM OUTTA YR l",
-        # re-entering a nested loop gets a fresh environment
+LOOP3 = "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n"
+
+#: One scope rule on every engine: a declaration is visible from the
+#: next statement to the end of the run of its block (each loop
+#: iteration is a new run of the body), and its initializer and extent
+#: still see the enclosing binding.  case -> (body, VISIBLE output).
+SCOPE_TABLE = {
+    "read-before-redeclaration": (
+        "I HAS A x ITZ 1\n" + LOOP3 + "  VISIBLE x\n"
+        "  I HAS A x ITZ SUM OF i AN 5\nIM OUTTA YR l\nVISIBLE x",
+        "1 1 1 1",
+    ),
+    "accumulator": (
+        "I HAS A x ITZ 1\n" + LOOP3 + "  I HAS A x ITZ SUM OF x AN 10\n"
+        "  VISIBLE x\nIM OUTTA YR l\nVISIBLE x",
+        "11 11 11 1",
+    ),
+    "nested-fresh-env": (
         "I HAS A a ITZ 2\n"
         "IM IN YR o UPPIN YR i TIL BOTH SAEM i AN 2\n"
         "  IM IN YR n UPPIN YR j TIL BOTH SAEM j AN 2\n"
-        "    I HAS A a ITZ SUM OF a AN 1\n"
-        "    VISIBLE a\n"
-        "  IM OUTTA YR n\n"
-        "IM OUTTA YR o\n"
-        "VISIBLE a",
+        "    I HAS A a ITZ SUM OF a AN 1\n    VISIBLE a\n"
+        "  IM OUTTA YR n\nIM OUTTA YR o\nVISIBLE a",
+        "3 3 3 3 2",
+    ),
+    "loop-array": (
+        "I HAS A a ITZ 7\n" + LOOP3 + "  VISIBLE a\n"
+        "  I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2\nIM OUTTA YR l",
+        "7 7 7",
+    ),
+    "typed": (
+        "I HAS A x ITZ 0.5\n" + LOOP3 + "  x R SUM OF x AN 1\n  VISIBLE x\n"
+        "  I HAS A x ITZ A NUMBR AN ITZ i\nIM OUTTA YR l\nVISIBLE x",
+        "1.50 2.50 3.50 3.50",
+    ),
+    "txt-in-loop": (
+        "I HAS A y ITZ 0\n" + LOOP3 + "  TXT MAH BFF ME AN STUFF,\n"
+        "    I HAS A y ITZ SUM OF y AN 100\n    VISIBLE y\n"
+        "  TTYL\nIM OUTTA YR l",
+        "100 100 100",
+    ),
+    "arm-shadow": (
+        "I HAS A x ITZ 3\nWIN, O RLY?\nYA RLY\n"
+        "  I HAS A x ITZ SUM OF x AN 1\n  VISIBLE x\nOIC\nVISIBLE x",
+        "4 3",
+    ),
+    "self-referencing-array-extent": (
+        "I HAS A n ITZ 2\nWIN, O RLY?\nYA RLY\n"
+        "  I HAS A n ITZ LOTZ A NUMBRS AN THAR IZ n\n"
+        "  VISIBLE n'Z 0\n  VISIBLE n'Z 1\nOIC",
+        "0 0",
+    ),
+    "same-block-redeclaration": (
+        "WIN, O RLY?\nYA RLY\n  I HAS A x ITZ 10\n  VISIBLE x\n"
+        "  I HAS A x ITZ SUM OF x AN 1\n  VISIBLE x\nOIC",
+        "10 11",
+    ),
+    "counter-shadow": (
+        LOOP3 + "  I HAS A i ITZ PRODUKT OF i AN 10\n  VISIBLE i\n"
+        "IM OUTTA YR l",
+        "0 10 20",
+    ),
+    # parameters live in the function body's outermost block
+    "parameter-redeclaration": (
+        "HOW IZ I f YR n\n  I HAS A n ITZ SUM OF n AN 1\n  FOUND YR n\n"
+        "IF U SAY SO\nVISIBLE I IZ f YR 4 MKAY",
+        "5",
+    ),
+}
+
+ALL_ENGINES = ["ast", "vm", pytest.param("c", marks=pytest.mark.requires_cc)]
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("case", list(SCOPE_TABLE))
+def test_block_scope_table(case, engine):
+    body, want = SCOPE_TABLE[case]
+    # A counter that the body's declaration rebinds would never reach
+    # its limit: bound the interpreters' steps so that fails, not hangs.
+    limit = {} if engine == "c" else {"max_steps": 10_000}
+    result = run_lolcode(lol(body), 1, engine=engine, **limit)
+    assert result.output.split() == want.split()
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize(
+    "body",
+    [
+        # iteration 0 declares z, but iteration 1's read precedes its
+        # own declaration: no engine may hand it iteration 0's binding
+        LOOP3 + "  DIFFRINT i AN 0, O RLY?\n  YA RLY\n    VISIBLE z\n"
+        "  OIC\n  I HAS A z ITZ 0\nIM OUTTA YR l",
+        "HOW IZ I f\n  VISIBLE z\n  I HAS A z ITZ 1\nIF U SAY SO\n"
+        "I IZ f MKAY",
     ],
-    ids=["accumulator", "read-before-decl", "nested-fresh-env"],
+    ids=["loop", "function"],
 )
-def test_loop_body_redeclaration_semantics(body):
-    # The tree-walker keeps one environment per loop execution; the
-    # VM reproduces it with pre-declared fallback slots and
-    # an UNDECLARED reset on loop re-entry.
-    a, v = both_engines(lol(body), 1, seed=1)
-    assert a.outputs == v.outputs
+def test_read_of_a_later_declaration_is_an_error(body, engine):
+    from repro.lang.checker import check_source
+    from repro.lang.errors import LolNameError, LolParallelError
+
+    src = lol(body)
+    assert "E001" in {d.code for d in check_source(src)}
+    if engine == "c":
+        with pytest.raises(CompileError, match="'z' is not declared"):
+            run_lolcode(src, 1, engine="c", fallback_engine="vm")
+        return
+    with pytest.raises(LolParallelError) as excinfo:
+        run_lolcode(src, 1, engine=engine)
+    assert isinstance(excinfo.value.__cause__, LolNameError)
+
+
+@pytest.mark.requires_cc
+def test_same_block_redeclaration_is_not_degraded():
+    # C rejects a second declarator in one block; the backend turns a
+    # same-shape redeclaration into an assignment instead of handing cc
+    # a unit it refuses (a build failure would fall back to vm).
+    body, want = SCOPE_TABLE["same-block-redeclaration"]
+    result = run_lolcode(lol(body), 1, engine="c", fallback_engine="vm")
+    assert not result.degraded
+    assert result.output.split() == want.split()
+    with pytest.raises(CompileError, match="re-declared in the same block"):
+        run_lolcode(
+            lol("WIN, O RLY?\nYA RLY\n  I HAS A x ITZ 1\n"
+                "  I HAS A x ITZ A NUMBR AN ITZ 2\nOIC"),
+            1,
+            engine="c",
+            fallback_engine="vm",
+        )
+
+
+CALL_AFTER_READ = (
+    "I HAS A g ITZ 0\n"
+    "HOW IZ I f YR n\n  g R SUM OF g AN 1\n  FOUND YR n\nIF U SAY SO\n"
+    "HOW IZ I h YR a AN YR b\n  FOUND YR DIFF OF a AN b\nIF U SAY SO\n"
+    "VISIBLE SUM OF g AN I IZ f YR 4 MKAY\ng R 0\n"
+    'VISIBLE SMOOSH g AN "-" AN I IZ f YR 4 MKAY MKAY\ng R 0\n'
+    "VISIBLE I IZ h YR g AN YR I IZ f YR 4 MKAY MKAY\ng R 0\n"
+    "VISIBLE BOTH SAEM g AN I IZ f YR 0 MKAY\ng R 0\n"
+    "VISIBLE BIGGR OF g AN I IZ f YR 0 MKAY\ng R 0\n"
+    "BOTH SAEM g AN I IZ f YR 0 MKAY, O RLY?\n"
+    '  YA RLY, VISIBLE "same"\n  NO WAI, VISIBLE "moved"\nOIC\ng R 0\n'
+    "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 3\n"
+    "a'Z I IZ f YR 2 MKAY R g\n"
+    "VISIBLE a'Z 2"
+)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_operand_read_before_a_later_call(engine):
+    # Every operand is read in source order: a variable left of a call
+    # that stores to it keeps the value it had before the call.
+    result = run_lolcode(lol(CALL_AFTER_READ), 1, engine=engine)
+    assert result.output.split() == [
+        "4", "0-4", "-4", "WIN", "0", "same", "0"
+    ]
 
 
 def test_txt_block_declarations_stay_visible():

@@ -275,6 +275,61 @@ class TestLoopVec:
         assert vm.output == ref.output
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # a read of the outer s, then a body declaration shadowing it
+            "  u'Z i R PRODUKT OF s AN i\n"
+            "  I HAS A s ITZ SUM OF i AN 0.5\n"
+            "  w'Z i R s",
+            # the initializer reads the enclosing binding of its own name
+            "  I HAS A s ITZ SUM OF s AN i\n"
+            "  u'Z i R s",
+        ],
+        ids=["read-before-shadow", "initializer-reads-outer"],
+    )
+    def test_body_declarations_vectorize(self, body):
+        # A body declaration lives for one iteration, so the vectorizer
+        # binds it privately and the loop still batches.
+        src = lol(
+            "I HAS A u ITZ LOTZ A NUMBARS AN THAR IZ 8\n"
+            "I HAS A w ITZ LOTZ A NUMBARS AN THAR IZ 8\n"
+            "I HAS A s ITZ 2\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+            f"{body}\n"
+            "IM OUTTA YR l\n"
+            "VISIBLE s\nVISIBLE u'Z 7\nVISIBLE w'Z 7"
+        )
+        ctx = serial_context()
+        m = _compile(src).run(ctx)
+        assert m.vec_runs == 1 and m.vec_bails == 0
+        assert ctx.output == run_lolcode(src, 1, engine="ast").output
+
+    def test_registry_vectorizer_coverage(self):
+        # LOOP_VEC sites per registry workload at default sizes: the
+        # scope rule must not cost the kernels their vectorized loops.
+        from repro.workloads import all_workloads
+
+        def sites(co) -> int:
+            n = 0
+            for ins in co.code:
+                if ins[0] == isa.LOOP_VEC:
+                    n += 1
+                elif ins[0] == isa.DEF:
+                    n += sites(ins[2][0].co)
+            return n
+
+        got = {
+            w.name: sites(_compile(w.source()).co) for w in all_workloads()
+        }
+        want = {name: 0 for name in got}
+        want.update(
+            transpose=2, bfs=1, sample_sort=1, pi_montecarlo=1, nbody=4,
+            nbody_racy=4, heat1d=3, heat2d=3, heat3d=3,
+        )
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # loldis golden snapshot.
 # ---------------------------------------------------------------------------
