@@ -27,11 +27,11 @@ line of defence, not the first):
 * Locals are segregated into int / float / yarn pools so statically
   typed symmetric stores receive the right type.
 
-Randomness inside generated programs (``WHATEVR``) is allowed: every
-engine, ``c`` included, seeds the same per-PE Mersenne Twister, so
-results stay deterministic and comparable.  Generated arithmetic may
-go negative, even under ``MOD``: every engine truncates toward zero
-(``MOD OF -7 AN 2`` is ``-1``).
+Randomness inside generated programs (``WHATEVR`` and ``WHATEVAR``) is
+allowed: every engine, ``c`` included, draws the same per-PE Mersenne
+Twister, so results stay deterministic and comparable.  Generated
+arithmetic may go negative, even under ``MOD``: every engine truncates
+toward zero (``MOD OF -7 AN 2`` is ``-1``).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class _Gen:
             # Unqualified symmetric read outside TXT == own copy.
             return ast.VarRef(self.pick(self.scope.sym_scalars))
         if kind == "rand":
-            return ast.RandomExpr("int")
+            return ast.RandomExpr(self.pick(["int", "float"]))
         raise AssertionError(kind)
 
     def safe_index(self, size: int) -> ast.Expr:

@@ -38,7 +38,6 @@ from ..lang.errors import (
 from ..lang.formatter import format_expr
 from ..lang.resolve import GLOBAL, LOCAL, SYMMETRIC, FrameLayout, ScopeStack
 from ..lang.types import LolType, default_value, parse_type
-from ..interp.env import UNDECLARED
 from ..interp.values import BINOP_FUNCS, FLOP_COST, NARYOP_FUNCS, UNOP_FUNCS
 from . import isa
 from .isa import CodeObject, Label, VMFunction, VMProgram
@@ -567,7 +566,6 @@ class VMCompiler:
 
     def _stmt_loop(self, stmt: ast.Loop, scope: ScopeStack, asm: _Asm) -> None:
         pos = stmt.pos
-        lo = scope.layout.n_slots
         scope.push()
         try:
             cslot = -1
@@ -578,7 +576,6 @@ class VMCompiler:
                 from .vectorize import try_vectorize
 
                 plan = try_vectorize(stmt, scope, self, cslot)
-            reset_pc = asm.emit((isa.RESET, lo, lo, ()), pos)
             lexit = asm.label()
             if cslot >= 0:
                 asm.emit((isa.LOADC, cslot, 0), pos)
@@ -613,9 +610,6 @@ class VMCompiler:
             asm.mark(lexit)
         finally:
             scope.pop()
-        hi = scope.layout.n_slots
-        if hi > lo:
-            asm.code[reset_pc] = (isa.RESET, lo, hi, [UNDECLARED] * (hi - lo))
 
     def _stmt_gtfo(self, stmt: ast.Gtfo, scope: ScopeStack, asm: _Asm) -> None:
         if asm.break_stack:

@@ -117,7 +117,6 @@ BINOP_CS = _op("BINOP_CS", "rfcr")
 UNOP = _op("UNOP", "rfr")
 LOAD_ME = _op("LOAD_ME", "r")
 LOAD_NPES = _op("LOAD_NPES", "r")
-RESET = _op("RESET", "ccm")         # frame[lo:hi] = UNDECLARED; m=fill list
 STEP = _op("STEP", "")              # max_steps accounting (count_steps only)
 FLOPS = _op("FLOPS", "c")           # ctx.add_flops(n)    (count_flops only)
 LOOP_VEC = _op("LOOP_VEC", "vj")    # try vectorized loop; on success jump exit

@@ -370,7 +370,6 @@ class Machine:
         UNOP=isa.UNOP,
         LOAD_ME=isa.LOAD_ME,
         LOAD_NPES=isa.LOAD_NPES,
-        RESET=isa.RESET,
         STEP=isa.STEP,
         FLOPS=isa.FLOPS,
         LOOP_VEC=isa.LOOP_VEC,
@@ -836,10 +835,6 @@ class Machine:
                     continue
                 if op == LOAD_NPES:
                     frame[ins[1]] = n_pes
-                    pc += 1
-                    continue
-                if op == RESET:
-                    frame[ins[1] : ins[2]] = ins[3]
                     pc += 1
                     continue
                 if op == STEP:

@@ -1,13 +1,14 @@
 """Loop vectorization for the VM engine (the ``LOOP_VEC`` instruction).
 
 :func:`try_vectorize` analyses one counted ``IM IN YR`` loop at compile
-time.  When every statement of the body is a scalar declaration or an
+time.  When every statement of the body is a scalar declaration, a bare
+expression (which sets ``IT``), an ``O RLY?`` on a comparison, or an
 assignment whose value is an affine/elementwise expression over the
-loop counter, loop-invariant locals, and numpy-backed arrays, it
-returns a :class:`VecPlan`: a small register program the machine
-executes with numpy slice operations instead of ``n`` trips through the
-dispatch loop.  Anything outside the model returns ``None`` and the
-loop compiles scalar-only.
+loop counter, loop-invariant locals, ``WHATEVR``/``WHATEVAR`` draws and
+numpy-backed arrays, it returns a :class:`VecPlan`: a small register
+program the machine executes with numpy slice operations instead of
+``n`` trips through the dispatch loop.  Anything outside the model
+returns ``None`` and the loop compiles scalar-only.
 
 :func:`run_vec` executes a plan at runtime.  It is *guarded*: every
 value-dependent precondition (integral trip counts, array bounds, int64
@@ -16,7 +17,10 @@ state is mutated**; a failed guard returns ``False`` and the machine
 falls through to the scalar loop, which reproduces exact tree-walker
 semantics — including whatever error the guard was protecting against.
 Commits are two-phase (compute everything, materialize copies, then
-write), so a bail can never leave partial effects behind.
+write), so a bail can never leave partial effects behind.  The one
+piece of state touched before the guards is the PE's random generator:
+a plan with draw sites saves ``rng.getstate()`` before drawing and
+every bail restores it, so the scalar loop replays the same stream.
 
 Bit-identity with the scalar engines is the design constraint, not an
 aspiration:
@@ -28,21 +32,35 @@ aspiration:
   exact by allowing only integer coefficients and validating integer
   bases at every runtime consumer;
 * int64 arithmetic is exact under the ``2**30`` magnitude guards
-  (products stay under ``2**60``, conversions under ``2**53``);
+  (``WHATEVR`` columns are below ``2**31`` by construction, so products
+  stay under ``2**62`` and conversions under ``2**53``);
 * reductions run as sequential Python folds over the real operator
   kernels (float addition is not associative);
 * float -> NUMBR casts use numpy's C truncation, which is exactly
-  ``to_numbr``'s ``int()``.
+  ``to_numbr``'s ``int()``;
+* draws come from the PE's own ``random.Random``: one
+  ``getrandbits(32*n*k)`` call yields the ``n*k`` tempered MT19937 words
+  the scalar loop would consume, least significant first, laid out as
+  ``n`` rows of ``k`` words in source order.  ``WHATEVAR`` is CPython's
+  ``random()`` over two words, ``WHATEVR`` its ``randrange(0, 2**31-1)``
+  (``w >> 1``, where the rejected value ``2**31-1`` bails);
+* an ``O RLY?`` arm becomes a lane mask: a fold in an arm folds over the
+  selected lanes only, and a plain assignment commits the last selected
+  lane (or nothing when no lane is selected);
+* a scatter increment ``a'Z b R SUM OF a'Z b AN k`` on a NUMBR array is
+  ``np.add.at`` on a copy, exact under the magnitude guards.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from ..interp.env import UNDECLARED
 from ..interp.values import (
+    BINOP_FUNCS,
     _op_add,
     _op_mul,
     _op_recip,
@@ -52,7 +70,13 @@ from ..interp.values import (
 )
 from ..lang import ast
 from ..lang.resolve import LOCAL, SYMMETRIC
-from ..lang.types import LolType, coerce_static, default_value, parse_type
+from ..lang.types import (
+    LolType,
+    cast as cast_value,
+    coerce_static,
+    default_value,
+    parse_type,
+)
 from ..shmem.heap import ArrayCell
 
 #: int64 magnitude bound for every integer vector (and every scalar fed
@@ -60,12 +84,33 @@ from ..shmem.heap import ArrayCell
 _MAXI = 1 << 30
 #: trip-count cap: bounds transient memory (~32 MiB of float64).
 _CAP = 1 << 22
+#: Fewest trips for a plan that draws or masks.  Saving the generator
+#: state and the extra mask/draw ops cost a fixed ~40 us, which the
+#: ~3 us a scalar trip of such a body takes repays from 16-24 trips.
+_MIN_TRIPS = 32
+#: ``randrange(0, 2**31 - 1)`` rejects this ``getrandbits(31)`` value.
+_REJECT = (1 << 31) - 1
+#: raw MT19937 words each draw consumes (CPython ``random``).
+_WORDS = {"int": 1, "float": 2}
 
 _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR
 
 _SBIN = {"add": _op_add, "sub": _op_sub, "mul": _op_mul}
 _SUN = {"square": _op_square, "sqrt": _op_sqrt, "recip": _op_recip}
+#: comparisons whose numpy form matches ``equals``/``compare`` on
+#: int/float operands (int64 -> float64 is exact under the guards).
+_CMP = ("eq", "ne", "lt", "gt")
+#: elementwise vector form of each arithmetic op and comparison.
+_VOP = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "gt": operator.gt,
+}
 
 
 class _Bail(Exception):
@@ -78,7 +123,10 @@ class VecPlan:
     ``limit_prog`` computes the trip-count operand (invariant scalars
     only); ``prog`` computes every per-iteration value as length-``n``
     vectors or invariant scalars; ``commits`` describes the writes
-    applied after every guard has passed.
+    applied after every guard has passed.  ``words`` is the number of
+    raw generator words one iteration draws (0: the loop never draws);
+    they land in register ``words_reg`` as an ``(n, words)`` array.
+    Fewer than ``min_trips`` trips run scalar.
     """
 
     __slots__ = (
@@ -89,9 +137,15 @@ class VecPlan:
         "commits",
         "n_regs",
         "cslot",
+        "words",
+        "words_reg",
+        "min_trips",
     )
 
-    def __init__(self, mode, limit, limit_prog, prog, commits, n_regs, cslot):
+    def __init__(
+        self, mode, limit, limit_prog, prog, commits, n_regs, cslot,
+        words, words_reg, min_trips,
+    ):
         self.mode = mode  # "eq" (TIL BOTH SAEM) | "lt" (WILE SMALLR)
         self.limit = limit
         self.limit_prog = limit_prog
@@ -99,11 +153,15 @@ class VecPlan:
         self.commits = commits
         self.n_regs = n_regs
         self.cslot = cslot
+        self.words = words
+        self.words_reg = words_reg
+        self.min_trips = min_trips
 
     def __repr__(self) -> str:  # deterministic — appears in loldis output
+        draws = f", words={self.words}" if self.words else ""
         return (
             f"vec({self.mode}, ops={len(self.limit_prog) + len(self.prog)}, "
-            f"commits={len(self.commits)}, regs={self.n_regs})"
+            f"commits={len(self.commits)}, regs={self.n_regs}{draws})"
         )
 
 
@@ -156,6 +214,12 @@ class _Analyzer:
         self.decls: dict = {}  # body decl name -> (LolType | None, symval)
         self.commits: list = []
         self.in_limit = False
+        self.words = 0  # raw generator words drawn per iteration
+        self.words_reg = None
+        self.troofs: set = set()  # regs holding comparison (bool) vectors
+        self.masked: set = set()  # slots assigned in an O RLY? arm
+        self.mask = None  # mask reg while walking an O RLY? arm
+        self.min_trips = 1
 
     # ------------------------------------------------------------------
     # helpers
@@ -231,6 +295,8 @@ class _Analyzer:
         self.frozen = set(self.slot_regs) | {self.cslot}
         for s in stmt.body:
             self._stmt(s)
+        if lim[0] == "c" and _numeric(lim[1]) and lim[1] < self.min_trips:
+            raise _Bail  # too few trips to repay the draw/mask set-up
         self._finalize_array_commits()
         for slot in sorted(self.env):
             self.commits.append(("set", slot, self._commit_src(self.env[slot])))
@@ -242,6 +308,9 @@ class _Analyzer:
             tuple(self.commits),
             self.n_regs,
             self.cslot,
+            self.words,
+            self.words_reg,
+            self.min_trips,
         )
 
     def _commit_src(self, sym):
@@ -281,8 +350,48 @@ class _Analyzer:
             self._assign(s)
         elif t is ast.VarDecl:
             self._decl(s)
+        elif t is ast.ExprStmt:
+            self._expr_stmt(s)
+        elif t is ast.If:
+            self._if(s)
         else:
             raise _Bail
+
+    def _expr_stmt(self, s: ast.ExprStmt) -> None:
+        node = s.expr
+        if type(node) is ast.ItRef:
+            return  # IT <- IT
+        if type(node) is ast.BinOp and node.op in _CMP:
+            sym = self._cmp(node.op, self._expr(node.lhs), self._expr(node.rhs))
+        else:
+            sym = self._expr(node)
+        if 0 in self.inv_reads:
+            raise _Bail  # IT read before this store: a recurrence
+        self.env[0] = sym
+
+    def _if(self, s: ast.If) -> None:
+        """If-convert ``O RLY?`` on this iteration's comparison: each arm
+        runs under a lane mask and may only assign loop-carried local
+        scalars (see :meth:`_assign_slot`)."""
+        if s.mebbe:
+            raise _Bail
+        it = self.env.get(0)
+        if it is None or it[0] != "v" or it[1] not in self.troofs:
+            raise _Bail  # only a per-lane TROOF selects per lane
+        for body, negate in ((s.ya_rly, False), (s.no_wai, True)):
+            if not body:
+                continue
+            self.min_trips = _MIN_TRIPS
+            mask = it[1]
+            if negate:
+                mask = self._reg()
+                self._emit(("not", mask, it[1]))
+            self.mask = mask
+            for st in body:
+                if type(st) is not ast.Assign or type(st.target) is not ast.VarRef:
+                    raise _Bail
+                self._assign_slot(st, st.target)
+            self.mask = None
 
     def _decl(self, s: ast.VarDecl) -> None:
         if s.scope != "I" or s.is_array or s.shared_lock:
@@ -316,15 +425,18 @@ class _Analyzer:
     def _assign_slot(self, s: ast.Assign, target: ast.VarRef) -> None:
         if target.qualifier == "UR":
             raise _Bail
+        mask = self.mask
         decl = self.decls.get(target.name)
         if decl is not None:
+            if mask is not None:
+                raise _Bail  # a body scalar would differ per lane
             self._bind(target.name, decl[0], self._expr(s.value))
             return
         info = self.scope.lookup(target.name)
         if info is None or info.kind != LOCAL or info.is_array:
             raise _Bail
         slot = info.slot
-        if slot in self.frozen or slot in self.folds:
+        if slot in self.frozen or slot in self.folds or slot in self.masked:
             raise _Bail
         st_type = info.static_type
         if st_type is not None and st_type not in (_NUMBR, _NUMBAR):
@@ -332,7 +444,8 @@ class _Analyzer:
         value = s.value
         # Recurrence accumulator ``s R SUM OF s AN <v>`` with ``s``
         # otherwise untouched: a sequential fold over the operator
-        # kernel, preserving float non-associativity bit for bit.
+        # kernel, preserving float non-associativity bit for bit.  In an
+        # O RLY? arm it folds over the selected lanes only.
         if (
             isinstance(value, ast.BinOp)
             and value.op in _SBIN
@@ -352,7 +465,7 @@ class _Analyzer:
                 coerce = ("static", st_type, target.name) if st_type else None
                 reg = self._reg()
                 self._emit(
-                    ("fold", reg, value.op, ("slot", slot), opnd, coerce)
+                    ("fold", reg, value.op, ("slot", slot), opnd, coerce, mask)
                 )
                 self.folds[slot] = reg
                 self.commits.append(("set", slot, ("r", reg)))
@@ -362,7 +475,18 @@ class _Analyzer:
             raise _Bail  # read-before-write: a cross-iteration recurrence
         if st_type is not None:
             sym = self._coerce(sym, st_type, target.name)
-        self.env[slot] = sym
+        if mask is None:
+            self.env[slot] = sym
+            return
+        # Masked store: the last selected lane's value, committed only
+        # when some lane is selected.  The slot is neither read nor
+        # assigned anywhere else in the body.
+        if slot in self.env:
+            raise _Bail
+        if sym[0] == "aff":
+            sym = ("v", self._materialize(sym))
+        self.masked.add(slot)
+        self.commits.append(("mset", slot, self._opnd(sym), mask))
 
     def _fold_operand(self, node, acc_slot: int):
         sym = self._expr(node)
@@ -376,7 +500,14 @@ class _Analyzer:
         st = self._array(target.base)
         if st.folded:
             raise _Bail
-        base_op, coeff = self._aff_index(target.index)
+        words = self.words
+        isym = self._expr(target.index)
+        if self.words != words:
+            raise _Bail  # the scalar engines draw in the value first
+        if isym[0] == "v":
+            self._scatter(s, target, st, isym[1])
+            return
+        base_op, coeff = self._aff(isym)
         key = (coeff, base_op)
         value = s.value
         # Element accumulator at an invariant index (nbody's force
@@ -402,6 +533,7 @@ class _Analyzer:
                         ("elem", st.reg, base_op),
                         opnd,
                         ("static", st.elem, "<element>"),
+                        None,
                     )
                 )
                 st.folded = True
@@ -423,6 +555,29 @@ class _Analyzer:
         if coeff == 0 and st.reads:
             raise _Bail  # slice read of an element overwritten each trip
         st.writes[key] = (base_op, coeff, sym)
+
+    def _scatter(self, s: ast.Assign, target: ast.Index, st, idx_reg) -> None:
+        """``a'Z b R SUM OF a'Z b AN k`` with ``b`` a per-lane NUMBR
+        vector: one ``np.add.at`` at commit.  The array must be NUMBR and
+        touched nowhere else in the body, so no lane can observe another
+        lane's increment."""
+        value = s.value
+        read = value.lhs if type(value) is ast.BinOp and value.op == "add" else None
+        if (
+            st.kind != "i"
+            or type(read) is not ast.Index
+            or not _same_var(read.base, target.base)
+            or not _same_var(read.index, target.index)
+            or st.reads
+            or st.read1
+            or st.writes
+        ):
+            raise _Bail
+        opnd = self._fold_operand(value.rhs, -1)
+        if st.reads or st.read1:
+            raise _Bail  # the addend reads the array
+        st.folded = True
+        self.commits.append(("scatter", st.reg, idx_reg, opnd))
 
     def _same_element(self, read: ast.Index, write: ast.Index, st, key) -> bool:
         base = read.base
@@ -480,7 +635,19 @@ class _Analyzer:
                 self.np_reg = self._reg()
                 self._emit(("np", self.np_reg))
             return ("r", self.np_reg)
-        raise _Bail  # RandomExpr, casts, calls, SRS, n-ary: stay scalar
+        if t is ast.RandomExpr:
+            if self.in_limit or self.mask is not None:
+                raise _Bail  # drawn per condition test / per selected lane
+            if self.words_reg is None:
+                self.words_reg = self._reg()
+                self.min_trips = _MIN_TRIPS
+            reg = self._reg()
+            self._emit(("draw", reg, node.kind, self.words_reg, self.words))
+            self.words += _WORDS[node.kind]
+            return ("v", reg)
+        if t is ast.Cast and not self.in_limit:
+            return self._cast(node)
+        raise _Bail  # calls, SRS, n-ary, other operators: stay scalar
 
     def _read_var(self, node: ast.VarRef):
         if node.qualifier == "UR":
@@ -519,10 +686,12 @@ class _Analyzer:
         return self._read_slot(info.slot)
 
     def _read_slot(self, slot: int):
-        if slot in self.folds:
+        if slot in self.folds or slot in self.masked:
             raise _Bail
         sym = self.env.get(slot)
         if sym is not None:
+            if sym[0] == "v" and sym[1] in self.troofs:
+                raise _Bail  # bool vectors would do numpy, not TROOF, math
             return sym
         reg = self.slot_regs.get(slot)
         if reg is None:
@@ -568,7 +737,10 @@ class _Analyzer:
 
     def _aff_index(self, node):
         """Index expression -> ``(base_operand, coeff)``, integer coeff."""
-        sym = self._expr(node)
+        return self._aff(self._expr(node))
+
+    @staticmethod
+    def _aff(sym):
         k = sym[0]
         if k == "c":
             if type(sym[1]) is not int:
@@ -744,18 +916,74 @@ class _Analyzer:
             reg = self._reg()
             self._emit(("scast", reg, ("r", sym[1]), declared, name))
             return ("r", reg)
-        if k == "aff":
-            if declared is _NUMBR and sym[1][0] == "c":
+        return self._vec_cast(sym, declared)
+
+    def _cast(self, node: ast.Cast):
+        """Explicit ``MAEK <expr> A NUMBR|NUMBAR``."""
+        # parse_type errors propagate: the scalar compile raises them too.
+        to_type = parse_type(node.to_type, node.pos)
+        if to_type not in (_NUMBR, _NUMBAR):
+            raise _Bail
+        sym = self._expr(node.expr)
+        k = sym[0]
+        if k == "c":
+            try:
+                return ("c", cast_value(sym[1], to_type, None))
+            except Exception as exc:  # noqa: BLE001 — let scalar raise it
+                raise _Bail from exc
+        if k == "r":
+            reg = self._reg()
+            self._emit(("mcast", reg, ("r", sym[1]), to_type))
+            return ("r", reg)
+        return self._vec_cast(sym, to_type)
+
+    def _vec_cast(self, sym, to_type: LolType):
+        """NUMBR/NUMBAR conversion of a vector: for int64/float64 lanes
+        the static coercion and the explicit cast agree."""
+        if sym[0] == "aff":
+            if to_type is _NUMBR and sym[1][0] == "c":
                 return sym  # provably integer already
             sym = ("v", self._materialize(sym))
         reg = self._reg()
-        self._emit(("cast", reg, sym[1], "i" if declared is _NUMBR else "f"))
+        self._emit(("cast", reg, sym[1], "i" if to_type is _NUMBR else "f"))
+        return ("v", reg)
+
+    def _cmp(self, op: str, a, b):
+        """``BOTH SAEM``/``DIFFRINT``/``BIGGER``/``SMALLR`` comparison."""
+        if a[0] == "c" and b[0] == "c":
+            try:
+                return ("c", BINOP_FUNCS[op](a[1], b[1], None))
+            except Exception as exc:  # noqa: BLE001 — let scalar raise it
+                raise _Bail from exc
+        if a[0] == "aff":
+            a = ("v", self._materialize(a))
+        if b[0] == "aff":
+            b = ("v", self._materialize(b))
+        reg = self._reg()
+        if a[0] != "v" and b[0] != "v":
+            self._emit(("sbin", reg, op, self._opnd(a), self._opnd(b)))
+            return ("r", reg)
+        if (a[0] == "c" and not _numeric(a[1])) or (
+            b[0] == "c" and not _numeric(b[1])
+        ):
+            raise _Bail  # YARN/TROOF/NOOB operands compare by type rules
+        self._emit(("bin", reg, op, self._opnd(a), self._opnd(b)))
+        self.troofs.add(reg)
         return ("v", reg)
 
 
 def _numeric(v) -> bool:
     t = type(v)
     return t is int or t is float
+
+
+def _same_var(a, b) -> bool:
+    return (
+        type(a) is ast.VarRef
+        and type(b) is ast.VarRef
+        and a.qualifier != "UR"
+        and (a.name, a.qualifier) == (b.name, b.qualifier)
+    )
 
 
 def try_vectorize(stmt: ast.Loop, scope, compiler, cslot: int):
@@ -814,12 +1042,9 @@ def run_vec(m, frame, plan: VecPlan, pos) -> bool:
 
 
 def _run(m, frame, plan: VecPlan) -> bool:
-    declared = m.declared
-    my_pe = m.ctx.my_pe
-    n_pes = m.ctx.n_pes
     regs: list = [None] * plan.n_regs
     for op in plan.limit_prog:
-        _exec(op, regs, frame, 0, declared, my_pe, n_pes)
+        _exec(op, regs, frame, 0, m.declared, m.ctx.my_pe, m.ctx.n_pes)
     lim = _val(plan.limit, regs)
     tl = type(lim)
     if plan.mode == "eq":
@@ -847,8 +1072,28 @@ def _run(m, frame, plan: VecPlan) -> bool:
     if n == 0:
         frame[plan.cslot] = 0
         return True
-    if n > _CAP:
+    if n > _CAP or n < plan.min_trips:
         raise _Bail
+    if not plan.words:
+        return _apply(m, frame, plan, regs, n)
+    rng = m.ctx.rng
+    state = rng.getstate()
+    try:
+        # CPython fills getrandbits from successive 32-bit outputs, least
+        # significant first: row i holds iteration i's words in order.
+        k = plan.words
+        raw = rng.getrandbits(32 * n * k).to_bytes(4 * n * k, "little")
+        regs[plan.words_reg] = np.frombuffer(raw, "<u4").reshape(n, k)
+        return _apply(m, frame, plan, regs, n)
+    except Exception:
+        rng.setstate(state)  # the scalar loop replays the same draws
+        raise
+
+
+def _apply(m, frame, plan: VecPlan, regs: list, n: int) -> bool:
+    declared = m.declared
+    my_pe = m.ctx.my_pe
+    n_pes = m.ctx.n_pes
     for op in plan.prog:
         _exec(op, regs, frame, n, declared, my_pe, n_pes)
     # Two-phase commit.  Validate every target and materialize every
@@ -877,6 +1122,36 @@ def _run(m, frame, plan: VecPlan) -> bool:
             elif type(src) is not float:
                 raise _Bail
             actions.append((None, data, slice(b, end + 1, coeff), src))
+        elif tag == "mset":
+            sel = np.flatnonzero(regs[c[3]])
+            if sel.size:  # no selected lane: the slot keeps its value
+                v = _val(c[2], regs)
+                if isinstance(v, np.ndarray):
+                    v = v[sel[-1]].item()
+                actions.append((None, frame, c[1], v))
+        elif tag == "scatter":
+            data = regs[c[1]]
+            idx = regs[c[2]]
+            if idx.dtype.kind != "i":
+                raise _Bail
+            if int(idx.min()) < 0 or int(idx.max()) >= data.shape[0]:
+                raise _Bail
+            k = _val(c[3], regs)
+            if isinstance(k, np.ndarray):
+                if k.dtype.kind != "i":
+                    raise _Bail
+                _int_guard(k)
+            elif type(k) is not int or abs(k) > _MAXI:
+                raise _Bail
+            # Touched elements start within the guard too, so no partial
+            # sum can leave int64: np.add.at equals the scalar sequence.
+            # Only they are written back, as the scalar loop would (a
+            # peer may own the others of a symmetric array).
+            touched = np.flatnonzero(np.bincount(idx, minlength=data.shape[0]))
+            _int_guard(data[touched])
+            new = data.copy()
+            np.add.at(new, idx, k)
+            actions.append((None, data, touched, new[touched]))
         else:  # "w1"
             data = regs[c[1]]
             b = _val(c[2], regs)
@@ -921,14 +1196,7 @@ def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
             a = _scalar_num(a)
         if not isinstance(b, np.ndarray):
             b = _scalar_num(b)
-        kind = op[2]
-        if kind == "add":
-            r = a + b
-        elif kind == "sub":
-            r = a - b
-        else:
-            r = a * b
-        regs[op[1]] = _int_guard(r)
+        regs[op[1]] = _int_guard(_VOP[op[2]](a, b))
     elif tag == "read":
         data = regs[op[2]]
         b = _val(op[3], regs)
@@ -961,7 +1229,7 @@ def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
                     raise _Bail  # scalar raises FLIP OF
                 regs[op[1]] = 1.0 / v
     elif tag == "fold":
-        _, dst, kind, init, opnd, coerce = op
+        _, dst, kind, init, opnd, coerce, mask = op
         if init[0] == "slot":
             acc = frame[init[1]]
             if acc is UNDECLARED:
@@ -974,7 +1242,24 @@ def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
             v = data[b]
             acc = int(v) if data.dtype.kind == "i" else float(v)
         x = _val(opnd, regs)
-        xs = x.tolist() if isinstance(x, np.ndarray) else [x] * n
+        if isinstance(x, np.ndarray):
+            if mask is not None:
+                x = x[regs[mask]]  # the lanes whose arm ran, in order
+            xs = x.tolist()
+        else:
+            count = n if mask is None else int(np.count_nonzero(regs[mask]))
+            if (
+                type(acc) is int
+                and type(x) is int
+                and kind != "mul"
+                and (coerce is None or coerce[1] is _NUMBR)
+            ):
+                # count additions of one int are one exact product
+                # (pi's ``hits R SUM OF hits AN 1``).
+                x *= count
+                regs[dst] = acc + x if kind == "add" else acc - x
+                return
+            xs = [x] * count
         fn = _SBIN[kind]
         if coerce is None:
             for item in xs:
@@ -993,8 +1278,27 @@ def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
         if not (-_MAXI <= b <= _MAXI and -_MAXI <= last <= _MAXI):
             raise _Bail
         regs[op[1]] = np.arange(n, dtype=np.int64) * coeff + b
+    elif tag == "draw":
+        w = regs[op[3]]
+        c = op[4]
+        if op[2] == "float":  # CPython random(): 53 bits from two words
+            hi = (w[:, c] >> 5).astype(np.float64)
+            regs[op[1]] = (hi * 67108864.0 + (w[:, c + 1] >> 6)) * (
+                1.0 / 9007199254740992.0
+            )
+        else:  # randrange(0, 2**31 - 1): getrandbits(31) below the bound
+            v = (w[:, c] >> 1).astype(np.int64)
+            if bool((v == _REJECT).any()):
+                raise _Bail  # the scalar loop redraws; rare (2**-31)
+            regs[op[1]] = v
+    elif tag == "not":
+        regs[op[1]] = ~regs[op[2]]
+    elif tag == "mcast":
+        regs[op[1]] = cast_value(_val(op[2], regs), op[3], None)
     elif tag == "sbin":
-        regs[op[1]] = _SBIN[op[2]](_val(op[3], regs), _val(op[4], regs), None)
+        regs[op[1]] = BINOP_FUNCS[op[2]](
+            _val(op[3], regs), _val(op[4], regs), None
+        )
     elif tag == "cast":
         v = regs[op[2]]
         if op[3] == "i":

@@ -9,6 +9,7 @@ import pytest
 from repro import run_lolcode
 from repro.compiler.native import find_cc
 from repro.interp import run_serial
+from repro.vm.isa import VMProgram
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES_LOL = REPO_ROOT / "examples" / "lol"
@@ -50,3 +51,19 @@ def example_path():
         return path
 
     return _get
+
+
+@pytest.fixture
+def vm_machines(monkeypatch):
+    """Every Machine the vm engine runs while the test is active (their
+    ``vec_runs``/``vec_bails`` show what ``LOOP_VEC`` did)."""
+    machines: list = []
+    run = VMProgram.run
+
+    def spy(self, ctx, max_steps=None):
+        m = run(self, ctx, max_steps=max_steps)
+        machines.append(m)
+        return m
+
+    monkeypatch.setattr(VMProgram, "run", spy)
+    return machines

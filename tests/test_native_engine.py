@@ -352,6 +352,41 @@ C_AST_CASES = {
         "VISIBLE SUM OF 8 AN SMALLR OF SMALLR OF 3.0 AN ME AN 8\n"
         "VISIBLE BIGGR OF WIN AN 0.5"
     ),
+    # Draw loops the vm vectorizes (LOOP_VEC draw columns, if-converted
+    # arms, a scatter increment).
+    "draw_loop_darts": lol(
+        "I HAS A hits ITZ A NUMBR AN ITZ 0\n"
+        "I HAS A miss ITZ 0.0\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 100\n"
+        "  I HAS A x ITZ WHATEVAR\n"
+        "  I HAS A y ITZ WHATEVAR\n"
+        "  SMALLR SUM OF SQUAR OF x AN SQUAR OF y AN 1.0, O RLY?\n"
+        "  YA RLY,\n    hits R SUM OF hits AN 1\n"
+        "  NO WAI,\n    miss R SUM OF miss AN x\n"
+        "  OIC\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE hits " " miss " " IT " " WHATEVAR'
+    ),
+    "draw_loop_scatter": lol(
+        "I HAS A h ITZ LOTZ A NUMBRS AN THAR IZ 5\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 100\n"
+        "  I HAS A b ITZ A NUMBR AN ITZ MAEK PRODUKT OF WHATEVAR AN 5 A NUMBR\n"
+        "  h'Z b R SUM OF h'Z b AN 1\n"
+        "IM OUTTA YR l\n"
+        "VISIBLE h'Z 0 \" \" h'Z 1 \" \" h'Z 2 \" \" h'Z 3 \" \" h'Z 4 "
+        "\" \" WHATEVR"
+    ),
+    "draw_loop_whatevr": lol(
+        "I HAS A big ITZ 0\n"
+        "I HAS A last ITZ 0\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 60\n"
+        "  I HAS A r ITZ WHATEVR\n"
+        "  BIGGER r AN 1073741823, O RLY?\n"
+        "  YA RLY,\n    big R SUM OF big AN 1\n    last R r\n"
+        "  OIC\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE big " " last " " IT " " WHATEVR'
+    ),
     "fuzz_seed_d051eb58c8fb": (
         pathlib.Path(__file__).parent / "golden" / "fuzz" / "seed_d051eb58c8fb.lol"
     ).read_text(),
@@ -366,6 +401,22 @@ def test_c_matches_ast(case, seed):
     want = run_engine(src, 2, "ast", seed=seed)
     assert want.kind == "ok", want
     assert run_engine(src, 2, "c", seed=seed).comparable() == want.comparable()
+
+
+_DRAW_CASES = sorted(k for k, src in C_AST_CASES.items() if "WHATEV" in src)
+
+
+@pytest.mark.parametrize("seed", [None, 0, -5, 2**62, -(2**63)])
+@pytest.mark.parametrize("case", _DRAW_CASES)
+def test_vm_matches_ast_on_draw_cases(case, seed, vm_machines):
+    src = C_AST_CASES[case]
+    want = run_engine(src, 2, "ast", seed=seed)
+    assert want.kind == "ok", want
+    vm_machines.clear()
+    assert run_engine(src, 2, "vm", seed=seed).comparable() == want.comparable()
+    if case.startswith("draw_loop_"):
+        assert len(vm_machines) == 2
+        assert all(m.vec_runs >= 1 for m in vm_machines)
 
 
 @pytest.mark.requires_cc

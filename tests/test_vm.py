@@ -9,22 +9,28 @@ path and keep it honest:
 * symmetric-access inline caches (hit on repeat access);
 * ``LOOP_VEC`` — the guarded loop vectorizer: it runs where legal,
   bails to bit-identical scalar execution where not, and never
-  mis-vectorizes a loop-carried recurrence;
+  mis-vectorizes a loop-carried recurrence; draw loops (``WHATEVR``/
+  ``WHATEVAR`` columns, if-converted ``O RLY?`` arms, scatter
+  increments) consume the PE's generator exactly as the scalar loop
+  does, and every bail hands it back untouched;
 * ``loldis`` golden snapshot (the disassembly is deterministic).
 """
 
 from __future__ import annotations
 
 import pathlib
+import random
 
 import pytest
 
+from repro.interp.interpreter import Interpreter
 from repro.lang import parse
 from repro.launcher import plan_from_program, run_lolcode
 from repro.shmem.api import serial_context
 from repro.vm import Machine, compile_program_vm, disassemble_source
 from repro.vm import isa
 from repro.vm.isa import Label
+from repro.workloads import get_workload
 
 from .conftest import lol
 
@@ -306,8 +312,11 @@ class TestLoopVec:
         assert ctx.output == run_lolcode(src, 1, engine="ast").output
 
     def test_registry_vectorizer_coverage(self):
-        # LOOP_VEC sites per registry workload at default sizes: the
-        # scope rule must not cost the kernels their vectorized loops.
+        # LOOP_VEC sites per registry workload at default sizes: a
+        # change to the analysis must not cost the kernels their
+        # vectorized loops (pi_montecarlo's and histogram's draw loops
+        # count; nbody's 8-trip init draws and bfs's 8-trip tally stay
+        # under the draw/mask trip floor).
         from repro.workloads import all_workloads
 
         def sites(co) -> int:
@@ -324,10 +333,228 @@ class TestLoopVec:
         }
         want = {name: 0 for name in got}
         want.update(
-            transpose=2, bfs=1, sample_sort=1, pi_montecarlo=1, nbody=4,
-            nbody_racy=4, heat1d=3, heat2d=3, heat3d=3,
+            transpose=2, bfs=1, sample_sort=1, pi_montecarlo=2, histogram=1,
+            nbody=4, nbody_racy=4, heat1d=3, heat2d=3, heat3d=3,
         )
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Draw loops: WHATEVR/WHATEVAR columns, if-converted arms, scatter folds.
+# ---------------------------------------------------------------------------
+
+
+def _both(src: str, prime=None):
+    """Run ``src`` serially on vm and ast from the same generator state;
+    ``prime(rng)`` may rewrite that state first."""
+    vm_ctx, ast_ctx = serial_context(), serial_context()
+    if prime is not None:
+        prime(vm_ctx.rng)
+        prime(ast_ctx.rng)
+    m = _compile(src).run(vm_ctx)
+    Interpreter(parse(src), ast_ctx).run()
+    return m, vm_ctx.output, ast_ctx.output
+
+
+def _untemper(y: int) -> int:
+    """Invert MT19937's output tempering (``y`` is one 32-bit output)."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680 & 0xFFFFFFFF)
+    y = x
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _next_word_all_ones(rng: random.Random) -> None:
+    """Make the generator's next 32-bit output ``0xFFFFFFFF``, which
+    ``randrange(0, 2**31 - 1)`` rejects."""
+    version, internal, gauss = rng.getstate()
+    key = list(internal[:624])
+    key[0] = _untemper(0xFFFFFFFF)
+    rng.setstate((version, tuple(key) + (0,), gauss))
+
+
+VEC_DRAW_CASES = {
+    # pi's body: two WHATEVAR columns, a comparison, a masked int fold.
+    "darts": lol(
+        "I HAS A hits ITZ A NUMBR AN ITZ 0\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 300\n"
+        "  I HAS A x ITZ WHATEVAR\n"
+        "  I HAS A y ITZ WHATEVAR\n"
+        "  SMALLR SUM OF SQUAR OF x AN SQUAR OF y AN 1.0, O RLY?\n"
+        "  YA RLY,\n"
+        "    hits R SUM OF hits AN 1\n"
+        "  OIC\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE hits " " IT " " WHATEVAR'
+    ),
+    # Both arms: float folds over the selected lanes in lane order, a
+    # plain store of the last selected lane, NO WAI as the negated mask.
+    "two_arms": lol(
+        "I HAS A lo ITZ 0.25\n"
+        "I HAS A hi ITZ 0.5\n"
+        "I HAS A at ITZ A NUMBR AN ITZ -1\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 64\n"
+        "  I HAS A x ITZ WHATEVAR\n"
+        "  BIGGER x AN 0.5, O RLY?\n"
+        "  YA RLY,\n"
+        "    hi R SUM OF hi AN x\n"
+        "    at R i\n"
+        "  NO WAI,\n"
+        "    lo R DIFF OF lo AN PRODUKT OF x AN 0.1\n"
+        "  OIC\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE lo " " hi " " at'
+    ),
+    # No lane selected: the plain store leaves the value alone.
+    "no_lane_selected": lol(
+        "I HAS A seen ITZ 7\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 40\n"
+        "  BIGGER WHATEVAR AN 2.0, O RLY?\n"
+        "  YA RLY,\n"
+        "    seen R i\n"
+        "  OIC\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE seen " " IT'
+    ),
+    # histogram's body: a cast of a draw, a scatter increment.
+    "scatter": lol(
+        "I HAS A h ITZ LOTZ A NUMBRS AN THAR IZ 6\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 120\n"
+        "  I HAS A b ITZ A NUMBR AN ITZ MAEK PRODUKT OF WHATEVAR AN 6 A NUMBR\n"
+        "  h'Z b R SUM OF h'Z b AN SUM OF 1 AN 1\n"
+        "IM OUTTA YR l\n"
+        "VISIBLE h'Z 0 \" \" h'Z 1 \" \" h'Z 2 \" \" h'Z 3 \" \" h'Z 4 "
+        "\" \" h'Z 5"
+    ),
+    # WHATEVR columns, DIFFRINT/BOTH SAEM on int lanes, IT from a sum.
+    "whatevr": lol(
+        "I HAS A odd ITZ 0\n"
+        "I HAS A big ITZ 0\n"
+        "I HAS A at7 ITZ 0\n"
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 50\n"
+        "  I HAS A r ITZ WHATEVR\n"
+        "  BIGGER r AN 1073741823, O RLY?\n"
+        "  YA RLY,\n"
+        "    big R SUM OF big AN 1\n"
+        "  OIC\n"
+        "  I HAS A half ITZ PRODUKT OF r AN 0.5\n"
+        "  DIFFRINT half AN MAEK MAEK half A NUMBR A NUMBAR, O RLY?\n"
+        "  YA RLY,\n"
+        "    odd R SUM OF odd AN 1\n"
+        "  OIC\n"
+        "  BOTH SAEM i AN 7, O RLY?\n"
+        "  YA RLY,\n"
+        "    at7 R r\n"
+        "  OIC\n"
+        "  SUM OF i AN 0.5\n"
+        "IM OUTTA YR l\n"
+        'VISIBLE big " " odd " " at7 " " IT " " WHATEVR'
+    ),
+}
+
+
+class TestDrawLoops:
+    @pytest.mark.parametrize("case", sorted(VEC_DRAW_CASES))
+    def test_draw_loop_vectorizes_bit_identically(self, case):
+        m, got, want = _both(VEC_DRAW_CASES[case])
+        assert (m.vec_runs, m.vec_bails) == (1, 0)
+        assert got == want
+
+    def test_it_commits_a_python_bool(self):
+        m, _, _ = _both(VEC_DRAW_CASES["darts"])
+        assert m.vec_runs == 1
+        assert type(m.gframe[0]) is bool
+
+    def test_scatter_guard_bail_restores_the_generator(self):
+        # The addend fails the magnitude guard only after the draws were
+        # taken: the bail must hand the scalar loop the same stream.
+        src = VEC_DRAW_CASES["scatter"].replace(
+            "SUM OF 1 AN 1", "1073741825"
+        ).replace("KTHXBYE", "VISIBLE WHATEVAR\nKTHXBYE")
+        m, got, want = _both(src)
+        assert (m.vec_runs, m.vec_bails) == (0, 1)
+        assert got == want
+
+    def test_whatevr_rejection_bail_restores_the_generator(self):
+        probe = random.Random(5)
+        _next_word_all_ones(probe)
+        assert probe.getrandbits(32) == 0xFFFFFFFF
+        m, got, want = _both(VEC_DRAW_CASES["whatevr"], _next_word_all_ones)
+        assert (m.vec_runs, m.vec_bails) == (0, 1)
+        assert got == want
+
+    def test_short_draw_loops_stay_scalar(self):
+        short = VEC_DRAW_CASES["darts"].replace("AN 300", "AN 8")
+        assert isa.LOOP_VEC not in _ops(_compile(short).co)
+        runtime = short.replace(
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8",
+            "I HAS A lim ITZ 8\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN lim",
+        )
+        m, got, want = _both(runtime)
+        assert (m.vec_runs, m.vec_bails) == (0, 1)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # a draw per selected lane only
+            "  BIGGER WHATEVAR AN 0.5, O RLY?\n"
+            "  YA RLY,\n    s R SUM OF s AN WHATEVAR\n  OIC",
+            # MEBBE
+            "  BIGGER WHATEVAR AN 0.5, O RLY?\n  YA RLY,\n    s R 1\n"
+            "  MEBBE BOTH SAEM i AN 3\n    s R 2\n  OIC",
+            # the arm's variable is read elsewhere in the body
+            "  BIGGER WHATEVAR AN 0.5, O RLY?\n  YA RLY,\n    s R i\n"
+            "  OIC\n  I HAS A t ITZ s",
+            # O RLY? on an IT the loop did not compute
+            "  O RLY?\n  YA RLY,\n    s R SUM OF s AN 1\n  OIC",
+            # IT as an arithmetic operand
+            "  BIGGER WHATEVAR AN 0.5\n  I HAS A t ITZ SUM OF IT AN 1",
+            # a scatter whose array the body also reads
+            "  I HAS A b ITZ MAEK PRODUKT OF WHATEVAR AN 4 A NUMBR\n"
+            "  h'Z b R SUM OF h'Z b AN 1\n  I HAS A t ITZ h'Z 0",
+        ],
+    )
+    def test_outside_the_model_gets_no_plan(self, body):
+        src = lol(
+            "I HAS A s ITZ 0\n"
+            "I HAS A h ITZ LOTZ A NUMBRS AN THAR IZ 4\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 40\n"
+            f"{body}\n"
+            "IM OUTTA YR l\n"
+            "VISIBLE s"
+        )
+        assert isa.LOOP_VEC not in _ops(_compile(src).co)
+
+
+def _check_draw_kernel(machines, name, n_pes, seeds):
+    src = get_workload(name).source(smoke=True)
+    for seed in seeds:
+        machines.clear()
+        got = run_lolcode(src, n_pes, engine="vm", seed=seed).outputs
+        want = run_lolcode(src, n_pes, engine="ast", seed=seed).outputs
+        assert got == want, seed
+        assert len(machines) == n_pes
+        assert all(m.vec_runs >= 1 for m in machines), seed
+
+
+@pytest.mark.parametrize("n_pes", [1, 2, 4])
+@pytest.mark.parametrize("name", ["pi_montecarlo", "histogram"])
+def test_draw_kernels_match_ast(vm_machines, name, n_pes):
+    _check_draw_kernel(vm_machines, name, n_pes, range(25))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_pes", [1, 2, 4])
+@pytest.mark.parametrize("name", ["pi_montecarlo", "histogram"])
+def test_draw_kernels_match_ast_100_seeds(vm_machines, name, n_pes):
+    _check_draw_kernel(vm_machines, name, n_pes, range(100))
 
 
 # ---------------------------------------------------------------------------
