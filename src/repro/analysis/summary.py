@@ -23,6 +23,9 @@ needs both reads the tree from there, never from a second parse.
 * ``declarations`` — every ``WE HAS A`` in walk order, function bodies
   included; :func:`symmetric_plan` lays them out for every executor
   (:func:`symmetric_plan_cached` per launch width).
+* ``bindings`` — the binder's scope resolution
+  (:func:`~repro.lang.resolve.bind`): what every name of the program
+  means, for the checker, the VM compiler and the C backend.
 * ``remote_unwritten`` — symmetric names no statement stores to through
   ``UR``: no peer can change them mid-loop, so the VM vectorizer may
   hoist such a trip count.  ``epoch_local`` — symmetric names never
@@ -38,6 +41,7 @@ from functools import lru_cache
 from ..lang import ast
 from ..lang.errors import LolParallelError
 from ..lang.parser import parse_cached
+from ..lang.resolve import Bindings, bind
 from ..lang.types import parse_type, to_numbr
 from ..shmem.heap import SymmetricPlan
 
@@ -49,6 +53,7 @@ class ProgramSummary:
     functions: tuple[ast.FuncDef, ...]
     callees: dict[str, ast.FuncDef]
     declarations: tuple[ast.VarDecl, ...]
+    bindings: Bindings = field(repr=False, compare=False)
     remote_unwritten: frozenset[str]
     epoch_local: frozenset[str]
 
@@ -104,6 +109,7 @@ def summarize(program: ast.Program) -> ProgramSummary:
         functions=tuple(functions),
         callees={func.name: func for func in functions},
         declarations=tuple(declarations),
+        bindings=bind(program),
         remote_unwritten=unwritten,
         epoch_local=unwritten - remote_touched,
     )
@@ -173,7 +179,10 @@ def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
     per-PE extents would break the symmetric layout, exactly as in
     OpenSHMEM — to at least 1 element; redeclarations must agree on
     type, array-ness and extent, and their ``AN IM SHARIN IT`` flags OR
-    together (:meth:`~repro.shmem.heap.SymmetricPlan.add`).  The plan
+    together (:meth:`~repro.shmem.heap.SymmetricPlan.add`).  Then the
+    program's bindings must hold no same-block retype
+    (:meth:`~repro.lang.resolve.Bindings.check`): building the plan is
+    how every engine refuses such a program before launch.  The plan
     is read-only.
     """
     plan = SymmetricPlan()
@@ -206,6 +215,7 @@ def symmetric_plan(summary: ProgramSummary, n_pes: int | None) -> SymmetricPlan:
             decl.shared_lock,
             decl.pos,
         )
+    summary.bindings.check()
     return plan.freeze()
 
 

@@ -19,10 +19,10 @@ LOLCODE                          emitted C
 ``HUGZ``                         ``shmem_barrier_all()``
 ``WE HAS A x ITZ SRSLY A NUMBR`` file-scope ``static long long x LOL_SYMMETRIC;``
 ``... AN IM SHARIN IT``          plus ``static long __lock_x LOL_SYMMETRIC;``
-``TXT MAH BFF k, ...``           scoped ``{ int __tgt = (k); ... }``
-``UR x`` (NUMBAR)                ``shmem_double_g(&x, __tgt)``
-``UR x R v``                     ``shmem_double_p(&x, v, __tgt)``
-``MAH a R UR b`` (arrays)        ``shmem_double_get(a, b, n, __tgt)``
+``TXT MAH BFF k, ...``           ``int __tgtN = (k);``, then the body inline
+``UR x`` (NUMBAR)                ``shmem_double_g(&x, __tgtN)``
+``UR x R v``                     ``shmem_double_p(&x, v, __tgtN)``
+``MAH a R UR b`` (arrays)        ``shmem_double_get(a, b, n, __tgtN)``
 ``IM SRSLY MESIN WIF x``         ``shmem_set_lock(&__lock_x)``
 ``IM MESIN WIF x`` (trylock)     ``__it = lol_from_b(shmem_test_lock(...) == 0)``
 ``WHATEVR`` / ``WHATEVAR``       ``lol_rand_i()`` / ``lol_rand_f()``
@@ -43,45 +43,47 @@ expands to nothing for real OpenSHMEM builds.)
 
 Statically typed variables become native C objects; dynamically typed
 variables use the ``lol_value_t`` tagged union from the embedded prelude.
-Top-level declarations are emitted at file scope (each PE is an OS process
-under SHMEM, so file-scope statics are per-PE — this is what makes them
-addressable from LOLCODE functions), with initialisers run at their
-original program point in ``main``.
+Every name means what the binder (:mod:`repro.lang.resolve`) says it
+means, and each binding is one C object.  Root-block bindings are
+emitted at file scope (each PE is an OS process under SHMEM, so
+file-scope statics are per-PE — this is what makes them addressable
+from LOLCODE functions), with initialisers run at their original
+program point; every other binding is a C local named after its
+LOLCODE name, with a ``__<slot>`` suffix when it shadows another
+binding of that name, so a C declarator never hides a binding the
+program still reads.
 
-Declarations come from the program summary
-(:mod:`repro.analysis.summary`): its functions and their locals, and
-the symmetric plan every executor lays out — so a symmetric name must be
-typed, its extent must fold to at least 1 element (literals always
-fold; with a known launch width, ``compile_c(..., n_pes=N)`` as the
-``engine="c"`` driver does, ``MAH FRENZ`` arithmetic folds too, so
-registry kernels sized ``THAR IZ MAH FRENZ`` compile per launch width),
-and redeclarations must agree.  Backend-specific restrictions, each
-diagnosed as a :class:`CompileError` at compile time:
+Symmetric objects come from the plan every executor lays out
+(:mod:`repro.analysis.summary`) — so a symmetric name must be typed, its
+extent must fold to at least 1 element (literals always fold; with a
+known launch width, ``compile_c(..., n_pes=N)`` as the ``engine="c"``
+driver does, ``MAH FRENZ`` arithmetic folds too, so registry kernels
+sized ``THAR IZ MAH FRENZ`` compile per launch width), and
+redeclarations must agree.  A ``WE HAS A`` anywhere, a function body
+included, only runs its initializer.  Backend-specific restrictions,
+each diagnosed as a :class:`CompileError` at compile time:
 
 * ``SRS`` computed identifiers (fundamentally dynamic);
 * YARN-typed *symmetric* data over ``UR`` (OpenSHMEM moves raw memory);
-* functions must be defined once, at top level, and hold no symmetric
-  declarations (symmetric data is statically allocated);
-* functions may touch their parameters, their locals, and file-scope
-  (top-level / symmetric) data only.
+* functions must be defined once, at top level;
+* a same-block array redeclaration (C has one declarator per block).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.summary import (
     ProgramSummary,
     const_eval,
-    is_symmetric,
     summarize_cached,
     summary_of,
     symmetric_plan,
 )
 from ..lang import ast
 from ..lang.errors import LolError, LolParallelError, SourcePos
-from ..lang.types import LolType, parse_type
+from ..lang.resolve import ROOT, Binding
+from ..lang.types import LolType
 from ..interp.interpreter import KNOWN_LIBRARIES
 from .c_prelude import C_PRELUDE
 
@@ -89,28 +91,6 @@ from .c_prelude import C_PRELUDE
 class CompileError(LolError):
     """A construct the C backend cannot translate (though it may interpret)."""
 
-
-@dataclass(slots=True)
-class SymbolInfo:
-    """One name as the emitted C sees it."""
-
-    name: str
-    symmetric: bool = False
-    static_type: Optional[LolType] = None  # None => dynamic
-    is_array: bool = False
-    shared_lock: bool = False
-    size: Optional[int] = None  # element count of a file-scope array
-
-
-def _symbol(decl: ast.VarDecl) -> SymbolInfo:
-    """The info of an ``I HAS A`` declaration."""
-    return SymbolInfo(
-        decl.name,
-        static_type=(
-            parse_type(decl.static_type, decl.pos) if decl.static_type else None
-        ),
-        is_array=decl.is_array,
-    )
 
 #: C scalar kind codes: i=long long, f=double, s=const char*, b=int,
 #: d=lol_value_t (dynamic).
@@ -159,17 +139,6 @@ _CALL_PROOF = (
     ast.IntLit, ast.FloatLit, ast.TroofLit, ast.NoobLit, ast.MeExpr,
     ast.FrenzExpr, ast.RandomExpr, ast.FuncCall,
 )
-
-
-def _names(expr: ast.Expr) -> set[str]:
-    """Every variable name ``expr`` reads, interpolations included."""
-    names: set[str] = set()
-    for sub in ast.walk_expr(expr):
-        if isinstance(sub, ast.VarRef):
-            names.add(sub.name)
-        elif isinstance(sub, ast.StringLit):
-            names.update(p[1] for p in sub.parts if not isinstance(p, str))
-    return names
 
 
 def conv(code: str, src: str, dst: str) -> str:
@@ -225,20 +194,17 @@ class CBackend:
     ):
         self.summary = summary_of(tree)
         self.program = self.summary.program
+        self.bindings = self.summary.bindings
         self.n_pes = n_pes
         self.functions: dict[str, ast.FuncDef] = {}
-        self.globals: dict[str, SymbolInfo] = {}
         self.body_lines: list[str] = []
         self.file_lines: list[str] = []
         self.indent = 1
         self._tmp = 0
-        self._txt_depth = 0
+        self._tgts: list[str] = []  # the enclosing TXT targets' C names
+        self._ntgt = 0
         self._gtfo_ok = 0  # nesting depth of loop/switch
         self._current_func: Optional[str] = None
-        # Lexical scope stack for block-local declarations and loop
-        # counters (mirrors the C block scoping of the emitted code).
-        self._scopes: list[dict[str, SymbolInfo]] = []
-        self._at_top = False  # True while emitting a top-level statement
 
     # -- emit helpers -----------------------------------------------------
 
@@ -271,36 +237,27 @@ class CBackend:
 
     # -- symbol classification ----------------------------------------------
 
-    def _info(self, name: str, pos: SourcePos) -> SymbolInfo:
-        """Resolve ``name`` at the current emission point.
+    def _info(
+        self, node: ast.VarRef | ast.StringLit, part: Optional[str] = None
+    ) -> Binding:
+        """The binding the binder resolved for a ``VarRef`` (or for the
+        ``:{part}`` interpolation of a string literal)."""
+        name = part or node.name
+        b = self.bindings.of(node) if part is None else self.bindings.part(node, part)
+        if b is None:
+            raise CompileError(f"'{name}' is not declared", node.pos)
+        return b
 
-        Resolution order matches the emitted C's scoping: innermost
-        block scope out to a function's parameters, then
-        file-scope/symmetric globals.  The failure diagnostic
-        spells out the C backend's function restriction because that is
-        where interpreter-legal programs most often trip it.
-        """
-        for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        info = self.globals.get(name)
-        if info is not None:
-            return info
-        raise CompileError(
-            f"'{name}' is not declared"
-            + (
-                f" (C backend functions may only touch parameters, locals, "
-                f"and top-level/symmetric variables)"
-                if self._current_func is not None
-                else ""
-            ),
-            pos,
-        )
+    @staticmethod
+    def _cname(b: Binding) -> str:
+        """The C name of a binding's object."""
+        return f"{b.name}__{b.slot}" if b.shadows else b.name
 
-    def _kind_of(self, info: SymbolInfo) -> str:
-        if info.static_type is None:
+    @staticmethod
+    def _kind_of(b: Binding) -> str:
+        if b.static_type is None:
             return "d"
-        return _KIND_OF_TYPE[info.static_type]
+        return _KIND_OF_TYPE[b.static_type]
 
     # -- expressions -----------------------------------------------------------
 
@@ -343,7 +300,7 @@ class CBackend:
         if isinstance(node, ast.Cast):
             return self._gen_cast(node)
         if isinstance(node, ast.VarRef):
-            return self._gen_var_read(node.name, node.qualifier, node.pos)
+            return self._gen_var_read(self._info(node), node.qualifier, node.pos)
         if isinstance(node, ast.Index):
             return self._gen_index_read(node)
         if isinstance(node, ast.FuncCall):
@@ -364,7 +321,10 @@ class CBackend:
             piece = (
                 c_string(part)
                 if isinstance(part, str)
-                else conv(*self._gen_var_read(part[1], None, node.pos), "s")
+                else conv(
+                    *self._gen_var_read(self._info(node, part[1]), None, node.pos),
+                    "s",
+                )
             )
             code = piece if code is None else f"lol_concat({code}, {piece})"
         return code or '""', "s"
@@ -481,82 +441,73 @@ class CBackend:
 
     # -- variable access -----------------------------------------------------------
 
-    def _require_tgt(self, name: str, pos: SourcePos) -> None:
-        if self._txt_depth == 0:
+    def _tgt(self, name: str, pos: SourcePos) -> str:
+        """The C name of the innermost ``TXT MAH BFF`` target."""
+        if not self._tgts:
             raise CompileError(
                 f"'UR {name}' used outside a TXT MAH BFF predicated "
                 f"statement or block",
                 pos,
             )
+        return self._tgts[-1]
 
-    def _shmem_kind(self, info: SymbolInfo, pos: SourcePos) -> str:
-        kind = self._kind_of(info)
+    def _shmem_kind(self, b: Binding, pos: SourcePos) -> str:
+        kind = self._kind_of(b)
         if kind not in _SHMEM_TYPE:
             raise CompileError(
-                f"symmetric symbol '{info.name}' must be numeric for the C "
+                f"symmetric symbol '{b.name}' must be numeric for the C "
                 f"backend (YARN cannot cross PEs via OpenSHMEM)",
                 pos,
             )
         return kind
 
     def _gen_var_read(
-        self, name: str, qualifier: Optional[str], pos: SourcePos
+        self, b: Binding, qualifier: Optional[str], pos: SourcePos
     ) -> tuple[str, str]:
-        info = self._info(name, pos)
+        name = self._cname(b)
         if qualifier == "UR":
-            self._require_tgt(name, pos)
-            if not info.symmetric:
+            tgt = self._tgt(b.name, pos)
+            if not b.symmetric:
                 raise CompileError(
-                    f"'UR {name}': not a symmetric variable", pos
+                    f"'UR {b.name}': not a symmetric variable", pos
                 )
-            kind = self._shmem_kind(info, pos)
-            if info.is_array:
+            kind = self._shmem_kind(b, pos)
+            if b.is_array:
                 raise CompileError(
-                    f"whole-array 'UR {name}' is only valid on the right "
+                    f"whole-array 'UR {b.name}' is only valid on the right "
                     f"side of an array assignment",
                     pos,
                 )
-            return f"shmem_{_SHMEM_TYPE[kind]}_g(&{name}, __tgt)", kind
-        if info.is_array:
+            return f"shmem_{_SHMEM_TYPE[kind]}_g(&{name}, {tgt})", kind
+        if b.is_array:
             raise CompileError(
-                f"'{name}' is an array: index it with {name}'Z <expr>", pos
+                f"'{b.name}' is an array: index it with {b.name}'Z <expr>", pos
             )
-        return name, self._kind_of(info)
+        return name, self._kind_of(b)
 
     def _gen_index_read(self, node: ast.Index) -> tuple[str, str]:
         if not isinstance(node.base, ast.VarRef):
             raise CompileError(
                 "SRS computed identifiers are interpret-only", node.pos
             )
-        name = node.base.name
-        info = self._info(name, node.pos)
-        if not info.is_array:
-            raise CompileError(f"'{name}' is not an array", node.pos)
+        b = self._info(node.base)
+        if not b.is_array:
+            raise CompileError(f"'{b.name}' is not an array", node.pos)
+        name = self._cname(b)
         idx = conv(*self.gen_expr(node.index), "i")
-        kind = self._kind_of(info)
+        kind = self._kind_of(b)
         if node.base.qualifier == "UR":
-            self._require_tgt(name, node.pos)
-            kind = self._shmem_kind(info, node.pos)
-            return f"shmem_{_SHMEM_TYPE[kind]}_g(&{name}[{idx}], __tgt)", kind
+            tgt = self._tgt(b.name, node.pos)
+            kind = self._shmem_kind(b, node.pos)
+            return f"shmem_{_SHMEM_TYPE[kind]}_g(&{name}[{idx}], {tgt})", kind
         return f"{name}[{idx}]", kind
 
     # -- statements ---------------------------------------------------------------
 
     def gen_block(self, body: list[ast.Stmt]) -> None:
-        """Compile a statement list inside a fresh lexical scope.
-
-        Mirrors the C block scoping of the emitted code: declarations
-        made in the block shadow outer ones and vanish when it closes.
-        """
-        saved_top = self._at_top
-        self._at_top = False
-        self._scopes.append({})
-        try:
-            for stmt in body:
-                self.gen_stmt(stmt)
-        finally:
-            self._scopes.pop()
-            self._at_top = saved_top
+        """Compile a statement list into the current C block."""
+        for stmt in body:
+            self.gen_stmt(stmt)
 
     def gen_stmt(self, stmt: ast.Stmt) -> None:
         """Compile one statement into ``body_lines``.
@@ -637,14 +588,17 @@ class CBackend:
         elif isinstance(stmt, ast.LockStmt):
             self._gen_lock(stmt)
         elif isinstance(stmt, ast.TxtStmt):
+            # The body is part of the enclosing block: its declarations
+            # stay visible after TTYL, so it opens no C block.
             code, kind = self.gen_expr(stmt.pe)
-            self.out(f"{{ int __tgt = (int)({conv(code, kind, 'i')});")
+            self._ntgt += 1
+            tgt = f"__tgt{self._ntgt}"
+            self.out(f"int {tgt} = (int)({conv(code, kind, 'i')});")
             self.indent += 1
-            self._txt_depth += 1
+            self._tgts.append(tgt)
             self.gen_block(stmt.body)
-            self._txt_depth -= 1
+            self._tgts.pop()
             self.indent -= 1
-            self.out("}")
         else:
             raise CompileError(
                 f"cannot compile statement {type(stmt).__name__}", stmt.pos
@@ -678,12 +632,11 @@ class CBackend:
             )
         return size
 
-    def _decl_c(self, info: SymbolInfo, size_code: Optional[str]) -> str:
-        kind = self._kind_of(info)
-        base = _C_DECL[kind]
-        if info.is_array:
-            return f"{base} {info.name}[{size_code}]"
-        return f"{base} {info.name}"
+    def _decl_c(self, b: Binding, size_code: Optional[str]) -> str:
+        base = _C_DECL[self._kind_of(b)]
+        if b.is_array:
+            return f"{base} {self._cname(b)}[{size_code}]"
+        return f"{base} {self._cname(b)}"
 
     def _declare_functions(self) -> None:
         """Index the summary's functions; C needs one top-level
@@ -704,129 +657,90 @@ class CBackend:
             self.functions[func.name] = func
 
     def _emit_file_scope(self) -> None:
-        """Emit one file-scope C object per top-level ``I HAS A`` name and
-        per entry of the symmetric plan.
+        """Emit one file-scope C object per root-block binding: the
+        top-level ``I HAS A`` names and every entry of the symmetric plan.
 
         Symmetric objects (``WE HAS A``) are tagged ``LOL_SYMMETRIC`` so
         the bundled shim can place them in its remappable section;
         ``AN IM SHARIN IT`` additionally emits the symbol's lock word.
         Initialisers are *not* handled here — ``_gen_decl`` runs them at
-        the declaration's original program point in ``main``.
+        the declaration's original program point.
         """
         try:
             plan = symmetric_plan(self.summary, self.n_pes)
         except LolError as exc:
             raise CompileError(exc.message, exc.pos) from exc
-        top = [stmt for stmt in self.program.body if isinstance(stmt, ast.VarDecl)]
-        for decl in (*top, *self.summary.declarations):
-            if is_symmetric(decl):
-                lol_type, is_array, size, has_lock = plan.entries[decl.name]
-                info = SymbolInfo(
-                    decl.name,
-                    symmetric=True,
-                    static_type=lol_type,
-                    is_array=is_array,
-                    shared_lock=has_lock,
-                    size=size if is_array else None,
-                )
-            else:
-                info = _symbol(decl)
-                if decl.is_array:
-                    info.size = self._const_size(decl.size, decl.name)
-                    if info.size is None:
-                        raise CompileError(
-                            f"file-scope array '{decl.name}' needs a "
-                            f"compile-time size for the C backend (an "
-                            f"integer literal, or MAH FRENZ arithmetic when "
-                            f"compiling for a known launch width)",
-                            decl.pos,
-                        )
-            prev = self.globals.get(decl.name)
-            if prev is not None:
-                if prev != info:
+        for b in self.bindings.root:
+            size: Optional[int] = None
+            if b.symmetric:
+                size = plan.entries[b.name][2]
+            elif b.is_array:
+                assert b.decl is not None and b.decl.size is not None
+                size = self._const_size(b.decl.size, b.name)
+                if size is None:
                     raise CompileError(
-                        f"'{decl.name}' re-declared with a different shape "
-                        f"or type (the C backend keeps one object per "
-                        f"top-level name)",
-                        decl.pos,
+                        f"file-scope array '{b.name}' needs a "
+                        f"compile-time size for the C backend (an "
+                        f"integer literal, or MAH FRENZ arithmetic when "
+                        f"compiling for a known launch width)",
+                        b.pos,
                     )
-                continue
-            self.globals[decl.name] = info
-            size_code = None if info.size is None else str(info.size)
-            attr = " LOL_SYMMETRIC" if info.symmetric else ""
-            comment = " /* symmetric */" if info.symmetric else ""
+            attr = " LOL_SYMMETRIC" if b.symmetric else ""
+            comment = " /* symmetric */" if b.symmetric else ""
             self.file_lines.append(
-                f"static {self._decl_c(info, size_code)}{attr};{comment}"
+                f"static {self._decl_c(b, str(size))}{attr};{comment}"
             )
-            if info.shared_lock:
+            if b.shared_lock:
                 # The (void) cast in main keeps -Wunused-variable quiet when
                 # a program declares IM SHARIN IT but never takes the lock.
                 self.file_lines.append(
-                    f"static long __lock_{info.name} LOL_SYMMETRIC = 0L;"
+                    f"static long __lock_{b.name} LOL_SYMMETRIC = 0L;"
                 )
 
     def _gen_decl(self, stmt: ast.VarDecl) -> None:
-        symmetric = is_symmetric(stmt)
-        if symmetric and self._current_func is not None:
+        b = self.bindings.of(stmt)
+        assert b is not None
+        name = self._cname(b)
+        kind = self._kind_of(b)
+        first = b.decl is stmt
+        if b.is_array and not b.symmetric and not first:
             raise CompileError(
-                f"symmetric declaration of '{stmt.name}' inside a "
-                f"function is not compilable (symmetric data is "
-                f"statically allocated)",
+                f"'{stmt.name}' re-declared in the same block (the C "
+                f"backend keeps one array object per name and block)",
                 stmt.pos,
             )
-        # File-scope objects were already emitted; here we only run
-        # their initialiser at the original program point.
-        if symmetric or self._at_top:
-            info = self.globals[stmt.name]
-            if stmt.init is not None:
-                code, kind = self.gen_expr(stmt.init)
-                self.out(f"{stmt.name} = {conv(code, kind, self._kind_of(info))};")
-            elif self._kind_of(info) == "d":
-                self.out(f"{stmt.name} = lol_noob();")
-            elif self._kind_of(info) == "s" and not info.is_array:
-                self.out(f'{stmt.name} = "";')
+        if b.block == ROOT:
+            # A file-scope object: run its initialiser here (a repeated
+            # I HAS A also resets the value).
+            if stmt.init is not None or (not b.symmetric and not first):
+                self.out(f"{name} = {self._decl_value(stmt, kind)};")
+            elif kind == "d":
+                self.out(f"{name} = lol_noob();")
+            elif kind == "s" and not b.is_array:
+                self.out(f'{name} = "";')
             return
-        # Block-local declaration.  The name binds only after its
-        # initializer and extent compile, so both see the enclosing
-        # binding.
-        info = _symbol(stmt)
-        kind = self._kind_of(info)
-        prev = self._scopes[-1].get(stmt.name)
-        if prev is not None:
-            # C allows one declarator per name and block: a same-shape
-            # scalar redeclaration assigns the existing object.
-            if prev != info or info.is_array:
-                raise CompileError(
-                    f"'{stmt.name}' re-declared in the same block with a "
-                    f"different shape or type (the C backend keeps one "
-                    f"object per name and block)",
-                    stmt.pos,
-                )
-            self.out(f"{stmt.name} = {self._decl_value(stmt, kind)};")
+        if not first:
+            # C allows one declarator per name and block: a same-block
+            # redeclaration assigns the existing object.
+            self.out(f"{name} = {self._decl_value(stmt, kind)};")
             return
-        if stmt.is_array:
-            size_lit = self._const_size(stmt.size, stmt.name)
-            if size_lit is not None:
-                self.out(f"{self._decl_c(info, str(size_lit))} = {{0}};")
-            else:
-                size_code = conv(*self.gen_expr(stmt.size), "i")
-                n = self._fresh("n")
-                self.out(f"long long {n} = {size_code};")
-                self.out(f"{self._decl_c(info, n)};")
-                self.out(
-                    f"memset({stmt.name}, 0, sizeof {stmt.name});"
-                    if kind != "s"
-                    else f"for (long long __z = 0; __z < {n}; __z++) "
-                    f'{stmt.name}[__z] = "";'
-                )
-        else:
-            code = self._decl_value(stmt, kind)
-            if stmt.init is not None and stmt.name in _names(stmt.init):
-                # A C scope starts at the declarator: read the enclosing
-                # binding before the new one hides it.
-                code, _ = self._pin(code, kind)
-            self.out(f"{self._decl_c(info, None)} = {code};")
-        self._scopes[-1][stmt.name] = info
+        if not stmt.is_array:
+            self.out(f"{self._decl_c(b, None)} = {self._decl_value(stmt, kind)};")
+            return
+        size_lit = self._const_size(stmt.size, stmt.name)
+        if size_lit is not None:
+            self.out(f"{self._decl_c(b, str(size_lit))} = {{0}};")
+            return
+        size_code = conv(*self.gen_expr(stmt.size), "i")
+        n = self._fresh("n")
+        self.out(f"long long {n} = {size_code};")
+        self.out(f"{self._decl_c(b, n)};")
+        self.out(
+            f"memset({name}, 0, sizeof {name});"
+            if kind != "s"
+            else f"for (long long __z = 0; __z < {n}; __z++) "
+            f'{name}[__z] = "";'
+        )
 
     def _decl_value(self, stmt: ast.VarDecl, kind: str) -> str:
         """The C value a scalar ``I HAS A`` stores: its initializer or
@@ -842,9 +756,9 @@ class CBackend:
     def _gen_assign(self, target: ast.Expr, value: ast.Expr) -> None:
         # Whole-array transfers first (they need the shmem_get/put forms).
         if isinstance(target, ast.VarRef) and not isinstance(value, ast.Index):
-            tinfo = self._info(target.name, target.pos)
-            if tinfo.is_array:
-                self._gen_array_copy(target, tinfo, value)
+            tb = self._info(target)
+            if tb.is_array:
+                self._gen_array_copy(target, tb, value)
                 return
         code, kind = self.gen_expr(value)
         if ast.has_call(target) and not isinstance(value, _CALL_PROOF):
@@ -853,7 +767,7 @@ class CBackend:
         self._gen_store(target, code, kind)
 
     def _gen_array_copy(
-        self, target: ast.VarRef, tinfo: SymbolInfo, value: ast.Expr
+        self, target: ast.VarRef, tb: Binding, value: ast.Expr
     ) -> None:
         if not isinstance(value, ast.VarRef):
             raise CompileError(
@@ -861,33 +775,30 @@ class CBackend:
                 f"on the right-hand side",
                 target.pos,
             )
-        sinfo = self._info(value.name, value.pos)
-        if not sinfo.is_array:
+        sb = self._info(value)
+        if not sb.is_array:
             raise CompileError(
                 f"cannot assign scalar '{value.name}' to whole array "
                 f"'{target.name}'",
                 target.pos,
             )
-        count = f"(sizeof {target.name} / sizeof {target.name}[0])"
+        dst, src = self._cname(tb), self._cname(sb)
+        count = f"(sizeof {dst} / sizeof {dst}[0])"
         if value.qualifier == "UR":
-            self._require_tgt(value.name, value.pos)
-            kind = self._shmem_kind(sinfo, value.pos)
+            tgt = self._tgt(value.name, value.pos)
+            kind = self._shmem_kind(sb, value.pos)
             self.out(
-                f"shmem_{_SHMEM_TYPE[kind]}_get({target.name}, "
-                f"{value.name}, {count}, __tgt);"
+                f"shmem_{_SHMEM_TYPE[kind]}_get({dst}, {src}, {count}, {tgt});"
             )
             return
         if target.qualifier == "UR":
-            self._require_tgt(target.name, target.pos)
-            kind = self._shmem_kind(tinfo, target.pos)
+            tgt = self._tgt(target.name, target.pos)
+            kind = self._shmem_kind(tb, target.pos)
             self.out(
-                f"shmem_{_SHMEM_TYPE[kind]}_put({target.name}, "
-                f"{value.name}, {count}, __tgt);"
+                f"shmem_{_SHMEM_TYPE[kind]}_put({dst}, {src}, {count}, {tgt});"
             )
             return
-        self.out(
-            f"memcpy({target.name}, {value.name}, sizeof {target.name});"
-        )
+        self.out(f"memcpy({dst}, {src}, sizeof {dst});")
 
     def _gen_store(self, target: ast.Expr, code: str, kind: str) -> None:
         if isinstance(target, ast.Index):
@@ -895,41 +806,41 @@ class CBackend:
                 raise CompileError(
                     "SRS computed identifiers are interpret-only", target.pos
                 )
-            name = target.base.name
-            info = self._info(name, target.pos)
-            if not info.is_array:
-                raise CompileError(f"'{name}' is not an array", target.pos)
+            b = self._info(target.base)
+            if not b.is_array:
+                raise CompileError(f"'{b.name}' is not an array", target.pos)
+            name = self._cname(b)
             idx = conv(*self.gen_expr(target.index), "i")
-            ekind = self._kind_of(info)
+            ekind = self._kind_of(b)
             if target.base.qualifier == "UR":
-                self._require_tgt(name, target.pos)
-                ekind = self._shmem_kind(info, target.pos)
+                tgt = self._tgt(b.name, target.pos)
+                ekind = self._shmem_kind(b, target.pos)
                 self.out(
                     f"shmem_{_SHMEM_TYPE[ekind]}_p(&{name}[{idx}], "
-                    f"{conv(code, kind, ekind)}, __tgt);"
+                    f"{conv(code, kind, ekind)}, {tgt});"
                 )
                 return
             self.out(f"{name}[{idx}] = {conv(code, kind, ekind)};")
             return
         if isinstance(target, ast.VarRef):
-            name = target.name
-            info = self._info(name, target.pos)
-            vkind = self._kind_of(info)
+            b = self._info(target)
+            name = self._cname(b)
+            vkind = self._kind_of(b)
             if target.qualifier == "UR":
-                self._require_tgt(name, target.pos)
-                if not info.symmetric:
+                tgt = self._tgt(b.name, target.pos)
+                if not b.symmetric:
                     raise CompileError(
-                        f"'UR {name}': not a symmetric variable", target.pos
+                        f"'UR {b.name}': not a symmetric variable", target.pos
                     )
-                vkind = self._shmem_kind(info, target.pos)
+                vkind = self._shmem_kind(b, target.pos)
                 self.out(
                     f"shmem_{_SHMEM_TYPE[vkind]}_p(&{name}, "
-                    f"{conv(code, kind, vkind)}, __tgt);"
+                    f"{conv(code, kind, vkind)}, {tgt});"
                 )
                 return
-            if info.is_array:
+            if b.is_array:
                 raise CompileError(
-                    f"cannot assign a scalar to whole array '{name}'",
+                    f"cannot assign a scalar to whole array '{b.name}'",
                     target.pos,
                 )
             self.out(f"{name} = {conv(code, kind, vkind)};")
@@ -973,12 +884,10 @@ class CBackend:
 
     def _gen_loop(self, stmt: ast.Loop) -> None:
         opener = "{"
-        self._scopes.append({})
+        counter = None
         if stmt.var is not None:
-            opener = f"{{ long long {stmt.var} = 0;"
-            self._scopes[-1][stmt.var] = SymbolInfo(
-                stmt.var, static_type=LolType.NUMBR
-            )
+            counter = self._cname(self.bindings.of(stmt))
+            opener = f"{{ long long {counter} = 0;"
         self.out(opener)
         self.indent += 1
         self.out("while (1) {")
@@ -999,27 +908,15 @@ class CBackend:
                 f"GTFO",
                 stmt.pos,
             )
-        if stmt.var is not None and any(
-            isinstance(s, ast.VarDecl) and s.name == stmt.var for s in stmt.body
-        ):
-            # The body shadows the counter: close its C block before the
-            # increment, which must reach the counter.
-            self.out("{")
-            self.indent += 1
-            self.gen_block(stmt.body)
-            self.indent -= 1
-            self.out("}")
-        else:
-            self.gen_block(stmt.body)
-        if stmt.var is not None:
+        self.gen_block(stmt.body)
+        if counter is not None:
             step = "+ 1" if stmt.op == "UPPIN" else "- 1"
-            self.out(f"{stmt.var} = {stmt.var} {step};")
+            self.out(f"{counter} = {counter} {step};")
         self._gtfo_ok -= 1
         self.indent -= 1
         self.out("}")
         self.indent -= 1
         self.out("}")
-        self._scopes.pop()
 
     def _gen_lock(self, stmt: ast.LockStmt) -> None:
         if not isinstance(stmt.target, ast.VarRef):
@@ -1027,8 +924,8 @@ class CBackend:
                 "SRS computed identifiers are interpret-only", stmt.pos
             )
         name = stmt.target.name
-        info = self.globals.get(name)
-        if info is None or not info.symmetric or not info.shared_lock:
+        b = self.bindings.of(stmt.target)
+        if b is None or not b.symmetric or not b.shared_lock:
             raise CompileError(
                 f"cannot lock '{name}': declare it with 'WE HAS A {name} "
                 f"... AN IM SHARIN IT'",
@@ -1050,20 +947,19 @@ class CBackend:
         saved_indent, self.indent = self.indent, 1
         # The parameters share the body's outermost C block, so a body
         # declaration of a parameter's name is a same-block one.
-        saved_scopes = self._scopes
-        self._scopes = [{p: SymbolInfo(p) for p in fdef.params}]
         self._current_func = fdef.name
-        params = ", ".join(f"lol_value_t {p}" for p in fdef.params) or "void"
+        params = ", ".join(
+            f"lol_value_t {self._cname(b)}"
+            for b in self.bindings.params[id(fdef)]
+        ) or "void"
         lines = [f"static lol_value_t lol_fn_{fdef.name}({params})", "{"]
         self.out("lol_value_t __it = lol_noob();")
-        for stmt in fdef.body:
-            self.gen_stmt(stmt)
+        self.gen_block(fdef.body)
         self.out("return __it;")
         lines.extend(self.body_lines)
         lines.append("}")
         self.body_lines = saved_body
         self.indent = saved_indent
-        self._scopes = saved_scopes
         self._current_func = None
         return lines
 
@@ -1089,18 +985,12 @@ class CBackend:
         self.out("lol_value_t __it = lol_noob();")
         # Reference every file-scope object once so -Wunused-variable stays
         # quiet for symbols a program declares but never touches.
-        for gname in sorted(self.globals):
+        for gname in sorted(b.name for b in self.bindings.root):
             self.out(f"(void){gname};")
-        for gname, info in self.globals.items():
-            if info.shared_lock:
-                self.out(f"(void)__lock_{gname};")
-        self._scopes = [{}]
-        self._at_top = True
-        for stmt in self.program.body:
-            if not isinstance(stmt, ast.FuncDef):
-                self.gen_stmt(stmt)
-        self._at_top = False
-        self._scopes = []
+        for b in self.bindings.root:
+            if b.shared_lock:
+                self.out(f"(void)__lock_{b.name};")
+        self.gen_block(self.program.body)
         self.out("(void)__it;")
         self.out("shmem_finalize();")
         self.out("return 0;")

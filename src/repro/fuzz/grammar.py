@@ -84,7 +84,7 @@ _BOOL_OPS = ("and", "or", "xor")
 
 
 @dataclass
-class _Scope:
+class _Names:
     """Names the generator has declared, by role."""
 
     ints: list[str] = field(default_factory=list)  # int-only thread-locals
@@ -103,7 +103,7 @@ class _Gen:
     def __init__(self, rng: random.Random, cfg: GenConfig) -> None:
         self.rng = rng
         self.cfg = cfg
-        self.scope = _Scope()
+        self.scope = _Names()
         self._counter = 0
 
     # -- helpers ----------------------------------------------------------

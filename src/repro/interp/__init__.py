@@ -70,18 +70,14 @@ def compile_vm_cached(
     one source (the execution service's steady state) compile it once.
     """
     from ..analysis.summary import summarize_cached
-    from ..lang.parser import parse_cached
     from ..vm.compile import compile_program_vm
 
-    # Only the vectorizer reads the summary; either counter disables it.
-    vectorize = not (count_flops or count_steps)
+    # Either counter disables the vectorizer.
     return compile_program_vm(
-        summarize_cached(source, filename)
-        if vectorize
-        else parse_cached(source, filename),
+        summarize_cached(source, filename),
         count_flops=count_flops,
         count_steps=count_steps,
-        vectorize=vectorize,
+        vectorize=not (count_flops or count_steps),
     )
 
 

@@ -403,24 +403,28 @@ def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
         yield stmt.pe
 
 
+#: Expression node type -> its sub-expressions, last first (stack order).
+_CHILDREN = {
+    BinOp: lambda node: (node.rhs, node.lhs),
+    UnaryOp: lambda node: (node.operand,),
+    Cast: lambda node: (node.expr,),
+    SrsRef: lambda node: (node.expr,),
+    Index: lambda node: (node.index, node.base),
+    NaryOp: lambda node: reversed(node.operands),
+    FuncCall: lambda node: reversed(node.args),
+}
+
+
 def walk_expr(expr: Expr) -> Iterator[Expr]:
     """Yield ``expr`` and every sub-expression, pre-order, left to right."""
     stack: list[Expr] = [expr]
+    children = _CHILDREN.get
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, BinOp):
-            stack += (node.rhs, node.lhs)
-        elif isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, (Cast, SrsRef)):
-            stack.append(node.expr)
-        elif isinstance(node, Index):
-            stack += (node.index, node.base)
-        elif isinstance(node, NaryOp):
-            stack += reversed(node.operands)
-        elif isinstance(node, FuncCall):
-            stack += reversed(node.args)
+        kids = children(type(node))
+        if kids is not None:
+            stack += kids(node)
 
 
 def has_call(expr: Expr) -> bool:

@@ -15,6 +15,7 @@ code        diagnostic
 ``E006``    call to an undefined function / wrong arity
 ``E007``    indexing a scalar / scalar use of an array
 ``E008``    array index / PE target definitely out of range
+``E009``    same-block redeclaration that changes type or array-ness
 ``W101``    ``HUGZ`` not matched on every path of PE-divergent control
             (barrier mismatch deadlock)
 ``W102``    conflicting local/remote accesses to a symmetric symbol in
@@ -26,8 +27,10 @@ code        diagnostic
 ``W107``    array index / PE target possibly out of range
 ========== ============================================================
 
-This module performs the scope/type pass (``E001``–``E007`` and
-``W104``) by direct traversal; the parallel-correctness codes come from
+This module performs the scope/type pass (``E001``–``E007``, ``E009``
+and ``W104``) by one traversal that reads every name's binding off the
+binder (:func:`~repro.lang.resolve.bind`, cached on the program
+summary); the parallel-correctness codes come from
 the CFG + dataflow analyses in :mod:`repro.analysis` (path-sensitive —
 a barrier under a *uniform* branch or a lock released on *every* path
 no longer warns).  ``E``-codes are errors a run would surface
@@ -36,15 +39,13 @@ dynamically; ``W``-codes are conservative warnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..analysis import ProgramSummary, analyze_program
 from ..analysis.summary import is_symmetric, summary_of
 from ..analysis.diagnostics import Diagnostic, FixIt, sort_key
 from . import ast
 from .errors import SourcePos
 from .parser import parse
+from .resolve import retype_message
 
 __all__ = [
     "Diagnostic",
@@ -54,63 +55,31 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class _VarInfo:
-    name: str
-    pos: SourcePos
-    symmetric: bool = False
-    is_array: bool = False
-    shared_lock: bool = False
-    used: bool = False
-
-
-class _Scope:
-    def __init__(self, parent: Optional["_Scope"] = None) -> None:
-        self.vars: dict[str, _VarInfo] = {}
-        self.parent = parent
-
-    def declare(self, info: _VarInfo) -> None:
-        self.vars[info.name] = info
-
-    def find(self, name: str) -> Optional[_VarInfo]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if name in scope.vars:
-                return scope.vars[name]
-            scope = scope.parent
-        return None
-
-    def all_vars(self):
-        yield from self.vars.values()
-
-
 class Checker:
-    """The scope/type pass: ``E001``–``E007`` and ``W104``."""
+    """The scope/type pass: ``E001``–``E007``, ``E009`` and ``W104``,
+    read off the binder's result (:mod:`repro.lang.resolve`)."""
 
     def __init__(self, program: ast.Program, summary: ProgramSummary) -> None:
         self.program = program
+        self.bindings = summary.bindings
         self.diags: list[Diagnostic] = []
         #: name -> parameter counts of every definition (each may be live)
         self.arities: dict[str, set[int]] = {}
         for func in summary.functions:
             self.arities.setdefault(func.name, set()).add(len(func.params))
         self.txt_depth = 0
-        self._scopes_for_unused: list[_Scope] = []
 
     # -- public ------------------------------------------------------------
 
     def run(self) -> list[Diagnostic]:
-        root = _Scope()
-        self._scopes_for_unused.append(root)
-        self.check_block(self.program.body, root)
-        for scope in self._scopes_for_unused:
-            for info in scope.all_vars():
-                if not info.used and not info.name.startswith("_"):
-                    self._warn(
-                        "W104",
-                        f"variable '{info.name}' is declared but never used",
-                        info.pos,
-                    )
+        self.check_block(self.program.body)
+        for decl, prev in self.bindings.conflicts:
+            self._err("E009", retype_message(decl, prev), decl.pos)
+        for b in self.bindings.all:
+            if not b.used and not b.name.startswith("_"):
+                self._warn(
+                    "W104", f"variable '{b.name}' is declared but never used", b.pos
+                )
         self.diags.sort(key=sort_key)
         return self.diags
 
@@ -123,16 +92,11 @@ class Checker:
 
     # -- statement traversal --------------------------------------------------
 
-    def check_block(self, body: list[ast.Stmt], scope: _Scope) -> None:
+    def check_block(self, body: list[ast.Stmt]) -> None:
         for stmt in body:
-            self.check_stmt(stmt, scope)
+            self.check_stmt(stmt)
 
-    def _child(self, scope: _Scope) -> _Scope:
-        child = _Scope(scope)
-        self._scopes_for_unused.append(child)
-        return child
-
-    def check_stmt(self, stmt: ast.Stmt, scope: _Scope) -> None:
+    def check_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
             if is_symmetric(stmt) and stmt.static_type is None:
                 self._err(
@@ -141,101 +105,39 @@ class Checker:
                     f"(ITZ SRSLY A <type>)",
                     stmt.pos,
                 )
-            if stmt.size is not None:
-                self.check_expr(stmt.size, scope)
-            if stmt.init is not None:
-                self.check_expr(stmt.init, scope)
-            scope.declare(
-                _VarInfo(
-                    stmt.name,
-                    stmt.pos,
-                    symmetric=is_symmetric(stmt),
-                    is_array=stmt.is_array,
-                    shared_lock=stmt.shared_lock,
-                )
-            )
-        elif isinstance(stmt, ast.Assign):
-            self.check_expr(stmt.value, scope)
-            self.check_target(stmt.target, scope)
-        elif isinstance(stmt, ast.CastStmt):
-            self.check_target(stmt.target, scope)
-        elif isinstance(stmt, ast.ExprStmt):
-            self.check_expr(stmt.expr, scope)
-        elif isinstance(stmt, ast.Visible):
-            for arg in stmt.args:
-                self.check_expr(arg, scope)
-        elif isinstance(stmt, ast.Gimmeh):
-            self.check_target(stmt.target, scope)
-        elif isinstance(stmt, ast.CanHas):
-            pass
-        elif isinstance(stmt, ast.If):
-            self.check_branches(
-                [stmt.ya_rly, *[b for _, b in stmt.mebbe], stmt.no_wai],
-                [cond for cond, _ in stmt.mebbe],
-                scope,
-            )
-        elif isinstance(stmt, ast.Switch):
-            self.check_branches(
-                [b for _, b in stmt.cases] + [stmt.default],
-                [lit for lit, _ in stmt.cases],
-                scope,
-            )
-        elif isinstance(stmt, ast.Loop):
-            loop_scope = self._child(scope)
-            if stmt.var is not None:
-                loop_scope.declare(_VarInfo(stmt.var, stmt.pos))
-                loop_scope.vars[stmt.var].used = True  # counters are fine
-            if stmt.cond is not None:
-                self.check_expr(stmt.cond, loop_scope)
-            self.check_block(stmt.body, loop_scope)
-        elif isinstance(stmt, ast.Gtfo):
-            pass
-        elif isinstance(stmt, ast.FuncDef):
-            fscope = self._child(scope)
-            for p in stmt.params:
-                info = _VarInfo(p, stmt.pos)
-                info.used = True
-                fscope.declare(info)
-            self.check_block(stmt.body, fscope)
-        elif isinstance(stmt, ast.Return):
-            self.check_expr(stmt.expr, scope)
-        elif isinstance(stmt, ast.Hugz):
-            pass  # barrier matching is the CFG analysis's job (W101)
+            for expr in ast.stmt_exprs(stmt):
+                self.check_expr(expr)
+        elif isinstance(stmt, (ast.Assign, ast.CastStmt, ast.Gimmeh)):
+            if isinstance(stmt, ast.Assign):
+                self.check_expr(stmt.value)
+            self.check_target(stmt.target)
         elif isinstance(stmt, ast.LockStmt):
-            self.check_lock(stmt, scope)
+            self.check_lock(stmt)
         elif isinstance(stmt, ast.TxtStmt):
-            self.check_expr(stmt.pe, scope)
+            self.check_expr(stmt.pe)
             self.txt_depth += 1
-            self.check_block(stmt.body, scope)
+            self.check_block(stmt.body)
             self.txt_depth -= 1
+        else:
+            # barrier matching is the CFG analysis's job (W101)
+            for expr in ast.stmt_exprs(stmt):
+                self.check_expr(expr)
+            for body in ast.child_statements(stmt):
+                self.check_block(body)
 
-    def check_branches(
-        self,
-        bodies: list[list[ast.Stmt]],
-        conds: list[ast.Expr],
-        scope: _Scope,
-    ) -> None:
-        for cond in conds:
-            self.check_expr(cond, scope)
-        for body in bodies:
-            self.check_block(body, self._child(scope))
-
-    def check_lock(self, stmt: ast.LockStmt, scope: _Scope) -> None:
+    def check_lock(self, stmt: ast.LockStmt) -> None:
         target = stmt.target
         if not isinstance(target, ast.VarRef):
-            if isinstance(target, ast.SrsRef):
-                self.check_expr(target.expr, scope)
+            self.check_expr(target.expr)
             return  # SRS: dynamic, can't check the symbol statically
-        info = scope.find(target.name)
-        if info is None:
+        b = self.bindings.of(target)
+        if b is None:
             self._err(
                 "E001",
                 f"lock on undeclared variable '{target.name}'",
                 stmt.pos,
             )
-            return
-        info.used = True
-        if not info.shared_lock:
+        elif not b.shared_lock:
             self._err(
                 "E004",
                 f"'{target.name}' has no lock: declare it with "
@@ -245,33 +147,25 @@ class Checker:
 
     # -- expressions ----------------------------------------------------------
 
-    def check_target(self, target: ast.Expr, scope: _Scope) -> None:
+    def check_target(self, target: ast.Expr) -> None:
         if isinstance(target, ast.Index):
-            self.check_expr(target.index, scope)
+            self.check_expr(target.index)
             base = target.base
             if isinstance(base, ast.VarRef):
-                self._check_var(base, scope, is_write=True, indexed=True)
+                self._check_var(base, is_write=True, indexed=True)
             return
         if isinstance(target, ast.VarRef):
-            self._check_var(target, scope, is_write=True)
+            self._check_var(target, is_write=True)
             return
         if isinstance(target, ast.SrsRef):
-            self.check_expr(target.expr, scope)
+            self.check_expr(target.expr)
 
-    def check_expr(self, expr: ast.Expr, scope: _Scope) -> None:
-        for sub in ast.walk_expr(expr):
-            if isinstance(sub, ast.StringLit):
-                # ``:{name}`` interpolations are reads: mark the
-                # variable used (undeclared names surface at runtime,
-                # not here — interpolation resolves dynamically).
-                for part in sub.parts:
-                    if isinstance(part, tuple):
-                        info = scope.find(part[1])
-                        if info is not None:
-                            info.used = True
-            elif isinstance(sub, ast.VarRef):
-                self._check_var(sub, scope, is_write=False,
-                                indexed=_is_index_base(expr, sub))
+    def check_expr(self, expr: ast.Expr) -> None:
+        subs = list(ast.walk_expr(expr))
+        bases = {id(sub.base) for sub in subs if type(sub) is ast.Index}
+        for sub in subs:
+            if isinstance(sub, ast.VarRef):
+                self._check_var(sub, is_write=False, indexed=id(sub) in bases)
             elif isinstance(sub, ast.FuncCall):
                 arities = self.arities.get(sub.name)
                 if arities is None:
@@ -288,12 +182,7 @@ class Checker:
                     )
 
     def _check_var(
-        self,
-        ref: ast.VarRef,
-        scope: _Scope,
-        *,
-        is_write: bool,
-        indexed: bool = False,
+        self, ref: ast.VarRef, *, is_write: bool, indexed: bool = False
     ) -> None:
         if ref.qualifier == "UR" and self.txt_depth == 0:
             self._err(
@@ -302,8 +191,8 @@ class Checker:
                 f"statement or block",
                 ref.pos,
             )
-        info = scope.find(ref.name)
-        if info is None:
+        b = self.bindings.of(ref)
+        if b is None:
             code = "E002" if is_write else "E001"
             verb = "assignment to" if is_write else "use of"
             self._err(
@@ -312,17 +201,8 @@ class Checker:
                 f"(I HAS A {ref.name})",
                 ref.pos,
             )
-            return
-        info.used = True
-        if indexed and not info.is_array:
+        elif indexed and not b.is_array:
             self._err("E007", f"'{ref.name}' is not an array", ref.pos)
-
-
-def _is_index_base(root: ast.Expr, ref: ast.VarRef) -> bool:
-    for sub in ast.walk_expr(root):
-        if isinstance(sub, ast.Index) and sub.base is ref:
-            return True
-    return False
 
 
 def check_program(tree: ast.Program | ProgramSummary) -> list[Diagnostic]:

@@ -1,12 +1,13 @@
 """AST -> register bytecode compiler for the VM engine.
 
-Resolves every name once at compile time (:mod:`repro.lang.resolve`
-slot allocation, loop pre-scan, pending function queue against the
-final root scope) and keeps the tree-walker's error sites and messages,
-but emits flat instruction tuples (:mod:`repro.vm.isa`), so the machine
+Takes every name's meaning from the binder (:mod:`repro.lang.resolve`):
+each binding gets one frame slot when its first declaration compiles,
+and function bodies compile after the top level, against its final
+root block.  It keeps the tree-walker's error sites and messages, but
+emits flat instruction tuples (:mod:`repro.vm.isa`), so the machine
 runs one dispatch loop instead of walking the AST.
 
-Expression temporaries share the variable :class:`FrameLayout`: each
+Expression temporaries share the variables' slot counter: each
 statement draws temps from a free list and returns them when the
 statement ends, so a loop body reuses the same handful of slots forever.
 Because only the *final* instruction of an expression writes its
@@ -25,7 +26,8 @@ Peephole superinstructions emitted here:
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import count
+from typing import Iterator, Optional
 
 from ..analysis.summary import ProgramSummary, is_symmetric, summary_of
 from ..lang import ast
@@ -36,7 +38,7 @@ from ..lang.errors import (
     SourcePos,
 )
 from ..lang.formatter import format_expr
-from ..lang.resolve import GLOBAL, LOCAL, SYMMETRIC, FrameLayout, ScopeStack
+from ..lang.resolve import GLOBAL, LOCAL, SYMMETRIC, Binding, VarInfo
 from ..lang.types import LolType, default_value, parse_type
 from ..interp.values import BINOP_FUNCS, FLOP_COST, NARYOP_FUNCS, UNOP_FUNCS
 from . import isa
@@ -110,7 +112,8 @@ class _Asm:
 
     __slots__ = (
         "name",
-        "layout",
+        "frame",
+        "slots",
         "code",
         "positions",
         "free_temps",
@@ -121,15 +124,19 @@ class _Asm:
         "txt_depth",
     )
 
-    def __init__(self, name: str, layout: FrameLayout, is_function: bool) -> None:
+    def __init__(
+        self, name: str, frame: Optional[ast.FuncDef], slots: Iterator[int]
+    ) -> None:
         self.name = name
-        self.layout = layout
+        self.frame = frame  # None: the root frame
+        #: the frame's slot counter (slot 0 is IT): next() is a fresh slot
+        self.slots = slots
         self.code: list = []
         self.positions: list = []
         self.free_temps: list[int] = []
         self.stmt_temps: list[int] = []
         self.n_caches = 0
-        self.is_function = is_function
+        self.is_function = frame is not None
         #: (exit_label, txt_depth_at_entry) for enclosing loops/switches.
         self.break_stack: list[tuple[Label, int]] = []
         self.txt_depth = 0
@@ -150,7 +157,7 @@ class _Asm:
         if self.free_temps:
             slot = self.free_temps.pop()
         else:
-            slot = self.layout.new_slot()
+            slot = next(self.slots)
         self.stmt_temps.append(slot)
         return slot
 
@@ -185,9 +192,10 @@ class VMCompiler:
         count_steps: bool = False,
         vectorize: bool = True,
     ) -> None:
-        self.program = (
-            tree.program if isinstance(tree, ProgramSummary) else tree
-        )
+        summary = summary_of(tree)
+        self.program = summary.program
+        self.bindings = summary.bindings
+        self.bindings.check()
         self.count_flops = count_flops
         self.count_steps = count_steps
         # Vectorization changes per-statement step accounting and skips
@@ -199,9 +207,14 @@ class VMCompiler:
         # symmetric trip count out of its loop.
         self.remote_unwritten: frozenset[str] = frozenset()
         if self.vectorize:
-            self.remote_unwritten = summary_of(tree).remote_unwritten
-        self.root_layout = FrameLayout()
-        self.root_scope = ScopeStack(self.root_layout)
+            self.remote_unwritten = summary.remote_unwritten
+        self.root_slots = count(1)
+        #: binding -> how the frame that declares it addresses it
+        self.infos: dict[Binding, VarInfo] = {
+            b: VarInfo(SYMMETRIC, b.name, -1, b.static_type, b.is_array)
+            for b in self.bindings.root
+            if b.symmetric
+        }
         self._pending_funcs: list[tuple[ast.FuncDef, VMFunction]] = []
         self._compiled_funcs: dict[int, VMFunction] = {}
 
@@ -210,13 +223,13 @@ class VMCompiler:
         for stmt in self.program.body:
             if isinstance(stmt, ast.FuncDef):
                 hoisted[stmt.name] = self._function_stub(stmt)
-        asm = _Asm("<main>", self.root_layout, is_function=False)
-        self._block(self.program.body, self.root_scope, asm)
+        asm = _Asm("<main>", None, self.root_slots)
+        self._block(self.program.body, asm)
         asm.emit((isa.HALT,), self.program.pos)
         while self._pending_funcs:
             node, vmf = self._pending_funcs.pop()
             self._fill_function(node, vmf)
-        co = asm.finish(self.root_layout.n_slots)
+        co = asm.finish(next(self.root_slots))
         return VMProgram(co, hoisted, self.count_flops, self.count_steps)
 
     # -- functions --------------------------------------------------------
@@ -230,20 +243,17 @@ class VMCompiler:
         return vmf
 
     def _fill_function(self, node: ast.FuncDef, vmf: VMFunction) -> None:
-        layout = FrameLayout()
-        scope = ScopeStack(layout, root=self.root_scope)
-        param_slots = []
-        for param in node.params:
-            param_slots.append(scope.declare(param).slot)
-        vmf.param_slots = tuple(param_slots)
-        asm = _Asm(node.name, layout, is_function=True)
-        self._block(node.body, scope, asm)
+        asm = _Asm(node.name, node, count(1))
+        vmf.param_slots = tuple(
+            self._slot(b, asm) for b in self.bindings.params[id(node)]
+        )
+        self._block(node.body, asm)
         asm.emit((isa.RET, 0), node.pos)  # fall off the end: IT is returned
-        vmf.co = asm.finish(layout.n_slots)
+        vmf.co = asm.finish(next(asm.slots))
 
     # -- blocks and statements -------------------------------------------
 
-    def _block(self, stmts: list, scope: ScopeStack, asm: _Asm) -> None:
+    def _block(self, stmts: list, asm: _Asm) -> None:
         i = 0
         n = len(stmts)
         while i < n:
@@ -255,23 +265,45 @@ class VMCompiler:
                 not self.count_steps
                 and i + 1 < n
                 and isinstance(stmts[i + 1], ast.Hugz)
-                and self._try_put_barrier(stmt, scope, asm)
+                and self._try_put_barrier(stmt, asm)
             ):
                 asm.end_stmt()
                 i += 2
                 continue
-            self._stmt(stmt, scope, asm)
+            self._stmt(stmt, asm)
             asm.end_stmt()
             i += 1
 
-    def _child_block(self, stmts: list, scope: ScopeStack, asm: _Asm) -> None:
-        scope.push()
-        try:
-            self._block(stmts, scope, asm)
-        finally:
-            scope.pop()
+    # -- bindings ---------------------------------------------------------
 
-    def _stmt(self, stmt, scope: ScopeStack, asm: _Asm) -> None:
+    def _slot(self, b: Binding, asm: _Asm) -> int:
+        """The frame slot of ``b``, allocated at its first declaration."""
+        info = self.infos.get(b)
+        if info is None:
+            info = self.infos[b] = VarInfo(
+                LOCAL, b.name, next(asm.slots), b.static_type, b.is_array
+            )
+        return info.slot
+
+    def _info(self, b: Optional[Binding], asm: _Asm) -> Optional[VarInfo]:
+        """How code compiled into ``asm`` reaches binding ``b``."""
+        if b is None:
+            return None
+        info = self.infos[b]
+        return info if b.frame is asm.frame else info.as_global()
+
+    def _var(self, node, asm: _Asm) -> Optional[VarInfo]:
+        """How code compiled into ``asm`` reaches the binding of a name
+        use (``None``: undeclared)."""
+        return self._info(self.bindings.refs.get(id(node)), asm)
+
+    def _snapshot(self, node: ast.SrsRef, asm: _Asm) -> tuple:
+        """The visible-name map of an ``SRS`` site: the *set* of
+        bindings there is static even though the chosen name is not."""
+        snap = self.bindings.snapshots[id(node)]
+        return ({name: self._info(b, asm) for name, b in snap.items()},)
+
+    def _stmt(self, stmt, asm: _Asm) -> None:
         method = self._STMT_DISPATCH.get(type(stmt))
         if method is None:
             asm.emit(
@@ -286,43 +318,45 @@ class VMCompiler:
                 stmt.pos,
             )
             return
-        method(self, stmt, scope, asm)
+        method(self, stmt, asm)
 
-    def _stmt_var_decl(self, stmt: ast.VarDecl, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_var_decl(self, stmt: ast.VarDecl, asm: _Asm) -> None:
         pos = stmt.pos
         name = stmt.name
         declared = parse_type(stmt.static_type, pos) if stmt.static_type else None
         if is_symmetric(stmt):
             self._stmt_symmetric_decl(stmt, declared, asm)
             return
+        b = self.bindings.of(stmt)
         if stmt.is_array:
-            sreg = self._expr_reg(stmt.size, scope, asm)
+            sreg = self._expr_reg(stmt.size, asm)
             elem_t = declared or LolType.NUMBAR
-            slot = scope.declare(name, static_type=declared, is_array=True).slot
+            slot = self._slot(b, asm)
             asm.emit((isa.ARRDECL, slot, sreg, (elem_t, name)), pos)
             return
-        # The initializer compiles *before* the name is (re)declared, so
-        # ``I HAS A x ITZ SUM OF x AN 1`` sees the previous binding.
+        # The initializer compiles before the declaration takes effect,
+        # so ``I HAS A x ITZ SUM OF x AN 1`` reads the binding the
+        # binder resolved for it (the enclosing one for a new name).
         # An untyped declaration stores the value *unchecked*: the value
         # goes into a temp and the temp's producing instruction is
-        # retargeted at the new slot.
+        # retargeted at the binding's slot.
         if stmt.init is not None:
             if declared is not None:
-                vreg = self._expr_reg(stmt.init, scope, asm)
-                slot = scope.declare(name, static_type=declared).slot
+                vreg = self._expr_reg(stmt.init, asm)
+                slot = self._slot(b, asm)
                 asm.emit((isa.ST_TYPED, slot, vreg, (declared, name)), pos)
             else:
-                op = self._operand(stmt.init, scope)
+                op = self._operand(stmt.init, asm)
                 if op is not None:
-                    slot = scope.declare(name).slot
+                    slot = self._slot(b, asm)
                     if op[0] == "c":
                         asm.emit((isa.LOADC, slot, op[1]), pos)
                     elif op[1] != slot:
                         asm.emit((isa.MOVE, slot, op[1]), pos)
                     return
                 tmp = asm.temp()
-                self._expr(stmt.init, scope, asm, tmp)
-                slot = scope.declare(name).slot
+                self._expr(stmt.init, asm, tmp)
+                slot = self._slot(b, asm)
                 last = asm.code[-1]
                 if (
                     last[0] != isa.RAISE_ERR
@@ -335,7 +369,7 @@ class VMCompiler:
                 else:
                     asm.emit((isa.MOVE, slot, tmp), pos)
             return
-        slot = scope.declare(name, static_type=declared).slot
+        slot = self._slot(b, asm)
         default = default_value(declared) if declared is not None else None
         asm.emit((isa.LOADC, slot, default), pos)
 
@@ -346,8 +380,9 @@ class VMCompiler:
         # checked before launch), so SYMDECL only marks the name declared
         # on this PE and runs the initializer.  The init expression
         # evaluates on the *root* frame (a mini code object executed
-        # against gframe), exactly as the tree-walker evaluates it on
-        # ``self.globals``.  The extent's source text is for loldis only.
+        # against gframe, its names resolved in the root block), exactly
+        # as the tree-walker evaluates it on ``self.globals``.  The
+        # extent's source text is for loldis only.
         name = stmt.name
         init_co = (
             self._compile_mini(stmt.init, f"<init {name}>")
@@ -355,9 +390,6 @@ class VMCompiler:
             else None
         )
         extent = format_expr(stmt.size) if stmt.is_array else None
-        self.root_scope.declare_symmetric(
-            name, static_type=declared, is_array=stmt.is_array
-        )
         asm.emit(
             (
                 isa.SYMDECL,
@@ -368,55 +400,55 @@ class VMCompiler:
 
     def _compile_mini(self, expr, name: str) -> CodeObject:
         """Compile one root-frame expression into its own code object."""
-        mini = _Asm(name, self.root_layout, is_function=False)
+        mini = _Asm(name, None, self.root_slots)
         dst = mini.temp()
-        self._expr(expr, self.root_scope, mini, dst)
+        self._expr(expr, mini, dst)
         mini.emit((isa.RET, dst), expr.pos)
         mini.end_stmt()
         return mini.finish(0)  # executes on gframe; n_slots unused
 
-    def _stmt_assign(self, stmt: ast.Assign, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_assign(self, stmt: ast.Assign, asm: _Asm) -> None:
         target = stmt.target
         # Fuse plain local-scalar stores: compile the value straight into
         # the destination slot.
         if isinstance(target, ast.VarRef) and target.qualifier != "UR":
-            info = scope.lookup(target.name)
+            info = self._var(target, asm)
             if info is not None and info.kind == LOCAL and not info.is_array:
                 slot = info.slot
                 name = target.name
                 pos = target.pos
                 if info.static_type is not None:
-                    if self._try_get_bin(stmt.value, scope, asm, slot):
+                    if self._try_get_bin(stmt.value, asm, slot):
                         asm.emit(
                             (isa.COERCE, slot, (info.static_type, name)), pos
                         )
                         return
-                    vreg = self._expr_reg(stmt.value, scope, asm)
+                    vreg = self._expr_reg(stmt.value, asm)
                     asm.emit(
                         (isa.ST_TYPED, slot, vreg, (info.static_type, name)), pos
                     )
                     return
-                if self._try_get_bin(stmt.value, scope, asm, slot):
+                if self._try_get_bin(stmt.value, asm, slot):
                     return
                 if isinstance(stmt.value, _SCALAR_NODES) or self._is_scalar_read(
-                    stmt.value, scope
+                    stmt.value, asm
                 ):
-                    self._expr(stmt.value, scope, asm, slot)
+                    self._expr(stmt.value, asm, slot)
                     return
-                vreg = self._expr_reg(stmt.value, scope, asm)
+                vreg = self._expr_reg(stmt.value, asm)
                 asm.emit((isa.ST_DYN, slot, vreg, name), pos)
                 return
         # The target's index or SRS name evaluates after the value.
-        vreg = self._expr_reg_before(stmt.value, (target,), scope, asm)
-        self._emit_store(target, scope, asm, vreg)
+        vreg = self._expr_reg_before(stmt.value, (target,), asm)
+        self._emit_store(target, asm, vreg)
 
-    def _try_put_barrier(self, stmt, scope: ScopeStack, asm: _Asm) -> bool:
+    def _try_put_barrier(self, stmt, asm: _Asm) -> bool:
         """Emit a fused ``PUT_BARRIER`` for ``<UR put>`` + ``HUGZ``."""
         if not isinstance(stmt, ast.Assign):
             return False
         target = stmt.target
         if isinstance(target, ast.VarRef) and target.qualifier == "UR":
-            vreg = self._expr_reg(stmt.value, scope, asm)
+            vreg = self._expr_reg(stmt.value, asm)
             asm.emit(
                 (isa.PUT_BARRIER, target.name, vreg, (None,)), target.pos
             )
@@ -426,15 +458,15 @@ class VMCompiler:
             and isinstance(target.base, ast.VarRef)
             and target.base.qualifier == "UR"
         ):
-            vreg = self._expr_reg_before(stmt.value, (target,), scope, asm)
-            ireg = self._expr_reg(target.index, scope, asm)
+            vreg = self._expr_reg_before(stmt.value, (target,), asm)
+            ireg = self._expr_reg(target.index, asm)
             asm.emit(
                 (isa.PUT_BARRIER, target.base.name, vreg, (ireg,)), target.pos
             )
             return True
         return False
 
-    def _try_get_bin(self, value, scope: ScopeStack, asm: _Asm, dst: int) -> bool:
+    def _try_get_bin(self, value, asm: _Asm, dst: int) -> bool:
         """Emit a fused ``GET_BIN`` (remote get + binop) into ``dst``."""
         if self.count_flops or not isinstance(value, ast.BinOp):
             return False
@@ -451,7 +483,7 @@ class VMCompiler:
                 and isinstance(node.base, ast.VarRef)
                 and node.base.qualifier == "UR"
             ):
-                idx = self._operand(node.index, scope)
+                idx = self._operand(node.index, asm)
                 if idx is not None:
                     return (node.base.name, idx)
             return None
@@ -459,7 +491,7 @@ class VMCompiler:
         lhs_r = remote_spec(value.lhs)
         rhs_r = remote_spec(value.rhs)
         if lhs_r is not None and rhs_r is None:
-            other = self._operand(value.rhs, scope)
+            other = self._operand(value.rhs, asm)
             if other is None:
                 return False
             name, idx = lhs_r
@@ -469,7 +501,7 @@ class VMCompiler:
             )
             return True
         if rhs_r is not None and lhs_r is None:
-            other = self._operand(value.lhs, scope)
+            other = self._operand(value.lhs, asm)
             if other is None:
                 return False
             name, idx = rhs_r
@@ -480,26 +512,26 @@ class VMCompiler:
             return True
         return False
 
-    def _stmt_cast(self, stmt: ast.CastStmt, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_cast(self, stmt: ast.CastStmt, asm: _Asm) -> None:
         pos = stmt.pos
         to_type = parse_type(stmt.to_type, pos)
-        tmp = self._expr_reg(stmt.target, scope, asm)
+        tmp = self._expr_reg(stmt.target, asm)
         asm.emit((isa.CAST, tmp, tmp, (to_type,)), pos)
-        self._emit_store(stmt.target, scope, asm, tmp)
+        self._emit_store(stmt.target, asm, tmp)
 
-    def _stmt_expr(self, stmt: ast.ExprStmt, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_expr(self, stmt: ast.ExprStmt, asm: _Asm) -> None:
         if isinstance(stmt.expr, ast.ItRef):
             return  # IT <- IT
-        self._expr(stmt.expr, scope, asm, 0)
+        self._expr(stmt.expr, asm, 0)
 
-    def _stmt_visible(self, stmt: ast.Visible, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_visible(self, stmt: ast.Visible, asm: _Asm) -> None:
         parts: list = []
         for arg in stmt.args:
             const = self._const_display(arg)
             if const is not None:
                 parts.append(const)
                 continue
-            reg = self._expr_reg(arg, scope, asm)
+            reg = self._expr_reg(arg, asm)
             tmp = asm.temp()
             asm.emit((isa.DISPLAY, tmp, reg), arg.pos)
             parts.append(tmp)
@@ -519,37 +551,37 @@ class VMCompiler:
             return node.plain_text()
         return None
 
-    def _stmt_gimmeh(self, stmt: ast.Gimmeh, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_gimmeh(self, stmt: ast.Gimmeh, asm: _Asm) -> None:
         tmp = asm.temp()
         asm.emit((isa.READLINE, tmp), stmt.pos)
-        self._emit_store(stmt.target, scope, asm, tmp)
+        self._emit_store(stmt.target, asm, tmp)
 
-    def _stmt_can_has(self, stmt: ast.CanHas, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_can_has(self, stmt: ast.CanHas, asm: _Asm) -> None:
         asm.emit((isa.CANHAS, stmt.library), stmt.pos)
 
-    def _stmt_if(self, stmt: ast.If, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_if(self, stmt: ast.If, asm: _Asm) -> None:
         lend = asm.label()
         lnext = asm.label()
         asm.emit((isa.JF, 0, lnext), stmt.pos)
-        self._child_block(stmt.ya_rly, scope, asm)
+        self._block(stmt.ya_rly, asm)
         asm.emit((isa.JMP, lend), stmt.pos)
         asm.mark(lnext)
         for cond, body in stmt.mebbe:
             lnext = asm.label()
-            self._branch_false(cond, scope, asm, lnext)
+            self._branch_false(cond, asm, lnext)
             asm.end_stmt()
-            self._child_block(body, scope, asm)
+            self._block(body, asm)
             asm.emit((isa.JMP, lend), stmt.pos)
             asm.mark(lnext)
-        self._child_block(stmt.no_wai, scope, asm)
+        self._block(stmt.no_wai, asm)
         asm.mark(lend)
 
-    def _stmt_switch(self, stmt: ast.Switch, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_switch(self, stmt: ast.Switch, asm: _Asm) -> None:
         lend = asm.label()
         ldefault = asm.label()
         body_labels = [asm.label() for _ in stmt.cases]
         for (lit, _), lbl in zip(stmt.cases, body_labels):
-            reg = self._expr_reg(lit, scope, asm)
+            reg = self._expr_reg(lit, asm)
             asm.emit((isa.JEQ, 0, reg, lbl), lit.pos)
         asm.end_stmt()
         asm.emit((isa.JMP, ldefault), stmt.pos)
@@ -557,61 +589,57 @@ class VMCompiler:
         try:
             for (_, body), lbl in zip(stmt.cases, body_labels):
                 asm.mark(lbl)  # C-style fallthrough into the next case
-                self._child_block(body, scope, asm)
+                self._block(body, asm)
             asm.mark(ldefault)
-            self._child_block(stmt.default, scope, asm)
+            self._block(stmt.default, asm)
         finally:
             asm.break_stack.pop()
         asm.mark(lend)
 
-    def _stmt_loop(self, stmt: ast.Loop, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_loop(self, stmt: ast.Loop, asm: _Asm) -> None:
         pos = stmt.pos
-        scope.push()
-        try:
-            cslot = -1
-            if stmt.var is not None:
-                cslot = scope.declare(stmt.var, static_type=LolType.NUMBR).slot
-            plan = None
-            if self.vectorize:
-                from .vectorize import try_vectorize
+        cslot = -1
+        if stmt.var is not None:
+            cslot = self._slot(self.bindings.of(stmt), asm)
+        plan = None
+        if self.vectorize:
+            from .vectorize import try_vectorize
 
-                plan = try_vectorize(stmt, scope, self, cslot)
-            lexit = asm.label()
-            if cslot >= 0:
-                asm.emit((isa.LOADC, cslot, 0), pos)
-            if plan is not None:
-                asm.emit((isa.LOOP_VEC, plan, lexit), pos)
-            lcond = asm.label()
-            asm.mark(lcond)
-            if self.count_steps:
-                # Loop iterations count as steps even with an empty body,
-                # matching the tree-walker's per-iteration accounting.
-                asm.emit((isa.STEP,), pos)
-            if stmt.cond is not None:
-                if stmt.cond_kind == "TIL":
-                    self._branch_true(stmt.cond, scope, asm, lexit)
-                else:
-                    self._branch_false(stmt.cond, scope, asm, lexit)
-                asm.end_stmt()
-            asm.break_stack.append((lexit, asm.txt_depth))
-            try:
-                # The body is a block of its own: its declarations shadow
-                # the counter instead of rebinding it.
-                self._child_block(stmt.body, scope, asm)
-            finally:
-                asm.break_stack.pop()
-            if cslot >= 0:
-                step = 1 if stmt.op == "UPPIN" else -1
-                asm.emit((isa.INC_JMP, cslot, step, lcond), pos)
-            elif stmt.cond is not None:
-                asm.emit((isa.JMP, lcond), pos)
+            plan = try_vectorize(stmt, self, asm, cslot)
+        lexit = asm.label()
+        if cslot >= 0:
+            asm.emit((isa.LOADC, cslot, 0), pos)
+        if plan is not None:
+            asm.emit((isa.LOOP_VEC, plan, lexit), pos)
+        lcond = asm.label()
+        asm.mark(lcond)
+        if self.count_steps:
+            # Loop iterations count as steps even with an empty body,
+            # matching the tree-walker's per-iteration accounting.
+            asm.emit((isa.STEP,), pos)
+        if stmt.cond is not None:
+            if stmt.cond_kind == "TIL":
+                self._branch_true(stmt.cond, asm, lexit)
             else:
-                asm.emit((isa.NOLOOP, stmt.label), pos)
-            asm.mark(lexit)
+                self._branch_false(stmt.cond, asm, lexit)
+            asm.end_stmt()
+        asm.break_stack.append((lexit, asm.txt_depth))
+        try:
+            # The body is a block of its own: its declarations shadow
+            # the counter instead of rebinding it.
+            self._block(stmt.body, asm)
         finally:
-            scope.pop()
+            asm.break_stack.pop()
+        if cslot >= 0:
+            step = 1 if stmt.op == "UPPIN" else -1
+            asm.emit((isa.INC_JMP, cslot, step, lcond), pos)
+        elif stmt.cond is not None:
+            asm.emit((isa.JMP, lcond), pos)
+        else:
+            asm.emit((isa.NOLOOP, stmt.label), pos)
+        asm.mark(lexit)
 
-    def _stmt_gtfo(self, stmt: ast.Gtfo, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_gtfo(self, stmt: ast.Gtfo, asm: _Asm) -> None:
         if asm.break_stack:
             lexit, entry_depth = asm.break_stack[-1]
             for _ in range(asm.txt_depth - entry_depth):
@@ -622,12 +650,12 @@ class VMCompiler:
         else:
             asm.emit((isa.RAISE_BREAK,), stmt.pos)
 
-    def _stmt_func_def(self, stmt: ast.FuncDef, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_func_def(self, stmt: ast.FuncDef, asm: _Asm) -> None:
         vmf = self._function_stub(stmt)
         asm.emit((isa.DEF, stmt.name, (vmf,)), stmt.pos)
 
-    def _stmt_return(self, stmt: ast.Return, scope: ScopeStack, asm: _Asm) -> None:
-        reg = self._expr_reg(stmt.expr, scope, asm)
+    def _stmt_return(self, stmt: ast.Return, asm: _Asm) -> None:
+        reg = self._expr_reg(stmt.expr, asm)
         if asm.is_function:
             asm.emit((isa.RET, reg), stmt.pos)
         else:
@@ -635,27 +663,27 @@ class VMCompiler:
             # (an uncaught _Return ends the program).
             asm.emit((isa.RAISE_RETURN, reg), stmt.pos)
 
-    def _stmt_hugz(self, stmt: ast.Hugz, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_hugz(self, stmt: ast.Hugz, asm: _Asm) -> None:
         asm.emit((isa.BARRIER,), stmt.pos)
 
-    def _stmt_lock(self, stmt: ast.LockStmt, scope: ScopeStack, asm: _Asm) -> None:
+    def _stmt_lock(self, stmt: ast.LockStmt, asm: _Asm) -> None:
         kind = {"lock": isa.LOCK_SET, "trylock": isa.LOCK_TEST}.get(
             stmt.kind, isa.LOCK_CLEAR
         )
         if isinstance(stmt.target, ast.VarRef):
             asm.emit((isa.LOCKOP, kind, stmt.target.name), stmt.pos)
         else:
-            reg = self._expr_reg(stmt.target.expr, scope, asm)
+            reg = self._expr_reg(stmt.target.expr, asm)
             asm.emit((isa.LOCKOPD, kind, reg), stmt.pos)
 
-    def _stmt_txt(self, stmt: ast.TxtStmt, scope: ScopeStack, asm: _Asm) -> None:
-        reg = self._expr_reg(stmt.pe, scope, asm)
+    def _stmt_txt(self, stmt: ast.TxtStmt, asm: _Asm) -> None:
+        reg = self._expr_reg(stmt.pe, asm)
         asm.emit((isa.TXT_PUSH, reg), stmt.pos)
         asm.end_stmt()
         asm.txt_depth += 1
         try:
-            # No child scope: TXT bodies run in the enclosing environment.
-            self._block(stmt.body, scope, asm)
+            # TXT bodies are part of the enclosing block.
+            self._block(stmt.body, asm)
         finally:
             asm.txt_depth -= 1
         asm.emit((isa.TXT_POP,), stmt.pos)
@@ -681,26 +709,26 @@ class VMCompiler:
 
     # -- conditions -------------------------------------------------------
 
-    def _branch_true(self, cond, scope: ScopeStack, asm: _Asm, target: Label) -> None:
-        self._branch(cond, scope, asm, target, _BR_TRUE, isa.JT)
+    def _branch_true(self, cond, asm: _Asm, target: Label) -> None:
+        self._branch(cond, asm, target, _BR_TRUE, isa.JT)
 
-    def _branch_false(self, cond, scope: ScopeStack, asm: _Asm, target: Label) -> None:
-        self._branch(cond, scope, asm, target, _BR_FALSE, isa.JF)
+    def _branch_false(self, cond, asm: _Asm, target: Label) -> None:
+        self._branch(cond, asm, target, _BR_FALSE, isa.JF)
 
-    def _branch(self, cond, scope, asm, target, table, generic_op) -> None:
+    def _branch(self, cond, asm, target, table, generic_op) -> None:
         if isinstance(cond, ast.BinOp) and cond.op in table and not self.count_flops:
             ss_op, sc_op = table[cond.op]
             ls = self._pin_before_call(
-                self._operand(cond.lhs, scope), (cond.rhs,), asm, cond.pos
+                self._operand(cond.lhs, asm), (cond.rhs,), asm, cond.pos
             )
-            rs = self._operand(cond.rhs, scope)
+            rs = self._operand(cond.rhs, asm)
             if ls is not None and ls[0] == "r":
                 if rs is not None and rs[0] == "c" and type(rs[1]) in (int, float):
                     asm.emit((sc_op, ls[1], rs[1], target), cond.pos)
                     return
                 rreg = (
                     rs[1] if rs is not None and rs[0] == "r"
-                    else self._expr_reg(cond.rhs, scope, asm)
+                    else self._expr_reg(cond.rhs, asm)
                 )
                 asm.emit((ss_op, ls[1], rreg, target), cond.pos)
                 return
@@ -716,12 +744,12 @@ class VMCompiler:
                 swapped = table[_SWAP_REL[cond.op]]
                 asm.emit((swapped[1], rs[1], ls[1], target), cond.pos)
                 return
-        reg = self._expr_reg(cond, scope, asm)
+        reg = self._expr_reg(cond, asm)
         asm.emit((generic_op, reg, target), cond.pos)
 
     # -- expressions ------------------------------------------------------
 
-    def _operand(self, node, scope: ScopeStack):
+    def _operand(self, node, asm: _Asm):
         """Recognize inlineable operands: ("c", value) or ("r", slot)."""
         t = type(node)
         if t in (ast.IntLit, ast.FloatLit, ast.TroofLit):
@@ -733,20 +761,20 @@ class VMCompiler:
         if t is ast.ItRef:
             return ("r", 0)
         if t is ast.VarRef and node.qualifier != "UR":
-            info = scope.lookup(node.name)
+            info = self._var(node, asm)
             if info is not None and info.kind == LOCAL and not info.is_array:
                 return ("r", info.slot)
         return None
 
-    def _is_scalar_read(self, node, scope: ScopeStack) -> bool:
+    def _is_scalar_read(self, node, asm: _Asm) -> bool:
         """Reads whose value passes straight through (no array risk):
         plain local scalar slots and IT."""
-        op = self._operand(node, scope)
+        op = self._operand(node, asm)
         return op is not None and op[0] == "r"
 
-    def _expr_reg(self, node, scope: ScopeStack, asm: _Asm) -> int:
+    def _expr_reg(self, node, asm: _Asm) -> int:
         """Compile ``node`` and return a register holding its value."""
-        op = self._operand(node, scope)
+        op = self._operand(node, asm)
         if op is not None:
             if op[0] == "r":
                 return op[1]
@@ -754,7 +782,7 @@ class VMCompiler:
             asm.emit((isa.LOADC, reg, op[1]), node.pos)
             return reg
         reg = asm.temp()
-        self._expr(node, scope, asm, reg)
+        self._expr(node, asm, reg)
         return reg
 
     def _pin_before_call(self, op, later, asm: _Asm, pos):
@@ -774,21 +802,21 @@ class VMCompiler:
             return ("r", reg)
         return op
 
-    def _expr_reg_before(self, node, later, scope: ScopeStack, asm: _Asm) -> int:
+    def _expr_reg_before(self, node, later, asm: _Asm) -> int:
         """``_expr_reg`` for an operand evaluated before ``later``."""
-        op = self._pin_before_call(self._operand(node, scope), later, asm, node.pos)
+        op = self._pin_before_call(self._operand(node, asm), later, asm, node.pos)
         if op is not None and op[0] == "r":
             return op[1]
-        return self._expr_reg(node, scope, asm)
+        return self._expr_reg(node, asm)
 
-    def _expr_regs(self, nodes: list, scope: ScopeStack, asm: _Asm) -> tuple:
+    def _expr_regs(self, nodes: list, asm: _Asm) -> tuple:
         """Registers holding ``nodes``, evaluated left to right."""
         return tuple(
-            self._expr_reg_before(node, nodes[i + 1 :], scope, asm)
+            self._expr_reg_before(node, nodes[i + 1 :], asm)
             for i, node in enumerate(nodes)
         )
 
-    def _expr(self, node, scope: ScopeStack, asm: _Asm, dst: int) -> None:
+    def _expr(self, node, asm: _Asm, dst: int) -> None:
         """Compile ``node``, leaving its value in register ``dst``."""
         method = self._EXPR_DISPATCH.get(type(node))
         if method is None:
@@ -804,15 +832,15 @@ class VMCompiler:
                 node.pos,
             )
             return
-        method(self, node, scope, asm, dst)
+        method(self, node, asm, dst)
 
-    def _expr_const(self, node, scope, asm: _Asm, dst: int) -> None:
+    def _expr_const(self, node, asm: _Asm, dst: int) -> None:
         asm.emit((isa.LOADC, dst, node.value), node.pos)
 
-    def _expr_noob(self, node, scope, asm: _Asm, dst: int) -> None:
+    def _expr_noob(self, node, asm: _Asm, dst: int) -> None:
         asm.emit((isa.LOADC, dst, None), node.pos)
 
-    def _expr_string(self, node: ast.StringLit, scope, asm: _Asm, dst: int) -> None:
+    def _expr_string(self, node: ast.StringLit, asm: _Asm, dst: int) -> None:
         pos = node.pos
         if node.is_plain():
             asm.emit((isa.LOADC, dst, node.plain_text()), pos)
@@ -824,24 +852,25 @@ class VMCompiler:
             else:
                 _, name = part
                 reg = asm.temp()
-                self._read_name(name, None, scope, asm, reg, pos)
+                info = self._info(self.bindings.part(node, name), asm)
+                self._read_name(info, name, None, asm, reg, pos)
                 parts.append(reg)
         asm.emit((isa.INTERP, dst, tuple(parts)), pos)
 
-    def _expr_it(self, node, scope, asm: _Asm, dst: int) -> None:
+    def _expr_it(self, node, asm: _Asm, dst: int) -> None:
         if dst != 0:
             asm.emit((isa.MOVE, dst, 0), node.pos)
 
-    def _expr_me(self, node, scope, asm: _Asm, dst: int) -> None:
+    def _expr_me(self, node, asm: _Asm, dst: int) -> None:
         asm.emit((isa.LOAD_ME, dst), node.pos)
 
-    def _expr_frenz(self, node, scope, asm: _Asm, dst: int) -> None:
+    def _expr_frenz(self, node, asm: _Asm, dst: int) -> None:
         asm.emit((isa.LOAD_NPES, dst), node.pos)
 
-    def _expr_random(self, node: ast.RandomExpr, scope, asm: _Asm, dst: int) -> None:
+    def _expr_random(self, node: ast.RandomExpr, asm: _Asm, dst: int) -> None:
         asm.emit((isa.RANDOM, dst, 0 if node.kind == "int" else 1), node.pos)
 
-    def _expr_binop(self, node: ast.BinOp, scope, asm: _Asm, dst: int) -> None:
+    def _expr_binop(self, node: ast.BinOp, asm: _Asm, dst: int) -> None:
         pos = node.pos
         fn = BINOP_FUNCS.get(node.op)
         if fn is None:
@@ -861,17 +890,17 @@ class VMCompiler:
             asm.emit((isa.FLOPS, cost), pos)
         arith = _ARITH_OPS.get(node.op)
         ls = self._pin_before_call(
-            self._operand(node.lhs, scope), (node.rhs,), asm, pos
+            self._operand(node.lhs, asm), (node.rhs,), asm, pos
         )
-        rs = self._operand(node.rhs, scope)
+        rs = self._operand(node.rhs, asm)
         # Operands evaluate left-to-right into temps when not inlineable.
         if ls is None:
             lreg = asm.temp()
-            self._expr(node.lhs, scope, asm, lreg)
+            self._expr(node.lhs, asm, lreg)
             ls = ("r", lreg)
         if rs is None:
             rreg = asm.temp()
-            self._expr(node.rhs, scope, asm, rreg)
+            self._expr(node.rhs, asm, rreg)
             rs = ("r", rreg)
         lk, lv = ls
         rk, rv = rs
@@ -897,7 +926,7 @@ class VMCompiler:
             asm.emit((isa.LOADC, reg, lv), pos)
             asm.emit((isa.BINOP_SC, dst, fn, reg, rv), pos)
 
-    def _expr_unop(self, node: ast.UnaryOp, scope, asm: _Asm, dst: int) -> None:
+    def _expr_unop(self, node: ast.UnaryOp, asm: _Asm, dst: int) -> None:
         pos = node.pos
         fn = UNOP_FUNCS.get(node.op)
         if fn is None:
@@ -914,7 +943,7 @@ class VMCompiler:
         cost = FLOP_COST.get(node.op, 0)
         if self.count_flops and cost:
             asm.emit((isa.FLOPS, cost), pos)
-        reg = self._expr_reg(node.operand, scope, asm)
+        reg = self._expr_reg(node.operand, asm)
         fast = {"square": isa.SQUARE_S, "sqrt": isa.SQRT_S, "recip": isa.RECIP_S}.get(
             node.op
         )
@@ -923,7 +952,7 @@ class VMCompiler:
         else:
             asm.emit((isa.UNOP, dst, fn, reg), pos)
 
-    def _expr_naryop(self, node: ast.NaryOp, scope, asm: _Asm, dst: int) -> None:
+    def _expr_naryop(self, node: ast.NaryOp, asm: _Asm, dst: int) -> None:
         pos = node.pos
         fn = NARYOP_FUNCS.get(node.op)
         if fn is None:
@@ -937,24 +966,24 @@ class VMCompiler:
                 pos,
             )
             return
-        regs = self._expr_regs(node.operands, scope, asm)
+        regs = self._expr_regs(node.operands, asm)
         asm.emit((isa.NARY, dst, fn, regs), pos)
 
-    def _expr_cast(self, node: ast.Cast, scope, asm: _Asm, dst: int) -> None:
+    def _expr_cast(self, node: ast.Cast, asm: _Asm, dst: int) -> None:
         to_type = parse_type(node.to_type, node.pos)
-        reg = self._expr_reg(node.expr, scope, asm)
+        reg = self._expr_reg(node.expr, asm)
         asm.emit((isa.CAST, dst, reg, (to_type,)), node.pos)
 
-    def _expr_var(self, node: ast.VarRef, scope, asm: _Asm, dst: int) -> None:
-        self._read_name(node.name, node.qualifier, scope, asm, dst, node.pos)
+    def _expr_var(self, node: ast.VarRef, asm: _Asm, dst: int) -> None:
+        info = self._var(node, asm)
+        self._read_name(info, node.name, node.qualifier, asm, dst, node.pos)
 
     def _read_name(
-        self, name, qualifier, scope: ScopeStack, asm: _Asm, dst: int, pos
+        self, info: Optional[VarInfo], name, qualifier, asm: _Asm, dst: int, pos
     ) -> None:
         if qualifier == "UR":
             asm.emit((isa.GET, dst, name), pos)
             return
-        info = scope.lookup(name)
         if info is None:
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
@@ -980,37 +1009,37 @@ class VMCompiler:
             return
         asm.emit((isa.GLD, dst, info.slot, name), pos)
 
-    def _expr_srs(self, node: ast.SrsRef, scope, asm: _Asm, dst: int) -> None:
-        nreg = self._expr_reg(node.expr, scope, asm)
+    def _expr_srs(self, node: ast.SrsRef, asm: _Asm, dst: int) -> None:
+        nreg = self._expr_reg(node.expr, asm)
         if node.qualifier == "UR":
             asm.emit((isa.GETD, dst, nreg), node.pos)
         else:
-            asm.emit((isa.DYN_LD, dst, nreg, (scope.snapshot(),)), node.pos)
+            asm.emit((isa.DYN_LD, dst, nreg, self._snapshot(node, asm)), node.pos)
 
-    def _expr_index(self, node: ast.Index, scope, asm: _Asm, dst: int) -> None:
+    def _expr_index(self, node: ast.Index, asm: _Asm, dst: int) -> None:
         pos = node.pos
         base = node.base
         if isinstance(base, ast.SrsRef):
-            nreg = self._expr_reg(base.expr, scope, asm)
-            ireg = self._expr_reg(node.index, scope, asm)
+            nreg = self._expr_reg(base.expr, asm)
+            ireg = self._expr_reg(node.index, asm)
             if base.qualifier == "UR":
                 asm.emit((isa.GETXD, dst, nreg, ireg), pos)
             else:
-                asm.emit((isa.DYN_LDX, dst, nreg, ireg, (scope.snapshot(),)), pos)
+                asm.emit((isa.DYN_LDX, dst, nreg, ireg, self._snapshot(base, asm)), pos)
             return
         name = base.name
         if base.qualifier == "UR":
-            ireg = self._expr_reg(node.index, scope, asm)
+            ireg = self._expr_reg(node.index, asm)
             asm.emit((isa.GETX, dst, name, ireg), pos)
             return
-        info = scope.lookup(name)
+        info = self._var(base, asm)
         if info is None:
             # The index is *not* evaluated: the error is raised before
             # touching it.
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
         if info.kind == SYMMETRIC:
-            ireg = self._expr_reg(node.index, scope, asm)
+            ireg = self._expr_reg(node.index, asm)
             asm.emit((isa.SYM_LDX, dst, name, ireg, asm.cache_slot()), pos)
             return
         if not info.is_array:
@@ -1025,23 +1054,23 @@ class VMCompiler:
             )
             return
         if info.kind == LOCAL:
-            ireg = self._expr_reg(node.index, scope, asm)
+            ireg = self._expr_reg(node.index, asm)
             asm.emit((isa.LDX, dst, info.slot, ireg, name), pos)
         else:
             # Check the global cell *before* touching the index
             # expression, so the undeclared error wins.
             asm.emit((isa.GCHK, info.slot, name), pos)
-            ireg = self._expr_reg(node.index, scope, asm)
+            ireg = self._expr_reg(node.index, asm)
             asm.emit((isa.GLDX, dst, info.slot, ireg, name), pos)
 
-    def _expr_call(self, node: ast.FuncCall, scope, asm: _Asm, dst: int) -> None:
+    def _expr_call(self, node: ast.FuncCall, asm: _Asm, dst: int) -> None:
         pos = node.pos
         # Lookup + arity check precede argument evaluation; the checked
         # function is pinned in a slot so argument side effects cannot
         # swap it.
         freg = asm.temp()
         asm.emit((isa.CHECK_FUNC, freg, node.name, len(node.args)), pos)
-        regs = self._expr_regs(node.args, scope, asm)
+        regs = self._expr_regs(node.args, asm)
         asm.emit((isa.CALL, dst, freg, regs), pos)
 
     _EXPR_DISPATCH = {
@@ -1066,24 +1095,24 @@ class VMCompiler:
 
     # -- stores -----------------------------------------------------------
 
-    def _emit_store(self, target, scope: ScopeStack, asm: _Asm, vreg: int) -> None:
+    def _emit_store(self, target, asm: _Asm, vreg: int) -> None:
         pos = target.pos
         if isinstance(target, ast.Index):
-            self._emit_store_element(target, scope, asm, vreg)
+            self._emit_store_element(target, asm, vreg)
             return
         if isinstance(target, ast.SrsRef):
-            nreg = self._expr_reg(target.expr, scope, asm)
+            nreg = self._expr_reg(target.expr, asm)
             if target.qualifier == "UR":
                 asm.emit((isa.PUTD, nreg, vreg), pos)
             else:
-                asm.emit((isa.DYN_ST, nreg, vreg, (scope.snapshot(),)), pos)
+                asm.emit((isa.DYN_ST, nreg, vreg, self._snapshot(target, asm)), pos)
             return
         if isinstance(target, ast.VarRef):
             name = target.name
             if target.qualifier == "UR":
                 asm.emit((isa.PUT, name, vreg), pos)
                 return
-            info = scope.lookup(name)
+            info = self._var(target, asm)
             if info is None:
                 asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
                 return
@@ -1112,32 +1141,30 @@ class VMCompiler:
             pos,
         )
 
-    def _emit_store_element(
-        self, target: ast.Index, scope: ScopeStack, asm: _Asm, vreg: int
-    ) -> None:
+    def _emit_store_element(self, target: ast.Index, asm: _Asm, vreg: int) -> None:
         pos = target.pos
         base = target.base
         if isinstance(base, ast.SrsRef):
-            nreg = self._expr_reg(base.expr, scope, asm)
-            ireg = self._expr_reg(target.index, scope, asm)
+            nreg = self._expr_reg(base.expr, asm)
+            ireg = self._expr_reg(target.index, asm)
             if base.qualifier == "UR":
                 asm.emit((isa.PUTXD, nreg, ireg, vreg), pos)
             else:
                 asm.emit(
-                    (isa.DYN_STX, nreg, ireg, vreg, (scope.snapshot(),)), pos
+                    (isa.DYN_STX, nreg, ireg, vreg, self._snapshot(base, asm)), pos
                 )
             return
         name = base.name
         if base.qualifier == "UR":
-            ireg = self._expr_reg(target.index, scope, asm)
+            ireg = self._expr_reg(target.index, asm)
             asm.emit((isa.PUTX, name, ireg, vreg), pos)
             return
-        info = scope.lookup(name)
+        info = self._var(base, asm)
         if info is None:
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
             return
         if info.kind == SYMMETRIC:
-            ireg = self._expr_reg(target.index, scope, asm)
+            ireg = self._expr_reg(target.index, asm)
             asm.emit((isa.SYM_STX, name, ireg, vreg, asm.cache_slot()), pos)
             return
         if not info.is_array:
@@ -1154,10 +1181,10 @@ class VMCompiler:
         elem_t = info.static_type or LolType.NUMBAR
         if info.kind == GLOBAL:
             asm.emit((isa.GCHK, info.slot, name), pos)
-            ireg = self._expr_reg(target.index, scope, asm)
+            ireg = self._expr_reg(target.index, asm)
             asm.emit((isa.GSTX, info.slot, ireg, vreg, (elem_t, name)), pos)
         else:
-            ireg = self._expr_reg(target.index, scope, asm)
+            ireg = self._expr_reg(target.index, asm)
             asm.emit((isa.STX, info.slot, ireg, vreg, (name, elem_t)), pos)
 
 

@@ -26,10 +26,10 @@ kind      meaning
 ========= ==================================================================
 
 Registers are frame slots: the compiler allocates expression temporaries
-from the *same* :class:`~repro.lang.resolve.FrameLayout` as named
-variables, so a "register" and a variable slot are interchangeable and
-most operands address user variables directly (no load/store traffic for
-the common ``SUM OF x AN 1`` shapes).
+from the *same* slot counter as named variables, so a "register" and a
+variable slot are interchangeable and most operands address user
+variables directly (no load/store traffic for the common
+``SUM OF x AN 1`` shapes).
 
 Opcode numbering is the dispatch order: the interpreter loop inlines the
 hot half (``op < _COLD_BASE``) in a nested if-chain grouped by opcode

@@ -196,9 +196,10 @@ class _Analyzer:
     Raises :class:`_Bail` on the first construct outside the model.
     """
 
-    def __init__(self, scope, compiler, cslot: int) -> None:
-        self.scope = scope
+    def __init__(self, compiler, asm, cslot: int) -> None:
         self.compiler = compiler
+        self.bindings = compiler.bindings
+        self.asm = asm
         self.cslot = cslot
         self.prog: list = []
         self.n_regs = 0
@@ -211,7 +212,7 @@ class _Analyzer:
         self.folds: dict = {}  # slot -> fold reg (accumulators)
         self.inv_reads: set = set()  # slots read as loop-invariant
         self.frozen: set = set()  # slots the body must not assign
-        self.decls: dict = {}  # body decl name -> (LolType | None, symval)
+        self.decls: dict = {}  # body binding -> (LolType | None, symval)
         self.commits: list = []
         self.in_limit = False
         self.words = 0  # raw generator words drawn per iteration
@@ -246,10 +247,15 @@ class _Analyzer:
     def _is_int(v) -> bool:
         return type(v) is int  # bool deliberately excluded
 
+    def _info(self, node):
+        """The compiler's view of ``node``'s binding (never a body
+        declaration: those are bound privately in ``decls``)."""
+        return self.compiler._var(node, self.asm)
+
     def _is_counter(self, node) -> bool:
         if not isinstance(node, ast.VarRef) or node.qualifier == "UR":
             return False
-        info = self.scope.lookup(node.name)
+        info = self._info(node)
         return (
             info is not None
             and info.kind == LOCAL
@@ -401,17 +407,18 @@ class _Analyzer:
         declared = parse_type(s.static_type, s.pos) if s.static_type else None
         if declared is not None and declared not in (_NUMBR, _NUMBAR):
             raise _Bail
+        b = self.bindings.of(s)
         if s.init is None:
-            self.decls[s.name] = (declared, ("c", default_value(declared)))
-        else:  # the initializer still sees the enclosing binding
-            self._bind(s.name, declared, self._expr(s.init))
+            self.decls[b] = (declared, ("c", default_value(declared)))
+        else:  # the initializer reads the binding the binder resolved
+            self._bind(b, declared, self._expr(s.init))
 
-    def _bind(self, name: str, declared, sym) -> None:
+    def _bind(self, b, declared, sym) -> None:
         # A body declaration lives for one iteration, so its binding is
         # private to the walk: no frame slot, and nothing to commit.
         if declared is not None:
-            sym = self._coerce(sym, declared, name)
-        self.decls[name] = (declared, sym)
+            sym = self._coerce(sym, declared, b.name)
+        self.decls[b] = (declared, sym)
 
     def _assign(self, s: ast.Assign) -> None:
         target = s.target
@@ -426,13 +433,14 @@ class _Analyzer:
         if target.qualifier == "UR":
             raise _Bail
         mask = self.mask
-        decl = self.decls.get(target.name)
+        b = self.bindings.of(target)
+        decl = self.decls.get(b)
         if decl is not None:
             if mask is not None:
                 raise _Bail  # a body scalar would differ per lane
-            self._bind(target.name, decl[0], self._expr(s.value))
+            self._bind(b, decl[0], self._expr(s.value))
             return
-        info = self.scope.lookup(target.name)
+        info = self._info(target)
         if info is None or info.kind != LOCAL or info.is_array:
             raise _Bail
         slot = info.slot
@@ -454,7 +462,7 @@ class _Analyzer:
             and slot not in self.env
             and slot not in self.inv_reads
         ):
-            lhs_info = self.scope.lookup(value.lhs.name)
+            lhs_info = self._info(value.lhs)
             if (
                 lhs_info is not None
                 and lhs_info.kind == LOCAL
@@ -652,10 +660,10 @@ class _Analyzer:
     def _read_var(self, node: ast.VarRef):
         if node.qualifier == "UR":
             raise _Bail
-        decl = self.decls.get(node.name)
+        decl = self.decls.get(self.bindings.of(node))
         if decl is not None:
             return decl[1]
-        info = self.scope.lookup(node.name)
+        info = self._info(node)
         if info is None:
             raise _Bail
         if info.kind == SYMMETRIC:
@@ -705,10 +713,11 @@ class _Analyzer:
         if (
             not isinstance(base, ast.VarRef)
             or base.qualifier == "UR"
-            or base.name in self.decls  # a body scalar: not an array
+            # a body scalar: not an array
+            or self.bindings.of(base) in self.decls
         ):
             raise _Bail
-        info = self.scope.lookup(base.name)
+        info = self._info(base)
         if info is None:
             raise _Bail
         if info.kind == SYMMETRIC:
@@ -986,21 +995,20 @@ def _same_var(a, b) -> bool:
     )
 
 
-def try_vectorize(stmt: ast.Loop, scope, compiler, cslot: int):
+def try_vectorize(stmt: ast.Loop, compiler, asm, cslot: int):
     """Return a :class:`VecPlan` for ``stmt``, or ``None`` to stay scalar.
 
     Eligible loops are ``IM IN YR .. UPPIN YR v TIL BOTH SAEM v AN
     <inv>`` (or ``WILE SMALLR v AN <inv>``) whose bodies contain only
     scalar declarations and assignments inside the affine/elementwise
-    model.  Called at compile time with the loop's scope pushed and the
-    counter (slot ``cslot``) declared; body declarations are bound
-    privately as the walk reaches them, and the analysis never mutates
-    ``scope``.
+    model.  Called at compile time, with the counter (slot ``cslot``)
+    allocated in ``asm``'s frame; body declarations are bound privately
+    as the walk reaches them, and the analysis allocates no frame slot.
     """
     if cslot < 0 or stmt.op != "UPPIN" or stmt.cond is None:
         return None
     try:
-        return _Analyzer(scope, compiler, cslot).build(stmt)
+        return _Analyzer(compiler, asm, cslot).build(stmt)
     except _Bail:
         return None
 

@@ -307,12 +307,10 @@ int main(void)
     { long long t = 0;
         while (1) {
             if ((((double)(t) == (double)(10LL)))) break;
-            { int __tgt = (int)(lol_to_i(left));
-                shmem_double_p(&u[9LL], u[1LL], __tgt);
-            }
-            { int __tgt = (int)(lol_to_i(rite));
-                shmem_double_p(&u[0LL], u[8LL], __tgt);
-            }
+            int __tgt1 = (int)(lol_to_i(left));
+                shmem_double_p(&u[9LL], u[1LL], __tgt1);
+            int __tgt2 = (int)(lol_to_i(rite));
+                shmem_double_p(&u[0LL], u[8LL], __tgt2);
             shmem_barrier_all();
             { long long i = 0;
                 while (1) {

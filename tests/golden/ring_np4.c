@@ -298,9 +298,8 @@ int main(void)
     next_pe = lol_trunc_mod((pe + 1LL), ((long long)shmem_n_pes()));
     buket[0LL] = (pe * 1000LL);
     shmem_barrier_all();
-    { int __tgt = (int)(next_pe);
-        got = shmem_longlong_g(&buket[0LL], __tgt);
-    }
+    int __tgt1 = (int)(next_pe);
+        got = shmem_longlong_g(&buket[0LL], __tgt1);
     fputs(lol_concat(lol_concat(lol_concat(lol_concat(lol_concat("HAI ITZ ", lol_fmt_i(pe)), " I GOT "), lol_fmt_i(got)), " FRUM MAH BFF "), lol_fmt_i(next_pe)), stdout);
     fputs("\n", stdout);
     (void)__it;

@@ -303,9 +303,8 @@ int main(void)
                 __it = lol_from_b(((double)(buddy) < (double)(((long long)shmem_n_pes()))));
                 if (lol_truthy(__it)) {
                     long long theirs = 0;
-                    { int __tgt = (int)(buddy);
-                        theirs = shmem_longlong_g(&val, __tgt);
-                    }
+                    int __tgt1 = (int)(buddy);
+                        theirs = shmem_longlong_g(&val, __tgt1);
                     val = (val + theirs);
                 } else {
                 }

@@ -113,8 +113,10 @@ class TestEmittedStructure:
                 "TTYL"
             )
         )
-        assert "shmem_double_g(&x, __tgt)" in c
-        assert "shmem_double_p(&x," in c
+        # the TXT body runs inline, against its own target variable
+        assert "int __tgt1 = (int)(0LL);" in c
+        assert "shmem_double_g(&x, __tgt1)" in c
+        assert "shmem_double_p(&x, 1.5, __tgt1)" in c
 
     def test_whole_array_get(self):
         c = compile_c(

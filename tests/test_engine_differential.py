@@ -633,6 +633,95 @@ SCOPE_TABLE = {
         "IF U SAY SO\nVISIBLE I IZ f YR 4 MKAY",
         "5",
     ),
+    # a TXT MAH BFF body is part of the enclosing block
+    "txt-redeclare": (
+        "I HAS A y ITZ 0\nTXT MAH BFF ME AN STUFF,\n  I HAS A y ITZ 5\n"
+        "TTYL\nVISIBLE y",
+        "5",
+    ),
+    "txt-new-name": (
+        "TXT MAH BFF ME AN STUFF,\n  I HAS A y ITZ 5\nTTYL\nVISIBLE y",
+        "5",
+    ),
+    # WE HAS A binds in the root block, wherever it is written
+    "symmetric-in-arm": (
+        "WIN, O RLY?\nYA RLY\n  WE HAS A s ITZ SRSLY A NUMBR AN ITZ 3\n"
+        "OIC\nVISIBLE s",
+        "3",
+    ),
+    "symmetric-in-function": (
+        "HOW IZ I f\n  WE HAS A s ITZ SRSLY A NUMBR AN ITZ 4\nIF U SAY SO\n"
+        "I IZ f MKAY\nVISIBLE s",
+        "4",
+    ),
+    # a local in scope hides the symmetric name; the declaration's
+    # initializer still reaches the symmetric object
+    "symmetric-under-local": (
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 2\n  I HAS A s ITZ 10\n"
+        "  WE HAS A s ITZ SRSLY A NUMBR AN ITZ 5\n  VISIBLE s\n"
+        "IM OUTTA YR l\nVISIBLE s",
+        "10 10 5",
+    ),
+    # a symmetric initializer reads the top-level bindings
+    "symmetric-init-in-function": (
+        "I HAS A n ITZ 3\nHOW IZ I f YR n\n"
+        "  WE HAS A t ITZ SRSLY A NUMBR AN ITZ n\n  FOUND YR n\n"
+        "IF U SAY SO\nVISIBLE I IZ f YR 9 MKAY\nVISIBLE t",
+        "9 3",
+    ),
+    "symmetric-named-by-parameter": (
+        "WE HAS A n ITZ SRSLY A NUMBR AN ITZ 1\nHOW IZ I f YR n\n"
+        "  WE HAS A n ITZ SRSLY A NUMBR AN ITZ 8\n  FOUND YR n\n"
+        "IF U SAY SO\nVISIBLE I IZ f YR 3 MKAY\nVISIBLE n",
+        "3 8",
+    ),
+    # UR and locks name the symmetric object, whatever is in scope
+    "remote-past-local": (
+        "WE HAS A x ITZ SRSLY A NUMBR AN ITZ 7\nI HAS A r ITZ 0\n"
+        "WIN, O RLY?\nYA RLY\n  I HAS A x ITZ 1\n"
+        "  TXT MAH BFF 0, r R UR x\n  VISIBLE x\nOIC\nVISIBLE r",
+        "1 7",
+    ),
+    "remote-before-declaration": (
+        "HOW IZ I f\n  TXT MAH BFF 0, FOUND YR UR s\nIF U SAY SO\n"
+        "WE HAS A s ITZ SRSLY A NUMBR AN ITZ 3\nVISIBLE I IZ f MKAY",
+        "3",
+    ),
+    "lock-declared-in-arm": (
+        "WIN, O RLY?\nYA RLY\n"
+        "  WE HAS A k ITZ SRSLY A NUMBR AN IM SHARIN IT\nOIC\n"
+        'IM SRSLY MESIN WIF k\nDUN MESIN WIF k\nVISIBLE "ok"',
+        "ok",
+    ),
+    "txt-self-reference": (
+        "I HAS A y ITZ 2\nWIN, O RLY?\nYA RLY\n"
+        "  TXT MAH BFF ME AN STUFF,\n    I HAS A y ITZ SUM OF y AN 1\n"
+        "  TTYL\n  VISIBLE y\nOIC\nVISIBLE y",
+        "3 2",
+    ),
+    "txt-in-function": (
+        "WE HAS A s ITZ SRSLY A NUMBR AN ITZ 6\nHOW IZ I f\n"
+        "  TXT MAH BFF 0 AN STUFF,\n    I HAS A got ITZ UR s\n  TTYL\n"
+        "  FOUND YR got\nIF U SAY SO\nVISIBLE I IZ f MKAY",
+        "6",
+    ),
+    # function bodies resolve against the final root block
+    "late-global": (
+        "HOW IZ I f\n  FOUND YR g\nIF U SAY SO\nI HAS A g ITZ 7\n"
+        "VISIBLE I IZ f MKAY",
+        "7",
+    ),
+    "late-global-in-txt": (
+        "HOW IZ I f\n  FOUND YR z\nIF U SAY SO\n"
+        "TXT MAH BFF ME AN STUFF,\n  I HAS A z ITZ 4\nTTYL\n"
+        "VISIBLE I IZ f MKAY",
+        "4",
+    ),
+    # a repeated declaration without initializer resets the value
+    "top-level-redeclaration": (
+        "I HAS A x ITZ A NUMBR AN ITZ 5\nI HAS A x ITZ A NUMBR\nVISIBLE x",
+        "0",
+    ),
 }
 
 ALL_ENGINES = ["ast", "vm", pytest.param("c", marks=pytest.mark.requires_cc)]
@@ -694,6 +783,79 @@ def test_same_block_redeclaration_is_not_degraded():
             engine="c",
             fallback_engine="vm",
         )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "late-global",
+        "late-global-in-txt",
+        "symmetric-in-arm",
+        "symmetric-in-function",
+        "symmetric-under-local",
+        "symmetric-init-in-function",
+        "remote-before-declaration",
+        "lock-declared-in-arm",
+    ],
+)
+def test_lint_resolves_like_the_engines(case):
+    # lollint reads the binder the engines run on: a name every engine
+    # resolves is no E001 (check="error" would refuse to launch it).
+    from repro.lang.checker import check_source
+
+    body, want = SCOPE_TABLE[case]
+    assert not [d for d in check_source(lol(body)) if d.is_error]
+    result = run_lolcode(lol(body), 1, check="error")
+    assert result.output.split() == want.split()
+
+
+#: A same-block redeclaration that changes type or array-ness.
+RETYPES = {
+    "top-level": (
+        "I HAS A g ITZ 1\nHOW IZ I f\n  FOUND YR g\nIF U SAY SO\n"
+        "VISIBLE I IZ f MKAY\nI HAS A g ITZ A NUMBAR AN ITZ 2.5\n"
+        "VISIBLE I IZ f MKAY"
+    ),
+    "block": (
+        "WIN, O RLY?\nYA RLY\n  I HAS A x ITZ 1\n"
+        "  I HAS A x ITZ A NUMBAR AN ITZ 2.5\n  VISIBLE x\nOIC"
+    ),
+    "parameter": (
+        "HOW IZ I f YR n\n  I HAS A n ITZ LOTZ A NUMBRS AN THAR IZ 2\n"
+        "  FOUND YR n'Z 0\nIF U SAY SO\nVISIBLE I IZ f YR 4 MKAY"
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+@pytest.mark.parametrize("case", list(RETYPES))
+def test_retype_is_refused_on_every_engine(case, engine):
+    from repro.lang.checker import check_source
+    from repro.lang.errors import LolTypeError
+
+    src = lol(RETYPES[case])
+    assert "E009" in {d.code for d in check_source(src)}
+    error = CompileError if engine == "c" else LolTypeError
+    with pytest.raises(error, match="re-declared in the same block") as excinfo:
+        run_lolcode(src, 1, engine=engine)
+    assert type(excinfo.value) is error
+
+
+def test_symmetric_retype_is_e009():
+    # every engine refuses the launch (the plan's conflicting-declaration
+    # error); lollint names the redeclaration
+    from repro.lang.checker import check_source
+    from repro.lang.errors import LolParallelError
+
+    src = lol(
+        "WE HAS A s ITZ SRSLY A NUMBR\nWIN, O RLY?\nYA RLY\n"
+        "  WE HAS A s ITZ SRSLY A NUMBAR\nOIC"
+    )
+    e009 = [d for d in check_source(src) if d.code == "E009"]
+    assert [d.pos.line for d in e009] == [5]
+    for engine in ("ast", "vm"):
+        with pytest.raises(LolParallelError, match="conflicting symmetric"):
+            run_lolcode(src, 1, engine=engine)
 
 
 CALL_AFTER_READ = (

@@ -17,10 +17,15 @@ from .conftest import lol
 pytestmark = pytest.mark.service
 
 HELLO = lol('VISIBLE "OH HAI"')
+#: A loop no engine can shortcut: every trip calls a function, which
+#: keeps the VM's loop vectorizer out.
 SLOW = lol(
+    "HOW IZ I step YR a AN YR b\n"
+    "  FOUND YR SUM OF a AN b\n"
+    "IF U SAY SO\n"
     "I HAS A acc ITZ 0\n"
-    "IM IN YR spin UPPIN YR i TIL BOTH SAEM i AN 400000\n"
-    "  acc R SUM OF acc AN i\n"
+    "IM IN YR spin UPPIN YR i TIL BOTH SAEM i AN 50000\n"
+    "  acc R I IZ step YR acc AN YR i MKAY\n"
     "IM OUTTA YR spin\n"
     "VISIBLE acc"
 )
