@@ -29,10 +29,12 @@ bounded range cannot be proven in-range.  Unknown or half-bounded
 values stay silent — this keeps data-dependent kernels (tree reduction
 strides, random histogram bins) quiet by construction.
 
-As a side product the walk annotates every array access and ``TXT MAH
-BFF`` target with its :class:`Rng` (``BoundsResult.index_ranges`` /
-``pe_ranges``), which the barrier-epoch race analysis uses for
-disjointness proofs on halo patterns.
+As a side product the walk annotates every array access with its
+:class:`Rng` (``BoundsResult.index_ranges``), which the barrier-epoch
+race analysis uses for disjointness proofs on halo patterns.  The
+environment and the array extents are keyed by binding
+(:mod:`repro.lang.resolve`), so a shadowing declaration never
+clobbers the variable it hides.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..lang import ast
+from ..lang.errors import SourcePos
+from ..lang.resolve import Binding
 from .diagnostics import Diagnostic
-from .summary import ProgramSummary, is_symmetric
+from .summary import ProgramSummary
 
 # ---------------------------------------------------------------------------
 # The domain
@@ -229,21 +233,11 @@ def _meet(a: Value, b: Value, me: tuple[Lin, Lin]) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _Decl:
-    name: str
-    symmetric: bool
-    is_array: bool
-    size: Value
-
-
 @dataclass(frozen=True, slots=True)
 class BoundsResult:
     diags: list[Diagnostic]
     #: id(ast.Index) -> element range of the access (None = unknown)
     index_ranges: dict[int, Optional[Rng]]
-    #: id(ast.TxtStmt) -> PE-target range (None = unknown)
-    pe_ranges: dict[int, Optional[Rng]]
 
 
 _ME_FULL: tuple[Lin, Lin] = (Lin(0, 0), Lin(1, -1))
@@ -253,30 +247,29 @@ class BoundsAnalyzer:
     def __init__(self, program: ast.Program, summary: ProgramSummary) -> None:
         self.program = program
         self.summary = summary
+        self.bindings = summary.bindings
+        self.accesses = summary.accesses
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[str, int, int, str]] = set()
-        self.env: dict[str, Value] = {}
+        self.env: dict[Binding, Value] = {}
         self.me: tuple[Lin, Lin] = _ME_FULL
-        self.decls: dict[str, _Decl] = {}
+        #: array binding -> its extent
+        self.sizes: dict[Binding, Value] = {}
         self.index_ranges: dict[int, Optional[Rng]] = {}
-        self.pe_ranges: dict[int, Optional[Rng]] = {}
         self._last_it: Optional[ast.Expr] = None
 
     def run(self) -> BoundsResult:
         self._body(self.program.body)
         for func in self.summary.functions:
-            self.env = {p: None for p in func.params}
+            self.env = {}
             self.me = _ME_FULL
             self._last_it = None
             self._body(func.body)
-        return BoundsResult(self.diags, self.index_ranges, self.pe_ranges)
+        return BoundsResult(self.diags, self.index_ranges)
 
     # -- reporting -----------------------------------------------------
 
-    def _report(self, code: str, message: str, pos: object) -> None:
-        from ..lang.errors import SourcePos
-
-        assert isinstance(pos, SourcePos)
+    def _report(self, code: str, message: str, pos: SourcePos) -> None:
         key = (code, pos.line, pos.col, message)
         if key in self._seen:
             return
@@ -295,9 +288,10 @@ class BoundsAnalyzer:
         if isinstance(expr, ast.FrenzExpr):
             return Aff(0, 1, 0)
         if isinstance(expr, ast.VarRef):
-            if expr.qualifier == "UR":
+            b = self.bindings.of(expr)
+            if expr.qualifier == "UR" or b is None:
                 return None
-            return self.env.get(expr.name)
+            return self.env.get(b)
         if isinstance(expr, ast.Index):
             self._check_index(expr)
             return None
@@ -343,10 +337,8 @@ class BoundsAnalyzer:
         base = node.base
         if not isinstance(base, ast.VarRef):
             return
-        decl = self.decls.get(base.name)
-        if decl is None or not decl.is_array:
-            return
-        size = decl.size
+        array = self.bindings.of(base)
+        size = self.sizes.get(array) if array is not None else None
         if not isinstance(size, Aff) or size.me != 0:
             return
         limit = Lin(size.np, size.c - 1)  # size - 1
@@ -361,7 +353,6 @@ class BoundsAnalyzer:
     def _check_pe_target(self, stmt: ast.TxtStmt) -> None:
         value = self.eval(stmt.pe)
         rng = rng_of(value, self.me)
-        self.pe_ranges[id(stmt)] = rng if rng != FULL else None
         limit = Lin(1, -1)  # MAH FRENZ - 1
         self._check_range(
             rng,
@@ -375,7 +366,7 @@ class BoundsAnalyzer:
         self,
         rng: Rng,
         limit: Lin,
-        pos: object,
+        pos: SourcePos,
         *,
         what: str,
         bound: str,
@@ -416,25 +407,27 @@ class BoundsAnalyzer:
         if isinstance(stmt, ast.VarDecl):
             size = self.eval(stmt.size) if stmt.size is not None else None
             init = self.eval(stmt.init) if stmt.init is not None else None
-            self.decls[stmt.name] = _Decl(
-                stmt.name, is_symmetric(stmt), stmt.is_array, size
-            )
-            self.env[stmt.name] = init if not stmt.is_array else None
+            b = self.bindings.of(stmt)
+            assert b is not None
+            if stmt.is_array:
+                self.sizes[b] = size
+            self.env[b] = init if not stmt.is_array else None
         elif isinstance(stmt, ast.Assign):
             value = self.eval(stmt.value)
             target = stmt.target
             if isinstance(target, ast.Index):
                 self._check_index(target)
             elif isinstance(target, ast.VarRef):
-                if target.qualifier != "UR":
-                    self.env[target.name] = value
+                b = self.bindings.of(target)
+                if target.qualifier != "UR" and b is not None:
+                    self.env[b] = value
             elif isinstance(target, ast.SrsRef):
                 self.eval(target.expr)
                 self.env = {k: None for k in self.env}  # dynamic write
         elif isinstance(stmt, ast.CastStmt):
-            if isinstance(stmt.target, ast.VarRef):
-                if stmt.to_type != "NUMBR":
-                    self.env[stmt.target.name] = None
+            b = self.bindings.of(stmt.target)
+            if b is not None and stmt.to_type != "NUMBR":
+                self.env[b] = None
         elif isinstance(stmt, ast.ExprStmt):
             self.eval(stmt.expr)
             self._last_it = stmt.expr
@@ -443,7 +436,9 @@ class BoundsAnalyzer:
                 self.eval(arg)
         elif isinstance(stmt, ast.Gimmeh):
             if isinstance(stmt.target, ast.VarRef):
-                self.env[stmt.target.name] = None
+                b = self.bindings.of(stmt.target)
+                if b is not None:
+                    self.env[b] = None
             elif isinstance(stmt.target, ast.Index):
                 self._check_index(stmt.target)
         elif isinstance(stmt, ast.If):
@@ -462,16 +457,16 @@ class BoundsAnalyzer:
             self._body(stmt.body)
         # Hugz / CanHas / Gtfo / FuncDef: no value effect here
 
-    def _snapshot(self) -> tuple[dict[str, Value], tuple[Lin, Lin]]:
+    def _snapshot(self) -> tuple[dict[Binding, Value], tuple[Lin, Lin]]:
         return dict(self.env), self.me
 
     def _restore(
-        self, snap: tuple[dict[str, Value], tuple[Lin, Lin]]
+        self, snap: tuple[dict[Binding, Value], tuple[Lin, Lin]]
     ) -> None:
         self.env, self.me = dict(snap[0]), snap[1]
 
-    def _join_envs(self, snaps: list[dict[str, Value]]) -> None:
-        out: dict[str, Value] = {}
+    def _join_envs(self, snaps: list[dict[Binding, Value]]) -> None:
+        out: dict[Binding, Value] = {}
         for name in set().union(*[set(s) for s in snaps]) if snaps else set():
             vals = [s.get(name) for s in snaps]
             out[name] = vals[0] if all(v == vals[0] for v in vals) else None
@@ -481,7 +476,7 @@ class BoundsAnalyzer:
         it_cond = self._last_it
         self._last_it = None
         base = self._snapshot()
-        arm_envs: list[dict[str, Value]] = []
+        arm_envs: list[dict[Binding, Value]] = []
         # YA RLY — refined by the IT condition being truthy
         if it_cond is not None:
             self._refine(it_cond, True)
@@ -504,7 +499,7 @@ class BoundsAnalyzer:
     def _switch(self, stmt: ast.Switch) -> None:
         self._last_it = None
         base = self._snapshot()
-        arm_envs: list[dict[str, Value]] = []
+        arm_envs: list[dict[Binding, Value]] = []
         for lit, body in stmt.cases:
             self._restore(base)
             self.eval(lit)
@@ -518,17 +513,22 @@ class BoundsAnalyzer:
 
     def _loop(self, stmt: ast.Loop) -> None:
         self._last_it = None
-        body_assigned = _assigned_names(stmt.body)
+        counter = self.bindings.of(stmt)
+        body_assigned = {
+            access.binding
+            for sub in ast.walk_statements(stmt.body)
+            for access in self.accesses.of(sub).writes
+        }
         assigned = set(body_assigned)
-        if stmt.var is not None:
-            assigned.add(stmt.var)
-        for name in assigned:
-            if name in self.env:
-                self.env[name] = None
+        if counter is not None:
+            assigned.add(counter)
+        for b in assigned:
+            if b in self.env:
+                self.env[b] = None
         # counted-loop trip range: UPPIN from 0 against an affine limit
         if (
-            stmt.var is not None
-            and stmt.var not in body_assigned
+            counter is not None
+            and counter not in body_assigned
             and stmt.op == "UPPIN"
             and stmt.cond is not None
             and isinstance(stmt.cond, ast.BinOp)
@@ -543,18 +543,18 @@ class BoundsAnalyzer:
             ):
                 if (
                     isinstance(cond.lhs, ast.VarRef)
-                    and cond.lhs.name == stmt.var
+                    and self.bindings.of(cond.lhs) is counter
                 ):
                     limit = self.eval(cond.rhs)
             if limit is not None:
                 hi = rng_of(limit, self.me).hi
                 if hi is not None:
-                    self.env[stmt.var] = Rng(Lin(0, 0), hi.shift(-1))
+                    self.env[counter] = Rng(Lin(0, 0), hi.shift(-1))
         base_me = self.me
         self._body(stmt.body)
         self.me = base_me
-        for name in assigned:
-            self.env[name] = None
+        for b in assigned:
+            self.env[b] = None
         self._last_it = None
 
     # -- refinement ----------------------------------------------------
@@ -626,38 +626,15 @@ class BoundsAnalyzer:
                 cur_hi = lin_min(cur_hi, hi) or hi
             self.me = (cur_lo, cur_hi)
         elif isinstance(target, ast.VarRef) and target.qualifier != "UR":
-            self.env[target.name] = _meet(
-                self.env.get(target.name), new, self.me
-            )
+            b = self.bindings.of(target)
+            if b is not None:
+                self.env[b] = _meet(self.env.get(b), new, self.me)
 
 
 def _refinable(expr: ast.Expr) -> bool:
     return isinstance(expr, ast.MeExpr) or (
         isinstance(expr, ast.VarRef) and expr.qualifier != "UR"
     )
-
-
-def _assigned_names(body: list[ast.Stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in ast.walk_statements(body):
-        target: Optional[ast.Expr] = None
-        if isinstance(stmt, ast.Assign):
-            target = stmt.target
-        elif isinstance(stmt, ast.Gimmeh):
-            target = stmt.target
-        elif isinstance(stmt, ast.CastStmt):
-            target = stmt.target
-        elif isinstance(stmt, ast.VarDecl):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Loop) and stmt.var is not None:
-            names.add(stmt.var)
-        if isinstance(target, ast.VarRef):
-            names.add(target.name)
-        elif isinstance(target, ast.Index) and isinstance(
-            target.base, ast.VarRef
-        ):
-            names.add(target.base.name)
-    return names
 
 
 def _fmt_lin(lin: Lin) -> str:

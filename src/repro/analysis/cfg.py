@@ -205,14 +205,6 @@ class CFG:
                     changed = True
         return dom
 
-    def barriers(self) -> list[ast.Hugz]:
-        out: list[ast.Hugz] = []
-        for block in self.blocks:
-            for stmt, _ctx in block.stmts:
-                if isinstance(stmt, ast.Hugz):
-                    out.append(stmt)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Construction

@@ -10,6 +10,7 @@ analysis to model ``IM MESIN WIF`` try-lock results flowing into
 
 from __future__ import annotations
 
+import heapq
 from typing import Generic, TypeVar
 
 from .cfg import CFG, BasicBlock, CfgStmt, Term, successors
@@ -55,12 +56,12 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> dict[int, S]:
     order = cfg.rpo()
     position = {bid: i for i, bid in enumerate(order)}
     in_states: dict[int, S] = {cfg.entry: analysis.boundary()}
-    worklist = list(order)
-    pending = set(worklist)
-    # Deterministic worklist: always pick the earliest block in RPO.
+    # Deterministic worklist: always pick the earliest block in RPO (a
+    # heap of RPO positions; RPO is sorted, so it starts as a heap).
+    worklist = list(range(len(order)))
+    pending = set(order)
     while worklist:
-        worklist.sort(key=lambda b: position[b])
-        bid = worklist.pop(0)
+        bid = order[heapq.heappop(worklist)]
         pending.discard(bid)
         if bid not in in_states:
             continue  # not yet reached
@@ -76,7 +77,7 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> dict[int, S]:
                 changed = joined != in_states[succ]
                 in_states[succ] = joined
             if changed and succ not in pending:
-                worklist.append(succ)
+                heapq.heappush(worklist, position[succ])
                 pending.add(succ)
     return in_states
 

@@ -13,7 +13,9 @@ path-sensitively: when the very next ``O RLY?`` tests the try-lock's
 held* — the idiomatic spin-loop therefore verifies as released.
 ``DUN MESIN WIF SRS <expr>`` (a dynamic name) conservatively releases
 every tracked lock, so dynamic release patterns no longer false-positive
-the way the old "no DUN MESIN WIF anywhere" heuristic did.
+the way the old "no DUN MESIN WIF anywhere" heuristic did.  A call
+replays, in order, the lock statements its callee runs (the access
+table's call summary, :meth:`.access.Accesses.callee`).
 
 Diagnostics:
 
@@ -29,11 +31,11 @@ Diagnostics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..lang import ast
 from ..lang.errors import SourcePos
-from .cfg import BasicBlock, Branch, CfgStmt
+from .cfg import BasicBlock, Branch, CfgStmt, Term
 from .dataflow import ForwardAnalysis, exit_state, run_forward
 from .diagnostics import Diagnostic
 from .pe_taint import TaintResult
@@ -68,6 +70,7 @@ def _mk(
 class LockAnalysis(ForwardAnalysis[LockState]):
     def __init__(self, collector: "LockChecker") -> None:
         self.collector = collector
+        self.accesses = collector.taint.summary.accesses
 
     def boundary(self) -> LockState:
         return LockState()
@@ -88,12 +91,15 @@ class LockAnalysis(ForwardAnalysis[LockState]):
         stmt, _ctx = entry
         if isinstance(stmt, ast.LockStmt):
             return self._lock_stmt(state, stmt)
+        state = self._calls(state, self.accesses.of(stmt).calls)
         if isinstance(stmt, ast.ExprStmt):
-            state = self._calls(state, stmt.expr)
             return LockState(state.locks, None)  # IT redefined
-        for expr in _exprs_of(stmt):
-            state = self._calls(state, expr)
         return state
+
+    def transfer_term(
+        self, state: LockState, term: Term, block: BasicBlock
+    ) -> LockState:
+        return self._calls(state, self.accesses.term(term).calls)
 
     def _lock_stmt(self, state: LockState, stmt: ast.LockStmt) -> LockState:
         d = state.as_dict()
@@ -124,22 +130,29 @@ class LockAnalysis(ForwardAnalysis[LockState]):
         d[name] = (frozenset(), False)
         return _mk(d, state.it_src)
 
-    def _calls(self, state: LockState, expr: ast.Expr) -> LockState:
-        effects = self.collector.call_effects(expr)
-        if effects is None:
-            return state
-        locked, unlocked, dynamic = effects
-        if not (locked or unlocked or dynamic):
-            return state
-        d = state.as_dict()
-        if dynamic:
-            return LockState((), state.it_src)
-        for name in unlocked:
-            d[name] = (frozenset(), False)
-        for name, pos in locked.items():
-            may, _must = d.get(name, (frozenset(), False))
-            d[name] = (may | {pos}, False)
-        return _mk(d, state.it_src)
+    def _calls(
+        self, state: LockState, calls: tuple[ast.FuncCall, ...]
+    ) -> LockState:
+        """Replay the lock statements each callee runs; a lock it takes
+        may be held after the call, never must."""
+        for call in calls:
+            callee = self.accesses.callee(call.name)
+            if callee is None:
+                continue
+            for stmt in callee.locks:
+                target = stmt.target
+                if not isinstance(target, ast.VarRef):
+                    if stmt.kind == "unlock":  # may release anything
+                        state = LockState((), state.it_src)
+                    continue
+                d = state.as_dict()
+                may, _must = d.get(target.name, (frozenset(), False))
+                if stmt.kind == "unlock":
+                    d[target.name] = (frozenset(), False)
+                else:
+                    d[target.name] = (may | {stmt.pos}, False)
+                state = _mk(d, state.it_src)
+        return state
 
     def refine_edge(
         self, state: LockState, block: BasicBlock, succ_index: int, succ: int
@@ -163,69 +176,18 @@ class LockAnalysis(ForwardAnalysis[LockState]):
         return _mk(d, state.it_src)
 
 
-def _exprs_of(stmt: Union[ast.Stmt, object]) -> list[ast.Expr]:
-    if isinstance(stmt, ast.VarDecl):
-        return [e for e in (stmt.size, stmt.init) if e is not None]
-    if isinstance(stmt, ast.Assign):
-        return [stmt.value, stmt.target]
-    if isinstance(stmt, ast.Visible):
-        return list(stmt.args)
-    if isinstance(stmt, ast.Return):
-        return [stmt.expr]
-    return []
-
-
 class LockChecker:
     def __init__(self, taint: TaintResult) -> None:
         self.taint = taint
         self.program = taint.program
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[str, SourcePos]] = set()
-        self._effects = {
-            name: self._summarise(func)
-            for name, func in taint.summary.callees.items()
-        }
 
     def report(self, code: str, message: str, pos: SourcePos) -> None:
         if (code, pos) in self._seen:
             return
         self._seen.add((code, pos))
         self.diags.append(Diagnostic(code, message, pos))
-
-    def _summarise(
-        self, func: ast.FuncDef
-    ) -> tuple[dict[str, SourcePos], set[str], bool]:
-        locked: dict[str, SourcePos] = {}
-        unlocked: set[str] = set()
-        dynamic = False
-        for stmt in ast.walk_statements(func.body):
-            if isinstance(stmt, ast.LockStmt):
-                if isinstance(stmt.target, ast.VarRef):
-                    if stmt.kind == "unlock":
-                        unlocked.add(stmt.target.name)
-                    else:
-                        locked.setdefault(stmt.target.name, stmt.pos)
-                elif stmt.kind == "unlock":
-                    dynamic = True
-        return locked, unlocked, dynamic
-
-    def call_effects(
-        self, expr: ast.Expr
-    ) -> Optional[tuple[dict[str, SourcePos], set[str], bool]]:
-        locked: dict[str, SourcePos] = {}
-        unlocked: set[str] = set()
-        dynamic = False
-        found = False
-        for sub in ast.walk_expr(expr):
-            if isinstance(sub, ast.FuncCall):
-                eff = self._effects.get(sub.name)
-                if eff is None:
-                    continue
-                found = True
-                locked.update(eff[0])
-                unlocked |= eff[1]
-                dynamic = dynamic or eff[2]
-        return (locked, unlocked, dynamic) if found else None
 
     # -- driving -------------------------------------------------------
 

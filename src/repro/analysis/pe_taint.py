@@ -8,10 +8,11 @@ Two cooperating pieces:
    draws, ``GIMMEH`` input, remote (``UR``) data, or assigned under a
    PE-divergent branch.  The lattice per variable is the two-point
    chain ``UNIFORM ⊑ PE_DEP`` (a state is the set of ``PE_DEP``
-   names; join is set union).  The implicit ``IT`` variable is tracked
-   like any other, so ``O RLY?`` conditions routed through ``IT`` are
-   classified precisely — including try-lock results, which are
-   per-PE.
+   bindings, read off the access table of :mod:`.access`, so a
+   shadowing declaration is another variable; join is set union).
+   The implicit ``IT`` variable is tracked like any other, so
+   ``O RLY?`` conditions routed through ``IT`` are classified
+   precisely — including try-lock results, which are per-PE.
 
 2. A structured barrier-alignment walk turns the per-branch divergence
    verdicts into the collective property the paper's barrier semantics
@@ -34,48 +35,38 @@ all iterations.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from ..lang import ast
+from ..lang.resolve import Binding
+from .access import ANY, Accesses, Uses
 from .cfg import (
     BasicBlock,
     Branch,
     CfgStmt,
     Dispatch,
     LoopInc,
-    LoopInit,
     Term,
-    TxtPe,
     build_program_cfgs,
 )
 from .dataflow import ForwardAnalysis, run_forward
 from .diagnostics import Diagnostic
 from .summary import ProgramSummary
 
-#: Taint state: frozenset of PE-dependent variable names ("IT" included).
-TaintState = frozenset[str]
-
-_IT = "IT"
+#: Taint state: the PE-dependent bindings, :data:`~.access.IT` included.
+TaintState = frozenset[Binding]
 
 
-def expr_taint(expr: ast.Expr, state: TaintState) -> bool:
-    """May the value of ``expr`` differ across PEs in ``state``?"""
-    for sub in ast.walk_expr(expr):
-        if isinstance(sub, (ast.MeExpr, ast.RandomExpr, ast.FuncCall)):
-            return True
-        if isinstance(sub, ast.SrsRef):
-            return True
-        if isinstance(sub, ast.ItRef) and _IT in state:
-            return True
-        if isinstance(sub, ast.VarRef):
-            if sub.qualifier == "UR" or sub.name in state:
-                return True
-    return False
+def tainted(uses: Uses, state: TaintState) -> bool:
+    """May what ``uses`` evaluates differ across PEs in ``state``?"""
+    return uses.pe or any(access.binding in state for access in uses.reads)
 
 
 class TaintAnalysis(ForwardAnalysis[TaintState]):
     def __init__(self, owner: "TaintResult", params: TaintState) -> None:
         self.owner = owner
+        self.accesses: Accesses = owner.summary.accesses
+        self.bindings = owner.summary.bindings
         self.params = params
 
     def boundary(self) -> TaintState:
@@ -94,78 +85,44 @@ class TaintAnalysis(ForwardAnalysis[TaintState]):
         self, state: TaintState, entry: CfgStmt, block: BasicBlock
     ) -> TaintState:
         stmt, _ctx = entry
-        div = self._divergent_context(block)
-        if isinstance(stmt, LoopInit):
-            return (state | {stmt.var}) if div else (state - {stmt.var})
-        if isinstance(stmt, (LoopInc, TxtPe)):
-            return state
+        if isinstance(stmt, LoopInc):
+            return state  # the PEs still looping agree on the counter
         if isinstance(stmt, ast.VarDecl):
-            tainted = div or (
-                stmt.init is not None and expr_taint(stmt.init, state)
+            # the declared value is the initializer's; the extent of an
+            # array does not make its (zeroed) elements PE-dependent
+            declared = self.bindings.of(stmt)
+            assert declared is not None
+            hot = self._divergent_context(block) or (
+                stmt.init is not None
+                and tainted(self.accesses.expr(stmt.init), state)
             )
-            return (state | {stmt.name}) if tainted else (state - {stmt.name})
-        if isinstance(stmt, ast.Assign):
-            return self._assign(state, stmt.target, stmt.value, div)
-        if isinstance(stmt, ast.ExprStmt):
-            tainted = div or expr_taint(stmt.expr, state)
-            return (state | {_IT}) if tainted else (state - {_IT})
-        if isinstance(stmt, ast.Gimmeh):
-            name = _target_name(stmt.target)
-            return (state | {name}) if name is not None else state
-        if isinstance(stmt, ast.LockStmt):
-            if stmt.kind == "trylock":
-                return state | {_IT}  # per-PE success/failure
+            return (state | {declared}) if hot else (state - {declared})
+        uses = self.accesses.of(stmt)
+        if not uses.writes:
             return state
-        return state
-
-    def _assign(
-        self,
-        state: TaintState,
-        target: ast.Expr,
-        value: ast.Expr,
-        div: bool,
-    ) -> TaintState:
-        tainted = div or expr_taint(value, state)
-        if isinstance(target, ast.Index):
-            tainted = tainted or expr_taint(target.index, state)
-            base = target.base
-            if isinstance(base, ast.VarRef) and base.qualifier != "UR":
-                # weak update: one element changed, the array as a whole
-                # becomes PE-dependent only if the write was
-                return (state | {base.name}) if tainted else state
-            return state
-        if isinstance(target, ast.VarRef) and target.qualifier != "UR":
-            name = target.name
-            return (state | {name}) if tainted else (state - {name})
-        return state  # UR / SRS targets: no local def to track
+        write = uses.writes[-1]
+        target = write.binding
+        if write.remote or target is ANY:
+            return state  # no local definition to track
+        hot = (
+            isinstance(stmt, ast.Gimmeh)  # input
+            or isinstance(stmt, ast.LockStmt)  # try-lock success, per PE
+            or self._divergent_context(block)
+            or tainted(uses, state)
+        )
+        if write.index is not None:
+            # weak update: one element changed, the array as a whole
+            # becomes PE-dependent only if the write was
+            return (state | {target}) if hot else state
+        return (state | {target}) if hot else (state - {target})
 
     def transfer_term(
         self, state: TaintState, term: Term, block: BasicBlock
     ) -> TaintState:
-        if isinstance(term, Branch):
-            cond_tainted = (
-                _IT in state
-                if term.cond is None
-                else expr_taint(term.cond, state)
-            )
-            if cond_tainted:
-                self.owner.mark_divergent(term.owner)
-        elif isinstance(term, Dispatch):
-            cond_tainted = _IT in state or any(
-                expr_taint(lit, state) for lit, _ in term.cases
-            )
-            if cond_tainted:
+        if isinstance(term, (Branch, Dispatch)):
+            if tainted(self.accesses.term(term), state):
                 self.owner.mark_divergent(term.owner)
         return state
-
-
-def _target_name(target: ast.Expr) -> Optional[str]:
-    if isinstance(target, ast.VarRef) and target.qualifier != "UR":
-        return target.name
-    if isinstance(target, ast.Index) and isinstance(target.base, ast.VarRef):
-        if target.base.qualifier != "UR":
-            return target.base.name
-    return None
 
 
 class TaintResult:
@@ -196,8 +153,8 @@ class TaintResult:
             self._changed = False
             for func, cfg in self.cfgs:
                 # a function's parameters are conservatively PE-dependent
-                params = frozenset(func.params if func is not None else ())
-                run_forward(cfg, TaintAnalysis(self, params))
+                params = self.summary.bindings.params.get(id(func), ())
+                run_forward(cfg, TaintAnalysis(self, frozenset(params)))
             if not self._changed:
                 break
 
@@ -252,10 +209,8 @@ class BarrierChecker:
 
     def _stmt_call_count(self, stmt: ast.Stmt) -> int:
         total = 0
-        for expr in ast.stmt_exprs(stmt):
-            for sub in ast.walk_expr(expr):
-                if isinstance(sub, ast.FuncCall):
-                    total = _add(total, self.call_count(sub.name))
+        for call in self.taint.summary.accesses.of(stmt).calls:
+            total = _add(total, self.call_count(call.name))
         return total
 
     # -- the walk ------------------------------------------------------
@@ -369,23 +324,21 @@ class BarrierChecker:
                     )
                 )
             else:
-                for expr in ast.stmt_exprs(stmt):
-                    for sub in ast.walk_expr(expr):
-                        if (
-                            isinstance(sub, ast.FuncCall)
-                            and self.call_count(sub.name) != 0
-                            and id(sub) not in self._flagged
-                        ):
-                            self._flagged.add(id(sub))
-                            self.diags.append(
-                                Diagnostic(
-                                    "W101",
-                                    f"call to '{sub.name}' (which "
-                                    f"barriers) under PE-divergent "
-                                    f"control may deadlock",
-                                    sub.pos,
-                                )
+                for call in self.taint.summary.accesses.of(stmt).calls:
+                    if (
+                        self.call_count(call.name) != 0
+                        and id(call) not in self._flagged
+                    ):
+                        self._flagged.add(id(call))
+                        self.diags.append(
+                            Diagnostic(
+                                "W101",
+                                f"call to '{call.name}' (which "
+                                f"barriers) under PE-divergent "
+                                f"control may deadlock",
+                                call.pos,
                             )
+                        )
 
 
 def check_barriers(taint: TaintResult) -> list[Diagnostic]:

@@ -1,7 +1,8 @@
 """Barrier-segmented static happens-before (``W102``).
 
-Forward dataflow over each CFG.  The state is the set of *writes* to
-symmetric symbols recorded since the last ``HUGZ`` (the current
+Forward dataflow over each CFG, over the access table of
+:mod:`.access`.  The state is the set of *writes* to symmetric
+bindings recorded since the last ``HUGZ`` (the current
 *barrier epoch*), each tagged local/remote and with the array-index
 range the bounds analysis computed for the access.  ``HUGZ`` clears
 the epoch; joins take the union (a write pending on *some* path into a
@@ -30,27 +31,20 @@ domain.  Every ``W102`` carries an insert-``HUGZ`` fix-it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..lang import ast
 from ..lang.errors import SourcePos
+from ..lang.resolve import Binding
+from .access import Access, Accesses, Event
 from .bounds import BoundsResult, Rng, ranges_may_overlap
-from .cfg import (
-    BasicBlock,
-    Branch,
-    CfgStmt,
-    Dispatch,
-    LoopInc,
-    LoopInit,
-    Term,
-    TxtPe,
-)
+from .cfg import BasicBlock, CfgStmt, Term
 from .dataflow import ForwardAnalysis, run_forward
 from .diagnostics import Diagnostic, FixIt
 from .pe_taint import TaintResult
 
-#: one recorded write: (symbol, "lw"|"rw", id(Index node) or -1)
-WriteKey = tuple[str, str, int]
+#: one recorded write: (symmetric binding, "lw"|"rw", id(Index node) or -1)
+WriteKey = tuple[Binding, str, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,27 +53,10 @@ class EpochState:
     held: frozenset[str] = frozenset()  # must-held locks
 
 
-@dataclass(frozen=True, slots=True)
-class _Access:
-    name: str
-    remote: bool
-    is_write: bool
-    key: int  # id(Index node) or -1
-    pos: SourcePos
-
-
-@dataclass(frozen=True, slots=True)
-class _Call:
-    name: str
-    pos: SourcePos
-
-
-_Event = Union[_Access, _Call, None]
-
-
 class RaceAnalysis(ForwardAnalysis[EpochState]):
     def __init__(self, checker: "RaceChecker") -> None:
         self.checker = checker
+        self.accesses: Accesses = checker.accesses
 
     def boundary(self) -> EpochState:
         return EpochState()
@@ -91,27 +68,16 @@ class RaceAnalysis(ForwardAnalysis[EpochState]):
         self, state: EpochState, entry: CfgStmt, block: BasicBlock
     ) -> EpochState:
         stmt, _ctx = entry
-        if isinstance(stmt, (LoopInit, LoopInc)):
-            return state
-        if isinstance(stmt, TxtPe):
-            return self._events(state, self.checker.expr_events(stmt.node.pe))
         if isinstance(stmt, ast.Hugz):
             return EpochState(frozenset(), state.held)
         if isinstance(stmt, ast.LockStmt):
             return self._lock(state, stmt)
-        return self._events(state, self.checker.stmt_events(stmt))
+        return self._events(state, self.accesses.of(stmt).events)
 
     def transfer_term(
         self, state: EpochState, term: Term, block: BasicBlock
     ) -> EpochState:
-        if isinstance(term, Branch) and term.cond is not None:
-            return self._events(
-                state, self.checker.expr_events(term.cond)
-            )
-        if isinstance(term, Dispatch):
-            for lit, _b in term.cases:
-                state = self._events(state, self.checker.expr_events(lit))
-        return state
+        return self._events(state, self.accesses.term(term).events)
 
     def _lock(self, state: EpochState, stmt: ast.LockStmt) -> EpochState:
         if isinstance(stmt.target, ast.VarRef):
@@ -126,32 +92,29 @@ class RaceAnalysis(ForwardAnalysis[EpochState]):
         return state
 
     def _events(
-        self, state: EpochState, events: list[_Event]
+        self, state: EpochState, events: tuple[Event, ...]
     ) -> EpochState:
         writes = state.writes
         for event in events:
-            if event is None:
+            if isinstance(event, Access):
+                if event.binding.symmetric:
+                    writes = self._one(writes, event, state.held, at=event.pos)
                 continue
-            if isinstance(event, _Call):
-                summary = self.checker.summaries.get(event.name)
-                if summary is None:
-                    continue
-                accesses, has_barrier = summary
-                if has_barrier:
-                    writes = frozenset()
-                    continue
-                for acc in accesses:
-                    writes = self._one(
-                        writes, acc, state.held, at=event.pos
-                    )
+            callee = self.accesses.callee(event.name)
+            if callee is None:
                 continue
-            writes = self._one(writes, event, state.held, at=event.pos)
+            if callee.barriers:
+                writes = frozenset()
+                continue
+            for acc in callee.accesses:
+                if acc.binding.symmetric:
+                    writes = self._one(writes, acc, state.held, at=event.pos)
         return EpochState(writes, state.held)
 
     def _one(
         self,
         writes: frozenset[WriteKey],
-        acc: _Access,
+        acc: Access,
         held: frozenset[str],
         *,
         at: SourcePos,
@@ -159,24 +122,25 @@ class RaceAnalysis(ForwardAnalysis[EpochState]):
         if held:
             return writes  # assumed lock-synchronized
         checker = self.checker
-        if acc.is_write:
+        name = acc.binding.name
+        if acc.write:
             against = "lw" if acc.remote else "rw"
             verb = (
                 "remote write to '{0}' conflicts with a local write"
                 if acc.remote
                 else "local write to '{0}' conflicts with a remote write"
             )
-            checker.conflicts(writes, acc, against, verb.format(acc.name), at)
+            checker.conflicts(writes, acc, against, verb.format(name), at)
             kind = "rw" if acc.remote else "lw"
-            key = (acc.name, kind, acc.key)
-            checker.note_pos(key, acc.pos)
+            key = (acc.binding, kind, _key(acc))
+            checker.pos_of.setdefault(key, acc.pos)
             return writes | {key}
         if acc.remote:
             checker.conflicts(
                 writes,
                 acc,
                 "lw",
-                f"remote read of '{acc.name}' may observe an "
+                f"remote read of '{name}' may observe an "
                 f"unsynchronized local write",
                 at,
             )
@@ -185,46 +149,43 @@ class RaceAnalysis(ForwardAnalysis[EpochState]):
                 writes,
                 acc,
                 "rw",
-                f"local read of '{acc.name}' after a remote write "
+                f"local read of '{name}' after a remote write "
                 f"(the Figure 2 race)",
                 at,
             )
         return writes
 
 
+def _key(acc: Access) -> int:
+    return -1 if acc.index is None else id(acc.index)
+
+
 class RaceChecker:
     def __init__(self, taint: TaintResult, bounds: BoundsResult) -> None:
         self.taint = taint
         self.bounds = bounds
+        self.accesses = taint.summary.accesses
         self.diags: list[Diagnostic] = []
         self._seen: set[tuple[int, int, str]] = set()
-        self.symmetric = taint.summary.symmetric
         self.pos_of: dict[WriteKey, SourcePos] = {}
-        self.summaries = {
-            name: self._summarise(func)
-            for name, func in taint.summary.callees.items()
-        }
 
     # -- reporting -----------------------------------------------------
-
-    def note_pos(self, key: WriteKey, pos: SourcePos) -> None:
-        self.pos_of.setdefault(key, pos)
 
     def conflicts(
         self,
         writes: frozenset[WriteKey],
-        acc: _Access,
+        acc: Access,
         against_kind: str,
         message: str,
         at: SourcePos,
     ) -> None:
-        rng = self._range(acc.key)
-        for name, kind, key in writes:
-            if name != acc.name or kind != against_kind:
+        rng = self._range(_key(acc))
+        for binding, kind, key in writes:
+            if binding is not acc.binding or kind != against_kind:
                 continue
             if not ranges_may_overlap(rng, self._range(key)):
                 continue
-            prior = self.pos_of.get((name, kind, key))
+            prior = self.pos_of.get((binding, kind, key))
             where = f" at line {prior.line}" if prior is not None else ""
             self._report(
                 Diagnostic(
@@ -249,129 +210,10 @@ class RaceChecker:
             return None
         return self.bounds.index_ranges.get(key)
 
-    # -- event extraction ----------------------------------------------
-
-    def expr_events(
-        self, expr: ast.Expr, skip: Optional[ast.Expr] = None
-    ) -> list[_Event]:
-        events: list[_Event] = []
-        consumed: set[int] = set()
-        for sub in ast.walk_expr(expr):
-            if sub is skip:
-                continue
-            if isinstance(sub, ast.FuncCall):
-                events.append(_Call(sub.name, sub.pos))
-            elif isinstance(sub, ast.Index) and isinstance(
-                sub.base, ast.VarRef
-            ):
-                base = sub.base
-                consumed.add(id(base))
-                if base.name in self.symmetric:
-                    events.append(
-                        _Access(
-                            base.name,
-                            base.qualifier == "UR",
-                            False,
-                            id(sub),
-                            sub.pos,
-                        )
-                    )
-            elif isinstance(sub, ast.VarRef) and id(sub) not in consumed:
-                if sub.name in self.symmetric:
-                    events.append(
-                        _Access(
-                            sub.name,
-                            sub.qualifier == "UR",
-                            False,
-                            -1,
-                            sub.pos,
-                        )
-                    )
-        return events
-
-    def _write_event(self, target: ast.Expr) -> Optional[_Access]:
-        if isinstance(target, ast.VarRef):
-            if target.name in self.symmetric:
-                return _Access(
-                    target.name,
-                    target.qualifier == "UR",
-                    True,
-                    -1,
-                    target.pos,
-                )
-            return None
-        if isinstance(target, ast.Index) and isinstance(
-            target.base, ast.VarRef
-        ):
-            base = target.base
-            if base.name in self.symmetric:
-                return _Access(
-                    base.name,
-                    base.qualifier == "UR",
-                    True,
-                    id(target),
-                    target.pos,
-                )
-        return None
-
-    def stmt_events(self, stmt: ast.Stmt) -> list[_Event]:
-        events: list[_Event] = []
-        if isinstance(stmt, ast.Assign):
-            events += self.expr_events(stmt.value)
-            target = stmt.target
-            if isinstance(target, ast.Index):
-                events += self.expr_events(target.index)
-            events.append(self._write_event(target))
-        elif isinstance(stmt, ast.VarDecl):
-            if stmt.size is not None:
-                events += self.expr_events(stmt.size)
-            if stmt.init is not None:
-                events += self.expr_events(stmt.init)
-        elif isinstance(stmt, ast.ExprStmt):
-            events += self.expr_events(stmt.expr)
-        elif isinstance(stmt, ast.Visible):
-            for arg in stmt.args:
-                events += self.expr_events(arg)
-        elif isinstance(stmt, ast.Gimmeh):
-            target = stmt.target
-            if isinstance(target, ast.Index):
-                events += self.expr_events(target.index)
-            events.append(self._write_event(target))
-        elif isinstance(stmt, ast.Return):
-            events += self.expr_events(stmt.expr)
-        return events
-
-    # -- function summaries --------------------------------------------
-
-    def _summarise(
-        self, func: ast.FuncDef
-    ) -> tuple[list[_Access], bool]:
-        accesses: list[_Access] = []
-        has_barrier = False
-        for stmt in ast.walk_statements(func.body):
-            if isinstance(stmt, ast.Hugz):
-                has_barrier = True
-                continue
-            for event in self.stmt_events(stmt):
-                if isinstance(event, _Access):
-                    # summarised accesses lose their index precision
-                    accesses.append(
-                        _Access(
-                            event.name,
-                            event.remote,
-                            event.is_write,
-                            -1,
-                            event.pos,
-                        )
-                    )
-        reads = [a for a in accesses if not a.is_write]
-        writes = [a for a in accesses if a.is_write]
-        return reads + writes, has_barrier
-
     # -- driving -------------------------------------------------------
 
     def check(self) -> list[Diagnostic]:
-        if not self.symmetric:
+        if not self.taint.summary.declarations:
             return []
         for _func, cfg in self.taint.cfgs:
             run_forward(cfg, RaceAnalysis(self))

@@ -26,11 +26,13 @@ needs both reads the tree from there, never from a second parse.
 * ``bindings`` — the binder's scope resolution
   (:func:`~repro.lang.resolve.bind`): what every name of the program
   means, for the checker, the VM compiler and the C backend.
+* ``accesses`` — the access table (:class:`~.access.Accesses`): what
+  every statement reads, writes and calls, keyed by binding, for the
+  CFG analyses.
 * ``remote_unwritten`` — symmetric names no statement stores to through
   ``UR``: no peer can change them mid-loop, so the VM vectorizer may
-  hoist such a trip count.  ``epoch_local`` — symmetric names never
-  accessed through ``UR`` at all.  An ``SRS`` store or ``UR SRS``
-  access could alias any name, so it empties both sets.
+  hoist such a trip count.  An ``SRS`` store or ``UR SRS`` access could
+  alias any name, so it empties the set.
 """
 
 from __future__ import annotations
@@ -44,18 +46,18 @@ from ..lang.parser import parse_cached
 from ..lang.resolve import Bindings, bind
 from ..lang.types import parse_type, to_numbr
 from ..shmem.heap import SymmetricPlan
+from .access import ANY, Accesses
 
 
 @dataclass(frozen=True, slots=True)
 class ProgramSummary:
     program: ast.Program = field(repr=False, compare=False)
-    symmetric: frozenset[str]
     functions: tuple[ast.FuncDef, ...]
     callees: dict[str, ast.FuncDef]
     declarations: tuple[ast.VarDecl, ...]
     bindings: Bindings = field(repr=False, compare=False)
+    accesses: Accesses = field(repr=False, compare=False)
     remote_unwritten: frozenset[str]
-    epoch_local: frozenset[str]
 
 
 def is_symmetric(decl: ast.VarDecl) -> bool:
@@ -65,53 +67,39 @@ def is_symmetric(decl: ast.VarDecl) -> bool:
 
 def summarize(program: ast.Program) -> ProgramSummary:
     """Collect definitions, declarations and engine facts in one walk."""
+    bindings = bind(program)
     functions: list[ast.FuncDef] = []
     declarations: list[ast.VarDecl] = []
+    callees: dict[str, ast.FuncDef] = {}  # read once the walk is done
+    accesses = Accesses(bindings, callees)
     remote_written: set[str] = set()
-    remote_touched: set[str] = set()
     dynamic = False
-
-    def visit(body: list[ast.Stmt]) -> None:
-        nonlocal dynamic
-        for stmt in body:
-            if isinstance(stmt, ast.FuncDef):
-                functions.append(stmt)
-                visit(stmt.body)
-                continue
-            if isinstance(stmt, ast.VarDecl):
-                if is_symmetric(stmt):
-                    declarations.append(stmt)
-            elif isinstance(stmt, (ast.Assign, ast.Gimmeh, ast.CastStmt)):
-                target = stmt.target
-                base = target.base if isinstance(target, ast.Index) else target
-                if isinstance(base, ast.VarRef):
-                    if base.qualifier == "UR":
-                        remote_written.add(base.name)
-                elif isinstance(base, ast.SrsRef):
-                    dynamic = True
-            for expr in ast.stmt_exprs(stmt):
-                for sub in ast.walk_expr(expr):
-                    if isinstance(sub, ast.VarRef) and sub.qualifier == "UR":
-                        remote_touched.add(sub.name)
-                    elif isinstance(sub, ast.SrsRef) and sub.qualifier == "UR":
-                        dynamic = True  # could alias any name, any way
-            for block in ast.child_statements(stmt):
-                visit(block)
-
-    visit(program.body)
-    symmetric = frozenset(decl.name for decl in declarations)
+    for stmt in ast.walk_statements(program.body):
+        if isinstance(stmt, ast.FuncDef):
+            functions.append(stmt)
+            callees[stmt.name] = stmt
+        elif isinstance(stmt, ast.VarDecl) and is_symmetric(stmt):
+            declarations.append(stmt)
+        uses = accesses.of(stmt)
+        for access in (*uses.reads, *uses.writes):
+            if access.binding is ANY:
+                # could alias any name, any way
+                dynamic = dynamic or access.write or access.remote
+            elif access.write and access.remote:
+                remote_written.add(access.binding.name)
     unwritten: frozenset[str] = (
-        frozenset() if dynamic else symmetric - remote_written
+        frozenset()
+        if dynamic
+        else frozenset(decl.name for decl in declarations) - remote_written
     )
     return ProgramSummary(
         program=program,
-        symmetric=symmetric,
         functions=tuple(functions),
-        callees={func.name: func for func in functions},
+        callees=callees,
         declarations=tuple(declarations),
-        bindings=bind(program),
+        bindings=bindings,
+        accesses=accesses,
         remote_unwritten=unwritten,
-        epoch_local=unwritten - remote_touched,
     )
 
 

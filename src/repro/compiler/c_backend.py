@@ -664,7 +664,8 @@ class CBackend:
         the bundled shim can place them in its remappable section;
         ``AN IM SHARIN IT`` additionally emits the symbol's lock word.
         Initialisers are *not* handled here — ``_gen_decl`` runs them at
-        the declaration's original program point.
+        the declaration's original program point; only a YARN scalar
+        gets its empty start value here, once.
         """
         try:
             plan = symmetric_plan(self.summary, self.n_pes)
@@ -687,8 +688,11 @@ class CBackend:
                     )
             attr = " LOL_SYMMETRIC" if b.symmetric else ""
             comment = " /* symmetric */" if b.symmetric else ""
+            # a YARN starts empty, once: a WE HAS A without initializer
+            # leaves the value alone, however often it runs
+            init = ' = ""' if self._kind_of(b) == "s" and not b.is_array else ""
             self.file_lines.append(
-                f"static {self._decl_c(b, str(size))}{attr};{comment}"
+                f"static {self._decl_c(b, str(size))}{attr}{init};{comment}"
             )
             if b.shared_lock:
                 # The (void) cast in main keeps -Wunused-variable quiet when
@@ -716,8 +720,6 @@ class CBackend:
                 self.out(f"{name} = {self._decl_value(stmt, kind)};")
             elif kind == "d":
                 self.out(f"{name} = lol_noob();")
-            elif kind == "s" and not b.is_array:
-                self.out(f'{name} = "";')
             return
         if not first:
             # C allows one declarator per name and block: a same-block

@@ -548,6 +548,104 @@ class TestBounds:
         )
         assert just_codes(src) == []
 
+    def test_loop_body_shadow_keeps_the_outer_value(self):
+        src = (
+            "HAI 1.2\n"
+            "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+            "I HAS A i ITZ 9\n"
+            "IM IN YR l UPPIN YR k TIL BOTH SAEM k AN 2\n"
+            "  I HAS A i ITZ k\n"
+            "  a'Z i R 1\n"
+            "IM OUTTA YR l\n"
+            "VISIBLE a'Z i\n"
+            "KTHXBYE\n"
+        )
+        assert codes(src) == [("E008", 8)]
+
+
+# ---------------------------------------------------------------------------
+# The access table
+# ---------------------------------------------------------------------------
+
+
+class TestAccesses:
+    def test_a_shadowing_declaration_is_another_binding(self):
+        import repro.lang.ast as ast
+
+        prog = parse(
+            "HAI 1.2\n"
+            "I HAS A x ITZ ME\n"
+            "WIN, O RLY?\n"
+            "  YA RLY\n"
+            "    I HAS A x ITZ 0\n"
+            "    x R 1\n"
+            "OIC\n"
+            "x R 2\n"
+            "KTHXBYE\n"
+        )
+        accesses = summarize(prog).accesses
+        outer, arm = (
+            s for s in ast.walk_statements(prog.body)
+            if isinstance(s, ast.VarDecl)
+        )
+        inner_store, outer_store = (
+            s for s in ast.walk_statements(prog.body)
+            if isinstance(s, ast.Assign)
+        )
+        assert accesses.of(inner_store).writes[0].binding is (
+            accesses.of(arm).writes[0].binding
+        )
+        assert accesses.of(outer_store).writes[0].binding is (
+            accesses.of(outer).writes[0].binding
+        )
+        assert accesses.of(arm).writes[0].binding is not (
+            accesses.of(outer).writes[0].binding
+        )
+
+    def test_a_cast_reads_then_writes(self):
+        prog = parse(
+            "HAI 1.2\n"
+            "I HAS A x ITZ 1\n"
+            "x IS NOW A NUMBAR\n"
+            "KTHXBYE\n"
+        )
+        uses = summarize(prog).accesses.of(prog.body[1])
+        read, write = uses.events
+        assert not read.write and write.write
+        assert read.binding is write.binding
+
+    def test_a_nested_call_puts_for_its_caller(self):
+        src = (
+            "HAI 1.2\n"
+            "WE HAS A x ITZ SRSLY A NUMBR\n"
+            "HOW IZ I put YR dst\n"
+            "  TXT MAH BFF dst, UR x R ME\n"
+            "IF U SAY SO\n"
+            "HOW IZ I send YR dst\n"
+            "  I IZ put YR dst MKAY\n"
+            "IF U SAY SO\n"
+            "I HAS A nxt ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "I IZ send YR nxt MKAY\n"
+            "VISIBLE x\n"
+            "KTHXBYE\n"
+        )
+        assert codes(src) == [("W102", 11)]
+
+    def test_a_call_that_takes_and_releases_a_lock_is_clean(self):
+        src = (
+            "HAI 1.2\n"
+            "WE HAS A x ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+            "HOW IZ I bump\n"
+            "  IM SRSLY MESIN WIF x\n"
+            "  x R SUM OF x AN 1\n"
+            "  DUN MESIN WIF x\n"
+            "IF U SAY SO\n"
+            "I IZ bump MKAY\n"
+            "VISIBLE x\n"
+            "KTHXBYE\n"
+        )
+        assert just_codes(src) == []
+
 
 # ---------------------------------------------------------------------------
 # ProgramFacts
@@ -555,7 +653,7 @@ class TestBounds:
 
 
 class TestFacts:
-    def test_remote_unwritten_and_epoch_local(self):
+    def test_remote_unwritten(self):
         prog = parse(
             "HAI 1.2\n"
             "WE HAS A n ITZ SRSLY A NUMBR\n"
@@ -568,7 +666,6 @@ class TestFacts:
         )
         facts = summarize(prog)
         assert facts.remote_unwritten == {"n"}
-        assert facts.epoch_local == {"n"}
 
     def test_remote_write_kills_the_fact(self):
         prog = parse(

@@ -14,6 +14,13 @@ silent.  The corpus pins the path-sensitivity upgrades in place:
 * the interprocedural paths report where the bug is: a barrier, lock,
   put or bad index inside a function, and a function defined twice
   with both bodies checked against their own parameters.
+* names resolve as the engines resolve them: an arm's or a function's
+  own declaration shadows the outer variable without touching it, and
+  an in-place cast is a read and a write.
+
+Every ``(clean)`` case is also run on ``ast`` at 2 and 4 PEs with the
+dynamic race detector on: a program ``lollint`` calls clean must
+neither fail, deadlock nor race.
 
 An intentional diagnostic change regenerates the snapshots with::
 
@@ -30,6 +37,7 @@ import pathlib
 import pytest
 
 from repro.lang.checker import check_source
+from repro.launcher import run_lolcode
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "analysis"
 CASES = sorted(p.stem for p in CORPUS.glob("*.lol"))
@@ -42,7 +50,15 @@ MUST_BE_CLEAN = {
     "trylock_spin",
     "figure2_fixed",
     "dynamic_unlock",
+    "shadowed_local_race",
 }
+
+#: cases whose snapshot is ``(clean)``
+CLEAN = sorted(
+    case
+    for case in CASES
+    if (CORPUS / f"{case}.diag").read_text(encoding="utf-8") == "(clean)\n"
+)
 
 
 def render(path: pathlib.Path) -> str:
@@ -74,6 +90,23 @@ def test_clean_cases_stay_clean(case):
     assert render(CORPUS / f"{case}.lol") == "(clean)\n"
 
 
+@pytest.mark.parametrize("n_pes", [2, 4])
+@pytest.mark.parametrize("case", CLEAN)
+def test_clean_cases_run_clean(case, n_pes):
+    source = (CORPUS / f"{case}.lol").read_text(encoding="utf-8")
+    result = run_lolcode(
+        source,
+        n_pes,
+        filename=f"{case}.lol",
+        engine="ast",
+        executor="thread",
+        seed=1,
+        race_detection=True,
+        barrier_timeout=5.0,
+    )
+    assert result.races == []
+
+
 def test_corpus_is_complete():
-    assert MUST_BE_CLEAN <= set(CASES)
+    assert MUST_BE_CLEAN <= set(CLEAN)
     assert len(CASES) >= 12

@@ -387,6 +387,18 @@ C_AST_CASES = {
         "IM OUTTA YR l\n"
         'VISIBLE big " " last " " IT " " WHATEVR'
     ),
+    # A WE HAS A without initializer leaves a YARN's value alone.
+    "symmetric_yarn_redeclared": lol(
+        'WE HAS A s ITZ SRSLY A YARN\ns R "x"\n'
+        "WE HAS A s ITZ SRSLY A YARN\nVISIBLE s"
+    ),
+    "symmetric_yarn_in_loop": lol(
+        "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n"
+        "  WE HAS A t ITZ SRSLY A YARN\n"
+        '  VISIBLE SMOOSH "[" AN t AN "]" MKAY\n'
+        '  t R SMOOSH t AN "y" MKAY\n'
+        "IM OUTTA YR l"
+    ),
     "fuzz_seed_d051eb58c8fb": (
         pathlib.Path(__file__).parent / "golden" / "fuzz" / "seed_d051eb58c8fb.lol"
     ).read_text(),
