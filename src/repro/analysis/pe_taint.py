@@ -238,6 +238,8 @@ class BarrierChecker:
             elif isinstance(stmt, ast.Gtfo):
                 brk = max(brk, _UNIFORM)
             elif isinstance(stmt, ast.Return):
+                # the returned expression runs first: its calls count
+                count = _add(count, self._stmt_call_count(stmt))
                 ret = max(ret, _UNIFORM)
             elif isinstance(stmt, (ast.If, ast.Switch)):
                 count, brk, ret = self._branch(

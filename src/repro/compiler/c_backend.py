@@ -39,7 +39,10 @@ from the interpreters' per-PE Mersenne Twister, so equal
 
 (``LOL_SYMMETRIC`` is the prelude macro that places symmetric objects in
 the bundled shim's remappable section under ``-DLOL_SHMEM_SHIM`` and
-expands to nothing for real OpenSHMEM builds.)
+expands to nothing for real OpenSHMEM builds.  Every other file-scope
+object is tagged ``LOL_STATE``, and the program body is ``lol_main``:
+under the shim a parked PE calls it once per job and restores the
+``LOL_STATE`` section in between; elsewhere ``main`` calls it once.)
 
 Statically typed variables become native C objects; dynamically typed
 variables use the ``lol_value_t`` tagged union from the embedded prelude.
@@ -686,17 +689,22 @@ class CBackend:
                         f"compiling for a known launch width)",
                         b.pos,
                     )
+            # symmetric data goes to the shim's remappable section, the
+            # rest to the state section a job server restores per job
+            tag = "" if b.symmetric else "LOL_STATE "
             attr = " LOL_SYMMETRIC" if b.symmetric else ""
             comment = " /* symmetric */" if b.symmetric else ""
             # a YARN starts empty, once: a WE HAS A without initializer
             # leaves the value alone, however often it runs
             init = ' = ""' if self._kind_of(b) == "s" and not b.is_array else ""
             self.file_lines.append(
-                f"static {self._decl_c(b, str(size))}{attr}{init};{comment}"
+                f"{tag}static {self._decl_c(b, str(size))}{attr}{init};"
+                f"{comment}"
             )
             if b.shared_lock:
-                # The (void) cast in main keeps -Wunused-variable quiet when
-                # a program declares IM SHARIN IT but never takes the lock.
+                # The (void) cast in lol_main keeps -Wunused-variable quiet
+                # when a program declares IM SHARIN IT but never takes the
+                # lock.
                 self.file_lines.append(
                     f"static long __lock_{b.name} LOL_SYMMETRIC = 0L;"
                 )
@@ -971,8 +979,8 @@ class CBackend:
         self._declare_functions()
         self._emit_file_scope()
         # 2. functions (prototypes handled by definition order: emit all
-        #    definitions before main; forward calls between functions get
-        #    prototypes)
+        #    definitions before lol_main; forward calls between functions
+        #    get prototypes)
         func_blocks: list[list[str]] = []
         protos: list[str] = []
         for stmt in self.program.body:
@@ -980,7 +988,7 @@ class CBackend:
                 params = ", ".join("lol_value_t" for _ in stmt.params) or "void"
                 protos.append(f"static lol_value_t lol_fn_{stmt.name}({params});")
                 func_blocks.append(self._gen_function(stmt))
-        # 3. main body
+        # 3. the program body: lol_main, which main hands to lol_run
         self.body_lines = []
         self.indent = 1
         self.out("shmem_init();")
@@ -1008,10 +1016,12 @@ class CBackend:
         for block in func_blocks:
             parts.extend(block)
             parts.append("")
-        parts.append("int main(void)")
+        parts.append("static int lol_main(void)")
         parts.append("{")
         parts.extend(self.body_lines)
         parts.append("}")
+        parts.append("")
+        parts.append("int main(void) { return lol_run(lol_main); }")
         return "\n".join(parts) + "\n"
 
 

@@ -25,14 +25,20 @@ variables; statically typed variables (``ITZ SRSLY A <type>``) map to
 native C types and never touch it — that is precisely why the paper adds
 static typing ("as a transition to a compiled ... language").
 
-YARN values produced at runtime are heap-allocated and intentionally never
-freed: generated teaching programs are short-lived, and the reference
-``lci`` interpreter leaks comparably.  A production backend would arena
-them.
+YARN values produced at runtime (``lol_fmt_*``, ``lol_concat``,
+``lol_readline``) come from ``lol_alloc`` and are never freed one by one.
+Under the shim that is the job server's per-job arena, dropped wholesale
+between jobs; elsewhere it is ``malloc``, and a standalone program leaks
+them until it exits, as the reference ``lci`` interpreter does.
+
+Under the shim the program's entry is ``lol_main``, which the job server
+calls once per job (``main`` hands it over through ``lol_run``).  Every
+mutable file-scope object that is not symmetric -- the backend's
+top-level variables and the generator state below -- is tagged
+``LOL_STATE`` so the server can restore it before each job.
 """
 
 C_PRELUDE = r"""/* Generated by repro lcc (I Can Has Supercomputer? reproduction).  */
-#define _POSIX_C_SOURCE 200809L /* strdup */
 #include <stdio.h>
 #include <stdlib.h>
 #include <stdint.h>
@@ -72,6 +78,18 @@ static inline int shmem_test_lock(long *lock)
 #include <shmem.h>
 #define LOL_SYMMETRIC
 #endif /* LOL_SHMEM_SIM */
+
+#ifdef LOL_SHMEM_SHIM
+/* One entry call per job: LOL_STATE data and the arena reset between. */
+#define lol_alloc lol_shmem_alloc
+#define lol_seed_text lol_shmem_seed
+#define lol_run(entry) lol_shmem_main(entry)
+#else
+#define LOL_STATE
+#define lol_alloc malloc
+#define lol_seed_text() getenv("LOL_SEED")
+#define lol_run(entry) (entry)()
+#endif
 
 /* -- LOLCODE dynamic value runtime ------------------------------------ */
 
@@ -127,9 +145,9 @@ static inline double lol_to_f(lol_value_t v)
 }
 
 static inline const char *lol_fmt_i(long long n)
-{ char *buf = (char *)malloc(32); snprintf(buf, 32, "%lld", n); return buf; }
+{ char *buf = (char *)lol_alloc(32); snprintf(buf, 32, "%lld", n); return buf; }
 static inline const char *lol_fmt_f(double f)
-{ char *buf = (char *)malloc(48); snprintf(buf, 48, "%.2f", f); return buf; }
+{ char *buf = (char *)lol_alloc(48); snprintf(buf, 48, "%.2f", f); return buf; }
 
 static inline const char *lol_to_s(lol_value_t v)
 {
@@ -210,7 +228,7 @@ static inline int lol_eq(lol_value_t a, lol_value_t b)
 static inline const char *lol_concat(const char *a, const char *b)
 {
     size_t la = strlen(a), lb = strlen(b);
-    char *buf = (char *)malloc(la + lb + 1);
+    char *buf = (char *)lol_alloc(la + lb + 1);
     memcpy(buf, a, la);
     memcpy(buf + la, b, lb + 1);
     return buf;
@@ -228,24 +246,29 @@ static inline long long lol_trunc_mod(long long a, long long b) { return a % b; 
 static inline const char *lol_readline(void)
 {
     char buf[4096];
+    size_t n;
+    char *line;
     if (!fgets(buf, sizeof buf, stdin)) return "";
-    buf[strcspn(buf, "\n")] = '\0';
-    return strdup(buf);
+    n = strcspn(buf, "\n");
+    line = (char *)lol_alloc(n + 1);
+    memcpy(line, buf, n);
+    line[n] = '\0';
+    return line;
 }
 
 /* -- WHATEVR / WHATEVAR: the interpreters' stream --------------------- */
 /* MT19937 (Matsumoto & Nishimura, ACM TOMACS 8(1), 1998), seeded as
  * Python's random.Random(v) with v = seed * 7919 + pe: init_by_array
- * over the 32-bit words of |v|.  seed is LOL_SEED (how the native
- * launcher forwards run_lolcode(seed=...)) or 0xC47.  Seeded on the
+ * over the 32-bit words of |v|.  seed is lol_seed_text() (the job's
+ * seed under the shim, $LOL_SEED elsewhere) or 0xC47.  Seeded on the
  * first draw; the product is done in 32-bit limbs.  lol_mt_next is not
  * inline, so each WHATEVR site compiles to a call, not another copy. */
-static uint32_t lol_mt[624];
-static int lol_mt_i = -1; /* -1: not seeded yet */
+LOL_STATE static uint32_t lol_mt[624];
+LOL_STATE static int lol_mt_i = -1; /* -1: not seeded yet */
 
 static void lol_mt_seed(void)
 {
-    const char *env = getenv("LOL_SEED");
+    const char *env = lol_seed_text();
     long long s = env ? strtoll(env, NULL, 10) : 0xC47;
     uint64_t m = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
     uint64_t pe = (uint64_t)shmem_my_pe();

@@ -11,15 +11,22 @@ the translation unit, something must play the role of ``cc`` plus
    object), and cache the binary on disk under ``~/.cache/repro-lcc``
    (override with ``$LOL_CC_CACHE``) keyed by the SHA-256 of the folded
    C text + shim sources + compiler + flags, with a single-flight guard
-   so concurrent identical builds compile once;
+   so concurrent identical builds compile once.  A warm lookup is an
+   in-process dict hit (``find_cc`` resolved once per ``($LOL_CC,
+   $PATH)``, no hashing);
 2. :func:`run_native` — run one job on a warm set of ``n_pes`` parked
    fork servers of that binary around a shared world file (``/dev/shm``
-   when available): each PE forks a pristine child per job, and each
-   child's stdout/exit status come back over a pipe and are marshalled
-   into the standard :class:`~repro.shmem.runtime_threads.SpmdResult`
-   shape.  Sets are started once per (binary, ``n_pes``) and parked in
-   a small LRU; :func:`shutdown_native_workers` (also run at exit)
-   stops them.
+   when available): each server *is* its PE, and runs the job itself
+   after restoring the program's pristine state (symmetric and
+   ``lol_state`` sections, runtime-string arena, stdio memfds; the
+   full list is in ``lol_shmem_shim.h``).  Per job that costs one
+   header write and one frame read per PE; each PE's stdout/exit status
+   come back in its frame and are marshalled into the standard
+   :class:`~repro.shmem.runtime_threads.SpmdResult` shape.  Sets are
+   started once per (binary, ``n_pes``), after a sha256 check of the
+   binary, and parked in a small LRU; a job that any PE fails retires
+   its set.  :func:`shutdown_native_workers` (also run at exit) stops
+   them.
 
 Missing toolchains raise :class:`NativeToolchainError` (distinct from
 program-level :class:`~repro.compiler.c_backend.CompileError` restrictions)
@@ -77,9 +84,11 @@ _build_flight = SingleFlight()
 
 #: In-process memo of finished builds: (source, n_pes, cc) -> binary
 #: path.  Saves the codegen + hashing work on warm calls (the service's
-#: steady state, and every timed bench rep); the on-disk cache remains
-#: the cross-process source of truth, so a hit is re-validated with an
-#: existence check and entries never go stale.
+#: steady state, and every timed bench rep).  A binary's sha256 is
+#: checked when it enters the memo (built, or verified off the disk
+#: cache) and again before each set spawn in :func:`run_native` (every
+#: exec), not on every hit; the on-disk cache remains the cross-process
+#: source of truth.
 _BUILD_MEMO: dict[tuple, pathlib.Path] = {}
 _BUILD_MEMO_LOCK = threading.Lock()
 _BUILD_MEMO_MAX = 256
@@ -168,19 +177,41 @@ class NativeBuildTransientError(NativeBuildError):
     retryable = True
 
 
+class NativeBinaryEvictedError(NativeBuildTransientError):
+    """A cached binary failed its sha256 check just before exec.
+
+    It has been evicted, so building the source again compiles afresh;
+    :func:`run_native_source` does that once.
+    """
+
+
+#: ``find_cc`` answers per ``($LOL_CC, $PATH)``: ``shutil.which`` walks
+#: the whole PATH, and a warm build lookup must not.
+_CC_MEMO: dict[tuple, Optional[str]] = {}
+
+
 def find_cc() -> Optional[str]:
     """Absolute path of the system C compiler, or ``None``.
 
     ``$LOL_CC`` wins; otherwise the conventional names are probed in
-    order (``cc``, ``gcc``, ``clang``).
+    order (``cc``, ``gcc``, ``clang``).  Resolved once per ``($LOL_CC,
+    $PATH)`` pair.
     """
     override = os.environ.get("LOL_CC")
-    candidates = [override] if override else ["cc", "gcc", "clang"]
-    for cand in candidates:
-        path = shutil.which(cand)
-        if path:
-            return path
-    return None
+    key = (override, os.environ.get("PATH"))
+    try:
+        return _CC_MEMO[key]
+    except KeyError:
+        pass
+    found = None
+    for cand in [override] if override else ["cc", "gcc", "clang"]:
+        found = shutil.which(cand)
+        if found:
+            break
+    if len(_CC_MEMO) >= 64:
+        _CC_MEMO.clear()
+    _CC_MEMO[key] = found
+    return found
 
 
 def cache_dir() -> pathlib.Path:
@@ -288,19 +319,19 @@ def build_native(
     # Warm path: skip codegen + hashing entirely (filename only affects
     # diagnostic positions, never the generated C, so it is not keyed).
     memo_key = (source, n_pes, cc)
-    with _BUILD_MEMO_LOCK:
-        hit = _BUILD_MEMO.get(memo_key)
+    hit = _BUILD_MEMO.get(memo_key)
     if hit is not None and hit.exists():
+        # The bytes were checked when they entered the memo; only an
+        # injected ``native.cache`` fault re-checks them here.
         rule = inject("native.cache")
         if rule is not None:
             _apply_cache_fault(hit, rule.kind)
-        if _verify_cached(hit):
+        if rule is None or _verify_cached(hit):
             _bump("cache_hits")
             return hit
         # Corrupt/truncated on disk: drop the memo entry and fall
         # through to a full (silent) rebuild.
-        with _BUILD_MEMO_LOCK:
-            _BUILD_MEMO.pop(memo_key, None)
+        _forget_build(hit)
     c_source = compile_c(source, filename, n_pes=n_pes)
     shim_header, shim_source = _shim_sources()
     digest = hashlib.sha256(
@@ -313,6 +344,8 @@ def build_native(
     def _link(workdir: pathlib.Path, out: pathlib.Path) -> list[str]:
         tu = workdir / "program.c"
         tu.write_text(c_source)
+        # The shim object goes last: its zero-size page-aligned anchor
+        # pads the lol_sym section out to a whole page (see the header).
         return [
             *_cc_argv(cc),
             str(tu),
@@ -328,6 +361,13 @@ def build_native(
             _BUILD_MEMO.clear()  # whole-source keys: a flat reset is fine
         _BUILD_MEMO[memo_key] = built
     return built
+
+
+def _forget_build(binary: pathlib.Path) -> None:
+    """Drop every memo entry that points at ``binary``."""
+    with _BUILD_MEMO_LOCK:
+        for key in [k for k, v in _BUILD_MEMO.items() if v == binary]:
+            del _BUILD_MEMO[key]
 
 
 def _cc_argv(cc: str) -> list[str]:
@@ -466,11 +506,12 @@ def _shm_dir() -> Optional[str]:
 # -- warm fork-server sets ---------------------------------------------------
 #
 # ``run_native`` never execs a binary per job.  Each (binary, n_pes) gets a
-# set of n_pes parked fork servers (the shim's constructor, armed by
-# LOL_SHMEM_FORKSERVER=1) around one world file; a job is a header plus
-# stdin bytes written to every server, answered by one frame per PE once
-# that PE's forked child has exited.  The byte layouts are documented in
-# lol_shmem_shim.h.
+# set of n_pes parked fork servers -- the program binary exec'd once with
+# LOL_SHMEM_FORKSERVER=1, which makes the shim's lol_shmem_main a job loop
+# -- around one world file.  A job is a header plus stdin bytes written to
+# every server, answered by one frame per PE once that PE has run the
+# program from its pristine state.  The byte layouts, and what a server
+# resets between jobs, are documented in lol_shmem_shim.h.
 
 _HEADER = struct.Struct("=qqqq")  # seed present, seed, stdin bytes, timeout ms
 _FRAME = struct.Struct("=qqq")  # exit status, stdout bytes, stderr bytes
@@ -536,14 +577,17 @@ _SPAWNER = _Spawner()
 class _ForkServerSet:
     """``n_pes`` parked fork servers of one binary, sharing a world file.
 
-    Each server leads its own process group, which its forked job
-    children join, so :meth:`kill` takes out servers and children alike.
+    The file is created empty here, so its control page (barrier state,
+    abort flag) starts zeroed; each server maps it once.  A job that any
+    PE fails ends that PE's server, so such a set is never reused.  Each
+    server leads its own process group, which :meth:`kill` signals.
     """
 
     def __init__(self, binary: pathlib.Path, n_pes: int) -> None:
-        self.world_fd, self.world = tempfile.mkstemp(
+        world_fd, self.world = tempfile.mkstemp(
             prefix="lol-world-", dir=_shm_dir()
         )
+        os.close(world_fd)  # the servers open it by path
         self.procs: list[subprocess.Popen] = []
         try:
             _SPAWNER.call(lambda: self._spawn(binary, n_pes))
@@ -608,7 +652,6 @@ class _ForkServerSet:
                 if pipe is not None:
                     pipe.close()
             proc.wait()
-        os.close(self.world_fd)
         try:
             os.unlink(self.world)
         except OSError:
@@ -630,10 +673,6 @@ class _ForkServerSet:
         ``None``.
         """
         n_pes = len(self.procs)
-        # A stale barrier count/sense or abort flag in the control page
-        # would break this job's first barrier: start from an empty file
-        # so shmem_init re-zeroes it.
-        os.ftruncate(self.world_fd, 0)
         frames: list = [None] * n_pes
         for pe, proc in enumerate(self.procs):
             header = _HEADER.pack(
@@ -804,6 +843,13 @@ def run_native(
             servers = None
     if servers is None:
         t0 = time.perf_counter() if rt is not None else 0.0
+        # Every exec runs bytes checked here, once per set.
+        if not _verify_cached(binary):
+            _forget_build(binary)
+            raise NativeBinaryEvictedError(
+                f"native binary {binary.name} failed its integrity check "
+                f"before exec and was evicted from the cache"
+            )
         servers = _WARM.spawn(binary, n_pes)
         _bump("spawns")
         if rt is not None and rt.trace_on:
@@ -834,7 +880,12 @@ def run_native(
             time.perf_counter() - t0,
             args={"binary": binary.name, "n_pes": n_pes},
         )
-    if late or dead is not None:
+    failed = [
+        (pe, frame[0], frame[2])
+        for pe, frame in enumerate(frames)
+        if frame is not None and frame[0] != 0
+    ]
+    if late or dead is not None or failed:
         _WARM.discard(servers)
     else:
         _WARM.give_back(key, servers)
@@ -849,14 +900,20 @@ def run_native(
             f"native PEs {late} failed to terminate within "
             f"{barrier_timeout + 15.0:.0f}s (deadlock?)"
         )
-    failed = [
-        (pe, rc, err) for pe, (rc, _, err) in enumerate(frames) if rc != 0
-    ]
     if failed:
         # A dying PE trips the shim's abort flag, so siblings exit with
-        # the secondary "a sibling PE aborted" diagnostic; report the
-        # root-cause PE, not the lowest-ranked casualty.
-        failed.sort(key=lambda f: ("a sibling PE aborted" in f[2], f[0]))
+        # the secondary "a sibling PE aborted" diagnostic, and a PE that
+        # waited on a dead sibling may time out; report the root-cause
+        # PE, not the lowest-ranked casualty: a death by signal first,
+        # then any other diagnostic, a barrier timeout, a sibling abort.
+        failed.sort(
+            key=lambda f: (
+                f[1] >= 0,
+                "a sibling PE aborted" in f[2],
+                "barrier timed out" in f[2],
+                f[0],
+            )
+        )
         pe, rc, err = failed[0]
         detail = err.strip().splitlines()
         raise LolParallelError(
@@ -890,11 +947,17 @@ def run_native_source(
     restrictions and toolchain absence both surface here, in the caller,
     never from inside a worker.
     """
-    binary = build_native(source, filename, n_pes=n_pes)
-    return run_native(
-        binary,
-        n_pes,
-        seed=seed,
-        stdin_lines=stdin_lines,
-        barrier_timeout=barrier_timeout,
-    )
+    for attempt in (1, 2):
+        binary = build_native(source, filename, n_pes=n_pes)
+        try:
+            return run_native(
+                binary,
+                n_pes,
+                seed=seed,
+                stdin_lines=stdin_lines,
+                barrier_timeout=barrier_timeout,
+            )
+        except NativeBinaryEvictedError:
+            if attempt == 2:
+                raise
+    raise AssertionError("unreachable: the loop returns or raises")

@@ -1,5 +1,4 @@
 /* Generated by repro lcc (I Can Has Supercomputer? reproduction).  */
-#define _POSIX_C_SOURCE 200809L /* strdup */
 #include <stdio.h>
 #include <stdlib.h>
 #include <stdint.h>
@@ -39,6 +38,18 @@ static inline int shmem_test_lock(long *lock)
 #include <shmem.h>
 #define LOL_SYMMETRIC
 #endif /* LOL_SHMEM_SIM */
+
+#ifdef LOL_SHMEM_SHIM
+/* One entry call per job: LOL_STATE data and the arena reset between. */
+#define lol_alloc lol_shmem_alloc
+#define lol_seed_text lol_shmem_seed
+#define lol_run(entry) lol_shmem_main(entry)
+#else
+#define LOL_STATE
+#define lol_alloc malloc
+#define lol_seed_text() getenv("LOL_SEED")
+#define lol_run(entry) (entry)()
+#endif
 
 /* -- LOLCODE dynamic value runtime ------------------------------------ */
 
@@ -94,9 +105,9 @@ static inline double lol_to_f(lol_value_t v)
 }
 
 static inline const char *lol_fmt_i(long long n)
-{ char *buf = (char *)malloc(32); snprintf(buf, 32, "%lld", n); return buf; }
+{ char *buf = (char *)lol_alloc(32); snprintf(buf, 32, "%lld", n); return buf; }
 static inline const char *lol_fmt_f(double f)
-{ char *buf = (char *)malloc(48); snprintf(buf, 48, "%.2f", f); return buf; }
+{ char *buf = (char *)lol_alloc(48); snprintf(buf, 48, "%.2f", f); return buf; }
 
 static inline const char *lol_to_s(lol_value_t v)
 {
@@ -177,7 +188,7 @@ static inline int lol_eq(lol_value_t a, lol_value_t b)
 static inline const char *lol_concat(const char *a, const char *b)
 {
     size_t la = strlen(a), lb = strlen(b);
-    char *buf = (char *)malloc(la + lb + 1);
+    char *buf = (char *)lol_alloc(la + lb + 1);
     memcpy(buf, a, la);
     memcpy(buf + la, b, lb + 1);
     return buf;
@@ -195,24 +206,29 @@ static inline long long lol_trunc_mod(long long a, long long b) { return a % b; 
 static inline const char *lol_readline(void)
 {
     char buf[4096];
+    size_t n;
+    char *line;
     if (!fgets(buf, sizeof buf, stdin)) return "";
-    buf[strcspn(buf, "\n")] = '\0';
-    return strdup(buf);
+    n = strcspn(buf, "\n");
+    line = (char *)lol_alloc(n + 1);
+    memcpy(line, buf, n);
+    line[n] = '\0';
+    return line;
 }
 
 /* -- WHATEVR / WHATEVAR: the interpreters' stream --------------------- */
 /* MT19937 (Matsumoto & Nishimura, ACM TOMACS 8(1), 1998), seeded as
  * Python's random.Random(v) with v = seed * 7919 + pe: init_by_array
- * over the 32-bit words of |v|.  seed is LOL_SEED (how the native
- * launcher forwards run_lolcode(seed=...)) or 0xC47.  Seeded on the
+ * over the 32-bit words of |v|.  seed is lol_seed_text() (the job's
+ * seed under the shim, $LOL_SEED elsewhere) or 0xC47.  Seeded on the
  * first draw; the product is done in 32-bit limbs.  lol_mt_next is not
  * inline, so each WHATEVR site compiles to a call, not another copy. */
-static uint32_t lol_mt[624];
-static int lol_mt_i = -1; /* -1: not seeded yet */
+LOL_STATE static uint32_t lol_mt[624];
+LOL_STATE static int lol_mt_i = -1; /* -1: not seeded yet */
 
 static void lol_mt_seed(void)
 {
-    const char *env = getenv("LOL_SEED");
+    const char *env = lol_seed_text();
     long long s = env ? strtoll(env, NULL, 10) : 0xC47;
     uint64_t m = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
     uint64_t pe = (uint64_t)shmem_my_pe();
@@ -282,12 +298,12 @@ static inline double lol_rand_f(void)
 
 /* -- symmetric & top-level program data -- */
 static double u[10] LOL_SYMMETRIC; /* symmetric */
-static double unew[10];
-static lol_value_t left;
-static lol_value_t rite;
-static double total;
+LOL_STATE static double unew[10];
+LOL_STATE static lol_value_t left;
+LOL_STATE static lol_value_t rite;
+LOL_STATE static double total;
 
-int main(void)
+static int lol_main(void)
 {
     shmem_init();
     lol_value_t __it = lol_noob();
@@ -355,3 +371,5 @@ int main(void)
     shmem_finalize();
     return 0;
 }
+
+int main(void) { return lol_run(lol_main); }

@@ -469,7 +469,8 @@ class TestLolccDriver:
 
 
 # ---------------------------------------------------------------------------
-# Warm fork-server sets: every job forks a pristine PE from a parked server.
+# Warm fork-server sets: every job runs inside a parked PE, from its pristine
+# state.
 # ---------------------------------------------------------------------------
 
 
@@ -694,3 +695,112 @@ class TestWarmForkServers:
         for pid in servers:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def _vm_rss_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmRSS for pid {pid}")
+
+
+_SOAK = (
+    "I HAS A name\nGIMMEH name\n"
+    'I HAS A line ITZ ""\n'
+    "IM IN YR grow UPPIN YR i TIL BOTH SAEM i AN 300\n"
+    '  line R SMOOSH line AN i AN " " MKAY\n'
+    "IM OUTTA YR grow\n"
+    "I HAS A r ITZ WHATEVR\n"
+    "I HAS A f ITZ QUOSHUNT OF MAEK r A NUMBAR AN 7.0\n"
+    'VISIBLE name " " ME " " r " " f " " WHATEVAR\n'
+    "VISIBLE line"
+)
+
+
+@pytest.mark.requires_cc
+class TestJobLoop:
+    """The parked PE runs every job itself, from a restored state."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_sets(self):
+        native.shutdown_native_workers()
+        yield
+        native.shutdown_native_workers()
+
+    def test_soak_outputs_and_memory_stay_flat(self):
+        # Each job formats ~300 numbers into a YARN that it concatenates
+        # ~300 times (some 0.5 MB of runtime strings per job): without the
+        # per-job arena reset a server's RSS would climb by ~100 MB over
+        # the run; without the state restore the outputs would drift.
+        src = _unique(_SOAK)
+        binary = native.build_native(src, n_pes=2)
+        stdin = [["alpha"], ["beta"]]
+        first = native.run_native(binary, 2, seed=11, stdin_lines=stdin)
+        assert first.outputs[0].startswith("alpha 0 ")
+        assert first.outputs[1].startswith("beta 1 ")
+        before = native.native_stats()
+        (servers,) = [s for _, s in native._WARM._idle]
+        pids = [proc.pid for proc in servers.procs]
+        rss_at_50: list[int] = []
+        for job in range(2, 301):
+            result = native.run_native(binary, 2, seed=11, stdin_lines=stdin)
+            assert result.outputs == first.outputs, f"job {job} diverged"
+            if job == 50:
+                rss_at_50 = [_vm_rss_kb(pid) for pid in pids]
+        grown = [_vm_rss_kb(pid) - kb for pid, kb in zip(pids, rss_at_50)]
+        assert max(grown) < 1024, f"servers' VmRSS grew by {grown} kB"
+        after = native.native_stats()
+        assert after["spawns"] == before["spawns"]
+        assert after["warm_hits"] - before["warm_hits"] == 299
+
+    def test_signal_death_is_blamed_and_does_not_stall_siblings(self):
+        # PE 1 divides by zero before a HUGZ that PE 0 already waits at:
+        # PE 1 reports its own death, trips the abort flag and wakes PE 0,
+        # so the job fails at once (not at the 120 s barrier deadline)
+        # and the message names PE 1's signal, not PE 0's casualty.
+        src = _unique(
+            "I HAS A d ITZ DIFF OF ME AN 1\n"
+            "BOTH SAEM ME AN 1, O RLY?\n"
+            "  YA RLY, VISIBLE QUOSHUNT OF 7 AN d\n"
+            "OIC\n"
+            "HUGZ\n"
+            "VISIBLE ME"
+        )
+        binary = native.build_native(src, n_pes=2)
+        t0 = time.monotonic()
+        with pytest.raises(LolParallelError) as excinfo:
+            native.run_native(binary, 2)
+        assert time.monotonic() - t0 < 5
+        message = str(excinfo.value)
+        assert message.startswith("native PE 1 exited with status -8")
+        assert "1 more PE(s) also failed" in message
+
+    def test_stdin_buffer_and_eof_do_not_carry_over(self):
+        # stdio buffers stdin: a job that leaves a line unread, or that
+        # reads past the end, must not hand either to the next job.
+        src = _unique('I HAS A x\nGIMMEH x\nVISIBLE "[" x "]"')
+        binary = native.build_native(src, n_pes=1)
+
+        def run(lines):
+            return native.run_native(binary, 1, stdin_lines=[lines]).outputs
+
+        assert run(["one", "unread"]) == ["[one]\n"]
+        assert run(["two"]) == ["[two]\n"]
+        assert native.run_native(binary, 1).outputs == ["[]\n"]
+        assert run(["three"]) == ["[three]\n"]
+
+    def test_binary_damaged_after_its_memo_entry_is_never_execd(self):
+        # A memo hit no longer hashes the binary; the check before each
+        # set spawn does.  Damage on disk found there evicts the binary,
+        # and run_lolcode rebuilds it once.
+        src = _unique("VISIBLE SUM OF ME AN 40")
+        assert run_lolcode(src, 2, engine="c").outputs == ["40\n", "41\n"]
+        binary = native.build_native(src, n_pes=2)
+        native.shutdown_native_workers()
+        native._apply_cache_fault(binary, "corrupt")
+        before = native.native_stats()
+        assert run_lolcode(src, 2, engine="c").outputs == ["40\n", "41\n"]
+        after = native.native_stats()
+        assert after["corrupt_rebuilds"] == before["corrupt_rebuilds"] + 1
+        assert after["builds"] == before["builds"] + 1
