@@ -88,6 +88,12 @@ class Accesses:
         self.callees = callees
         #: id(statement or expression) -> its uses, built on first use
         self._uses: dict[int, Uses] = {}
+        #: (id(loop), is the increment) -> a counter step's uses; keyed by
+        #: the loop, which the program keeps alive, not by the CFG's
+        #: pseudo-statement
+        self._steps: dict[tuple[int, bool], Uses] = {}
+        #: id(If) -> the uses of its ``O RLY?`` test of ``IT``
+        self._tests: dict[int, Uses] = {}
         self._callees: dict[str, Optional[Callee]] = {}
 
     # -- lookups -----------------------------------------------------------
@@ -101,12 +107,18 @@ class Accesses:
         if isinstance(stmt, TxtPe):
             return self.of(stmt.node)
         if isinstance(stmt, (LoopInit, LoopInc)):
-            counter = self.bindings.of(stmt.loop)
-            assert counter is not None
-            step = Access(counter, None, False, True, stmt.loop.pos)
-            if isinstance(stmt, LoopInit):
-                return _uses([step], False)
-            return _uses([step._replace(write=False), step], False)
+            inc = isinstance(stmt, LoopInc)
+            got = self._steps.get((id(stmt.loop), inc))
+            if got is None:
+                counter = self.bindings.of(stmt.loop)
+                assert counter is not None
+                step = Access(counter, None, False, True, stmt.loop.pos)
+                events: list[Event] = [step]
+                if inc:  # the increment reads the counter first
+                    events.insert(0, step._replace(write=False))
+                got = _uses(events, False)
+                self._steps[(id(stmt.loop), inc)] = got
+            return got
         got = self._uses[id(stmt)] = self._stmt(stmt)
         return got
 
@@ -128,7 +140,12 @@ class Accesses:
             return NONE
         if term.cond is not None:
             return self.expr(term.cond)
-        return _uses([Access(IT, None, False, False, term.owner.pos)], False)
+        # an O RLY?'s test of IT: one per If, so keyed by the If
+        got = self._tests.get(id(term.owner))
+        if got is None:
+            it = Access(IT, None, False, False, term.owner.pos)
+            got = self._tests[id(term.owner)] = _uses([it], False)
+        return got
 
     # -- building ------------------------------------------------------------
 

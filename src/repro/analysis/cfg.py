@@ -150,29 +150,47 @@ class CFG:
         self.exit = exit_id
         for block in blocks:
             block.preds = []
+        #: block id -> its successors (the terminators are final here)
+        self.succs: list[list[int]] = [block.succs for block in blocks]
         for block in blocks:
-            for s in block.succs:
+            for s in self.succs[block.bid]:
                 blocks[s].preds.append(block.bid)
+        self._rpo: Optional[list[int]] = None
+        self._rpo_index: Optional[dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     def rpo(self) -> list[int]:
-        """Reverse postorder over reachable blocks, entry first."""
+        """Reverse postorder over reachable blocks, entry first.  Worked
+        out on the first call; every call returns that list, which
+        callers must not change."""
+        if self._rpo is None:
+            self._rpo = self._reverse_postorder()
+        return self._rpo
+
+    def rpo_index(self) -> dict[int, int]:
+        """Each reachable block's place in :meth:`rpo`; the same dict on
+        every call, which callers must not change."""
+        if self._rpo_index is None:
+            self._rpo_index = {bid: i for i, bid in enumerate(self.rpo())}
+        return self._rpo_index
+
+    def _reverse_postorder(self) -> list[int]:
         seen: set[int] = set()
         order: list[int] = []
 
         def visit(bid: int) -> None:
             stack: list[tuple[int, Iterator[int]]] = []
             seen.add(bid)
-            stack.append((bid, iter(self.blocks[bid].succs)))
+            stack.append((bid, iter(self.succs[bid])))
             while stack:
                 cur, it = stack[-1]
                 advanced = False
                 for nxt in it:
                     if nxt not in seen:
                         seen.add(nxt)
-                        stack.append((nxt, iter(self.blocks[nxt].succs)))
+                        stack.append((nxt, iter(self.succs[nxt])))
                         advanced = True
                         break
                 if not advanced:

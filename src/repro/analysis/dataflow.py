@@ -5,15 +5,18 @@ transfer functions; :func:`run_forward` iterates blocks in reverse
 postorder until the in-states stabilise.  ``refine_edge`` lets an
 analysis sharpen the out-state per successor edge (used by the lock
 analysis to model ``IM MESIN WIF`` try-lock results flowing into
-``O RLY?``).
+``O RLY?``).  ``requeued`` lets an analysis whose transfer functions
+grow during the solve (PE taint, once a branch is found divergent)
+name the blocks to transfer again, so one solve reaches the fixpoint.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from typing import Generic, TypeVar
 
-from .cfg import CFG, BasicBlock, CfgStmt, Term, successors
+from .cfg import CFG, BasicBlock, CfgStmt, Term
 
 S = TypeVar("S")
 
@@ -42,6 +45,13 @@ class ForwardAnalysis(Generic[S]):
         """Sharpen the out-state along one successor edge."""
         return state
 
+    def requeued(self) -> Sequence[int]:
+        """Blocks to transfer again although their in-states did not
+        change, asked for after every block's transfer.  An analysis
+        whose transfer functions grew while solving that block names
+        the blocks they changed for, once; unreached ones are skipped."""
+        return ()
+
 
 def transfer_block(
     analysis: ForwardAnalysis[S], state: S, block: BasicBlock
@@ -54,7 +64,7 @@ def transfer_block(
 def run_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> dict[int, S]:
     """Solve to fixpoint; returns the in-state of every reachable block."""
     order = cfg.rpo()
-    position = {bid: i for i, bid in enumerate(order)}
+    position = cfg.rpo_index()
     in_states: dict[int, S] = {cfg.entry: analysis.boundary()}
     # Deterministic worklist: always pick the earliest block in RPO (a
     # heap of RPO positions; RPO is sorted, so it starts as a heap).
@@ -67,7 +77,11 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> dict[int, S]:
             continue  # not yet reached
         block = cfg.blocks[bid]
         out = transfer_block(analysis, in_states[bid], block)
-        for i, succ in enumerate(successors(block.term)):
+        for again in analysis.requeued():
+            if again in in_states and again not in pending:
+                heapq.heappush(worklist, position[again])
+                pending.add(again)
+        for i, succ in enumerate(cfg.succs[bid]):
             edge_state = analysis.refine_edge(out, block, i, succ)
             if succ not in in_states:
                 in_states[succ] = edge_state

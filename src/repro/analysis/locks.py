@@ -192,6 +192,10 @@ class LockChecker:
     # -- driving -------------------------------------------------------
 
     def check(self) -> list[Diagnostic]:
+        if not self.taint.summary.has_locks:
+            # every transfer is the identity, and W103, W105 and W106
+            # each report a lock statement
+            return self.diags
         for _func, cfg in self.taint.cfgs:
             analysis = LockAnalysis(self)
             in_states = run_forward(cfg, analysis)

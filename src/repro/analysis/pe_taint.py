@@ -35,12 +35,14 @@ all iterations.
 
 from __future__ import annotations
 
-from typing import Union
+from collections.abc import Sequence
+from typing import Optional, Union
 
 from ..lang import ast
 from ..lang.resolve import Binding
 from .access import ANY, Accesses, Uses
 from .cfg import (
+    CFG,
     BasicBlock,
     Branch,
     CfgStmt,
@@ -59,15 +61,30 @@ TaintState = frozenset[Binding]
 
 def tainted(uses: Uses, state: TaintState) -> bool:
     """May what ``uses`` evaluates differ across PEs in ``state``?"""
-    return uses.pe or any(access.binding in state for access in uses.reads)
+    if uses.pe:
+        return True
+    for access in uses.reads:
+        if access.binding in state:
+            return True
+    return False
 
 
 class TaintAnalysis(ForwardAnalysis[TaintState]):
-    def __init__(self, owner: "TaintResult", params: TaintState) -> None:
+    def __init__(
+        self, owner: "TaintResult", cfg: CFG, params: TaintState
+    ) -> None:
         self.owner = owner
+        self.cfg = cfg
         self.accesses: Accesses = owner.summary.accesses
         self.bindings = owner.summary.bindings
         self.params = params
+        #: blocks whose transfer grew since the solver last asked
+        self._requeue: list[int] = []
+        #: id(branch node) -> the blocks it governs, built on first flip
+        self._governed: Optional[dict[int, list[int]]] = None
+        #: block id -> whether a divergent branch governs it, until the
+        #: next flip
+        self._context: dict[int, bool] = {}
 
     def boundary(self) -> TaintState:
         return self.params
@@ -76,10 +93,13 @@ class TaintAnalysis(ForwardAnalysis[TaintState]):
         return a | b
 
     def _divergent_context(self, block: BasicBlock) -> bool:
-        return any(
-            self.owner.branch_divergent.get(id(g), False)
-            for g in block.governing
-        )
+        hot = self._context.get(block.bid)
+        if hot is None:
+            hot = self._context[block.bid] = any(
+                self.owner.branch_divergent.get(id(g), False)
+                for g in block.governing
+            )
+        return hot
 
     def transfer_stmt(
         self, state: TaintState, entry: CfgStmt, block: BasicBlock
@@ -120,9 +140,29 @@ class TaintAnalysis(ForwardAnalysis[TaintState]):
         self, state: TaintState, term: Term, block: BasicBlock
     ) -> TaintState:
         if isinstance(term, (Branch, Dispatch)):
-            if tainted(self.accesses.term(term), state):
-                self.owner.mark_divergent(term.owner)
+            node = term.owner
+            divergent = tainted(self.accesses.term(term), state)
+            if divergent and self.owner.mark_divergent(node):
+                # An assignment the branch governs now taints its target,
+                # so its blocks must be transferred again even where their
+                # in-states do not change.
+                self._context.clear()
+                self._requeue += self._governed_by(node)
         return state
+
+    def _governed_by(
+        self, node: Union[ast.If, ast.Switch, ast.Loop]
+    ) -> list[int]:
+        if self._governed is None:
+            self._governed = {}
+            for block in self.cfg.blocks:
+                for g in block.governing:
+                    self._governed.setdefault(id(g), []).append(block.bid)
+        return self._governed.get(id(node), [])
+
+    def requeued(self) -> Sequence[int]:
+        again, self._requeue = self._requeue, []
+        return again
 
 
 class TaintResult:
@@ -133,30 +173,24 @@ class TaintResult:
         self.summary = summary
         self.cfgs = build_program_cfgs(program, summary.functions)
         self.branch_divergent: dict[int, bool] = {}
-        self._changed = False
-        self._solve()
+        # One solve per CFG.  The divergence verdicts feed back into the
+        # transfer (an assignment under a divergent branch taints its
+        # target); a verdict only flips UNIFORM -> PE_DEP, and when one
+        # flips the analysis requeues every reached block the branch
+        # governs, so each solve ends at the joint least fixpoint.
+        for func, cfg in self.cfgs:
+            # a function's parameters are conservatively PE-dependent
+            params = self.summary.bindings.params.get(id(func), ())
+            run_forward(cfg, TaintAnalysis(self, cfg, frozenset(params)))
 
     def mark_divergent(
         self, node: Union[ast.If, ast.Switch, ast.Loop]
-    ) -> None:
-        if not self.branch_divergent.get(id(node), False):
-            self.branch_divergent[id(node)] = True
-            self._changed = True
-
-    def _solve(self) -> None:
-        # The divergence verdicts feed back into the transfer function
-        # (assignment under a divergent branch taints its target), so
-        # iterate the whole dataflow until the verdict set stabilises.
-        # Verdicts only ever flip UNIFORM -> PE_DEP: monotone, so this
-        # terminates in at most |branches| rounds.
-        for _round in range(len(self.branch_divergent) + 64):
-            self._changed = False
-            for func, cfg in self.cfgs:
-                # a function's parameters are conservatively PE-dependent
-                params = self.summary.bindings.params.get(id(func), ())
-                run_forward(cfg, TaintAnalysis(self, frozenset(params)))
-            if not self._changed:
-                break
+    ) -> bool:
+        """Record ``node`` as PE-divergent; whether that is news."""
+        if self.branch_divergent.get(id(node), False):
+            return False
+        self.branch_divergent[id(node)] = True
+        return True
 
     def is_divergent(
         self, node: Union[ast.If, ast.Switch, ast.Loop]

@@ -109,6 +109,8 @@ class RaceAnalysis(ForwardAnalysis[EpochState]):
             for acc in callee.accesses:
                 if acc.binding.symmetric:
                     writes = self._one(writes, acc, state.held, at=event.pos)
+        if writes is state.writes:
+            return state
         return EpochState(writes, state.held)
 
     def _one(

@@ -33,6 +33,8 @@ needs both reads the tree from there, never from a second parse.
   ``UR``: no peer can change them mid-loop, so the VM vectorizer may
   hoist such a trip count.  An ``SRS`` store or ``UR SRS`` access could
   alias any name, so it empties the set.
+* ``has_locks`` — whether any statement, reachable or not, is a lock
+  statement: without one the lock analysis has nothing to report.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class ProgramSummary:
     bindings: Bindings = field(repr=False, compare=False)
     accesses: Accesses = field(repr=False, compare=False)
     remote_unwritten: frozenset[str]
+    has_locks: bool
 
 
 def is_symmetric(decl: ast.VarDecl) -> bool:
@@ -74,12 +77,15 @@ def summarize(program: ast.Program) -> ProgramSummary:
     accesses = Accesses(bindings, callees)
     remote_written: set[str] = set()
     dynamic = False
+    has_locks = False
     for stmt in ast.walk_statements(program.body):
         if isinstance(stmt, ast.FuncDef):
             functions.append(stmt)
             callees[stmt.name] = stmt
         elif isinstance(stmt, ast.VarDecl) and is_symmetric(stmt):
             declarations.append(stmt)
+        elif isinstance(stmt, ast.LockStmt):
+            has_locks = True
         uses = accesses.of(stmt)
         for access in (*uses.reads, *uses.writes):
             if access.binding is ANY:
@@ -100,6 +106,7 @@ def summarize(program: ast.Program) -> ProgramSummary:
         bindings=bindings,
         accesses=accesses,
         remote_unwritten=unwritten,
+        has_locks=has_locks,
     )
 
 

@@ -8,16 +8,42 @@ behaviour of the paper's lex/yacc-based ``lcc`` compiler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True, slots=True)
 class SourcePos:
-    """A position in a LOLCODE source file (1-based line and column)."""
+    """A position in a LOLCODE source file (1-based line and column).
 
-    line: int = 0
-    col: int = 0
-    filename: str = "<string>"
+    The lexer builds one for every token it emits, so this is a plain
+    ``__slots__`` record (a quarter of a frozen dataclass's construction
+    cost, and no larger) with a dataclass's equality, hash and repr.
+    It is hashed: treat it as immutable.
+    """
+
+    __slots__ = ("line", "col", "filename")
+
+    def __init__(
+        self, line: int = 0, col: int = 0, filename: str = "<string>"
+    ) -> None:
+        self.line = line
+        self.col = col
+        self.filename = filename
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SourcePos):
+            return NotImplemented
+        return (self.line, self.col, self.filename) == (
+            other.line,
+            other.col,
+            other.filename,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.col, self.filename))
+
+    def __repr__(self) -> str:
+        return (
+            f"SourcePos(line={self.line!r}, col={self.col!r}, "
+            f"filename={self.filename!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.filename}:{self.line}:{self.col}"

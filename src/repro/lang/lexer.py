@@ -7,7 +7,9 @@ The lexer is line oriented, mirroring LOLCODE's statement model:
   same ``NEWLINE`` token;
 * ``...`` (or the unicode ellipsis) at end of line continues the logical
   line, exactly as used throughout the paper's n-body listing;
-* ``BTW`` starts a line comment, ``OBTW``/``TLDR`` bracket a block comment.
+* ``BTW`` starts a line comment, ``OBTW``/``TLDR`` bracket a block comment;
+  ``OBTW`` opens one only where a statement may start (first on its
+  line or after a comma), elsewhere it is a word.
 
 Multi-word keywords (``TXT MAH BFF``, ``IM SRSLY MESIN WIF``, ...) are
 matched greedily, longest phrase first, so ``MAH FRENZ`` lexes as one
@@ -19,9 +21,10 @@ match of :data:`_TOKEN_RE`, whose leading ``[ \\t\\r]*`` swallows the
 blanks before it, so whitespace costs no Python-level work and a
 :class:`SourcePos` is built only for the tokens it emits.  Keyword
 phrases are grouped on the fly: a word that can begin a multi-word
-phrase opens a pending run of words, which is grouped (greedily, left
-to right) when the next non-word token or newline arrives.  A ``...``
-continuation emits no newline, so a phrase may span it.
+phrase opens a pending run of words (kept as text, line and column),
+which is grouped (greedily, left to right) when the next non-word
+token or newline arrives.  A ``...`` continuation emits no newline, so
+a phrase may span it.
 
 String literals support the LOLCODE 1.2 colon escapes:
 
@@ -85,7 +88,11 @@ _PHRASE_HEADS = frozenset(word for word, node in _PHRASE_TRIE.items() if node[1]
 
 
 def _group_words(
-    words: list[str], positions: list[SourcePos], emit: Callable[[Token], None]
+    words: list[str],
+    lines: list[int],
+    cols: list[int],
+    filename: str,
+    emit: Callable[[Token], None],
 ) -> None:
     """Emit a run of adjacent words as KW/IDENT tokens, taking the
     longest phrase that starts at each word, and empty the run."""
@@ -100,14 +107,16 @@ def _group_words(
             if node[0] is not None:
                 phrase, end = node[0], j
             node = node[1].get(words[j]) if j < n else None
+        pos = SourcePos(lines[i], cols[i], filename)
         if phrase is None:
-            emit(Token(TokType.IDENT, words[i], positions[i]))
+            emit(Token(TokType.IDENT, words[i], pos))
             i += 1
         else:
-            emit(Token(TokType.KW, phrase, positions[i]))
+            emit(Token(TokType.KW, phrase, pos))
             i = end
     words.clear()
-    positions.clear()
+    lines.clear()
+    cols.clear()
 
 
 class Lexer:
@@ -121,21 +130,29 @@ class Lexer:
         filename = self.filename
         tokens: list[Token] = []
         emit = tokens.append
-        words: list[str] = []  # the pending run of words
-        positions: list[SourcePos] = []
+        # The pending run of words, with each word's line and column.
+        words: list[str] = []
+        word_lines: list[int] = []
+        word_cols: list[int] = []
+        match = _TOKEN_RE.match
+        heads = _PHRASE_HEADS
+        keywords = _PHRASE_TRIE
+        KW, IDENT, NEWLINE = TokType.KW, TokType.IDENT, TokType.NEWLINE
 
         def newline(line: int, col: int) -> None:
             # Runs of newlines (and commas) collapse into one token.
             if words:
-                _group_words(words, positions, emit)
-            if not tokens or tokens[-1].type is not TokType.NEWLINE:
-                emit(Token(TokType.NEWLINE, "\n", SourcePos(line, col, filename)))
+                _group_words(words, word_lines, word_cols, filename, emit)
+            if not tokens or tokens[-1].type is not NEWLINE:
+                emit(Token(NEWLINE, "\n", SourcePos(line, col, filename)))
 
         in_comment = False
         continuing = False
         lines = self.source.split("\n")
         for lineno, raw in enumerate(lines, 1):
             i = 0
+            # Whether code precedes this point of the line (a comma ends
+            # it, like a newline), so that ``OBTW`` here is a word.
             has_content = False
             continues = False
             while True:
@@ -145,7 +162,7 @@ class Lexer:
                         break
                     in_comment = False
                     i = m.end()
-                m = _TOKEN_RE.match(raw, i)
+                m = match(raw, i)
                 kind = m.lastgroup
                 start, i = m.span(kind)
                 if kind == "word":
@@ -156,20 +173,24 @@ class Lexer:
                         in_comment = True
                         continue
                     has_content = True
-                    pos = SourcePos(lineno, start + 1, filename)
-                    if words or word in _PHRASE_HEADS:
+                    if words or word in heads:
                         words.append(word)
-                        positions.append(pos)
-                    elif word in _PHRASE_TRIE:
-                        emit(Token(TokType.KW, word, pos))
+                        word_lines.append(lineno)
+                        word_cols.append(start + 1)
                     else:
-                        emit(Token(TokType.IDENT, word, pos))
+                        emit(
+                            Token(
+                                KW if word in keywords else IDENT,
+                                word,
+                                SourcePos(lineno, start + 1, filename),
+                            )
+                        )
                     continue
                 if kind == "end":
                     break
                 if kind == "comma":
                     newline(lineno, start + 1)
-                    has_content = True
+                    has_content = False
                     continue
                 pos = SourcePos(lineno, start + 1, filename)
                 if kind == "ellipsis":
@@ -184,7 +205,7 @@ class Lexer:
                 if kind == "bad":
                     raise LolSyntaxError(f"unexpected character {raw[start]!r}", pos)
                 if words:
-                    _group_words(words, positions, emit)
+                    _group_words(words, word_lines, word_cols, filename, emit)
                 has_content = True
                 if kind == "int":
                     emit(Token(TokType.INT, int(raw[start:i]), pos))

@@ -84,9 +84,9 @@ class Parser:
 
     # -- token helpers --------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> Token:
+        # ``advance`` never moves past the final EOF token.
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]

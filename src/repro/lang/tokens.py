@@ -13,7 +13,6 @@ random-number extensions (Table III).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import SourcePos
 
@@ -30,11 +29,35 @@ class TokType(enum.Enum):
     EOF = "end of file"
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
-    type: TokType
-    value: object  # canonical phrase for KW, name for IDENT, parsed literal otherwise
-    pos: SourcePos
+    """One token: a plain ``__slots__`` record, like :class:`SourcePos`,
+    with a dataclass's equality, hash and repr."""
+
+    __slots__ = ("type", "value", "pos")
+
+    def __init__(self, type: TokType, value: object, pos: SourcePos) -> None:
+        self.type = type
+        #: canonical phrase for KW, name for IDENT, parsed literal otherwise
+        self.value = value
+        self.pos = pos
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.type, self.value, self.pos) == (
+            other.type,
+            other.value,
+            other.pos,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.type, self.value, self.pos))
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(type={self.type!r}, value={self.value!r}, "
+            f"pos={self.pos!r})"
+        )
 
     def is_kw(self, phrase: str) -> bool:
         return self.type is TokType.KW and self.value == phrase

@@ -225,6 +225,74 @@ class TestTaint:
         assert not taint.is_divergent(ifs[0])
 
 
+    # The outer loop's second trip taints ``c``, so the O RLY? on line 7
+    # turns divergent only after its YA RLY arm was transferred.  The
+    # arm's first block already held ``c`` and ``IT``, so no in-state
+    # changes: only a requeue of the blocks the branch governs reaches
+    # ``y R 5`` again, taints ``y`` and makes the last O RLY? divergent.
+    LATE_DIVERGENCE = (
+        "HAI 1.2\n"
+        "I HAS A c ITZ 0\n"
+        "I HAS A y ITZ 0\n"
+        "I HAS A d ITZ 0\n"
+        "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 2\n"
+        "  BOTH SAEM c AN 1\n"
+        "  O RLY?\n"
+        "    YA RLY\n"
+        "      c R ME\n"
+        "      ME\n"
+        "      IM IN YR inner WILE BOTH SAEM d AN 0\n"
+        "        GTFO\n"
+        "      IM OUTTA YR inner\n"
+        "      y R 5\n"
+        "  OIC\n"
+        "  c R ME\n"
+        "IM OUTTA YR lp\n"
+        "BOTH SAEM y AN 5\n"
+        "O RLY?\n"
+        "  YA RLY\n"
+        "    HUGZ\n"
+        "OIC\n"
+        "HOW IZ I f YR n\n"
+        "  BOTH SAEM n AN 0\n"
+        "  O RLY?\n"
+        "    YA RLY\n"
+        "      n R 1\n"
+        "  OIC\n"
+        "IF U SAY SO\n"
+        "KTHXBYE\n"
+    )
+
+    def test_a_late_divergent_branch_requeues_what_it_governs(self):
+        import repro.lang.ast as ast
+
+        prog = parse(self.LATE_DIVERGENCE)
+        taint = analyze_taint(prog, summarize(prog))
+        verdicts = {
+            s.pos.line: taint.is_divergent(s)
+            for s in ast.walk_statements(prog.body)
+            if isinstance(s, (ast.If, ast.Loop))
+        }
+        assert verdicts == {5: False, 7: True, 11: False, 19: True, 25: True}
+        assert ("W101", 21) in codes(self.LATE_DIVERGENCE)
+
+    def test_taint_solves_each_cfg_once(self, monkeypatch):
+        from repro.analysis import pe_taint
+
+        solved = []
+        real = pe_taint.run_forward
+
+        def counting(cfg, analysis):
+            solved.append(cfg)
+            return real(cfg, analysis)
+
+        monkeypatch.setattr(pe_taint, "run_forward", counting)
+        prog = parse(self.LATE_DIVERGENCE)
+        taint = analyze_taint(prog, summarize(prog))
+        assert len(taint.cfgs) == 2
+        assert solved == [cfg for _func, cfg in taint.cfgs]
+
+
 # ---------------------------------------------------------------------------
 # Barrier matching (W101)
 # ---------------------------------------------------------------------------
@@ -465,6 +533,32 @@ class TestLocks:
             "KTHXBYE\n"
         )
         assert just_codes(src) == []
+
+    def test_no_lock_statement_no_lock_solve(self, monkeypatch):
+        from repro.analysis import locks
+
+        def refuse(cfg, analysis):
+            raise AssertionError("solved a program with no lock statement")
+
+        monkeypatch.setattr(locks, "run_forward", refuse)
+        assert just_codes(TestTaint.LATE_DIVERGENCE) == ["W101"]
+
+    def test_an_unreachable_divergent_acquire_still_flags_w106(self):
+        # The acquire after GTFO is in no CFG, but W106 reads the arm.
+        src = (
+            "HAI 1.2\n"
+            "WE HAS A k ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+            "IM IN YR lp\n"
+            "  BOTH SAEM ME AN 0\n"
+            "  O RLY?\n"
+            "    YA RLY\n"
+            "      GTFO\n"
+            "      IM SRSLY MESIN WIF k\n"
+            "  OIC\n"
+            "IM OUTTA YR lp\n"
+            "KTHXBYE\n"
+        )
+        assert codes(src) == [("W106", 8)]
 
     def test_dynamic_unlock_releases_everything(self):
         src = (

@@ -180,6 +180,24 @@ class TestLinesAndComments:
             (TokType.IDENT, "y"),
         ]
 
+    def test_obtw_after_a_comma_opens_a_block_comment(self):
+        # A comma ends the statement like a newline, so OBTW after it
+        # begins a comment (the LOLCODE 1.2 spec's example).
+        src = (
+            'I HAS A fish ITZ "boring", OBTW this is a long comment block\n'
+            "      see, i have more comments here\n"
+            'TLDR, I HAS A cat ITZ "boring"\n'
+        )
+        decl = [
+            (TokType.KW, "I HAS A"),
+            (TokType.IDENT, "fish"),
+            (TokType.KW, "ITZ"),
+            (TokType.STRING, ["boring"]),
+            (TokType.NEWLINE, "\n"),
+        ]
+        cat = [(t, "cat" if v == "fish" else v) for t, v in decl]
+        assert kinds(src) == decl + cat
+
     def test_code_after_tldr_is_lexed(self):
         toks = tokenize("OBTW\nnotes\nTLDR VISIBLE x\n")
         assert [(t.type, t.value) for t in toks[:2]] == [
@@ -252,3 +270,45 @@ class TestPositions:
     def test_filename_propagates(self):
         toks = tokenize("HAI", filename="prog.lol")
         assert toks[0].pos.filename == "prog.lol"
+
+
+def _token_stream_digest() -> tuple[int, str]:
+    """sha256 over ``(type, value, line, col, filename)`` of every token
+    of the registry sources (smoke and default sizes), the example
+    programs and the analysis goldens."""
+    import hashlib
+    import pathlib
+
+    from repro.workloads import all_workloads
+
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    inputs = [
+        (f"<{w.name}:{size}>", w.source(smoke=size == "smoke"))
+        for w in all_workloads()
+        for size in ("smoke", "default")
+    ]
+    inputs += [
+        (str(path.relative_to(repo)), path.read_text())
+        for pattern in ("examples/lol/*.lol", "tests/golden/analysis/*.lol")
+        for path in sorted(repo.glob(pattern))
+    ]
+    h = hashlib.sha256()
+    count = 0
+    for filename, source in inputs:
+        for tok in tokenize(source, filename):
+            p = tok.pos
+            h.update(
+                f"{tok.type.name}\t{tok.value!r}\t{p.line}\t{p.col}\t"
+                f"{p.filename}\n".encode()
+            )
+            count += 1
+    return count, h.hexdigest()
+
+
+def test_token_stream_digest():
+    # Pinned before the lexer moved to light token records: any change
+    # to a token's type, value or position moves the digest.
+    assert _token_stream_digest() == (
+        9636,
+        "49b66532e627ba9f461d9e5acfc18d4c6452fd5b2b80a468ff90e7e9deab59a4",
+    )

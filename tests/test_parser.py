@@ -47,6 +47,19 @@ class TestProgram:
         prog = parse("BTW header\nOBTW\nstuff\nTLDR\nHAI 1.2\nKTHXBYE\n")
         assert prog.body == []
 
+    def test_spec_block_comment_after_a_comma(self):
+        # The LOLCODE 1.2 spec's own example.
+        body = parse_body(
+            'I HAS A fish ITZ "boring", OBTW this is a long comment block\n'
+            "      see, i have more comments here\n"
+            "      and here\n"
+            'TLDR, I HAS A cat ITZ "boring"'
+        )
+        assert [(d.name, d.init.parts) for d in body] == [
+            ("fish", ["boring"]),
+            ("cat", ["boring"]),
+        ]
+
 
 class TestDeclarations:
     def test_plain(self):
