@@ -10,6 +10,9 @@ The signal is deliberately cheap and engine-native — no tracing hooks:
   bytecode.  Superinstruction fusion (``INC_JMP``, ``ADD_SC``,
   ``PUT_BARRIER``, ``GET_BIN``) changes exactly these pairs, so a
   candidate that tickles a new fusion pattern registers as new coverage.
+* **Vector plan shapes** — what each ``LOOP_VEC`` plan batches (draws,
+  masks, nests, remote slices), so a candidate that gets the
+  vectorizer to a new kind of plan counts as new coverage.
 * **CFG edge shapes** — edges from the analysis package's control-flow
   graphs (one per function definition), abstracted to (scope,
   block-kind, successor-kind) triples so they generalize across
@@ -60,11 +63,12 @@ def opcode_features(counts: Optional[Iterable[int]]) -> set[Feature]:
 
 
 def bigram_features(source: str, filename: str = "<fuzz>") -> set[Feature]:
-    """Static opcode-pair features from the compiled (vectorized) bytecode."""
+    """Static opcode-pair and vector-plan features from the compiled
+    (vectorized) bytecode."""
     from ..lang.errors import LolError
     from ..lang.parser import parse
     from ..vm import compile as vm_compile
-    from ..vm.isa import OPNAMES
+    from ..vm.isa import LOOP_VEC, OPNAMES
 
     feats: set[Feature] = set()
     try:
@@ -84,6 +88,8 @@ def bigram_features(source: str, filename: str = "<fuzz>") -> set[Feature]:
             if prev is not None:
                 feats.add(("pair", prev, name))
             prev = name
+            if instr[0] == LOOP_VEC:
+                feats.add(("vec",) + instr[1].shapes)
     return feats
 
 

@@ -7,6 +7,7 @@ every registry kernel uses::
 
     declarations  (symmetric + local)
     local init    (compute statements, own-slot symmetric writes)
+    [a loop shaped for the VM vectorizer: draws, a mask, or a nest]
     HUGZ
     1..N comm rounds   (publish -> HUGZ -> get/put/lock-merge -> HUGZ)
     final VISIBLEs     (every tracked local, so divergence is observable)
@@ -22,8 +23,10 @@ line of defence, not the first):
   symmetric array (disjoint by construction), or go through the shared
   lock with a commutative merge.
 * Remote reads only happen in epochs separated from writes by ``HUGZ``.
-* Divisors and modulus operands are positive constants; loop bounds are
-  small integer constants, so every program terminates.
+* Divisors and modulus operands are non-zero constants; loop bounds are
+  integer constants (at most ``max_loop_bound``, or 32-64 trips over
+  arrays sized to match in a vectorizer-shaped loop), so every program
+  terminates.
 * Locals are segregated into int / float / yarn pools so statically
   typed symmetric stores receive the right type.
 
@@ -73,6 +76,12 @@ class GenConfig:
 #: across engines.
 _FLOATS = (0.5, 0.25, 1.5, 2.0, 0.125, 3.0)
 
+#: Chance of one loop shaped for the VM vectorizer (a draw or masked loop
+#: of ``_VEC_TRIPS`` trips, at least the draw/mask plans' 32-trip floor,
+#: or a 2-deep affine nest) per program.
+_P_VEC_BLOCK = 0.25
+_VEC_TRIPS = (32, 64)
+
 _NUM_OPS = ("add", "sub", "mul", "max", "min")
 _CMP_OPS = ("eq", "ne", "gt", "lt")
 _BOOL_OPS = ("and", "or", "xor")
@@ -100,11 +109,18 @@ class _Names:
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig) -> None:
+    def __init__(
+        self, rng: random.Random, cfg: GenConfig, vec_rng: random.Random
+    ) -> None:
         self.rng = rng
         self.cfg = cfg
         self.scope = _Names()
         self._counter = 0
+        # Vectorizer-shaped blocks draw from their own stream and name
+        # their own variables, so the rest of a seed's program is the
+        # same with or without one.
+        self.vec_rng = vec_rng
+        self._vec_counter = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -477,6 +493,103 @@ class _Gen:
             ast.Hugz(),
         ]
 
+    # -- loops shaped for the vectorizer -----------------------------------
+
+    def vec_name(self, stem: str) -> str:
+        self._vec_counter += 1
+        return f"w{stem}{self._vec_counter}"
+
+    def vec_int_expr(self, leaves: list[ast.Expr], depth: int = 0) -> ast.Expr:
+        """An int expression over ``leaves`` with every int-lane op;
+        divisors are non-zero literals."""
+        rng = self.vec_rng
+        if depth >= 2 or rng.random() < 0.3:
+            if rng.random() < 0.3:
+                return ast.IntLit(rng.randint(-9, 9))
+            return copy.deepcopy(rng.choice(leaves))
+        op = rng.choice(_NUM_OPS + ("div", "mod"))
+        lhs = self.vec_int_expr(leaves, depth + 1)
+        if op in ("div", "mod"):
+            return ast.BinOp(op, lhs, ast.IntLit(rng.choice((-7, -3, 2, 5, 9))))
+        return ast.BinOp(op, lhs, self.vec_int_expr(leaves, depth + 1))
+
+    def vec_block(self) -> list[ast.Stmt]:
+        """One draw loop, masked loop or 2-deep affine nest over fresh
+        local arrays sized to match, then a line printing its results."""
+        kind = self.vec_rng.choice(["draw", "mask", "nest"])
+        if kind == "nest":
+            return self.vec_nest()
+        rng = self.vec_rng
+        n = rng.randint(*_VEC_TRIPS)
+        arr, acc, i = self.vec_name("a"), self.vec_name("s"), self.vec_name("i")
+        x = self.vec_name("x")
+        body: list[ast.Stmt] = [
+            ast.VarDecl("I", x, init=ast.RandomExpr(rng.choice(["float", "int"])))
+        ]
+        if kind == "draw":
+            value = ast.BinOp(rng.choice(["add", "mul"]), ast.VarRef(x), ast.VarRef(i))
+            body += [
+                ast.Assign(ast.Index(ast.VarRef(arr), ast.VarRef(i)), value),
+                ast.Assign(ast.VarRef(acc),
+                           ast.BinOp("add", ast.VarRef(acc), ast.VarRef(x))),
+            ]
+        else:
+            test = ast.BinOp(rng.choice(["gt", "lt"]),
+                             ast.BinOp("mod", ast.VarRef(i), ast.IntLit(rng.randint(2, 9))),
+                             ast.IntLit(rng.randint(0, 4)))
+            count = ast.Assign(ast.VarRef(acc),
+                               ast.BinOp("add", ast.VarRef(acc), ast.IntLit(1)))
+            last = ast.Assign(ast.Index(ast.VarRef(arr), ast.VarRef(i)), ast.VarRef(x))
+            body += [ast.ExprStmt(test), ast.If([count], [], []), last]
+        loop = ast.Loop(self.vec_name("l"), "UPPIN", i, "TIL",
+                        ast.BinOp("eq", ast.VarRef(i), ast.IntLit(n)), body)
+        return [
+            ast.VarDecl("I", arr, static_type="NUMBAR", srsly=True, is_array=True,
+                        size=ast.IntLit(n)),
+            ast.VarDecl("I", acc, init=ast.IntLit(0)),
+            loop,
+            ast.Visible([ast.StringLit([f"{kind} "]), ast.VarRef(acc), ast.StringLit([" "]),
+                         ast.Index(ast.VarRef(arr), ast.IntLit(rng.randrange(n)))]),
+        ]
+
+    def vec_nest(self) -> list[ast.Stmt]:
+        rng = self.vec_rng
+        rows, cols = rng.randint(2, 8), rng.randint(4, 12)
+        grid, acc, tot = self.vec_name("g"), self.vec_name("c"), self.vec_name("t")
+        i, j, row = self.vec_name("i"), self.vec_name("j"), self.vec_name("r")
+        at = ast.BinOp("add", ast.VarRef(row), ast.VarRef(j))
+        value = self.vec_int_expr([ast.VarRef(i), ast.VarRef(j), ast.VarRef(row)])
+        inner = [
+            ast.Assign(ast.Index(ast.VarRef(grid), at), value),
+            ast.Assign(ast.VarRef(tot),
+                       ast.BinOp("add", ast.VarRef(tot),
+                                 ast.Index(ast.VarRef(grid), copy.deepcopy(at)))),
+            ast.Assign(ast.Index(ast.VarRef(acc), ast.VarRef(i)),
+                       ast.BinOp("add", ast.Index(ast.VarRef(acc), ast.VarRef(i)),
+                                 ast.BinOp("mul", ast.VarRef(j), ast.FloatLit(0.5)))),
+        ]
+        nest = ast.Loop(
+            self.vec_name("l"), "UPPIN", i, "TIL",
+            ast.BinOp("eq", ast.VarRef(i), ast.IntLit(rows)),
+            [
+                ast.VarDecl("I", row, init=ast.BinOp("mul", ast.VarRef(i), ast.IntLit(cols))),
+                ast.Loop(self.vec_name("l"), "UPPIN", j, "TIL",
+                         ast.BinOp("eq", ast.VarRef(j), ast.IntLit(cols)), inner),
+            ],
+        )
+        return [
+            ast.VarDecl("I", grid, static_type="NUMBR", srsly=True, is_array=True,
+                        size=ast.IntLit(rows * cols)),
+            ast.VarDecl("I", acc, static_type="NUMBAR", srsly=True, is_array=True,
+                        size=ast.IntLit(rows)),
+            ast.VarDecl("I", tot, init=ast.IntLit(0)),
+            nest,
+            ast.Visible([ast.StringLit(["nest "]), ast.VarRef(tot), ast.StringLit([" "]),
+                         ast.Index(ast.VarRef(acc), ast.IntLit(rows - 1)),
+                         ast.StringLit([" "]),
+                         ast.Index(ast.VarRef(grid), ast.IntLit(rng.randrange(rows * cols)))]),
+        ]
+
     # -- whole programs ----------------------------------------------------
 
     def program(self) -> ast.Program:
@@ -486,6 +599,8 @@ class _Gen:
         body.extend(self.decls())
         for _ in range(self.rng.randint(1, 3)):
             body.extend(self.local_stmts())
+        if self.vec_rng.random() < _P_VEC_BLOCK:
+            body.extend(self.vec_block())
         body.append(ast.Hugz())
         rounds = [self.round_get, self.round_array_get, self.round_put, self.round_lock]
         for _ in range(self.rng.randint(1, self.cfg.max_rounds)):
@@ -503,7 +618,7 @@ class _Gen:
 
 def generate_program(seed: int, config: GenConfig | None = None) -> ast.Program:
     """Generate a deterministic random SPMD program for ``seed``."""
-    gen = _Gen(random.Random(seed), config or GenConfig())
+    gen = _Gen(random.Random(seed), config or GenConfig(), random.Random(f"vec{seed}"))
     return gen.program()
 
 

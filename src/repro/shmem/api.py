@@ -320,6 +320,57 @@ class ShmemContext:
         if rt is not None:
             self._obs_comm(rt, "put", target_pe, nbytes, symbol, t0)
 
+    def get_slice(self, symbol: str, target_pe: int, index: slice) -> np.ndarray:
+        """Block read of elements ``index`` (a slice with a positive
+        step) of ``target_pe``'s numeric array: one ``get`` per element
+        for the counters, the NoC trace and the race detector, one
+        copy of the data (OpenSHMEM's ``shmem_get``)."""
+        rt = _obs.ACTIVE
+        t0 = time.perf_counter() if rt is not None else 0.0
+        data, elements = self._block(symbol, target_pe, index)
+        values = data[index].copy()
+        self._block_done(OpKind.GET, "get", symbol, target_pe, elements, rt, t0)
+        return values
+
+    def put_slice(self, symbol: str, values, target_pe: int, index: slice) -> None:
+        """Block write of ``values`` (already of the element type) into
+        elements ``index`` of ``target_pe``'s numeric array, counted as
+        one ``put`` per element (OpenSHMEM's ``shmem_put``)."""
+        rt = _obs.ACTIVE
+        t0 = time.perf_counter() if rt is not None else 0.0
+        data, elements = self._block(symbol, target_pe, index)
+        data[index] = values
+        self._block_done(OpKind.PUT, "put", symbol, target_pe, elements, rt, t0)
+
+    def _block(self, symbol: str, target_pe: int, index: slice):
+        obj = self._resolve(symbol, target_pe)
+        self._require_array(obj, symbol)
+        data = obj.cell(target_pe).data
+        if not isinstance(data, np.ndarray):
+            raise LolRuntimeError(f"'{symbol}' has no numeric storage")
+        elements = range(index.start, index.stop, index.step)
+        if elements and (elements[0] < 0 or elements[-1] >= len(data)):
+            bad = elements[0] if elements[0] < 0 else elements[-1]
+            raise LolRuntimeError(
+                f"array index {bad} out of range [0, {len(data)})"
+            )
+        return data, elements
+
+    def _block_done(
+        self, kind: OpKind, name: str, symbol: str, target_pe: int, elements,
+        rt, t0: float,
+    ) -> None:
+        if self.trace is not None:
+            for _ in elements:
+                self._note(kind, target_pe, _ELEM_BYTES, symbol)
+        if self.world.race_detector is not None:
+            access = "read" if kind is OpKind.GET else "write"
+            for i in elements:
+                self._race(symbol, target_pe, access, i)
+        if rt is not None:
+            n = len(elements)
+            self._obs_comm(rt, name, target_pe, n * _ELEM_BYTES, symbol, t0, ops=n)
+
     def local_cell(self, symbol: str):
         """Direct handle on this PE's own partition of ``symbol``."""
         return self.world.heap.lookup(symbol).cell(self.my_pe)
@@ -356,12 +407,14 @@ class ShmemContext:
     # -- observability (armed path only; _obs.ACTIVE is None when disarmed) ------
 
     def _obs_comm(
-        self, rt, kind: str, target_pe: int, nbytes: int, symbol: str, t0: float
+        self, rt, kind: str, target_pe: int, nbytes: int, symbol: str, t0: float,
+        ops: int = 1,
     ) -> None:
-        """Record one data-plane op on the armed observability runtime."""
+        """Record ``ops`` data-plane ops moving ``nbytes`` in all on the
+        armed observability runtime (one span)."""
         now = time.perf_counter()
         if rt.metrics_on:
-            rt.comm_ops.inc(1, op=kind)
+            rt.comm_ops.inc(ops, op=kind)
             if nbytes:
                 rt.comm_bytes.inc(nbytes, op=kind)
         if rt.trace_on:

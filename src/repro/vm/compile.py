@@ -43,6 +43,7 @@ from ..lang.types import LolType, default_value, parse_type
 from ..interp.values import BINOP_FUNCS, FLOP_COST, NARYOP_FUNCS, UNOP_FUNCS
 from . import isa
 from .isa import CodeObject, Label, VMFunction, VMProgram
+from .vectorize import try_vectorize
 
 _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR
@@ -603,8 +604,6 @@ class VMCompiler:
             cslot = self._slot(self.bindings.of(stmt), asm)
         plan = None
         if self.vectorize:
-            from .vectorize import try_vectorize
-
             plan = try_vectorize(stmt, self, asm, cslot)
         lexit = asm.label()
         if cslot >= 0:

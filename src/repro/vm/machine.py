@@ -74,7 +74,7 @@ from ..interp.values import (
 )
 from . import isa
 from .isa import CodeObject, VMProgram
-from .vectorize import run_vec
+from .vecrun import run_vec
 
 _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR

@@ -6,162 +6,112 @@ expression (which sets ``IT``), an ``O RLY?`` on a comparison, or an
 assignment whose value is an affine/elementwise expression over the
 loop counter, loop-invariant locals, ``WHATEVR``/``WHATEVAR`` draws and
 numpy-backed arrays, it returns a :class:`VecPlan`: a small register
-program the machine executes with numpy slice operations instead of
-``n`` trips through the dispatch loop.  Anything outside the model
-returns ``None`` and the loop compiles scalar-only.
+program the machine executes with numpy operations instead of ``n``
+trips through the dispatch loop.  Anything outside the model returns
+``None`` and the loop compiles scalar-only.
 
-:func:`run_vec` executes a plan at runtime.  It is *guarded*: every
-value-dependent precondition (integral trip counts, array bounds, int64
-magnitudes, sqrt/recip domains, operand types) is checked **before any
-state is mutated**; a failed guard returns ``False`` and the machine
-falls through to the scalar loop, which reproduces exact tree-walker
-semantics — including whatever error the guard was protecting against.
-Commits are two-phase (compute everything, materialize copies, then
-write), so a bail can never leave partial effects behind.  The one
-piece of state touched before the guards is the PE's random generator:
-a plan with draw sites saves ``rng.getstate()`` before drawing and
-every bail restores it, so the scalar loop replays the same stream.
+One plan covers three loop shapes beyond the plain loop:
 
-Bit-identity with the scalar engines is the design constraint, not an
-aspiration:
+* a **rectangular nest** (OpenMP's ``collapse``): when a loop body holds
+  only declarations plus one inner loop, recursively, and every trip
+  count is invariant across the nest, the lanes are the iterations of
+  the whole nest in row-major order.  Index expressions stay affine in
+  all the counters (``base + c0*i0 + c1*i1 ...``), reads gather through
+  one offset table per coefficient vector, and the overlap guards run
+  on the collapsed index set (a write must hit distinct elements);
+* a **segmented fold**: an element accumulator indexed by the outer
+  counters only (nbody's ``acc_x'Z i R SUM OF acc_x'Z i AN ...``) folds
+  each outer iteration's lanes with ``ufunc.accumulate(..., axis=1)``
+  over the ``(outer, inner)`` grid, the element's old value as column 0;
+* a **remote slice** inside ``TXT MAH BFF`` (OpenSHMEM's block
+  ``shmem_put``/``shmem_get``): a counted loop of ``UR`` element puts,
+  or of plain copies from ``UR`` elements, is one
+  :meth:`~repro.shmem.api.ShmemContext.put_slice` or
+  :meth:`~repro.shmem.api.ShmemContext.get_slice` per statement.
 
-* float64 ``+ - *`` and sqrt are IEEE correctly rounded in both numpy
-  and CPython, and elementwise vector ops mirror the scalar expression
-  tree one operation to one operation — nothing is ever reassociated;
-* affine ``base + coeff*i`` algebra (which *does* reassociate) is kept
-  exact by allowing only integer coefficients and validating integer
-  bases at every runtime consumer;
-* int64 arithmetic is exact under the ``2**30`` magnitude guards
-  (``WHATEVR`` columns are below ``2**31`` by construction, so products
-  stay under ``2**62`` and conversions under ``2**53``);
-* reductions run as sequential Python folds over the real operator
-  kernels (float addition is not associative);
-* float -> NUMBR casts use numpy's C truncation, which is exactly
-  ``to_numbr``'s ``int()``;
-* draws come from the PE's own ``random.Random``: one
-  ``getrandbits(32*n*k)`` call yields the ``n*k`` tempered MT19937 words
-  the scalar loop would consume, least significant first, laid out as
-  ``n`` rows of ``k`` words in source order.  ``WHATEVAR`` is CPython's
-  ``random()`` over two words, ``WHATEVR`` its ``randrange(0, 2**31-1)``
-  (``w >> 1``, where the rejected value ``2**31-1`` bails);
-* an ``O RLY?`` arm becomes a lane mask: a fold in an arm folds over the
-  selected lanes only, and a plain assignment commits the last selected
-  lane (or nothing when no lane is selected);
-* a scatter increment ``a'Z b R SUM OF a'Z b AN k`` on a NUMBR array is
-  ``np.add.at`` on a copy, exact under the magnitude guards.
+:mod:`repro.vm.vecrun` executes a plan at run time, under guards that
+fall back to the scalar loop; its docstring lists why a plan's results
+are bit-identical to the scalar engines'.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-
-import numpy as np
-
-from ..interp.env import UNDECLARED
-from ..interp.values import (
-    BINOP_FUNCS,
-    _op_add,
-    _op_mul,
-    _op_recip,
-    _op_sqrt,
-    _op_square,
-    _op_sub,
-)
+from ..interp.values import BINOP_FUNCS
 from ..lang import ast
 from ..lang.resolve import LOCAL, SYMMETRIC
 from ..lang.types import (
-    LolType,
     cast as cast_value,
     coerce_static,
     default_value,
     parse_type,
 )
-from ..shmem.heap import ArrayCell
+from .vecrun import _NUMBAR, _NUMBR, _SBIN, _SUN, _Bail
 
-#: int64 magnitude bound for every integer vector (and every scalar fed
-#: into one).  Keeps products exact in int64 and int->float casts exact.
-_MAXI = 1 << 30
-#: trip-count cap: bounds transient memory (~32 MiB of float64).
-_CAP = 1 << 22
 #: Fewest trips for a plan that draws or masks.  Saving the generator
 #: state and the extra mask/draw ops cost a fixed ~40 us, which the
 #: ~3 us a scalar trip of such a body takes repays from 16-24 trips.
 _MIN_TRIPS = 32
-#: ``randrange(0, 2**31 - 1)`` rejects this ``getrandbits(31)`` value.
-_REJECT = (1 << 31) - 1
 #: raw MT19937 words each draw consumes (CPython ``random``).
 _WORDS = {"int": 1, "float": 2}
-
-_NUMBR = LolType.NUMBR
-_NUMBAR = LolType.NUMBAR
-
-_SBIN = {"add": _op_add, "sub": _op_sub, "mul": _op_mul}
-_SUN = {"square": _op_square, "sqrt": _op_sqrt, "recip": _op_recip}
+#: ops that run on int lanes only: QUOSHUNT OF, MOD OF, BIGGR OF, SMALLR OF.
+_IBIN = ("div", "mod", "max", "min")
 #: comparisons whose numpy form matches ``equals``/``compare`` on
 #: int/float operands (int64 -> float64 is exact under the guards).
 _CMP = ("eq", "ne", "lt", "gt")
-#: elementwise vector form of each arithmetic op and comparison.
-_VOP = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "gt": operator.gt,
-}
-
-
-class _Bail(Exception):
-    """Internal: this loop (or this execution of it) must stay scalar."""
 
 
 class VecPlan:
-    """A compiled vector execution plan for one counted loop.
+    """A compiled vector execution plan for one counted loop or nest.
 
-    ``limit_prog`` computes the trip-count operand (invariant scalars
-    only); ``prog`` computes every per-iteration value as length-``n``
-    vectors or invariant scalars; ``commits`` describes the writes
-    applied after every guard has passed.  ``words`` is the number of
-    raw generator words one iteration draws (0: the loop never draws);
-    they land in register ``words_reg`` as an ``(n, words)`` array.
-    Fewer than ``min_trips`` trips run scalar.
+    ``levels`` holds one ``(mode, limit, cslot)`` per loop, outer first
+    (one entry for a plain loop); the lanes are the nest's iterations in
+    row-major order.  ``limit_prog`` computes the trip-count operands
+    (invariant scalars only); ``prog`` computes every per-iteration value
+    as lane vectors or invariant scalars; ``commits`` describes the
+    writes applied after every guard has passed.  ``words`` is the
+    number of raw generator words one iteration draws (0: the loop never
+    draws); they land in register ``words_reg`` as an ``(n, words)``
+    array.  Fewer than ``min_trips`` lanes run scalar.  ``shapes`` names
+    what the plan batches beyond a plain loop: any of ``"draw"``,
+    ``"mask"``, ``"nest"`` and ``"remote"`` (a copy to or from another
+    PE's partition).
     """
 
     __slots__ = (
-        "mode",
-        "limit",
+        "levels",
         "limit_prog",
         "prog",
         "commits",
         "n_regs",
-        "cslot",
         "words",
         "words_reg",
         "min_trips",
+        "shapes",
+        "lanes",
     )
 
     def __init__(
-        self, mode, limit, limit_prog, prog, commits, n_regs, cslot,
-        words, words_reg, min_trips,
+        self, levels, limit_prog, prog, commits, n_regs, words, words_reg,
+        min_trips, shapes,
     ):
-        self.mode = mode  # "eq" (TIL BOTH SAEM) | "lt" (WILE SMALLR)
-        self.limit = limit
+        self.levels = levels  # ((mode "eq" | "lt", limit, cslot), ...)
         self.limit_prog = limit_prog
         self.prog = prog
         self.commits = commits
         self.n_regs = n_regs
-        self.cslot = cslot
         self.words = words
         self.words_reg = words_reg
         self.min_trips = min_trips
+        self.shapes = shapes
+        self.lanes = None  # the last run's lane grid, kept when small
 
     def __repr__(self) -> str:  # deterministic — appears in loldis output
+        modes = "/".join(level[0] for level in self.levels)
         draws = f", words={self.words}" if self.words else ""
+        remote = ", remote" if "remote" in self.shapes else ""
         return (
-            f"vec({self.mode}, ops={len(self.limit_prog) + len(self.prog)}, "
-            f"commits={len(self.commits)}, regs={self.n_regs}{draws})"
+            f"vec({modes}, ops={len(self.limit_prog) + len(self.prog)}, "
+            f"commits={len(self.commits)}, regs={self.n_regs}{draws}{remote})"
         )
 
 
@@ -176,22 +126,40 @@ class _Arr:
         self.elem = elem
         self.reads: dict = {}  # slice-read key -> reg
         self.read1: dict = {}  # invariant-element-read key -> reg
-        self.writes: dict = {}  # key -> (base_op, coeff, symval) | "fold"
+        self.writes: dict = {}  # key -> (base_op, coeffs, symval) | "fold"
         self.folded = False
 
 
+def _nest(stmt: ast.Loop) -> list:
+    """The loops of the nest rooted at ``stmt``, outer first: each body
+    but the innermost is declarations followed by exactly one loop."""
+    loops = [stmt]
+    body = stmt.body
+    while body and type(body[-1]) is ast.Loop:
+        for s in body[:-1]:
+            if type(s) is not ast.VarDecl:
+                return loops
+        loops.append(body[-1])
+        body = body[-1].body
+    return loops
+
+
 class _Analyzer:
-    """Symbolic walk of one loop body.
+    """Symbolic walk of one loop body (or of a nest's bodies).
 
     Symbolic values (``symval``):
 
     * ``("c", v)`` — compile-time constant;
     * ``("r", reg)`` — loop-invariant runtime scalar;
-    * ``("v", reg)`` — length-``n`` vector, element per iteration;
-    * ``("aff", base, coeff)`` — ``base + coeff*i`` with integer
-      ``coeff`` and ``base`` an operand ``("c", int)`` or ``("r", reg)``
-      (a runtime base is validated as ``int`` by every consumer whose
-      exactness depends on it).
+    * ``("v", reg)`` — lane vector, one element per iteration;
+    * ``("aff", base, coeffs)`` — ``base + sum(coeffs[j] * i_j)`` over
+      the nest's counters, with integer ``coeffs`` (one per loop) and
+      ``base`` an operand ``("c", int)`` or ``("r", reg)`` (a runtime
+      base is validated as ``int`` by every consumer whose exactness
+      depends on it).
+
+    An array access key is ``(coeffs, base_op)``; all-zero ``coeffs``
+    address one element for the whole loop.
 
     Raises :class:`_Bail` on the first construct outside the model.
     """
@@ -220,7 +188,14 @@ class _Analyzer:
         self.troofs: set = set()  # regs holding comparison (bool) vectors
         self.masked: set = set()  # slots assigned in an O RLY? arm
         self.mask = None  # mask reg while walking an O RLY? arm
+        self.masks = False  # some O RLY? arm was if-converted
         self.min_trips = 1
+        #: counter slot -> its coefficients (1 at its nest level)
+        self.counters: dict = {cslot: (1,)}
+        self.zero: tuple = (0,)
+        #: outer bodies' declarations while the limits are analysed
+        self.pending: set = set()
+        self.remote = False
 
     # ------------------------------------------------------------------
     # helpers
@@ -250,9 +225,11 @@ class _Analyzer:
     def _info(self, node):
         """The compiler's view of ``node``'s binding (never a body
         declaration: those are bound privately in ``decls``)."""
+        if self.pending and self.bindings.of(node) in self.pending:
+            raise _Bail  # a limit reading an outer body's declaration
         return self.compiler._var(node, self.asm)
 
-    def _is_counter(self, node) -> bool:
+    def _is_counter(self, node, cslot: int) -> bool:
         if not isinstance(node, ast.VarRef) or node.qualifier == "UR":
             return False
         info = self._info(node)
@@ -260,64 +237,111 @@ class _Analyzer:
             info is not None
             and info.kind == LOCAL
             and not info.is_array
-            and info.slot == self.cslot
+            and info.slot == cslot
         )
 
     # ------------------------------------------------------------------
     # entry point
 
     def build(self, stmt: ast.Loop) -> VecPlan:
-        cond = stmt.cond
+        loops = _nest(stmt)
+        cslots = [self.cslot]
+        for inner in loops[1:]:
+            if inner.op != "UPPIN" or inner.var is None or inner.cond is None:
+                raise _Bail
+            cslots.append(self.compiler._slot(self.bindings.of(inner), self.asm))
+        if len(loops) > 1:
+            self.zero = (0,) * len(loops)
+            self.counters = {
+                slot: self.zero[:level] + (1,) + self.zero[level + 1 :]
+                for level, slot in enumerate(cslots)
+            }
+        # The scalar loop re-evaluates each condition every iteration, so
+        # every limit must be invariant across the whole nest (which is
+        # therefore rectangular): constants, plain local scalars, ME /
+        # MAH FRENZ, and + - * over those, never a counter or an outer
+        # body's declaration.  Every slot a limit reads is frozen against
+        # body writes.
+        for lp in loops[:-1]:
+            self.pending.update(self.bindings.of(d) for d in lp.body[:-1])
+        self.in_limit = True
+        conds = [self._cond(lp, slot) for lp, slot in zip(loops, cslots)]
+        self.in_limit = False
+        self.pending.clear()
+        limit_prog = self.prog
+        self.prog = []
+        self.frozen = set(self.slot_regs) | set(cslots)
+        # Outer declarations run once per lane instead of once per outer
+        # trip; they are pure, so only a draw would tell the difference.
+        for lp in loops[:-1]:
+            for decl in lp.body[:-1]:
+                words = self.words
+                self._decl(decl)
+                if self.words != words:
+                    raise _Bail
+        for s in loops[-1].body:
+            self._stmt(s)
+        trips = 1
+        for _, lim in conds:
+            if lim[0] != "c" or not _numeric(lim[1]):
+                break
+            trips *= lim[1]
+        else:
+            if trips < self.min_trips:
+                raise _Bail  # too few trips to repay the draw/mask set-up
+        self._finalize_array_commits()
+        for slot in sorted(self.env):
+            self.commits.append(("set", slot, self._commit_src(self.env[slot])))
+        return VecPlan(
+            tuple(
+                (mode, self._opnd(lim), slot)
+                for (mode, lim), slot in zip(conds, cslots)
+            ),
+            tuple(limit_prog),
+            tuple(self.prog),
+            tuple(self.commits),
+            self.n_regs,
+            self.words,
+            self.words_reg,
+            self.min_trips,
+            tuple(
+                name
+                for name, on in (
+                    ("draw", self.words),
+                    ("mask", self.masks),
+                    ("nest", len(loops) > 1),
+                    ("remote", self.remote),
+                )
+                if on
+            ),
+        )
+
+    def _cond(self, loop: ast.Loop, cslot: int):
+        """``(mode, limit symval)`` of one loop's condition."""
+        cond = loop.cond
         if not isinstance(cond, ast.BinOp):
             raise _Bail
-        if stmt.cond_kind == "TIL" and cond.op == "eq":
-            if self._is_counter(cond.lhs):
+        if loop.cond_kind == "TIL" and cond.op == "eq":
+            if self._is_counter(cond.lhs, cslot):
                 limit_node = cond.rhs
-            elif self._is_counter(cond.rhs):
+            elif self._is_counter(cond.rhs, cslot):
                 limit_node = cond.lhs
             else:
                 raise _Bail
             mode = "eq"
         elif (
-            stmt.cond_kind == "WILE"
+            loop.cond_kind == "WILE"
             and cond.op == "lt"
-            and self._is_counter(cond.lhs)
+            and self._is_counter(cond.lhs, cslot)
         ):
             limit_node = cond.rhs
             mode = "lt"
         else:
             raise _Bail
-        # The scalar loop re-evaluates the condition every iteration, so
-        # the limit must be invariant: constants, plain local scalars,
-        # ME / MAH FRENZ, and + - * over those.  Every slot it reads is
-        # frozen against body writes.
-        self.in_limit = True
         lim = self._expr(limit_node)
-        self.in_limit = False
         if lim[0] not in ("c", "r"):
             raise _Bail
-        limit_prog = self.prog
-        self.prog = []
-        self.frozen = set(self.slot_regs) | {self.cslot}
-        for s in stmt.body:
-            self._stmt(s)
-        if lim[0] == "c" and _numeric(lim[1]) and lim[1] < self.min_trips:
-            raise _Bail  # too few trips to repay the draw/mask set-up
-        self._finalize_array_commits()
-        for slot in sorted(self.env):
-            self.commits.append(("set", slot, self._commit_src(self.env[slot])))
-        return VecPlan(
-            mode,
-            self._opnd(lim),
-            tuple(limit_prog),
-            tuple(self.prog),
-            tuple(self.commits),
-            self.n_regs,
-            self.cslot,
-            self.words,
-            self.words_reg,
-            self.min_trips,
-        )
+        return mode, lim
 
     def _commit_src(self, sym):
         k = sym[0]
@@ -327,25 +351,36 @@ class _Analyzer:
             return ("r", sym[1])
         if k == "v":
             return ("last", sym[1])
-        return ("afflast", sym[1], sym[2])  # base + coeff*(n-1)
+        return ("afflast", sym[1], sym[2])  # the last lane's base + coeffs
 
     def _finalize_array_commits(self) -> None:
         for aref in sorted(self.arr_regs):
             st = self.arr_regs[aref]
             for key, pend in st.writes.items():
                 if pend == "fold":
-                    continue  # the fold already appended its ("w1", ...)
-                base_op, coeff, sym = pend
-                if coeff == 0:
+                    continue  # the fold already appended its commit
+                base_op, coeffs, sym = pend
+                if aref[0] == "ur":
+                    self.commits.append(
+                        ("rput", aref[1], base_op, coeffs, self._lane_opnd(sym))
+                    )
+                elif sym[0] == "rget":
+                    self.commits.append(
+                        ("rget", st.reg, base_op, coeffs) + sym[1:]
+                    )
+                elif not any(coeffs):
                     self.commits.append(
                         ("w1", st.reg, base_op, self._commit_src(sym))
                     )
-                    continue
-                if sym[0] == "aff":
-                    sym = ("v", self._materialize(sym))
-                self.commits.append(
-                    ("wslice", st.reg, base_op, coeff, self._opnd(sym))
-                )
+                else:
+                    self.commits.append(
+                        ("wslice", st.reg, base_op, coeffs, self._lane_opnd(sym))
+                    )
+
+    def _lane_opnd(self, sym):
+        if sym[0] == "aff":
+            sym = ("v", self._materialize(sym))
+        return self._opnd(sym)
 
     # ------------------------------------------------------------------
     # statements
@@ -388,6 +423,7 @@ class _Analyzer:
             if not body:
                 continue
             self.min_trips = _MIN_TRIPS
+            self.masks = True
             mask = it[1]
             if negate:
                 mask = self._reg()
@@ -451,9 +487,9 @@ class _Analyzer:
             raise _Bail
         value = s.value
         # Recurrence accumulator ``s R SUM OF s AN <v>`` with ``s``
-        # otherwise untouched: a sequential fold over the operator
-        # kernel, preserving float non-associativity bit for bit.  In an
-        # O RLY? arm it folds over the selected lanes only.
+        # otherwise untouched: a sequential fold over all lanes,
+        # preserving float non-associativity bit for bit.  In an O RLY?
+        # arm it folds over the selected lanes only.
         if (
             isinstance(value, ast.BinOp)
             and value.op in _SBIN
@@ -491,21 +527,22 @@ class _Analyzer:
         # assigned anywhere else in the body.
         if slot in self.env:
             raise _Bail
-        if sym[0] == "aff":
-            sym = ("v", self._materialize(sym))
         self.masked.add(slot)
-        self.commits.append(("mset", slot, self._opnd(sym), mask))
+        self.commits.append(("mset", slot, self._lane_opnd(sym), mask))
 
     def _fold_operand(self, node, acc_slot: int):
         sym = self._expr(node)
         if acc_slot in self.inv_reads:
             raise _Bail  # the operand itself read the accumulator
-        if sym[0] == "aff":
-            sym = ("v", self._materialize(sym))
-        return self._opnd(sym)
+        return self._lane_opnd(sym)
 
     def _assign_element(self, s: ast.Assign, target: ast.Index) -> None:
-        st = self._array(target.base)
+        value = s.value
+        if type(value) is ast.Index and _is_remote(value.base):
+            self._remote_get(target, value)
+            return
+        remote = _is_remote(target.base)
+        st = self._array(target.base, remote)
         if st.folded:
             raise _Bail
         words = self.words
@@ -513,42 +550,27 @@ class _Analyzer:
         if self.words != words:
             raise _Bail  # the scalar engines draw in the value first
         if isym[0] == "v":
+            if remote:
+                raise _Bail
             self._scatter(s, target, st, isym[1])
             return
-        base_op, coeff = self._aff(isym)
-        key = (coeff, base_op)
-        value = s.value
-        # Element accumulator at an invariant index (nbody's force
-        # accumulation): ``A'Z k R SUM OF A'Z k AN <v>``.
+        base_op, coeffs = self._aff(isym)
+        key = (coeffs, base_op)
+        pend = st.writes.get(key)
+        if pend is not None and pend[2][0] == "rget":
+            raise _Bail  # the scalar loop would still get every element
+        # Element accumulator at an index that no innermost counter moves
+        # (nbody's force accumulation): ``A'Z k R SUM OF A'Z k AN <v>``.
         if (
-            coeff == 0
+            coeffs[-1] == 0
+            and not remote
             and isinstance(value, ast.BinOp)
             and value.op in _SBIN
             and isinstance(value.lhs, ast.Index)
             and self._same_element(value.lhs, target, st, key)
         ):
-            opnd = self._fold_operand(value.rhs, -1)
-            # Any access to this array recorded so far (including ones
-            # the operand just made) could observe the evolving element
-            # mid-loop, so the fold requires a completely private array.
-            if not st.reads and not st.read1 and not st.writes:
-                reg = self._reg()
-                self._emit(
-                    (
-                        "fold",
-                        reg,
-                        value.op,
-                        ("elem", st.reg, base_op),
-                        opnd,
-                        ("static", st.elem, "<element>"),
-                        None,
-                    )
-                )
-                st.folded = True
-                st.writes[key] = "fold"
-                self.commits.append(("w1", st.reg, base_op, ("r", reg)))
-                return
-            raise _Bail
+            self._element_fold(value, st, base_op, coeffs)
+            return
         # Evaluate the value FIRST: reads it makes on this array are
         # hazards of this write too, and must be visible to the checks.
         sym = self._coerce(self._expr(value), st.elem, "<element>")
@@ -560,9 +582,68 @@ class _Analyzer:
                 raise _Bail  # earlier iterations' writes feed that read
         if st.read1:
             raise _Bail  # hoisted element read vs. an evolving array
-        if coeff == 0 and st.reads:
+        zero = not any(coeffs)
+        if zero and st.reads:
             raise _Bail  # slice read of an element overwritten each trip
-        st.writes[key] = (base_op, coeff, sym)
+        if remote and (zero or st.reads):
+            raise _Bail  # a remote write is one get-free slice of lanes
+        st.writes[key] = (base_op, coeffs, sym)
+
+    def _element_fold(self, value: ast.BinOp, st, base_op, coeffs) -> None:
+        """Fold into the element at ``base + coeffs . counters``: one
+        sequential fold per element, over the lanes of each outer
+        iteration (all lanes when ``coeffs`` is zero)."""
+        opnd = self._fold_operand(value.rhs, -1)
+        # Any access to this array recorded so far (including ones the
+        # operand just made) could observe the evolving element mid-loop,
+        # so the fold requires a completely private array.
+        if st.reads or st.read1 or st.writes:
+            raise _Bail
+        outer = len(coeffs)
+        while outer and coeffs[outer - 1] == 0:
+            outer -= 1
+        if 0 in coeffs[:outer]:
+            raise _Bail  # elements interleave across the lanes
+        seg = coeffs[:outer]
+        reg = self._reg()
+        self._emit(
+            (
+                "fold",
+                reg,
+                value.op,
+                ("elem", st.reg, base_op, seg),
+                opnd,
+                ("static", st.elem, "<element>"),
+                None,
+            )
+        )
+        st.folded = True
+        st.writes[(coeffs, base_op)] = "fold"
+        if seg:
+            self.commits.append(("wseg", st.reg, base_op, seg, reg))
+        else:
+            self.commits.append(("w1", st.reg, base_op, ("r", reg)))
+
+    def _remote_get(self, target: ast.Index, value: ast.Index) -> None:
+        """``a'Z <i> R UR s'Z <j>``: the lanes' elements of ``s`` on the
+        target PE, copied by one ``get_slice`` in the write phase.  The
+        remote array is neither written nor read anywhere else."""
+        src = self._array(value.base, True)
+        if src.writes or src.reads:
+            raise _Bail
+        sbase, scoeffs = self._aff_index(value.index)
+        if not any(scoeffs):
+            raise _Bail
+        src.reads[(scoeffs, sbase)] = None
+        st = self._array(target.base)
+        if st.folded or st.kind != src.kind or st.elem is not src.elem:
+            raise _Bail  # the copy does no element conversion
+        base_op, coeffs = self._aff_index(target.index)
+        if not any(coeffs) or st.writes or st.reads or st.read1:
+            raise _Bail
+        st.writes[(coeffs, base_op)] = (
+            base_op, coeffs, ("rget", value.base.name, sbase, scoeffs),
+        )
 
     def _scatter(self, s: ast.Assign, target: ast.Index, st, idx_reg) -> None:
         """``a'Z b R SUM OF a'Z b AN k`` with ``b`` a per-lane NUMBR
@@ -599,8 +680,8 @@ class _Analyzer:
             return False
         if self._array(base) is not st:
             return False
-        rbase, rcoeff = self._aff_index(read.index)
-        return (rcoeff, rbase) == key
+        rbase, rcoeffs = self._aff_index(read.index)
+        return (rcoeffs, rbase) == key
 
     # ------------------------------------------------------------------
     # expressions
@@ -614,11 +695,22 @@ class _Analyzer:
                 raise _Bail
             return self._read_element(node)
         if t is ast.BinOp:
-            if node.op not in _SBIN:
-                raise _Bail
+            op = node.op
             a = self._expr(node.lhs)
             b = self._expr(node.rhs)
-            return self._bin(node.op, a, b)
+            if a[0] == "c" and b[0] == "c":
+                fn = BINOP_FUNCS.get(op)
+                if fn is None:
+                    raise _Bail
+                try:
+                    return ("c", fn(a[1], b[1], None))
+                except Exception as exc:  # noqa: BLE001 — let scalar raise it
+                    raise _Bail from exc
+            if op in _SBIN:
+                return self._bin(op, a, b)
+            if op in _IBIN:
+                return self._ibin(op, a, b)
+            raise _Bail
         if t is ast.UnaryOp:
             if node.op not in _SUN or self.in_limit:
                 raise _Bail
@@ -687,10 +779,11 @@ class _Analyzer:
             return ("r", reg)
         if info.kind != LOCAL or info.is_array:
             raise _Bail  # function-frame globals / whole arrays: scalar
-        if info.slot == self.cslot:
+        coeffs = self.counters.get(info.slot)
+        if coeffs is not None:
             if self.in_limit:
                 raise _Bail
-            return ("aff", ("c", 0), 1)
+            return ("aff", ("c", 0), coeffs)
         return self._read_slot(info.slot)
 
     def _read_slot(self, slot: int):
@@ -709,10 +802,13 @@ class _Analyzer:
         self.inv_reads.add(slot)
         return ("r", reg)
 
-    def _array(self, base) -> _Arr:
+    def _array(self, base, remote: bool = False) -> _Arr:
+        """The analysis state of array ``base``: a local or symmetric
+        array, or with ``remote`` the target PE's copy of a symmetric one
+        (``UR a``; only a plain loop, never a nest, copies remotely)."""
         if (
             not isinstance(base, ast.VarRef)
-            or base.qualifier == "UR"
+            or (base.qualifier == "UR") != remote
             # a body scalar: not an array
             or self.bindings.of(base) in self.decls
         ):
@@ -723,9 +819,9 @@ class _Analyzer:
         if info.kind == SYMMETRIC:
             if not info.is_array:
                 raise _Bail
-            aref = ("sym", base.name)
+            aref = ("ur" if remote else "sym", base.name)
             elem = info.static_type
-        elif info.kind == LOCAL and info.is_array:
+        elif info.kind == LOCAL and info.is_array and not remote:
             aref = ("slot", info.slot)
             elem = info.static_type or _NUMBAR  # dynamic arrays are NUMBAR
         else:
@@ -738,26 +834,31 @@ class _Analyzer:
                 kind = "f"
             else:
                 raise _Bail  # TROOF/YARN arrays stay scalar
-            reg = self._reg()
-            self._emit(("arr", reg, aref[0], aref[1], kind))
+            reg = -1
+            if remote:
+                if len(self.zero) > 1:
+                    raise _Bail
+                self.remote = True
+            else:
+                reg = self._reg()
+                self._emit(("arr", reg, aref[0], aref[1], kind))
             st = _Arr(reg, kind, elem)
             self.arr_regs[aref] = st
         return st
 
     def _aff_index(self, node):
-        """Index expression -> ``(base_operand, coeff)``, integer coeff."""
+        """Index expression -> ``(base_operand, coeffs)``, integer coeffs."""
         return self._aff(self._expr(node))
 
-    @staticmethod
-    def _aff(sym):
+    def _aff(self, sym):
         k = sym[0]
         if k == "c":
             if type(sym[1]) is not int:
                 raise _Bail
-            return ("c", sym[1]), 0
+            return ("c", sym[1]), self.zero
         if k == "r":
-            return ("r", sym[1]), 0
-        if k == "aff" and sym[2] >= 1:
+            return ("r", sym[1]), self.zero
+        if k == "aff" and min(sym[2]) >= 0 and any(sym[2]):
             return sym[1], sym[2]
         raise _Bail  # data-dependent (gather/scatter) indexing: scalar
 
@@ -765,17 +866,17 @@ class _Analyzer:
         st = self._array(node.base)
         if st.folded:
             raise _Bail
-        base_op, coeff = self._aff_index(node.index)
-        key = (coeff, base_op)
+        base_op, coeffs = self._aff_index(node.index)
+        key = (coeffs, base_op)
         pend = st.writes.get(key)
         if pend is not None:
-            if pend == "fold":
+            if pend == "fold" or pend[2][0] == "rget":
                 raise _Bail
             return pend[2]  # same-iteration read-after-write, coerced
         for k in st.writes:
             if k != key:
                 raise _Bail
-        if coeff == 0:
+        if not any(coeffs):
             reg = st.read1.get(key)
             if reg is None:
                 reg = self._reg()
@@ -785,7 +886,7 @@ class _Analyzer:
         reg = st.reads.get(key)
         if reg is None:
             reg = self._reg()
-            self._emit(("read", reg, st.reg, base_op, coeff))
+            self._emit(("read", reg, st.reg, base_op, coeffs))
             st.reads[key] = reg
         return ("v", reg)
 
@@ -793,7 +894,7 @@ class _Analyzer:
     # symbolic arithmetic
 
     def _materialize(self, aff) -> int:
-        """aff -> iota vector register (runtime-validates an int base)."""
+        """aff -> lane vector register (runtime-validates an int base)."""
         reg = self._reg()
         self._emit(("iota", reg, aff[1], aff[2]))
         return reg
@@ -809,11 +910,6 @@ class _Analyzer:
 
     def _bin(self, op: str, a, b):
         ka, kb = a[0], b[0]
-        if ka == "c" and kb == "c":
-            try:
-                return ("c", _SBIN[op](a[1], b[1], None))
-            except Exception as exc:  # noqa: BLE001 — let scalar raise it
-                raise _Bail from exc
         if ka == "aff" or kb == "aff":
             sym = self._bin_aff(op, a, b)
             if sym is not None:
@@ -835,6 +931,25 @@ class _Analyzer:
         self._emit(("bin", reg, op, self._opnd(a), self._opnd(b)))
         return ("v", reg)
 
+    def _ibin(self, op: str, a, b):
+        """``QUOSHUNT OF``/``MOD OF``/``BIGGR OF``/``SMALLR OF``: on
+        scalars the real operator kernel, on lanes int64 only (checked
+        at run time, with zero divisors bailing)."""
+        if a[0] == "aff":
+            a = ("v", self._materialize(a))
+        if b[0] == "aff":
+            b = ("v", self._materialize(b))
+        reg = self._reg()
+        if a[0] != "v" and b[0] != "v":
+            self._emit(("sbin", reg, op, self._opnd(a), self._opnd(b)))
+            return ("r", reg)
+        if (a[0] == "c" and not self._is_int(a[1])) or (
+            b[0] == "c" and not self._is_int(b[1])
+        ):
+            raise _Bail  # a float or non-number constant leaves int lanes
+        self._emit(("ibin", reg, op, self._opnd(a), self._opnd(b)))
+        return ("v", reg)
+
     def _bin_aff(self, op: str, a, b):
         """Affine algebra; ``None`` means materialize and go elementwise.
 
@@ -847,23 +962,28 @@ class _Analyzer:
             if op == "mul":
                 return None
             base = self._base_combine(op, a[1], b[1])
-            coeff = a[2] + b[2] if op == "add" else a[2] - b[2]
-            return ("aff", base, coeff)
+            if op == "add":
+                coeffs = tuple(x + y for x, y in zip(a[2], b[2]))
+            else:
+                coeffs = tuple(x - y for x, y in zip(a[2], b[2]))
+            return ("aff", base, coeffs)
         if a[0] == "aff" and b[0] == "c" and self._is_int(b[1]):
             if op == "add":
                 return ("aff", self._base_add(a[1], b[1]), a[2])
             if op == "sub":
                 return ("aff", self._base_add(a[1], -b[1]), a[2])
-            base = a[1]  # mul: (base + c*i) * k = base*k + (c*k)*i
+            k = b[1]  # mul: (base + c.i) * k = base*k + (c*k).i
+            coeffs = tuple(c * k for c in a[2])
+            base = a[1]
             if base[0] == "c":
-                return ("aff", ("c", base[1] * b[1]), a[2] * b[1])
+                return ("aff", ("c", base[1] * k), coeffs)
             reg = self._reg()
-            self._emit(("sbin", reg, "mul", base, ("c", b[1])))
-            return ("aff", ("r", reg), a[2] * b[1])
+            self._emit(("sbin", reg, "mul", base, ("c", k)))
+            return ("aff", ("r", reg), coeffs)
         if b[0] == "aff" and a[0] == "c" and self._is_int(a[1]):
             if op == "add":
                 return ("aff", self._base_add(b[1], a[1]), b[2])
-            if op == "sub":  # k - (base + c*i) = (k - base) - c*i
+            if op == "sub":  # k - (base + c.i) = (k - base) - c.i
                 base = b[1]
                 if base[0] == "c":
                     nbase = ("c", a[1] - base[1])
@@ -871,13 +991,15 @@ class _Analyzer:
                     reg = self._reg()
                     self._emit(("sbin", reg, "sub", ("c", a[1]), base))
                     nbase = ("r", reg)
-                return ("aff", nbase, -b[2])
-            base = b[1]  # mul
+                return ("aff", nbase, tuple(-c for c in b[2]))
+            k = a[1]  # mul
+            coeffs = tuple(k * c for c in b[2])
+            base = b[1]
             if base[0] == "c":
-                return ("aff", ("c", a[1] * base[1]), a[1] * b[2])
+                return ("aff", ("c", k * base[1]), coeffs)
             reg = self._reg()
-            self._emit(("sbin", reg, "mul", ("c", a[1]), base))
-            return ("aff", ("r", reg), a[1] * b[2])
+            self._emit(("sbin", reg, "mul", ("c", k), base))
+            return ("aff", ("r", reg), coeffs)
         # Runtime-scalar add/sub keeps affinity (heat2d's row*cols + c).
         if a[0] == "aff" and b[0] == "r" and op in ("add", "sub"):
             reg = self._reg()
@@ -986,6 +1108,10 @@ def _numeric(v) -> bool:
     return t is int or t is float
 
 
+def _is_remote(base) -> bool:
+    return type(base) is ast.VarRef and base.qualifier == "UR"
+
+
 def _same_var(a, b) -> bool:
     return (
         type(a) is ast.VarRef
@@ -1001,9 +1127,10 @@ def try_vectorize(stmt: ast.Loop, compiler, asm, cslot: int):
     Eligible loops are ``IM IN YR .. UPPIN YR v TIL BOTH SAEM v AN
     <inv>`` (or ``WILE SMALLR v AN <inv>``) whose bodies contain only
     scalar declarations and assignments inside the affine/elementwise
-    model.  Called at compile time, with the counter (slot ``cslot``)
-    allocated in ``asm``'s frame; body declarations are bound privately
-    as the walk reaches them, and the analysis allocates no frame slot.
+    model, or declarations plus one such loop (a nest).  Called at
+    compile time, with the counter (slot ``cslot``) allocated in
+    ``asm``'s frame; an inner loop's counter is allocated here, and body
+    declarations are bound privately as the walk reaches them.
     """
     if cslot < 0 or stmt.op != "UPPIN" or stmt.cond is None:
         return None
@@ -1012,353 +1139,3 @@ def try_vectorize(stmt: ast.Loop, compiler, asm, cslot: int):
     except _Bail:
         return None
 
-
-# ---------------------------------------------------------------------------
-# Runtime
-# ---------------------------------------------------------------------------
-
-
-def _val(operand, regs):
-    return regs[operand[1]] if operand[0] == "r" else operand[1]
-
-
-def _int_guard(v: np.ndarray) -> np.ndarray:
-    if v.dtype.kind == "i" and (
-        int(v.max()) > _MAXI or int(v.min()) < -_MAXI
-    ):
-        raise _Bail
-    return v
-
-
-def _scalar_num(v):
-    t = type(v)
-    if t is float:
-        return v
-    if t is int and -_MAXI <= v <= _MAXI:
-        return v
-    raise _Bail
-
-
-def run_vec(m, frame, plan: VecPlan, pos) -> bool:
-    """Execute ``plan``; True = loop done, False = run the scalar loop."""
-    if not m.fast_sym:
-        return False  # the race detector must observe every access
-    try:
-        return _run(m, frame, plan)
-    except Exception:  # noqa: BLE001 — any guard failure stays scalar
-        return False
-
-
-def _run(m, frame, plan: VecPlan) -> bool:
-    regs: list = [None] * plan.n_regs
-    for op in plan.limit_prog:
-        _exec(op, regs, frame, 0, m.declared, m.ctx.my_pe, m.ctx.n_pes)
-    lim = _val(plan.limit, regs)
-    tl = type(lim)
-    if plan.mode == "eq":
-        # BOTH SAEM compares int/float by value, so an integral float
-        # limit terminates the scalar loop too; any other limit never
-        # matches the ascending int counter -> preserve the scalar
-        # infinite loop by bailing.
-        if tl is int:
-            n = lim
-        elif tl is float and math.isfinite(lim) and lim.is_integer():
-            n = int(lim)
-        else:
-            raise _Bail
-        if n < 0:
-            raise _Bail
-    else:  # "lt": n = first i with not (i < lim)
-        if tl is int:
-            n = lim if lim > 0 else 0
-        elif tl is float:
-            # NaN: lim > 0 is False -> 0 trips, same as the scalar test.
-            # +inf: math.ceil raises -> bail -> scalar infinite loop.
-            n = math.ceil(lim) if lim > 0 else 0
-        else:
-            raise _Bail
-    if n == 0:
-        frame[plan.cslot] = 0
-        return True
-    if n > _CAP or n < plan.min_trips:
-        raise _Bail
-    if not plan.words:
-        return _apply(m, frame, plan, regs, n)
-    rng = m.ctx.rng
-    state = rng.getstate()
-    try:
-        # CPython fills getrandbits from successive 32-bit outputs, least
-        # significant first: row i holds iteration i's words in order.
-        k = plan.words
-        raw = rng.getrandbits(32 * n * k).to_bytes(4 * n * k, "little")
-        regs[plan.words_reg] = np.frombuffer(raw, "<u4").reshape(n, k)
-        return _apply(m, frame, plan, regs, n)
-    except Exception:
-        rng.setstate(state)  # the scalar loop replays the same draws
-        raise
-
-
-def _apply(m, frame, plan: VecPlan, regs: list, n: int) -> bool:
-    declared = m.declared
-    my_pe = m.ctx.my_pe
-    n_pes = m.ctx.n_pes
-    for op in plan.prog:
-        _exec(op, regs, frame, n, declared, my_pe, n_pes)
-    # Two-phase commit.  Validate every target and materialize every
-    # source (copying ndarray views) before the first write: after this
-    # point nothing can raise, and before it nothing has been mutated.
-    actions = []
-    for c in plan.commits:
-        tag = c[0]
-        if tag == "set":
-            actions.append((None, frame, c[1], _commit_val(c[2], regs, n)))
-        elif tag == "wslice":
-            data = regs[c[1]]
-            b = _val(c[2], regs)
-            if type(b) is not int:
-                raise _Bail
-            coeff = c[3]
-            end = b + coeff * (n - 1)
-            if b < 0 or end >= data.shape[0]:
-                raise _Bail
-            src = _val(c[4], regs)
-            if isinstance(src, np.ndarray):
-                src = src.copy()  # views may alias a committed target
-            elif type(src) is int:
-                if abs(src) > _MAXI:
-                    raise _Bail  # int64 store could overflow at apply
-            elif type(src) is not float:
-                raise _Bail
-            actions.append((None, data, slice(b, end + 1, coeff), src))
-        elif tag == "mset":
-            sel = np.flatnonzero(regs[c[3]])
-            if sel.size:  # no selected lane: the slot keeps its value
-                v = _val(c[2], regs)
-                if isinstance(v, np.ndarray):
-                    v = v[sel[-1]].item()
-                actions.append((None, frame, c[1], v))
-        elif tag == "scatter":
-            data = regs[c[1]]
-            idx = regs[c[2]]
-            if idx.dtype.kind != "i":
-                raise _Bail
-            if int(idx.min()) < 0 or int(idx.max()) >= data.shape[0]:
-                raise _Bail
-            k = _val(c[3], regs)
-            if isinstance(k, np.ndarray):
-                if k.dtype.kind != "i":
-                    raise _Bail
-                _int_guard(k)
-            elif type(k) is not int or abs(k) > _MAXI:
-                raise _Bail
-            # Touched elements start within the guard too, so no partial
-            # sum can leave int64: np.add.at equals the scalar sequence.
-            # Only they are written back, as the scalar loop would (a
-            # peer may own the others of a symmetric array).
-            touched = np.flatnonzero(np.bincount(idx, minlength=data.shape[0]))
-            _int_guard(data[touched])
-            new = data.copy()
-            np.add.at(new, idx, k)
-            actions.append((None, data, touched, new[touched]))
-        else:  # "w1"
-            data = regs[c[1]]
-            b = _val(c[2], regs)
-            if type(b) is not int or b < 0 or b >= data.shape[0]:
-                raise _Bail
-            v = _commit_val(c[3], regs, n)
-            if type(v) is int:
-                if abs(v) > _MAXI:
-                    raise _Bail
-            elif type(v) is not float:
-                raise _Bail
-            actions.append((None, data, b, v))
-    for _, target, where, v in actions:
-        target[where] = v
-    frame[plan.cslot] = n
-    return True
-
-
-def _commit_val(spec, regs, n: int):
-    tag = spec[0]
-    if tag == "c":
-        return spec[1]
-    if tag == "r":
-        return regs[spec[1]]
-    if tag == "last":
-        return regs[spec[1]][-1].item()
-    # "afflast": the final iteration's value as the scalar engine would
-    # compute it — one add on the invariant base.  Exactness of the
-    # reassociated coeff*(n-1) needs integers, so floats bail.
-    b = _val(spec[1], regs)
-    if type(b) is not int:
-        raise _Bail
-    return b + spec[2] * (n - 1)
-
-
-def _exec(op, regs, frame, n, declared, my_pe, n_pes) -> None:
-    tag = op[0]
-    if tag == "bin":
-        a = _val(op[3], regs)
-        b = _val(op[4], regs)
-        if not isinstance(a, np.ndarray):
-            a = _scalar_num(a)
-        if not isinstance(b, np.ndarray):
-            b = _scalar_num(b)
-        regs[op[1]] = _int_guard(_VOP[op[2]](a, b))
-    elif tag == "read":
-        data = regs[op[2]]
-        b = _val(op[3], regs)
-        if type(b) is not int:
-            raise _Bail
-        coeff = op[4]
-        end = b + coeff * (n - 1)
-        if b < 0 or end >= data.shape[0]:
-            raise _Bail
-        regs[op[1]] = _int_guard(data[b : end + 1 : coeff])
-    elif tag == "slot":
-        v = frame[op[2]]
-        if v is UNDECLARED:
-            raise _Bail
-        regs[op[1]] = v
-    elif tag == "un":
-        v = regs[op[3]]
-        kind = op[2]
-        if kind == "square":
-            regs[op[1]] = _int_guard(v * v)
-        else:
-            if v.dtype.kind == "i":
-                v = v.astype(np.float64)  # exact under the int guard
-            if kind == "sqrt":
-                if bool((v < 0.0).any()):
-                    raise _Bail  # scalar raises UNSQUAR OF
-                regs[op[1]] = np.sqrt(v)
-            else:  # recip
-                if bool((v == 0.0).any()):
-                    raise _Bail  # scalar raises FLIP OF
-                regs[op[1]] = 1.0 / v
-    elif tag == "fold":
-        _, dst, kind, init, opnd, coerce, mask = op
-        if init[0] == "slot":
-            acc = frame[init[1]]
-            if acc is UNDECLARED:
-                raise _Bail
-        else:  # ("elem", arr_reg, base_op)
-            data = regs[init[1]]
-            b = _val(init[2], regs)
-            if type(b) is not int or b < 0 or b >= data.shape[0]:
-                raise _Bail
-            v = data[b]
-            acc = int(v) if data.dtype.kind == "i" else float(v)
-        x = _val(opnd, regs)
-        if isinstance(x, np.ndarray):
-            if mask is not None:
-                x = x[regs[mask]]  # the lanes whose arm ran, in order
-            xs = x.tolist()
-        else:
-            count = n if mask is None else int(np.count_nonzero(regs[mask]))
-            if (
-                type(acc) is int
-                and type(x) is int
-                and kind != "mul"
-                and (coerce is None or coerce[1] is _NUMBR)
-            ):
-                # count additions of one int are one exact product
-                # (pi's ``hits R SUM OF hits AN 1``).
-                x *= count
-                regs[dst] = acc + x if kind == "add" else acc - x
-                return
-            xs = [x] * count
-        fn = _SBIN[kind]
-        if coerce is None:
-            for item in xs:
-                acc = fn(acc, item, None)
-        else:
-            ct, nm = coerce[1], coerce[2]
-            for item in xs:
-                acc = coerce_static(fn(acc, item, None), ct, nm, None)
-        regs[dst] = acc
-    elif tag == "iota":
-        b = _val(op[2], regs)
-        if type(b) is not int:
-            raise _Bail
-        coeff = op[3]
-        last = b + coeff * (n - 1)
-        if not (-_MAXI <= b <= _MAXI and -_MAXI <= last <= _MAXI):
-            raise _Bail
-        regs[op[1]] = np.arange(n, dtype=np.int64) * coeff + b
-    elif tag == "draw":
-        w = regs[op[3]]
-        c = op[4]
-        if op[2] == "float":  # CPython random(): 53 bits from two words
-            hi = (w[:, c] >> 5).astype(np.float64)
-            regs[op[1]] = (hi * 67108864.0 + (w[:, c + 1] >> 6)) * (
-                1.0 / 9007199254740992.0
-            )
-        else:  # randrange(0, 2**31 - 1): getrandbits(31) below the bound
-            v = (w[:, c] >> 1).astype(np.int64)
-            if bool((v == _REJECT).any()):
-                raise _Bail  # the scalar loop redraws; rare (2**-31)
-            regs[op[1]] = v
-    elif tag == "not":
-        regs[op[1]] = ~regs[op[2]]
-    elif tag == "mcast":
-        regs[op[1]] = cast_value(_val(op[2], regs), op[3], None)
-    elif tag == "sbin":
-        regs[op[1]] = BINOP_FUNCS[op[2]](
-            _val(op[3], regs), _val(op[4], regs), None
-        )
-    elif tag == "cast":
-        v = regs[op[2]]
-        if op[3] == "i":
-            if v.dtype.kind == "f":
-                if not bool(np.isfinite(v).all()):
-                    raise _Bail
-                if float(np.abs(v).max()) > _MAXI:
-                    raise _Bail
-                v = v.astype(np.int64)  # C truncation == to_numbr
-        else:
-            if v.dtype.kind == "i":
-                v = v.astype(np.float64)  # exact under the int guard
-        regs[op[1]] = v
-    elif tag == "read1":
-        data = regs[op[2]]
-        b = _val(op[3], regs)
-        if type(b) is not int or b < 0 or b >= data.shape[0]:
-            raise _Bail
-        v = data[b]
-        regs[op[1]] = int(v) if data.dtype.kind == "i" else float(v)
-    elif tag == "arr":
-        if op[2] == "slot":
-            cell = frame[op[3]]
-            if type(cell) is not ArrayCell:
-                raise _Bail
-        else:
-            # Undeclared on this PE: the scalar loop raises LolNameError.
-            obj = declared.get(op[3])
-            if obj is None or not obj.is_array:
-                raise _Bail
-            cell = obj.cell(my_pe)
-        data = cell.data
-        if (
-            not isinstance(data, np.ndarray)
-            or data.dtype.kind != op[4]
-            or data.itemsize != 8
-            or data.ndim != 1
-        ):
-            raise _Bail
-        regs[op[1]] = data
-    elif tag == "sun":
-        regs[op[1]] = _SUN[op[2]](_val(op[3], regs), None)
-    elif tag == "scast":
-        regs[op[1]] = coerce_static(_val(op[2], regs), op[3], op[4], None)
-    elif tag == "symrd":
-        obj = declared.get(op[2])
-        if obj is None or obj.is_array:
-            raise _Bail
-        regs[op[1]] = obj.cell(my_pe).read()
-    elif tag == "me":
-        regs[op[1]] = my_pe
-    elif tag == "np":
-        regs[op[1]] = n_pes
-    else:  # pragma: no cover — unknown op means a compiler bug
-        raise _Bail

@@ -90,6 +90,36 @@ def test_clean_candidates_do_not_diverge():
             assert sum(result.opcode_counts) > 0
 
 
+def test_seeded_batch_runs_draw_mask_and_nest_plans(monkeypatch):
+    # Some generated loops are shaped for the vectorizer, so the
+    # differential covers its plans and not only their scalar fallback.
+    import threading
+
+    from repro.vm import machine, vecrun
+
+    ran: set = set()
+    lock = threading.Lock()
+
+    def spy(m, frame, plan, pos):
+        done = vecrun.run_vec(m, frame, plan, pos)
+        if done:
+            with lock:
+                ran.update(plan.shapes)
+        return done
+
+    monkeypatch.setattr(machine, "run_vec", spy)
+    shaped = 0
+    for seed in range(40):
+        source = format_program(generate_program(seed))
+        if "IM IN YR wl" not in source:
+            continue
+        shaped += 1
+        result = run_differential(source, 2, seed=0)
+        assert result.status == "ok", (seed, result.reason, result.divergences)
+    assert shaped >= 5
+    assert {"draw", "mask", "nest"} <= ran
+
+
 def test_outcome_comparable_ignores_detail():
     a = Outcome("error", error_class="LolTypeError", detail="at line 3")
     b = Outcome("error", error_class="LolTypeError", detail="at line 9")

@@ -134,6 +134,56 @@ class TestPutGet:
         with pytest.raises(LolRuntimeError):
             ctx.get("x", 0, index=1)
 
+    def test_slice_put_get(self):
+        def main(ctx: ShmemContext):
+            nxt = (ctx.my_pe + 1) % ctx.n_pes
+            ctx.put_slice("a", np.arange(3.0) + 10 * ctx.my_pe, nxt, slice(1, 7, 2))
+            ctx.barrier_all()
+            got = ctx.get_slice("a", nxt, slice(0, 6, 1))
+            got[:] = -1.0  # a copy: the heap keeps its values
+            return ctx.get_slice("a", ctx.my_pe, slice(0, 6, 1)).tolist()
+
+        r = run_spmd(main, 2, plan=_plan(a=(LolType.NUMBAR, True, 6)))
+        assert r.returns == [
+            [0.0, 10.0, 0.0, 11.0, 0.0, 12.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0, 2.0],
+        ]
+
+    def test_slice_checks_target_and_bounds_like_elements(self):
+        ctx = serial_context(_plan(a=(LolType.NUMBR, True, 4)))
+        with pytest.raises(LolParallelError, match="out of range"):
+            ctx.get_slice("a", 1, slice(0, 2, 1))
+        with pytest.raises(LolRuntimeError, match=r"index 4 out of range \[0, 4\)"):
+            ctx.put_slice("a", 0, 0, slice(2, 5, 1))
+        assert ctx.get_slice("a", 0, slice(0, 4, 1)).tolist() == [0, 0, 0, 0]
+
+    def test_slice_counts_one_op_per_element(self):
+        from repro import obs
+
+        def main(ctx: ShmemContext):
+            ctx.barrier_all()
+            nxt = (ctx.my_pe + 1) % ctx.n_pes
+            ctx.put_slice("a", 1.5, nxt, slice(0, 5, 1))
+            ctx.get_slice("a", nxt, slice(1, 4, 2))
+            ctx.barrier_all()
+
+        obs.arm("metrics")
+        try:
+            registry = obs.get_registry()
+            before = registry.snapshot(collect=False)
+            r = run_spmd(
+                main, 2, plan=_plan(a=(LolType.NUMBAR, True, 6)), trace=True
+            )
+            delta = obs.diff_snapshots(before, registry.snapshot(collect=False))
+        finally:
+            obs.disarm()
+        assert delta["lol_comm_ops_total"]["series"] == {
+            '[["op", "get"]]': 4, '[["op", "put"]]': 10,
+        }
+        assert r.trace.total(OpKind.PUT) == 10
+        assert r.trace.total(OpKind.GET) == 4
+        assert r.trace.total_remote_bytes() == 14 * 8
+
 
 class TestCollectives:
     def test_broadcast(self):

@@ -25,6 +25,7 @@ import pytest
 
 from repro.interp.interpreter import Interpreter
 from repro.lang import parse
+from repro.lang.errors import LolError
 from repro.launcher import plan_from_program, run_lolcode
 from repro.shmem.api import serial_context
 from repro.vm import Machine, compile_program_vm, disassemble_source
@@ -333,10 +334,316 @@ class TestLoopVec:
         }
         want = {name: 0 for name in got}
         want.update(
-            transpose=2, bfs=1, sample_sort=1, pi_montecarlo=2, histogram=1,
-            nbody=4, nbody_racy=4, heat1d=3, heat2d=3, heat3d=3,
+            transpose=2, bfs=1, sample_sort=2, spmv=1, pi_montecarlo=2,
+            histogram=1, nbody=6, nbody_racy=6, heat1d=3, heat2d=8, heat3d=11,
         )
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Int-lane ops: QUOSHUNT OF, MOD OF, BIGGR OF, SMALLR OF.
+# ---------------------------------------------------------------------------
+
+
+def _same_error(src: str, n_pes: int) -> str:
+    """The error ``src`` raises, asserted identical on vm and ast."""
+    errors = []
+    for engine in ("vm", "ast"):
+        with pytest.raises(LolError) as info:
+            run_lolcode(src, n_pes, engine=engine)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
+INT_OPS = lol(
+    "I HAS A u ITZ LOTZ A NUMBRS AN THAR IZ 20\n"
+    "I HAS A w ITZ LOTZ A NUMBRS AN THAR IZ 20\n"
+    "I HAS A k ITZ -3\n"
+    "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 20\n"
+    "  I HAS A a ITZ DIFF OF i AN 9\n"
+    "  u'Z i R SUM OF QUOSHUNT OF a AN k AN MOD OF a AN 4\n"
+    "  w'Z i R PRODUKT OF BIGGR OF a AN -2 AN SMALLR OF MOD OF -7 AN SUM OF a AN 10 AN 3\n"
+    "IM OUTTA YR l\n"
+    "IM IN YR p UPPIN YR i TIL BOTH SAEM i AN 20\n"
+    '  VISIBLE u\'Z i " " w\'Z i\n'
+    "IM OUTTA YR p"
+)
+
+
+class TestIntLaneOps:
+    def test_truncating_ops_match_ast_with_negative_operands(self):
+        m, got, want = _both(INT_OPS)
+        assert (m.vec_runs, m.vec_bails) == (1, 0)
+        assert got == want
+        # a = -7: -7 mod 4 is -3; a = 8: 8 / -3 is -2 and -7 mod 18 is
+        # -7 (numpy's flooring // and % give 1, -3 and 11)
+        lines = got.splitlines()
+        assert (lines[2], lines[17]) == ("-1 2", "-2 -56")
+
+    def test_zero_divisor_bails_and_scalar_raises(self):
+        src = INT_OPS.replace("ITZ -3", "ITZ 0")
+        assert "QUOSHUNT OF: division by zero" in _same_error(src, 1)
+
+    def test_float_lanes_bail_to_identical_scalar(self):
+        src = INT_OPS.replace("ITZ -3", "ITZ -3.5").replace(
+            "LOTZ A NUMBRS", "LOTZ A NUMBARS"
+        )
+        m, got, want = _both(src)
+        assert (m.vec_runs, m.vec_bails) == (0, 1)
+        assert got == want
+
+    def test_constant_operands_fold_before_the_check(self):
+        src = lol(
+            "I HAS A u ITZ LOTZ A NUMBRS AN THAR IZ 8\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+            "  u'Z i R SUM OF i AN MOD OF 5 AN BIGGR OF 3 AN -1\n"
+            "IM OUTTA YR l\n"
+            "VISIBLE u'Z 7"
+        )
+        m, got, want = _both(src)
+        assert (m.vec_runs, m.vec_bails) == (1, 0)
+        assert got == want == "9\n"
+
+
+# ---------------------------------------------------------------------------
+# Loop nests, segmented folds and remote slices in one plan.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def plan_runs(monkeypatch):
+    """``(depth, remote, done)`` for every ``LOOP_VEC`` the vm runs."""
+    from repro.vm import machine, vecrun
+
+    seen: list = []
+
+    def spy(m, frame, plan, pos):
+        done = vecrun.run_vec(m, frame, plan, pos)
+        with lock:
+            seen.append((len(plan.levels), "remote" in plan.shapes, done))
+        return done
+
+    import threading
+
+    lock = threading.Lock()
+    monkeypatch.setattr(machine, "run_vec", spy)
+    return seen
+
+
+NEST = lol(
+    "I HAS A a ITZ LOTZ A NUMBARS AN THAR IZ 40\n"
+    "I HAS A b ITZ LOTZ A NUMBARS AN THAR IZ 40\n"
+    "I HAS A acc ITZ LOTZ A NUMBARS AN THAR IZ 4\n"
+    "I HAS A s ITZ 0.5\n"
+    "IM IN YR f UPPIN YR i TIL BOTH SAEM i AN 40\n"
+    "  a'Z i R PRODUKT OF SUM OF i AN 1 AN 0.375\n"
+    "IM OUTTA YR f\n"
+    "IM IN YR o UPPIN YR i TIL BOTH SAEM i AN 4\n"
+    "  I HAS A row ITZ PRODUKT OF i AN 10\n"
+    "  I HAS A x ITZ a'Z i\n"
+    "  IM IN YR n UPPIN YR j TIL BOTH SAEM j AN 6\n"
+    "    I HAS A at ITZ SUM OF row AN SUM OF j AN 2\n"
+    "    b'Z at R SUM OF a'Z at AN PRODUKT OF x AN a'Z DIFF OF at AN 1\n"
+    "    acc'Z i R SUM OF acc'Z i AN PRODUKT OF x AN a'Z at\n"
+    "    s R SUM OF s AN a'Z at\n"
+    "  IM OUTTA YR n\n"
+    "IM OUTTA YR o\n"
+    "VISIBLE s\n"
+    "IM IN YR p UPPIN YR i TIL BOTH SAEM i AN 40\n"
+    '  VISIBLE b\'Z i " " a\'Z i\n'
+    "IM OUTTA YR p\n"
+    'VISIBLE acc\'Z 0 " " acc\'Z 1 " " acc\'Z 2 " " acc\'Z 3'
+)
+
+
+class TestNests:
+    def test_nest_is_one_plan_run(self, plan_runs):
+        m, got, want = _both(NEST)
+        assert got == want
+        assert (m.vec_runs, m.vec_bails) == (2, 0)  # the fill and the nest
+        assert (2, False, True) in plan_runs
+
+    def test_frame_matches_the_scalar_nest(self):
+        # No body declarations: every slot the nest touches is a frame
+        # slot the scalar loops leave behind, both counters included.
+        src = lol(
+            "I HAS A b ITZ LOTZ A NUMBRS AN THAR IZ 24\n"
+            "I HAS A t ITZ 0\n"
+            "IM IN YR o UPPIN YR i TIL BOTH SAEM i AN 4\n"
+            "  IM IN YR n UPPIN YR j WILE SMALLR j AN 6\n"
+            "    b'Z SUM OF PRODUKT OF i AN 6 AN j R PRODUKT OF i AN j\n"
+            "    t R SUM OF t AN j\n"
+            "    SUM OF i AN j\n"
+            "  IM OUTTA YR n\n"
+            "IM OUTTA YR o"
+        )
+        from repro.vm.compile import VMCompiler
+
+        frames = []
+        for vectorize in (True, False):
+            compiler = VMCompiler(parse(src), vectorize=vectorize)
+            m = compiler.compile().run(serial_context())
+            slots = {b.name: info.slot for b, info in compiler.infos.items()}
+            frames.append({name: m.gframe[slot] for name, slot in slots.items()})
+            frames[-1]["IT"] = m.gframe[0]
+            frames[-1]["b"] = frames[-1]["b"].data.tolist()
+        assert (m.vec_runs, m.vec_bails) == (0, 0)  # the scalar run
+        assert frames[0] == frames[1]
+        assert frames[0]["j"] == 6 and frames[0]["i"] == 4
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [
+            # a barrier or VISIBLE in the outer body
+            ("  HUGZ\n", "    b'Z SUM OF row AN j R 1.5\n"),
+            ('  VISIBLE "row"\n', "    b'Z SUM OF row AN j R 1.5\n"),
+            # a non-rectangular inner limit
+            ("", "    b'Z SUM OF row AN j R 1.5\n"),
+            # a write at a'Z i read back at a'Z SUM OF i AN 1 across outer
+            # iterations
+            (
+                "",
+                "    a'Z i R SUM OF a'Z SUM OF i AN 1 AN j\n",
+            ),
+        ],
+        ids=["barrier", "visible", "non-rectangular", "cross-row"],
+    )
+    def test_outside_the_nest_model_gets_no_nest_plan(self, outer, inner, plan_runs):
+        limit = "i" if not outer and "row" in inner else "4"
+        src = lol(
+            "I HAS A a ITZ LOTZ A NUMBARS AN THAR IZ 12\n"
+            "I HAS A b ITZ LOTZ A NUMBARS AN THAR IZ 12\n"
+            "IM IN YR o UPPIN YR i TIL BOTH SAEM i AN 3\n"
+            f"{outer}"
+            "  I HAS A row ITZ PRODUKT OF i AN 4\n"
+            f"  IM IN YR n UPPIN YR j TIL BOTH SAEM j AN {limit}\n"
+            f"{inner}"
+            "  IM OUTTA YR n\n"
+            "IM OUTTA YR o\n"
+            'VISIBLE a\'Z 0 " " a\'Z 2 " " b\'Z 5 " " b\'Z 9'
+        )
+        got = run_lolcode(src, 2, engine="vm").outputs
+        assert got == run_lolcode(src, 2, engine="ast").outputs
+        assert all(depth == 1 for depth, _, _ in plan_runs)
+        # the inner loop keeps its own plan (the cross-row read-back is a
+        # recurrence of the inner loop too)
+        assert bool(plan_runs) == ("a'Z i" not in inner)
+
+    def test_index_out_of_range_at_a_later_row_raises_like_ast(self, plan_runs):
+        src = NEST.replace("AN SUM OF j AN 2\n", "AN SUM OF j AN 5\n")
+        assert "out of range" in _same_error(src, 1)
+        assert (2, False, False) in plan_runs  # the nest bailed whole
+
+    def test_segmented_int_fold_matches_ast(self):
+        src = lol(
+            "I HAS A h ITZ LOTZ A NUMBRS AN THAR IZ 5\n"
+            "IM IN YR o UPPIN YR i TIL BOTH SAEM i AN 5\n"
+            "  IM IN YR n UPPIN YR j TIL BOTH SAEM j AN 7\n"
+            "    h'Z i R DIFF OF h'Z i AN PRODUKT OF SUM OF i AN 1 AN j\n"
+            "  IM OUTTA YR n\n"
+            "IM OUTTA YR o\n"
+            'VISIBLE h\'Z 0 " " h\'Z 4'
+        )
+        m, got, want = _both(src)
+        assert (m.vec_runs, m.vec_bails) == (1, 0)
+        assert got == want == "-21 -105\n"
+
+
+REMOTE = lol(
+    "WE HAS A g ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 12\n"
+    "I HAS A t ITZ LOTZ A NUMBARS AN THAR IZ 12\n"
+    "I HAS A nxt ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+    "IM IN YR f UPPIN YR i TIL BOTH SAEM i AN 12\n"
+    "  g'Z i R SUM OF PRODUKT OF ME AN 100 AN i\n"
+    "IM OUTTA YR f\n"
+    "HUGZ\n"
+    "TXT MAH BFF nxt AN STUFF,\n"
+    "  IM IN YR get UPPIN YR j TIL BOTH SAEM j AN 5\n"
+    "    t'Z SUM OF j AN 2 R UR g'Z PRODUKT OF j AN 2\n"
+    "  IM OUTTA YR get\n"
+    "TTYL\n"
+    "HUGZ\n"
+    "TXT MAH BFF nxt AN STUFF,\n"
+    "  IM IN YR put UPPIN YR j TIL BOTH SAEM j AN 4\n"
+    "    UR g'Z SUM OF j AN 8 R PRODUKT OF t'Z SUM OF j AN 2 AN 0.5\n"
+    "  IM OUTTA YR put\n"
+    "TTYL\n"
+    "HUGZ\n"
+    'VISIBLE t\'Z 2 " " t\'Z 6 " " g\'Z 8 " " g\'Z 11'
+)
+
+
+class TestRemoteSlices:
+    @pytest.mark.parametrize("n_pes", [2, 4])
+    def test_remote_slices_match_ast(self, n_pes, plan_runs):
+        got = run_lolcode(REMOTE, n_pes, engine="vm").outputs
+        assert got == run_lolcode(REMOTE, n_pes, engine="ast").outputs
+        remote = [done for _, is_remote, done in plan_runs if is_remote]
+        assert remote == [True] * 2 * n_pes
+
+    def test_comm_counters_count_every_element(self):
+        from repro import obs
+
+        counts = {}
+        obs.arm("metrics")
+        try:
+            registry = obs.get_registry()
+            for engine in ("vm", "ast"):
+                before = registry.snapshot(collect=False)
+                run_lolcode(REMOTE, 2, engine=engine)
+                delta = obs.diff_snapshots(before, registry.snapshot(collect=False))
+                counts[engine] = {
+                    k: v for k, v in delta.items() if k.startswith("lol_comm")
+                }
+        finally:
+            obs.disarm()
+        assert counts["vm"] == counts["ast"]
+        assert counts["vm"]["lol_comm_ops_total"]["series"] == {
+            '[["op", "get"]]': 10, '[["op", "put"]]': 8,
+        }
+
+    def test_remote_slice_under_race_detection_stays_scalar(self, plan_runs):
+        got = run_lolcode(REMOTE, 2, engine="vm", race_detection=True)
+        want = run_lolcode(REMOTE, 2, engine="ast", race_detection=True)
+        assert got.outputs == want.outputs
+        assert len(got.races) == len(want.races)
+        assert plan_runs and not any(done for _, _, done in plan_runs)
+
+    def test_remote_slice_under_the_span_tracer_stays_scalar(self, plan_runs):
+        from repro import obs
+
+        obs.arm("trace")
+        try:
+            got = run_lolcode(REMOTE, 2, engine="vm").outputs
+        finally:
+            obs.disarm()
+        assert got == run_lolcode(REMOTE, 2, engine="ast").outputs
+        remote = [done for _, is_remote, done in plan_runs if is_remote]
+        assert remote and not any(remote)
+
+    def test_self_target_bails(self, plan_runs):
+        src = REMOTE.replace("TXT MAH BFF nxt", "TXT MAH BFF ME")
+        got = run_lolcode(src, 2, engine="vm").outputs
+        assert got == run_lolcode(src, 2, engine="ast").outputs
+        assert not any(done for _, remote, done in plan_runs if remote)
+
+    def test_bad_txt_target_raises_like_ast(self):
+        src = REMOTE.replace("TXT MAH BFF nxt", "TXT MAH BFF SUM OF nxt AN 5")
+        assert "out of range" in _same_error(src, 2)
+
+
+@pytest.mark.parametrize("n_pes", [1, 2, 4])
+@pytest.mark.parametrize("name", ["heat2d", "heat3d", "nbody"])
+def test_nested_kernels_match_ast(plan_runs, name, n_pes):
+    src = get_workload(name).source(smoke=True)
+    for seed in range(25):
+        got = run_lolcode(src, n_pes, engine="vm", seed=seed).outputs
+        want = run_lolcode(src, n_pes, engine="ast", seed=seed).outputs
+        assert got == want, seed
+    ran = {(depth > 1, remote) for depth, remote, done in plan_runs if done}
+    assert (True, False) in ran  # a nest ran as one plan
+    assert ((False, True) in ran) == (n_pes > 1)  # so did the halo slices
 
 
 # ---------------------------------------------------------------------------
