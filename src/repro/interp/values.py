@@ -117,6 +117,9 @@ def compare(op: str, lhs: object, rhs: object, pos: SourcePos | None = None) -> 
 # The numeric ops carry an inline fast path for the overwhelmingly common
 # int/float case (``type(x) is int`` deliberately excludes bool, which
 # LOLCODE arithmetic must coerce through TROOF rules in ``_as_number``).
+# On two NUMBRs, QUOSHUNT OF and MOD OF take it only where C's truncation
+# and Python's flooring agree (a >= 0, b > 0); other signs and zero
+# divisors go through ``arith``.
 # ---------------------------------------------------------------------------
 
 
@@ -142,18 +145,36 @@ def _op_mul(a: object, b: object, pos: SourcePos | None = None) -> object:
 
 
 def _op_div(a: object, b: object, pos: SourcePos | None = None) -> object:
+    ta, tb = type(a), type(b)
+    if ta is int and tb is int:
+        if a >= 0 and b > 0:
+            return a // b  # truncation == flooring for these signs
+    elif (ta is float or ta is int) and (tb is float or tb is int) and b != 0:
+        return a / b
     return arith("div", a, b, pos)
 
 
 def _op_mod(a: object, b: object, pos: SourcePos | None = None) -> object:
+    ta, tb = type(a), type(b)
+    if ta is int and tb is int:
+        if a >= 0 and b > 0:
+            return a % b  # C remainder == Python's for these signs
+    elif (ta is float or ta is int) and (tb is float or tb is int) and b != 0:
+        return math.fmod(a, b)
     return arith("mod", a, b, pos)
 
 
 def _op_max(a: object, b: object, pos: SourcePos | None = None) -> object:
+    ta, tb = type(a), type(b)
+    if (ta is int or ta is float) and (tb is int or tb is float):
+        return a if a >= b else b
     return arith("max", a, b, pos)
 
 
 def _op_min(a: object, b: object, pos: SourcePos | None = None) -> object:
+    ta, tb = type(a), type(b)
+    if (ta is int or ta is float) and (tb is int or tb is float):
+        return a if a <= b else b
     return arith("min", a, b, pos)
 
 

@@ -106,7 +106,13 @@ def format_yarn(value: object) -> str:
     if t is LolType.YARN:
         return value  # type: ignore[return-value]
     if t is LolType.NUMBR:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past CPython's int-to-str digit limit
+            raise LolRuntimeError(
+                f"NUMBR of {value.bit_length()} bits is too large "  # type: ignore[union-attr]
+                f"to format as a YARN"
+            ) from None
     if t is LolType.NUMBAR:
         return f"{value:.2f}"
     if t is LolType.TROOF:

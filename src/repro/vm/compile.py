@@ -14,14 +14,23 @@ Because only the *final* instruction of an expression writes its
 destination, compiling an expression directly into a variable slot
 (``x R SUM OF x AN 1`` -> one ``ADD_SC`` with dst == operand) is safe.
 
-Peephole superinstructions emitted here:
+Peephole superinstructions emitted here, all while the statements are
+walked (no second pass over the AST):
 
-* fused compare-branches (``BR_*``) for ``O RLY?`` / loop conditions;
+* fused compare-branches (``BR_*``) for loop and ``MEBBE`` conditions;
+* ``ORLY_*`` — a comparison statement followed by ``O RLY?``: the
+  comparison sets ``IT`` and branches in one instruction;
 * ``INC_JMP`` — counter increment + back-edge;
 * ``PUT_BARRIER`` — a ``UR``-put immediately followed by ``HUGZ``;
 * ``GET_BIN`` — a remote get feeding a binary op into a local scalar;
+* ``TXT_GET`` — ``TXT MAH BFF pe, x R UR a'Z i`` (one statement, no
+  call, ``x`` a local scalar, ``i`` an operand or one operator over
+  operands): PE check, index, get and store in one instruction;
 * ``LOOP_VEC`` — whole counted loops vectorized by
   :mod:`repro.vm.vectorize` (guarded; falls back to the scalar loop).
+
+:func:`repro.vm.isa.patch_jumps` then threads every jump whose target
+is an unconditional ``JMP``.
 """
 
 from __future__ import annotations
@@ -48,11 +57,14 @@ from .vectorize import try_vectorize
 _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR
 
-#: Specialized arithmetic opcodes (ss, sc, cs) per BinOp op name.
+#: Specialized arithmetic opcodes (ss, sc, cs) per BinOp op name; a
+#: const-on-the-left QUOSHUNT OF / MOD OF stays a generic BINOP_CS.
 _ARITH_OPS = {
     "add": (isa.ADD_SS, isa.ADD_SC, isa.ADD_CS),
     "sub": (isa.SUB_SS, isa.SUB_SC, isa.SUB_CS),
     "mul": (isa.MUL_SS, isa.MUL_SC, isa.MUL_CS),
+    "div": (isa.DIV_SS, isa.DIV_SC, None),
+    "mod": (isa.MOD_SS, isa.MOD_SC, None),
 }
 
 #: Fused branch-if-true opcodes (ss, sc) per comparison op; the matching
@@ -68,6 +80,14 @@ _BR_FALSE = {
     "ne": (isa.BR_EQ_SS, isa.BR_EQ_SC),
     "gt": (isa.BR_LE_SS, isa.BR_LE_SC),
     "lt": (isa.BR_GE_SS, isa.BR_GE_SC),
+}
+#: ``<comparison>, O RLY?`` opcodes (ss, sc): IT <- the comparison, then
+#: branch to the next arm when it is FAIL.
+_ORLY = {
+    "eq": (isa.ORLY_EQ_SS, isa.ORLY_EQ_SC),
+    "ne": (isa.ORLY_NE_SS, isa.ORLY_NE_SC),
+    "gt": (isa.ORLY_GT_SS, isa.ORLY_GT_SC),
+    "lt": (isa.ORLY_LT_SS, isa.ORLY_LT_SC),
 }
 #: Relation swap for canonicalising ``<const> OP <slot>`` into _SC form.
 #: Only applied when the constant is a numeric literal (numeric literals
@@ -261,16 +281,27 @@ class VMCompiler:
             stmt = stmts[i]
             if self.count_steps:
                 asm.emit((isa.STEP,), stmt.pos)
-            # PUT_BARRIER superinstruction: a UR-put followed by HUGZ.
-            if (
-                not self.count_steps
-                and i + 1 < n
-                and isinstance(stmts[i + 1], ast.Hugz)
-                and self._try_put_barrier(stmt, asm)
-            ):
-                asm.end_stmt()
-                i += 2
-                continue
+            # Two-statement superinstructions, which would skip the
+            # second statement's STEP: PUT_BARRIER (a UR-put followed by
+            # HUGZ) and ORLY_* (a comparison followed by O RLY?).
+            if not self.count_steps and i + 1 < n:
+                nxt = stmts[i + 1]
+                fused = False
+                if isinstance(nxt, ast.Hugz):
+                    fused = self._try_put_barrier(stmt, asm)
+                elif (
+                    isinstance(nxt, ast.If)
+                    and isinstance(stmt, ast.ExprStmt)
+                    and isinstance(stmt.expr, ast.BinOp)
+                    and stmt.expr.op in _ORLY
+                    and not self.count_flops
+                ):
+                    self._stmt_if(nxt, asm, stmt.expr)
+                    fused = True
+                if fused:
+                    asm.end_stmt()
+                    i += 2
+                    continue
             self._stmt(stmt, asm)
             asm.end_stmt()
             i += 1
@@ -560,19 +591,30 @@ class VMCompiler:
     def _stmt_can_has(self, stmt: ast.CanHas, asm: _Asm) -> None:
         asm.emit((isa.CANHAS, stmt.library), stmt.pos)
 
-    def _stmt_if(self, stmt: ast.If, asm: _Asm) -> None:
+    def _stmt_if(
+        self, stmt: ast.If, asm: _Asm, cond: Optional[ast.BinOp] = None
+    ) -> None:
+        """``O RLY?`` on IT, or with ``cond`` on the comparison statement
+        before it (which the ``ORLY_*`` branch evaluates into IT)."""
         lend = asm.label()
         lnext = asm.label()
-        asm.emit((isa.JF, 0, lnext), stmt.pos)
+        if cond is None:
+            asm.emit((isa.JF, 0, lnext), stmt.pos)
+        else:
+            self._branch(cond, asm, lnext, _ORLY, isa.JF)
+            asm.end_stmt()
         self._block(stmt.ya_rly, asm)
-        asm.emit((isa.JMP, lend), stmt.pos)
+        # An arm that ends the statement falls through to OIC.
+        if stmt.mebbe or stmt.no_wai:
+            asm.emit((isa.JMP, lend), stmt.pos)
         asm.mark(lnext)
-        for cond, body in stmt.mebbe:
+        for k, (mcond, body) in enumerate(stmt.mebbe):
             lnext = asm.label()
-            self._branch_false(cond, asm, lnext)
+            self._branch_false(mcond, asm, lnext)
             asm.end_stmt()
             self._block(body, asm)
-            asm.emit((isa.JMP, lend), stmt.pos)
+            if k + 1 < len(stmt.mebbe) or stmt.no_wai:
+                asm.emit((isa.JMP, lend), stmt.pos)
             asm.mark(lnext)
         self._block(stmt.no_wai, asm)
         asm.mark(lend)
@@ -676,6 +718,8 @@ class VMCompiler:
             asm.emit((isa.LOCKOPD, kind, reg), stmt.pos)
 
     def _stmt_txt(self, stmt: ast.TxtStmt, asm: _Asm) -> None:
+        if self._try_txt_get(stmt, asm):
+            return
         reg = self._expr_reg(stmt.pe, asm)
         asm.emit((isa.TXT_PUSH, reg), stmt.pos)
         asm.end_stmt()
@@ -686,6 +730,81 @@ class VMCompiler:
         finally:
             asm.txt_depth -= 1
         asm.emit((isa.TXT_POP,), stmt.pos)
+
+    def _try_txt_get(self, stmt: ast.TxtStmt, asm: _Asm) -> bool:
+        """Emit a ``TXT_GET`` for ``TXT MAH BFF pe, x R UR a['Z i]``.
+
+        The instruction checks the PE, counts the inner statement's step,
+        evaluates the index, gets and stores, in the order the push, the
+        statement and the pop would.  So the index must be an operand or
+        one operator over operands (evaluated inside the instruction),
+        ``x`` a local scalar, and nothing may call a function: a call
+        could observe the pushed target PE.
+        """
+        if len(stmt.body) != 1 or not isinstance(stmt.body[0], ast.Assign):
+            return False
+        inner = stmt.body[0]
+        target = inner.target
+        value = inner.value
+        if not isinstance(target, ast.VarRef) or target.qualifier == "UR":
+            return False
+        info = self._var(target, asm)
+        if info is None or info.kind != LOCAL or info.is_array:
+            return False
+        if isinstance(value, ast.VarRef) and value.qualifier == "UR":
+            name, index = value.name, None
+        elif (
+            isinstance(value, ast.Index)
+            and isinstance(value.base, ast.VarRef)
+            and value.base.qualifier == "UR"
+        ):
+            name, index = value.base.name, value.index
+        else:
+            return False
+        if ast.has_call(stmt.pe):
+            return False
+        idx = None
+        if index is not None:
+            idx = self._operand(index, asm)
+            if idx is None:
+                fn = (
+                    BINOP_FUNCS.get(index.op)
+                    if isinstance(index, ast.BinOp)
+                    else None
+                )
+                if fn is None:
+                    return False
+                lo = self._operand(index.lhs, asm)
+                ro = self._operand(index.rhs, asm)
+                if lo is None or ro is None or lo[0] == ro[0] == "c":
+                    return False
+                flops = FLOP_COST.get(index.op, 0) if self.count_flops else 0
+                idx = (lo[0] + ro[0], fn, lo[1], ro[1], index.pos, flops)
+        if info.static_type is not None:
+            store = (info.static_type, target.name)
+        elif index is None:
+            store = (None, target.name)  # a whole array must not land
+        else:
+            store = None  # an element is always a scalar
+        reg = self._expr_reg(stmt.pe, asm)
+        asm.emit(
+            (
+                isa.TXT_GET,
+                info.slot,
+                reg,
+                (
+                    name,
+                    idx,
+                    asm.cache_slot(),
+                    store,
+                    inner.pos if self.count_steps else None,
+                    value.pos,
+                    target.pos,
+                ),
+            ),
+            stmt.pos,
+        )
+        return True
 
     _STMT_DISPATCH = {
         ast.VarDecl: _stmt_var_decl,
@@ -720,29 +839,23 @@ class VMCompiler:
             ls = self._pin_before_call(
                 self._operand(cond.lhs, asm), (cond.rhs,), asm, cond.pos
             )
-            rs = self._operand(cond.rhs, asm)
-            if ls is not None and ls[0] == "r":
-                if rs is not None and rs[0] == "c" and type(rs[1]) in (int, float):
-                    asm.emit((sc_op, ls[1], rs[1], target), cond.pos)
-                    return
-                rreg = (
-                    rs[1] if rs is not None and rs[0] == "r"
-                    else self._expr_reg(cond.rhs, asm)
-                )
-                asm.emit((ss_op, ls[1], rreg, target), cond.pos)
-                return
-            if (
-                ls is not None
-                and ls[0] == "c"
-                and type(ls[1]) in (int, float)
-                and rs is not None
-                and rs[0] == "r"
-            ):
-                # const OP slot == slot SWAP(OP) const; numeric literals
-                # never fail coercion, so error order is preserved.
+            if ls is not None and ls[0] == "c" and type(ls[1]) in (int, float):
+                # const OP x == x SWAP(OP) const; numeric literals never
+                # fail coercion, so error order is preserved.
+                rreg = self._expr_reg(cond.rhs, asm)
                 swapped = table[_SWAP_REL[cond.op]]
-                asm.emit((swapped[1], rs[1], ls[1], target), cond.pos)
+                asm.emit((swapped[1], rreg, ls[1], target), cond.pos)
                 return
+            # Operands evaluate left to right, into temps when not slots.
+            lreg = ls[1] if ls is not None and ls[0] == "r" else None
+            if lreg is None:
+                lreg = self._expr_reg(cond.lhs, asm)
+            rs = self._operand(cond.rhs, asm)
+            if rs is not None and rs[0] == "c" and type(rs[1]) in (int, float):
+                asm.emit((sc_op, lreg, rs[1], target), cond.pos)
+                return
+            asm.emit((ss_op, lreg, self._expr_reg(cond.rhs, asm), target), cond.pos)
+            return
         reg = self._expr_reg(cond, asm)
         asm.emit((generic_op, reg, target), cond.pos)
 
@@ -911,7 +1024,7 @@ class VMCompiler:
             if lk == "r" and type(rv) in (int, float):
                 asm.emit((sc, dst, lv, rv), pos)
                 return
-            if rk == "r" and type(lv) in (int, float):
+            if rk == "r" and cs is not None and type(lv) in (int, float):
                 asm.emit((cs, dst, lv, rv), pos)
                 return
         if lk == "r" and rk == "r":
@@ -981,7 +1094,7 @@ class VMCompiler:
         self, info: Optional[VarInfo], name, qualifier, asm: _Asm, dst: int, pos
     ) -> None:
         if qualifier == "UR":
-            asm.emit((isa.GET, dst, name), pos)
+            asm.emit((isa.GET, dst, name, (asm.cache_slot(),)), pos)
             return
         if info is None:
             asm.emit((isa.RAISE_ERR, _undeclared_raiser(name, pos)), pos)
@@ -1029,7 +1142,7 @@ class VMCompiler:
         name = base.name
         if base.qualifier == "UR":
             ireg = self._expr_reg(node.index, asm)
-            asm.emit((isa.GETX, dst, name, ireg), pos)
+            asm.emit((isa.GETX, dst, name, ireg, (asm.cache_slot(),)), pos)
             return
         info = self._var(base, asm)
         if info is None:

@@ -34,9 +34,25 @@ variables directly (no load/store traffic for the common
 Opcode numbering is the dispatch order: the interpreter loop inlines the
 hot half (``op < _COLD_BASE``) in a nested if-chain grouped by opcode
 ranges and routes everything else through a handler table, so hot
-opcodes get small numbers.  Superinstructions (``INC_JMP``, the fused
-compare-branches, ``PUT_BARRIER``, ``GET_BIN``, ``LOOP_VEC``) are
-ordinary opcodes emitted by the compiler's peephole rules.
+opcodes get small numbers.  Superinstructions are ordinary opcodes
+emitted by the compiler's peephole rules:
+
+* ``INC_JMP`` — counter increment and loop back-edge;
+* ``BR_*`` — fused compare-branches for loop and ``MEBBE`` conditions;
+* ``ORLY_*`` — ``<comparison>, O RLY?``: the comparison's TROOF goes to
+  ``IT`` and the branch to the arm after ``YA RLY`` in one dispatch;
+* ``PUT_BARRIER`` — a ``UR`` put followed by ``HUGZ``;
+* ``GET_BIN`` — a remote get feeding a binary operator;
+* ``TXT_GET`` — a one-statement ``TXT MAH BFF pe, x R UR a'Z i``: the
+  PE range check, the index, the get and the store in one dispatch;
+* ``LOOP_VEC`` — a whole counted loop run as a numpy plan.
+
+Typed ("quickened") opcodes inline the int/float case and fall back to
+the operator kernels of :mod:`repro.interp.values` for everything else:
+``ADD``/``SUB``/``MUL``/``DIV``/``MOD`` in ``_SS`` (two registers) and
+``_SC`` (register, constant) forms, ``ADD``/``SUB``/``MUL`` also in
+``_CS``.  ``GET``, ``GETX`` and ``TXT_GET`` carry an inline cache over
+the symbol's per-PE storage (see :mod:`repro.vm.machine`).
 
 A tracing JIT would hook in here: the green key of a trace is
 ``(CodeObject, pc)`` — loop headers are exactly the targets of
@@ -70,6 +86,10 @@ ADD_CS = _op("ADD_CS", "rcr")       # d <- const + b
 SUB_SS = _op("SUB_SS", "rrr")
 SUB_SC = _op("SUB_SC", "rrc")
 SUB_CS = _op("SUB_CS", "rcr")
+DIV_SS = _op("DIV_SS", "rrr")       # d <- a QUOSHUNT b   (C truncation)
+DIV_SC = _op("DIV_SC", "rrc")
+MOD_SS = _op("MOD_SS", "rrr")       # d <- a MOD b        (C remainder)
+MOD_SC = _op("MOD_SC", "rrc")
 MUL_SS = _op("MUL_SS", "rrr")
 MUL_SC = _op("MUL_SC", "rrc")
 MUL_CS = _op("MUL_CS", "rcr")
@@ -98,6 +118,17 @@ BR_GT_SS = _op("BR_GT_SS", "rrj")
 BR_GT_SC = _op("BR_GT_SC", "rcj")
 BR_GE_SS = _op("BR_GE_SS", "rrj")
 BR_GE_SC = _op("BR_GE_SC", "rcj")
+# ``<comparison>, O RLY?``: IT <- the comparison's TROOF, then jump to
+# the NO WAI / MEBBE / OIC target when it is FAIL (one dispatch for the
+# bare-expression statement and the branch).
+ORLY_EQ_SS = _op("ORLY_EQ_SS", "rrj")
+ORLY_EQ_SC = _op("ORLY_EQ_SC", "rcj")
+ORLY_NE_SS = _op("ORLY_NE_SS", "rrj")
+ORLY_NE_SC = _op("ORLY_NE_SC", "rcj")
+ORLY_GT_SS = _op("ORLY_GT_SS", "rrj")
+ORLY_GT_SC = _op("ORLY_GT_SC", "rcj")
+ORLY_LT_SS = _op("ORLY_LT_SS", "rrj")
+ORLY_LT_SC = _op("ORLY_LT_SC", "rcj")
 
 # -- hot: array / symmetric access ------------------------------------------
 LDX = _op("LDX", "rrrn")            # d <- localarray[slot a].read(i)
@@ -152,8 +183,9 @@ LOCKOPD = _op("LOCKOPD", "cr")         # dynamic (SRS) lock target
 TXT_PUSH = _op("TXT_PUSH", "r")        # enter TXT MAH BFF <pe>
 TXT_POP = _op("TXT_POP", "")
 
-GET = _op("GET", "rn")                 # d <- ctx.get(name, target)
-GETX = _op("GETX", "rnr")
+GET = _op("GET", "rnm")                # d <- ctx.get(name, target); m=(cache_idx,)
+GETX = _op("GETX", "rnrm")             # m=(cache_idx,)
+TXT_GET = _op("TXT_GET", "rrm")        # one-statement TXT get; see compile.py
 PUT = _op("PUT", "nr")                 # ctx.put(name, v, target)
 PUTX = _op("PUTX", "nrr")
 PUT_BARRIER = _op("PUT_BARRIER", "nrm")  # fused put + HUGZ; m=(ireg|None,)
@@ -267,7 +299,11 @@ class VMProgram:
         from .. import obs as _obs
         from .machine import Machine
 
-        machine = Machine(ctx, max_steps=max_steps)
+        # Armed observability records every get, so it turns the
+        # machine's remote-get caches off for this run.
+        machine = Machine(
+            ctx, max_steps=max_steps, remote_cache=_obs.ACTIVE is None
+        )
         try:
             machine.run(self)
         finally:
@@ -294,11 +330,22 @@ class VMProgram:
 
 
 def patch_jumps(code: list) -> tuple:
-    """Resolve :class:`Label` jump fields into integer pcs.
+    """Resolve :class:`Label` jump fields into integer pcs, and thread
+    each jump whose target is an unconditional ``JMP`` to where that
+    ``JMP`` goes (a ``JMP`` does nothing else, so skipping it is exact).
 
     Field positions come from :data:`OPFIELDS`, so new opcodes with jump
     operands are patched without touching the encoder.
     """
+
+    def resolve(target) -> int:
+        if isinstance(target, Label):
+            if target.pc < 0:
+                raise AssertionError("unresolved jump label")
+            return target.pc
+        return target
+
+    n = len(code)
     out = []
     for ins in code:
         fields = OPFIELDS[ins[0]]
@@ -306,11 +353,12 @@ def patch_jumps(code: list) -> tuple:
             ins = list(ins)
             for i, kind in enumerate(fields):
                 if kind == "j":
-                    target = ins[1 + i]
-                    if isinstance(target, Label):
-                        if target.pc < 0:
-                            raise AssertionError("unresolved jump label")
-                        ins[1 + i] = target.pc
+                    target = resolve(ins[1 + i])
+                    for _ in range(n):  # bounded: a JMP cycle stops here
+                        if target >= n or code[target][0] != JMP:
+                            break
+                        target = resolve(code[target][1])
+                    ins[1 + i] = target
             ins = tuple(ins)
         out.append(ins)
     return tuple(out)

@@ -4,7 +4,7 @@ One Python ``while`` loop executes the flat instruction tuples emitted
 by :mod:`repro.vm.compile`.  The hot half of the ISA (arithmetic, fused
 compare-branches, slot moves, array/symmetric access) is inlined in a
 nested if-chain ordered by opcode number; everything else dispatches
-through a handler table.  Operator fallbacks and coercions are shared
+through the handler table of :mod:`repro.vm.handlers`.  Operator fallbacks and coercions are shared
 with the tree-walker (:mod:`repro.interp.interpreter` and
 :mod:`repro.interp.values`) and error messages match its own, so results
 are bit-identical.
@@ -23,6 +23,16 @@ the tree-walker's ``LolNameError``.  Caches are disabled while a race
 detector is attached, because ``local_read``/``local_write`` must keep
 reporting accesses to it.
 
+Remote gets (``GET``/``GETX``/``TXT_GET``) cache the symbol's storage on
+*every* PE, one element reader per PE, so a site whose target PE changes
+from one execution to the next still hits.  The first execution goes
+through ``ShmemContext.get``, which checks the symbol, and fills the
+entry; an index outside the array takes that path again, so it raises
+``get``'s own error.  A cached get skips ``get``'s bookkeeping, so the
+entries are filled only when that bookkeeping records nothing: no race
+detector, no op trace and no observability plane
+(:attr:`Machine.fast_remote`, set by :meth:`VMProgram.run`).
+
 A tracing JIT would record from :meth:`Machine._exec`: the green key of
 a trace is ``(CodeObject, pc)`` and the hot back-edges are ``INC_JMP``
 / ``JMP`` targets, so a recorder only needs to wrap the loop body.
@@ -32,39 +42,27 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..lang.errors import (
-    LolNameError,
-    LolParallelError,
-    LolRuntimeError,
-    LolTypeError,
-    SourcePos,
-)
-from ..lang.resolve import LOCAL, SYMMETRIC, VarInfo
+from ..lang.errors import LolParallelError, LolRuntimeError, LolTypeError
 from ..lang.types import (
     LolType,
     cast as cast_value,
     coerce_static,
-    format_yarn,
-    to_array_size,
     to_numbr,
     to_troof,
 )
-from ..shmem.heap import ArrayCell, ScalarCell, SymmetricObject
-from ..interp.env import UNDECLARED, new_frame
+from ..shmem.heap import ScalarCell, SymmetricObject
+from ..interp.env import new_frame
 from ..interp.interpreter import (
-    KNOWN_LIBRARIES,
-    _Break,
-    _Return,
     coerce_element,
     coerce_symmetric,
-    display_value,
     is_scalar_value,
-    write_whole_array,
 )
 from ..interp.values import (
     _op_add,
+    _op_div,
     _op_gt,
     _op_lt,
+    _op_mod,
     _op_mul,
     _op_recip,
     _op_sqrt,
@@ -73,144 +71,12 @@ from ..interp.values import (
     equals,
 )
 from . import isa
+from .handlers import _HANDLERS, _as_index, _require_target, _undeclared
 from .isa import CodeObject, VMProgram
 from .vecrun import run_vec
 
 _NUMBR = LolType.NUMBR
 _NUMBAR = LolType.NUMBAR
-
-
-# ---------------------------------------------------------------------------
-# Runtime helpers for the non-inlined name, target and SRS paths.
-# ---------------------------------------------------------------------------
-
-
-def _undeclared(name: str, pos: SourcePos) -> LolNameError:
-    return LolNameError(
-        f"variable '{name}' has not been declared (I HAS A {name})", pos
-    )
-
-
-def _require_target(rt: Machine, name: str, pos: SourcePos) -> int:
-    pe = rt.target_pe
-    if pe is None:
-        raise LolParallelError(
-            f"'UR {name}' used outside a TXT MAH BFF predicated "
-            f"statement or block",
-            pos,
-        )
-    return pe
-
-
-def _as_index(value: object, pos: SourcePos) -> int:
-    return value if type(value) is int else to_numbr(value, pos)
-
-
-# Dynamic (SRS) access paths: the visible-name *set* at an SRS site is
-# static (a scope snapshot), the chosen name is not.  These mirror the
-# tree-walker's ``_read_var`` / ``_write_var`` / element variants.
-
-
-def _dyn_read(
-    rt: Machine, frame: list, snap: dict[str, VarInfo], name: str, pos: SourcePos
-) -> object:
-    info = snap.get(name)
-    if info is None:
-        raise _undeclared(name, pos)
-    if info.kind == SYMMETRIC:
-        rt.declared_object(name, pos)
-        return rt.ctx.local_read(name)
-    if info.is_array:
-        raise LolTypeError(
-            f"'{name}' is an array: index it with {name}'Z <expr>", pos
-        )
-    v = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
-    if v is UNDECLARED:
-        raise _undeclared(name, pos)
-    return v
-
-
-def _dyn_write(
-    rt: Machine,
-    frame: list,
-    snap: dict[str, VarInfo],
-    name: str,
-    value: object,
-    pos: SourcePos,
-) -> None:
-    info = snap.get(name)
-    if info is None:
-        raise _undeclared(name, pos)
-    if info.kind == SYMMETRIC:
-        rt.declared_object(name, pos)
-        rt.ctx.local_write(name, coerce_symmetric(rt.ctx, name, value, pos))
-        return
-    target = frame if info.kind == LOCAL else rt.gframe
-    if target[info.slot] is UNDECLARED:
-        raise _undeclared(name, pos)
-    if info.is_array:
-        write_whole_array(target[info.slot], value, name, pos)
-        return
-    if info.static_type is not None:
-        value = coerce_static(value, info.static_type, name, pos)
-    elif not is_scalar_value(value):
-        raise LolTypeError(f"cannot assign an array value to scalar '{name}'", pos)
-    target[info.slot] = value
-
-
-def _dyn_read_element(
-    rt: Machine,
-    frame: list,
-    snap: dict[str, VarInfo],
-    name: str,
-    index: int,
-    pos: SourcePos,
-) -> object:
-    info = snap.get(name)
-    if info is None:
-        raise _undeclared(name, pos)
-    if info.kind == SYMMETRIC:
-        rt.declared_object(name, pos)
-        return rt.ctx.local_read(name, index=index)
-    if not info.is_array:
-        raise LolTypeError(f"'{name}' is not an array", pos)
-    cell = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
-    if cell is UNDECLARED:
-        raise _undeclared(name, pos)
-    try:
-        return cell.read(index)
-    except LolRuntimeError as exc:
-        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
-
-
-def _dyn_write_element(
-    rt: Machine,
-    frame: list,
-    snap: dict[str, VarInfo],
-    name: str,
-    index: int,
-    value: object,
-    pos: SourcePos,
-) -> None:
-    info = snap.get(name)
-    if info is None:
-        raise _undeclared(name, pos)
-    if info.kind == SYMMETRIC:
-        obj = rt.declared_object(name, pos)
-        rt.ctx.local_write(
-            name, coerce_element(value, obj.lol_type, name, pos), index=index
-        )
-        return
-    if not info.is_array:
-        raise LolTypeError(f"'{name}' is not an array", pos)
-    cell = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
-    if cell is UNDECLARED:
-        raise _undeclared(name, pos)
-    value = coerce_element(value, cell.lol_type, name, pos)
-    try:
-        cell.write(index, value)
-    except LolRuntimeError as exc:
-        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
 
 
 class Machine:
@@ -226,13 +92,16 @@ class Machine:
         "steps",
         "declared",
         "fast_sym",
+        "fast_remote",
         "sym_misses",
         "vec_runs",
         "vec_bails",
         "txt_saves",
     )
 
-    def __init__(self, ctx, max_steps: Optional[int] = None) -> None:
+    def __init__(
+        self, ctx, max_steps: Optional[int] = None, remote_cache: bool = False
+    ) -> None:
         self.ctx = ctx
         self.gframe: list = []
         self.functions: dict = {}
@@ -246,6 +115,9 @@ class Machine:
         # Inline caches bypass local_read/local_write, which are the race
         # detector's observation points — so only cache when it is off.
         self.fast_sym = ctx.world.race_detector is None
+        # Cached remote gets also skip the op trace, so the caller states
+        # whether anything else observes a get (``remote_cache``).
+        self.fast_remote = remote_cache and self.fast_sym and ctx.trace is None
         self.sym_misses = 0
         self.vec_runs = 0
         self.vec_bails = 0
@@ -316,6 +188,41 @@ class Machine:
             cell = obj.cell(ctx.my_pe)
             caches[ci] = (cell.data, obj.lol_type, len(cell.data))
 
+    # -- remote-get slow path (populates the inline caches) ---------------
+
+    def _get_slow(
+        self, caches: list, ci: int, name: str, pe: int, index: Optional[int]
+    ) -> object:
+        ctx = self.ctx
+        if index is None:
+            value = ctx.get(name, pe)
+        else:
+            value = ctx.get(name, pe, index=index)
+        if self.fast_remote:
+            obj = ctx.world.heap.lookup(name)
+            if index is None:
+                if not obj.is_array:
+                    caches[ci] = tuple(cell.read for cell in obj.per_pe)
+            else:
+                # ``get`` checked that the symbol is an array.
+                datas = [cell.data for cell in obj.per_pe]
+                caches[ci] = (
+                    tuple(
+                        d.__getitem__ if type(d) is list else d.item
+                        for d in datas
+                    ),
+                    len(datas[0]),
+                )
+        return value
+
+    def _count_step(self, pos) -> None:
+        s = self.steps + 1
+        self.steps = s
+        if self.max_steps is not None and s > self.max_steps:
+            raise LolRuntimeError(
+                f"program exceeded {self.max_steps} statement steps", pos
+            )
+
     # -- the dispatch loop -------------------------------------------------
 
     def _exec(
@@ -332,6 +239,10 @@ class Machine:
         SUB_SS=isa.SUB_SS,
         SUB_SC=isa.SUB_SC,
         SUB_CS=isa.SUB_CS,
+        DIV_SS=isa.DIV_SS,
+        DIV_SC=isa.DIV_SC,
+        MOD_SS=isa.MOD_SS,
+        MOD_SC=isa.MOD_SC,
         MUL_SS=isa.MUL_SS,
         MUL_SC=isa.MUL_SC,
         MUL_CS=isa.MUL_CS,
@@ -355,6 +266,13 @@ class Machine:
         BR_GT_SC=isa.BR_GT_SC,
         BR_GE_SS=isa.BR_GE_SS,
         BR_GE_SC=isa.BR_GE_SC,
+        ORLY_EQ_SS=isa.ORLY_EQ_SS,
+        ORLY_EQ_SC=isa.ORLY_EQ_SC,
+        ORLY_NE_SS=isa.ORLY_NE_SS,
+        ORLY_NE_SC=isa.ORLY_NE_SC,
+        ORLY_GT_SS=isa.ORLY_GT_SS,
+        ORLY_GT_SC=isa.ORLY_GT_SC,
+        ORLY_LT_SS=isa.ORLY_LT_SS,
         LDX=isa.LDX,
         STX=isa.STX,
         SYM_LD=isa.SYM_LD,
@@ -379,6 +297,7 @@ class Machine:
         BARRIER=isa.BARRIER,
         GET=isa.GET,
         GETX=isa.GETX,
+        TXT_GET=isa.TXT_GET,
         PUT=isa.PUT,
         PUTX=isa.PUTX,
         PUT_BARRIER=isa.PUT_BARRIER,
@@ -500,6 +419,42 @@ class Machine:
                         frame[ins[1]] = _op_sub(ins[2], y, positions[pc])
                     pc += 1
                     continue
+                if op == MOD_SS:
+                    x = frame[ins[2]]
+                    y = frame[ins[3]]
+                    if type(x) is int and type(y) is int and x >= 0 and y > 0:
+                        frame[ins[1]] = x % y
+                    else:
+                        frame[ins[1]] = _op_mod(x, y, positions[pc])
+                    pc += 1
+                    continue
+                if op == MOD_SC:
+                    x = frame[ins[2]]
+                    y = ins[3]
+                    if type(x) is int and type(y) is int and x >= 0 and y > 0:
+                        frame[ins[1]] = x % y
+                    else:
+                        frame[ins[1]] = _op_mod(x, y, positions[pc])
+                    pc += 1
+                    continue
+                if op == DIV_SS:
+                    x = frame[ins[2]]
+                    y = frame[ins[3]]
+                    if type(x) is int and type(y) is int and x >= 0 and y > 0:
+                        frame[ins[1]] = x // y
+                    else:
+                        frame[ins[1]] = _op_div(x, y, positions[pc])
+                    pc += 1
+                    continue
+                if op == DIV_SC:
+                    x = frame[ins[2]]
+                    y = ins[3]
+                    if type(x) is int and type(y) is int and x >= 0 and y > 0:
+                        frame[ins[1]] = x // y
+                    else:
+                        frame[ins[1]] = _op_div(x, y, positions[pc])
+                    pc += 1
+                    continue
                 if op == SQUARE_S:
                     x = frame[ins[2]]
                     tx = type(x)
@@ -524,145 +479,215 @@ class Machine:
                 continue
             # -- control flow -----------------------------------------------
             if op < LDX:
-                if op == INC_JMP:
-                    v = frame[ins[1]]
-                    if type(v) is int:
-                        frame[ins[1]] = v + ins[2]
-                    else:
-                        frame[ins[1]] = to_numbr(v, positions[pc]) + ins[2]
-                    pc = ins[3]
-                    continue
-                if op == JMP:
-                    pc = ins[1]
-                    continue
-                if op == JF:
-                    v = frame[ins[1]]
-                    if v is False:
-                        pc = ins[2]
-                    elif v is True or to_troof(v):
-                        pc += 1
-                    else:
-                        pc = ins[2]
-                    continue
-                if op == JT:
-                    v = frame[ins[1]]
-                    if v is True:
-                        pc = ins[2]
-                    elif v is not False and to_troof(v):
-                        pc = ins[2]
-                    else:
-                        pc += 1
-                    continue
-                if op == JEQ:
+                if op < BR_EQ_SS:
+                    if op == INC_JMP:
+                        v = frame[ins[1]]
+                        if type(v) is int:
+                            frame[ins[1]] = v + ins[2]
+                        else:
+                            frame[ins[1]] = to_numbr(v, positions[pc]) + ins[2]
+                        pc = ins[3]
+                        continue
+                    if op == JMP:
+                        pc = ins[1]
+                        continue
+                    if op == JF:
+                        v = frame[ins[1]]
+                        if v is False:
+                            pc = ins[2]
+                        elif v is True or to_troof(v):
+                            pc += 1
+                        else:
+                            pc = ins[2]
+                        continue
+                    if op == JT:
+                        v = frame[ins[1]]
+                        if v is True:
+                            pc = ins[2]
+                        elif v is not False and to_troof(v):
+                            pc = ins[2]
+                        else:
+                            pc += 1
+                        continue
+                    # JEQ
                     pc = ins[3] if equals(frame[ins[1]], frame[ins[2]]) else pc + 1
                     continue
-                if op == BR_EQ_SS:
-                    x = frame[ins[1]]
-                    y = frame[ins[2]]
-                    tx = type(x)
-                    ty = type(y)
-                    if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x == y else pc + 1
-                    else:
-                        pc = ins[3] if equals(x, y) else pc + 1
-                    continue
-                if op == BR_EQ_SC:
+                if op < ORLY_EQ_SS:
+                    if op == BR_EQ_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x == y else pc + 1
+                        else:
+                            pc = ins[3] if equals(x, y) else pc + 1
+                        continue
+                    if op == BR_EQ_SC:
+                        x = frame[ins[1]]
+                        tx = type(x)
+                        if tx is int or tx is float:
+                            pc = ins[3] if x == ins[2] else pc + 1
+                        else:
+                            pc = ins[3] if equals(x, ins[2]) else pc + 1
+                        continue
+                    if op == BR_NE_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x != y else pc + 1
+                        else:
+                            pc = pc + 1 if equals(x, y) else ins[3]
+                        continue
+                    if op == BR_NE_SC:
+                        x = frame[ins[1]]
+                        tx = type(x)
+                        if tx is int or tx is float:
+                            pc = ins[3] if x != ins[2] else pc + 1
+                        else:
+                            pc = pc + 1 if equals(x, ins[2]) else ins[3]
+                        continue
+                    if op == BR_LT_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x < y else pc + 1
+                        else:
+                            pc = ins[3] if _op_lt(x, y, positions[pc]) else pc + 1
+                        continue
+                    if op == BR_LT_SC:
+                        x = frame[ins[1]]
+                        tx = type(x)
+                        if tx is int or tx is float:
+                            pc = ins[3] if x < ins[2] else pc + 1
+                        else:
+                            pc = ins[3] if _op_lt(x, ins[2], positions[pc]) else pc + 1
+                        continue
+                    if op == BR_LE_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x <= y else pc + 1
+                        else:
+                            pc = pc + 1 if _op_gt(x, y, positions[pc]) else ins[3]
+                        continue
+                    if op == BR_LE_SC:
+                        x = frame[ins[1]]
+                        tx = type(x)
+                        if tx is int or tx is float:
+                            pc = ins[3] if x <= ins[2] else pc + 1
+                        else:
+                            pc = pc + 1 if _op_gt(x, ins[2], positions[pc]) else ins[3]
+                        continue
+                    if op == BR_GT_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x > y else pc + 1
+                        else:
+                            pc = ins[3] if _op_gt(x, y, positions[pc]) else pc + 1
+                        continue
+                    if op == BR_GT_SC:
+                        x = frame[ins[1]]
+                        tx = type(x)
+                        if tx is int or tx is float:
+                            pc = ins[3] if x > ins[2] else pc + 1
+                        else:
+                            pc = ins[3] if _op_gt(x, ins[2], positions[pc]) else pc + 1
+                        continue
+                    if op == BR_GE_SS:
+                        x = frame[ins[1]]
+                        y = frame[ins[2]]
+                        tx = type(x)
+                        ty = type(y)
+                        if (tx is int or tx is float) and (ty is int or ty is float):
+                            pc = ins[3] if x >= y else pc + 1
+                        else:
+                            pc = pc + 1 if _op_lt(x, y, positions[pc]) else ins[3]
+                        continue
+                    # BR_GE_SC
                     x = frame[ins[1]]
                     tx = type(x)
                     if tx is int or tx is float:
-                        pc = ins[3] if x == ins[2] else pc + 1
+                        pc = ins[3] if x >= ins[2] else pc + 1
                     else:
-                        pc = ins[3] if equals(x, ins[2]) else pc + 1
+                        pc = pc + 1 if _op_lt(x, ins[2], positions[pc]) else ins[3]
                     continue
-                if op == BR_NE_SS:
+                # <comparison>, O RLY?: IT <- the TROOF; jump when FAIL
+                if op == ORLY_EQ_SS:
                     x = frame[ins[1]]
                     y = frame[ins[2]]
                     tx = type(x)
                     ty = type(y)
                     if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x != y else pc + 1
+                        v = x == y
                     else:
-                        pc = pc + 1 if equals(x, y) else ins[3]
-                    continue
-                if op == BR_NE_SC:
+                        v = equals(x, y)
+                elif op == ORLY_EQ_SC:
                     x = frame[ins[1]]
                     tx = type(x)
                     if tx is int or tx is float:
-                        pc = ins[3] if x != ins[2] else pc + 1
+                        v = x == ins[2]
                     else:
-                        pc = pc + 1 if equals(x, ins[2]) else ins[3]
-                    continue
-                if op == BR_LT_SS:
+                        v = equals(x, ins[2])
+                elif op == ORLY_GT_SS:
                     x = frame[ins[1]]
                     y = frame[ins[2]]
                     tx = type(x)
                     ty = type(y)
                     if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x < y else pc + 1
+                        v = x > y
                     else:
-                        pc = ins[3] if _op_lt(x, y, positions[pc]) else pc + 1
-                    continue
-                if op == BR_LT_SC:
+                        v = _op_gt(x, y, positions[pc])
+                elif op == ORLY_GT_SC:
                     x = frame[ins[1]]
                     tx = type(x)
                     if tx is int or tx is float:
-                        pc = ins[3] if x < ins[2] else pc + 1
+                        v = x > ins[2]
                     else:
-                        pc = ins[3] if _op_lt(x, ins[2], positions[pc]) else pc + 1
-                    continue
-                if op == BR_LE_SS:
+                        v = _op_gt(x, ins[2], positions[pc])
+                elif op == ORLY_LT_SS:
                     x = frame[ins[1]]
                     y = frame[ins[2]]
                     tx = type(x)
                     ty = type(y)
                     if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x <= y else pc + 1
+                        v = x < y
                     else:
-                        pc = pc + 1 if _op_gt(x, y, positions[pc]) else ins[3]
-                    continue
-                if op == BR_LE_SC:
+                        v = _op_lt(x, y, positions[pc])
+                elif op == ORLY_NE_SS:
+                    x = frame[ins[1]]
+                    y = frame[ins[2]]
+                    tx = type(x)
+                    ty = type(y)
+                    if (tx is int or tx is float) and (ty is int or ty is float):
+                        v = x != y
+                    else:
+                        v = not equals(x, y)
+                elif op == ORLY_NE_SC:
                     x = frame[ins[1]]
                     tx = type(x)
                     if tx is int or tx is float:
-                        pc = ins[3] if x <= ins[2] else pc + 1
+                        v = x != ins[2]
                     else:
-                        pc = pc + 1 if _op_gt(x, ins[2], positions[pc]) else ins[3]
-                    continue
-                if op == BR_GT_SS:
-                    x = frame[ins[1]]
-                    y = frame[ins[2]]
-                    tx = type(x)
-                    ty = type(y)
-                    if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x > y else pc + 1
-                    else:
-                        pc = ins[3] if _op_gt(x, y, positions[pc]) else pc + 1
-                    continue
-                if op == BR_GT_SC:
+                        v = not equals(x, ins[2])
+                else:  # ORLY_LT_SC
                     x = frame[ins[1]]
                     tx = type(x)
                     if tx is int or tx is float:
-                        pc = ins[3] if x > ins[2] else pc + 1
+                        v = x < ins[2]
                     else:
-                        pc = ins[3] if _op_gt(x, ins[2], positions[pc]) else pc + 1
-                    continue
-                if op == BR_GE_SS:
-                    x = frame[ins[1]]
-                    y = frame[ins[2]]
-                    tx = type(x)
-                    ty = type(y)
-                    if (tx is int or tx is float) and (ty is int or ty is float):
-                        pc = ins[3] if x >= y else pc + 1
-                    else:
-                        pc = pc + 1 if _op_lt(x, y, positions[pc]) else ins[3]
-                    continue
-                # BR_GE_SC
-                x = frame[ins[1]]
-                tx = type(x)
-                if tx is int or tx is float:
-                    pc = ins[3] if x >= ins[2] else pc + 1
-                else:
-                    pc = pc + 1 if _op_lt(x, ins[2], positions[pc]) else ins[3]
+                        v = _op_lt(x, ins[2], positions[pc])
+                frame[0] = v
+                pc = pc + 1 if v else ins[3]
                 continue
             # -- array / symmetric access ------------------------------------
             if op < ST_TYPED:
@@ -670,8 +695,15 @@ class Machine:
                     i = frame[ins[3]]
                     if type(i) is not int:
                         i = to_numbr(i, positions[pc])
+                    cell = frame[ins[2]]
+                    data = cell.data
+                    if type(data) is not list and 0 <= i < len(data):
+                        # numpy storage: item() is the cell's converter
+                        frame[ins[1]] = data.item(i)
+                        pc += 1
+                        continue
                     try:
-                        frame[ins[1]] = frame[ins[2]].read(i)
+                        frame[ins[1]] = cell.read(i)
                     except LolRuntimeError as exc:
                         raise LolRuntimeError(
                             f"{ins[4]}: {exc.message}", positions[pc]
@@ -873,11 +905,80 @@ class Machine:
                 ctx.barrier_all()
                 pc += 1
                 continue
+            if op == TXT_GET:
+                pos = positions[pc]
+                pe = frame[ins[2]]
+                if type(pe) is not int:
+                    pe = to_numbr(pe, pos)
+                if not 0 <= pe < n_pes:
+                    raise LolParallelError(
+                        f"TXT MAH BFF {pe}: PE out of range [0, {n_pes})", pos
+                    )
+                name, idx, ci, store, step_pos, ipos, tpos = ins[3]
+                if step_pos is not None:
+                    self._count_step(step_pos)
+                e = caches[ci]
+                if idx is None:
+                    if e is not None:
+                        v = e[pe]()
+                    else:
+                        v = self._get_slow(caches, ci, name, pe, None)
+                else:
+                    k = idx[0]
+                    if k == "r":
+                        i = frame[idx[1]]
+                    elif k == "c":
+                        i = idx[1]
+                    else:
+                        # QUOSHUNT OF / MOD OF / ...: ("rr"|"rc"|"cr", fn,
+                        # a, b, pos, flops), evaluated after the PE check.
+                        if idx[5]:
+                            ctx.add_flops(idx[5])
+                        if k == "rc":
+                            i = idx[1](frame[idx[2]], idx[3], idx[4])
+                        elif k == "rr":
+                            i = idx[1](frame[idx[2]], frame[idx[3]], idx[4])
+                        else:
+                            i = idx[1](idx[2], frame[idx[3]], idx[4])
+                    if type(i) is not int:
+                        i = to_numbr(i, ipos)
+                    if e is not None and 0 <= i < e[1]:
+                        v = e[0][pe](i)
+                    else:
+                        v = self._get_slow(caches, ci, name, pe, i)
+                if store is None:
+                    frame[ins[1]] = v
+                elif store[0] is None:  # untyped: a whole array cannot land
+                    if not is_scalar_value(v):
+                        raise LolTypeError(
+                            f"cannot assign an array value to scalar "
+                            f"'{store[1]}'",
+                            tpos,
+                        )
+                    frame[ins[1]] = v
+                else:
+                    dt = store[0]
+                    tv = type(v)
+                    if (tv is float and dt is NUMBAR) or (tv is int and dt is NUMBR):
+                        frame[ins[1]] = v
+                    else:
+                        frame[ins[1]] = coerce_static(v, dt, store[1], tpos)
+                pc += 1
+                continue
             if op == GET:
-                name = ins[2]
-                frame[ins[1]] = ctx.get(
-                    name, _require_target(self, name, positions[pc])
-                )
+                pe = self.target_pe
+                e = caches[ins[3][0]]
+                if e is not None and pe is not None:
+                    frame[ins[1]] = e[pe]()
+                else:
+                    name = ins[2]
+                    frame[ins[1]] = self._get_slow(
+                        caches,
+                        ins[3][0],
+                        name,
+                        _require_target(self, name, positions[pc]),
+                        None,
+                    )
                 pc += 1
                 continue
             if op == PUT_BARRIER:
@@ -911,12 +1012,22 @@ class Machine:
                 pc += 1
                 continue
             if op == GETX:
-                pos = positions[pc]
-                name = ins[2]
-                index = _as_index(frame[ins[3]], pos)
-                frame[ins[1]] = ctx.get(
-                    name, _require_target(self, name, pos), index=index
-                )
+                i = frame[ins[3]]
+                if type(i) is not int:
+                    i = to_numbr(i, positions[pc])
+                pe = self.target_pe
+                e = caches[ins[4][0]]
+                if e is not None and pe is not None and 0 <= i < e[1]:
+                    frame[ins[1]] = e[0][pe](i)
+                else:
+                    name = ins[2]
+                    frame[ins[1]] = self._get_slow(
+                        caches,
+                        ins[4][0],
+                        name,
+                        _require_target(self, name, positions[pc]),
+                        i,
+                    )
                 pc += 1
                 continue
             if op == PUTX:
@@ -974,458 +1085,3 @@ class Machine:
                 pc += 1
                 continue
             pc = _HANDLERS[op](self, co, frame, caches, ins, pc)
-
-
-# ---------------------------------------------------------------------------
-# Cold-opcode handlers: fn(machine, co, frame, caches, ins, pc) -> next pc.
-# ---------------------------------------------------------------------------
-
-
-def _h_raise_break(m, co, frame, caches, ins, pc):
-    raise _Break()
-
-
-def _h_noloop(m, co, frame, caches, ins, pc):
-    raise LolRuntimeError(
-        f"loop '{ins[1]}' has no counter, no condition and no GTFO: "
-        f"it would never terminate",
-        co.positions[pc],
-    )
-
-
-def _h_raise_err(m, co, frame, caches, ins, pc):
-    ins[1]()
-    return pc + 1  # pragma: no cover - raisers always raise
-
-
-def _h_raise_return(m, co, frame, caches, ins, pc):
-    raise _Return(frame[ins[1]])
-
-
-def _h_display(m, co, frame, caches, ins, pc):
-    frame[ins[1]] = display_value(frame[ins[2]], co.positions[pc])
-    return pc + 1
-
-
-def _h_visible(m, co, frame, caches, ins, pc):
-    out = []
-    for p in ins[1]:
-        out.append(p if type(p) is str else frame[p])
-    m.ctx.emit("".join(out) + ins[2])
-    return pc + 1
-
-
-def _h_interp(m, co, frame, caches, ins, pc):
-    out = []
-    for p in ins[2]:
-        out.append(p if type(p) is str else format_yarn(frame[p]))
-    frame[ins[1]] = "".join(out)
-    return pc + 1
-
-
-def _h_nary(m, co, frame, caches, ins, pc):
-    frame[ins[1]] = ins[2]([frame[r] for r in ins[3]], co.positions[pc])
-    return pc + 1
-
-
-def _h_cast(m, co, frame, caches, ins, pc):
-    frame[ins[1]] = cast_value(frame[ins[2]], ins[3][0], co.positions[pc])
-    return pc + 1
-
-
-def _h_random(m, co, frame, caches, ins, pc):
-    rng = m.ctx.rng
-    frame[ins[1]] = rng.randrange(0, 2**31 - 1) if ins[2] == 0 else rng.random()
-    return pc + 1
-
-
-def _h_readline(m, co, frame, caches, ins, pc):
-    frame[ins[1]] = m.ctx.read_line()
-    return pc + 1
-
-
-def _h_canhas(m, co, frame, caches, ins, pc):
-    raw = ins[1]
-    lib = raw.upper()
-    if lib not in KNOWN_LIBRARIES:
-        raise LolRuntimeError(f"CAN HAS {raw}?: unknown library", co.positions[pc])
-    m.libraries.add(lib)
-    return pc + 1
-
-
-def _h_check_func(m, co, frame, caches, ins, pc):
-    name = ins[2]
-    f = m.functions.get(name)
-    pos = co.positions[pc]
-    if f is None:
-        raise LolNameError(f"no function named '{name}'", pos)
-    if f.n_params != ins[3]:
-        raise LolRuntimeError(
-            f"function '{name}' wants {f.n_params} arguments, got {ins[3]}",
-            pos,
-        )
-    frame[ins[1]] = f
-    return pc + 1
-
-
-def _h_call(m, co, frame, caches, ins, pc):
-    f = frame[ins[2]]
-    callee = new_frame(f.co.n_slots)
-    params = f.param_slots
-    regs = ins[3]
-    for i in range(len(regs)):
-        callee[params[i]] = frame[regs[i]]
-    saved = len(m.txt_saves)
-    try:
-        ret = m._exec(f.co, callee)
-    finally:
-        # A RET inside TXT MAH BFF skips the TXT_POPs; unwind them here
-        # (the tree-walker's try/finally per TXT statement).
-        ts = m.txt_saves
-        while len(ts) > saved:
-            m.target_pe = ts.pop()
-    frame[ins[1]] = ret
-    return pc + 1
-
-
-def _h_def(m, co, frame, caches, ins, pc):
-    m.functions[ins[1]] = ins[2][0]
-    return pc + 1
-
-
-def _h_barrier(m, co, frame, caches, ins, pc):
-    m.ctx.barrier_all()
-    return pc + 1
-
-
-def _lock_op(m, kind, name, frame, pos):
-    ctx = m.ctx
-    if not ctx.is_symmetric(name):
-        raise LolParallelError(
-            f"cannot lock '{name}': it is not a shared symmetric "
-            f"variable (WE HAS A {name} ... AN IM SHARIN IT)",
-            pos,
-        )
-    if kind == isa.LOCK_SET:
-        ctx.set_lock(name)
-    elif kind == isa.LOCK_TEST:
-        frame[0] = ctx.test_lock(name)
-    else:
-        ctx.clear_lock(name)
-
-
-def _h_lockop(m, co, frame, caches, ins, pc):
-    _lock_op(m, ins[1], ins[2], frame, co.positions[pc])
-    return pc + 1
-
-
-def _h_lockopd(m, co, frame, caches, ins, pc):
-    _lock_op(m, ins[1], format_yarn(frame[ins[2]]), frame, co.positions[pc])
-    return pc + 1
-
-
-def _h_txt_push(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    pe = to_numbr(frame[ins[1]], pos)
-    if not 0 <= pe < m.ctx.n_pes:
-        raise LolParallelError(
-            f"TXT MAH BFF {pe}: PE out of range [0, {m.ctx.n_pes})", pos
-        )
-    m.txt_saves.append(m.target_pe)
-    m.target_pe = pe
-    return pc + 1
-
-
-def _h_txt_pop(m, co, frame, caches, ins, pc):
-    m.target_pe = m.txt_saves.pop()
-    return pc + 1
-
-
-def _h_get(m, co, frame, caches, ins, pc):
-    name = ins[2]
-    frame[ins[1]] = m.ctx.get(
-        name, _require_target(m, name, co.positions[pc])
-    )
-    return pc + 1
-
-
-def _h_getx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = ins[2]
-    index = _as_index(frame[ins[3]], pos)
-    frame[ins[1]] = m.ctx.get(name, _require_target(m, name, pos), index=index)
-    return pc + 1
-
-
-def _h_put(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = ins[1]
-    pe = _require_target(m, name, pos)
-    m.ctx.put(name, coerce_symmetric(m.ctx, name, frame[ins[2]], pos), pe)
-    return pc + 1
-
-
-def _h_putx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = ins[1]
-    index = _as_index(frame[ins[2]], pos)
-    pe = _require_target(m, name, pos)
-    obj = m.ctx.world.heap.lookup(name)
-    m.ctx.put(
-        name,
-        coerce_element(frame[ins[3]], obj.lol_type, name, pos),
-        pe,
-        index=index,
-    )
-    return pc + 1
-
-
-def _h_put_barrier(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = ins[1]
-    ireg = ins[3][0]
-    if ireg is None:
-        pe = _require_target(m, name, pos)
-        m.ctx.put(name, coerce_symmetric(m.ctx, name, frame[ins[2]], pos), pe)
-    else:
-        index = _as_index(frame[ireg], pos)
-        pe = _require_target(m, name, pos)
-        obj = m.ctx.world.heap.lookup(name)
-        m.ctx.put(
-            name,
-            coerce_element(frame[ins[2]], obj.lol_type, name, pos),
-            pe,
-            index=index,
-        )
-    m.ctx.barrier_all()
-    return pc + 1
-
-
-def _h_get_bin(m, co, frame, caches, ins, pc):
-    fn, name, idx, remote_on_lhs, other, pos = ins[2]
-    ov = frame[other[1]] if other[0] == "r" else other[1]
-    ctx = m.ctx
-    if idx is None:
-        rv = ctx.get(name, _require_target(m, name, pos))
-    else:
-        iv = frame[idx[1]] if idx[0] == "r" else idx[1]
-        index = iv if type(iv) is int else to_numbr(iv, pos)
-        rv = ctx.get(name, _require_target(m, name, pos), index=index)
-    frame[ins[1]] = fn(rv, ov, pos) if remote_on_lhs else fn(ov, rv, pos)
-    return pc + 1
-
-
-def _h_getd(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[2]])
-    frame[ins[1]] = m.ctx.get(name, _require_target(m, name, pos))
-    return pc + 1
-
-
-def _h_getxd(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[2]])
-    index = _as_index(frame[ins[3]], pos)
-    frame[ins[1]] = m.ctx.get(name, _require_target(m, name, pos), index=index)
-    return pc + 1
-
-
-def _h_putd(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[1]])
-    pe = _require_target(m, name, pos)
-    m.ctx.put(name, coerce_symmetric(m.ctx, name, frame[ins[2]], pos), pe)
-    return pc + 1
-
-
-def _h_putxd(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[1]])
-    index = _as_index(frame[ins[2]], pos)
-    pe = _require_target(m, name, pos)
-    obj = m.ctx.world.heap.lookup(name)
-    m.ctx.put(
-        name,
-        coerce_element(frame[ins[3]], obj.lol_type, name, pos),
-        pe,
-        index=index,
-    )
-    return pc + 1
-
-
-def _h_dyn_ld(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    frame[ins[1]] = _dyn_read(
-        m, frame, ins[3][0], format_yarn(frame[ins[2]]), pos
-    )
-    return pc + 1
-
-
-def _h_dyn_st(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    _dyn_write(
-        m, frame, ins[3][0], format_yarn(frame[ins[1]]), frame[ins[2]], pos
-    )
-    return pc + 1
-
-
-def _h_dyn_ldx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[2]])
-    index = _as_index(frame[ins[3]], pos)
-    frame[ins[1]] = _dyn_read_element(m, frame, ins[4][0], name, index, pos)
-    return pc + 1
-
-
-def _h_dyn_stx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = format_yarn(frame[ins[1]])
-    index = _as_index(frame[ins[2]], pos)
-    _dyn_write_element(m, frame, ins[4][0], name, index, frame[ins[3]], pos)
-    return pc + 1
-
-
-def _h_gld(m, co, frame, caches, ins, pc):
-    v = m.gframe[ins[2]]
-    if v is UNDECLARED:
-        raise _undeclared(ins[3], co.positions[pc])
-    frame[ins[1]] = v
-    return pc + 1
-
-
-def _h_gst(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    dt, name = ins[3]
-    g = m.gframe
-    if g[ins[1]] is UNDECLARED:
-        raise _undeclared(name, pos)
-    v = frame[ins[2]]
-    if dt is not None:
-        v = coerce_static(v, dt, name, pos)
-    elif not is_scalar_value(v):
-        raise LolTypeError(f"cannot assign an array value to scalar '{name}'", pos)
-    g[ins[1]] = v
-    return pc + 1
-
-
-def _h_gldx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    name = ins[4]
-    cell = m.gframe[ins[2]]
-    index = _as_index(frame[ins[3]], pos)
-    try:
-        frame[ins[1]] = cell.read(index)
-    except LolRuntimeError as exc:
-        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
-    return pc + 1
-
-
-def _h_gstx(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    elem_t, name = ins[4]
-    cell = m.gframe[ins[1]]
-    index = _as_index(frame[ins[2]], pos)
-    value = coerce_static(frame[ins[3]], elem_t, name, pos)
-    try:
-        cell.write(index, value)
-    except LolRuntimeError as exc:
-        raise LolRuntimeError(f"{name}: {exc.message}", pos) from exc
-    return pc + 1
-
-
-def _h_gchk(m, co, frame, caches, ins, pc):
-    if m.gframe[ins[1]] is UNDECLARED:
-        raise _undeclared(ins[2], co.positions[pc])
-    return pc + 1
-
-
-def _h_st_arr(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    cell = frame[ins[1]]
-    if cell is UNDECLARED:
-        raise _undeclared(ins[3], pos)
-    write_whole_array(cell, frame[ins[2]], ins[3], pos)
-    return pc + 1
-
-
-def _h_gst_arr(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    cell = m.gframe[ins[1]]
-    if cell is UNDECLARED:
-        raise _undeclared(ins[3], pos)
-    write_whole_array(cell, frame[ins[2]], ins[3], pos)
-    return pc + 1
-
-
-def _h_arrdecl(m, co, frame, caches, ins, pc):
-    pos = co.positions[pc]
-    elem_t, name = ins[3]
-    size = to_array_size(frame[ins[2]], pos)
-    if size <= 0:
-        raise LolRuntimeError(
-            f"array '{name}' must have positive size, got {size}", pos
-        )
-    frame[ins[1]] = ArrayCell(elem_t, size)
-    return pc + 1
-
-
-def _h_symdecl(m, co, frame, caches, ins, pc):
-    name, declared, _, _, _, init_co = ins[1]
-    ctx = m.ctx
-    m.declared[name] = ctx.world.heap.lookup(name)
-    if init_co is not None:
-        value = coerce_static(
-            m._exec(init_co, m.gframe), declared, name, co.positions[pc]
-        )
-        ctx.local_write(name, value)
-    return pc + 1
-
-
-_HANDLERS: list = [None] * isa.N_OPCODES
-for _code, _fn in {
-    isa.RAISE_BREAK: _h_raise_break,
-    isa.NOLOOP: _h_noloop,
-    isa.RAISE_ERR: _h_raise_err,
-    isa.RAISE_RETURN: _h_raise_return,
-    isa.DISPLAY: _h_display,
-    isa.VISIBLE: _h_visible,
-    isa.INTERP: _h_interp,
-    isa.NARY: _h_nary,
-    isa.CAST: _h_cast,
-    isa.RANDOM: _h_random,
-    isa.READLINE: _h_readline,
-    isa.CANHAS: _h_canhas,
-    isa.CHECK_FUNC: _h_check_func,
-    isa.CALL: _h_call,
-    isa.DEF: _h_def,
-    isa.BARRIER: _h_barrier,
-    isa.LOCKOP: _h_lockop,
-    isa.LOCKOPD: _h_lockopd,
-    isa.TXT_PUSH: _h_txt_push,
-    isa.TXT_POP: _h_txt_pop,
-    isa.GET: _h_get,
-    isa.GETX: _h_getx,
-    isa.PUT: _h_put,
-    isa.PUTX: _h_putx,
-    isa.PUT_BARRIER: _h_put_barrier,
-    isa.GET_BIN: _h_get_bin,
-    isa.GETD: _h_getd,
-    isa.GETXD: _h_getxd,
-    isa.PUTD: _h_putd,
-    isa.PUTXD: _h_putxd,
-    isa.DYN_LD: _h_dyn_ld,
-    isa.DYN_ST: _h_dyn_st,
-    isa.DYN_LDX: _h_dyn_ldx,
-    isa.DYN_STX: _h_dyn_stx,
-    isa.GLD: _h_gld,
-    isa.GST: _h_gst,
-    isa.GLDX: _h_gldx,
-    isa.GSTX: _h_gstx,
-    isa.GCHK: _h_gchk,
-    isa.ST_ARR: _h_st_arr,
-    isa.GST_ARR: _h_gst_arr,
-    isa.ARRDECL: _h_arrdecl,
-    isa.SYMDECL: _h_symdecl,
-}.items():
-    _HANDLERS[_code] = _fn
-del _code, _fn

@@ -486,10 +486,11 @@ def _x_ibin(op, regs, frame, lanes, m) -> None:
 
 
 def _x_read(op, regs, frame, lanes, m) -> None:
+    # op[5]: some consumer needs the lanes inside the int guard (the
+    # vectorizer clears it when every consumer is exact on int64).
     data = regs[op[2]]
-    regs[op[1]] = _int_guard(
-        data[lanes.where(_val(op[3], regs), op[4], data.shape[0])]
-    )
+    v = data[lanes.where(_val(op[3], regs), op[4], data.shape[0])]
+    regs[op[1]] = _int_guard(v) if op[5] else v
 
 
 def _x_read1(op, regs, frame, lanes, m) -> None:
@@ -543,6 +544,7 @@ def _x_fold(op, regs, frame, lanes, m) -> None:
             x = np.full(n, _scalar_num(x))
         grid = x.reshape(rows, n // rows)
         if data.dtype.kind == "f":  # NUMBAR elements: every step a float
+            _int_guard(grid)  # int lanes convert to float64 exactly
             cols = np.concatenate((start[:, None], grid), axis=1)
             regs[dst] = _ACC[kind](cols, axis=1)[:, -1]
             return
@@ -595,6 +597,7 @@ def _x_fold(op, regs, frame, lanes, m) -> None:
         and tx in "if"
         and (coerce is None or coerce[1] is _NUMBAR)
     ):
+        _int_guard(x)  # int lanes convert to float64 exactly
         if x.size:
             acc = float(_ACC[kind](np.concatenate(([acc], x)))[-1])
         regs[dst] = acc

@@ -186,6 +186,10 @@ class _Analyzer:
         self.words = 0  # raw generator words drawn per iteration
         self.words_reg = None
         self.troofs: set = set()  # regs holding comparison (bool) vectors
+        #: vector reg -> "i" | "f" where its lanes are known int64/float64
+        self.vkinds: dict = {}
+        #: int reads some consumer needs inside the 2**30 guard
+        self.guarded: set = set()
         self.masked: set = set()  # slots assigned in an O RLY? arm
         self.mask = None  # mask reg while walking an O RLY? arm
         self.masks = False  # some O RLY? arm was if-converted
@@ -208,15 +212,33 @@ class _Analyzer:
     def _emit(self, op: tuple) -> None:
         self.prog.append(op)
 
-    @staticmethod
-    def _opnd(sym):
-        """symval -> runtime operand (vectors/scalars share ``("r", reg)``)."""
+    def _opnd(self, sym, exact: bool = False):
+        """symval -> runtime operand (vectors/scalars share ``("r", reg)``).
+
+        A vector operand is consumed here, so it must be an int64 vector
+        inside the ``2**30`` guard, unless the consumer is ``exact`` for
+        every int64 value (an int64 element store, an int fold).
+        """
         k = sym[0]
         if k == "c":
             return ("c", sym[1])
-        if k in ("r", "v"):
+        if k == "v":
+            if not exact:
+                self.guarded.add(sym[1])
+            return ("r", sym[1])
+        if k == "r":
             return ("r", sym[1])
         raise _Bail
+
+    def _kind(self, sym):
+        """``"i"``/``"f"`` when ``sym``'s lanes (or constant) are known to
+        be int64/float64 at compile time, else ``None``."""
+        if sym[0] == "c":
+            t = type(sym[1])
+            return "i" if t is int else "f" if t is float else None
+        if sym[0] == "v":
+            return self.vkinds.get(sym[1])
+        return None  # a runtime scalar may be either
 
     @staticmethod
     def _is_int(v) -> bool:
@@ -292,13 +314,20 @@ class _Analyzer:
         self._finalize_array_commits()
         for slot in sorted(self.env):
             self.commits.append(("set", slot, self._commit_src(self.env[slot])))
+        # An int read keeps its 2**30 guard unless every consumer is exact.
+        prog = [
+            op + (op[1] in self.guarded and self.vkinds[op[1]] == "i",)
+            if op[0] == "read"
+            else op
+            for op in self.prog
+        ]
         return VecPlan(
             tuple(
                 (mode, self._opnd(lim), slot)
                 for (mode, lim), slot in zip(conds, cslots)
             ),
             tuple(limit_prog),
-            tuple(self.prog),
+            tuple(prog),
             tuple(self.commits),
             self.n_regs,
             self.words,
@@ -350,6 +379,7 @@ class _Analyzer:
         if k == "r":
             return ("r", sym[1])
         if k == "v":
+            self.guarded.add(sym[1])
             return ("last", sym[1])
         return ("afflast", sym[1], sym[2])  # the last lane's base + coeffs
 
@@ -373,14 +403,16 @@ class _Analyzer:
                         ("w1", st.reg, base_op, self._commit_src(sym))
                     )
                 else:
+                    # An int64 store copies int64 lanes exactly.
+                    src = self._lane_opnd(sym, exact=st.kind == "i")
                     self.commits.append(
-                        ("wslice", st.reg, base_op, coeffs, self._lane_opnd(sym))
+                        ("wslice", st.reg, base_op, coeffs, src)
                     )
 
-    def _lane_opnd(self, sym):
+    def _lane_opnd(self, sym, exact: bool = False):
         if sym[0] == "aff":
             sym = ("v", self._materialize(sym))
-        return self._opnd(sym)
+        return self._opnd(sym, exact)
 
     # ------------------------------------------------------------------
     # statements
@@ -534,7 +566,9 @@ class _Analyzer:
         sym = self._expr(node)
         if acc_slot in self.inv_reads:
             raise _Bail  # the operand itself read the accumulator
-        return self._lane_opnd(sym)
+        # A fold of int64 lanes is exact: the int fold runs on Python
+        # ints, and the float folds guard int lanes themselves.
+        return self._lane_opnd(sym, exact=True)
 
     def _assign_element(self, s: ast.Assign, target: ast.Index) -> None:
         value = s.value
@@ -662,6 +696,7 @@ class _Analyzer:
             or st.writes
         ):
             raise _Bail
+        self.guarded.add(idx_reg)
         opnd = self._fold_operand(value.rhs, -1)
         if st.reads or st.read1:
             raise _Bail  # the addend reads the array
@@ -743,6 +778,7 @@ class _Analyzer:
                 self.min_trips = _MIN_TRIPS
             reg = self._reg()
             self._emit(("draw", reg, node.kind, self.words_reg, self.words))
+            self.vkinds[reg] = "i" if node.kind == "int" else "f"
             self.words += _WORDS[node.kind]
             return ("v", reg)
         if t is ast.Cast and not self.in_limit:
@@ -888,6 +924,7 @@ class _Analyzer:
             reg = self._reg()
             self._emit(("read", reg, st.reg, base_op, coeffs))
             st.reads[key] = reg
+            self.vkinds[reg] = st.kind
         return ("v", reg)
 
     # ------------------------------------------------------------------
@@ -897,6 +934,7 @@ class _Analyzer:
         """aff -> lane vector register (runtime-validates an int base)."""
         reg = self._reg()
         self._emit(("iota", reg, aff[1], aff[2]))
+        self.vkinds[reg] = "i"
         return reg
 
     def _base_add(self, base, k: int):
@@ -929,6 +967,11 @@ class _Analyzer:
             raise _Bail  # YARN/TROOF operands coerce per element: scalar
         reg = self._reg()
         self._emit(("bin", reg, op, self._opnd(a), self._opnd(b)))
+        ka, kb = self._kind(a), self._kind(b)
+        if ka == "f" or kb == "f":
+            self.vkinds[reg] = "f"  # numpy float64 with any number
+        elif ka == kb == "i":
+            self.vkinds[reg] = "i"
         return ("v", reg)
 
     def _ibin(self, op: str, a, b):
@@ -948,6 +991,7 @@ class _Analyzer:
         ):
             raise _Bail  # a float or non-number constant leaves int lanes
         self._emit(("ibin", reg, op, self._opnd(a), self._opnd(b)))
+        self.vkinds[reg] = "i"
         return ("v", reg)
 
     def _bin_aff(self, op: str, a, b):
@@ -1031,8 +1075,12 @@ class _Analyzer:
             return ("r", reg)
         if k == "aff":
             a = ("v", self._materialize(a))
+        self.guarded.add(a[1])
         reg = self._reg()
         self._emit(("un", reg, op, a[1]))
+        kind = self.vkinds.get(a[1]) if op == "square" else "f"
+        if kind is not None:
+            self.vkinds[reg] = kind
         return ("v", reg)
 
     def _coerce(self, sym, declared: LolType, name: str):
@@ -1070,13 +1118,19 @@ class _Analyzer:
 
     def _vec_cast(self, sym, to_type: LolType):
         """NUMBR/NUMBAR conversion of a vector: for int64/float64 lanes
-        the static coercion and the explicit cast agree."""
+        the static coercion and the explicit cast agree.  Lanes already
+        of the target dtype need no op."""
         if sym[0] == "aff":
             if to_type is _NUMBR and sym[1][0] == "c":
                 return sym  # provably integer already
             sym = ("v", self._materialize(sym))
+        kind = "i" if to_type is _NUMBR else "f"
+        if self.vkinds.get(sym[1]) == kind:
+            return sym
+        self.guarded.add(sym[1])
         reg = self._reg()
-        self._emit(("cast", reg, sym[1], "i" if to_type is _NUMBR else "f"))
+        self._emit(("cast", reg, sym[1], kind))
+        self.vkinds[reg] = kind
         return ("v", reg)
 
     def _cmp(self, op: str, a, b):

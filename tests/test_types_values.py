@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.interp.values import FLOP_COST, arith, binop, equals, naryop, unop
-from repro.lang.errors import LolRuntimeError, LolTypeError
+from repro.lang.errors import LolError, LolRuntimeError, LolTypeError
 from repro.lang.types import (
     LolType,
     cast,
@@ -76,6 +76,22 @@ class TestYarnFormatting:
 
     def test_noob_is_empty(self):
         assert format_yarn(None) == ""
+
+    def test_numbr_past_the_digit_limit_is_a_typed_error(self):
+        # NUMBR is unbounded, but CPython refuses to print an int of
+        # more than 4300 digits: every engine raises the same LolError.
+        with pytest.raises(LolRuntimeError, match="too large to format"):
+            format_yarn(2**20000)
+        from repro.launcher import run_lolcode
+
+        src = (
+            "HAI 1.2\nI HAS A v ITZ 2\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 15\n"
+            "  v R SQUAR OF v\nIM OUTTA YR l\nVISIBLE v\nKTHXBYE\n"
+        )
+        for engine in ("ast", "vm"):
+            with pytest.raises(LolError, match="32769 bits is too large"):
+                run_lolcode(src, 1, engine=engine)
 
 
 class TestCasting:

@@ -4,7 +4,8 @@ Covers the pieces that make ``engine="vm"`` the fastest pure-Python
 path and keep it honest:
 
 * superinstruction fusion (``INC_JMP``, fused compare-branches,
-  ``PUT_BARRIER``, ``GET_BIN``);
+  ``ORLY_*``, ``PUT_BARRIER``, ``GET_BIN``, ``TXT_GET``) and the typed
+  ``QUOSHUNT OF``/``MOD OF`` opcodes, each at parity with the tree-walker;
 * jump patching (no unresolved labels, all targets in range);
 * symmetric-access inline caches (hit on repeat access);
 * ``LOOP_VEC`` — the guarded loop vectorizer: it runs where legal,
@@ -404,6 +405,59 @@ class TestIntLaneOps:
         m, got, want = _both(src)
         assert (m.vec_runs, m.vec_bails) == (1, 0)
         assert got == want == "9\n"
+
+
+BIG_READS = lol(
+    "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 8\n"
+    "I HAS A b ITZ LOTZ A NUMBRS AN THAR IZ 8\n"
+    "I HAS A s ITZ 0\n"
+    "a'Z 5 R 3000000000\n"
+    "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+    "  {body}\n"
+    "IM OUTTA YR l\n"
+    'VISIBLE b\'Z 5 " " s'
+)
+
+
+class TestReadGuard:
+    """An int read skips the 2**30 guard only when every consumer is
+    exact on int64: an int64 element store or a fold."""
+
+    @pytest.mark.parametrize(
+        "body", ["b'Z i R a'Z i", "s R SUM OF s AN a'Z i"]
+    )
+    def test_big_values_into_exact_consumers_vectorize(self, body):
+        m, got, want = _both(BIG_READS.format(body=body))
+        assert (m.vec_runs, m.vec_bails) == (1, 0)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "b'Z i R SUM OF a'Z i AN 1",
+            "b'Z i R PRODUKT OF a'Z i AN a'Z i",
+            "I HAS A f ITZ A NUMBAR AN ITZ a'Z i\n  s R SUM OF s AN f",
+        ],
+    )
+    def test_big_values_into_arithmetic_bail(self, body):
+        m, got, want = _both(BIG_READS.format(body=body))
+        assert (m.vec_runs, m.vec_bails) == (0, 1)
+        assert got == want
+
+    def test_float_lanes_get_no_cast_op(self):
+        src = lol(
+            "I HAS A u ITZ LOTZ A NUMBARS AN THAR IZ 8\n"
+            "I HAS A v ITZ LOTZ A NUMBRS AN THAR IZ 8\n"
+            "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+            "  u'Z i R PRODUKT OF 2.5 AN i\n"
+            "  v'Z i R SUM OF i AN 1\n"
+            "IM OUTTA YR l\n"
+            "VISIBLE u'Z 7 v'Z 7"
+        )
+        plan = next(ins[1] for ins in _compile(src).co.code if ins[0] == isa.LOOP_VEC)
+        assert not [op for op in plan.prog if op[0] == "cast"]
+        m, got, want = _both(src)
+        assert (m.vec_runs, got) == (1, want)
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +916,241 @@ def test_draw_kernels_match_ast(vm_machines, name, n_pes):
 @pytest.mark.parametrize("name", ["pi_montecarlo", "histogram"])
 def test_draw_kernels_match_ast_100_seeds(vm_machines, name, n_pes):
     _check_draw_kernel(vm_machines, name, n_pes, range(100))
+
+
+# ---------------------------------------------------------------------------
+# Typed QUOSHUNT OF / MOD OF opcodes, one-dispatch remote gets and
+# fused ``<comparison>, O RLY?`` branches.
+# ---------------------------------------------------------------------------
+
+
+def _parity(src: str, n_pes: int = 1, **kwargs):
+    """vm and ast give the same outputs, or raise the same error class,
+    message and position; returns the vm result (or the error)."""
+    results = []
+    for engine in ("vm", "ast"):
+        try:
+            results.append(run_lolcode(src, n_pes, engine=engine, **kwargs))
+        except LolError as exc:
+            results.append(exc)
+    got, want = results
+    if isinstance(want, LolError):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+    else:
+        assert not isinstance(got, LolError), got
+        assert got.outputs == want.outputs
+    return got
+
+
+_OPERANDS = [
+    ("7", "2"), ("-7", "2"), ("7", "-2"), ("-7", "-2"),
+    ("7.5", "2.0"), ("-7.5", "2.0"), ("7", "2.5"), ("7.5", "2"),
+    ('"7"', "2"), ("7", '"2"'), ('"7.5"', "2"),
+    ("WIN", "2"), ("7", "WIN"), ("NOOB", "2"), ("7", "NOOB"),
+    ("7", "0"), ("7.0", "0.0"), ("7", "0.0"), ("0", "-0.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "op", ["QUOSHUNT OF", "MOD OF", "BIGGR OF", "SMALLR OF"]
+)
+@pytest.mark.parametrize("lhs,rhs", _OPERANDS)
+def test_int_float_ops_match_ast(op, lhs, rhs):
+    # register/register, register/constant and constant/register forms
+    _parity(lol(f"I HAS A a ITZ {lhs}\nI HAS A b ITZ {rhs}\nVISIBLE {op} a AN b"))
+    _parity(lol(f"I HAS A a ITZ {lhs}\nVISIBLE {op} a AN {rhs}"))
+    _parity(lol(f"I HAS A b ITZ {rhs}\nVISIBLE {op} {lhs} AN b"))
+
+
+def test_quoshunt_and_mod_get_typed_opcodes():
+    ops = _ops(
+        _compile(
+            lol(
+                "I HAS A a ITZ 7\nI HAS A b ITZ 2\n"
+                "VISIBLE QUOSHUNT OF a AN b MOD OF a AN b "
+                "QUOSHUNT OF a AN 3 MOD OF a AN 3"
+            )
+        ).co
+    )
+    for code in (isa.DIV_SS, isa.MOD_SS, isa.DIV_SC, isa.MOD_SC):
+        assert code in ops
+    assert isa.BINOP not in ops and isa.BINOP_SC not in ops
+
+
+TXT_GETS = lol(
+    "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+    "WE HAS A f ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n"
+    "WE HAS A s ITZ SRSLY A NUMBR\n"
+    "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4\n"
+    "  a'Z i R SUM OF PRODUKT OF ME AN 10 AN i\n"
+    "  f'Z i R QUOSHUNT OF a'Z i AN 4.0\n"
+    "IM OUTTA YR l\n"
+    "s R PRODUKT OF ME AN 100\n"
+    "HUGZ\n"
+    "I HAS A pe ITZ {pe}\n"
+    "I HAS A i ITZ {i}\n"
+    "I HAS A x ITZ 0\n"
+    "I HAS A y ITZ A NUMBAR AN ITZ 0.0\n"
+    "I HAS A z ITZ A NUMBR AN ITZ 0\n"
+    "TXT MAH BFF pe, x R UR a'Z MOD OF SUM OF i AN ME AN 4\n"
+    "TXT MAH BFF pe, y R UR a'Z i\n"
+    "TXT MAH BFF pe, z R UR f'Z i\n"
+    "TXT MAH BFF pe, i R UR s\n"
+    'VISIBLE x " " y " " z " " i\n'
+    "IM IN YR p UPPIN YR q TIL BOTH SAEM q AN MAH FRENZ\n"
+    "  TXT MAH BFF q, x R UR a'Z 3\n"
+    "  VISIBLE x\n"
+    "IM OUTTA YR p\n"
+    "HUGZ"
+)
+
+
+class TestTxtGet:
+    def test_one_statement_txt_get_is_one_instruction(self):
+        ops = _ops(_compile(TXT_GETS.format(pe=0, i=1)).co)
+        assert ops.count(isa.TXT_GET) == 4
+        # an index of two operators keeps the push, the get and the pop
+        assert ops.count(isa.TXT_PUSH) == ops.count(isa.GETX) == 1
+
+    @pytest.mark.parametrize(
+        "pe", ["MOD OF SUM OF ME AN 1 AN MAH FRENZ", '"1"', "1.0", "WIN"]
+    )
+    @pytest.mark.parametrize("n_pes", [2, 4])
+    def test_matches_ast(self, pe, n_pes):
+        _parity(TXT_GETS.format(pe=pe, i=2), n_pes)
+
+    @pytest.mark.parametrize("pe,shown", [("7", "7"), ('"-1"', "-1")])
+    def test_out_of_range_pe_raises_like_ast(self, pe, shown):
+        err = _parity(TXT_GETS.format(pe=pe, i=2), 2)
+        assert isinstance(err, LolError)
+        assert f"TXT MAH BFF {shown}: PE out of range [0, 2)" in str(err)
+
+    @pytest.mark.parametrize("i", ["4", "-1", '"x"', "NOOB"])
+    def test_bad_index_raises_like_ast(self, i):
+        assert isinstance(_parity(TXT_GETS.format(pe=1, i=i), 2), LolError)
+
+    def test_a_call_keeps_push_and_pop(self):
+        src = lol(
+            "WE HAS A s ITZ SRSLY A NUMBR\n"
+            "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2\n"
+            "HOW IZ I peek\n"
+            "  FOUND YR UR s\n"
+            "IF U SAY SO\n"
+            "HOW IZ I nxt\n"
+            "  FOUND YR MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+            "IF U SAY SO\n"
+            "s R 1\n"
+            "a'Z 1 R SUM OF ME AN 5\n"
+            "HUGZ\n"
+            "I HAS A x ITZ 0\n"
+            "TXT MAH BFF 1, x R UR a'Z I IZ peek MKAY\n"
+            "VISIBLE x\n"
+            "TXT MAH BFF I IZ nxt MKAY, x R UR a'Z 1\n"
+            "VISIBLE x\n"
+            "HUGZ"
+        )
+        ops = _ops(_compile(src).co)
+        assert isa.TXT_GET not in ops and ops.count(isa.TXT_PUSH) == 2
+        _parity(src, 2)
+
+    def test_comm_counters_match_ast(self):
+        from repro import obs
+
+        src = get_workload("bfs").source(smoke=True)
+        counts = {}
+        obs.arm("metrics")
+        try:
+            registry = obs.get_registry()
+            for engine in ("vm", "ast"):
+                before = registry.snapshot(collect=False)
+                run_lolcode(src, 4, engine=engine)
+                delta = obs.diff_snapshots(before, registry.snapshot(collect=False))
+                counts[engine] = {
+                    k: v for k, v in delta.items() if k.startswith("lol_comm")
+                }
+        finally:
+            obs.disarm()
+        assert counts["vm"] == counts["ast"]
+        ops = counts["vm"]["lol_comm_ops_total"]["series"]
+        assert ops['[["op", "get"]]'] > 0
+
+    def test_race_detector_sees_the_fused_get(self):
+        src = lol(
+            "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2\n"
+            "I HAS A x ITZ 0\n"
+            "BOTH SAEM ME AN 0, O RLY?\n"
+            "YA RLY, a'Z 0 R 5\n"
+            "NO WAI, TXT MAH BFF 0, x R UR a'Z 0\n"
+            "OIC\n"
+            "HUGZ"
+        )
+        assert isa.TXT_GET in _ops(_compile(src).co)
+        got = run_lolcode(src, 2, engine="vm", race_detection=True)
+        want = run_lolcode(src, 2, engine="ast", race_detection=True)
+        assert got.races and len(got.races) == len(want.races)
+        assert {r.symbol for r in got.races} == {"a"}
+
+    def test_flop_counts_match_ast(self):
+        for name in ("bfs", "spmv", "sample_sort"):
+            src = get_workload(name).source(smoke=True)
+            a = run_lolcode(src, 2, engine="ast", trace=True)
+            v = run_lolcode(src, 2, engine="vm", trace=True)
+            assert a.outputs == v.outputs
+            assert a.trace.total_flops() == v.trace.total_flops() > 0
+            assert a.trace.summary() == v.trace.summary()
+
+    def test_max_steps_cut_off_points_match_ast(self):
+        src = TXT_GETS.format(pe="MOD OF SUM OF ME AN 1 AN MAH FRENZ", i=2)
+        for limit in range(1, 80):
+            _parity(src.replace("HUGZ\nKTHXBYE", "KTHXBYE"), 1, max_steps=limit)
+
+
+class TestOrly:
+    SRC = lol(
+        "I HAS A a ITZ {a}\n"
+        "I HAS A b ITZ {b}\n"
+        "{cmp}, O RLY?\n"
+        "YA RLY, VISIBLE \"ya \" IT\n"
+        "NO WAI, VISIBLE \"no \" IT\n"
+        "OIC\n"
+        "VISIBLE IT"
+    )
+
+    @pytest.mark.parametrize(
+        "cmp",
+        [
+            "BOTH SAEM a AN b", "DIFFRINT a AN b", "BIGGER a AN b",
+            "SMALLR a AN b", "BOTH SAEM a AN 3", "BIGGER a AN 3",
+            "SMALLR 3 AN a", "DIFFRINT 3.0 AN a",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "a,b", [("3", "4"), ("4", "3"), ("3", "3.0"), ('"3"', "3"), ("NOOB", "3")]
+    )
+    def test_sets_it_and_branches_like_ast(self, cmp, a, b):
+        src = self.SRC.format(a=a, b=b, cmp=cmp)
+        ops = _ops(_compile(src).co)
+        assert any(isa.ORLY_EQ_SS <= op <= isa.ORLY_LT_SC for op in ops)
+        assert isa.JF not in ops
+        _parity(src)
+
+    def test_jumps_never_land_on_a_jmp(self):
+        prog = _compile(get_workload("sample_sort").source())
+        code = prog.co.code
+        for ins in code:
+            for i, kind in enumerate(isa.OPFIELDS[ins[0]], start=1):
+                if kind == "j":
+                    assert code[ins[i]][0] != isa.JMP
+
+
+@pytest.mark.parametrize("n_pes", [1, 2, 4])
+@pytest.mark.parametrize("name", ["bfs", "sample_sort", "spmv"])
+def test_irregular_kernels_match_ast(name, n_pes):
+    src = get_workload(name).source(smoke=True)
+    for seed in range(25):
+        got = run_lolcode(src, n_pes, engine="vm", seed=seed).outputs
+        want = run_lolcode(src, n_pes, engine="ast", seed=seed).outputs
+        assert got == want, seed
 
 
 # ---------------------------------------------------------------------------
