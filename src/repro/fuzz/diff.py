@@ -20,6 +20,10 @@ The pipeline per candidate is::
   reference engine (``ast``).  A typed error is a *comparable outcome*:
   engines must agree on the error class, not just on success.
 
+A host exception (anything but a ``LolError``) in any of the three
+stages is a ``"crash"`` outcome: a toolchain bug whatever the other
+engines did, so it is always reported as a finding.
+
 The native ``c`` engine is excluded by default: a build per candidate
 is slow, and where ``ast`` raises a typed runtime error (an
 out-of-range index, NOOB arithmetic, division by zero) ``c`` runs on
@@ -52,9 +56,9 @@ GATE_WARNINGS: frozenset[str] = frozenset({"W101", "W102", "W103", "W105", "W106
 class Outcome:
     """What one engine did with one candidate."""
 
-    kind: str  # "ok" | "error" | "hang" | "stepout" | "skip"
+    kind: str  # "ok" | "error" | "hang" | "stepout" | "skip" | "crash"
     outputs: Optional[tuple[str, ...]] = None  # per-PE stdout when kind == "ok"
-    error_class: str = ""  # exception-class chain when kind == "error"
+    error_class: str = ""  # exception class(es) when kind is "error" or "crash"
     detail: str = ""
 
     def comparable(self) -> tuple:
@@ -75,6 +79,11 @@ class Divergence:
     outcome: Outcome
 
     def describe(self) -> str:
+        if self.outcome.kind == "crash":
+            return (
+                f"{self.engine} crashed: {self.outcome.error_class}: "
+                f"{self.outcome.detail}"
+            )
         return (
             f"{self.engine} diverged from {self.reference}: "
             f"{self.outcome.kind}({self.outcome.error_class or self.outcome.detail or 'output'}) "
@@ -108,12 +117,28 @@ def classify_exception(exc: BaseException) -> Outcome:
     return Outcome("error", error_class="/".join(names), detail=msg.splitlines()[0][:200])
 
 
-def lint_gate(source: str, filename: str = "<fuzz>") -> Optional[str]:
-    """Return a discard reason if the candidate fails the lint gate."""
+def host_outcome(exc: Exception) -> Outcome:
+    """Map a non-``LolError`` exception onto an :class:`Outcome`: the
+    ``"crash"`` of a toolchain bug, named by its class and the first
+    line of its message.  A ``RecursionError`` is the program's own
+    deep recursion, an ``"error"`` every engine must share."""
+    kind = "error" if isinstance(exc, RecursionError) else "crash"
+    return Outcome(
+        kind,
+        error_class=type(exc).__name__,
+        detail=(str(exc).splitlines() or [""])[0][:200],
+    )
+
+
+def lint_gate(source: str, filename: str = "<fuzz>") -> Optional[str | Outcome]:
+    """Return a discard reason if the candidate fails the lint gate, or
+    the ``"crash"`` outcome if the checker itself raised."""
     try:
         diags = check_source(source, filename)
-    except LolError as exc:
+    except (LolError, RecursionError) as exc:
         return f"checker-error:{type(exc).__name__}"
+    except Exception as exc:
+        return host_outcome(exc)
     bad = sorted({d.code for d in diags if d.is_error or d.code in GATE_WARNINGS})
     if bad:
         return "lint:" + ",".join(bad)
@@ -148,6 +173,8 @@ def run_vm_gate(
         plan = symmetric_plan(summarize(program), n_pes)
     except LolError as exc:
         return classify_exception(exc), None
+    except Exception as exc:
+        return host_outcome(exc), None
 
     counts = [0] * N_OPCODES
 
@@ -167,6 +194,8 @@ def run_vm_gate(
         )
     except LolError as exc:
         return classify_exception(exc), counts
+    except Exception as exc:
+        return host_outcome(exc), counts
     return Outcome("ok", outputs=tuple(result.outputs)), counts
 
 
@@ -198,8 +227,8 @@ def run_engine(
             # a skip, not a divergence — mirrors test_engine_differential.
             return Outcome("skip", detail=str(exc).splitlines()[0][:200])
         return classify_exception(exc)
-    except RecursionError as exc:
-        return Outcome("error", error_class="RecursionError", detail=str(exc)[:200])
+    except Exception as exc:
+        return host_outcome(exc)
     return Outcome("ok", outputs=tuple(result.outputs))
 
 
@@ -224,6 +253,12 @@ def run_differential(
     """
     if not skip_lint:
         reason = lint_gate(source, filename)
+        if isinstance(reason, Outcome):
+            return DiffResult(
+                "divergent",
+                outcomes={"lint": reason},
+                divergences=[Divergence("lint", engines[0], reason, reason)],
+            )
         if reason is not None:
             return DiffResult("discarded", reason=reason)
 
@@ -261,6 +296,12 @@ def run_differential(
         if gate_outcome.comparable() != ref_outcome.comparable():
             result.divergences.append(
                 Divergence("vm-steps", reference, ref_outcome, gate_outcome))
+    # A crash is a finding even where the reference crashed the same way.
+    diverged = {d.engine for d in result.divergences}
+    for label, outcome in result.outcomes.items():
+        if outcome.kind == "crash" and label not in diverged:
+            result.divergences.append(
+                Divergence(label, reference, ref_outcome or outcome, outcome))
     if result.divergences:
         # Self-consistency check before trusting a divergence: the race
         # analysis is not complete (e.g. an unlocked read racing the

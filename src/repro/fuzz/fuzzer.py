@@ -32,7 +32,7 @@ class Finding:
     gen_seed: int
     n_pes: int
     seed: int
-    kind: str  # worst divergence kind: hang > error > ok(value)
+    kind: str  # worst divergence kind: crash > hang > error > ok(value)
     engines: tuple[str, ...]  # engines that disagreed with the reference
     source: str
     minimized_source: str
@@ -68,7 +68,7 @@ class FuzzStats:
         return dict(self.__dict__)
 
 
-_KIND_RANK = {"hang": 3, "stepout": 2, "error": 1, "ok": 0, "skip": 0}
+_KIND_RANK = {"crash": 4, "hang": 3, "stepout": 2, "error": 1, "ok": 0, "skip": 0}
 
 
 class Fuzzer:

@@ -62,8 +62,9 @@ def compile_vm_cached(
 
     ``count_flops`` and ``count_steps`` are part of the key because both
     FLOP accounting and statement-step counting are compiled into the
-    bytecode (and step counting disables loop vectorization, which would
-    otherwise batch many statements per dispatch).
+    bytecode (and either one disables loop vectorization, which would
+    otherwise batch many statements per dispatch and skip the per-op
+    FLOP counters).
 
     Safe under concurrent callers: the :func:`~repro.singleflight.single_flight`
     guard serialises same-key compiles, so N simultaneous submissions of
@@ -72,12 +73,10 @@ def compile_vm_cached(
     from ..analysis.summary import summarize_cached
     from ..vm.compile import compile_program_vm
 
-    # Either counter disables the vectorizer.
     return compile_program_vm(
         summarize_cached(source, filename),
         count_flops=count_flops,
         count_steps=count_steps,
-        vectorize=not (count_flops or count_steps),
     )
 
 

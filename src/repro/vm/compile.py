@@ -21,8 +21,6 @@ walked (no second pass over the AST):
 * ``ORLY_*`` — a comparison statement followed by ``O RLY?``: the
   comparison sets ``IT`` and branches in one instruction;
 * ``INC_JMP`` — counter increment + back-edge;
-* ``PUT_BARRIER`` — a ``UR``-put immediately followed by ``HUGZ``;
-* ``GET_BIN`` — a remote get feeding a binary op into a local scalar;
 * ``TXT_GET`` — ``TXT MAH BFF pe, x R UR a'Z i`` (one statement, no
   call, ``x`` a local scalar, ``i`` an operand or one operator over
   operands): PE check, index, get and store in one instruction;
@@ -211,7 +209,6 @@ class VMCompiler:
         *,
         count_flops: bool = False,
         count_steps: bool = False,
-        vectorize: bool = True,
     ) -> None:
         summary = summary_of(tree)
         self.program = summary.program
@@ -222,7 +219,7 @@ class VMCompiler:
         # Vectorization changes per-statement step accounting and skips
         # the per-op FLOP counters, so step limits and FLOP tracing both
         # disable it outright (every bail path stays correct).
-        self.vectorize = vectorize and not count_steps and not count_flops
+        self.vectorize = not count_steps and not count_flops
         # Symmetric names no peer ever stores to (from the static
         # analyzer's program summary) let the vectorizer hoist a
         # symmetric trip count out of its loop.
@@ -281,27 +278,21 @@ class VMCompiler:
             stmt = stmts[i]
             if self.count_steps:
                 asm.emit((isa.STEP,), stmt.pos)
-            # Two-statement superinstructions, which would skip the
-            # second statement's STEP: PUT_BARRIER (a UR-put followed by
-            # HUGZ) and ORLY_* (a comparison followed by O RLY?).
-            if not self.count_steps and i + 1 < n:
-                nxt = stmts[i + 1]
-                fused = False
-                if isinstance(nxt, ast.Hugz):
-                    fused = self._try_put_barrier(stmt, asm)
-                elif (
-                    isinstance(nxt, ast.If)
-                    and isinstance(stmt, ast.ExprStmt)
-                    and isinstance(stmt.expr, ast.BinOp)
-                    and stmt.expr.op in _ORLY
-                    and not self.count_flops
-                ):
-                    self._stmt_if(nxt, asm, stmt.expr)
-                    fused = True
-                if fused:
-                    asm.end_stmt()
-                    i += 2
-                    continue
+            # ORLY_* (a comparison followed by O RLY?) spans two
+            # statements, so it would skip the second statement's STEP.
+            if (
+                not self.count_steps
+                and not self.count_flops
+                and i + 1 < n
+                and isinstance(stmts[i + 1], ast.If)
+                and isinstance(stmt, ast.ExprStmt)
+                and isinstance(stmt.expr, ast.BinOp)
+                and stmt.expr.op in _ORLY
+            ):
+                self._stmt_if(stmts[i + 1], asm, stmt.expr)
+                asm.end_stmt()
+                i += 2
+                continue
             self._stmt(stmt, asm)
             asm.end_stmt()
             i += 1
@@ -450,17 +441,10 @@ class VMCompiler:
                 name = target.name
                 pos = target.pos
                 if info.static_type is not None:
-                    if self._try_get_bin(stmt.value, asm, slot):
-                        asm.emit(
-                            (isa.COERCE, slot, (info.static_type, name)), pos
-                        )
-                        return
                     vreg = self._expr_reg(stmt.value, asm)
                     asm.emit(
                         (isa.ST_TYPED, slot, vreg, (info.static_type, name)), pos
                     )
-                    return
-                if self._try_get_bin(stmt.value, asm, slot):
                     return
                 if isinstance(stmt.value, _SCALAR_NODES) or self._is_scalar_read(
                     stmt.value, asm
@@ -473,76 +457,6 @@ class VMCompiler:
         # The target's index or SRS name evaluates after the value.
         vreg = self._expr_reg_before(stmt.value, (target,), asm)
         self._emit_store(target, asm, vreg)
-
-    def _try_put_barrier(self, stmt, asm: _Asm) -> bool:
-        """Emit a fused ``PUT_BARRIER`` for ``<UR put>`` + ``HUGZ``."""
-        if not isinstance(stmt, ast.Assign):
-            return False
-        target = stmt.target
-        if isinstance(target, ast.VarRef) and target.qualifier == "UR":
-            vreg = self._expr_reg(stmt.value, asm)
-            asm.emit(
-                (isa.PUT_BARRIER, target.name, vreg, (None,)), target.pos
-            )
-            return True
-        if (
-            isinstance(target, ast.Index)
-            and isinstance(target.base, ast.VarRef)
-            and target.base.qualifier == "UR"
-        ):
-            vreg = self._expr_reg_before(stmt.value, (target,), asm)
-            ireg = self._expr_reg(target.index, asm)
-            asm.emit(
-                (isa.PUT_BARRIER, target.base.name, vreg, (ireg,)), target.pos
-            )
-            return True
-        return False
-
-    def _try_get_bin(self, value, asm: _Asm, dst: int) -> bool:
-        """Emit a fused ``GET_BIN`` (remote get + binop) into ``dst``."""
-        if self.count_flops or not isinstance(value, ast.BinOp):
-            return False
-        fn = BINOP_FUNCS.get(value.op)
-        if fn is None:
-            return False
-
-        def remote_spec(node):
-            # A ``UR``-qualified scalar or simply-indexed element get.
-            if isinstance(node, ast.VarRef) and node.qualifier == "UR":
-                return (node.name, None)
-            if (
-                isinstance(node, ast.Index)
-                and isinstance(node.base, ast.VarRef)
-                and node.base.qualifier == "UR"
-            ):
-                idx = self._operand(node.index, asm)
-                if idx is not None:
-                    return (node.base.name, idx)
-            return None
-
-        lhs_r = remote_spec(value.lhs)
-        rhs_r = remote_spec(value.rhs)
-        if lhs_r is not None and rhs_r is None:
-            other = self._operand(value.rhs, asm)
-            if other is None:
-                return False
-            name, idx = lhs_r
-            asm.emit(
-                (isa.GET_BIN, dst, (fn, name, idx, True, other, value.pos)),
-                value.pos,
-            )
-            return True
-        if rhs_r is not None and lhs_r is None:
-            other = self._operand(value.lhs, asm)
-            if other is None:
-                return False
-            name, idx = rhs_r
-            asm.emit(
-                (isa.GET_BIN, dst, (fn, name, idx, False, other, value.pos)),
-                value.pos,
-            )
-            return True
-        return False
 
     def _stmt_cast(self, stmt: ast.CastStmt, asm: _Asm) -> None:
         pos = stmt.pos
@@ -1305,13 +1219,9 @@ def compile_program_vm(
     *,
     count_flops: bool = False,
     count_steps: bool = False,
-    vectorize: bool = True,
 ) -> VMProgram:
     """Compile a program (or the tree of a :class:`ProgramSummary`)
     once; the result is shareable across PEs."""
     return VMCompiler(
-        tree,
-        count_flops=count_flops,
-        count_steps=count_steps,
-        vectorize=vectorize,
+        tree, count_flops=count_flops, count_steps=count_steps
     ).compile()

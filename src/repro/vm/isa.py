@@ -41,8 +41,6 @@ emitted by the compiler's peephole rules:
 * ``BR_*`` — fused compare-branches for loop and ``MEBBE`` conditions;
 * ``ORLY_*`` — ``<comparison>, O RLY?``: the comparison's TROOF goes to
   ``IT`` and the branch to the arm after ``YA RLY`` in one dispatch;
-* ``PUT_BARRIER`` — a ``UR`` put followed by ``HUGZ``;
-* ``GET_BIN`` — a remote get feeding a binary operator;
 * ``TXT_GET`` — a one-statement ``TXT MAH BFF pe, x R UR a'Z i``: the
   PE range check, the index, the get and the store in one dispatch;
 * ``LOOP_VEC`` — a whole counted loop run as a numpy plan.
@@ -141,7 +139,6 @@ SYM_STX = _op("SYM_STX", "nrrm")    # local_write(name, v, i)
 # -- hot: stores, coercions, misc -------------------------------------------
 ST_TYPED = _op("ST_TYPED", "rrm")   # slot <- coerce_static(v); m=(type, name)
 ST_DYN = _op("ST_DYN", "rrn")       # slot <- v (scalar-checked)
-COERCE = _op("COERCE", "rm")        # slot <- coerce_static(slot); m=(type, name)
 BINOP = _op("BINOP", "rfrr")        # d <- fn(a, b)      (cold operators)
 BINOP_SC = _op("BINOP_SC", "rfrc")
 BINOP_CS = _op("BINOP_CS", "rfcr")
@@ -188,8 +185,6 @@ GETX = _op("GETX", "rnrm")             # m=(cache_idx,)
 TXT_GET = _op("TXT_GET", "rrm")        # one-statement TXT get; see compile.py
 PUT = _op("PUT", "nr")                 # ctx.put(name, v, target)
 PUTX = _op("PUTX", "nrr")
-PUT_BARRIER = _op("PUT_BARRIER", "nrm")  # fused put + HUGZ; m=(ireg|None,)
-GET_BIN = _op("GET_BIN", "rm")         # fused get + binop; see compile.py
 GETD = _op("GETD", "rr")               # SRS UR variants (dynamic name)
 GETXD = _op("GETXD", "rrr")
 PUTD = _op("PUTD", "rr")

@@ -281,7 +281,6 @@ class Machine:
         SYM_STX=isa.SYM_STX,
         ST_TYPED=isa.ST_TYPED,
         ST_DYN=isa.ST_DYN,
-        COERCE=isa.COERCE,
         BINOP=isa.BINOP,
         BINOP_SC=isa.BINOP_SC,
         BINOP_CS=isa.BINOP_CS,
@@ -300,8 +299,6 @@ class Machine:
         TXT_GET=isa.TXT_GET,
         PUT=isa.PUT,
         PUTX=isa.PUTX,
-        PUT_BARRIER=isa.PUT_BARRIER,
-        GET_BIN=isa.GET_BIN,
         RANDOM=isa.RANDOM,
         TXT_PUSH=isa.TXT_PUSH,
         TXT_POP=isa.TXT_POP,
@@ -831,18 +828,6 @@ class Machine:
                         )
                     pc += 1
                     continue
-                if op == COERCE:
-                    m = ins[2]
-                    v = frame[ins[1]]
-                    dt = m[0]
-                    tv = type(v)
-                    if not (
-                        (tv is int and dt is NUMBR)
-                        or (tv is float and dt is NUMBAR)
-                    ):
-                        frame[ins[1]] = coerce_static(v, dt, m[1], positions[pc])
-                    pc += 1
-                    continue
                 if op == BINOP:
                     frame[ins[1]] = ins[2](
                         frame[ins[3]], frame[ins[4]], positions[pc]
@@ -981,28 +966,6 @@ class Machine:
                     )
                 pc += 1
                 continue
-            if op == PUT_BARRIER:
-                pos = positions[pc]
-                name = ins[1]
-                ireg = ins[3][0]
-                if ireg is None:
-                    pe = _require_target(self, name, pos)
-                    ctx.put(
-                        name, coerce_symmetric(ctx, name, frame[ins[2]], pos), pe
-                    )
-                else:
-                    index = _as_index(frame[ireg], pos)
-                    pe = _require_target(self, name, pos)
-                    obj = ctx.world.heap.lookup(name)
-                    ctx.put(
-                        name,
-                        coerce_element(frame[ins[2]], obj.lol_type, name, pos),
-                        pe,
-                        index=index,
-                    )
-                ctx.barrier_all()
-                pc += 1
-                continue
             if op == RANDOM:
                 if rng is None:
                     rng = ctx.rng
@@ -1049,20 +1012,6 @@ class Machine:
                 name = ins[1]
                 pe = _require_target(self, name, pos)
                 ctx.put(name, coerce_symmetric(ctx, name, frame[ins[2]], pos), pe)
-                pc += 1
-                continue
-            if op == GET_BIN:
-                fn, name, idx, remote_on_lhs, other, pos = ins[2]
-                ov = frame[other[1]] if other[0] == "r" else other[1]
-                if idx is None:
-                    rv = ctx.get(name, _require_target(self, name, pos))
-                else:
-                    iv = frame[idx[1]] if idx[0] == "r" else idx[1]
-                    index = iv if type(iv) is int else to_numbr(iv, pos)
-                    rv = ctx.get(
-                        name, _require_target(self, name, pos), index=index
-                    )
-                frame[ins[1]] = fn(rv, ov, pos) if remote_on_lhs else fn(ov, rv, pos)
                 pc += 1
                 continue
             if op == TXT_PUSH:

@@ -22,7 +22,7 @@ from repro.fuzz import (
     run_differential,
 )
 from repro.fuzz.cli import lolfuzz_main
-from repro.fuzz.diff import classify_exception, lint_gate
+from repro.fuzz.diff import classify_exception, host_outcome, lint_gate
 from repro.interp import compile_vm_cached
 from repro.lang import ast
 from repro.lang.errors import LolError
@@ -136,6 +136,12 @@ def test_classify_exception_buckets():
     assert classify_exception(RuntimeError("exceeded 100 statement steps")).kind == "stepout"
     out = classify_exception(LolError("boom"))
     assert out.kind == "error" and out.error_class == "LolError"
+    # host exceptions: a crash, except a program's own deep recursion
+    assert host_outcome(ValueError("bad\nmore")) == Outcome(
+        "crash", error_class="ValueError", detail="bad"
+    )
+    out = host_outcome(RecursionError("maximum recursion depth exceeded"))
+    assert out.kind == "error" and out.error_class == "RecursionError"
 
 
 def test_lint_gate_discards_divergent_barrier():
@@ -252,6 +258,78 @@ def test_planted_bug_vanishes_when_unplanted():
     stats = fuzzer.run(iterations=25)
     assert not fuzzer.findings
     assert stats.divergences == 0
+
+
+def _plant_host_crash(exc_type=ValueError):
+    """Wrap the VM compiler so it raises ``exc_type`` on every compile of
+    the first fuzz candidate that reaches it (the minimizer compiles
+    under another filename, so its shrunk candidates stay clean)."""
+    real = vm_compile.compile_program_vm
+    target: list[str] = []
+
+    def crashing(tree, **kw):
+        filename = getattr(tree, "program", tree).pos.filename
+        if not target and filename.startswith("<fuzz:"):
+            target.append(filename)
+        if filename in target:
+            raise exc_type("planted host crash\nsecond line")
+        return real(tree, **kw)
+
+    return crashing, target
+
+
+def test_host_exception_is_a_saved_finding(monkeypatch, tmp_path, capsys):
+    crashing, target = _plant_host_crash()
+    monkeypatch.setattr(vm_compile, "compile_program_vm", crashing)
+    compile_vm_cached.cache_clear()
+    try:
+        rc = lolfuzz_main(
+            ["run", "--iterations", "12", "-np", "2", "--seed", "0",
+             "--minimize-checks", "5", "--corpus", str(tmp_path)]
+        )
+    finally:
+        compile_vm_cached.cache_clear()
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "12 iterations" in out and "1 divergence(s)" in out
+    assert "crash on vm, vm-steps" in out
+    saved = sorted(tmp_path.glob("crash_*.lol"))
+    assert len(saved) == 1
+    meta = json.loads(saved[0].with_suffix(".json").read_text())
+    assert meta["kind"] == "crash"
+    assert f"<fuzz:{meta['gen_seed']}>" == target[0]
+    assert "vm crashed: ValueError: planted host crash" in meta["detail"]
+    assert "second line" not in meta["detail"]
+    # nothing shrinks without the crash, so the candidate is saved whole
+    assert saved[0].read_text() == meta["original_source"]
+
+
+def test_keyboard_interrupt_still_ends_the_session(monkeypatch):
+    crashing, _ = _plant_host_crash(KeyboardInterrupt)
+    monkeypatch.setattr(vm_compile, "compile_program_vm", crashing)
+    compile_vm_cached.cache_clear()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            Fuzzer(seed=0, n_pes=2).run(iterations=12)
+    finally:
+        compile_vm_cached.cache_clear()
+
+
+def test_checker_host_exception_is_a_finding(monkeypatch):
+    from repro.fuzz import diff
+
+    def crash(source, filename):
+        raise ValueError("checker bug")
+
+    monkeypatch.setattr(diff, "check_source", crash)
+    result = run_differential(format_program(generate_program(1)), 2)
+    assert result.status == "divergent"
+    assert result.outcomes["lint"] == Outcome(
+        "crash", error_class="ValueError", detail="checker bug"
+    )
+    assert [d.describe() for d in result.divergences] == [
+        "lint crashed: ValueError: checker bug"
+    ]
 
 
 # ---------------------------------------------------------------------------

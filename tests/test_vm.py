@@ -4,8 +4,10 @@ Covers the pieces that make ``engine="vm"`` the fastest pure-Python
 path and keep it honest:
 
 * superinstruction fusion (``INC_JMP``, fused compare-branches,
-  ``ORLY_*``, ``PUT_BARRIER``, ``GET_BIN``, ``TXT_GET``) and the typed
-  ``QUOSHUNT OF``/``MOD OF`` opcodes, each at parity with the tree-walker;
+  ``ORLY_*``, ``TXT_GET``) and the typed ``QUOSHUNT OF``/``MOD OF``
+  opcodes, each at parity with the tree-walker;
+* remote gets feeding an operator and puts followed by ``HUGZ`` inside
+  ``TXT MAH BFF`` blocks, at parity with the tree-walker;
 * jump patching (no unresolved labels, all targets in range);
 * symmetric-access inline caches (hit on repeat access);
 * ``LOOP_VEC`` — the guarded loop vectorizer: it runs where legal,
@@ -68,33 +70,6 @@ class TestCompile:
         assert isa.BR_EQ_SC in ops, (
             "TIL BOTH SAEM i AN <const> must fuse to a compare-branch"
         )
-
-    def test_put_hugz_fuses_to_put_barrier(self):
-        prog = _compile(
-            lol(
-                "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-                "TXT MAH BFF 0 AN STUFF,\n"
-                "  UR s R ME\n"
-                "  HUGZ\n"
-                "TTYL"
-            )
-        )
-        ops = _ops(prog.co)
-        assert isa.PUT_BARRIER in ops
-        assert isa.PUT not in ops, "the put must be consumed by the fusion"
-
-    def test_remote_get_feeding_binop_fuses_to_get_bin(self):
-        prog = _compile(
-            lol(
-                "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-                "I HAS A nxt ITZ 0\n"
-                "I HAS A got ITZ 0\n"
-                "TXT MAH BFF nxt AN STUFF,\n"
-                "  got R SUM OF UR s AN nxt\n"
-                "TTYL"
-            )
-        )
-        assert isa.GET_BIN in _ops(prog.co)
 
     def test_jump_targets_patched_and_in_range(self):
         prog = _compile(
@@ -535,8 +510,8 @@ class TestNests:
         from repro.vm.compile import VMCompiler
 
         frames = []
-        for vectorize in (True, False):
-            compiler = VMCompiler(parse(src), vectorize=vectorize)
+        for count_steps in (False, True):  # step counting stays scalar
+            compiler = VMCompiler(parse(src), count_steps=count_steps)
             m = compiler.compile().run(serial_context())
             slots = {b.name: info.slot for b, info in compiler.infos.items()}
             frames.append({name: m.gframe[slot] for name, slot in slots.items()})
@@ -936,6 +911,7 @@ def _parity(src: str, n_pes: int = 1, **kwargs):
     got, want = results
     if isinstance(want, LolError):
         assert type(got) is type(want) and str(got) == str(want), (got, want)
+        assert got.pos == want.pos
     else:
         assert not isinstance(got, LolError), got
         assert got.outputs == want.outputs
@@ -1103,6 +1079,125 @@ class TestTxtGet:
         src = TXT_GETS.format(pe="MOD OF SUM OF ME AN 1 AN MAH FRENZ", i=2)
         for limit in range(1, 80):
             _parity(src.replace("HUGZ\nKTHXBYE", "KTHXBYE"), 1, max_steps=limit)
+
+
+#: Remote gets feeding every arithmetic operator on either side, stored
+#: into a typed NUMBR, a typed NUMBAR and an untyped local, then a
+#: scalar and an element put each followed by ``HUGZ``.
+REMOTE_OPERANDS = lol(
+    "WE HAS A s ITZ SRSLY A NUMBR\n"
+    "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+    "s R DIFF OF PRODUKT OF ME AN 3 AN 7\n"
+    "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4\n"
+    "  a'Z i R DIFF OF SUM OF i AN 1 AN PRODUKT OF ME AN 10\n"
+    "IM OUTTA YR l\n"
+    "HUGZ\n"
+    "I HAS A k ITZ -3\n"
+    "I HAS A i ITZ 2\n"
+    "I HAS A n ITZ A NUMBR AN ITZ 0\n"
+    "I HAS A f ITZ A NUMBAR AN ITZ 0.0\n"
+    "I HAS A u ITZ 0\n"
+    "I HAS A nxt ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ\n"
+    "TXT MAH BFF nxt AN STUFF,\n"
+    "{gets}"
+    "TTYL\n"
+    "HUGZ\n"
+    "TXT MAH BFF nxt AN STUFF,\n"
+    "  UR s R PRODUKT OF ME AN 2.5\n"
+    "  HUGZ\n"
+    "  UR a'Z i R SUM OF ME AN 0.5\n"
+    "  HUGZ\n"
+    "TTYL\n"
+    "VISIBLE s \" \" a'Z i"
+)
+
+
+def _remote_gets(op: str) -> str:
+    lines = []
+    for remote in ("UR s", "UR a'Z i"):
+        for other in ("k", "2.5"):
+            for dst in ("n", "f", "u"):
+                for lhs, rhs in ((remote, other), (other, remote)):
+                    lines.append(f"  {dst} R {op} {lhs} AN {rhs}\n  VISIBLE {dst}\n")
+    return "".join(lines)
+
+
+#: Declarations for the error table: ``j`` is out of range for ``a``,
+#: ``y`` is a YARN index and ``z`` holds NOOB on every PE.
+REMOTE_ERRORS = lol(
+    "WE HAS A s ITZ SRSLY A NUMBR\n"
+    "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+    "WE HAS A z ITZ SRSLY A NOOB\n"
+    "I HAS A k ITZ 3\n"
+    "I HAS A j ITZ 9\n"
+    "I HAS A y ITZ \"x\"\n"
+    "I HAS A n ITZ A NUMBR AN ITZ 0\n"
+    "I HAS A f ITZ A NUMBAR AN ITZ 0.0\n"
+    "I HAS A u ITZ 0\n"
+    "HUGZ\n"
+    "{body}"
+)
+
+
+class TestRemoteOperands:
+    """The remote shapes every registry kernel compiles the same way: a
+    cached ``GET``/``GETX`` into the operator and the store, and
+    ``PUT``/``PUTX`` then ``BARRIER``."""
+
+    OPS = [
+        "SUM OF", "DIFF OF", "PRODUKT OF", "QUOSHUNT OF", "MOD OF",
+        "BIGGR OF", "SMALLR OF",
+    ]
+
+    def test_gets_and_puts_compile_to_the_cached_paths(self):
+        ops = _ops(_compile(REMOTE_OPERANDS.format(gets=_remote_gets("SUM OF"))).co)
+        assert ops.count(isa.GET) == ops.count(isa.GETX) == 12
+        assert ops.count(isa.PUT) == ops.count(isa.PUTX) == 1
+        assert ops.count(isa.BARRIER) == 4
+
+    @pytest.mark.parametrize("n_pes", [2, 4])
+    @pytest.mark.parametrize("op", OPS)
+    def test_matches_ast(self, op, n_pes):
+        got = _parity(REMOTE_OPERANDS.format(gets=_remote_gets(op)), n_pes)
+        assert not isinstance(got, LolError), got
+
+    @pytest.mark.parametrize("n_pes", [2, 4])
+    @pytest.mark.parametrize("op", OPS)
+    def test_traced_flops_match_ast(self, op, n_pes):
+        src = REMOTE_OPERANDS.format(gets=_remote_gets(op))
+        a = run_lolcode(src, n_pes, engine="ast", trace=True)
+        v = run_lolcode(src, n_pes, engine="vm", trace=True)
+        assert a.outputs == v.outputs
+        assert a.trace.total_flops() == v.trace.total_flops() > 0
+        assert a.trace.summary() == v.trace.summary()
+
+    @pytest.mark.parametrize("n_pes", [2, 4])
+    @pytest.mark.parametrize("op", OPS)
+    def test_max_steps_cut_off_points_match_ast(self, op, n_pes):
+        src = REMOTE_OPERANDS.format(gets=_remote_gets(op))
+        for limit in range(1, 80):
+            _parity(src, n_pes, max_steps=limit)
+
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            "u R SUM OF UR a'Z j AN k",
+            "n R PRODUKT OF k AN UR a'Z y",
+            "f R DIFF OF UR z AN k",
+            "UR a'Z j R k\n  HUGZ",
+            "UR a'Z y R k\n  HUGZ",
+        ],
+        ids=["get-range", "get-yarn-index", "get-noob", "put-range", "put-yarn-index"],
+    )
+    @pytest.mark.parametrize("in_txt", [True, False], ids=["txt", "no-txt"])
+    def test_errors_raise_like_ast(self, stmt, in_txt):
+        body = f"TXT MAH BFF 1 AN STUFF,\n  {stmt}\nTTYL" if in_txt else stmt
+        assert isinstance(_parity(REMOTE_ERRORS.format(body=body), 2), LolError)
+
+    @pytest.mark.parametrize("stmt", ["u R SUM OF UR s AN k", "UR s R k\nHUGZ"])
+    def test_no_txt_target_raises_like_ast(self, stmt):
+        err = _parity(REMOTE_ERRORS.format(body=stmt), 2)
+        assert "used outside a TXT MAH BFF" in str(err)
 
 
 class TestOrly:
