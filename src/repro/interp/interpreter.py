@@ -464,10 +464,10 @@ class Interpreter:
     ) -> object:
         if qualifier == "UR":
             pe = self._require_remote(name, pos)
-            return self.ctx.get(name, pe, index=index)
+            return self.ctx.get(name, pe, index=index, pos=pos)
         binding = env.lookup(name, pos)
         if binding.symmetric:
-            return self.ctx.local_read(name, index=index)
+            return self.ctx.local_read(name, index=index, pos=pos)
         if not binding.is_array:
             raise LolTypeError(f"'{name}' is not an array", pos)
         cell: ArrayCell = binding.value  # type: ignore[assignment]
@@ -530,13 +530,13 @@ class Interpreter:
             pe = self._require_remote(name, pos)
             obj = self.ctx.world.heap.lookup(name)
             value = coerce_element(value, obj.lol_type, name, pos)
-            self.ctx.put(name, value, pe, index=index)
+            self.ctx.put(name, value, pe, index=index, pos=pos)
             return
         binding = env.lookup(name, pos)
         if binding.symmetric:
             obj = self.ctx.world.heap.lookup(name)
             value = coerce_element(value, obj.lol_type, name, pos)
-            self.ctx.local_write(name, value, index=index)
+            self.ctx.local_write(name, value, index=index, pos=pos)
             return
         if not binding.is_array:
             raise LolTypeError(f"'{name}' is not an array", pos)

@@ -181,6 +181,9 @@ def _render_stats_text(stats: dict) -> str:
         )
     else:
         lines.append("pool     (not started)")
+    conns = stats.get("connections")
+    if conns:
+        lines.append("conns    open={open} accepted={accepted}".format(**conns))
     native = stats.get("native")
     if native:
         lines.append(
@@ -296,6 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"lolserve: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

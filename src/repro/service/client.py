@@ -1,9 +1,14 @@
 """Synchronous client for the execution service.
 
 Speaks the newline-delimited JSON protocol of
-:mod:`repro.service.server` over a unix-domain socket.  Each request
-opens its own connection, so one client object is safe to share across
-threads and a long ``wait`` never head-of-line-blocks other calls.
+:mod:`repro.service.server` over a unix-domain socket.  Each calling
+thread keeps one connection open across its requests (a job's
+``submit`` and ``wait`` share it), so one client object is safe to
+share across threads and a long ``wait`` on one thread never
+head-of-line-blocks another thread's calls.  A kept connection that the
+server has closed is noticed before the next request is written and
+replaced; a forked child opens its own.  :meth:`ServiceClient.close`
+(or leaving a ``with`` block) ends every connection the client holds.
 
 Failure handling is typed and retrying:
 
@@ -26,8 +31,12 @@ server restart instead of dying on the first refused connect.
 from __future__ import annotations
 
 import json
+import os
+import select
 import socket
+import threading
 import time
+import weakref
 from typing import Mapping, Optional
 
 from ..faults import RetryPolicy
@@ -75,6 +84,27 @@ class MalformedReplyError(ServiceError):
     error_type = "malformed_reply"
 
 
+class _Conn:
+    """One thread's kept connection to the server.
+
+    Owned by the thread's slot of :attr:`ServiceClient._local`, so it is
+    closed when that thread ends or the client is collected; ``pid``
+    marks the process that opened it, so a forked child never writes
+    into its parent's stream.
+    """
+
+    __slots__ = ("sock", "pid", "__weakref__")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.pid = os.getpid()
+
+    def close(self) -> None:
+        self.sock.close()
+
+    __del__ = close
+
+
 class ServiceClient:
     """Blocking unix-socket client; raises :class:`ServiceError`
     subclasses on protocol-level failures (``ok: false`` responses)."""
@@ -89,6 +119,25 @@ class ServiceClient:
         self.socket_path = str(socket_path)
         self.timeout = timeout
         self.retry = retry
+        self._local = threading.local()
+        #: Every live connection of every thread, for :meth:`close`.
+        self._conns: "weakref.WeakSet[_Conn]" = weakref.WeakSet()
+        self._conns_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection this client holds, on every thread.
+        A later request opens a new one."""
+        with self._conns_lock:
+            conns = list(self._conns)
+            self._conns.clear()
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ----------------------------------------------------------
 
@@ -105,51 +154,91 @@ class ServiceClient:
                 time.sleep(self.retry.delay(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
+    def _connection(self, deadline: float) -> socket.socket:
+        """This thread's kept socket, reconnecting when there is none,
+        when it belongs to the parent of a fork, when :meth:`close`
+        closed it, or when it is readable while idle (the server hung
+        up: EOF, or bytes no request asked for)."""
+        conn: Optional[_Conn] = getattr(self._local, "conn", None)
+        if conn is not None:
+            sock = conn.sock
+            if conn.pid == os.getpid() and sock.fileno() >= 0:
+                idle = select.poll()
+                idle.register(sock, select.POLLIN)
+                if not idle.poll(0):
+                    sock.settimeout(deadline)
+                    return sock
+            self._drop()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(deadline)
+        try:
+            sock.connect(self.socket_path)
+        except socket.timeout as exc:
+            sock.close()
+            raise ServerUnavailableError(
+                f"no connection to {self.socket_path} within "
+                f"{deadline:g}s: {exc}",
+                mid_request=False,
+            ) from exc
+        except OSError as exc:
+            sock.close()
+            # Refused / socket file missing / reset during the
+            # handshake: the server is down or restarting.
+            raise ServerUnavailableError(
+                f"cannot reach service at {self.socket_path}: {exc}",
+                mid_request=False,
+            ) from exc
+        conn = _Conn(sock)
+        self._local.conn = conn
+        with self._conns_lock:
+            self._conns.add(conn)
+        return sock
+
+    def _drop(self) -> None:
+        """Forget this thread's connection (closing it in this process;
+        a forked child only drops its copy of the parent's descriptor)."""
+        conn: Optional[_Conn] = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._conns_lock:
+            self._conns.discard(conn)
+        conn.close()
+
     def _request_once(
         self, op: str, _deadline: Optional[float], fields: Mapping
     ) -> dict:
         payload = {"op": op, **{k: v for k, v in fields.items() if v is not None}}
         deadline = _deadline if _deadline is not None else self.timeout
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(deadline)
+        sock = self._connection(deadline)
+        answered = False
         try:
-            try:
-                sock.connect(self.socket_path)
-            except socket.timeout as exc:
-                raise ServerUnavailableError(
-                    f"no connection to {self.socket_path} within "
-                    f"{deadline:g}s: {exc}",
-                    mid_request=False,
-                ) from exc
-            except OSError as exc:
-                # Refused / socket file missing / reset during the
-                # handshake: the server is down or restarting.
-                raise ServerUnavailableError(
-                    f"cannot reach service at {self.socket_path}: {exc}",
-                    mid_request=False,
-                ) from exc
-            try:
-                sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-                line = self._read_line(sock)
-            except socket.timeout as exc:
-                # The server is *reachable* but slow — not an
-                # availability failure; a blind retry would stack more
-                # load on a struggling server.
-                raise ServiceError(
-                    f"no response from {self.socket_path} within {deadline:g}s"
-                ) from exc
-            except OSError as exc:
-                raise ServerUnavailableError(
-                    f"connection to {self.socket_path} lost mid-request: {exc}",
-                    mid_request=True,
-                ) from exc
+            sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
+            line = self._read_line(sock)
+            answered = True
+        except socket.timeout as exc:
+            # The server is *reachable* but slow — not an availability
+            # failure; a blind retry would stack more load on a
+            # struggling server.
+            raise ServiceError(
+                f"no response from {self.socket_path} within {deadline:g}s"
+            ) from exc
+        except OSError as exc:
+            raise ServerUnavailableError(
+                f"connection to {self.socket_path} lost mid-request: {exc}",
+                mid_request=True,
+            ) from exc
         finally:
-            sock.close()
+            if not answered:
+                # A reply still owed on this connection would be read as
+                # the answer to the next request.
+                self._drop()
         try:
             response = json.loads(line)
             if not isinstance(response, dict):
                 raise ValueError("response must be a JSON object")
         except (json.JSONDecodeError, ValueError) as exc:
+            self._drop()  # the stream can no longer be trusted
             raise MalformedReplyError(
                 f"malformed response from {self.socket_path}: {exc}"
             ) from exc
@@ -163,6 +252,8 @@ class ServiceClient:
         return response
 
     def _read_line(self, sock: socket.socket) -> bytes:
+        """One response line: the server answers each request with
+        exactly one line, so the bytes received end with it."""
         chunks: list[bytes] = []
         while True:
             chunk = sock.recv(65536)
@@ -172,8 +263,8 @@ class ServiceClient:
             if chunk.endswith(b"\n"):
                 break
         if not chunks:
-            # EOF with no data: the server accepted the connection and
-            # hung up — gone (or shedding) between accept and reply.
+            # EOF with no data: the server hung up (gone, restarting,
+            # shedding, or dropping this connection) before replying.
             raise ServerUnavailableError(
                 f"{self.socket_path} closed the connection before a "
                 f"response arrived",

@@ -19,7 +19,8 @@ more than a small kernel runs, so the pool keeps the workers alive:
 * **shared-memory segments** are pooled and recycled by power-of-two
   size class: a job acquires the smallest free segment that fits its
   symmetric plan (creating one only on a size-class miss) and returns
-  it on completion;
+  it on completion; a worker maps a segment the first time a job uses
+  it and keeps it mapped until the worker stops;
 * **crashed workers are replaced transparently**: a worker process that
   dies (mid-job or idle) fails at most the job it was running — the
   pool respawns its slot before the next job, and the job error names
@@ -183,33 +184,43 @@ class _PoolJob:
 
 
 def _pool_worker_main(index, conn, barriers, locks, epoch_value, atomic_lock):
-    """Worker process main loop: attach, run, reply, repeat.
+    """Worker process main loop: run, reply, repeat.
 
     The pool-wide primitives arrive once, at spawn; each job message
     then only has to carry the (picklable) world *layout* and program.
+    The worker maps each pooled segment the first time a job names it
+    and keeps it mapped until it stops, as a PE maps the symmetric heap
+    once at ``shmem_init``: the pool unlinks segments only after its
+    workers have stopped, and a rebuild spawns workers with no mappings.
     A LOLCODE-level failure is marshalled back as an ``error`` reply and
     the worker lives on — only process death costs a respawn.
     """
+    attached: dict[str, shared_memory.SharedMemory] = {}
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):
-            return
+            msg = ("stop",)  # the parent is gone
         if msg[0] == "stop":
+            for shm in attached.values():
+                shm.close()
             return
         job: _PoolJob = msg[1]
         if job.obs:
             _obs.ensure_armed(job.obs)
         barrier = barriers[job.spec.n_pes]
-        shm = None
         world = None
         try:
+            shm = attached.get(job.spec.shm_name)
+            if shm is None:
+                shm = shared_memory.SharedMemory(name=job.spec.shm_name)
+                attached[job.spec.shm_name] = shm
             lock_map = {
                 name: locks[i]
                 for i, name in enumerate(job.spec.plan.lock_names())
             }
-            world, shm = _build_world(
-                job.spec, barrier, lock_map, epoch_value, atomic_lock
+            world = _build_world(
+                job.spec, shm.buf, barrier, lock_map, epoch_value, atomic_lock
             )
             ctx = ShmemContext(
                 world,
@@ -272,9 +283,6 @@ def _pool_worker_main(index, conn, barriers, locks, epoch_value, atomic_lock):
                 )
             except OSError:
                 return
-        finally:
-            if shm is not None:
-                shm.close()
 
 
 @dataclass

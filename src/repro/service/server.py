@@ -75,6 +75,10 @@ class ServiceServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
+        #: Writers of the open client connections, closed by stop():
+        #: clients keep their connections between requests.
+        self._writers: set[asyncio.StreamWriter] = set()
+        self._accepted = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -123,6 +127,12 @@ class ServiceServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Clients keep their connections open, and on Python 3.12.1
+            # and 3.13.0 wait_closed() waits for every open one: close
+            # them first.  A client reads the EOF before its next
+            # request and reconnects.
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.stop()
@@ -134,6 +144,8 @@ class ServiceServer:
     # -- protocol -----------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._writers.add(writer)
+        self._accepted += 1
         try:
             while True:
                 try:
@@ -181,6 +193,7 @@ class ServiceServer:
         except asyncio.CancelledError:
             pass  # server shutting down mid-connection: close quietly
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -221,6 +234,10 @@ class ServiceServer:
             stats["pool"] = self._pool_stats()
             stats["native"] = native_stats()
             stats["faults"] = fault_stats()
+            stats["connections"] = {
+                "open": len(self._writers),
+                "accepted": self._accepted,
+            }
             return {"ok": True, "stats": stats}
         if op == "metrics":
             self._update_gauges()
@@ -377,7 +394,8 @@ class BackgroundServer:
         from .client import ServiceClient
 
         try:
-            ServiceClient(self.socket_path).shutdown()
+            with ServiceClient(self.socket_path) as client:
+                client.shutdown()
         except Exception:
             pass
         if self._thread is not None:

@@ -50,8 +50,9 @@ def run_smoke(
     matrix = _smoke_matrix(jobs)
     failures: list[str] = []
     failures_mutex = threading.Lock()
-    with BackgroundServer(socket_path, max_concurrency=max_concurrency) as bg:
-        client = ServiceClient(bg.socket_path, timeout=job_timeout)
+    with BackgroundServer(
+        socket_path, max_concurrency=max_concurrency
+    ) as bg, ServiceClient(bg.socket_path, timeout=job_timeout) as client:
         client.ping()
 
         def one(i: int, workload: str, executor: str, n_pes: int) -> None:

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lang.errors import LolParallelError, LolRuntimeError
+from ..lang.errors import LolParallelError, LolRuntimeError, SourcePos
 from .heap import ArrayCell, SymmetricHeap, SymmetricObject, SymmetricPlan
 from .locks import LockTable
 from .racecheck import RaceDetector
@@ -271,15 +271,28 @@ class ShmemContext:
 
     # -- one-sided remote memory access (TXT MAH BFF / UR) ----------------------
 
-    def get(self, symbol: str, target_pe: int, index: Optional[int] = None):
-        """One-sided read from ``target_pe``'s partition (``UR x`` rvalue)."""
+    def get(
+        self,
+        symbol: str,
+        target_pe: int,
+        index: Optional[int] = None,
+        pos: Optional[SourcePos] = None,
+    ):
+        """One-sided read from ``target_pe``'s partition (``UR x`` rvalue).
+
+        A bad ``index`` raises ``<pos>: <symbol>: array index ...``, the
+        form a local array's error takes (``pos`` is the access's
+        source position, when the caller has one)."""
         rt = _obs.ACTIVE
         t0 = time.perf_counter() if rt is not None else 0.0
         obj = self._resolve(symbol, target_pe)
         cell = obj.cell(target_pe)
         if index is not None:
             self._require_array(obj, symbol)
-            value = cell.read(int(index))
+            try:
+                value = cell.read(int(index))
+            except LolRuntimeError as exc:
+                raise _element_error(symbol, exc, pos) from exc
             nbytes = _ELEM_BYTES
         elif obj.is_array:
             value = cell.read_all()
@@ -299,15 +312,20 @@ class ShmemContext:
         value,
         target_pe: int,
         index: Optional[int] = None,
+        pos: Optional[SourcePos] = None,
     ) -> None:
-        """One-sided write into ``target_pe``'s partition (``UR x`` lvalue)."""
+        """One-sided write into ``target_pe``'s partition (``UR x`` lvalue);
+        a bad ``index`` raises as in :meth:`get`."""
         rt = _obs.ACTIVE
         t0 = time.perf_counter() if rt is not None else 0.0
         obj = self._resolve(symbol, target_pe)
         cell = obj.cell(target_pe)
         if index is not None:
             self._require_array(obj, symbol)
-            cell.write(int(index), value)
+            try:
+                cell.write(int(index), value)
+            except LolRuntimeError as exc:
+                raise _element_error(symbol, exc, pos) from exc
             nbytes = _ELEM_BYTES
         elif obj.is_array:
             cell.write_all(value)
@@ -352,7 +370,7 @@ class ShmemContext:
         if elements and (elements[0] < 0 or elements[-1] >= len(data)):
             bad = elements[0] if elements[0] < 0 else elements[-1]
             raise LolRuntimeError(
-                f"array index {bad} out of range [0, {len(data)})"
+                f"{symbol}: array index {bad} out of range [0, {len(data)})"
             )
         return data, elements
 
@@ -375,15 +393,24 @@ class ShmemContext:
         """Direct handle on this PE's own partition of ``symbol``."""
         return self.world.heap.lookup(symbol).cell(self.my_pe)
 
-    def local_read(self, symbol: str, index: Optional[int] = None):
+    def local_read(
+        self,
+        symbol: str,
+        index: Optional[int] = None,
+        pos: Optional[SourcePos] = None,
+    ):
         """Read this PE's own partition (plain/``MAH`` reference to a
         symmetric variable).  Visible to the race detector: a local read
-        racing with a remote put is exactly the Figure 2 bug."""
+        racing with a remote put is exactly the Figure 2 bug.  A bad
+        ``index`` raises as in :meth:`get`."""
         obj = self.world.heap.lookup(symbol)
         cell = obj.cell(self.my_pe)
         if index is not None:
             self._require_array(obj, symbol)
-            value = cell.read(int(index))
+            try:
+                value = cell.read(int(index))
+            except LolRuntimeError as exc:
+                raise _element_error(symbol, exc, pos) from exc
         elif obj.is_array:
             value = cell.read_all()
         else:
@@ -391,13 +418,23 @@ class ShmemContext:
         self._race(symbol, self.my_pe, "read", index)
         return value
 
-    def local_write(self, symbol: str, value, index: Optional[int] = None) -> None:
-        """Write this PE's own partition (plain/``MAH`` assignment)."""
+    def local_write(
+        self,
+        symbol: str,
+        value,
+        index: Optional[int] = None,
+        pos: Optional[SourcePos] = None,
+    ) -> None:
+        """Write this PE's own partition (plain/``MAH`` assignment); a
+        bad ``index`` raises as in :meth:`get`."""
         obj = self.world.heap.lookup(symbol)
         cell = obj.cell(self.my_pe)
         if index is not None:
             self._require_array(obj, symbol)
-            cell.write(int(index), value)
+            try:
+                cell.write(int(index), value)
+            except LolRuntimeError as exc:
+                raise _element_error(symbol, exc, pos) from exc
         elif obj.is_array:
             cell.write_all(value)
         else:
@@ -634,6 +671,13 @@ class ShmemContext:
     def _require_array(obj: SymmetricObject, symbol: str) -> None:
         if not obj.is_array:
             raise LolRuntimeError(f"'{symbol}' is not an array")
+
+
+def _element_error(
+    symbol: str, exc: LolRuntimeError, pos: Optional[SourcePos]
+) -> LolRuntimeError:
+    """A cell's index error in the form a local array's takes."""
+    return LolRuntimeError(f"{symbol}: {exc.message}", pos)
 
 
 def serial_context(

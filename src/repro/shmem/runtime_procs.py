@@ -6,8 +6,9 @@ segment, giving genuine parallel execution of numeric kernels — the
 closest Python equivalent of the paper's OpenSHMEM-on-Epiphany
 deployment.  This module holds what those workers share: the segment
 layout (:func:`plan_layout`, :class:`_WorldSpec`), the world each worker
-rebuilds around it (:func:`_build_world`), and the lock table and
-barrier epoch counter that live in shared memory.
+rebuilds around its mapping of the segment for every job
+(:func:`_build_world`), and the lock table and barrier epoch counter
+that live in shared memory.
 
 Restrictions (the same ones real OpenSHMEM imposes):
 
@@ -24,7 +25,6 @@ Restrictions (the same ones real OpenSHMEM imposes):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Optional
 
 import numpy as np
@@ -155,15 +155,21 @@ class _ProcEpochBox:
 
 
 def _build_world(
-    spec: _WorldSpec, barrier, locks: dict[str, object], epoch_value, atomic_lock
-) -> tuple[World, shared_memory.SharedMemory]:
-    shm = shared_memory.SharedMemory(name=spec.shm_name)
+    spec: _WorldSpec,
+    buf: memoryview,
+    barrier,
+    locks: dict[str, object],
+    epoch_value,
+    atomic_lock,
+) -> World:
+    """The job's world as views onto ``buf``, the worker's mapping of
+    the segment named by ``spec.shm_name``."""
 
     def view(name: str, pe: int, lol_type: LolType, is_array: bool, size: int):
         data = np.ndarray(
             (size,),
             dtype=NUMPY_DTYPES[lol_type],
-            buffer=shm.buf,
+            buffer=buf,
             offset=(spec.offsets[name] + pe * size) * _ITEM,
         )
         if is_array:
@@ -174,17 +180,17 @@ def _build_world(
     owners = np.ndarray(
         (max(1, len(lock_names)),),
         dtype="int64",
-        buffer=shm.buf,
+        buffer=buf,
         offset=spec.owners_offset * _ITEM,
     )
     exchange = np.ndarray(
-        (spec.n_pes,), dtype="float64", buffer=shm.buf,
+        (spec.n_pes,), dtype="float64", buffer=buf,
         offset=spec.exchange_offset * _ITEM,
     )
     lock_table = _ProcLockTable(
         locks, owners, {n: i for i, n in enumerate(lock_names)}
     )
-    world = World(
+    return World(
         spec.n_pes,
         spec.plan,
         barrier=barrier,
@@ -195,4 +201,3 @@ def _build_world(
         atomic_mutex=atomic_lock,
         barrier_timeout=spec.barrier_timeout,
     )
-    return world, shm

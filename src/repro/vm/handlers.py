@@ -130,7 +130,7 @@ def _dyn_read_element(
         raise _undeclared(name, pos)
     if info.kind == SYMMETRIC:
         rt.declared_object(name, pos)
-        return rt.ctx.local_read(name, index=index)
+        return rt.ctx.local_read(name, index=index, pos=pos)
     if not info.is_array:
         raise LolTypeError(f"'{name}' is not an array", pos)
     cell = (frame if info.kind == LOCAL else rt.gframe)[info.slot]
@@ -157,7 +157,10 @@ def _dyn_write_element(
     if info.kind == SYMMETRIC:
         obj = rt.declared_object(name, pos)
         rt.ctx.local_write(
-            name, coerce_element(value, obj.lol_type, name, pos), index=index
+            name,
+            coerce_element(value, obj.lol_type, name, pos),
+            index=index,
+            pos=pos,
         )
         return
     if not info.is_array:
@@ -315,7 +318,9 @@ def _h_getxd(m, co, frame, caches, ins, pc):
     pos = co.positions[pc]
     name = format_yarn(frame[ins[2]])
     index = _as_index(frame[ins[3]], pos)
-    frame[ins[1]] = m.ctx.get(name, _require_target(m, name, pos), index=index)
+    frame[ins[1]] = m.ctx.get(
+        name, _require_target(m, name, pos), index=index, pos=pos
+    )
     return pc + 1
 
 
@@ -338,6 +343,7 @@ def _h_putxd(m, co, frame, caches, ins, pc):
         coerce_element(frame[ins[3]], obj.lol_type, name, pos),
         pe,
         index=index,
+        pos=pos,
     )
     return pc + 1
 

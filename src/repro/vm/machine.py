@@ -169,7 +169,7 @@ class Machine:
     ) -> object:
         self.sym_misses += 1
         obj = self.declared_object(name, pos)
-        value = self.ctx.local_read(name, index=index)
+        value = self.ctx.local_read(name, index=index, pos=pos)
         if self.fast_sym and obj.is_array:
             cell = obj.cell(self.ctx.my_pe)
             caches[ci] = (cell.data, cell._conv, len(cell.data))
@@ -182,7 +182,10 @@ class Machine:
         obj = self.declared_object(name, pos)
         ctx = self.ctx
         ctx.local_write(
-            name, coerce_element(value, obj.lol_type, name, pos), index=index
+            name,
+            coerce_element(value, obj.lol_type, name, pos),
+            index=index,
+            pos=pos,
         )
         if self.fast_sym and obj.is_array:
             cell = obj.cell(ctx.my_pe)
@@ -191,13 +194,19 @@ class Machine:
     # -- remote-get slow path (populates the inline caches) ---------------
 
     def _get_slow(
-        self, caches: list, ci: int, name: str, pe: int, index: Optional[int]
+        self,
+        caches: list,
+        ci: int,
+        name: str,
+        pe: int,
+        index: Optional[int],
+        pos=None,
     ) -> object:
         ctx = self.ctx
         if index is None:
             value = ctx.get(name, pe)
         else:
-            value = ctx.get(name, pe, index=index)
+            value = ctx.get(name, pe, index=index, pos=pos)
         if self.fast_remote:
             obj = ctx.world.heap.lookup(name)
             if index is None:
@@ -930,7 +939,7 @@ class Machine:
                     if e is not None and 0 <= i < e[1]:
                         v = e[0][pe](i)
                     else:
-                        v = self._get_slow(caches, ci, name, pe, i)
+                        v = self._get_slow(caches, ci, name, pe, i, ipos)
                 if store is None:
                     frame[ins[1]] = v
                 elif store[0] is None:  # untyped: a whole array cannot land
@@ -990,6 +999,7 @@ class Machine:
                         name,
                         _require_target(self, name, positions[pc]),
                         i,
+                        positions[pc],
                     )
                 pc += 1
                 continue
@@ -1004,6 +1014,7 @@ class Machine:
                     coerce_element(frame[ins[3]], obj.lol_type, name, pos),
                     pe,
                     index=index,
+                    pos=pos,
                 )
                 pc += 1
                 continue

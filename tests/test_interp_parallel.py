@@ -321,6 +321,51 @@ class TestErrorHandling:
             runp(body, 2, barrier_timeout=2)
 
 
+#: Each out-of-range access as (id, body, line:col of the access, bad
+#: index).  ``a`` has 4 elements on every PE; the body starts on line 2.
+_OOR_DECL = "WE HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+_OOR_LOOP = "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8\n"
+OUT_OF_RANGE = [
+    ("local-read", "I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+     "VISIBLE a'Z 9", "3:10", 9),
+    ("local-write", "I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+     "a'Z 9 R 1", "3:2", 9),
+    ("sym-read", _OOR_DECL + "VISIBLE a'Z 9", "3:10", 9),
+    ("sym-write", _OOR_DECL + "a'Z 9 R 1", "3:2", 9),
+    ("ur-read", _OOR_DECL + "I HAS A x ITZ 0\nTXT MAH BFF 1, x R UR a'Z 9",
+     "4:24", 9),
+    ("ur-read-block", _OOR_DECL + "TXT MAH BFF 1 AN STUFF,\n"
+     "  VISIBLE UR a'Z 9\nTTYL", "4:15", 9),
+    ("ur-write", _OOR_DECL + "TXT MAH BFF 1, UR a'Z 9 R 1", "3:20", 9),
+    ("slice-read", _OOR_DECL + "I HAS A b ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n"
+     "TXT MAH BFF 1 AN STUFF,\n" + _OOR_LOOP + "  b'Z i R UR a'Z i\n"
+     "IM OUTTA YR l\nTTYL", "6:15", 4),
+    ("slice-write", _OOR_DECL + "TXT MAH BFF 1 AN STUFF,\n" + _OOR_LOOP
+     + "  UR a'Z i R i\nIM OUTTA YR l\nTTYL", "5:7", 4),
+]
+
+
+class TestOutOfRangeMessages:
+    """A symmetric array's bad index reads like a local array's: the
+    array name and the access's source position, on every engine that
+    checks indexes."""
+
+    @pytest.mark.parametrize("engine", ["ast", "vm"])
+    @pytest.mark.parametrize(
+        "body,where,index",
+        [case[1:] for case in OUT_OF_RANGE],
+        ids=[case[0] for case in OUT_OF_RANGE],
+    )
+    def test_names_the_array_and_the_position(self, engine, body, where, index):
+        with pytest.raises(LolParallelError) as excinfo:
+            run_lolcode(lol(body), 2, engine=engine, barrier_timeout=10)
+        at = f"<string>:{where}"
+        assert str(excinfo.value) == (
+            f"{at}: PE 0 failed: {at}: a: array index {index} "
+            f"out of range [0, 4)"
+        )
+
+
 class TestDeterminism:
     def test_seeded_random_reproducible(self):
         body = "VISIBLE WHATEVR\nVISIBLE WHATEVAR"

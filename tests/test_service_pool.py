@@ -11,11 +11,13 @@ import time
 import pytest
 
 from repro import run_lolcode
+from repro.faults import ENV_VAR, plan_from_rules
 from repro.lang.errors import LolParallelError
 from repro.lang.types import LolType
 from repro.service.pool import (
     DEFAULT_MAX_LOCKS,
     SegmentPool,
+    WorkerCrashError,
     WorkerPool,
     _size_class,
     get_default_pool,
@@ -197,6 +199,70 @@ class TestWorkerPool:
         p.close()
         with pytest.raises(LolParallelError, match="closed"):
             p.run(_worker_ring, 1, _ring_plan())
+
+
+def _mappings(pid: int, name: str) -> list[str]:
+    """The lines of ``pid``'s memory map that map segment ``name``."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return [line for line in fh if line.rstrip().endswith(f"/{name}")]
+
+
+def _segment_names(pool: WorkerPool) -> list[str]:
+    return sorted(pool.segments._all)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps") or not os.path.isdir("/dev/shm"),
+    reason="needs /proc/<pid>/maps and /dev/shm",
+)
+class TestWarmSegments:
+    """Workers map a pooled segment once and keep it mapped."""
+
+    def test_worker_maps_a_recycled_segment_once_across_jobs(self):
+        with WorkerPool(2) as pool:
+            pool.run(_worker_ring, 2, _ring_plan())
+            (name,) = _segment_names(pool)
+            first = {pid: _mappings(pid, name) for pid in pool.worker_pids()}
+            for _ in range(3):
+                assert pool.run(_worker_ring, 2, _ring_plan()).returns == [10, 0]
+            assert _segment_names(pool) == [name]
+            for pid in pool.worker_pids():
+                # Still mapped after the job, at the address of the first
+                # job's mapping: one attach, not one per job.
+                assert len(first[pid]) == 1
+                assert _mappings(pid, name) == first[pid]
+
+    def test_jobs_verify_after_a_reply_kill_and_rebuild(self, monkeypatch):
+        plan = plan_from_rules(
+            1, [{"site": "pool.reply", "kind": "kill", "rank": 0, "jobs": [2]}]
+        )
+        monkeypatch.setenv(ENV_VAR, plan.to_json())
+        with WorkerPool(2) as pool:
+            assert pool.run(_worker_ring, 2, _ring_plan()).returns == [10, 0]
+            old_pids = pool.worker_pids()
+            with pytest.raises(WorkerCrashError, match="PE 0"):
+                pool.run(_worker_ring, 2, _ring_plan(), barrier_timeout=10.0)
+            assert pool.rebuilds == 1
+            # Fresh workers start with no mappings and attach the same
+            # recycled segment, whose previous bytes the parent zeroed.
+            assert set(pool.worker_pids()).isdisjoint(old_pids)
+            for _ in range(3):
+                assert pool.run(_worker_ring, 2, _ring_plan()).returns == [10, 0]
+            result = pool.run(_worker_locked_increment, 2, _lock_plan())
+            assert result.returns[0] == 20
+            assert pool.segments.created == 1
+
+    def test_close_leaves_no_segment_in_dev_shm(self):
+        pool = WorkerPool(2)
+        pool.run(_worker_ring, 2, _ring_plan())
+        big = SymmetricPlan()
+        big.add("x", LolType.NUMBR, True, 4096, False)
+        pool.run(_worker_pid, 2, big)
+        names = _segment_names(pool)
+        assert len(names) == 2
+        assert all(os.path.exists(f"/dev/shm/{n}") for n in names)
+        pool.close()
+        assert [n for n in names if os.path.exists(f"/dev/shm/{n}")] == []
 
 
 class TestSegmentPool:

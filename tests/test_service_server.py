@@ -1,15 +1,19 @@
 """Tests for the unix-socket server, client, smoke check, and bench
 (``repro.service.server`` / ``client`` / ``smoke`` / ``bench``)."""
 
+import asyncio
 import json
+import os
 import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.scheduler import ServiceError
-from repro.service.server import BackgroundServer
+from repro.service.server import BackgroundServer, ServiceServer
 
 from .conftest import lol
 
@@ -120,6 +124,114 @@ class TestClientEdges:
         client = ServiceClient(str(tmp_path / "nowhere.sock"), timeout=2.0)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.ping()
+
+
+#: About 1.7 s on the ast engine (300000 trips), so a ``wait`` on it
+#: stays blocked long enough for another thread's round trip.
+SLOW = lol(
+    "I HAS A s ITZ 0\n"
+    "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 300000\n"
+    "  s R SUM OF s AN MOD OF i AN 7\n"
+    "IM OUTTA YR l\n"
+    "VISIBLE s"
+)
+
+
+class TestKeptConnections:
+    """Each calling thread keeps one connection across its requests."""
+
+    def test_requests_from_one_thread_share_one_connection(self):
+        with BackgroundServer() as bg, ServiceClient(bg.socket_path) as client:
+            for _ in range(20):
+                client.ping()
+            job_id = client.submit(HELLO, executor="thread")
+            assert client.result(job_id, timeout=60)["output"]
+            assert client.stats()["connections"] == {"open": 1, "accepted": 1}
+
+    def test_client_survives_a_server_restart_on_the_same_path(self, tmp_path):
+        path = str(tmp_path / "s.sock")
+        # No retry budget: the kept connection's EOF must be noticed
+        # before the next request is written, not retried after it.
+        client = ServiceClient(path, retry=None)
+        with BackgroundServer(path):
+            first = client.ping()
+        with BackgroundServer(path) as bg:
+            assert client.ping() == first  # same process, new server
+            # A submit is never replayed, so it must not be written into
+            # the dead connection either.
+            job_id = client.submit(HELLO, executor="thread")
+            assert client.result(job_id, timeout=60)["output"]
+            with ServiceClient(bg.socket_path) as probe:
+                assert probe.stats()["connections"]["accepted"] == 2
+        client.close()
+
+    def test_blocked_wait_does_not_delay_another_threads_ping(self, client):
+        job_id = client.submit(SLOW, engine="ast", executor="thread")
+        outcome = {}
+
+        def waiter():
+            outcome["job"] = client.wait(job_id, timeout=120)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while client.status(job_id)["state"] == "queued":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            t0 = time.perf_counter()
+            client.ping()
+            elapsed = time.perf_counter() - t0
+            assert thread.is_alive(), "the job finished before the ping"
+            assert elapsed < 0.5
+        finally:
+            thread.join(timeout=120)
+        assert outcome["job"]["state"] == "done"
+
+    def test_held_connection_reads_eof_once_the_server_stops(self, tmp_path):
+        path = str(tmp_path / "s.sock")
+        client = ServiceClient(path)
+        # Every client call on one thread, so they share its connection.
+        calls = ThreadPoolExecutor(max_workers=1)
+
+        async def main():
+            server = ServiceServer(path)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(calls, client.ping)
+            sock = await loop.run_in_executor(
+                calls, lambda: client._local.conn.sock
+            )
+            # stop() must not wait on the idle connection, and must
+            # close it before the loop ends.
+            await asyncio.wait_for(server.stop(), 10.0)
+            sock.settimeout(10.0)
+            return await loop.run_in_executor(calls, sock.recv, 1)
+
+        try:
+            assert asyncio.run(main()) == b""
+        finally:
+            calls.submit(client.close).result()
+            calls.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_never_reuses_the_parents_socket(self):
+        with BackgroundServer() as bg, ServiceClient(bg.socket_path) as client:
+            pid = client.ping()
+            conn = client._local.conn
+            child = os.fork()
+            if child == 0:  # pragma: no cover - runs in the child
+                ok = False
+                try:
+                    ok = client.ping() == pid and client._local.conn is not conn
+                finally:
+                    os._exit(0 if ok else 1)
+            _, status = os.waitpid(child, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            # The parent's stream is intact and still its own.
+            assert client.ping() == pid
+            assert client._local.conn is conn
+            assert client.stats()["connections"]["accepted"] == 2
 
 
 class TestSocketLifecycle:

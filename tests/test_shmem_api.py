@@ -153,7 +153,9 @@ class TestPutGet:
         ctx = serial_context(_plan(a=(LolType.NUMBR, True, 4)))
         with pytest.raises(LolParallelError, match="out of range"):
             ctx.get_slice("a", 1, slice(0, 2, 1))
-        with pytest.raises(LolRuntimeError, match=r"index 4 out of range \[0, 4\)"):
+        with pytest.raises(
+            LolRuntimeError, match=r"^a: array index 4 out of range \[0, 4\)$"
+        ):
             ctx.put_slice("a", 0, 0, slice(2, 5, 1))
         assert ctx.get_slice("a", 0, slice(0, 4, 1)).tolist() == [0, 0, 0, 0]
 
