@@ -10,14 +10,13 @@ setup(
     package_data={
         "repro.workloads": ["lol/*.lol"],
         # The bundled single-node SHMEM shim the native engine builds
-        # generated C against (engine="c" / lolcc --build).
+        # generated C against (engine="c" / lcc --build).
         "repro.compiler": ["lol_shmem_shim.c", "lol_shmem_shim.h"],
     },
     python_requires=">=3.10",
     entry_points={
         "console_scripts": [
             "lcc=repro.cli:lcc_main",
-            "lolcc=repro.cli:lolcc_main",
             "loli=repro.cli:loli_main",
             "loldis=repro.cli:loldis_main",
             "lolrun=repro.cli:lolrun_main",

@@ -1,11 +1,10 @@
 """Command-line tools.
 
 * ``lcc`` — the paper's source-to-source compiler: LOLCODE in, C with
-  OpenSHMEM out (exactly Section VI.E: ``lcc code.lol -o executable.c``).
-* ``lolcc`` — the native compiler *driver* on top of ``lcc``: dump the
-  C a program compiles to for a given launch width, or ``--build`` a
-  standalone executable against the bundled single-node SHMEM shim
-  (what ``run_lolcode(engine="c")`` uses under the hood).
+  OpenSHMEM out (exactly Section VI.E: ``lcc code.lol -o executable.c``;
+  ``-np N`` folds a launch width), or ``--build`` a standalone executable
+  against the bundled single-node SHMEM shim (what
+  ``run_lolcode(engine="c")`` uses under the hood).
 * ``loli`` — serial reference interpreter (the role of ``lci``).
 * ``loldis`` — disassembler for the register-bytecode VM engine: print
   the bytecode a program compiles to (``--engine vm``'s executable form).
@@ -57,45 +56,9 @@ def lcc_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lcc",
         description="LOLCODE source-to-source compiler "
-        "(I Can Has Supercomputer? reproduction)",
-    )
-    parser.add_argument("source", help="input .lol file ('-' for stdin)")
-    parser.add_argument(
-        "-o", "--output", default="-", help="output file (default stdout)"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="run the static analyses first; E-codes block the compile "
-        "(exit 2), warnings go to stderr",
-    )
-    args = parser.parse_args(argv)
-    try:
-        text = _read(args.source)
-        if args.check:
-            rc = _check_gate(text, args.source)
-            if rc:
-                return rc
-        from .compiler import compile_c
-
-        out = compile_c(text, filename=args.source)
-    except LolError as exc:
-        return _fail(exc)
-    if args.output == "-":
-        sys.stdout.write(out)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    return 0
-
-
-def lolcc_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Native compiler driver: dump generated C or build an executable."""
-    parser = argparse.ArgumentParser(
-        prog="lolcc",
-        description="native LOLCODE compiler driver: print the C a "
-        "program compiles to, or --build a standalone executable against "
-        "the bundled single-node SHMEM shim",
+        "(I Can Has Supercomputer? reproduction): print the C + OpenSHMEM "
+        "a program compiles to, or --build a standalone executable "
+        "against the bundled single-node SHMEM shim",
         epilog="a built binary runs serially as-is; for an n-PE world "
         "launch one process per PE with LOL_SHMEM_PE/LOL_SHMEM_NPES/"
         "LOL_SHMEM_FILE set (or just use `lolrun --engine c`)",
@@ -118,21 +81,22 @@ def lolcc_main(argv: Optional[Sequence[str]] = None) -> int:
         "-np",
         "--n-pes",
         type=int,
-        default=1,
+        default=None,
         dest="n_pes",
         help="launch width folded into MAH FRENZ symmetric array extents "
-        "(default 1; the binary is specific to this width when the "
-        "program sizes arrays with MAH FRENZ)",
+        "(default: the C reads the width at run time, and --build folds "
+        "1; the output is specific to this width when the program sizes "
+        "arrays with MAH FRENZ)",
     )
     parser.add_argument(
         "--cc",
         default=None,
-        help="C compiler to use (default: $LOL_CC, cc, gcc, clang)",
+        help="C compiler for --build (default: $LOL_CC, cc, gcc, clang)",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the static analyses first; E-codes block the build "
+        help="run the static analyses first; E-codes block the compile "
         "(exit 2), warnings go to stderr",
     )
     args = parser.parse_args(argv)
@@ -148,7 +112,7 @@ def lolcc_main(argv: Optional[Sequence[str]] = None) -> int:
             from .compiler.native import build_native
 
             binary = build_native(
-                text, filename=args.source, n_pes=args.n_pes, cc=args.cc
+                text, filename=args.source, n_pes=args.n_pes or 1, cc=args.cc
             )
             if args.output == "-":
                 print(binary)

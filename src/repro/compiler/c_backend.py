@@ -518,7 +518,7 @@ class CBackend:
         Dispatches over every AST statement class.  Restriction
         diagnostics raised from here (and from the ``_gen_*`` helpers
         it fans out to) carry the statement's source position, so
-        ``lcc``/``lolcc`` point at the offending LOLCODE line rather
+        ``lcc`` points at the offending LOLCODE line rather
         than at generated C.
         """
         if isinstance(stmt, ast.VarDecl):

@@ -37,7 +37,7 @@
  *
  * The generated program's entry is `lol_main`; its `main` hands it to
  * lol_shmem_main.  Disarmed, that runs the entry once, so a binary built
- * by `lolcc --build` runs directly as a serial program with no
+ * by `lcc --build` runs directly as a serial program with no
  * environment at all.
  *
  * Job server.  Exec, dynamic linking and libc start-up cost more than

@@ -168,7 +168,7 @@ class NativeBuildTransientError(NativeBuildError):
     """The toolchain failed in a way a fresh attempt may survive.
 
     Raised only when the in-module retry budget
-    (:data:`DEFAULT_BUILD_RETRIES`, override ``$LOL_BUILD_RETRIES``) is
+    (:data:`DEFAULT_BUILD_RETRIES` extra attempts) is
     exhausted: a cc killed by a signal, or an injected ``native.build``
     fault.  Carries ``retryable = True`` so the scheduler's
     :class:`~repro.faults.RetryPolicy` re-submits the job.
@@ -464,8 +464,7 @@ def _cached_build(
 def _run_cc(cc: str, argv: list[str], what: str) -> int:
     """Run one compiler command building ``what``, retrying transient
     failures; returns the number of attempts it took."""
-    retries = int(os.environ.get("LOL_BUILD_RETRIES", DEFAULT_BUILD_RETRIES))
-    attempts = 1 + max(0, retries)
+    attempts = 1 + DEFAULT_BUILD_RETRIES
     for attempt in range(1, attempts + 1):
         rule = inject("native.build")
         if rule is not None and rule.kind == "fail":
@@ -578,9 +577,11 @@ class _ForkServerSet:
     """``n_pes`` parked fork servers of one binary, sharing a world file.
 
     The file is created empty here, so its control page (barrier state,
-    abort flag) starts zeroed; each server maps it once.  A job that any
-    PE fails ends that PE's server, so such a set is never reused.  Each
-    server leads its own process group, which :meth:`kill` signals.
+    abort flag) starts zeroed; each server maps it once, before its first
+    frame, and the file is unlinked as soon as every server has sent one,
+    so a launcher killed after that leaves no name behind.  A job that
+    any PE fails ends that PE's server, so such a set is never reused.
+    Each server leads its own process group, which :meth:`kill` signals.
     """
 
     def __init__(self, binary: pathlib.Path, n_pes: int) -> None:
@@ -588,6 +589,7 @@ class _ForkServerSet:
             prefix="lol-world-", dir=_shm_dir()
         )
         os.close(world_fd)  # the servers open it by path
+        self.world_linked = True
         self.procs: list[subprocess.Popen] = []
         try:
             _SPAWNER.call(lambda: self._spawn(binary, n_pes))
@@ -652,10 +654,15 @@ class _ForkServerSet:
                 if pipe is not None:
                     pipe.close()
             proc.wait()
-        try:
-            os.unlink(self.world)
-        except OSError:
-            pass
+        self._unlink_world()
+
+    def _unlink_world(self) -> None:
+        if self.world_linked:
+            self.world_linked = False
+            try:
+                os.unlink(self.world)
+            except OSError:
+                pass
 
     def run(
         self,
@@ -710,6 +717,8 @@ class _ForkServerSet:
                     frames[pe] = (rc, _text(out), _text(err))
                     poller.unregister(fd)
                     del pending[fd]
+        if not pending:
+            self._unlink_world()
         return frames, sorted(pending.values()), None
 
 

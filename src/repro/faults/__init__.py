@@ -29,7 +29,7 @@ from .plan import (
     plan_from_rules,
     reset_faults,
 )
-from .retry import NO_RETRY, RetryPolicy, is_retryable
+from .retry import RetryPolicy, is_retryable
 
 __all__ = [
     "ENV_VAR",
@@ -45,7 +45,6 @@ __all__ = [
     "inject",
     "plan_from_rules",
     "reset_faults",
-    "NO_RETRY",
     "RetryPolicy",
     "is_retryable",
 ]

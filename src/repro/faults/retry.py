@@ -63,7 +63,3 @@ class RetryPolicy:
             "max_backoff_s": self.max_backoff,
             "jitter": self.jitter,
         }
-
-
-#: Policy used where retries should be *off* unless asked for.
-NO_RETRY = RetryPolicy(max_attempts=1)

@@ -14,10 +14,9 @@ other:
 (The third registered engine is not an interpreter: ``"c"`` is the
 paper's full ``lcc`` pipeline — LOLCODE -> C + OpenSHMEM, built by the
 system C compiler against the bundled single-node SHMEM shim and run as
-real OS processes by :mod:`repro.compiler.native`.  It can degrade
-gracefully: ``run_lolcode(..., fallback_engine="vm")`` reruns on an
-interpreter when the native toolchain is missing or broken and marks
-the result ``degraded``.)
+real OS processes by :mod:`repro.compiler.native`.  A host with no C
+compiler raises :class:`~repro.compiler.NativeToolchainError`; the
+caller picks an interpreter engine itself.)
 
 :func:`compile_vm_cached` is the process-wide LRU compiled-program
 cache, keyed by source text and compile flags: an SPMD launch compiles

@@ -88,7 +88,7 @@ class LolStaticError(LolError):
     """Static-analysis errors rejected before execution.
 
     Raised by :func:`repro.launcher.spmd.run_lolcode` under
-    ``check="error"`` (and by ``lcc --check`` / ``lolcc --check``) when
+    ``check="error"`` (and by ``lcc --check``) when
     the checker reports any ``E``-code diagnostic.  ``render`` shows
     the first diagnostic; ``diagnostics`` carries the full list.
     """

@@ -133,7 +133,6 @@ def run_lolcode(
     max_steps: Optional[int] = None,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     engine: str = "vm",
-    fallback_engine: Optional[str] = None,
     check: str = "off",
 ) -> SpmdResult:
     """Parse ``source`` once (for early syntax errors) and run it SPMD.
@@ -150,15 +149,6 @@ def run_lolcode(
     :class:`~repro.compiler.CompileError`, and raises
     :class:`~repro.compiler.NativeToolchainError` when the host has no
     C compiler).
-
-    ``fallback_engine`` opts into graceful degradation: if the requested
-    engine fails for an *environmental* reason — no C toolchain, or a
-    native build that keeps failing (:class:`~repro.compiler.NativeToolchainError`,
-    :class:`~repro.compiler.NativeBuildError`) — the run is retried once
-    on the fallback engine and the result is marked ``degraded`` with a
-    ``degraded_reason``.  Program errors (syntax, compile restrictions,
-    runtime faults) never trigger the fallback: those would fail the
-    same way — or worse, differently — on any engine.
 
     ``check`` gates the static analyses (:mod:`repro.analysis`) before
     launch: ``"off"`` (default) skips them, ``"warn"`` prints every
@@ -180,44 +170,6 @@ def run_lolcode(
             f"unknown check mode {check!r} "
             f"(choose from ('off', 'warn', 'error'))"
         )
-    if fallback_engine is not None:
-        if fallback_engine not in ENGINES:
-            raise LolParallelError(
-                f"unknown fallback_engine {fallback_engine!r} "
-                f"(choose from {ENGINES})"
-            )
-        if fallback_engine == engine:
-            raise LolParallelError(
-                f"fallback_engine must differ from engine (both {engine!r})"
-            )
-        from ..compiler.native import NativeBuildError, NativeToolchainError
-
-        run = partial(
-            run_lolcode,
-            source,
-            n_pes,
-            executor=executor,
-            filename=filename,
-            seed=seed,
-            stdin_lines=stdin_lines,
-            trace=trace,
-            race_detection=race_detection,
-            max_steps=max_steps,
-            barrier_timeout=barrier_timeout,
-            check=check,
-        )
-        try:
-            return run(engine=engine)
-        except (NativeToolchainError, NativeBuildError) as exc:
-            # The fallback engine runs on the executor the caller named.
-            result = run(engine=fallback_engine)
-            result.degraded = True
-            result.degraded_reason = (
-                f"engine {engine!r} unavailable "
-                f"({type(exc).__name__}: {str(exc)[:200]}); "
-                f"ran fallback engine {fallback_engine!r}"
-            )
-            return result
     # Surface syntax errors in the caller (cached: benches re-run sources).
     rt = _obs.ACTIVE
     if rt is not None and rt.trace_on:

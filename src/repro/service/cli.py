@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--timeout", type=float, default=None,
                           help="per-job timeout in seconds")
     submit_p.add_argument(
-        "--fallback-engine", default=None, dest="fallback_engine",
-        help="engine to degrade to if the requested engine is "
-        "unavailable (result is marked degraded)",
-    )
-    submit_p.add_argument(
-        "--max-attempts", type=int, default=None, dest="max_attempts",
-        help="override the scheduler's retry budget for this job",
-    )
-    submit_p.add_argument(
         "--wait", action="store_true",
         help="block until the job finishes and print its result",
     )
@@ -113,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_p = sub.add_parser(
         "stats", help="print server counters (queue, pool, retries, "
-        "shed, degraded, per-engine latency, native cache, faults)",
+        "shed, per-engine latency, native cache, faults)",
     )
     stats_p.add_argument("--socket", default=DEFAULT_SOCKET)
     stats_p.add_argument(
@@ -156,8 +147,7 @@ def _render_stats_text(stats: dict) -> str:
     lines = [
         "queue    depth={queued} running={running} "
         "peak={peak_running} capacity={max_queue_depth}".format(**stats),
-        "jobs     total={jobs} retries={retries} shed={shed} "
-        "degraded={degraded}".format(**stats),
+        "jobs     total={jobs} retries={retries} shed={shed}".format(**stats),
     ]
     states = stats.get("states") or {}
     if states:
@@ -244,38 +234,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     client = ServiceClient(args.socket)
     try:
         if args.command == "submit":
+            source = filename = workload = None
             if args.workload:
-                job_id = client.submit(
-                    workload=args.target,
-                    params=_parse_params(args.overrides),
-                    smoke=args.smoke,
-                    n_pes=args.n_pes,
-                    engine=args.engine,
-                    executor=args.executor,
-                    seed=args.seed,
-                    trace=args.trace,
-                    timeout=args.timeout,
-                    fallback_engine=args.fallback_engine,
-                    max_attempts=args.max_attempts,
-                )
+                workload = args.target
+            elif args.target == "-":
+                source, filename = sys.stdin.read(), args.target
             else:
-                if args.target == "-":
-                    source = sys.stdin.read()
-                else:
-                    with open(args.target, "r", encoding="utf-8") as fh:
-                        source = fh.read()
-                job_id = client.submit(
-                    source,
-                    n_pes=args.n_pes,
-                    engine=args.engine,
-                    executor=args.executor,
-                    seed=args.seed,
-                    trace=args.trace,
-                    timeout=args.timeout,
-                    filename=args.target,
-                    fallback_engine=args.fallback_engine,
-                    max_attempts=args.max_attempts,
-                )
+                with open(args.target, "r", encoding="utf-8") as fh:
+                    source, filename = fh.read(), args.target
+            job_id = client.submit(
+                source,
+                workload=workload,
+                params=_parse_params(args.overrides),
+                smoke=args.smoke,
+                n_pes=args.n_pes,
+                engine=args.engine,
+                executor=args.executor,
+                seed=args.seed,
+                trace=args.trace,
+                timeout=args.timeout,
+                filename=filename,
+            )
             if args.wait:
                 print(json.dumps(client.wait(job_id), indent=2))
             else:

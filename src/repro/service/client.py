@@ -120,16 +120,32 @@ class ServiceClient:
         self.timeout = timeout
         self.retry = retry
         self._local = threading.local()
-        #: Every live connection of every thread, for :meth:`close`.
+        #: Every live connection of every thread, for :meth:`close`;
+        #: ``_pid`` is the process the set and its lock belong to.
         self._conns: "weakref.WeakSet[_Conn]" = weakref.WeakSet()
         self._conns_lock = threading.Lock()
+        self._pid = os.getpid()
+
+    def _owned(self) -> "tuple[threading.Lock, weakref.WeakSet[_Conn]]":
+        """This process's connection set and the lock guarding it.
+
+        A forked child replaces the copies it inherited on first use: a
+        parent thread may have held the lock at the fork, and no thread
+        in the child would ever release it.
+        """
+        if self._pid != os.getpid():
+            self._conns_lock = threading.Lock()
+            self._conns = weakref.WeakSet()
+            self._pid = os.getpid()
+        return self._conns_lock, self._conns
 
     def close(self) -> None:
         """Close every connection this client holds, on every thread.
         A later request opens a new one."""
-        with self._conns_lock:
-            conns = list(self._conns)
-            self._conns.clear()
+        lock, owned = self._owned()
+        with lock:
+            conns = list(owned)
+            owned.clear()
         for conn in conns:
             conn.close()
 
@@ -190,8 +206,9 @@ class ServiceClient:
             ) from exc
         conn = _Conn(sock)
         self._local.conn = conn
-        with self._conns_lock:
-            self._conns.add(conn)
+        lock, owned = self._owned()
+        with lock:
+            owned.add(conn)
         return sock
 
     def _drop(self) -> None:
@@ -201,8 +218,9 @@ class ServiceClient:
         if conn is None:
             return
         self._local.conn = None
-        with self._conns_lock:
-            self._conns.discard(conn)
+        lock, owned = self._owned()
+        with lock:
+            owned.discard(conn)
         conn.close()
 
     def _request_once(
@@ -292,15 +310,8 @@ class ServiceClient:
         trace: bool = False,
         timeout: Optional[float] = None,
         filename: Optional[str] = None,
-        fallback_engine: Optional[str] = None,
-        max_attempts: Optional[int] = None,
     ) -> str:
-        """Submit a job; returns its job id immediately.
-
-        ``fallback_engine`` opts into graceful degradation (the result
-        row is marked ``degraded`` if the fallback ran); ``max_attempts``
-        overrides the scheduler's retry budget for this job.
-        """
+        """Submit a job; returns its job id immediately."""
         return self.request(
             "submit",
             source=source,
@@ -314,8 +325,6 @@ class ServiceClient:
             trace=trace or None,
             timeout=timeout,
             filename=filename,
-            fallback_engine=fallback_engine,
-            max_attempts=max_attempts,
         )["job_id"]
 
     def status(self, job_id: str) -> dict:

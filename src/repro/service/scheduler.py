@@ -47,9 +47,6 @@ _M_SHED = _REG.counter(
 _M_RETRIES = _REG.counter(
     "lol_sched_retries_total", "Retry attempts actually performed"
 )
-_M_DEGRADED = _REG.counter(
-    "lol_sched_degraded_total", "Jobs completed on a fallback engine"
-)
 _M_JOB_LATENCY = _REG.histogram(
     "lol_job_latency_seconds", "Job wall time from dispatch to terminal"
 )
@@ -65,12 +62,21 @@ DEFAULT_JOB_TIMEOUT = 120.0
 #: (and the server's memory) without limit.
 DEFAULT_MAX_QUEUE_DEPTH = 256
 
-#: Default re-submission policy for jobs failing with *retryable* typed
+#: The re-submission policy for jobs failing with *retryable* typed
 #: errors (worker death, toolchain transients, injected faults).  Those
-#: are rare in a healthy deployment, so retries are on by default —
-#: program-level errors never carry ``retryable`` and are never retried.
+#: are rare in a healthy deployment, so every job gets it — program-level
+#: errors never carry ``retryable`` and are never retried.
 DEFAULT_RETRY_POLICY = RetryPolicy(
     max_attempts=3, backoff_base=0.05, backoff_factor=2.0, max_backoff=1.0
+)
+
+
+#: The wire fields a ``submit`` request may carry besides ``op``.
+_SUBMIT_FIELDS = frozenset(
+    {
+        "op", "source", "workload", "params", "smoke", "engine", "executor",
+        "n_pes", "seed", "trace", "filename", "timeout",
+    }
 )
 
 
@@ -117,8 +123,6 @@ class JobSpec:
     workload: Optional[str] = None
     params: Mapping[str, int] = field(default_factory=dict)
     timeout: Optional[float] = None
-    fallback_engine: Optional[str] = None
-    max_attempts: Optional[int] = None
 
     @classmethod
     def from_request(cls, payload: Mapping) -> "JobSpec":
@@ -135,6 +139,13 @@ class JobSpec:
         """
         from ..launcher import ENGINES, EXECUTORS
 
+        unknown = sorted(payload.keys() - _SUBMIT_FIELDS)
+        if unknown:
+            # A field this server does not read (say, one an older
+            # client still sends) must fail loudly, not be ignored.
+            raise ServiceError(
+                f"unknown submit field(s) {', '.join(map(repr, unknown))}"
+            )
         source = payload.get("source")
         workload = payload.get("workload")
         params = dict(payload.get("params") or {})
@@ -177,25 +188,6 @@ class JobSpec:
             isinstance(timeout, (int, float)) and timeout > 0
         ):
             raise ServiceError(f"timeout must be a positive number, got {timeout!r}")
-        fallback_engine = payload.get("fallback_engine")
-        if fallback_engine is not None:
-            if fallback_engine not in ENGINES:
-                raise ServiceError(
-                    f"unknown fallback_engine {fallback_engine!r} "
-                    f"(choose from {ENGINES})"
-                )
-            if fallback_engine == engine:
-                raise ServiceError(
-                    "fallback_engine must differ from engine "
-                    f"(both {engine!r})"
-                )
-        max_attempts = payload.get("max_attempts")
-        if max_attempts is not None and not (
-            isinstance(max_attempts, int) and max_attempts >= 1
-        ):
-            raise ServiceError(
-                f"max_attempts must be a positive integer, got {max_attempts!r}"
-            )
         return cls(
             source=source,
             n_pes=n_pes,
@@ -208,8 +200,6 @@ class JobSpec:
             workload=workload,
             params=params,
             timeout=timeout,
-            fallback_engine=fallback_engine,
-            max_attempts=max_attempts,
         )
 
 
@@ -265,7 +255,6 @@ def execute_job(spec: JobSpec) -> dict:
         seed=spec.seed,
         trace=spec.trace,
         filename=spec.filename,
-        fallback_engine=spec.fallback_engine,
     )
     elapsed = time.perf_counter() - t0
     row = {
@@ -278,11 +267,6 @@ def execute_job(spec: JobSpec) -> dict:
         "outputs": result.outputs,
         "output": result.output,
     }
-    if result.degraded:
-        # The requested engine failed and the recorded fallback ran
-        # instead — the result is real but the row must say so.
-        row["degraded"] = True
-        row["degraded_reason"] = result.degraded_reason
     if spec.trace and result.trace is not None:
         row["trace"] = result.trace.summary()
     if spec.workload is not None:
@@ -309,7 +293,6 @@ class Scheduler:
         default_timeout: float = DEFAULT_JOB_TIMEOUT,
         max_retained_jobs: int = 1000,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
@@ -319,7 +302,6 @@ class Scheduler:
         self.default_timeout = default_timeout
         self.max_retained_jobs = max_retained_jobs
         self.max_queue_depth = max_queue_depth
-        self.retry_policy = retry_policy
         self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._jobs: Dict[str, Job] = {}
         #: terminal job ids in completion order, oldest first — the
@@ -338,7 +320,6 @@ class Scheduler:
         #: there ``lolserve stats``)
         self.retries_total = 0  # retry attempts actually performed
         self.shed_total = 0  # submissions rejected with QueueFullError
-        self.degraded_total = 0  # jobs completed on a fallback engine
         #: EMA of job wall time, feeding QueueFullError's retry-after
         self._ema_job_s = 0.1
         #: recent job wall times per engine (bounded), feeding the
@@ -456,8 +437,7 @@ class Scheduler:
             "max_queue_depth": self.max_queue_depth,
             "retries": self.retries_total,
             "shed": self.shed_total,
-            "degraded": self.degraded_total,
-            "retry_policy": self.retry_policy.describe(),
+            "retry_policy": DEFAULT_RETRY_POLICY.describe(),
             "latency": self.latency_summary(),
         }
 
@@ -550,9 +530,6 @@ class Scheduler:
                 self._run_attempts(job), timeout
             )
             job.state = JobState.DONE
-            if job.result.get("degraded"):
-                self.degraded_total += 1
-                _M_DEGRADED.inc()
         except asyncio.TimeoutError:
             # The worker thread cannot be killed; the run itself is
             # bounded by its barrier timeout.  The *job* is failed now
@@ -579,14 +556,14 @@ class Scheduler:
         """Run the job, re-submitting on *retryable* typed failures.
 
         Worker death, toolchain transients, and injected faults carry
-        ``retryable = True`` and get up to ``max_attempts`` tries with
+        ``retryable = True`` and get up to
+        ``DEFAULT_RETRY_POLICY.max_attempts`` tries with
         deterministic exponential backoff; every failed attempt is
         recorded on the job (and echoed into the result row), so "it
         worked, on the second try, after a worker crash" is visible to
         the submitter, not silently papered over.
         """
-        policy = self.retry_policy
-        max_attempts = job.spec.max_attempts or policy.max_attempts
+        policy = DEFAULT_RETRY_POLICY
         for attempt in itertools.count(1):
             try:
                 row = await asyncio.to_thread(execute_job, job.spec)
@@ -599,7 +576,7 @@ class Scheduler:
                     "retryable": retryable,
                 }
                 job.attempts.append(record)
-                if not retryable or attempt >= max_attempts:
+                if not retryable or attempt >= policy.max_attempts:
                     raise
                 delay = policy.delay(attempt, seed=job.spec.seed or 0)
                 record["backoff_s"] = round(delay, 4)

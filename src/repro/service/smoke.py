@@ -97,7 +97,6 @@ def run_smoke(
     print(
         f"smoke: retries {stats.get('retries', 0)}, "
         f"shed {stats.get('shed', 0)}, "
-        f"degraded {stats.get('degraded', 0)}, "
         f"faults {faults['fires'] if faults else 'disarmed'}"
     )
     return failures

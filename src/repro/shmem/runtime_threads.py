@@ -46,10 +46,6 @@ class SpmdResult:
     trace: Optional[WorldTrace] = None
     races: list[RaceReport] = field(default_factory=list)
     heap_symbols: list[str] = field(default_factory=list)
-    #: Set by the launcher when the requested engine failed and an
-    #: opt-in ``fallback_engine`` produced this result instead.
-    degraded: bool = False
-    degraded_reason: Optional[str] = None
 
     @property
     def output(self) -> str:

@@ -346,7 +346,7 @@ class TestServerConnFaults:
         assert excinfo.value.mid_request is False
 
 
-# -- native engine: build transients, cache integrity, degradation ------------
+# -- native engine: build transients, cache integrity ------------------------
 
 
 def _unique_visible(tag: str) -> tuple[str, str]:
@@ -358,36 +358,25 @@ def _unique_visible(tag: str) -> tuple[str, str]:
 
 
 class TestNativeFaults:
-    def test_fallback_engine_degrades_gracefully_without_a_toolchain(
+    def test_service_fails_a_native_job_without_a_toolchain_once(
         self, monkeypatch
     ):
-        monkeypatch.setenv("LOL_CC", "lol-cc-that-does-not-exist")
-        result = run_lolcode(
-            lol('VISIBLE "STILL HERE"'),
-            1,
-            executor="pool",
-            engine="c",
-            fallback_engine="vm",
-        )
-        assert result.output == "STILL HERE\n"
-        assert result.degraded is True
-        assert "NativeToolchainError" in result.degraded_reason
-
-    def test_service_marks_degraded_rows_and_counts_them(self, monkeypatch):
+        # A missing compiler is not transient: the job ends in error
+        # after one attempt, naming the toolchain, and nothing else runs.
         monkeypatch.setenv("LOL_CC", "lol-cc-that-does-not-exist")
         with BackgroundServer() as bg:
             client = ServiceClient(bg.socket_path, timeout=60.0)
             job_id = client.submit(
-                lol('VISIBLE "DEGRADED OK"'),
-                engine="c",
-                executor="pool",
-                fallback_engine="vm",
+                lol('VISIBLE "NO CC"'), engine="c", executor="pool"
             )
-            row = client.result(job_id)
-            assert row["output"] == "DEGRADED OK\n"
-            assert row["degraded"] is True
-            assert "fallback engine 'vm'" in row["degraded_reason"]
-            assert client.stats()["degraded"] == 1
+            desc = client.wait(job_id)
+            assert desc["state"] == "error"
+            assert "C compiler" in desc["error"]
+            (attempt,) = desc["attempts"]
+            assert attempt["error"].startswith("NativeToolchainError: ")
+            assert attempt["retryable"] is False
+            assert "result" not in desc
+            assert client.stats()["retries"] == 0
 
     def test_no_fallback_without_opt_in(self, monkeypatch):
         from repro.compiler import NativeToolchainError

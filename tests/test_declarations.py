@@ -109,11 +109,10 @@ def test_redefined_function_runs_on_the_interpreters():
     ids=["redefined_function", "conflicting_extents"],
 )
 def test_program_errors_never_reach_cc(body, match):
-    # A program error is a CompileError before cc runs, so the
-    # environment fallback (NativeBuildError -> fallback_engine) never
-    # hides it behind a degraded run.
+    # A program error is a CompileError before cc runs, never a
+    # NativeBuildError from a C unit cc refuses.
     with pytest.raises(CompileError, match=match):
-        run_lolcode(lol(body), 2, engine="c", fallback_engine="vm")
+        run_lolcode(lol(body), 2, engine="c")
 
 
 def test_consumers_read_the_tree_the_summary_was_built_from():

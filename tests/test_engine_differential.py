@@ -759,7 +759,7 @@ def test_read_of_a_later_declaration_is_an_error(body, engine):
     assert "E001" in {d.code for d in check_source(src)}
     if engine == "c":
         with pytest.raises(CompileError, match="'z' is not declared"):
-            run_lolcode(src, 1, engine="c", fallback_engine="vm")
+            run_lolcode(src, 1, engine="c")
         return
     with pytest.raises(LolParallelError) as excinfo:
         run_lolcode(src, 1, engine=engine)
@@ -770,10 +770,9 @@ def test_read_of_a_later_declaration_is_an_error(body, engine):
 def test_same_block_redeclaration_is_not_degraded():
     # C rejects a second declarator in one block; the backend turns a
     # same-shape redeclaration into an assignment instead of handing cc
-    # a unit it refuses (a build failure would fall back to vm).
+    # a unit it refuses (which would surface as a NativeBuildError).
     body, want = SCOPE_TABLE["same-block-redeclaration"]
-    result = run_lolcode(lol(body), 1, engine="c", fallback_engine="vm")
-    assert not result.degraded
+    result = run_lolcode(lol(body), 1, engine="c")
     assert result.output.split() == want.split()
     with pytest.raises(CompileError, match="re-declared in the same block"):
         run_lolcode(
@@ -781,7 +780,6 @@ def test_same_block_redeclaration_is_not_degraded():
                 "  I HAS A x ITZ A NUMBR AN ITZ 2\nOIC"),
             1,
             engine="c",
-            fallback_engine="vm",
         )
 
 

@@ -14,7 +14,6 @@ from repro.faults import (
     FaultPlanError,
     FaultRule,
     InjectedFaultError,
-    NO_RETRY,
     RetryPolicy,
     activate,
     active_plan,
@@ -222,9 +221,6 @@ class TestRetryPolicy:
     def test_invalid_attempts_rejected(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-
-    def test_no_retry_is_single_attempt(self):
-        assert NO_RETRY.max_attempts == 1
 
     def test_describe_shape(self):
         desc = RetryPolicy().describe()

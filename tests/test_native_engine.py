@@ -1,5 +1,5 @@
 """Tests for the native C engine (``engine="c"``): build cache, SPMD
-launch over the bundled SHMEM shim, knob refusals, and the ``lolcc``
+launch over the bundled SHMEM shim, knob refusals, and the ``lcc``
 driver.
 
 The execution tests are marked ``requires_cc`` and skip cleanly on
@@ -136,7 +136,7 @@ def test_stats_text_shows_warm_set_counters():
 
     stats = dict.fromkeys(
         ("queued", "running", "peak_running", "max_queue_depth", "jobs",
-         "retries", "shed", "degraded"),
+         "retries", "shed"),
         0,
     )
     stats["native"] = native.native_stats()
@@ -434,23 +434,23 @@ def test_vm_matches_ast_on_draw_cases(case, seed, vm_machines):
 @pytest.mark.requires_cc
 class TestLolccDriver:
     def test_dump_c(self, tmp_path):
-        from repro.cli import lolcc_main
+        from repro.cli import lcc_main
 
         src_file = tmp_path / "p.lol"
         src_file.write_text(lol("VISIBLE 1"))
         out_file = tmp_path / "p.c"
-        assert lolcc_main([str(src_file), "-o", str(out_file)]) == 0
+        assert lcc_main([str(src_file), "-np", "1", "-o", str(out_file)]) == 0
         text = out_file.read_text()
         assert "int main(void)" in text
         assert "LOL_SHMEM_SHIM" in text  # shim hook documented in output
 
     def test_build_standalone_binary_runs_serially(self, tmp_path):
-        from repro.cli import lolcc_main
+        from repro.cli import lcc_main
 
         src_file = tmp_path / "p.lol"
         src_file.write_text(lol('VISIBLE "STANDALONE WINZ"'))
         exe = tmp_path / "p"
-        assert lolcc_main(["--build", str(src_file), "-o", str(exe)]) == 0
+        assert lcc_main(["--build", str(src_file), "-o", str(exe)]) == 0
         assert os.access(exe, os.X_OK)
         # No environment at all: the shim's standalone single-PE mode.
         proc = subprocess.run(
@@ -753,6 +753,23 @@ class TestJobLoop:
         after = native.native_stats()
         assert after["spawns"] == before["spawns"]
         assert after["warm_hits"] - before["warm_hits"] == 299
+
+    def test_world_file_is_unlinked_once_every_server_has_mapped_it(self):
+        src = _unique(
+            "WE HAS A slot ITZ SRSLY A NUMBR\n"
+            "slot R PRODUKT OF ME AN 100\n"
+            "HUGZ\n"
+            "I HAS A got ITZ A NUMBR\n"
+            "TXT MAH BFF DIFF OF 1 AN ME, got R UR slot\n"
+            "HUGZ\n"
+            "VISIBLE got"
+        )
+        assert run_lolcode(src, 2, engine="c").outputs == ["100\n", "0\n"]
+        (servers,) = [s for _, s in native._WARM._idle]
+        assert not os.path.exists(servers.world)
+        before = native.native_stats()
+        assert run_lolcode(src, 2, engine="c").outputs == ["100\n", "0\n"]
+        assert native.native_stats()["warm_hits"] == before["warm_hits"] + 1
 
     def test_signal_death_is_blamed_and_does_not_stall_siblings(self):
         # PE 1 divides by zero before a HUGZ that PE 0 already waits at:

@@ -71,6 +71,12 @@ class TestJobSpec:
         with pytest.raises(ServiceError, match="timeout"):
             JobSpec.from_request({"source": HELLO, "timeout": -1})
 
+    def test_unread_fields_rejected_by_name(self):
+        for field in ("fallback_engine", "max_attempts", "n_pe"):
+            with pytest.raises(ServiceError, match=repr(field)):
+                JobSpec.from_request({"source": HELLO, field: 1})
+        JobSpec.from_request({"op": "submit", "source": HELLO})
+
 
 class TestExecuteJob:
     def test_row_mirrors_lolbench_schema(self):

@@ -4,6 +4,7 @@
 import asyncio
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -232,6 +233,47 @@ class TestKeptConnections:
             assert client.ping() == pid
             assert client._local.conn is conn
             assert client.stats()["connections"]["accepted"] == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_while_another_thread_holds_the_connection_lock(self):
+        with BackgroundServer() as bg, ServiceClient(
+            bg.socket_path, timeout=10.0
+        ) as client:
+            pid = client.ping()
+            held, release = threading.Event(), threading.Event()
+
+            def holder():
+                with client._conns_lock:
+                    held.set()
+                    release.wait(30)
+
+            thread = threading.Thread(target=holder)
+            thread.start()
+            held.wait(30)
+            try:
+                child = os.fork()
+                if child == 0:  # pragma: no cover - runs in the child
+                    ok = False
+                    try:
+                        ok = client.ping() == pid
+                    finally:
+                        os._exit(0 if ok else 1)
+            finally:
+                release.set()
+                thread.join()
+            # The child's ping must answer within the client's timeout;
+            # a copied, forever-held lock would hang it instead.
+            deadline = time.monotonic() + client.timeout
+            while True:
+                done, status = os.waitpid(child, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(child, signal.SIGKILL)
+                    os.waitpid(child, 0)
+                    pytest.fail("the forked child's ping hung")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestSocketLifecycle:
